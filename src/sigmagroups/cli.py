@@ -11,6 +11,7 @@ import argparse
 import datetime as _dt
 import json
 import sys
+from dataclasses import replace
 
 from .corpus import CorpusEntry, builtin_corpus, builtin_entry, parse_corpus_file
 from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, Limits
@@ -84,14 +85,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _limits(args) -> Limits:
-    kw = {}
-    if getattr(args, "element_cache_bound", None):
-        kw["element_cache_bound"] = args.element_cache_bound
-    if getattr(args, "subgroup_bound", None):
-        kw["subgroup_bound"] = args.subgroup_bound
-    if getattr(args, "hall_set_cap", None):
-        kw["hall_set_cap"] = args.hall_set_cap
-    return Limits(**{**DEFAULT_LIMITS.__dict__, **kw}) if kw else DEFAULT_LIMITS
+    """DEFAULT_LIMITS with every cap given on the command line; a cap below 1
+    is a usage error, never a silent fallback to the default."""
+    caps = {}
+    for field in ("element_cache_bound", "subgroup_bound", "hall_set_cap"):
+        value = getattr(args, field, None)
+        if value is None:
+            continue
+        if value < 1:
+            raise _Usage(f"--{field.replace('_', '-')} must be at least 1, got {value}")
+        caps[field] = value
+    return replace(DEFAULT_LIMITS, **caps)
 
 
 def _resolve_entry(args) -> CorpusEntry:
@@ -129,7 +133,7 @@ def _emit(args, human_lines: list[str], machine_obj) -> None:
 
 def cmd_classify(args) -> int:
     limits = _limits(args)
-    G = _resolve_entry(args).build()
+    G = _resolve_entry(args).build(limits)
     sigmas = _sigmas_for(args, G, limits)
     lines, blob = [], []
     lines.append(f"group {args.group} (order {G.order}, degree {G.degree})")
@@ -175,7 +179,7 @@ def cmd_classify(args) -> int:
 
 def cmd_residual(args) -> int:
     limits = _limits(args)
-    G = _resolve_entry(args).build()
+    G = _resolve_entry(args).build(limits)
     sigma = _sigmas_for(args, G, limits)[0]
     r = sigma_nilpotent_residual(G, sigma, limits)
     gens = ", ".join(str(g) for g in r.generators) or "()"
@@ -188,7 +192,7 @@ def cmd_residual(args) -> int:
 
 def cmd_permutable(args) -> int:
     limits = _limits(args)
-    G = _resolve_entry(args).build()
+    G = _resolve_entry(args).build(limits)
     sigma = _sigmas_for(args, G, limits)[0]
     gens = [Perm.parse(t, G.degree) for t in args.gen]
     H = Subgroup(G, gens)
@@ -214,7 +218,7 @@ def _outcome_lines(rows: list[VerificationOutcome]) -> list[str]:
 def cmd_verify(args) -> int:
     limits = _limits(args)
     entry = _resolve_entry(args)
-    G = entry.build()
+    G = entry.build(limits)
     rows: list[VerificationOutcome] = []
 
     def run(fn, *fn_args):

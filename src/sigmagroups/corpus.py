@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CapacityError, GroupInputError
+from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, Limits
 from .numbers import is_prime
 from .permcore import Perm, PermGroup, interned, parse_cycles
 from .sigma import SigmaPartition
@@ -31,13 +31,16 @@ class CorpusEntry:
     expected_order: int
     tags: tuple[str, ...] = ()
 
-    def build(self) -> PermGroup:
-        G = interned(PermGroup(self.degree, self.generators))
+    def build(self, limits: Limits = DEFAULT_LIMITS) -> PermGroup:
+        """The interned group; CapacityError when its order exceeds the
+        element-cache bound of ``limits``."""
+        G = PermGroup(self.degree, self.generators)
         if G.order != self.expected_order:
             raise GroupInputError(
                 f"corpus entry {self.name!r}: generated order {G.order}, "
                 f"declared {self.expected_order}")
-        return G
+        G.elements(limits.element_cache_bound)
+        return interned(G)
 
 
 def _entry(name: str, degree: int, gens: list[str], order: int, tags: str) -> CorpusEntry:

@@ -28,7 +28,8 @@ from dataclasses import dataclass, replace
 from .corpus import CorpusEntry, partitions_of_primes
 from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, Limits
 from .numbers import primes_of
-from .permcore import Perm, PermGroup, Subgroup, compose_images, interned
+from .permcore import (Perm, PermGroup, Subgroup, clear_intern_cache, compose_images,
+                       interned)
 from .sigma import (SigmaPartition, _group_blocks, induces_power_automorphisms,
                     is_pi_separable, is_psigma_t, is_sigma_nilpotent,
                     is_sigma_soluble, largest_normal_block_subgroup,
@@ -90,22 +91,26 @@ def _sub_json(h: Subgroup) -> dict:
 # ---------------------------------------------------------------------------
 # covering-system statements (Theorem A, Corollaries 1.1/1.2)
 
-def _sylow_maximal_candidates(G: PermGroup, limits: Limits) -> list[Subgroup]:
+def _sylow_maximal_candidates(G: PermGroup, limits: Limits) -> tuple[Subgroup, ...]:
     """Maximal subgroups of every Sylow subgroup of G (all conjugates),
-    deduplicated, smallest first."""
-    seen: set[frozenset] = set()
-    out: list[Subgroup] = []
-    for p in sorted(primes_of(G.order)):
-        P = sylow_subgroup(G, p, limits)
-        pgens = [g.images for g in P.generators]
-        for sset in conjugate_image_sets(G, P.element_images(), pgens):
-            for V in maximal_subgroups_of_p_group(subgroup_from_images(G, sset), limits):
-                vset = V.element_images()
-                if vset not in seen:
-                    seen.add(vset)
-                    out.append(V)
-    out.sort(key=lambda v: (v.order, tuple(sorted(v.element_images()))))
-    return out
+    deduplicated, smallest first.  They do not depend on sigma, so they are
+    computed once per interned ambient."""
+    K = interned(G)
+    if "sylow-maximal-candidates" not in K.cache:
+        seen: set[frozenset] = set()
+        out: list[Subgroup] = []
+        for p in sorted(primes_of(K.order)):
+            P = sylow_subgroup(K, p, limits)
+            pgens = [g.images for g in P.generators]
+            for sset in conjugate_image_sets(K, P.element_images(), pgens):
+                for V in maximal_subgroups_of_p_group(subgroup_from_images(K, sset), limits):
+                    vset = V.element_images()
+                    if vset not in seen:
+                        seen.add(vset)
+                        out.append(V)
+        out.sort(key=lambda v: (v.order, tuple(sorted(v.element_images()))))
+        K.cache["sylow-maximal-candidates"] = tuple(out)
+    return K.cache["sylow-maximal-candidates"]
 
 
 def _covering_scan(G: PermGroup, sigma: SigmaPartition, cls: str,
@@ -535,7 +540,11 @@ def verify_group(entry: CorpusEntry, config: CampaignConfig) -> list[Verificatio
     """All statement outcomes for one corpus entry; capacity errors become
     skipped rows, never exceptions."""
     limits = config.limits
-    G = entry.build()
+    try:
+        G, overflow = entry.build(limits), None
+    except CapacityError as exc:
+        # too large to enumerate: every statement of the group is skipped
+        G, overflow = PermGroup(entry.degree, entry.generators), exc
     name = entry.name
     rows: list[VerificationOutcome] = []
 
@@ -544,6 +553,8 @@ def verify_group(entry: CorpusEntry, config: CampaignConfig) -> list[Verificatio
             return
         t0 = time.perf_counter()
         try:
+            if overflow is not None:
+                raise overflow
             out = fn(*args)
         except CapacityError as exc:
             out = VerificationOutcome(statement, name, sigma, "skipped",
@@ -565,6 +576,8 @@ def verify_group(entry: CorpusEntry, config: CampaignConfig) -> list[Verificatio
         label = SigmaPartition.of_blocks(set(pi)) if pi else SigmaPartition()
         run("Lem2.2", label, verify_lemma_2_2, G, frozenset(pi), name, limits)
 
+    # the interned subgroups of this group are of no use to the next one
+    clear_intern_cache()
     _check_class_monotonicity(rows)
     return rows
 

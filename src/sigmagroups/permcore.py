@@ -351,6 +351,11 @@ def interned(group: PermGroup) -> PermGroup:
     return _INTERNED.setdefault(group.key(), group)
 
 
+def find_interned(degree: int, images: frozenset[tuple]) -> PermGroup | None:
+    """The interned group with this element set, if one exists."""
+    return _INTERNED.get((degree, images))
+
+
 def clear_intern_cache() -> None:
     _INTERNED.clear()
 
@@ -368,13 +373,28 @@ class Subgroup:
     __slots__ = ("ambient", "generators", "group")
 
     def __init__(self, ambient: PermGroup, generators: Iterable[Perm]):
+        self._bind(ambient, generators, None)
+
+    @classmethod
+    def _of_interned(cls, ambient: PermGroup, group: PermGroup,
+                     generators: Iterable[Perm]) -> "Subgroup":
+        """Wrap an interned group that ``generators`` generate: the same
+        checks as the constructor, without a chain build or enumeration."""
+        self = cls.__new__(cls)
+        self._bind(ambient, generators, group)
+        return self
+
+    def _bind(self, ambient: PermGroup, generators: Iterable[Perm],
+              group: PermGroup | None) -> None:
         gens = tuple(generators)
         for g in gens:
             if g not in ambient:
                 raise GroupInputError(f"generator {g} is not in the ambient group")
         self.ambient = ambient
         self.generators = tuple(g for g in gens if not g.is_identity())
-        self.group = interned(PermGroup(ambient.degree, self.generators))
+        if group is None:
+            group = interned(PermGroup(ambient.degree, self.generators))
+        self.group = group
         assert ambient.order % self.group.order == 0, "Lagrange violated: bad subgroup"
 
     @property

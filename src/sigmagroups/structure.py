@@ -18,26 +18,35 @@ from typing import Iterable, Sequence
 from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, Limits
 from .numbers import is_prime, is_prime_power, part_for_primes, prime_factors, primes_of
 from .permcore import (Perm, PermGroup, Subgroup, compose_images, conjugate_images,
-                       identity_images, images_order, interned, invert_images,
-                       trivial_subgroup)
+                       find_interned, identity_images, images_order, interned,
+                       invert_images, trivial_subgroup)
 
 # ---------------------------------------------------------------------------
 # raw-set machinery
 
 def closure_of_images(degree: int, gens: Sequence[tuple], seed: Iterable[tuple] = ()) -> frozenset[tuple]:
-    """Elements of <gens> (or <gens, seed> when seed is a known subgroup)."""
-    seen = set(seed)
-    seen.add(identity_images(degree))
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in gens:
-                f = compose_images(e, g)
-                if f not in seen:
-                    seen.add(f)
-                    nxt.append(f)
-        frontier = nxt
+    """Elements of <gens>, or of <H, gens> when seed is the element set of a
+    subgroup H.
+
+    Contract for a seed: ``gens`` includes generators of H.  The closure adds
+    whole right cosets Hx and tests only coset representative x generator
+    products (Dimino's algorithm); the union of the cosets it reaches is closed
+    under every generator, so it is <gens>.  Without a seed H is trivial and
+    the cosets are single elements.
+    """
+    ident = identity_images(degree)
+    block = list(seed) or [ident]
+    seen = set(block)
+    reps = [ident]
+    ri = 0
+    while ri < len(reps):
+        r = reps[ri]
+        ri += 1
+        for g in gens:
+            x = compose_images(r, g)
+            if x not in seen:
+                reps.append(x)
+                seen.update(compose_images(h, x) for h in block)
     return frozenset(seen)
 
 
@@ -65,9 +74,29 @@ def _greedy_generators(degree: int, images: frozenset[tuple]) -> tuple[tuple, ..
 
 
 def subgroup_from_images(ambient: PermGroup, images: frozenset[tuple]) -> Subgroup:
-    """Wrap a known subgroup element set, picking a short generator list greedily."""
-    gens = _greedy_generators(ambient.degree, images)
-    return Subgroup(ambient, tuple(Perm(g) for g in gens))
+    """Wrap a known subgroup element set, picking a short generator list greedily.
+
+    The generators are kept on the set's interned group, so a set met before
+    is wrapped with no closure, chain build or enumeration.
+    """
+    group = find_interned(ambient.degree, images)
+    gens = None if group is None else group.cache.get("greedy-generators")
+    if gens is None:
+        gens = tuple(Perm(g) for g in _greedy_generators(ambient.degree, images))
+        if group is None:
+            group = interned(PermGroup(ambient.degree, gens))
+        group.cache["greedy-generators"] = gens
+    return Subgroup._of_interned(ambient, group, gens)
+
+
+def _wrap_known(G: PermGroup, entries: Sequence[tuple]) -> tuple[Subgroup, ...]:
+    """Subgroups of G from (element set, generators) pairs, reusing the
+    interned group of every set already known."""
+    out = []
+    for iset, gens in entries:
+        group = find_interned(G.degree, iset) or interned(PermGroup(G.degree, gens))
+        out.append(Subgroup._of_interned(G, group, gens))
+    return tuple(out)
 
 
 def _sorted_key(images: frozenset[tuple]) -> tuple:
@@ -202,17 +231,22 @@ def all_subgroups(G: PermGroup, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgro
     soluble) subgroup through its own composition series.  Insoluble ambients
     fall back to join closure over prime-power cyclic subgroups, which is
     complete for arbitrary subgroups at higher cost.
+
+    The tuple is built once per ambient instance; every later call returns
+    the same shared tuple.
     """
-    K = interned(G)
-    if "lattice" not in K.cache:
-        if is_soluble(K):
-            raw = _lattice_cyclic_extension(K, limits)
-        else:
-            raw = _lattice_join_closure(K, limits)
-        entries = sorted(raw.items(), key=lambda kv: _sorted_key(kv[0]))
-        K.cache["lattice"] = tuple(
-            (iset, tuple(Perm(g) for g in gens)) for iset, gens in entries)
-    return tuple(Subgroup(G, gens) for _, gens in K.cache["lattice"])
+    if "lattice-subgroups" not in G.cache:
+        K = interned(G)
+        if "lattice" not in K.cache:
+            if is_soluble(K):
+                raw = _lattice_cyclic_extension(K, limits)
+            else:
+                raw = _lattice_join_closure(K, limits)
+            entries = sorted(raw.items(), key=lambda kv: _sorted_key(kv[0]))
+            K.cache["lattice"] = tuple(
+                (iset, tuple(Perm(g) for g in gens)) for iset, gens in entries)
+        G.cache["lattice-subgroups"] = _wrap_known(G, K.cache["lattice"])
+    return G.cache["lattice-subgroups"]
 
 
 def _check_lattice_room(found: dict, limits: Limits) -> None:
@@ -325,7 +359,10 @@ def normal_subgroups(G: PermGroup, limits: Limits = DEFAULT_LIMITS) -> tuple[Sub
     element-set product, so no generic subgroup search is needed.  Agrees with
     filtering all_subgroups by conjugation invariance (tested), but stays
     affordable for regular coset images where the full lattice would not.
+    Like all_subgroups, the tuple is built once per ambient and shared.
     """
+    if "normal-subgroups" in G.cache:
+        return G.cache["normal-subgroups"]
     K = interned(G)
     if "normals" not in K.cache:
         ident = identity_images(K.degree)
@@ -361,7 +398,8 @@ def normal_subgroups(G: PermGroup, limits: Limits = DEFAULT_LIMITS) -> tuple[Sub
         entries = sorted(found.items(), key=lambda kv: _sorted_key(kv[0]))
         K.cache["normals"] = tuple(
             (iset, tuple(Perm(g) for g in gens)) for iset, gens in entries)
-    return tuple(Subgroup(G, gens) for _, gens in K.cache["normals"])
+    G.cache["normal-subgroups"] = _wrap_known(G, K.cache["normals"])
+    return G.cache["normal-subgroups"]
 
 
 def minimal_normal_subgroups(G: PermGroup, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgroup, ...]:
@@ -476,7 +514,8 @@ def maximal_subgroups_of_p_group(P: Subgroup, limits: Limits = DEFAULT_LIMITS) -
         return ()
     p = prime_factors(P.order)[0][0]
     subs = all_subgroups(P.group, limits)
-    out = [Subgroup(P.ambient, h.generators) for h in subs if h.order * p == P.order]
+    out = [Subgroup._of_interned(P.ambient, h.group, h.generators)
+           for h in subs if h.order * p == P.order]
     return tuple(out)
 
 

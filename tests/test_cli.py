@@ -86,6 +86,27 @@ def test_classify_degrades_gracefully_under_tight_limits():
     assert "sigma-nilpotent residual order: 12" in proc.stdout
 
 
+@pytest.mark.parametrize("knob", ["--element-cache-bound", "--subgroup-bound",
+                                  "--hall-set-cap"])
+def test_cap_below_one_is_usage_error(capsys, knob):
+    for value in ("0", "-3"):
+        code, out, err = run(capsys, "classify", "--group", "S4", knob, value)
+        assert (code, out) == (2, "")
+        assert err.strip() == f"usage error: {knob} must be at least 1, got {value}"
+
+
+def test_element_cache_bound_trips(capsys, mini_corpus):
+    code, out, err = run(capsys, "classify", "--group", "S5",
+                         "--element-cache-bound", "10")
+    assert (code, out) == (3, "")
+    assert err.strip() == \
+        "capacity abort: group order 120 exceeds element-cache bound 10"
+    code, out, _ = run(capsys, "campaign", "--corpus", mini_corpus,
+                       "--no-timestamp", "--element-cache-bound", "5")
+    assert code == 0
+    assert "confirmed: 0   counterexamples: 0   skipped: 32" in out
+
+
 # ---------------------------------------------------------------------------
 # residual / permutable
 

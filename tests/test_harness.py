@@ -2,7 +2,7 @@
 
 import pytest
 
-from sigmagroups import (GroupInputError, Perm, Subgroup, parse_sigma)
+from sigmagroups import (GroupInputError, Limits, Perm, Subgroup, parse_sigma)
 from sigmagroups.harness import (CLASSES, STATEMENTS, CampaignConfig,
                                  VerificationOutcome, campaign_sigmas,
                                  class_member, report_from_rows, run_campaign,
@@ -253,6 +253,31 @@ def test_verify_group_row_inventory(corpus):
     assert {r.verdict for r in rows} == {"confirmed"}
     assert all(r.millis == 0 for r in rows)
     assert {r.statement_id for r in rows} == set(STATEMENTS)
+
+
+def test_verify_group_skips_a_group_over_the_element_cache_bound(corpus):
+    config = CampaignConfig(limits=Limits(element_cache_bound=5), zero_millis=True)
+    rows = verify_group(corpus["C6"], config)
+    assert len(rows) == 9 * 3 + 1 + 4
+    assert {r.verdict for r in rows} == {"skipped"}
+    assert all(r.reason == "capacity: group order 6 exceeds element-cache bound 5"
+               for r in rows)
+
+
+def test_campaign_thma_witnesses_revalidate(corpus, campaign):
+    """Re-derive every non-vacuous ThmA witness of the full campaign from
+    scratch, independently of the caches that produced it."""
+    rows = [r for r in campaign["rows"]
+            if r["statement_id"].startswith("ThmA.")
+            and r["verdict"] == "confirmed" and not r["vacuous"]]
+    assert rows
+    for name in sorted({r["group"] for r in rows}):
+        G = corpus[name].build()
+        for r in rows:
+            if r["group"] == name:
+                assert validate_covering_witness(
+                    G, parse_sigma(r["sigma"]), r["witness"]["class"], r["witness"]), \
+                    (name, r["sigma"], r["statement_id"])
 
 
 def test_verify_group_honors_statement_filter(corpus):

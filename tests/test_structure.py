@@ -10,6 +10,7 @@ import pytest
 import oracles
 from sigmagroups import (CapacityError, GroupInputError, Limits, Perm,
                          PermGroup, Subgroup)
+from sigmagroups.permcore import clear_intern_cache
 from sigmagroups.structure import (all_subgroups, centralizer, chief_series,
                                    closure_of_images, conjugate_image_sets,
                                    derived_subgroup, frattini_subgroup,
@@ -301,3 +302,61 @@ def test_conjugate_image_sets(corpus):
     p = sylow_subgroup(S4, 2)
     assert len(conjugate_image_sets(S4, p.element_images(),
                                     [g.images for g in p.generators])) == 3
+
+
+# ---------------------------------------------------------------------------
+# known subgroups are handed out again, not rebuilt
+
+@pytest.fixture()
+def chain_builds(monkeypatch):
+    """Every PermGroup whose Schreier-Sims chain is built from now on."""
+    built = []
+    original = PermGroup._build_chain
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(PermGroup, "_build_chain", counting)
+    return built
+
+
+@pytest.mark.parametrize("name", ["S4", "A5"])
+def test_lattice_tuples_are_built_once_per_ambient(corpus, chain_builds, name):
+    # a fresh, non-interned instance: its own cache starts empty
+    G = PermGroup(corpus[name].degree, corpus[name].generators)
+    subs, normals = all_subgroups(G), normal_subgroups(G)
+    assert all(s.ambient is G for s in subs + normals)
+    chain_builds.clear()
+    assert all_subgroups(G) is subs
+    assert normal_subgroups(G) is normals
+    assert chain_builds == []
+
+
+@pytest.mark.parametrize("name", ["S4", "A5"])
+def test_seeded_closure_matches_unseeded_and_oracle(corpus, name):
+    G = corpus[name].build()
+    for h in all_subgroups(G):
+        hset = h.element_images()
+        hgens = [g.images for g in h.generators]
+        for e in G.element_images():
+            gens = hgens + [e]
+            seeded = closure_of_images(G.degree, gens, seed=hset)
+            assert seeded == closure_of_images(G.degree, gens)
+            assert seeded == oracles.close_tuples(gens, G.degree)
+
+
+def test_subgroup_from_images_warm_path_matches_cold(corpus, chain_builds):
+    G = corpus["S4"].build()
+    sets = [h.element_images() for h in all_subgroups(G)]
+    first = [subgroup_from_images(G, s) for s in sets]
+    chain_builds.clear()
+    warm = [subgroup_from_images(G, s) for s in sets]
+    assert chain_builds == []
+    clear_intern_cache()
+    G = corpus["S4"].build()
+    cold = [subgroup_from_images(G, s) for s in sets]
+    for s, a, w, c in zip(sets, first, warm, cold):
+        assert w.generators == a.generators == c.generators
+        assert w.order == a.order == c.order == len(s)
+        assert w.element_images() == c.element_images() == s
