@@ -5,7 +5,8 @@ plus a verification harness exercising the covering-subgroup statements on a
 builtin corpus of concrete groups.
 """
 
-from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, Limits
+from .errors import (CapacityError, DEFAULT_LIMITS, GroupInputError, InvariantError,
+                     Limits)
 from .permcore import (Perm, PermGroup, Subgroup, conjugate_subgroup,
                        format_cycles, full_subgroup, interned, parse_cycles,
                        trivial_subgroup)

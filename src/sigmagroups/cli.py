@@ -3,7 +3,8 @@ single-statement verification, and full campaigns.
 
 Exit codes: 0 success/confirmed, 1 counterexample found, 2 usage error,
 3 capacity abort.  Campaigns never abort on capacity — affected statements
-become skipped rows in the report.
+become skipped rows in the report, and the campaign exits 3 when any of them
+is not a vacuous (premise) skip.
 """
 from __future__ import annotations
 
@@ -52,6 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--element-cache-bound", type=int)
         p.add_argument("--subgroup-bound", type=int)
         p.add_argument("--hall-set-cap", type=int)
+        p.add_argument("--table-order-bound", type=int)
 
     p = sub.add_parser("classify", help="class predicates and residual for one group")
     common(p)
@@ -88,7 +90,8 @@ def _limits(args) -> Limits:
     """DEFAULT_LIMITS with every cap given on the command line; a cap below 1
     is a usage error, never a silent fallback to the default."""
     caps = {}
-    for field in ("element_cache_bound", "subgroup_bound", "hall_set_cap"):
+    for field in ("element_cache_bound", "subgroup_bound", "hall_set_cap",
+                  "table_order_bound"):
         value = getattr(args, field, None)
         if value is None:
             continue
@@ -305,7 +308,11 @@ def cmd_campaign(args) -> int:
         sys.stdout.write(text)
     else:
         print("\n".join(lines))
-    return EXIT_COUNTEREXAMPLE if summary["counterexample"] else EXIT_OK
+    if summary["counterexample"]:
+        return EXIT_COUNTEREXAMPLE
+    if any(r["verdict"] == "skipped" and not r["vacuous"] for r in rows):
+        return EXIT_CAPACITY
+    return EXIT_OK
 
 
 def cmd_corpus_list(args) -> int:

@@ -21,6 +21,7 @@ from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, Limits
 from .numbers import is_prime
 from .permcore import Perm, PermGroup, interned, parse_cycles
 from .sigma import SigmaPartition
+from .structure import check_table_order
 
 
 @dataclass(frozen=True)
@@ -33,13 +34,18 @@ class CorpusEntry:
 
     def build(self, limits: Limits = DEFAULT_LIMITS) -> PermGroup:
         """The interned group; CapacityError when its order exceeds the
-        element-cache bound of ``limits``."""
+        element-cache bound or the multiplication-table bound of ``limits``.
+
+        Every lattice computed for the group is of it or of a subgroup or
+        quotient, none larger, so the table bound is checked here, before
+        any work is done."""
         G = PermGroup(self.degree, self.generators)
         if G.order != self.expected_order:
             raise GroupInputError(
                 f"corpus entry {self.name!r}: generated order {G.order}, "
                 f"declared {self.expected_order}")
         G.elements(limits.element_cache_bound)
+        check_table_order(G.order, limits)
         return interned(G)
 
 

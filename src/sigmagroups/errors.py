@@ -12,14 +12,26 @@ class CapacityError(RuntimeError):
     """A configured resource bound was exceeded; the message names the bound."""
 
 
+class InvariantError(RuntimeError):
+    """An internal consistency check failed: a bug, never a property of the input.
+
+    Raised explicitly rather than by ``assert``, so the checks still run
+    under ``python -O``."""
+
+
 @dataclass(frozen=True)
 class Limits:
-    """Resource bounds for the element cache, lattice search and Hall-set products."""
+    """Resource bounds for the element cache, lattice search and Hall-set products.
+
+    ``table_order_bound`` caps the order of a group given a multiplication
+    table (quadratic: 32 MiB of ``array('H')`` rows at the default 4096),
+    which every subgroup or normal lattice needs."""
 
     element_cache_bound: int = 20000
     subgroup_bound: int = 2000
     hall_set_cap: int = 100000
     partition_prime_cap: int = 4
+    table_order_bound: int = 4096
 
 
 DEFAULT_LIMITS = Limits()

@@ -24,6 +24,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 from .corpus import CorpusEntry, partitions_of_primes
 from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, Limits
@@ -595,40 +596,20 @@ def _check_class_monotonicity(rows: list[VerificationOutcome]) -> None:
                 f"{r.group_name}/{stext}: ThmA.i non-vacuous but ThmA.ii vacuous"
 
 
-def _worker(payload) -> list[dict]:
-    entry_fields, cfg_fields = payload
-    entry = CorpusEntry(
-        name=entry_fields["name"], degree=entry_fields["degree"],
-        generators=tuple(Perm.parse(t, entry_fields["degree"])
-                         for t in entry_fields["generators"]),
-        expected_order=entry_fields["order"], tags=tuple(entry_fields["tags"]))
-    config = CampaignConfig(jobs=1, limits=Limits(**cfg_fields["limits"]),
-                            statements=tuple(cfg_fields["statements"]),
-                            zero_millis=cfg_fields["zero_millis"])
+def _worker(entry: CorpusEntry, config: CampaignConfig) -> list[dict]:
     return [r.to_json() for r in verify_group(entry, config)]
 
 
 def run_campaign(entries: list[CorpusEntry],
                  config: CampaignConfig = CampaignConfig()) -> list[dict]:
     """Deterministic outcome list over a corpus: results are computed per
-    group (in parallel when jobs > 1) and merged sorted by
-    (group, sigma, statement)."""
-    payloads = []
-    for e in entries:
-        payloads.append((
-            {"name": e.name, "degree": e.degree,
-             "generators": [str(g) for g in e.generators],
-             "order": e.expected_order, "tags": list(e.tags)},
-            {"limits": {f: getattr(config.limits, f)
-                        for f in ("element_cache_bound", "subgroup_bound",
-                                  "hall_set_cap", "partition_prime_cap")},
-             "statements": list(config.statements),
-             "zero_millis": config.zero_millis}))
-    if config.jobs > 1 and len(payloads) > 1:
+    group (in parallel when jobs > 1, each worker receiving the entry and the
+    config by pickle) and merged sorted by (group, sigma, statement)."""
+    if config.jobs > 1 and len(entries) > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            chunks = list(pool.map(_worker, payloads))
+            chunks = list(pool.map(_worker, entries, repeat(config)))
     else:
-        chunks = [_worker(p) for p in payloads]
+        chunks = [_worker(e, config) for e in entries]
     rows = [r for chunk in chunks for r in chunk]
     rows.sort(key=lambda r: (r["group"], r["sigma"], r["statement_id"]))
     return rows

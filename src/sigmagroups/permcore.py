@@ -197,6 +197,10 @@ class Perm:
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Perm is immutable")
 
+    def __reduce__(self):
+        # the default slot state is restored through __setattr__, which refuses
+        return (Perm, (self.images,))
+
 
 # ---------------------------------------------------------------------------
 # stabilizer chain / PermGroup
@@ -351,6 +355,20 @@ def interned(group: PermGroup) -> PermGroup:
     return _INTERNED.setdefault(group.key(), group)
 
 
+def interned_within(ambient: PermGroup, group: PermGroup) -> PermGroup:
+    """Intern a subgroup or quotient of ``ambient``.
+
+    It is never larger than the ambient, so once the ambient is enumerated it
+    is enumerated under a bound of at least the ambient's order: a raised
+    element-cache bound reaches everything derived from the group it admitted.
+    """
+    bound = None
+    if ambient._elements is not None:
+        bound = max(DEFAULT_LIMITS.element_cache_bound, ambient.order)
+    group.elements(bound)
+    return interned(group)
+
+
 def find_interned(degree: int, images: frozenset[tuple]) -> PermGroup | None:
     """The interned group with this element set, if one exists."""
     return _INTERNED.get((degree, images))
@@ -393,7 +411,7 @@ class Subgroup:
         self.ambient = ambient
         self.generators = tuple(g for g in gens if not g.is_identity())
         if group is None:
-            group = interned(PermGroup(ambient.degree, self.generators))
+            group = interned_within(ambient, PermGroup(ambient.degree, self.generators))
         self.group = group
         assert ambient.order % self.group.order == 0, "Lagrange violated: bad subgroup"
 

@@ -2,9 +2,14 @@
 
 Everything here is exact and deterministic.  Scales are "desk" sized: the
 ambient order stays under the element-cache bound, subgroup enumeration under
-the lattice bound.  Hot paths run on raw image tuples; results are wrapped as
-``Subgroup`` values of the caller's ambient group, sorted canonically by
-(order, element list).
+the lattice bound.  The lattice algorithms (subgroup lattice, normal lattice,
+derived series) run on an element-indexed kernel: each interned group gets a
+multiplication table over its sorted elements, and subgroups are ``int``
+bitmasks over those indices.  Since index order is image-tuple order, the
+kernel walks the same sets in the same order as a walk over image tuples
+would.  Results leave the kernel as frozensets of image tuples and ``Perm``
+generators, and are wrapped as ``Subgroup`` values of the caller's ambient
+group, sorted canonically by (order, element list).
 
 Derived results are cached on the interned group instance, so repeated
 queries against the same abstract subgroup (however it was constructed) are
@@ -12,41 +17,159 @@ answered once.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, Limits
+from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, InvariantError, Limits
 from .numbers import is_prime, is_prime_power, part_for_primes, prime_factors, primes_of
 from .permcore import (Perm, PermGroup, Subgroup, compose_images, conjugate_images,
                        find_interned, identity_images, images_order, interned,
-                       invert_images, trivial_subgroup)
+                       interned_within, invert_images, trivial_subgroup)
+
+# ---------------------------------------------------------------------------
+# element-indexed kernel
+
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _mask(flags: bytearray) -> int:
+    """The bitmask with bit i set where ``flags[i]`` is 1."""
+    return int(flags.translate(_TO_DIGITS)[::-1], 2)
+
+
+class _ElementTable:
+    """An interned group with its elements numbered in sorted order.
+
+    ``rows[a][b]`` is the index of a*b (a applied first) and ``inverse[a]``
+    that of a^-1; index 0 is the identity.  ``generators`` are the indices
+    of the group's generators.
+    """
+
+    __slots__ = ("order", "perms", "images", "rows", "inverse", "generators")
+
+    def __init__(self, K: PermGroup):
+        self.perms = K.elements()
+        self.images = images = [p.images for p in self.perms]
+        self.order = n = len(images)
+        index = {e: i for i, e in enumerate(images)}
+        code = "H" if n <= 1 << 16 else "I"
+        gen_rows = [array(code, [index[compose_images(g.images, b)] for b in images])
+                    for g in K.generators]
+        self.generators = [row[0] for row in gen_rows]
+        # row(x*g)[y] = row(x)[row(g)[y]]: one itemgetter call per row,
+        # rows reached breadth-first from the identity
+        steps = [(row[0], itemgetter(*row)) for row in gen_rows]
+        rows: list = [None] * n
+        rows[0] = array(code, range(n))
+        reached = [0]
+        for x in reached:
+            rx = rows[x]
+            for g, times_g in steps:
+                y = rx[g]
+                if rows[y] is None:
+                    rows[y] = array(code, times_g(rx))
+                    reached.append(y)
+        if len(reached) != n:
+            raise InvariantError(
+                f"generators reach {len(reached)} of {n} elements in the table build")
+        self.rows = rows
+        self.inverse = [index[invert_images(e)] for e in images]
+
+    def flags(self, mask: int) -> bytearray:
+        """One byte per element: 1 where the element is in the mask."""
+        return bytearray(format(mask, f"0{self.order}b")[::-1].encode()).translate(_FROM_DIGITS)
+
+    def members(self, mask: int) -> list[int]:
+        return list(compress(range(self.order), self.flags(mask)))
+
+    def key(self, mask: int) -> tuple:
+        """The canonical (order, element list) sort key of a subgroup."""
+        return (mask.bit_count(), self.members(mask))
+
+    def closure(self, gens: Sequence[int], block: Sequence[int]) -> bytearray:
+        """Flags of <H, gens>, where ``block`` lists the elements of a
+        subgroup H and ``gens`` includes generators of H.
+
+        Dimino's algorithm on left cosets: each new coset xH is one row of the
+        table read at H's indices, and only representative x generator
+        products are tested.  The union of the cosets reached is closed under
+        left multiplication by every generator, so it is <gens>.
+        """
+        rows = self.rows
+        seen = bytearray(self.order)
+        for h in block:
+            seen[h] = 1
+        reps = [0]
+        for r in reps:
+            for g in gens:
+                x = rows[g][r]
+                if not seen[x]:
+                    reps.append(x)
+                    for y in map(rows[x].__getitem__, block):
+                        seen[y] = 1
+        return seen
+
+    def generate(self, candidates: Iterable[int], target: int = 0) -> tuple[int, tuple[int, ...]]:
+        """Greedy closure: adjoin each candidate not yet reached, stopping
+        early once ``target`` elements are reached (0: never).  Returns the
+        closure's mask and the candidates adjoined."""
+        flags = bytearray(self.order)
+        flags[0] = 1
+        block = [0]
+        gens: tuple[int, ...] = ()
+        for c in candidates:
+            if flags[c]:
+                continue
+            gens += (c,)
+            flags = self.closure(gens, block)
+            block = list(compress(range(self.order), flags))
+            if len(block) == target:
+                break
+        return _mask(flags), gens
+
+    def image_set(self, mask: int) -> frozenset[tuple]:
+        return frozenset(compress(self.images, self.flags(mask)))
+
+    def entries(self, found: dict[int, tuple]) -> tuple[tuple[frozenset, tuple[Perm, ...]], ...]:
+        """(element set, generators) pairs of a lattice, canonically sorted."""
+        masks = sorted(found, key=self.key)
+        return tuple((self.image_set(m), tuple(self.perms[g] for g in found[m]))
+                     for m in masks)
+
+
+def check_table_order(order: int, limits: Limits) -> None:
+    """CapacityError unless a group of this order may get a multiplication table."""
+    if order > limits.table_order_bound:
+        raise CapacityError(f"group order {order} exceeds multiplication-table "
+                            f"bound {limits.table_order_bound}")
+
+
+def _element_table(K: PermGroup, limits: Limits) -> _ElementTable:
+    """The element table of an interned group, built on first use."""
+    table = K.cache.get("element-table")
+    if table is None:
+        check_table_order(K.order, limits)
+        table = K.cache["element-table"] = _ElementTable(K)
+    return table
+
 
 # ---------------------------------------------------------------------------
 # raw-set machinery
 
-def closure_of_images(degree: int, gens: Sequence[tuple], seed: Iterable[tuple] = ()) -> frozenset[tuple]:
-    """Elements of <gens>, or of <H, gens> when seed is the element set of a
-    subgroup H.
-
-    Contract for a seed: ``gens`` includes generators of H.  The closure adds
-    whole right cosets Hx and tests only coset representative x generator
-    products (Dimino's algorithm); the union of the cosets it reaches is closed
-    under every generator, so it is <gens>.  Without a seed H is trivial and
-    the cosets are single elements.
-    """
-    ident = identity_images(degree)
-    block = list(seed) or [ident]
-    seen = set(block)
-    reps = [ident]
-    ri = 0
-    while ri < len(reps):
-        r = reps[ri]
-        ri += 1
+def closure_of_images(degree: int, gens: Sequence[tuple]) -> frozenset[tuple]:
+    """Elements of <gens>, by breadth-first products with the generators."""
+    seen = {identity_images(degree)}
+    frontier = list(seen)
+    for x in frontier:
         for g in gens:
-            x = compose_images(r, g)
-            if x not in seen:
-                reps.append(x)
-                seen.update(compose_images(h, x) for h in block)
+            y = compose_images(x, g)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
     return frozenset(seen)
 
 
@@ -69,7 +192,8 @@ def _greedy_generators(degree: int, images: frozenset[tuple]) -> tuple[tuple, ..
             cl = closure_of_images(degree, gens)
             if len(cl) == len(images):
                 break
-    assert cl == images, "images do not form a subgroup"
+    if cl != images:
+        raise GroupInputError("images do not form a subgroup")
     return tuple(gens)
 
 
@@ -84,7 +208,7 @@ def subgroup_from_images(ambient: PermGroup, images: frozenset[tuple]) -> Subgro
     if gens is None:
         gens = tuple(Perm(g) for g in _greedy_generators(ambient.degree, images))
         if group is None:
-            group = interned(PermGroup(ambient.degree, gens))
+            group = interned_within(ambient, PermGroup(ambient.degree, gens))
         group.cache["greedy-generators"] = gens
     return Subgroup._of_interned(ambient, group, gens)
 
@@ -94,13 +218,10 @@ def _wrap_known(G: PermGroup, entries: Sequence[tuple]) -> tuple[Subgroup, ...]:
     interned group of every set already known."""
     out = []
     for iset, gens in entries:
-        group = find_interned(G.degree, iset) or interned(PermGroup(G.degree, gens))
+        group = (find_interned(G.degree, iset)
+                 or interned_within(G, PermGroup(G.degree, gens)))
         out.append(Subgroup._of_interned(G, group, gens))
     return tuple(out)
-
-
-def _sorted_key(images: frozenset[tuple]) -> tuple:
-    return (len(images), tuple(sorted(images)))
 
 
 def _normalizes(x: tuple, gen_images: Sequence[tuple], hset: frozenset[tuple]) -> bool:
@@ -179,13 +300,25 @@ def is_normal(G: PermGroup, H: Subgroup) -> bool:
         for h in H.generators for g in G.generators)
 
 
-def _derived_images(degree: int, elements: frozenset[tuple]) -> frozenset[tuple]:
-    comms = set()
-    inv = {e: invert_images(e) for e in elements}
-    for a in elements:
-        for b in elements:
-            comms.add(compose_images(compose_images(compose_images(inv[a], inv[b]), a), b))
-    return closure_of_images(degree, sorted(comms))
+def _derived_mask(table: _ElementTable, mask: int) -> int:
+    """Mask of the commutator subgroup of the subgroup ``mask``."""
+    rows, inverse = table.rows, table.inverse
+    members = table.members(mask)
+    comms = bytearray(table.order)
+    for a in members:
+        for b in members:
+            # [a, b] = a^-1 b^-1 a b = (b a)^-1 a b
+            comms[rows[rows[inverse[rows[b][a]]][a]][b]] = 1
+    return table.generate(compress(range(table.order), comms))[0]
+
+
+def _derived_series_masks(table: _ElementTable) -> list[int]:
+    out = [(1 << table.order) - 1]
+    while True:
+        nxt = _derived_mask(table, out[-1])
+        if nxt == out[-1]:
+            return out
+        out.append(nxt)
 
 
 def derived_subgroup(G: PermGroup) -> Subgroup:
@@ -199,25 +332,27 @@ def derived_subgroup(G: PermGroup) -> Subgroup:
     return normal_closure(G, tuple(comms))
 
 
+# The derived series takes no limits: it uses the group's table if one was
+# built (all_subgroups builds it under the caller's limits first), else it
+# builds one under the default table bound.
+
 def derived_series_images(G: PermGroup) -> list[frozenset[tuple]]:
-    out = [G.element_images()]
-    while True:
-        nxt = _derived_images(G.degree, out[-1])
-        if nxt == out[-1]:
-            return out
-        out.append(nxt)
+    table = _element_table(interned(G), DEFAULT_LIMITS)
+    return [table.image_set(m) for m in _derived_series_masks(table)]
 
 
 def is_soluble(G: PermGroup) -> bool:
     key = "soluble"
     K = interned(G)
     if key not in K.cache:
-        K.cache[key] = len(derived_series_images(K)[-1]) == 1
+        K.cache[key] = _derived_series_masks(_element_table(K, DEFAULT_LIMITS))[-1] == 1
     return K.cache[key]
 
 
 def is_perfect(G: PermGroup) -> bool:
-    return _derived_images(G.degree, G.element_images()) == G.element_images()
+    table = _element_table(interned(G), DEFAULT_LIMITS)
+    full = (1 << table.order) - 1
+    return _derived_mask(table, full) == full
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +373,12 @@ def all_subgroups(G: PermGroup, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgro
     if "lattice-subgroups" not in G.cache:
         K = interned(G)
         if "lattice" not in K.cache:
+            table = _element_table(K, limits)
             if is_soluble(K):
-                raw = _lattice_cyclic_extension(K, limits)
+                found = _lattice_cyclic_extension(table, limits)
             else:
-                raw = _lattice_join_closure(K, limits)
-            entries = sorted(raw.items(), key=lambda kv: _sorted_key(kv[0]))
-            K.cache["lattice"] = tuple(
-                (iset, tuple(Perm(g) for g in gens)) for iset, gens in entries)
+                found = _lattice_join_closure(table, limits)
+            K.cache["lattice"] = table.entries(found)
         G.cache["lattice-subgroups"] = _wrap_known(G, K.cache["lattice"])
     return G.cache["lattice-subgroups"]
 
@@ -255,70 +389,69 @@ def _check_lattice_room(found: dict, limits: Limits) -> None:
             f"subgroup enumeration exceeds subgroup-enumeration bound {limits.subgroup_bound}")
 
 
-def _lattice_cyclic_extension(K: PermGroup, limits: Limits) -> dict[frozenset, tuple]:
-    ident = identity_images(K.degree)
-    els_sorted = sorted(K.element_images())
-    trivial = frozenset({ident})
-    found: dict[frozenset, tuple] = {trivial: ()}
-    queue: list[frozenset] = [trivial]
-    qi = 0
-    while qi < len(queue):
-        hset = queue[qi]
-        qi += 1
-        hgens = found[hset]
-        for x in els_sorted:
-            if x in hset:
+def _lattice_cyclic_extension(table: _ElementTable, limits: Limits) -> dict[int, tuple]:
+    """Subgroup masks -> generator indices, by cyclic extension."""
+    rows, inverse, n = table.rows, table.inverse, table.order
+    found: dict[int, tuple] = {1: ()}
+    queue = [1]
+    for hmask in queue:
+        hgens = found[hmask]
+        hflags = table.flags(hmask)
+        block = list(compress(range(n), hflags))
+        for x in range(n):
+            if hflags[x]:
                 continue
-            if not _normalizes(x, hgens, hset):
-                continue
+            by_xi = rows[inverse[x]]
+            if not all(hflags[rows[by_xi[g]][x]] for g in hgens):
+                continue  # x does not normalize H
             # order of the coset xH in N(H)/H must be prime for a one-step extension
             k = 1
             cur = x
-            while cur not in hset:
-                cur = compose_images(cur, x)
+            while not hflags[cur]:
+                cur = rows[cur][x]
                 k += 1
             if not is_prime(k):
                 continue
-            coset_reps = [identity_images(K.degree)]
-            for _ in range(k - 1):
-                coset_reps.append(compose_images(coset_reps[-1], x))
-            jset = frozenset(compose_images(h, r) for h in hset for r in coset_reps)
-            if jset in found:
+            jgens = hgens + (x,)
+            jflags = table.closure(jgens, block)
+            jmask = _mask(jflags)
+            if jmask in found:
                 continue
-            assert len(jset) == len(hset) * k
+            if jflags.count(1) != len(block) * k:
+                raise InvariantError(f"cyclic extension of a subgroup of order {len(block)} "
+                                     f"by a coset of order {k} has {jflags.count(1)} elements")
             _check_lattice_room(found, limits)
-            found[jset] = hgens + (x,)
-            queue.append(jset)
+            found[jmask] = jgens
+            queue.append(jmask)
     return found
 
 
-def _lattice_join_closure(K: PermGroup, limits: Limits) -> dict[frozenset, tuple]:
-    ident = identity_images(K.degree)
-    trivial = frozenset({ident})
-    seeds: dict[frozenset, tuple] = {}
-    for e in sorted(K.element_images()):
-        if e != ident and is_prime_power(images_order(e)):
-            cyc = frozenset(_powers(e))
+def _lattice_join_closure(table: _ElementTable, limits: Limits) -> dict[int, tuple]:
+    """Subgroup masks -> generator indices, by joins with prime-power cyclic
+    subgroups."""
+    seeds: dict[int, int] = {}
+    for e in range(1, table.order):
+        cyc = table.generate((e,))[0]
+        if is_prime_power(cyc.bit_count()):
             seeds.setdefault(cyc, e)
-    found: dict[frozenset, tuple] = {trivial: ()}
-    for cyc, e in sorted(seeds.items(), key=lambda kv: _sorted_key(kv[0])):
+    seed_list = sorted(seeds.items(), key=lambda kv: table.key(kv[0]))
+    found: dict[int, tuple] = {1: ()}
+    for cyc, e in seed_list:
         found[cyc] = (e,)
-    seed_list = sorted(seeds.items(), key=lambda kv: _sorted_key(kv[0]))
-    queue = sorted(found, key=_sorted_key)
-    qi = 0
-    while qi < len(queue):
-        hset = queue[qi]
-        qi += 1
-        hgens = found[hset]
+    queue = sorted(found, key=table.key)
+    for hmask in queue:
+        hgens = found[hmask]
+        block = table.members(hmask)
         for cyc, e in seed_list:
-            if cyc <= hset:
+            if cyc & hmask == cyc:
                 continue
-            jset = closure_of_images(K.degree, list(hgens) + [e], seed=hset)
-            if jset in found:
+            jgens = hgens + (e,)
+            jmask = _mask(table.closure(jgens, block))
+            if jmask in found:
                 continue
             _check_lattice_room(found, limits)
-            found[jset] = hgens + (e,)
-            queue.append(jset)
+            found[jmask] = jgens
+            queue.append(jmask)
     return found
 
 
@@ -365,41 +498,53 @@ def normal_subgroups(G: PermGroup, limits: Limits = DEFAULT_LIMITS) -> tuple[Sub
         return G.cache["normal-subgroups"]
     K = interned(G)
     if "normals" not in K.cache:
-        ident = identity_images(K.degree)
-        trivial = frozenset({ident})
-        base: set[frozenset] = set()
-        orbit_closure: dict[frozenset, frozenset] = {}
-        for x in sorted(K.element_images()):
-            if x == ident:
-                continue
-            orbit = frozenset(_conjugation_orbit(K, [x]))
-            nset = orbit_closure.get(orbit)
-            if nset is None:
-                nset = closure_of_images(K.degree, sorted(orbit))
-                orbit_closure[orbit] = nset
-            base.add(nset)
-        found: dict[frozenset, tuple] = {trivial: ()}
-        for nset in sorted(base, key=_sorted_key):
-            found.setdefault(nset, _greedy_generators(K.degree, nset))
-        base_list = sorted(found.items(), key=lambda kv: _sorted_key(kv[0]))
-        queue = [k for k, _ in base_list]
-        qi = 0
-        while qi < len(queue):
-            nset = queue[qi]
-            ngens = found[nset]
-            qi += 1
-            for mset, mgens in base_list:
-                if mset <= nset:
-                    continue
-                prod = frozenset(compose_images(a, b) for a in nset for b in mset)
-                if prod not in found:
-                    found[prod] = ngens + mgens
-                    queue.append(prod)
-        entries = sorted(found.items(), key=lambda kv: _sorted_key(kv[0]))
-        K.cache["normals"] = tuple(
-            (iset, tuple(Perm(g) for g in gens)) for iset, gens in entries)
+        table = _element_table(K, limits)
+        K.cache["normals"] = table.entries(_normal_lattice(table))
     G.cache["normal-subgroups"] = _wrap_known(G, K.cache["normals"])
     return G.cache["normal-subgroups"]
+
+
+def _normal_lattice(table: _ElementTable) -> dict[int, tuple]:
+    """Normal subgroup masks -> generator indices."""
+    rows, inverse, n = table.rows, table.inverse, table.order
+    # e -> g^-1 e g for each generator g, as index maps
+    conjugations = [[rows[rows[inverse[g]][e]][g] for e in range(n)]
+                    for g in table.generators]
+    base: set[int] = set()
+    in_class = bytearray(n)
+    for x in range(1, n):
+        if in_class[x]:
+            continue
+        in_class[x] = 1
+        orbit = [x]
+        for e in orbit:
+            for conj in conjugations:
+                f = conj[e]
+                if not in_class[f]:
+                    in_class[f] = 1
+                    orbit.append(f)
+        base.add(table.generate(sorted(orbit))[0])
+    found: dict[int, tuple] = {1: ()}
+    for nmask in sorted(base, key=table.key):
+        size = nmask.bit_count()
+        closed, gens = table.generate(table.members(nmask), size)
+        if closed != nmask:
+            raise InvariantError("a conjugacy-class closure is not generated by its elements")
+        found[nmask] = gens
+    base_list = sorted(found.items(), key=lambda kv: table.key(kv[0]))
+    queue = [m for m, _ in base_list]
+    for nmask in queue:
+        ngens = found[nmask]
+        block = table.members(nmask)
+        for mmask, mgens in base_list:
+            if mmask & nmask == mmask:
+                continue
+            # N normal: NM = <N, M>
+            prod = _mask(table.closure(ngens + mgens, block))
+            if prod not in found:
+                found[prod] = ngens + mgens
+                queue.append(prod)
+    return found
 
 
 def minimal_normal_subgroups(G: PermGroup, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgroup, ...]:
@@ -484,7 +629,8 @@ def sylow_subgroup(G: PermGroup, p: int, limits: Limits = DEFAULT_LIMITS) -> Sub
                 if h.order == target:
                     return h
             raise GroupInputError(f"no Sylow {p}-subgroup found (inconsistent group)")
-    assert len(pset) == target
+    if len(pset) != target:
+        raise InvariantError(f"Sylow {p}-subgroup grew to order {len(pset)}, not {target}")
     return subgroup_from_images(G, pset)
 
 
@@ -568,11 +714,13 @@ def quotient_group(G: PermGroup, N: Subgroup, limits: Limits = DEFAULT_LIMITS) -
     for e in els:
         proj_images[e] = tuple(coset_of[compose_images(r, e)] for r in reps)
     gen_images = [Perm(proj_images[g.images]) for g in G.generators]
-    Q = interned(PermGroup(index, gen_images))
-    assert Q.order == index, "coset action order mismatch"
+    Q = interned_within(K, PermGroup(index, gen_images))
+    if Q.order != index:
+        raise InvariantError("coset action order mismatch")
     ident = identity_images(index)
     kernel_set = frozenset(e for e, img in proj_images.items() if img == ident)
-    assert kernel_set == nset, "coset action kernel mismatch"
+    if kernel_set != nset:
+        raise InvariantError("coset action kernel mismatch")
     projection = {Perm(e): Perm(img) for e, img in proj_images.items()}
     result = QuotientGroup(group=Q, projection=projection, kernel=N)
     K.cache[cache_key] = result

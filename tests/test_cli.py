@@ -87,7 +87,7 @@ def test_classify_degrades_gracefully_under_tight_limits():
 
 
 @pytest.mark.parametrize("knob", ["--element-cache-bound", "--subgroup-bound",
-                                  "--hall-set-cap"])
+                                  "--hall-set-cap", "--table-order-bound"])
 def test_cap_below_one_is_usage_error(capsys, knob):
     for value in ("0", "-3"):
         code, out, err = run(capsys, "classify", "--group", "S4", knob, value)
@@ -103,8 +103,31 @@ def test_element_cache_bound_trips(capsys, mini_corpus):
         "capacity abort: group order 120 exceeds element-cache bound 10"
     code, out, _ = run(capsys, "campaign", "--corpus", mini_corpus,
                        "--no-timestamp", "--element-cache-bound", "5")
-    assert code == 0
+    assert code == 3
     assert "confirmed: 0   counterexamples: 0   skipped: 32" in out
+
+
+C504_CORPUS = """\
+group C7xC8xC9 deg 24
+gen (1 2 3 4 5 6 7)
+gen (8 9 10 11 12 13 14 15)
+gen (16 17 18 19 20 21 22 23 24)
+order 504
+"""
+
+
+def test_table_order_bound_trips(capsys, tmp_path):
+    path = tmp_path / "c504.corpus"
+    path.write_text(C504_CORPUS)
+    code, out, err = run(capsys, "classify", "--group", "C7xC8xC9",
+                         "--corpus-file", str(path), "--table-order-bound", "100")
+    assert (code, out) == (3, "")
+    assert err.strip() == \
+        "capacity abort: group order 504 exceeds multiplication-table bound 100"
+    code, out, _ = run(capsys, "campaign", "--corpus", str(path),
+                       "--no-timestamp", "--table-order-bound", "100")
+    assert code == 3
+    assert "confirmed: 0   counterexamples: 0" in out
 
 
 # ---------------------------------------------------------------------------

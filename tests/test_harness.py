@@ -1,5 +1,7 @@
 """Statement verifiers, witness validation, and the campaign driver."""
 
+from dataclasses import replace
+
 import pytest
 
 from sigmagroups import (GroupInputError, Limits, Perm, Subgroup, parse_sigma)
@@ -293,6 +295,23 @@ def test_run_campaign_rows_are_sorted_and_job_independent(corpus):
     assert seq == par
     keys = [(r["group"], r["sigma"], r["statement_id"]) for r in seq]
     assert keys == sorted(keys)
+
+
+def test_run_campaign_workers_keep_every_limit(corpus):
+    # S4 (order 24) is over the table bound, S3 (order 6) under it; a worker
+    # that fell back to the default bound would compute S4's rows
+    entries = [corpus["S3"], corpus["S4"]]
+    config = CampaignConfig(jobs=1, zero_millis=True,
+                            limits=Limits(table_order_bound=10))
+    seq = run_campaign(entries, config)
+    par = run_campaign(entries, replace(config, jobs=2))
+    assert seq == par
+    s4 = [r for r in par if r["group"] == "S4"]
+    assert s4 and all(r["verdict"] == "skipped" and r["reason"] ==
+                      "capacity: group order 24 exceeds multiplication-table bound 10"
+                      for r in s4)
+    assert not any(r["verdict"] == "skipped" and not r["vacuous"]
+                   for r in par if r["group"] == "S3")
 
 
 def test_report_from_rows_summary(corpus):

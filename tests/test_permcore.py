@@ -1,5 +1,7 @@
 """Permutation arithmetic, cycle-notation I/O, stabilizer chains, subgroups."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,7 +9,7 @@ import oracles
 from sigmagroups import (CapacityError, GroupInputError, Perm, PermGroup,
                          Subgroup, conjugate_subgroup, full_subgroup, interned,
                          trivial_subgroup)
-from sigmagroups.permcore import format_cycles, parse_cycles
+from sigmagroups.permcore import clear_intern_cache, format_cycles, parse_cycles
 
 
 def perms(degree):
@@ -102,6 +104,13 @@ def test_perm_is_immutable_hashable_ordered():
     assert p == q and hash(p) == hash(q)
     assert sorted([Perm.parse("(1 3)", 3), Perm.identity(3)])[0] == Perm.identity(3)
     assert len({p, q}) == 1
+
+
+def test_perm_pickle_round_trip():
+    for p in (Perm.parse("(1 2 3)(4 5)", 6), Perm.identity(1)):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            q = pickle.loads(pickle.dumps(p, protocol))
+            assert q == p and q.images == p.images and isinstance(q, Perm)
 
 
 @given(perms(6), perms(6))
@@ -219,6 +228,19 @@ def test_interning_returns_canonical_instance(corpus):
 
 # ---------------------------------------------------------------------------
 # Subgroup
+
+def test_subgroup_of_enumerated_ambient_uses_its_bound():
+    # S8 is admitted by a raised element-cache bound; its subgroup A8
+    # (order 20160, over the default bound 20000) is then enumerated too
+    G = PermGroup(8, [Perm.parse("(1 2 3 4 5 6 7 8)", 8), Perm.parse("(1 2)", 8)])
+    G.elements(50000)
+    G = interned(G)
+    try:
+        A8 = Subgroup(G, [Perm.parse("(1 2 3)", 8), Perm.parse("(2 3 4 5 6 7 8)", 8)])
+        assert A8.order == len(A8.element_images()) == 20160
+    finally:
+        clear_intern_cache()
+
 
 def test_subgroup_requires_membership(corpus):
     G = corpus["A4"].build()

@@ -23,6 +23,7 @@ from sigmagroups.structure import (all_subgroups, centralizer, chief_series,
                                    normal_subgroups, quotient_group,
                                    subgroup_from_images, subgroups_of_order,
                                    supplements, sylow_subgroup)
+from sigmagroups.structure import _element_table, _mask
 
 SAMPLE = ["S3", "C6", "Q8", "D8", "A4", "S4", "D12", "C3xS3", "A5"]
 
@@ -334,14 +335,17 @@ def test_lattice_tuples_are_built_once_per_ambient(corpus, chain_builds, name):
 
 
 @pytest.mark.parametrize("name", ["S4", "A5"])
-def test_seeded_closure_matches_unseeded_and_oracle(corpus, name):
+def test_seeded_index_closure_matches_unseeded_and_oracle(corpus, name):
     G = corpus[name].build()
+    table = _element_table(G, Limits())
+    index = {e: i for i, e in enumerate(table.images)}
     for h in all_subgroups(G):
-        hset = h.element_images()
+        block = sorted(index[e] for e in h.element_images())
         hgens = [g.images for g in h.generators]
         for e in G.element_images():
             gens = hgens + [e]
-            seeded = closure_of_images(G.degree, gens, seed=hset)
+            flags = table.closure([index[g] for g in gens], block)
+            seeded = table.image_set(_mask(flags))
             assert seeded == closure_of_images(G.degree, gens)
             assert seeded == oracles.close_tuples(gens, G.degree)
 
@@ -360,3 +364,24 @@ def test_subgroup_from_images_warm_path_matches_cold(corpus, chain_builds):
         assert w.generators == a.generators == c.generators
         assert w.order == a.order == c.order == len(s)
         assert w.element_images() == c.element_images() == s
+
+
+# ---------------------------------------------------------------------------
+# the multiplication-table bound
+
+C504_GENS = ("(1 2 3 4 5 6 7)", "(8 9 10 11 12 13 14 15)", "(16 17 18 19 20 21 22 23 24)")
+
+
+def test_table_order_bound_takes_effect():
+    # C7 x C8 x C9 on 24 points: no other test interns a group of this degree
+    gens = [Perm.parse(t, 24) for t in C504_GENS]
+    G = PermGroup(24, gens)
+    for fn in (all_subgroups, normal_subgroups):
+        with pytest.raises(CapacityError,
+                           match="group order 504 exceeds multiplication-table bound 100"):
+            fn(G, Limits(table_order_bound=100))
+    tg = oracles.TupleGroup([g.images for g in gens], 24)
+    raised = Limits(table_order_bound=504)
+    assert image_sets(all_subgroups(G, raised)) == tg.subgroup_image_sets()
+    # abelian: every subgroup is normal
+    assert image_sets(normal_subgroups(G, raised)) == tg.subgroup_image_sets()
