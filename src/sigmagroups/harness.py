@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from itertools import repeat
 
 from .corpus import CorpusEntry, partitions_of_primes
-from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, Limits
+from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, InvariantError, Limits
 from .numbers import primes_of
 from .permcore import (Perm, PermGroup, Subgroup, clear_intern_cache, compose_images,
                        interned)
@@ -38,8 +38,8 @@ from .sigma import (SigmaPartition, _group_blocks, induces_power_automorphisms,
 from .structure import (all_subgroups, conjugate_image_sets, frattini_subgroup,
                         hall_subgroup, intersection_subgroup, is_normal,
                         maximal_subgroups_of_p_group, normal_subgroups,
-                        quotient_group, subgroup_from_images, subgroups_of_order,
-                        supplements, sylow_subgroup)
+                        product_subgroup, quotient_group, subgroup_from_images,
+                        subgroups_of_order, supplements, sylow_subgroup)
 
 STATEMENTS = ("ThmA.i", "ThmA.ii", "ThmA.iii", "Cor1.1", "Cor1.2",
               "Lem2.1", "Lem2.2", "Lem2.3", "Lem2.4", "Lem2.5.fwd", "Lem2.5.conv")
@@ -102,8 +102,7 @@ def _sylow_maximal_candidates(G: PermGroup, limits: Limits) -> tuple[Subgroup, .
         out: list[Subgroup] = []
         for p in sorted(primes_of(K.order)):
             P = sylow_subgroup(K, p, limits)
-            pgens = [g.images for g in P.generators]
-            for sset in conjugate_image_sets(K, P.element_images(), pgens):
+            for sset in conjugate_image_sets(K, P.element_images(), limits):
                 for V in maximal_subgroups_of_p_group(subgroup_from_images(K, sset), limits):
                     vset = V.element_images()
                     if vset not in seen:
@@ -279,11 +278,9 @@ def verify_lemma_2_3(G: PermGroup, sigma: SigmaPartition, group_name: str = "",
                          if is_sigma_nilpotent(n.as_group(), sigma, limits)]
     for i, n1 in enumerate(nilpotent_normals):
         for n2 in nilpotent_normals[i:]:
-            prod = frozenset(compose_images(a, b)
-                             for a in n1.element_images() for b in n2.element_images())
-            if len(prod) > 1 and prod not in (n1.element_images(), n2.element_images()):
+            P = product_subgroup(K, n1, n2, limits)
+            if P.order > 1 and P.order not in (n1.order, n2.order):
                 nontrivial_instances += 1
-            P = subgroup_from_images(K, prod)
             if not is_sigma_nilpotent(P.as_group(), sigma, limits):
                 failures.append({"part": "normal-product",
                                  "N1": _sub_json(n1), "N2": _sub_json(n2)})
@@ -335,9 +332,7 @@ def verify_lemma_2_4(G: PermGroup, sigma: SigmaPartition, group_name: str = "",
     for N in normal_subgroups(K, limits):
         q = quotient_group(K, N, limits)
         lhs = sigma_nilpotent_residual(q.group, sigma, limits).element_images()
-        dn = frozenset(compose_images(d, n)
-                       for d in d_set for n in N.element_images())
-        rhs = frozenset(q.projection[Perm(x)].images for x in dn)
+        rhs = q.image_set(d_set)  # DN/N is the image of D
         if lhs != rhs:
             return VerificationOutcome(
                 "Lem2.4", group_name, sigma, "counterexample",
@@ -591,9 +586,9 @@ def _check_class_monotonicity(rows: list[VerificationOutcome]) -> None:
         if sid != "ThmA.i" or r.verdict != "confirmed" or r.vacuous:
             continue
         partner = by_key.get(("ThmA.ii", stext))
-        if partner is not None and partner.verdict == "confirmed":
-            assert not partner.vacuous, \
-                f"{r.group_name}/{stext}: ThmA.i non-vacuous but ThmA.ii vacuous"
+        if partner is not None and partner.verdict == "confirmed" and partner.vacuous:
+            raise InvariantError(
+                f"{r.group_name}/{stext}: ThmA.i non-vacuous but ThmA.ii vacuous")
 
 
 def _worker(entry: CorpusEntry, config: CampaignConfig) -> list[dict]:

@@ -20,7 +20,7 @@ import math
 import re
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError
+from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, InvariantError
 
 # ---------------------------------------------------------------------------
 # raw image-tuple arithmetic
@@ -384,7 +384,7 @@ def clear_intern_cache() -> None:
 class Subgroup:
     """A subgroup of an ambient PermGroup, carried with its own chain.
 
-    Generators must be members of the ambient; Lagrange is asserted on every
+    Generators must be members of the ambient; Lagrange is checked on every
     construction as a cheap sanity net.
     """
 
@@ -413,7 +413,9 @@ class Subgroup:
         if group is None:
             group = interned_within(ambient, PermGroup(ambient.degree, self.generators))
         self.group = group
-        assert ambient.order % self.group.order == 0, "Lagrange violated: bad subgroup"
+        if ambient.order % group.order:
+            raise InvariantError(f"Lagrange violated: a subgroup of order {group.order} "
+                                 f"in a group of order {ambient.order}")
 
     @property
     def order(self) -> int:
@@ -458,7 +460,8 @@ def conjugate_subgroup(h: Subgroup, x: Perm) -> Subgroup:
     if x not in h.ambient:
         raise GroupInputError(f"conjugating element {x} is not in the ambient group")
     conj = Subgroup(h.ambient, tuple(g ** x for g in h.generators))
-    assert conj.order == h.order
+    if conj.order != h.order:
+        raise InvariantError(f"a conjugate of a subgroup of order {h.order} has order {conj.order}")
     return conj
 
 

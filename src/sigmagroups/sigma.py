@@ -17,13 +17,13 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, Limits
+from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, InvariantError, Limits
 from .numbers import is_prime, part_for_primes, primes_of
 from .permcore import (PermGroup, Subgroup, compose_images, identity_images,
                        interned)
-from .structure import (all_subgroups, chief_series, conjugate_image_sets,
-                        is_normal, normal_subgroups, quotient_group,
-                        subgroup_from_images)
+from .structure import (_ElementTable, _element_table, all_subgroups, chief_series,
+                        conjugate_image_sets, is_normal, normal_subgroups,
+                        quotient_group, subgroup_from_images)
 
 # ---------------------------------------------------------------------------
 # partitions
@@ -142,29 +142,31 @@ def _group_blocks(G: PermGroup, sigma: SigmaPartition) -> list[tuple[str, frozen
 
 
 def _hall_data(G: PermGroup, sigma: SigmaPartition, limits: Limits):
-    """Per block: all Hall subgroup element sets and their conjugacy classes."""
+    """Per block: all Hall subgroup element sets, canonically sorted, and
+    their conjugacy classes as index sets of G's element table."""
     K = interned(G)
     key = ("hall-data", _sigma_key(sigma))
     if key not in K.cache:
+        table = _element_table(K, limits)
         blocks = []
         for bid, ps, part in _group_blocks(K, sigma):
-            cands = [h for h in all_subgroups(K, limits) if h.order == part]
-            cand_sets = [h.element_images() for h in cands]
-            gens_by_set = {h.element_images(): h.generators for h in cands}
-            classes: list[tuple[frozenset, ...]] = []
-            unassigned = set(cand_sets)
-            for cset in sorted(cand_sets, key=lambda s: tuple(sorted(s))):
-                if cset not in unassigned:
+            # all_subgroups is sorted canonically, so the candidates are too
+            cand_sets = tuple(h.element_images() for h in all_subgroups(K, limits)
+                              if h.order == part)
+            cand_members = [table.index_set(c) for c in cand_sets]
+            classes: list[tuple[frozenset[int], ...]] = []
+            unassigned = set(cand_members)
+            for members in cand_members:
+                if members not in unassigned:
                     continue
-                orbit = conjugate_image_sets(K, cset, [g.images for g in gens_by_set[cset]])
-                for o in orbit:
-                    unassigned.discard(o)
-                classes.append(tuple(sorted(orbit, key=lambda s: tuple(sorted(s)))))
+                orbit = table.conjugates(members)
+                unassigned.difference_update(orbit)
+                classes.append(tuple(orbit))
             blocks.append({
                 "id": bid,
                 "primes": ps,
                 "part": part,
-                "candidates": tuple(sorted(cand_sets, key=lambda s: tuple(sorted(s)))),
+                "candidates": cand_sets,
                 "classes": tuple(classes),
             })
         K.cache[key] = blocks
@@ -193,7 +195,8 @@ def complete_hall_sigma_set(G: PermGroup, sigma: SigmaPartition,
         sub = subgroup_from_images(G, least)
         members.append((block["id"], sub))
         total *= sub.order
-    assert total == G.order, "Hall sigma-set member orders must multiply to |G|"
+    if total != G.order:
+        raise InvariantError(f"Hall sigma-set member orders multiply to {total}, not {G.order}")
     return HallSigmaSet(members=tuple(members))
 
 
@@ -226,16 +229,18 @@ def enumerate_complete_hall_sigma_sets(G: PermGroup, sigma: SigmaPartition,
 # ---------------------------------------------------------------------------
 # sigma-permutability
 
-def _product_sets_equal(aset: frozenset[tuple], bset: frozenset[tuple]) -> bool:
-    """AB == BA as element sets, with early exit."""
-    if aset <= bset or bset <= aset:
-        return True
-    ab = {compose_images(a, b) for a in aset for b in bset}
-    for b in bset:
-        for a in aset:
-            if compose_images(b, a) not in ab:
-                return False
-    return True
+def _product_sets_equal(table: _ElementTable, a: frozenset[int], b: frozenset[int]) -> bool:
+    """AB == BA for subgroups given by index sets of the ambient table.
+
+    AB is built as a union of left cosets xB, skipping every x already in it
+    (then xB is already there).  Since (AB)^-1 = BA, AB == BA exactly when AB
+    is closed under inverses."""
+    rows = table.rows
+    ab: set[int] = set()
+    for x in a:
+        if x not in ab:
+            ab.update(map(rows[x].__getitem__, b))
+    return ab.issuperset(map(table.inverse.__getitem__, ab))
 
 
 def is_sigma_permutable(G: PermGroup, A: Subgroup, sigma: SigmaPartition,
@@ -253,17 +258,12 @@ def is_sigma_permutable(G: PermGroup, A: Subgroup, sigma: SigmaPartition,
     aset = A.element_images()
     key = ("sigma-perm", _sigma_key(sigma), aset)
     if key not in K.cache:
-        verdict = True
-        for block in _hall_data(K, sigma, limits):
-            if not block["candidates"]:
-                verdict = False
-                break
-            if not any(
-                    all(_product_sets_equal(aset, wset) for wset in cls)
-                    for cls in block["classes"]):
-                verdict = False
-                break
-        K.cache[key] = verdict
+        blocks = _hall_data(K, sigma, limits)
+        table = _element_table(K, limits)
+        a = table.index_set(aset)
+        K.cache[key] = all(
+            any(all(_product_sets_equal(table, a, w) for w in cls) for cls in block["classes"])
+            for block in blocks)
     return K.cache[key]
 
 
@@ -283,31 +283,23 @@ def psigma_t_violation(G: PermGroup, sigma: SigmaPartition,
     K not sigma-permutable in G; None when transitivity holds throughout."""
     K = interned(G)
     key = ("psigma-t", _sigma_key(sigma))
-    if key in K.cache:
-        cached = K.cache[key]
-        if cached is None:
-            return None
-        hgens, kgens = cached
-        return (Subgroup(G, kgens), Subgroup(G, hgens))
-    sp_g = sigma_permutable_sets(K, sigma, limits)
-    result = None
-    for hset in sorted(sp_g, key=lambda s: (len(s), tuple(sorted(s)))):
-        if len(hset) == K.order or len(hset) == 1:
-            continue
-        h_sub = sp_g[hset]
-        h_group = h_sub.as_group()
-        sp_h = sigma_permutable_sets(h_group, sigma, limits)
-        for kset in sorted(sp_h, key=lambda s: (len(s), tuple(sorted(s)))):
-            if kset not in sp_g:
-                result = (h_sub.generators, sp_h[kset].generators)
+    if key not in K.cache:
+        # both dicts follow all_subgroups, so they are in canonical order
+        sp_g = sigma_permutable_sets(K, sigma, limits)
+        result = None
+        for hset, h_sub in sp_g.items():
+            if len(hset) == K.order or len(hset) == 1:
+                continue
+            sp_h = sigma_permutable_sets(h_sub.as_group(), sigma, limits)
+            k_sub = next((k for kset, k in sp_h.items() if kset not in sp_g), None)
+            if k_sub is not None:
+                result = (k_sub, h_sub)
                 break
-        if result:
-            break
-    K.cache[key] = result
+        K.cache[key] = result
+    result = K.cache[key]
     if result is None:
         return None
-    hgens, kgens = result
-    return (Subgroup(G, kgens), Subgroup(G, hgens))
+    return tuple(Subgroup._of_interned(G, s.group, s.generators) for s in result)
 
 
 def is_psigma_t(G: PermGroup, sigma: SigmaPartition, limits: Limits = DEFAULT_LIMITS) -> bool:
@@ -361,21 +353,22 @@ def _quotient_is_sigma_nilpotent(G: PermGroup, n_sub: Subgroup, sigma: SigmaPart
 def sigma_nilpotent_residual(G: PermGroup, sigma: SigmaPartition,
                              limits: Limits = DEFAULT_LIMITS) -> Subgroup:
     """Least normal subgroup with sigma-nilpotent quotient.  The minimal-order
-    witness and the intersection of all witnesses must agree (asserted)."""
+    witness and the intersection of all witnesses must agree (checked)."""
     K = interned(G)
     key = ("sigma-residual", _sigma_key(sigma))
     if key not in K.cache:
         witnesses = [
             n for n in normal_subgroups(K, limits)
             if _quotient_is_sigma_nilpotent(K, n, sigma, limits)]
-        least = min(witnesses, key=lambda n: (n.order, tuple(sorted(n.element_images()))))
-        meet = set(K.element_images())
-        for n in witnesses:
-            meet &= n.element_images()
-        assert frozenset(meet) == least.element_images(), \
-            "residual: minimal witness differs from intersection of witnesses"
-        K.cache[key] = least.generators
-    return Subgroup(G, K.cache[key])
+        # normal_subgroups is sorted by (order, element list): the first is least
+        least = witnesses[0]
+        meet = K.element_images().intersection(*(n.element_images() for n in witnesses))
+        if meet != least.element_images():
+            raise InvariantError(
+                "residual: minimal witness differs from intersection of witnesses")
+        K.cache[key] = least
+    least = K.cache[key]
+    return Subgroup._of_interned(G, least.group, least.generators)
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +390,7 @@ def sigma_full_sylow_type_violation(G: PermGroup, sigma: SigmaPartition,
                     violation = {"subgroup": e_sub.generators, "block": block["id"],
                                  "missing_hall": True}
                     break
-                wset = block["candidates"][0]
-                wgens = [g.images for g in subgroup_from_images(e_group, wset).generators]
-                conjugates = conjugate_image_sets(e_group, wset, wgens)
+                conjugates = conjugate_image_sets(e_group, block["candidates"][0], limits)
                 for cand in all_subgroups(e_group, limits):
                     if primes_of(cand.order) <= block["primes"] and cand.order > 1:
                         cset = cand.element_images()
@@ -438,8 +429,8 @@ def largest_normal_block_subgroup(D: Subgroup, block_primes,
              if primes_of(n.order) <= block_primes]
     best = max(cands, key=lambda n: n.order)
     for n in cands:
-        assert n.element_images() <= best.element_images(), \
-            "normal block subgroups must join into the largest one"
+        if not n.element_images() <= best.element_images():
+            raise InvariantError("normal block subgroups must join into the largest one")
     return subgroup_from_images(D.ambient, best.element_images())
 
 

@@ -2,14 +2,17 @@
 
 Everything here is exact and deterministic.  Scales are "desk" sized: the
 ambient order stays under the element-cache bound, subgroup enumeration under
-the lattice bound.  The lattice algorithms (subgroup lattice, normal lattice,
-derived series) run on an element-indexed kernel: each interned group gets a
-multiplication table over its sorted elements, and subgroups are ``int``
-bitmasks over those indices.  Since index order is image-tuple order, the
-kernel walks the same sets in the same order as a walk over image tuples
-would.  Results leave the kernel as frozensets of image tuples and ``Perm``
-generators, and are wrapped as ``Subgroup`` values of the caller's ambient
-group, sorted canonically by (order, element list).
+the lattice bound.  The set algebra runs on an element-indexed kernel: each
+interned group gets a multiplication table over its sorted elements, and
+subgroups are ``int`` bitmasks or sets of indices into it.  The subgroup
+lattice, the normal lattice, the derived series, quotients (cosets numbered
+by table rows), products of subgroups (seeded closure), conjugates (one index
+map per generator) and the product tests of sigma-permutability all work
+there.  Since index order is image-tuple order, the kernel walks the same
+sets in the same order as a walk over image tuples would.  Results leave the
+kernel as frozensets of image tuples and ``Perm`` generators, and are wrapped
+as ``Subgroup`` values of the caller's ambient group, sorted canonically by
+(order, element list).
 
 Derived results are cached on the interned group instance, so repeated
 queries against the same abstract subgroup (however it was constructed) are
@@ -18,7 +21,7 @@ answered once.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -45,18 +48,20 @@ class _ElementTable:
     """An interned group with its elements numbered in sorted order.
 
     ``rows[a][b]`` is the index of a*b (a applied first) and ``inverse[a]``
-    that of a^-1; index 0 is the identity.  ``generators`` are the indices
-    of the group's generators.
+    that of a^-1; index 0 is the identity.  ``index`` maps image tuples to
+    indices, and ``generators`` are the indices of the group's generators.
+    Index arrays use ``typecode``.
     """
 
-    __slots__ = ("order", "perms", "images", "rows", "inverse", "generators")
+    __slots__ = ("order", "perms", "images", "index", "typecode", "rows", "inverse",
+                 "generators", "_conjugations")
 
     def __init__(self, K: PermGroup):
         self.perms = K.elements()
         self.images = images = [p.images for p in self.perms]
         self.order = n = len(images)
-        index = {e: i for i, e in enumerate(images)}
-        code = "H" if n <= 1 << 16 else "I"
+        self.index = index = {e: i for i, e in enumerate(images)}
+        self.typecode = code = "H" if n <= 1 << 16 else "I"
         gen_rows = [array(code, [index[compose_images(g.images, b)] for b in images])
                     for g in K.generators]
         self.generators = [row[0] for row in gen_rows]
@@ -78,6 +83,36 @@ class _ElementTable:
                 f"generators reach {len(reached)} of {n} elements in the table build")
         self.rows = rows
         self.inverse = [index[invert_images(e)] for e in images]
+        self._conjugations: list[array] | None = None
+
+    @property
+    def conjugations(self) -> list[array]:
+        """Per generator g, the index map e -> g^-1 e g; built on first use."""
+        if self._conjugations is None:
+            rows, inverse = self.rows, self.inverse
+            self._conjugations = [array(self.typecode, [rows[x][g] for x in rows[inverse[g]]])
+                                  for g in self.generators]
+        return self._conjugations
+
+    def index_set(self, images: Iterable[tuple]) -> frozenset[int]:
+        """The indices of elements given as image tuples."""
+        try:
+            return frozenset(map(self.index.__getitem__, images))
+        except KeyError:
+            raise GroupInputError("element set is not inside the group") from None
+
+    def conjugates(self, members: frozenset[int]) -> list[frozenset[int]]:
+        """Distinct conjugates of a subgroup given by its indices, in
+        breadth-first orbit order under the generators."""
+        seen = {members}
+        out = [members]
+        for s in out:
+            for conj in self.conjugations:
+                c = frozenset(map(conj.__getitem__, s))
+                if c not in seen:
+                    seen.add(c)
+                    out.append(c)
+        return out
 
     def flags(self, mask: int) -> bytearray:
         """One byte per element: 1 where the element is in the mask."""
@@ -133,6 +168,9 @@ class _ElementTable:
 
     def image_set(self, mask: int) -> frozenset[tuple]:
         return frozenset(compress(self.images, self.flags(mask)))
+
+    def images_of(self, indices: Iterable[int]) -> frozenset[tuple]:
+        return frozenset(map(self.images.__getitem__, indices))
 
     def entries(self, found: dict[int, tuple]) -> tuple[tuple[frozenset, tuple[Perm, ...]], ...]:
         """(element set, generators) pairs of a lattice, canonically sorted."""
@@ -230,25 +268,11 @@ def _normalizes(x: tuple, gen_images: Sequence[tuple], hset: frozenset[tuple]) -
 
 
 def conjugate_image_sets(G: PermGroup, hset: frozenset[tuple],
-                         hgens: Sequence[tuple]) -> list[frozenset[tuple]]:
-    """Distinct conjugates of a subgroup element set under G, orbit order."""
-    first = frozenset(hset)
-    seen = {first}
-    out = [first]
-    frontier = [(first, tuple(hgens))]
-    gen_pairs = [(g.images, invert_images(g.images)) for g in G.generators]
-    while frontier:
-        nxt = []
-        for sset, sgens in frontier:
-            for g, gi in gen_pairs:
-                cgens = tuple(compose_images(compose_images(gi, s), g) for s in sgens)
-                cset = frozenset(compose_images(compose_images(gi, e), g) for e in sset)
-                if cset not in seen:
-                    seen.add(cset)
-                    out.append(cset)
-                    nxt.append((cset, cgens))
-        frontier = nxt
-    return out
+                         limits: Limits = DEFAULT_LIMITS) -> list[frozenset[tuple]]:
+    """Distinct conjugates of a subgroup element set under G, in breadth-first
+    orbit order under G's generators."""
+    table = _element_table(interned(G), limits)
+    return [table.images_of(c) for c in table.conjugates(table.index_set(hset))]
 
 
 # ---------------------------------------------------------------------------
@@ -506,10 +530,8 @@ def normal_subgroups(G: PermGroup, limits: Limits = DEFAULT_LIMITS) -> tuple[Sub
 
 def _normal_lattice(table: _ElementTable) -> dict[int, tuple]:
     """Normal subgroup masks -> generator indices."""
-    rows, inverse, n = table.rows, table.inverse, table.order
-    # e -> g^-1 e g for each generator g, as index maps
-    conjugations = [[rows[rows[inverse[g]][e]][g] for e in range(n)]
-                    for g in table.generators]
+    n = table.order
+    conjugations = table.conjugations
     base: set[int] = set()
     in_class = bytearray(n)
     for x in range(1, n):
@@ -681,50 +703,89 @@ def supplements(G: PermGroup, V: Subgroup, limits: Limits = DEFAULT_LIMITS) -> t
 
 @dataclass(frozen=True)
 class QuotientGroup:
-    """G/N presented on the right cosets of N; projection maps each element."""
+    """G/N acting on the right cosets of N.
+
+    ``coset_of[i]`` is the coset of the element with index i in G's element
+    table, and ``coset_images[c]`` is the image tuple of coset c in ``group``.
+    """
 
     group: PermGroup
-    projection: dict[Perm, Perm]
     kernel: Subgroup
+    table: _ElementTable = field(repr=False, compare=False)
+    coset_of: Sequence[int] = field(repr=False, compare=False)
+    coset_images: Sequence[tuple] = field(repr=False, compare=False)
 
     def project(self, x: Perm) -> Perm:
-        return self.projection[x]
+        index = self.table.index.get(x.images)
+        if index is None:
+            raise GroupInputError(f"{x} is not in the group")
+        return Perm(self.coset_images[self.coset_of[index]])
+
+    def image_set(self, elements: Iterable[tuple]) -> frozenset[tuple]:
+        """The image in ``group`` of a set of G's elements, as image tuples."""
+        coset_of = self.coset_of
+        cosets = {coset_of[i] for i in self.table.index_set(elements)}
+        return frozenset(map(self.coset_images.__getitem__, cosets))
 
 
 def quotient_group(G: PermGroup, N: Subgroup, limits: Limits = DEFAULT_LIMITS) -> QuotientGroup:
+    """G/N on the right cosets of N, numbered in the order of their least
+    elements.  The coset action is constant on cosets, so it is computed once
+    per coset representative on G's element table (built under ``limits``)."""
     K = interned(G)
     nset = N.element_images()
     cache_key = ("quotient", nset)
     if cache_key in K.cache:
         return K.cache[cache_key]
-    if not is_normal(G, N):
+    table = _element_table(K, limits)
+    rows = table.rows
+    block = table.index_set(nset)
+    ngens = [table.index[g.images] for g in N.generators]
+    if not all(conj[h] in block for conj in table.conjugations for h in ngens):
         raise GroupInputError("quotient by a non-normal subgroup")
-    els = sorted(G.element_images())
-    coset_of: dict[tuple, int] = {}
-    reps: list[tuple] = []
-    for e in els:
-        if e in coset_of:
-            continue
-        idx = len(reps)
-        reps.append(e)
-        for n in nset:
-            coset_of[compose_images(n, e)] = idx
+    coset_of = [-1] * table.order
+    reps: list[int] = []
+    for x in range(table.order):
+        if coset_of[x] < 0:
+            for y in map(rows[x].__getitem__, block):  # xN = Nx
+                coset_of[y] = len(reps)
+            reps.append(x)
     index = len(reps)
-    proj_images: dict[tuple, tuple] = {}
-    for e in els:
-        proj_images[e] = tuple(coset_of[compose_images(r, e)] for r in reps)
-    gen_images = [Perm(proj_images[g.images]) for g in G.generators]
-    Q = interned_within(K, PermGroup(index, gen_images))
-    if Q.order != index:
+    # coset Nr maps coset Ns to Nsr
+    coset_images = [tuple(coset_of[rows[s][r]] for s in reps) for r in reps]
+    qset = frozenset(coset_images)
+    if len(qset) != index or index * len(block) != table.order:
         raise InvariantError("coset action order mismatch")
+    Q = find_interned(index, qset)
+    if Q is None:
+        gen_images = [Perm(coset_images[coset_of[g]]) for g in table.generators]
+        Q = interned_within(K, PermGroup(index, gen_images))
+        if Q.element_images() != qset:
+            raise InvariantError("the generators' coset images generate another group")
     ident = identity_images(index)
-    kernel_set = frozenset(e for e, img in proj_images.items() if img == ident)
-    if kernel_set != nset:
+    if [c for c, img in enumerate(coset_images) if img == ident] != [0]:
         raise InvariantError("coset action kernel mismatch")
-    projection = {Perm(e): Perm(img) for e, img in proj_images.items()}
-    result = QuotientGroup(group=Q, projection=projection, kernel=N)
+    result = QuotientGroup(group=Q, kernel=N, table=table,
+                           coset_of=array(table.typecode, coset_of),
+                           coset_images=coset_images)
     K.cache[cache_key] = result
     return result
+
+
+def product_subgroup(G: PermGroup, A: Subgroup, B: Subgroup,
+                     limits: Limits = DEFAULT_LIMITS) -> Subgroup:
+    """The product set AB, which must be a subgroup (for instance when A or B
+    is normal in G).  It is then <A, B>, closed on G's element table with
+    A's elements as the seed block; GroupInputError when |<A, B>| is not
+    |A||B|/|A n B|, that is when AB is not a subgroup."""
+    table = _element_table(interned(G), limits)
+    index = table.index
+    gens = [index[g.images] for g in A.generators + B.generators]
+    flags = table.closure(gens, list(table.index_set(A.element_images())))
+    size = flags.count(1)
+    if size * len(A.element_images() & B.element_images()) != A.order * B.order:
+        raise GroupInputError("the product of the two subgroups is not a subgroup")
+    return subgroup_from_images(G, frozenset(compress(table.images, flags)))
 
 
 def intersection_subgroup(G: PermGroup, A: Subgroup, B: Subgroup) -> Subgroup:

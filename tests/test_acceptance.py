@@ -5,6 +5,7 @@ terminal (bypassing capture) so a release run shows a scoreboard even
 under plain `pytest`.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -189,19 +190,30 @@ def test_acceptance_09_class_hierarchy_and_coarsening(capsys, corpus):
            f"bad={bad}")
 
 
+# sha256 of `campaign --corpus builtin --no-timestamp`; an optimisation must
+# leave every byte of the report as it is
+REPORT_SHA256 = "4853b522f438cefacf41b618387ffb754f74ee710642b1e3397fcb41c038732b"
+
+
 def test_acceptance_10_reports_are_deterministic(capsys, tmp_path):
-    outs = []
-    for jobs, fname in (("1", "a.json"), ("2", "b.json")):
-        path = tmp_path / fname
-        proc = subprocess.run(
-            [sys.executable, "-m", "sigmagroups.cli", "campaign",
+    runs = []
+    for name, flags, jobs in (("jobs1", [], "1"), ("jobs2", [], "2"), ("optimised", ["-O"], "1")):
+        path = tmp_path / f"{name}.json"
+        proc = subprocess.Popen(
+            [sys.executable, *flags, "-m", "sigmagroups.cli", "campaign",
              "--corpus", "builtin", "--jobs", jobs, "--no-timestamp",
              "--out", str(path)],
-            capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        runs.append((path, proc))
+    outs = []
+    for path, proc in runs:
+        _, stderr = proc.communicate()
+        assert proc.returncode == 0, stderr
         outs.append(path.read_bytes())
-    identical = outs[0] == outs[1]
+    identical = outs[0] == outs[1] == outs[2]
+    pinned = hashlib.sha256(outs[0]).hexdigest() == REPORT_SHA256
     parsed = json.loads(outs[0])
-    report(capsys, 10, identical and parsed["summary"]["counterexample"] == 0,
-           f"two full campaign runs (--jobs 1 vs --jobs 2, timestamps "
-           f"suppressed) produced byte-identical {len(outs[0])}-byte reports")
+    report(capsys, 10, identical and pinned and parsed["summary"]["counterexample"] == 0,
+           f"three full campaign runs (--jobs 1, --jobs 2 and python -O, timestamps "
+           f"suppressed) produced byte-identical {len(outs[0])}-byte reports; "
+           f"sha256 pinned: {pinned}")

@@ -1,14 +1,18 @@
-"""The element-indexed lattice kernels against the brute-force oracle, on
-every builtin group and on random small permutation groups."""
+"""The element-indexed kernels against the brute-force oracle, on builtin
+groups and on random small permutation groups."""
+
+import math
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import oracles
 from sigmagroups import Limits, Perm, PermGroup, builtin_corpus
+from sigmagroups.sigma import SigmaPartition, is_sigma_nilpotent, sigma_nilpotent_residual
 from sigmagroups.structure import (_element_table, _lattice_cyclic_extension,
                                    _lattice_join_closure, all_subgroups,
-                                   closure_of_images, is_soluble, normal_subgroups)
+                                   closure_of_images, conjugate_image_sets, is_soluble,
+                                   normal_subgroups, quotient_group)
 
 
 def image_sets(subgroups):
@@ -54,11 +58,72 @@ def small_groups(draw, max_order=72):
     return G
 
 
-@settings(derandomize=True, max_examples=150, deadline=None,
-          suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+def tuple_conjugates(G, hset):
+    """The old tuple walk: conjugate whole sets by each generator, breadth first."""
+    gen_pairs = [(g.images, oracles.inverse(g.images)) for g in G.generators]
+    out = [frozenset(hset)]
+    for s in out:
+        for g, gi in gen_pairs:
+            c = frozenset(oracles.compose(oracles.compose(gi, e), g) for e in s)
+            if c not in out:
+                out.append(c)
+    return out
+
+
+@pytest.mark.parametrize("name", ["S4", "A5", "PSL(2,7)"])
+def test_conjugate_image_sets_match_tuple_conjugation(corpus, name):
+    """Same conjugates in the same orbit order, for every lattice member."""
+    G = corpus[name].build()
+    for h in all_subgroups(G):
+        assert conjugate_image_sets(G, h.element_images()) == \
+            tuple_conjugates(G, h.element_images())
+
+
+RANDOM_GROUPS = settings(derandomize=True, deadline=None,
+                         suppress_health_check=[HealthCheck.filter_too_much,
+                                                HealthCheck.too_slow])
+
+
+@settings(RANDOM_GROUPS, max_examples=150)
 @given(small_groups())
 def test_random_groups_match_oracle(G):
     tg = oracles.TupleGroup([g.images for g in G.generators], G.degree)
     assert image_sets(all_subgroups(G)) == tg.subgroup_image_sets()
     assert image_sets(normal_subgroups(G)) == tg.normal_image_sets()
     assert is_soluble(G) == tg.mt.is_soluble()
+
+
+@settings(RANDOM_GROUPS, max_examples=100)
+@given(small_groups(), st.data())
+def test_random_residual_sigma_nilpotency_and_quotients_match_oracle(G, data):
+    """The classical residual order; sigma-nilpotency for a drawn sigma, read
+    as "every block of sigma(G) has a normal Hall subgroup"; and for every
+    normal N the order of G/N, the kernel of the projection and the
+    homomorphism property, against the oracle's coset table."""
+    tg = oracles.TupleGroup([g.images for g in G.generators], G.degree)
+    assert (sigma_nilpotent_residual(G, SigmaPartition.sigma1()).order
+            == oracles.nilpotent_residual_order(tg))
+
+    parts = tg.mt.sylow_parts()
+    # label 0 leaves a prime unlisted, so it falls into the rest block
+    labels = data.draw(st.lists(st.integers(0, len(parts)),
+                                min_size=len(parts), max_size=len(parts)))
+    blocks: dict[int, set] = {}
+    for p, label in zip(sorted(parts), labels):
+        blocks.setdefault(label, set()).add(p)
+    sigma = SigmaPartition.of_blocks(*(b for label, b in blocks.items() if label))
+    normal_orders = {len(s) for s in tg.normal_image_sets()}
+    expected = all(math.prod(parts[p] for p in b) in normal_orders
+                   for b in blocks.values())
+    assert is_sigma_nilpotent(G, sigma) == expected
+
+    elements = G.elements()
+    for N in normal_subgroups(G):
+        q = quotient_group(G, N)
+        mq = tg.mt.quotient(frozenset(tg.index[e] for e in N.element_images()))
+        assert q.group.order == mq.order == G.order // N.order
+        assert {x.images for x in elements if q.project(x).is_identity()} == \
+            N.element_images()
+        for a in elements:
+            for g in G.generators:
+                assert q.project(a * g) == q.project(a) * q.project(g)

@@ -5,8 +5,10 @@ from dataclasses import replace
 import pytest
 
 from sigmagroups import (GroupInputError, Limits, Perm, Subgroup, parse_sigma)
+from sigmagroups.errors import InvariantError
 from sigmagroups.harness import (CLASSES, STATEMENTS, CampaignConfig,
-                                 VerificationOutcome, campaign_sigmas,
+                                 VerificationOutcome, _check_class_monotonicity,
+                                 campaign_sigmas,
                                  class_member, report_from_rows, run_campaign,
                                  validate_covering_witness, verify_cor_1_1,
                                  verify_cor_1_2, verify_group,
@@ -15,7 +17,9 @@ from sigmagroups.harness import (CLASSES, STATEMENTS, CampaignConfig,
                                  verify_lemma_2_5_converse,
                                  verify_lemma_2_5_converse_search,
                                  verify_lemma_2_5_forward, verify_theorem_A)
+from sigmagroups.permcore import compose_images
 from sigmagroups.sigma import SigmaPartition, sigma_nilpotent_residual
+from sigmagroups.structure import normal_subgroups, quotient_group
 
 S1 = SigmaPartition.sigma1()
 
@@ -323,3 +327,25 @@ def test_report_from_rows_summary(corpus):
     assert s["confirmed"] + s["counterexample"] + s["skipped"] == len(rows)
     assert set(s["by_statement"]) <= set(STATEMENTS)
     assert "generated_at" not in report_from_rows(rows)
+
+
+def test_class_monotonicity_check_raises():
+    sigma = parse_sigma("[2][3]")
+    rows = [VerificationOutcome("ThmA.i", "G", sigma, "confirmed", vacuous=False),
+            VerificationOutcome("ThmA.ii", "G", sigma, "confirmed", vacuous=True)]
+    with pytest.raises(InvariantError, match="ThmA.i non-vacuous but ThmA.ii vacuous"):
+        _check_class_monotonicity(rows)
+    _check_class_monotonicity(rows[:1] + [replace(rows[1], vacuous=False)])
+
+
+@pytest.mark.parametrize("name", ["S4", "SL(2,5)"])
+def test_lemma_2_4_image_of_residual_is_dn_over_n(corpus, name):
+    """Lem2.4's right-hand side, the image of D, is the projection of the
+    product set DN, for every normal N and every campaign partition."""
+    G = corpus[name].build()
+    for sigma in campaign_sigmas(G):
+        d_set = sigma_nilpotent_residual(G, sigma).element_images()
+        for N in normal_subgroups(G):
+            q = quotient_group(G, N)
+            dn = {compose_images(d, n) for d in d_set for n in N.element_images()}
+            assert q.image_set(d_set) == frozenset(q.project(Perm(x)).images for x in dn)

@@ -9,6 +9,7 @@ import oracles
 from sigmagroups import (CapacityError, GroupInputError, Perm, PermGroup,
                          Subgroup, conjugate_subgroup, full_subgroup, interned,
                          trivial_subgroup)
+from sigmagroups.errors import InvariantError
 from sigmagroups.permcore import clear_intern_cache, format_cycles, parse_cycles
 
 
@@ -281,3 +282,21 @@ def test_conjugate_subgroup(corpus):
     assert hx.element_images() == Subgroup(G, [Perm.parse("(2 3)", 3)]).element_images()
     with pytest.raises(GroupInputError):
         conjugate_subgroup(h, Perm.parse("(1 2)", 4))
+
+
+# ---------------------------------------------------------------------------
+# internal checks raise InvariantError, which python -O keeps
+
+def test_lagrange_check_raises():
+    S3 = PermGroup(3, [Perm.parse("(1 2 3)", 3), Perm.parse("(1 2)", 3)])
+    C4 = PermGroup(4, [Perm.parse("(1 2 3 4)", 4)])
+    with pytest.raises(InvariantError, match="Lagrange"):
+        Subgroup._of_interned(S3, C4, ())
+
+
+def test_conjugate_order_check_raises(monkeypatch):
+    S3 = PermGroup(3, [Perm.parse("(1 2 3)", 3), Perm.parse("(1 2)", 3)])
+    h = Subgroup(S3, [Perm.parse("(1 2 3)", 3)])
+    monkeypatch.setattr(Perm, "__pow__", lambda self, x: Perm.identity(self.degree))
+    with pytest.raises(InvariantError, match="conjugate"):
+        conjugate_subgroup(h, Perm.parse("(1 2)", 3))

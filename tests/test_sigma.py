@@ -5,12 +5,16 @@ of the definition: enumerate every complete Hall sigma-set and test the
 product-set condition for every member and every conjugating element.
 """
 
+import functools
+
 import pytest
 
 from sigmagroups import (CapacityError, GroupInputError, Limits, Perm,
                          Subgroup, full_subgroup, parse_sigma,
                          trivial_subgroup)
-from sigmagroups.permcore import compose_images, conjugate_images
+from sigmagroups import sigma as sigma_module
+from sigmagroups.errors import InvariantError
+from sigmagroups.permcore import clear_intern_cache, compose_images, conjugate_images
 from sigmagroups.sigma import (SigmaPartition, complete_hall_sigma_set,
                                enumerate_complete_hall_sigma_sets,
                                has_complete_hall_sigma_set,
@@ -121,17 +125,20 @@ def test_enumerate_hall_sets_capacity(corpus):
 # ---------------------------------------------------------------------------
 # sigma-permutability: naive definition cross-check
 
+@functools.lru_cache(maxsize=None)
+def _distinct_conjugates(G, wset):
+    return {frozenset(conjugate_images(w, x) for w in wset) for x in G.element_images()}
+
+
 def naive_sigma_permutable(G, A, sigma):
     """Direct reading: some complete Hall sigma-set H with AW^x = W^xA for
-    every member W and every x in G."""
+    every member W and every x in G (each distinct W^x tested once)."""
     hall_sets = enumerate_complete_hall_sigma_sets(G, sigma)
     aset = A.element_images()
     for hs in hall_sets:
         good = True
         for _bid, W in hs.members:
-            wset = W.element_images()
-            for x in G.element_images():
-                wx = frozenset(conjugate_images(w, x) for w in wset)
+            for wx in _distinct_conjugates(G, W.element_images()):
                 ab = {compose_images(a, w) for a in aset for w in wx}
                 ba = {compose_images(w, a) for w in wx for a in aset}
                 if ab != ba:
@@ -146,7 +153,7 @@ def naive_sigma_permutable(G, A, sigma):
 
 @pytest.mark.parametrize("name,stext", [
     ("S3", "sigma1"), ("S3", "[2,3]"), ("A4", "sigma1"),
-    ("D8", "sigma1"), ("S4", "sigma1"), ("A4", "[2,3]"),
+    ("D8", "sigma1"), ("S4", "sigma1"), ("A4", "[2,3]"), ("A5", "[2,3][5]"),
 ])
 def test_permutability_matches_naive_definition(corpus, name, stext):
     G = corpus[name].build()
@@ -333,3 +340,34 @@ def test_induces_power_automorphisms(corpus):
     assert not induces_power_automorphisms(SL23, sigma_nilpotent_residual(SL23, S1))
     with pytest.raises(GroupInputError):
         induces_power_automorphisms(S3, sub(S3, "(1 2)"))
+
+
+# ---------------------------------------------------------------------------
+# internal checks raise InvariantError, which python -O keeps
+
+def test_hall_set_order_check_raises(corpus, monkeypatch):
+    S3 = corpus["S3"].build()
+    blocks = sigma_module._hall_data(S3, S1, Limits())
+    # drop the Sylow 3-block: the members no longer multiply to |G|
+    monkeypatch.setattr(sigma_module, "_hall_data", lambda G, sigma, limits: blocks[:1])
+    with pytest.raises(InvariantError, match="multiply to 2, not 6"):
+        complete_hall_sigma_set(S3, S1)
+
+
+def test_residual_witness_check_raises(corpus, monkeypatch):
+    # in E4 the three subgroups of order 2 are normal and meet trivially;
+    # taking them as the only witnesses breaks the minimum = meet check
+    clear_intern_cache()  # no residual cached by an earlier test
+    E4 = corpus["E4"].build()
+    monkeypatch.setattr(sigma_module, "_quotient_is_sigma_nilpotent",
+                        lambda G, n, sigma, limits: n.order == 2)
+    with pytest.raises(InvariantError, match="intersection of witnesses"):
+        sigma_nilpotent_residual(E4, parse_sigma("[3]"))
+
+
+def test_largest_normal_block_check_raises(corpus, monkeypatch):
+    E4 = corpus["E4"].build()
+    halves = tuple(n for n in normal_subgroups(E4) if n.order == 2)
+    monkeypatch.setattr(sigma_module, "normal_subgroups", lambda G, limits: halves)
+    with pytest.raises(InvariantError, match="join into the largest one"):
+        largest_normal_block_subgroup(full_subgroup(E4), {2})

@@ -10,7 +10,7 @@ import pytest
 import oracles
 from sigmagroups import (CapacityError, GroupInputError, Limits, Perm,
                          PermGroup, Subgroup)
-from sigmagroups.permcore import clear_intern_cache
+from sigmagroups.permcore import clear_intern_cache, compose_images
 from sigmagroups.structure import (all_subgroups, centralizer, chief_series,
                                    closure_of_images, conjugate_image_sets,
                                    derived_subgroup, frattini_subgroup,
@@ -20,8 +20,9 @@ from sigmagroups.structure import (all_subgroups, centralizer, chief_series,
                                    maximal_subgroups,
                                    maximal_subgroups_of_p_group,
                                    minimal_normal_subgroups, normal_closure,
-                                   normal_subgroups, quotient_group,
-                                   subgroup_from_images, subgroups_of_order,
+                                   normal_subgroups, product_subgroup,
+                                   quotient_group, subgroup_from_images,
+                                   subgroups_of_order,
                                    supplements, sylow_subgroup)
 from sigmagroups.structure import _element_table, _mask
 
@@ -263,8 +264,29 @@ def test_quotient_by_full_group_is_trivial(corpus):
     assert q.group.order == 1
 
 
+def test_quotient_by_non_normal_subgroup_is_rejected(corpus):
+    S3 = corpus["S3"].build()
+    with pytest.raises(GroupInputError, match="non-normal"):
+        quotient_group(S3, sub(S3, "(1 2)"))
+
+
 # ---------------------------------------------------------------------------
 # misc helpers
+
+def test_product_subgroup(corpus):
+    S4 = corpus["S4"].build()
+    v4 = sub(S4, "(1 2)(3 4)", "(1 3)(2 4)")
+    c3 = sub(S4, "(1 2 3)")
+    got = product_subgroup(S4, v4, c3)
+    assert got.order == 12
+    assert got.element_images() == frozenset(
+        compose_images(a, b) for a in v4.element_images() for b in c3.element_images())
+    assert product_subgroup(S4, c3, v4) == got
+    # two subgroups of order 2 in S3 whose product set has 4 elements
+    S3 = corpus["S3"].build()
+    with pytest.raises(GroupInputError, match="not a subgroup"):
+        product_subgroup(S3, sub(S3, "(1 2)"), sub(S3, "(1 3)"))
+
 
 def test_intersection_subgroup(corpus):
     S4 = corpus["S4"].build()
@@ -292,17 +314,14 @@ def test_generated_subgroup(corpus):
 def test_conjugate_image_sets(corpus):
     S3 = corpus["S3"].build()
     h = sub(S3, "(1 2)")
-    sets = conjugate_image_sets(S3, h.element_images(),
-                                [g.images for g in h.generators])
+    sets = conjugate_image_sets(S3, h.element_images())
     assert len(sets) == 3
     a3 = sub(S3, "(1 2 3)")
-    sets = conjugate_image_sets(S3, a3.element_images(),
-                                [g.images for g in a3.generators])
+    sets = conjugate_image_sets(S3, a3.element_images())
     assert len(sets) == 1
     S4 = corpus["S4"].build()
     p = sylow_subgroup(S4, 2)
-    assert len(conjugate_image_sets(S4, p.element_images(),
-                                    [g.images for g in p.generators])) == 3
+    assert len(conjugate_image_sets(S4, p.element_images())) == 3
 
 
 # ---------------------------------------------------------------------------
