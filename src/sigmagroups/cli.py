@@ -16,13 +16,9 @@ from dataclasses import replace
 
 from .corpus import CorpusEntry, builtin_corpus, builtin_entry, parse_corpus_file
 from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, Limits
-from .harness import (STATEMENTS, CampaignConfig, VerificationOutcome,
-                      campaign_sigmas, report_from_rows, run_campaign,
-                      verify_cor_1_1, verify_cor_1_2, verify_lemma_2_1,
-                      verify_lemma_2_2, verify_lemma_2_3, verify_lemma_2_4,
-                      verify_lemma_2_5_converse_search, verify_lemma_2_5_forward,
-                      verify_theorem_A)
-from .numbers import primes_of
+from .harness import (REGISTRY, STATEMENTS, CampaignConfig, VerificationOutcome,
+                      campaign_sigmas, report_from_rows, run_campaign, run_statements)
+from .numbers import is_prime
 from .permcore import Perm, PermGroup, Subgroup
 from .sigma import (SigmaPartition, complete_hall_sigma_set, is_psigma_t,
                     is_sigma_nilpotent, is_sigma_permutable, is_sigma_primary,
@@ -218,54 +214,34 @@ def _outcome_lines(rows: list[VerificationOutcome]) -> list[str]:
     return out
 
 
+def _pi_sets(args) -> list[frozenset[int]] | None:
+    """The one prime set given by --pi, or None for every subset of pi(G).
+    Primality is decided by trial division, so a token has at most 9 digits."""
+    if args.pi is None:
+        return None
+    if REGISTRY[args.statement].scope != "pi":
+        only = ", ".join(sid for sid, st in REGISTRY.items() if st.scope == "pi")
+        raise _Usage(f"--pi applies only to {only}, not {args.statement}")
+    tokens = [t.strip() for t in args.pi.split(",")]
+    if not all(t.isdecimal() and len(t) <= 9 and is_prime(int(t)) for t in tokens):
+        raise _Usage(f"--pi takes comma-separated primes of at most 9 digits, got {args.pi!r}")
+    return [frozenset(int(t) for t in tokens)]
+
+
 def cmd_verify(args) -> int:
     limits = _limits(args)
     entry = _resolve_entry(args)
+    pis = _pi_sets(args)
     G = entry.build(limits)
-    rows: list[VerificationOutcome] = []
-
-    def run(fn, *fn_args):
-        try:
-            rows.append(fn(*fn_args, entry.name, limits))
-        except CapacityError as exc:
-            rows.append(VerificationOutcome(
-                args.statement, entry.name, SigmaPartition.sigma1(), "skipped",
-                reason=f"capacity: {exc}"))
-
-    if args.statement == "Lem2.2":
-        if args.pi:
-            subsets = [frozenset(int(t) for t in args.pi.split(","))]
-        else:
-            subsets = [frozenset(s) for s in _all_subsets(sorted(primes_of(G.order)))]
-        for pi in subsets:
-            run(verify_lemma_2_2, G, pi)
-    elif args.statement == "Cor1.2":
-        run(verify_cor_1_2, G)
-    else:
-        thma_cls = {"ThmA.i": "sigma-soluble", "ThmA.ii": "sigma-nilpotent",
-                    "ThmA.iii": "sigma-soluble-psigma-t"}
-        per_sigma = {"Cor1.1": verify_cor_1_1, "Lem2.1": verify_lemma_2_1,
-                     "Lem2.3": verify_lemma_2_3, "Lem2.4": verify_lemma_2_4,
-                     "Lem2.5.fwd": verify_lemma_2_5_forward,
-                     "Lem2.5.conv": verify_lemma_2_5_converse_search}
-        for sigma in _sigmas_for(args, G, limits):
-            if args.statement in thma_cls:
-                run(verify_theorem_A, G, sigma, thma_cls[args.statement])
-            else:
-                run(per_sigma[args.statement], G, sigma)
+    sigmas = _sigmas_for(args, G, limits) if REGISTRY[args.statement].scope == "sigma" else None
+    rows = run_statements(G, entry.name, (args.statement,), limits,
+                          sigmas=sigmas, pis=pis, zero_millis=True)
     _emit(args, _outcome_lines(rows), [r.to_json() for r in rows])
     if any(r.verdict == "counterexample" for r in rows):
         return EXIT_COUNTEREXAMPLE
     if any(r.verdict == "skipped" and not r.vacuous for r in rows):
         return EXIT_CAPACITY
     return EXIT_OK
-
-
-def _all_subsets(items):
-    out = [()]
-    for x in items:
-        out += [s + (x,) for s in out]
-    return sorted(out, key=lambda s: (len(s), s))
 
 
 def cmd_campaign(args) -> int:
@@ -275,13 +251,7 @@ def cmd_campaign(args) -> int:
     else:
         with open(args.corpus, encoding="utf-8") as fh:
             entries = parse_corpus_file(fh.read())
-    statements = STATEMENTS
-    if args.only:
-        chosen = tuple(t.strip() for t in args.only.split(","))
-        unknown = [s for s in chosen if s not in STATEMENTS]
-        if unknown:
-            raise _Usage(f"unknown statement ids: {', '.join(unknown)}")
-        statements = chosen
+    statements = tuple(t.strip() for t in args.only.split(",")) if args.only else STATEMENTS
     config = CampaignConfig(jobs=max(1, args.jobs), limits=limits,
                             statements=statements, zero_millis=args.no_timestamp)
     rows = run_campaign(entries, config)

@@ -25,6 +25,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import repeat
+from typing import NamedTuple
 
 from .corpus import CorpusEntry, partitions_of_primes
 from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, InvariantError, Limits
@@ -41,13 +42,34 @@ from .structure import (all_subgroups, conjugate_image_sets, frattini_subgroup,
                         product_subgroup, quotient_group, subgroup_from_images,
                         subgroups_of_order, supplements, sylow_subgroup)
 
-STATEMENTS = ("ThmA.i", "ThmA.ii", "ThmA.iii", "Cor1.1", "Cor1.2",
-              "Lem2.1", "Lem2.2", "Lem2.3", "Lem2.4", "Lem2.5.fwd", "Lem2.5.conv")
-
 CLASSES = ("sigma-soluble", "sigma-nilpotent", "sigma-soluble-psigma-t")
 
 _THMA_CLASS = {"ThmA.i": "sigma-soluble", "ThmA.ii": "sigma-nilpotent",
                "ThmA.iii": "sigma-soluble-psigma-t"}
+
+
+class Statement(NamedTuple):
+    """How a statement id runs (see ``run_statements``).  The verifier is
+    named, not held: it is looked up in this module at call time, so a
+    wrapper bound onto the module attribute sees every call."""
+    scope: str
+    verifier: str
+    extra: tuple = ()
+
+
+REGISTRY = {
+    **{sid: Statement("sigma", "verify_theorem_A", (cls,)) for sid, cls in _THMA_CLASS.items()},
+    "Cor1.1": Statement("sigma", "verify_cor_1_1"),
+    "Cor1.2": Statement("classical", "verify_cor_1_2"),
+    "Lem2.1": Statement("sigma", "verify_lemma_2_1"),
+    "Lem2.2": Statement("pi", "verify_lemma_2_2"),
+    "Lem2.3": Statement("sigma", "verify_lemma_2_3"),
+    "Lem2.4": Statement("sigma", "verify_lemma_2_4"),
+    "Lem2.5.fwd": Statement("sigma", "verify_lemma_2_5_forward"),
+    "Lem2.5.conv": Statement("sigma", "verify_lemma_2_5_converse_search"),
+}
+
+STATEMENTS = tuple(REGISTRY)
 
 
 def class_member(cls: str, G: PermGroup, sigma: SigmaPartition,
@@ -113,44 +135,41 @@ def _sylow_maximal_candidates(G: PermGroup, limits: Limits) -> tuple[Subgroup, .
     return K.cache["sylow-maximal-candidates"]
 
 
-def _covering_scan(G: PermGroup, sigma: SigmaPartition, cls: str,
-                   limits: Limits) -> tuple[Subgroup | None, list[dict]]:
-    """Search for a maximal-Sylow V all of whose supplements lie outside cls.
+def _covering_outcome(sid: str, G: PermGroup, sigma: SigmaPartition, cls: str,
+                      group_name: str, limits: Limits, in_class: dict,
+                      found: dict) -> VerificationOutcome:
+    """The contrapositive scan shared by Theorem A and its corollaries.
 
-    Returns (witness V, None) on success; (None, refutation) when every V has
-    an in-class supplement — the refutation lists one such supplement per V.
-    """
+    G in cls confirms vacuously (witness ``in_class``).  Otherwise search for a
+    maximal-Sylow V all of whose supplements lie outside cls: finding one
+    confirms (witness V plus ``found``); when every V has an in-class
+    supplement the refutation lists one such supplement per V."""
+    if class_member(cls, G, sigma, limits):
+        return VerificationOutcome(sid, group_name, sigma, "confirmed", vacuous=True,
+                                   witness=in_class)
     refutation = []
     for V in _sylow_maximal_candidates(G, limits):
-        in_class_t = None
-        for T in supplements(G, V, limits):
-            if class_member(cls, T.as_group(), sigma, limits):
-                in_class_t = T
-                break
+        in_class_t = next((T for T in supplements(G, V, limits)
+                           if class_member(cls, T.as_group(), sigma, limits)), None)
         if in_class_t is None:
-            return V, []
+            return VerificationOutcome(
+                sid, group_name, sigma, "confirmed", vacuous=False,
+                witness={"V": _sub_json(V), "supplements_all_outside_class": True,
+                         **found})
         refutation.append({"V": _sub_json(V), "in_class_supplement": _sub_json(in_class_t)})
-    return None, refutation
+    return VerificationOutcome(
+        sid, group_name, sigma, "counterexample", vacuous=False,
+        witness={"class": cls, "every_V_has_in_class_supplement": refutation})
 
 
 def verify_theorem_A(G: PermGroup, sigma: SigmaPartition, cls: str, group_name: str = "",
                      limits: Limits = DEFAULT_LIMITS) -> VerificationOutcome:
     """One class instance of the covering-system statement, contrapositively."""
     sid = {v: k for k, v in _THMA_CLASS.items()}[cls]
-    if class_member(cls, G, sigma, limits):
-        return VerificationOutcome(
-            sid, group_name, sigma, "confirmed", vacuous=True,
-            witness={"note": "G lies in the class; T = G supplements every V"})
-    V, refutation = _covering_scan(G, sigma, cls, limits)
-    if V is not None:
-        return VerificationOutcome(
-            sid, group_name, sigma, "confirmed", vacuous=False,
-            witness={"V": _sub_json(V),
-                     "supplements_all_outside_class": True,
-                     "class": cls})
-    return VerificationOutcome(
-        sid, group_name, sigma, "counterexample", vacuous=False,
-        witness={"class": cls, "every_V_has_in_class_supplement": refutation})
+    return _covering_outcome(
+        sid, G, sigma, cls, group_name, limits,
+        in_class={"note": "G lies in the class; T = G supplements every V"},
+        found={"class": cls})
 
 
 def validate_covering_witness(G: PermGroup, sigma: SigmaPartition, cls: str,
@@ -176,21 +195,11 @@ def _verify_biconditional(sid: str, G: PermGroup, sigma: SigmaPartition,
     equivalent to every maximal-Sylow V owning an in-class supplement.  The
     only-if direction is witnessed by T = G itself; the if direction is the
     contrapositive scan."""
-    cls = "sigma-soluble-psigma-t"
-    if class_member(cls, G, sigma, limits):
-        return VerificationOutcome(
-            sid, group_name, sigma, "confirmed", vacuous=True,
-            witness={"only_if": "G is in the class and supplements every V itself",
-                     "if": "vacuous (premise of contrapositive is false)"})
-    V, refutation = _covering_scan(G, sigma, cls, limits)
-    if V is not None:
-        return VerificationOutcome(
-            sid, group_name, sigma, "confirmed", vacuous=False,
-            witness={"V": _sub_json(V), "supplements_all_outside_class": True,
-                     "only_if": "vacuous (G outside the class)"})
-    return VerificationOutcome(
-        sid, group_name, sigma, "counterexample", vacuous=False,
-        witness={"class": cls, "every_V_has_in_class_supplement": refutation})
+    return _covering_outcome(
+        sid, G, sigma, "sigma-soluble-psigma-t", group_name, limits,
+        in_class={"only_if": "G is in the class and supplements every V itself",
+                  "if": "vacuous (premise of contrapositive is false)"},
+        found={"only_if": "vacuous (G outside the class)"})
 
 
 def verify_cor_1_1(G: PermGroup, sigma: SigmaPartition, group_name: str = "",
@@ -512,6 +521,11 @@ class CampaignConfig:
     statements: tuple[str, ...] = STATEMENTS
     zero_millis: bool = False
 
+    def __post_init__(self) -> None:
+        unknown = [s for s in self.statements if s not in REGISTRY]
+        if unknown:
+            raise GroupInputError(f"unknown statement ids: {', '.join(unknown)}")
+
 
 def campaign_sigmas(G: PermGroup, limits: Limits = DEFAULT_LIMITS) -> list[SigmaPartition]:
     """Partitions paired with a group in a campaign: all set partitions of
@@ -532,46 +546,53 @@ def _subsets(items: list) -> list[tuple]:
     return sorted(out, key=lambda s: (len(s), s))
 
 
-def verify_group(entry: CorpusEntry, config: CampaignConfig) -> list[VerificationOutcome]:
-    """All statement outcomes for one corpus entry; capacity errors become
-    skipped rows, never exceptions."""
-    limits = config.limits
-    try:
-        G, overflow = entry.build(limits), None
-    except CapacityError as exc:
-        # too large to enumerate: every statement of the group is skipped
-        G, overflow = PermGroup(entry.degree, entry.generators), exc
-    name = entry.name
-    rows: list[VerificationOutcome] = []
-
-    def run(statement: str, sigma: SigmaPartition, fn, *args):
-        if statement not in config.statements:
-            return
+def run_statements(G: PermGroup, name: str, statements, limits: Limits = DEFAULT_LIMITS,
+                   sigmas: list[SigmaPartition] | None = None, pis=None,
+                   zero_millis: bool = False,
+                   overflow: CapacityError | None = None) -> list[VerificationOutcome]:
+    """The rows of the chosen statements on G, in registry order: first the
+    sigma scope, ``verifier(G, sigma, *extra, name, limits)`` per partition
+    (``campaign_sigmas`` by default); then the classical scope,
+    ``verifier(G, name, limits)`` once at sigma1; then the pi scope,
+    ``verifier(G, pi, name, limits)`` per prime set (every subset of pi(G) by
+    default).  Each call is timed; a CapacityError, or the ``overflow`` that
+    kept G from being enumerated, becomes a skipped row labelled with that
+    row's own sigma."""
+    if sigmas is None:
+        sigmas = campaign_sigmas(G, limits)
+    if pis is None:
+        pis = [frozenset(s) for s in _subsets(sorted(primes_of(G.order)))]
+    chosen = [(sid, st) for sid, st in REGISTRY.items() if sid in statements]
+    runs = [(sid, st.verifier, sigma, (G, sigma, *st.extra))
+            for sigma in sigmas for sid, st in chosen if st.scope == "sigma"]
+    runs += [(sid, st.verifier, SigmaPartition.sigma1(), (G,))
+             for sid, st in chosen if st.scope == "classical"]
+    runs += [(sid, st.verifier, SigmaPartition.of_blocks(pi) if pi else SigmaPartition(),
+              (G, pi)) for sid, st in chosen if st.scope == "pi" for pi in pis]
+    rows = []
+    for sid, verifier, label, args in runs:
         t0 = time.perf_counter()
         try:
             if overflow is not None:
                 raise overflow
-            out = fn(*args)
+            out = globals()[verifier](*args, name, limits)
         except CapacityError as exc:
-            out = VerificationOutcome(statement, name, sigma, "skipped",
-                                      reason=f"capacity: {exc}")
-        ms = 0 if config.zero_millis else int((time.perf_counter() - t0) * 1000)
+            out = VerificationOutcome(sid, name, label, "skipped", reason=f"capacity: {exc}")
+        ms = 0 if zero_millis else int((time.perf_counter() - t0) * 1000)
         rows.append(replace(out, millis=ms))
+    return rows
 
-    for sigma in campaign_sigmas(G, limits):
-        for sid, cls in _THMA_CLASS.items():
-            run(sid, sigma, verify_theorem_A, G, sigma, cls, name, limits)
-        run("Cor1.1", sigma, verify_cor_1_1, G, sigma, name, limits)
-        run("Lem2.1", sigma, verify_lemma_2_1, G, sigma, name, limits)
-        run("Lem2.3", sigma, verify_lemma_2_3, G, sigma, name, limits)
-        run("Lem2.4", sigma, verify_lemma_2_4, G, sigma, name, limits)
-        run("Lem2.5.fwd", sigma, verify_lemma_2_5_forward, G, sigma, name, limits)
-        run("Lem2.5.conv", sigma, verify_lemma_2_5_converse_search, G, sigma, name, limits)
-    run("Cor1.2", SigmaPartition.sigma1(), verify_cor_1_2, G, name, limits)
-    for pi in _subsets(sorted(primes_of(G.order))):
-        label = SigmaPartition.of_blocks(set(pi)) if pi else SigmaPartition()
-        run("Lem2.2", label, verify_lemma_2_2, G, frozenset(pi), name, limits)
 
+def verify_group(entry: CorpusEntry, config: CampaignConfig) -> list[VerificationOutcome]:
+    """All statement outcomes for one corpus entry; capacity errors become
+    skipped rows, never exceptions."""
+    try:
+        G, overflow = entry.build(config.limits), None
+    except CapacityError as exc:
+        # too large to enumerate: every statement of the group is skipped
+        G, overflow = PermGroup(entry.degree, entry.generators), exc
+    rows = run_statements(G, entry.name, config.statements, config.limits,
+                          zero_millis=config.zero_millis, overflow=overflow)
     # the interned subgroups of this group are of no use to the next one
     clear_intern_cache()
     _check_class_monotonicity(rows)

@@ -6,7 +6,11 @@ import sys
 
 import pytest
 
+from sigmagroups import harness
 from sigmagroups.cli import main
+from sigmagroups.corpus import builtin_entry
+from sigmagroups.harness import STATEMENTS, CampaignConfig, verify_group
+from sigmagroups.permcore import clear_intern_cache
 
 MINI_CORPUS = """\
 group S3-copy deg 3
@@ -232,8 +236,65 @@ def test_verify_capacity_skip_exits_3(capsys, fresh_cap_group):
     assert "skipped — capacity: subgroup enumeration exceeds" in out
 
 
+def test_verify_capacity_skips_carry_their_own_sigma(capsys):
+    clear_intern_cache()  # a lattice cached by an earlier test would not trip the bound
+    code, out, _ = run(capsys, "verify", "--group", "S4", "--statement", "Lem2.1",
+                       "--sigma", "all", "--subgroup-bound", "3", "--format", "machine")
+    assert code == 3
+    rows = json.loads(out)
+    assert [r["sigma"] for r in rows] == ["[2,3]", "[2][3]", "sigma1"]
+    assert {r["verdict"] for r in rows} == {"skipped"}
+
+
+@pytest.mark.parametrize("group", ["C6", "S4"])
+@pytest.mark.parametrize("statement", STATEMENTS)
+def test_verify_rows_equal_verify_group_rows(capsys, group, statement):
+    """verify and the campaign run a statement through the same registry and
+    row runner, so they give the same rows."""
+    code, out, _ = run(capsys, "verify", "--group", group, "--statement", statement,
+                       "--sigma", "all", "--format", "machine")
+    expected = [r.to_json() for r in verify_group(
+        builtin_entry(group), CampaignConfig(statements=(statement,), zero_millis=True))]
+    assert code == 0
+    assert json.loads(out) == expected
+
+
+def test_verifiers_are_looked_up_on_the_harness_module(capsys, monkeypatch):
+    """A wrapper bound onto harness.verify_* (as the benchmark tracer binds
+    one) sees the calls of both the campaign and verify, with ThmA's class
+    as the third positional argument."""
+    calls = []
+
+    def recorder(original):
+        def record(*args, **kwargs):
+            calls.append((original.__name__, args[2] if len(args) > 2 else None))
+            return original(*args, **kwargs)
+        return record
+
+    for fn in ("verify_lemma_2_4", "verify_theorem_A"):
+        monkeypatch.setattr(harness, fn, recorder(getattr(harness, fn)))
+    verify_group(builtin_entry("C6"), CampaignConfig(statements=("ThmA.ii", "Lem2.4")))
+    assert calls == [("verify_theorem_A", "sigma-nilpotent"), ("verify_lemma_2_4", "C6")] * 3
+    calls.clear()
+    assert run(capsys, "verify", "--group", "C6", "--statement", "ThmA.iii")[0] == 0
+    assert run(capsys, "verify", "--group", "C6", "--statement", "Lem2.4")[0] == 0
+    assert calls == [("verify_theorem_A", "sigma-soluble-psigma-t"),
+                     ("verify_lemma_2_4", "C6")]
+
+
 # ---------------------------------------------------------------------------
 # usage errors
+
+@pytest.mark.parametrize("statement, pi", [
+    ("Lem2.2", "a,b"), ("Lem2.2", "4"), ("Lem2.2", "-3"), ("Lem2.2", "2,"),
+    ("Lem2.2", "1000000007000"), ("Lem2.4", "2"), ("Cor1.2", "2")])
+def test_verify_bad_pi_is_usage_error(capsys, statement, pi):
+    code, out, err = run(capsys, "verify", "--group", "A5", "--statement", statement,
+                         "--pi", pi)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: --pi ")
+
 
 def test_unknown_group_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--group", "ZZZ",

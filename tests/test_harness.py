@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from sigmagroups import (GroupInputError, Limits, Perm, Subgroup, parse_sigma)
+from sigmagroups import (GroupInputError, Limits, Perm, Subgroup, harness, parse_sigma)
 from sigmagroups.errors import InvariantError
 from sigmagroups.harness import (CLASSES, STATEMENTS, CampaignConfig,
                                  VerificationOutcome, _check_class_monotonicity,
@@ -284,6 +284,37 @@ def test_campaign_thma_witnesses_revalidate(corpus, campaign):
                 assert validate_covering_witness(
                     G, parse_sigma(r["sigma"]), r["witness"]["class"], r["witness"]), \
                     (name, r["sigma"], r["statement_id"])
+
+
+def test_unknown_statement_id_is_rejected_by_the_config(corpus):
+    with pytest.raises(GroupInputError, match="unknown statement ids: Nope, Lem9"):
+        verify_group(corpus["C6"], CampaignConfig(statements=("Lem2.4", "Nope", "Lem9")))
+
+
+def test_verify_group_runs_the_registry_in_order(corpus, monkeypatch):
+    """Per sigma every sigma-scope statement in registry order, then Cor1.2
+    at sigma1, then Lem2.2 once per subset of pi(G)."""
+    calls = []
+
+    def recorder(sid):
+        def record(G, head, *rest):
+            calls.append((sid, head.text() if isinstance(head, SigmaPartition)
+                          else sorted(head) if isinstance(head, frozenset) else None))
+            return VerificationOutcome(sid, "C6", S1, "confirmed")
+        return record
+
+    thma_sid = {cls: sid for sid, cls in harness._THMA_CLASS.items()}
+    for sid, st in harness.REGISTRY.items():
+        if st.verifier != "verify_theorem_A":
+            monkeypatch.setattr(harness, st.verifier, recorder(sid))
+    monkeypatch.setattr(harness, "verify_theorem_A", lambda G, sigma, cls, name, limits:
+                        recorder(thma_sid[cls])(G, sigma))
+    rows = verify_group(corpus["C6"], CampaignConfig(zero_millis=True))
+    per_sigma = ["ThmA.i", "ThmA.ii", "ThmA.iii", "Cor1.1", "Lem2.1", "Lem2.3",
+                 "Lem2.4", "Lem2.5.fwd", "Lem2.5.conv"]
+    assert calls == [(sid, s) for s in ("[2,3]", "[2][3]", "sigma1") for sid in per_sigma] + \
+        [("Cor1.2", None)] + [("Lem2.2", pi) for pi in ([], [2], [3], [2, 3])]
+    assert len(rows) == len(calls)
 
 
 def test_verify_group_honors_statement_filter(corpus):
