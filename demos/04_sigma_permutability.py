@@ -44,7 +44,6 @@ S4 = builtin_entry("S4").build()
 K, H = psigma_t_violation(S4, SIGMA1)
 print("\nwitness chain in S4: |K| =", K.order, " |H| =", H.order)
 print("    K sigma-permutable in H:",
-      is_sigma_permutable(H.as_group(), Subgroup(H.as_group(), K.generators),
-                          SIGMA1))
+      is_sigma_permutable(H, Subgroup(H, K.generators), SIGMA1))
 print("    H sigma-permutable in G:", is_sigma_permutable(S4, H, SIGMA1))
 print("    K sigma-permutable in G:", is_sigma_permutable(S4, K, SIGMA1))

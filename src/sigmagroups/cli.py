@@ -232,8 +232,13 @@ def cmd_verify(args) -> int:
     limits = _limits(args)
     entry = _resolve_entry(args)
     pis = _pi_sets(args)
+    scope = REGISTRY[args.statement].scope
+    # "all" asks for the campaign's rows, which a statement of another scope
+    # gives whatever the partition text
+    if scope != "sigma" and args.sigma not in ("sigma1", "all"):
+        raise _Usage(f"--sigma does not apply to {args.statement}, whose scope is {scope}")
     G = entry.build(limits)
-    sigmas = _sigmas_for(args, G, limits) if REGISTRY[args.statement].scope == "sigma" else None
+    sigmas = _sigmas_for(args, G, limits) if scope == "sigma" else None
     rows = run_statements(G, entry.name, (args.statement,), limits,
                           sigmas=sigmas, pis=pis, zero_millis=True)
     _emit(args, _outcome_lines(rows), [r.to_json() for r in rows])

@@ -32,15 +32,15 @@ from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, InvariantErr
 from .numbers import primes_of
 from .permcore import (Perm, PermGroup, Subgroup, clear_intern_cache, compose_images,
                        interned)
-from .sigma import (SigmaPartition, _group_blocks, induces_power_automorphisms,
-                    is_pi_separable, is_psigma_t, is_sigma_nilpotent,
-                    is_sigma_soluble, largest_normal_block_subgroup,
+from .sigma import (SigmaPartition, _group_blocks, _quotient_is_sigma_nilpotent,
+                    induces_power_automorphisms, is_pi_separable, is_psigma_t,
+                    is_sigma_nilpotent, is_sigma_soluble, largest_normal_block_subgroup,
                     sigma_nilpotent_residual, sigma_full_sylow_type_violation)
-from .structure import (all_subgroups, conjugate_image_sets, frattini_subgroup,
+from .structure import (all_subgroups, conjugate_subgroups, frattini_subgroup,
                         hall_subgroup, intersection_subgroup, is_normal,
                         maximal_subgroups_of_p_group, normal_subgroups,
-                        product_subgroup, quotient_group, subgroup_from_images,
-                        subgroups_of_order, supplements, sylow_subgroup)
+                        product_subgroup, quotient_group, subgroups_of_order,
+                        supplements, sylow_subgroup)
 
 CLASSES = ("sigma-soluble", "sigma-nilpotent", "sigma-soluble-psigma-t")
 
@@ -120,18 +120,14 @@ def _sylow_maximal_candidates(G: PermGroup, limits: Limits) -> tuple[Subgroup, .
     computed once per interned ambient."""
     K = interned(G)
     if "sylow-maximal-candidates" not in K.cache:
-        seen: set[frozenset] = set()
-        out: list[Subgroup] = []
+        found: dict[int, Subgroup] = {}
         for p in sorted(primes_of(K.order)):
-            P = sylow_subgroup(K, p, limits)
-            for sset in conjugate_image_sets(K, P.element_images(), limits):
-                for V in maximal_subgroups_of_p_group(subgroup_from_images(K, sset), limits):
-                    vset = V.element_images()
-                    if vset not in seen:
-                        seen.add(vset)
-                        out.append(V)
-        out.sort(key=lambda v: (v.order, tuple(sorted(v.element_images()))))
-        K.cache["sylow-maximal-candidates"] = tuple(out)
+            for P in conjugate_subgroups(K, sylow_subgroup(K, p, limits), limits):
+                for V in maximal_subgroups_of_p_group(P, limits):
+                    found.setdefault(V.mask, V)
+        # index order is image order: this sorts by (order, element list)
+        K.cache["sylow-maximal-candidates"] = tuple(
+            sorted(found.values(), key=lambda v: (v.order, v.sorted_images())))
     return K.cache["sylow-maximal-candidates"]
 
 
@@ -150,7 +146,7 @@ def _covering_outcome(sid: str, G: PermGroup, sigma: SigmaPartition, cls: str,
     refutation = []
     for V in _sylow_maximal_candidates(G, limits):
         in_class_t = next((T for T in supplements(G, V, limits)
-                           if class_member(cls, T.as_group(), sigma, limits)), None)
+                           if class_member(cls, T, sigma, limits)), None)
         if in_class_t is None:
             return VerificationOutcome(
                 sid, group_name, sigma, "confirmed", vacuous=False,
@@ -181,11 +177,9 @@ def validate_covering_witness(G: PermGroup, sigma: SigmaPartition, cls: str,
     V = Subgroup(G, vgens)
     if V.order != witness["V"]["order"]:
         return False
-    vset = V.element_images()
-    if not any(vset == W.element_images()
-               for W in _sylow_maximal_candidates(G, limits)):
+    if V not in _sylow_maximal_candidates(G, limits):
         return False
-    return all(not class_member(cls, T.as_group(), sigma, limits)
+    return all(not class_member(cls, T, sigma, limits)
                for T in supplements(G, V, limits))
 
 
@@ -284,13 +278,13 @@ def verify_lemma_2_3(G: PermGroup, sigma: SigmaPartition, group_name: str = "",
 
     normals = normal_subgroups(K, limits)
     nilpotent_normals = [n for n in normals
-                         if is_sigma_nilpotent(n.as_group(), sigma, limits)]
+                         if is_sigma_nilpotent(n, sigma, limits)]
     for i, n1 in enumerate(nilpotent_normals):
         for n2 in nilpotent_normals[i:]:
             P = product_subgroup(K, n1, n2, limits)
             if P.order > 1 and P.order not in (n1.order, n2.order):
                 nontrivial_instances += 1
-            if not is_sigma_nilpotent(P.as_group(), sigma, limits):
+            if not is_sigma_nilpotent(P, sigma, limits):
                 failures.append({"part": "normal-product",
                                  "N1": _sub_json(n1), "N2": _sub_json(n2)})
 
@@ -298,25 +292,20 @@ def verify_lemma_2_3(G: PermGroup, sigma: SigmaPartition, group_name: str = "",
         for n in normals:
             if 1 < n.order:
                 nontrivial_instances += 1
-            q = quotient_group(K, n, limits)
-            if not is_sigma_nilpotent(q.group, sigma, limits):
+            if not _quotient_is_sigma_nilpotent(K, n, sigma, limits):
                 failures.append({"part": "quotient", "N": _sub_json(n)})
         for h in all_subgroups(K, limits):
             if 1 < h.order < K.order:
                 nontrivial_instances += 1
-            if not is_sigma_nilpotent(h.as_group(), sigma, limits):
+            if not is_sigma_nilpotent(h, sigma, limits):
                 failures.append({"part": "subgroup", "H": _sub_json(h)})
 
     phi = frattini_subgroup(K, limits)
     for e in normals:
-        cap = intersection_subgroup(K, e, phi)
-        e_group = e.as_group()
-        cap_in_e = subgroup_from_images(e_group, cap.element_images())
-        q = quotient_group(e_group, cap_in_e, limits)
-        if is_sigma_nilpotent(q.group, sigma, limits):
+        if _quotient_is_sigma_nilpotent(e, intersection_subgroup(K, e, phi), sigma, limits):
             if e.order > 1:
                 nontrivial_instances += 1
-            if not is_sigma_nilpotent(e_group, sigma, limits):
+            if not is_sigma_nilpotent(e, sigma, limits):
                 failures.append({"part": "frattini", "E": _sub_json(e),
                                  "phi_order": phi.order})
 
@@ -371,15 +360,12 @@ def _condition_ii_blocks(G: PermGroup, D: Subgroup, sigma: SigmaPartition,
     ok = True
     for bid, ps, part in _group_blocks(G, sigma):
         O = largest_normal_block_subgroup(D, ps, limits)
-        oset = O.element_images()
         found = None
         for H in subgroups_of_order(G, part, limits):
-            if not oset <= H.element_images():
+            if O.mask & H.mask != O.mask:
                 continue
-            h_group = H.as_group()
-            for C in normal_subgroups(h_group, limits):
-                if C.order * O.order == H.order and \
-                        len(C.element_images() & oset) == 1:
+            for C in normal_subgroups(H, limits):
+                if C.order * O.order == H.order and (C.mask & O.mask).bit_count() == 1:
                     found = (H, C)
                     break
             if found:
@@ -414,13 +400,12 @@ def verify_lemma_2_5_forward(G: PermGroup, sigma: SigmaPartition, group_name: st
         problems.append("D is not a Hall subgroup")
     M = None
     for h in all_subgroups(K, limits):
-        if h.order * D.order == K.order and \
-                len(h.element_images() & D.element_images()) == 1:
+        if h.order * D.order == K.order and (h.mask & D.mask).bit_count() == 1:
             M = h
             break
     if M is None:
         problems.append("no complement M to D exists")
-    elif not is_sigma_nilpotent(M.as_group(), sigma, limits):
+    elif not is_sigma_nilpotent(M, sigma, limits):
         problems.append("complement M is not sigma-nilpotent")
     if not induces_power_automorphisms(K, D, limits):
         problems.append("G does not induce power automorphisms in D")
@@ -445,7 +430,7 @@ def _pair_satisfies_conditions(G: PermGroup, sigma: SigmaPartition, D: Subgroup,
     K = interned(G)
     if D.order * M.order != K.order:
         return False
-    if len(D.element_images() & M.element_images()) != 1:
+    if (D.mask & M.mask).bit_count() != 1:
         return False
     if not is_normal(K, D):
         return False
@@ -455,7 +440,7 @@ def _pair_satisfies_conditions(G: PermGroup, sigma: SigmaPartition, D: Subgroup,
         return False
     if math.gcd(D.order, K.order // D.order) != 1:
         return False
-    if not is_sigma_nilpotent(M.as_group(), sigma, limits):
+    if not is_sigma_nilpotent(M, sigma, limits):
         return False
     if not induces_power_automorphisms(K, D, limits):
         return False
@@ -593,7 +578,8 @@ def verify_group(entry: CorpusEntry, config: CampaignConfig) -> list[Verificatio
         G, overflow = PermGroup(entry.degree, entry.generators), exc
     rows = run_statements(G, entry.name, config.statements, config.limits,
                           zero_millis=config.zero_millis, overflow=overflow)
-    # the interned subgroups of this group are of no use to the next one
+    # the roots interned for this group (it and its quotients) are of no use
+    # to the next one
     clear_intern_cache()
     _check_class_monotonicity(rows)
     return rows

@@ -12,12 +12,18 @@ Groups carry a deterministic Schreier-Sims stabilizer chain with the fixed
 base 0, 1, ..., n-1, so identical generator input always produces identical
 internal state.  Hot paths (closures, product sets) work on raw image tuples;
 ``Perm`` is the value type seen by callers.
+
+Only root groups carry a chain: groups built from generators, such as corpus
+entries and quotient groups.  A subgroup is its root, a bitmask over the
+root's sorted elements and its generators, with no chain or element list of
+its own.
 """
 from __future__ import annotations
 
 import functools
 import math
 import re
+from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, InvariantError
@@ -343,6 +349,24 @@ class PermGroup:
         """Canonical identity for interning: (degree, element set)."""
         return (self.degree, self.element_images())
 
+    def element_index(self) -> dict[tuple, int]:
+        """The position of each element, as an image tuple, in sorted order."""
+        if "element-index" not in self.cache:
+            self.cache["element-index"] = {p.images: i for i, p in enumerate(self.elements())}
+        return self.cache["element-index"]
+
+    @property
+    def root(self) -> "PermGroup":
+        """The interned group with this element set: subgroups of this group
+        are masks over its sorted elements, and their results are cached on it."""
+        if "root" not in self.cache:
+            self.cache["root"] = interned(self)
+        return self.cache["root"]
+
+    @property
+    def mask(self) -> int:
+        return (1 << self.order) - 1
+
     def __repr__(self) -> str:
         return f"<PermGroup degree={self.degree} order={self.order}>"
 
@@ -355,20 +379,6 @@ def interned(group: PermGroup) -> PermGroup:
     return _INTERNED.setdefault(group.key(), group)
 
 
-def interned_within(ambient: PermGroup, group: PermGroup) -> PermGroup:
-    """Intern a subgroup or quotient of ``ambient``.
-
-    It is never larger than the ambient, so once the ambient is enumerated it
-    is enumerated under a bound of at least the ambient's order: a raised
-    element-cache bound reaches everything derived from the group it admitted.
-    """
-    bound = None
-    if ambient._elements is not None:
-        bound = max(DEFAULT_LIMITS.element_cache_bound, ambient.order)
-    group.elements(bound)
-    return interned(group)
-
-
 def find_interned(degree: int, images: frozenset[tuple]) -> PermGroup | None:
     """The interned group with this element set, if one exists."""
     return _INTERNED.get((degree, images))
@@ -378,76 +388,113 @@ def clear_intern_cache() -> None:
     _INTERNED.clear()
 
 
+def closure_of_images(degree: int, gens: Sequence[tuple]) -> frozenset[tuple]:
+    """Elements of <gens>, by breadth-first products with the generators."""
+    seen = {identity_images(degree)}
+    frontier = list(seen)
+    for x in frontier:
+        for g in gens:
+            y = compose_images(x, g)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return frozenset(seen)
+
+
 # ---------------------------------------------------------------------------
 # Subgroup
 
-class Subgroup:
-    """A subgroup of an ambient PermGroup, carried with its own chain.
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
-    Generators must be members of the ambient; Lagrange is checked on every
-    construction as a cheap sanity net.
+
+def _mask(flags: bytearray) -> int:
+    """The bitmask with bit i set where ``flags[i]`` is 1."""
+    return int(flags.translate(_TO_DIGITS)[::-1], 2)
+
+
+def _flags(mask: int, size: int) -> bytearray:
+    """``size`` bytes, 1 where the mask has its bit set."""
+    return bytearray(format(mask, f"0{size}b")[::-1].encode()).translate(_FROM_DIGITS)
+
+
+class Subgroup:
+    """A subgroup of a root group: the root, the ``int`` bitmask of its
+    members over the root's sorted elements, and generators.
+
+    The ambient is the group or subgroup it was found in; all of them share
+    one root.  A subgroup is accepted wherever a group is expected, and the
+    structure kernels run on the root's element table restricted to its
+    members.  Lagrange is checked on every construction as a cheap sanity net.
     """
 
-    __slots__ = ("ambient", "generators", "group")
+    __slots__ = ("ambient", "root", "mask", "generators", "order", "_cache")
 
-    def __init__(self, ambient: PermGroup, generators: Iterable[Perm]):
-        self._bind(ambient, generators, None)
-
-    @classmethod
-    def _of_interned(cls, ambient: PermGroup, group: PermGroup,
-                     generators: Iterable[Perm]) -> "Subgroup":
-        """Wrap an interned group that ``generators`` generate: the same
-        checks as the constructor, without a chain build or enumeration."""
-        self = cls.__new__(cls)
-        self._bind(ambient, generators, group)
-        return self
-
-    def _bind(self, ambient: PermGroup, generators: Iterable[Perm],
-              group: PermGroup | None) -> None:
+    def __init__(self, ambient: "PermGroup | Subgroup", generators: Iterable[Perm]):
         gens = tuple(generators)
         for g in gens:
             if g not in ambient:
                 raise GroupInputError(f"generator {g} is not in the ambient group")
+        root = ambient.root
+        flags = bytearray(root.order)
+        index = root.element_index()
+        for e in closure_of_images(root.degree, [g.images for g in gens]):
+            flags[index[e]] = 1
+        self._bind(ambient, _mask(flags), tuple(g for g in gens if not g.is_identity()))
+
+    @classmethod
+    def _of_mask(cls, ambient: "PermGroup | Subgroup", mask: int,
+                 generators: tuple[Perm, ...]) -> "Subgroup":
+        """Wrap a member mask of ambient's root that ``generators`` generate."""
+        self = cls.__new__(cls)
+        self._bind(ambient, mask, generators)
+        return self
+
+    def _bind(self, ambient, mask: int, generators: tuple[Perm, ...]) -> None:
         self.ambient = ambient
-        self.generators = tuple(g for g in gens if not g.is_identity())
-        if group is None:
-            group = interned_within(ambient, PermGroup(ambient.degree, self.generators))
-        self.group = group
-        if ambient.order % group.order:
-            raise InvariantError(f"Lagrange violated: a subgroup of order {group.order} "
+        self.root = ambient.root
+        self.mask = mask
+        self.generators = generators
+        self.order = mask.bit_count()
+        self._cache = None
+        if ambient.order % self.order:
+            raise InvariantError(f"Lagrange violated: a subgroup of order {self.order} "
                                  f"in a group of order {ambient.order}")
 
     @property
-    def order(self) -> int:
-        return self.group.order
+    def degree(self) -> int:
+        return self.root.degree
 
     @property
-    def degree(self) -> int:
-        return self.group.degree
+    def cache(self) -> dict:
+        """Results computed for this object, like ``PermGroup.cache``."""
+        if self._cache is None:
+            self._cache = {}
+        return self._cache
 
     def elements(self) -> tuple[Perm, ...]:
-        return self.group.elements()
+        return tuple(compress(self.root.elements(), _flags(self.mask, self.root.order)))
 
     def element_images(self) -> frozenset[tuple]:
-        return self.group.element_images()
+        return frozenset(self.sorted_images())
 
     def sorted_images(self) -> tuple[tuple, ...]:
-        return tuple(p.images for p in self.group.elements())
-
-    def as_group(self) -> PermGroup:
-        return self.group
+        return tuple(p.images for p in self.elements())
 
     def __contains__(self, p: Perm) -> bool:
-        return p in self.group
+        i = self.root.element_index().get(p.images) if isinstance(p, Perm) else None
+        return i is not None and self.mask >> i & 1 == 1
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Subgroup) and self.ambient is other.ambient
-                and self.element_images() == other.element_images())
+        return (isinstance(other, Subgroup) and self.root is other.root
+                and self.mask == other.mask)
 
     def __hash__(self) -> int:
-        return hash((id(self.ambient), self.element_images()))
+        return hash((id(self.root), self.mask))
 
     def is_subset_of(self, other: "Subgroup") -> bool:
+        if self.root is other.root:
+            return self.mask & other.mask == self.mask
         return self.element_images() <= other.element_images()
 
     def __repr__(self) -> str:
@@ -465,9 +512,9 @@ def conjugate_subgroup(h: Subgroup, x: Perm) -> Subgroup:
     return conj
 
 
-def trivial_subgroup(ambient: PermGroup) -> Subgroup:
-    return Subgroup(ambient, ())
+def trivial_subgroup(ambient: "PermGroup | Subgroup") -> Subgroup:
+    return Subgroup._of_mask(ambient, 1, ())
 
 
-def full_subgroup(ambient: PermGroup) -> Subgroup:
-    return Subgroup(ambient, ambient.generators)
+def full_subgroup(ambient: "PermGroup | Subgroup") -> Subgroup:
+    return Subgroup._of_mask(ambient, ambient.mask, ambient.generators)

@@ -7,8 +7,9 @@ A partition splits the primes into blocks.  Two spellings exist:
 - classical: ``sigma1``, every prime alone in its own block
 
 All class predicates take the ambient group together with a partition and
-answer deterministically; expensive intermediates (per-block Hall subgroup
-classes, permutability verdicts) are memoised on the interned group instance
+answer deterministically, and take a ``Subgroup`` wherever they take a
+group; expensive intermediates (per-block Hall subgroup classes,
+permutability verdicts) are memoised on the root group per subgroup mask,
 keyed by the partition text.
 """
 from __future__ import annotations
@@ -16,14 +17,14 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, InvariantError, Limits
 from .numbers import is_prime, part_for_primes, primes_of
-from .permcore import (PermGroup, Subgroup, compose_images, identity_images,
-                       interned)
-from .structure import (_ElementTable, _element_table, all_subgroups, chief_series,
-                        conjugate_image_sets, is_normal, normal_subgroups,
-                        quotient_group, subgroup_from_images)
+from .permcore import Subgroup
+from .structure import (Group, _ElementTable, _check_inside, _element_table, _greedy_subgroup,
+                        _memo, _wrap, all_subgroups, chief_series, is_normal, normal_subgroups,
+                        quotient_group)
 
 # ---------------------------------------------------------------------------
 # partitions
@@ -115,7 +116,7 @@ def sigma_of_int(n: int, sigma: SigmaPartition) -> frozenset[str]:
     return frozenset(sigma.block_id(p) for p in primes_of(n))
 
 
-def sigma_of_group(G: PermGroup, sigma: SigmaPartition) -> frozenset[str]:
+def sigma_of_group(G: Group, sigma: SigmaPartition) -> frozenset[str]:
     return sigma_of_int(G.order, sigma)
 
 
@@ -126,11 +127,7 @@ def is_sigma_primary(n: int, sigma: SigmaPartition) -> bool:
 # ---------------------------------------------------------------------------
 # per-block Hall data
 
-def _sigma_key(sigma: SigmaPartition) -> str:
-    return sigma.text()
-
-
-def _group_blocks(G: PermGroup, sigma: SigmaPartition) -> list[tuple[str, frozenset[int], int]]:
+def _group_blocks(G: Group, sigma: SigmaPartition) -> list[tuple[str, frozenset[int], int]]:
     """(block id, primes of the block inside pi(G), sigma_i-part of |G|),
     ordered by least prime."""
     by_id: dict[str, set[int]] = {}
@@ -141,36 +138,28 @@ def _group_blocks(G: PermGroup, sigma: SigmaPartition) -> list[tuple[str, frozen
     return out
 
 
-def _hall_data(G: PermGroup, sigma: SigmaPartition, limits: Limits):
-    """Per block: all Hall subgroup element sets, canonically sorted, and
-    their conjugacy classes as index sets of G's element table."""
-    K = interned(G)
-    key = ("hall-data", _sigma_key(sigma))
-    if key not in K.cache:
-        table = _element_table(K, limits)
+def _hall_data(G: Group, sigma: SigmaPartition, limits: Limits):
+    """Per block: the masks of all Hall subgroups, canonically sorted, and
+    their conjugacy classes under G as index sets of the root's table."""
+    def compute():
+        table = _element_table(G.root, limits)
+        gens = table.gens_of(G)
         blocks = []
-        for bid, ps, part in _group_blocks(K, sigma):
+        for bid, ps, part in _group_blocks(G, sigma):
             # all_subgroups is sorted canonically, so the candidates are too
-            cand_sets = tuple(h.element_images() for h in all_subgroups(K, limits)
-                              if h.order == part)
-            cand_members = [table.index_set(c) for c in cand_sets]
+            candidates = tuple(h.mask for h in all_subgroups(G, limits) if h.order == part)
+            cand_members = [frozenset(table.members(mask)) for mask in candidates]
             classes: list[tuple[frozenset[int], ...]] = []
             unassigned = set(cand_members)
             for members in cand_members:
-                if members not in unassigned:
-                    continue
-                orbit = table.conjugates(members)
-                unassigned.difference_update(orbit)
-                classes.append(tuple(orbit))
-            blocks.append({
-                "id": bid,
-                "primes": ps,
-                "part": part,
-                "candidates": cand_sets,
-                "classes": tuple(classes),
-            })
-        K.cache[key] = blocks
-    return K.cache[key]
+                if members in unassigned:
+                    orbit = table.conjugates(members, gens)
+                    unassigned.difference_update(orbit)
+                    classes.append(tuple(orbit))
+            blocks.append({"id": bid, "primes": ps, "part": part,
+                           "candidates": candidates, "classes": tuple(classes)})
+        return blocks
+    return _memo(G, compute, "hall-data", sigma.text())
 
 
 @dataclass(frozen=True)
@@ -183,7 +172,7 @@ class HallSigmaSet:
         return tuple(h.order for _, h in self.members)
 
 
-def complete_hall_sigma_set(G: PermGroup, sigma: SigmaPartition,
+def complete_hall_sigma_set(G: Group, sigma: SigmaPartition,
                             limits: Limits = DEFAULT_LIMITS) -> HallSigmaSet | None:
     """Canonical complete Hall sigma-set (least member per block), or None."""
     members = []
@@ -191,8 +180,7 @@ def complete_hall_sigma_set(G: PermGroup, sigma: SigmaPartition,
     for block in _hall_data(G, sigma, limits):
         if not block["candidates"]:
             return None
-        least = block["candidates"][0]
-        sub = subgroup_from_images(G, least)
+        sub = _greedy_subgroup(G, block["candidates"][0], limits)
         members.append((block["id"], sub))
         total *= sub.order
     if total != G.order:
@@ -200,12 +188,12 @@ def complete_hall_sigma_set(G: PermGroup, sigma: SigmaPartition,
     return HallSigmaSet(members=tuple(members))
 
 
-def has_complete_hall_sigma_set(G: PermGroup, sigma: SigmaPartition,
+def has_complete_hall_sigma_set(G: Group, sigma: SigmaPartition,
                                 limits: Limits = DEFAULT_LIMITS) -> bool:
     return complete_hall_sigma_set(G, sigma, limits) is not None
 
 
-def enumerate_complete_hall_sigma_sets(G: PermGroup, sigma: SigmaPartition,
+def enumerate_complete_hall_sigma_sets(G: Group, sigma: SigmaPartition,
                                        limits: Limits = DEFAULT_LIMITS) -> tuple[HallSigmaSet, ...]:
     """Every complete Hall sigma-set, as the cartesian product over blocks."""
     blocks = _hall_data(G, sigma, limits)
@@ -220,8 +208,8 @@ def enumerate_complete_hall_sigma_sets(G: PermGroup, sigma: SigmaPartition,
     out = []
     for combo in itertools.product(*(block["candidates"] for block in blocks)):
         members = tuple(
-            (block["id"], subgroup_from_images(G, cset))
-            for block, cset in zip(blocks, combo))
+            (block["id"], _greedy_subgroup(G, mask, limits))
+            for block, mask in zip(blocks, combo))
         out.append(HallSigmaSet(members=members))
     return tuple(out)
 
@@ -229,8 +217,8 @@ def enumerate_complete_hall_sigma_sets(G: PermGroup, sigma: SigmaPartition,
 # ---------------------------------------------------------------------------
 # sigma-permutability
 
-def _product_sets_equal(table: _ElementTable, a: frozenset[int], b: frozenset[int]) -> bool:
-    """AB == BA for subgroups given by index sets of the ambient table.
+def _product_sets_equal(table: _ElementTable, a: Iterable[int], b: frozenset[int]) -> bool:
+    """AB == BA for subgroups given by indices on the root's table.
 
     AB is built as a union of left cosets xB, skipping every x already in it
     (then xB is already there).  Since (AB)^-1 = BA, AB == BA exactly when AB
@@ -243,7 +231,7 @@ def _product_sets_equal(table: _ElementTable, a: frozenset[int], b: frozenset[in
     return ab.issuperset(map(table.inverse.__getitem__, ab))
 
 
-def is_sigma_permutable(G: PermGroup, A: Subgroup, sigma: SigmaPartition,
+def is_sigma_permutable(G: Group, A: Subgroup, sigma: SigmaPartition,
                         limits: Limits = DEFAULT_LIMITS) -> bool:
     """Does some complete Hall sigma-set H of G satisfy A.H^x == H^x.A for
     every member H and every x in G?
@@ -254,55 +242,55 @@ def is_sigma_permutable(G: PermGroup, A: Subgroup, sigma: SigmaPartition,
     over conjugacy classes per block.  No complete Hall sigma-set means no
     subgroup is sigma-permutable.
     """
-    K = interned(G)
-    aset = A.element_images()
-    key = ("sigma-perm", _sigma_key(sigma), aset)
-    if key not in K.cache:
-        blocks = _hall_data(K, sigma, limits)
-        table = _element_table(K, limits)
-        a = table.index_set(aset)
-        K.cache[key] = all(
+    _check_inside(G, A)
+
+    def compute():
+        blocks = _hall_data(G, sigma, limits)
+        table = _element_table(G.root, limits)
+        a = table.members(A.mask)
+        return all(
             any(all(_product_sets_equal(table, a, w) for w in cls) for cls in block["classes"])
             for block in blocks)
-    return K.cache[key]
+    return _memo(G, compute, "sigma-perm", sigma.text(), A.mask)
 
 
-def sigma_permutable_sets(G: PermGroup, sigma: SigmaPartition,
+def _sigma_permutable(G: Group, sigma: SigmaPartition, limits: Limits) -> list[Subgroup]:
+    return [h for h in all_subgroups(G, limits) if is_sigma_permutable(G, h, sigma, limits)]
+
+
+def sigma_permutable_sets(G: Group, sigma: SigmaPartition,
                           limits: Limits = DEFAULT_LIMITS) -> dict[frozenset, Subgroup]:
     """Element set -> subgroup, for every sigma-permutable subgroup of G."""
-    out = {}
-    for h in all_subgroups(G, limits):
-        if is_sigma_permutable(G, h, sigma, limits):
-            out[h.element_images()] = h
-    return out
+    return {h.element_images(): h for h in _sigma_permutable(G, sigma, limits)}
 
 
-def psigma_t_violation(G: PermGroup, sigma: SigmaPartition,
+def psigma_t_violation(G: Group, sigma: SigmaPartition,
                        limits: Limits = DEFAULT_LIMITS) -> tuple[Subgroup, Subgroup] | None:
     """A chain (K, H) with K sigma-permutable in H, H sigma-permutable in G,
-    K not sigma-permutable in G; None when transitivity holds throughout."""
-    K = interned(G)
-    key = ("psigma-t", _sigma_key(sigma))
-    if key not in K.cache:
-        # both dicts follow all_subgroups, so they are in canonical order
-        sp_g = sigma_permutable_sets(K, sigma, limits)
-        result = None
-        for hset, h_sub in sp_g.items():
-            if len(hset) == K.order or len(hset) == 1:
-                continue
-            sp_h = sigma_permutable_sets(h_sub.as_group(), sigma, limits)
-            k_sub = next((k for kset, k in sp_h.items() if kset not in sp_g), None)
-            if k_sub is not None:
-                result = (k_sub, h_sub)
-                break
-        K.cache[key] = result
-    result = K.cache[key]
-    if result is None:
+    K not sigma-permutable in G; None when transitivity holds throughout.
+
+    When sigma(G) has at most one block, {H} is the only complete Hall
+    sigma-set of each subgroup H of G, so every subgroup is sigma-permutable
+    in every subgroup containing it and no subgroup is scanned."""
+    if len(sigma_of_group(G, sigma)) <= 1:
         return None
-    return tuple(Subgroup._of_interned(G, s.group, s.generators) for s in result)
+
+    def compute():
+        # both lists follow all_subgroups, so they are in canonical order
+        sp_g = _sigma_permutable(G, sigma, limits)
+        in_g = {h.mask for h in sp_g}
+        for h in sp_g:
+            if h.order in (1, G.order):
+                continue
+            k = next((k for k in _sigma_permutable(h, sigma, limits) if k.mask not in in_g), None)
+            if k is not None:
+                return (k.mask, k.generators), (h.mask, h.generators)
+        return None
+    result = _memo(G, compute, "psigma-t", sigma.text())
+    return None if result is None else _wrap(G, result)
 
 
-def is_psigma_t(G: PermGroup, sigma: SigmaPartition, limits: Limits = DEFAULT_LIMITS) -> bool:
+def is_psigma_t(G: Group, sigma: SigmaPartition, limits: Limits = DEFAULT_LIMITS) -> bool:
     """Transitivity of sigma-permutability: K sp H sp G implies K sp G.
 
     Vacuously true when G has no complete Hall sigma-set (nothing is
@@ -314,33 +302,27 @@ def is_psigma_t(G: PermGroup, sigma: SigmaPartition, limits: Limits = DEFAULT_LI
 # ---------------------------------------------------------------------------
 # sigma-soluble / sigma-nilpotent / residual
 
-def is_sigma_soluble(G: PermGroup, sigma: SigmaPartition,
+def is_sigma_soluble(G: Group, sigma: SigmaPartition,
                      limits: Limits = DEFAULT_LIMITS) -> bool:
     """Every chief factor is sigma-primary.  Chief factor orders do not depend
     on the chosen series, so one greedy series decides."""
-    K = interned(G)
-    key = ("sigma-soluble", _sigma_key(sigma))
-    if key not in K.cache:
-        K.cache[key] = all(
-            is_sigma_primary(f.order, sigma) for f in chief_series(K, limits))
-    return K.cache[key]
+    return _memo(G, lambda: all(is_sigma_primary(f.order, sigma)
+                                for f in chief_series(G, limits)),
+                 "sigma-soluble", sigma.text())
 
 
-def is_sigma_nilpotent(G: PermGroup, sigma: SigmaPartition,
+def is_sigma_nilpotent(G: Group, sigma: SigmaPartition,
                        limits: Limits = DEFAULT_LIMITS) -> bool:
     """G is the direct product of sigma-primary groups; equivalently each
     block of sigma(G) is covered by a normal Hall subgroup (then automatically
     unique, and the orders multiply to |G|)."""
-    K = interned(G)
-    key = ("sigma-nilpotent", _sigma_key(sigma))
-    if key not in K.cache:
-        normal_orders = {n.order for n in normal_subgroups(K, limits)}
-        K.cache[key] = all(
-            part in normal_orders for _, _, part in _group_blocks(K, sigma))
-    return K.cache[key]
+    def compute():
+        normal_orders = {n.order for n in normal_subgroups(G, limits)}
+        return all(part in normal_orders for _, _, part in _group_blocks(G, sigma))
+    return _memo(G, compute, "sigma-nilpotent", sigma.text())
 
 
-def _quotient_is_sigma_nilpotent(G: PermGroup, n_sub: Subgroup, sigma: SigmaPartition,
+def _quotient_is_sigma_nilpotent(G: Group, n_sub: Subgroup, sigma: SigmaPartition,
                                  limits: Limits) -> bool:
     if n_sub.order == G.order:
         return True
@@ -350,69 +332,58 @@ def _quotient_is_sigma_nilpotent(G: PermGroup, n_sub: Subgroup, sigma: SigmaPart
     return is_sigma_nilpotent(q.group, sigma, limits)
 
 
-def sigma_nilpotent_residual(G: PermGroup, sigma: SigmaPartition,
+def sigma_nilpotent_residual(G: Group, sigma: SigmaPartition,
                              limits: Limits = DEFAULT_LIMITS) -> Subgroup:
     """Least normal subgroup with sigma-nilpotent quotient.  The minimal-order
     witness and the intersection of all witnesses must agree (checked)."""
-    K = interned(G)
-    key = ("sigma-residual", _sigma_key(sigma))
-    if key not in K.cache:
-        witnesses = [
-            n for n in normal_subgroups(K, limits)
-            if _quotient_is_sigma_nilpotent(K, n, sigma, limits)]
+    def compute():
+        witnesses = [n for n in normal_subgroups(G, limits)
+                     if _quotient_is_sigma_nilpotent(G, n, sigma, limits)]
         # normal_subgroups is sorted by (order, element list): the first is least
         least = witnesses[0]
-        meet = K.element_images().intersection(*(n.element_images() for n in witnesses))
-        if meet != least.element_images():
+        meet = G.mask
+        for n in witnesses:
+            meet &= n.mask
+        if meet != least.mask:
             raise InvariantError(
                 "residual: minimal witness differs from intersection of witnesses")
-        K.cache[key] = least
-    least = K.cache[key]
-    return Subgroup._of_interned(G, least.group, least.generators)
+        return least.mask, least.generators
+    return _wrap(G, [_memo(G, compute, "sigma-residual", sigma.text())])[0]
 
 
 # ---------------------------------------------------------------------------
 # Hall coverage (sigma-full of Sylow type), separability, odds and ends
 
-def sigma_full_sylow_type_violation(G: PermGroup, sigma: SigmaPartition,
+def sigma_full_sylow_type_violation(G: Group, sigma: SigmaPartition,
                                     limits: Limits = DEFAULT_LIMITS) -> dict | None:
     """First subgroup E and block failing the Hall coverage property: E must
     own a Hall sigma_i-subgroup whose conjugates absorb every sigma_i-subgroup
     of E.  None when every subgroup passes every block."""
-    K = interned(G)
-    key = ("sigma-full", _sigma_key(sigma))
-    if key not in K.cache:
-        violation = None
-        for e_sub in all_subgroups(K, limits):
-            e_group = e_sub.as_group()
-            for block in _hall_data(e_group, sigma, limits):
+    def compute():
+        table = _element_table(G.root, limits)
+        for e_sub in all_subgroups(G, limits):
+            for block in _hall_data(e_sub, sigma, limits):
                 if not block["candidates"]:
-                    violation = {"subgroup": e_sub.generators, "block": block["id"],
-                                 "missing_hall": True}
-                    break
-                conjugates = conjugate_image_sets(e_group, block["candidates"][0], limits)
-                for cand in all_subgroups(e_group, limits):
+                    return {"subgroup": e_sub.generators, "block": block["id"],
+                            "missing_hall": True}
+                # the first class is that of the least candidate
+                conjugates = block["classes"][0]
+                for cand in all_subgroups(e_sub, limits):
                     if primes_of(cand.order) <= block["primes"] and cand.order > 1:
-                        cset = cand.element_images()
-                        if not any(cset <= c for c in conjugates):
-                            violation = {"subgroup": e_sub.generators,
-                                         "block": block["id"],
-                                         "uncovered": cand.generators}
-                            break
-                if violation:
-                    break
-            if violation:
-                break
-        K.cache[key] = violation
-    return K.cache[key]
+                        members = table.members(cand.mask)
+                        if not any(c.issuperset(members) for c in conjugates):
+                            return {"subgroup": e_sub.generators, "block": block["id"],
+                                    "uncovered": cand.generators}
+        return None
+    return _memo(G, compute, "sigma-full", sigma.text())
 
 
-def is_sigma_full_sylow_type(G: PermGroup, sigma: SigmaPartition,
+def is_sigma_full_sylow_type(G: Group, sigma: SigmaPartition,
                              limits: Limits = DEFAULT_LIMITS) -> bool:
     return sigma_full_sylow_type_violation(G, sigma, limits) is None
 
 
-def is_pi_separable(G: PermGroup, pi, limits: Limits = DEFAULT_LIMITS) -> bool:
+def is_pi_separable(G: Group, pi, limits: Limits = DEFAULT_LIMITS) -> bool:
     """Every chief factor is a pi-group or a pi'-group."""
     pi = frozenset(pi)
     return all(
@@ -424,36 +395,27 @@ def largest_normal_block_subgroup(D: Subgroup, block_primes,
                                   limits: Limits = DEFAULT_LIMITS) -> Subgroup:
     """O_{sigma_i}(D): the largest normal subgroup of D supported on the block."""
     block_primes = frozenset(block_primes)
-    d_group = D.as_group()
-    cands = [n for n in normal_subgroups(d_group, limits)
-             if primes_of(n.order) <= block_primes]
+    cands = [n for n in normal_subgroups(D, limits) if primes_of(n.order) <= block_primes]
     best = max(cands, key=lambda n: n.order)
-    for n in cands:
-        if not n.element_images() <= best.element_images():
-            raise InvariantError("normal block subgroups must join into the largest one")
-    return subgroup_from_images(D.ambient, best.element_images())
+    if any(n.mask & best.mask != n.mask for n in cands):
+        raise InvariantError("normal block subgroups must join into the largest one")
+    return _greedy_subgroup(D.ambient, best.mask, limits)
 
 
-def induces_power_automorphisms(G: PermGroup, D: Subgroup,
+def induces_power_automorphisms(G: Group, D: Subgroup,
                                 limits: Limits = DEFAULT_LIMITS) -> bool:
     """Does conjugation by every element of G map each d in D to a power of d?
     The elements acting as power automorphisms form a subgroup, so checking
     the generators of G suffices."""
     if not is_normal(G, D):
         raise GroupInputError("power-automorphism check requires a normal subgroup")
-    powers_of: dict[tuple, frozenset] = {}
-    for d in D.element_images():
-        acc = [d]
-        cur = d
-        ident = identity_images(G.degree)
-        while cur != ident:
-            cur = compose_images(cur, d)
-            acc.append(cur)
-        powers_of[d] = frozenset(acc)
-    for g in G.generators:
-        gi = g.inverse().images
-        for d in D.element_images():
-            conj = compose_images(compose_images(gi, d), g.images)
-            if conj not in powers_of[d]:
+    table = _element_table(G.root, limits)
+    rows = table.rows
+    for conj in table.conjugations(table.gens_of(G)):
+        for d in table.members(D.mask):
+            power = d  # walk d, d^2, ... up to the identity, index 0
+            while power not in (conj[d], 0):
+                power = rows[power][d]
+            if power != conj[d]:
                 return False
     return True

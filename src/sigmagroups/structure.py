@@ -3,20 +3,19 @@
 Everything here is exact and deterministic.  Scales are "desk" sized: the
 ambient order stays under the element-cache bound, subgroup enumeration under
 the lattice bound.  The set algebra runs on an element-indexed kernel: each
-interned group gets a multiplication table over its sorted elements, and
-subgroups are ``int`` bitmasks or sets of indices into it.  The subgroup
-lattice, the normal lattice, the derived series, quotients (cosets numbered
-by table rows), products of subgroups (seeded closure), conjugates (one index
-map per generator) and the product tests of sigma-permutability all work
-there.  Since index order is image-tuple order, the kernel walks the same
-sets in the same order as a walk over image tuples would.  Results leave the
-kernel as frozensets of image tuples and ``Perm`` generators, and are wrapped
-as ``Subgroup`` values of the caller's ambient group, sorted canonically by
-(order, element list).
+root group gets a multiplication table over its sorted elements, and its
+subgroups are ``int`` bitmasks over that numbering.  Every function taking a
+group also takes a ``Subgroup``: its kernels (the subgroup lattice, the
+normal lattice, the derived series, maximal subgroups, quotients with cosets
+numbered by table rows, products, conjugates, and the product tests of
+sigma-permutability) run on the root's table restricted to the subgroup's
+members.  Since index order is image-tuple order, a kernel restricted to a
+subgroup walks its members in the same order as a walk over the subgroup's
+own sorted elements would.  Results are ``Subgroup`` values of the caller's
+group, sorted canonically by (order, element list).
 
-Derived results are cached on the interned group instance, so repeated
-queries against the same abstract subgroup (however it was constructed) are
-answered once.
+Derived results are cached on the root per member mask, so repeated queries
+against the same subgroup (however it was constructed) are answered once.
 """
 from __future__ import annotations
 
@@ -24,47 +23,39 @@ from array import array
 from dataclasses import dataclass, field
 from itertools import compress
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, InvariantError, Limits
 from .numbers import is_prime, is_prime_power, part_for_primes, prime_factors, primes_of
-from .permcore import (Perm, PermGroup, Subgroup, compose_images, conjugate_images,
-                       find_interned, identity_images, images_order, interned,
-                       interned_within, invert_images, trivial_subgroup)
+from .permcore import (Perm, PermGroup, Subgroup, _flags, _mask, compose_images,
+                       conjugate_images, find_interned, identity_images, images_order,
+                       interned, invert_images, trivial_subgroup)
+
+Group = PermGroup | Subgroup
 
 # ---------------------------------------------------------------------------
 # element-indexed kernel
 
-_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
-_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _mask(flags: bytearray) -> int:
-    """The bitmask with bit i set where ``flags[i]`` is 1."""
-    return int(flags.translate(_TO_DIGITS)[::-1], 2)
-
 
 class _ElementTable:
-    """An interned group with its elements numbered in sorted order.
+    """A root group with its elements numbered in sorted order.
 
     ``rows[a][b]`` is the index of a*b (a applied first) and ``inverse[a]``
     that of a^-1; index 0 is the identity.  ``index`` maps image tuples to
-    indices, and ``generators`` are the indices of the group's generators.
-    Index arrays use ``typecode``.
+    indices.  Index arrays use ``typecode``.
     """
 
     __slots__ = ("order", "perms", "images", "index", "typecode", "rows", "inverse",
-                 "generators", "_conjugations")
+                 "_conjugations")
 
     def __init__(self, K: PermGroup):
         self.perms = K.elements()
         self.images = images = [p.images for p in self.perms]
         self.order = n = len(images)
-        self.index = index = {e: i for i, e in enumerate(images)}
+        self.index = index = K.element_index()
         self.typecode = code = "H" if n <= 1 << 16 else "I"
         gen_rows = [array(code, [index[compose_images(g.images, b)] for b in images])
                     for g in K.generators]
-        self.generators = [row[0] for row in gen_rows]
         # row(x*g)[y] = row(x)[row(g)[y]]: one itemgetter call per row,
         # rows reached breadth-first from the identity
         steps = [(row[0], itemgetter(*row)) for row in gen_rows]
@@ -83,16 +74,22 @@ class _ElementTable:
                 f"generators reach {len(reached)} of {n} elements in the table build")
         self.rows = rows
         self.inverse = [index[invert_images(e)] for e in images]
-        self._conjugations: list[array] | None = None
+        self._conjugations: dict[int, array] = {}
 
-    @property
-    def conjugations(self) -> list[array]:
-        """Per generator g, the index map e -> g^-1 e g; built on first use."""
-        if self._conjugations is None:
-            rows, inverse = self.rows, self.inverse
-            self._conjugations = [array(self.typecode, [rows[x][g] for x in rows[inverse[g]]])
-                                  for g in self.generators]
-        return self._conjugations
+    def conjugations(self, gens: Sequence[int]) -> list[array]:
+        """Per generator index g, the index map e -> g^-1 e g; each built on first use."""
+        out = []
+        for g in gens:
+            if g not in self._conjugations:
+                rows = self.rows
+                self._conjugations[g] = array(self.typecode,
+                                              [rows[x][g] for x in rows[self.inverse[g]]])
+            out.append(self._conjugations[g])
+        return out
+
+    def gens_of(self, G: Group) -> list[int]:
+        """The indices of the generators of a group or subgroup on this root."""
+        return [self.index[g.images] for g in G.generators]
 
     def index_set(self, images: Iterable[tuple]) -> frozenset[int]:
         """The indices of elements given as image tuples."""
@@ -101,13 +98,14 @@ class _ElementTable:
         except KeyError:
             raise GroupInputError("element set is not inside the group") from None
 
-    def conjugates(self, members: frozenset[int]) -> list[frozenset[int]]:
+    def conjugates(self, members: frozenset[int], gens: Sequence[int]) -> list[frozenset[int]]:
         """Distinct conjugates of a subgroup given by its indices, in
-        breadth-first orbit order under the generators."""
+        breadth-first orbit order under the generators ``gens``."""
+        maps = self.conjugations(gens)
         seen = {members}
         out = [members]
         for s in out:
-            for conj in self.conjugations:
+            for conj in maps:
                 c = frozenset(map(conj.__getitem__, s))
                 if c not in seen:
                     seen.add(c)
@@ -116,10 +114,16 @@ class _ElementTable:
 
     def flags(self, mask: int) -> bytearray:
         """One byte per element: 1 where the element is in the mask."""
-        return bytearray(format(mask, f"0{self.order}b")[::-1].encode()).translate(_FROM_DIGITS)
+        return _flags(mask, self.order)
 
     def members(self, mask: int) -> list[int]:
         return list(compress(range(self.order), self.flags(mask)))
+
+    def mask_of(self, indices: Iterable[int]) -> int:
+        flags = bytearray(self.order)
+        for i in indices:
+            flags[i] = 1
+        return _mask(flags)
 
     def key(self, mask: int) -> tuple:
         """The canonical (order, element list) sort key of a subgroup."""
@@ -169,14 +173,10 @@ class _ElementTable:
     def image_set(self, mask: int) -> frozenset[tuple]:
         return frozenset(compress(self.images, self.flags(mask)))
 
-    def images_of(self, indices: Iterable[int]) -> frozenset[tuple]:
-        return frozenset(map(self.images.__getitem__, indices))
-
-    def entries(self, found: dict[int, tuple]) -> tuple[tuple[frozenset, tuple[Perm, ...]], ...]:
-        """(element set, generators) pairs of a lattice, canonically sorted."""
-        masks = sorted(found, key=self.key)
-        return tuple((self.image_set(m), tuple(self.perms[g] for g in found[m]))
-                     for m in masks)
+    def entries(self, found: dict[int, tuple]) -> tuple[tuple[int, tuple[Perm, ...]], ...]:
+        """(mask, generators) pairs of a lattice, canonically sorted."""
+        return tuple((m, tuple(self.perms[g] for g in found[m]))
+                     for m in sorted(found, key=self.key))
 
 
 def check_table_order(order: int, limits: Limits) -> None:
@@ -187,7 +187,7 @@ def check_table_order(order: int, limits: Limits) -> None:
 
 
 def _element_table(K: PermGroup, limits: Limits) -> _ElementTable:
-    """The element table of an interned group, built on first use."""
+    """The element table of a root group, built on first use."""
     table = K.cache.get("element-table")
     if table is None:
         check_table_order(K.order, limits)
@@ -195,133 +195,106 @@ def _element_table(K: PermGroup, limits: Limits) -> _ElementTable:
     return table
 
 
-# ---------------------------------------------------------------------------
-# raw-set machinery
-
-def closure_of_images(degree: int, gens: Sequence[tuple]) -> frozenset[tuple]:
-    """Elements of <gens>, by breadth-first products with the generators."""
-    seen = {identity_images(degree)}
-    frontier = list(seen)
-    for x in frontier:
-        for g in gens:
-            y = compose_images(x, g)
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return frozenset(seen)
+def _memo(G: Group, compute: Callable, *key):
+    """compute(), cached on G's root under (*key, G's mask)."""
+    cache = G.root.cache
+    k = (*key, G.mask)
+    if k not in cache:
+        cache[k] = compute()
+    return cache[k]
 
 
-def _powers(x: tuple) -> list[tuple]:
-    out = [x]
-    cur = x
-    ident = identity_images(len(x))
-    while cur != ident:
-        cur = compose_images(cur, x)
-        out.append(cur)
-    return out
+def _check_inside(G: Group, *subgroups: Subgroup) -> None:
+    """GroupInputError unless every subgroup lies on G's root, inside G."""
+    for H in subgroups:
+        if H.root is not G.root or H.mask & G.mask != H.mask:
+            raise GroupInputError(f"a subgroup of order {H.order} is not inside the group")
 
 
-def _greedy_generators(degree: int, images: frozenset[tuple]) -> tuple[tuple, ...]:
-    gens: list[tuple] = []
-    cl: frozenset[tuple] = frozenset({identity_images(degree)})
-    for e in sorted(images):
-        if e not in cl:
-            gens.append(e)
-            cl = closure_of_images(degree, gens)
-            if len(cl) == len(images):
-                break
-    if cl != images:
-        raise GroupInputError("images do not form a subgroup")
-    return tuple(gens)
+def _wrap(G: Group, entries: Iterable[tuple[int, tuple[Perm, ...]]]) -> tuple[Subgroup, ...]:
+    return tuple(Subgroup._of_mask(G, m, gens) for m, gens in entries)
 
 
-def subgroup_from_images(ambient: PermGroup, images: frozenset[tuple]) -> Subgroup:
-    """Wrap a known subgroup element set, picking a short generator list greedily.
-
-    The generators are kept on the set's interned group, so a set met before
-    is wrapped with no closure, chain build or enumeration.
-    """
-    group = find_interned(ambient.degree, images)
-    gens = None if group is None else group.cache.get("greedy-generators")
-    if gens is None:
-        gens = tuple(Perm(g) for g in _greedy_generators(ambient.degree, images))
-        if group is None:
-            group = interned_within(ambient, PermGroup(ambient.degree, gens))
-        group.cache["greedy-generators"] = gens
-    return Subgroup._of_interned(ambient, group, gens)
-
-
-def _wrap_known(G: PermGroup, entries: Sequence[tuple]) -> tuple[Subgroup, ...]:
-    """Subgroups of G from (element set, generators) pairs, reusing the
-    interned group of every set already known."""
-    out = []
-    for iset, gens in entries:
-        group = (find_interned(G.degree, iset)
-                 or interned_within(G, PermGroup(G.degree, gens)))
-        out.append(Subgroup._of_interned(G, group, gens))
-    return tuple(out)
+def _greedy_subgroup(G: Group, mask: int, limits: Limits = DEFAULT_LIMITS) -> Subgroup:
+    """The subgroup of G with this member mask, generated by adjoining each
+    member, in sorted order, not yet reached.  The generators depend only on
+    the set, and are cached on the root."""
+    cache = G.root.cache
+    key = ("greedy-generators", mask)
+    if key not in cache:
+        table = _element_table(G.root, limits)
+        closed, gens = table.generate(table.members(mask), mask.bit_count())
+        if closed != mask:
+            raise GroupInputError("images do not form a subgroup")
+        cache[key] = tuple(table.perms[g] for g in gens)
+    return Subgroup._of_mask(G, mask, cache[key])
 
 
-def _normalizes(x: tuple, gen_images: Sequence[tuple], hset: frozenset[tuple]) -> bool:
-    xi = invert_images(x)
-    return all(compose_images(compose_images(xi, g), x) in hset for g in gen_images)
+def subgroup_from_images(G: Group, images: frozenset[tuple]) -> Subgroup:
+    """Wrap a known subgroup element set, picking a short generator list greedily."""
+    table = _element_table(G.root, DEFAULT_LIMITS)
+    mask = table.mask_of(table.index_set(images))
+    if mask & G.mask != mask:
+        raise GroupInputError("element set is not inside the group")
+    return _greedy_subgroup(G, mask)
 
 
-def conjugate_image_sets(G: PermGroup, hset: frozenset[tuple],
+def conjugate_image_sets(G: Group, hset: frozenset[tuple],
                          limits: Limits = DEFAULT_LIMITS) -> list[frozenset[tuple]]:
     """Distinct conjugates of a subgroup element set under G, in breadth-first
     orbit order under G's generators."""
-    table = _element_table(interned(G), limits)
-    return [table.images_of(c) for c in table.conjugates(table.index_set(hset))]
+    return [h.element_images()
+            for h in conjugate_subgroups(G, subgroup_from_images(G, hset), limits)]
+
+
+def conjugate_subgroups(G: Group, H: Subgroup,
+                        limits: Limits = DEFAULT_LIMITS) -> tuple[Subgroup, ...]:
+    """Distinct conjugates of H under G, in breadth-first orbit order under
+    G's generators, each generated greedily."""
+    table = _element_table(G.root, limits)
+    return tuple(_greedy_subgroup(G, table.mask_of(c), limits)
+                 for c in table.conjugates(frozenset(table.members(H.mask)), table.gens_of(G)))
 
 
 # ---------------------------------------------------------------------------
 # generated/normal/derived subgroups
 
-def generated_subgroup(G: PermGroup, gens: Iterable[Perm]) -> Subgroup:
+def generated_subgroup(G: Group, gens: Iterable[Perm]) -> Subgroup:
     return Subgroup(G, tuple(gens))
 
 
-def normal_closure(G: PermGroup, seed: Subgroup | Iterable[Perm]) -> Subgroup:
+def normal_closure(G: Group, seed: Subgroup | Iterable[Perm]) -> Subgroup:
     """Smallest normal subgroup of G containing the seed elements."""
     seed_perms = seed.generators if isinstance(seed, Subgroup) else tuple(seed)
     for p in seed_perms:
         if p not in G:
             raise GroupInputError(f"seed element {p} is not in the group")
-    orbit = _conjugation_orbit(G, [p.images for p in seed_perms])
-    images = closure_of_images(G.degree, sorted(orbit))
-    return subgroup_from_images(G, images)
+    table = _element_table(G.root, DEFAULT_LIMITS)
+    maps = table.conjugations(table.gens_of(G))
+    seen = {table.index[p.images] for p in seed_perms}
+    orbit = list(seen)
+    for e in orbit:
+        for conj in maps:
+            if conj[e] not in seen:
+                seen.add(conj[e])
+                orbit.append(conj[e])
+    return _greedy_subgroup(G, table.generate(sorted(orbit))[0])
 
 
-def _conjugation_orbit(G: PermGroup, seeds: Sequence[tuple]) -> set[tuple]:
-    gen_pairs = [(g.images, invert_images(g.images)) for g in G.generators]
-    seen = set(seeds)
-    frontier = list(seeds)
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g, gi in gen_pairs:
-                f = compose_images(compose_images(gi, e), g)
-                if f not in seen:
-                    seen.add(f)
-                    nxt.append(f)
-        frontier = nxt
-    return seen
-
-
-def centralizer(G: PermGroup, H: Subgroup) -> Subgroup:
+def centralizer(G: Group, H: Subgroup) -> Subgroup:
+    table = _element_table(G.root, DEFAULT_LIMITS)
     hg = [g.images for g in H.generators]
-    images = frozenset(
-        x for x in G.element_images()
-        if all(compose_images(x, g) == compose_images(g, x) for g in hg))
-    return subgroup_from_images(G, images)
+    return _greedy_subgroup(G, table.mask_of(
+        x for x in table.members(G.mask)
+        if all(compose_images(table.images[x], h) == compose_images(h, table.images[x])
+               for h in hg)))
 
 
-def is_normal(G: PermGroup, H: Subgroup) -> bool:
-    hset = H.element_images()
-    return all(
-        conjugate_images(h.images, g.images) in hset
-        for h in H.generators for g in G.generators)
+def is_normal(G: Group, H: Subgroup) -> bool:
+    _check_inside(G, H)
+    index = G.root.element_index()
+    return all(H.mask >> index[conjugate_images(h.images, g.images)] & 1
+               for h in H.generators for g in G.generators)
 
 
 def _derived_mask(table: _ElementTable, mask: int) -> int:
@@ -336,93 +309,76 @@ def _derived_mask(table: _ElementTable, mask: int) -> int:
     return table.generate(compress(range(table.order), comms))[0]
 
 
-def _derived_series_masks(table: _ElementTable) -> list[int]:
-    out = [(1 << table.order) - 1]
-    while True:
-        nxt = _derived_mask(table, out[-1])
-        if nxt == out[-1]:
-            return out
-        out.append(nxt)
+def derived_subgroup(G: Group) -> Subgroup:
+    return _greedy_subgroup(G, _derived_mask(_element_table(G.root, DEFAULT_LIMITS), G.mask))
 
 
-def derived_subgroup(G: PermGroup) -> Subgroup:
-    """Commutator subgroup: normal closure of the generator commutators."""
-    comms = []
-    for a in G.generators:
-        for b in G.generators:
-            comms.append(a.inverse() * b.inverse() * a * b)
-    if not comms:
-        return trivial_subgroup(G)
-    return normal_closure(G, tuple(comms))
-
-
-# The derived series takes no limits: it uses the group's table if one was
+# The derived series takes no limits: it uses the root's table if one was
 # built (all_subgroups builds it under the caller's limits first), else it
 # builds one under the default table bound.
 
-def derived_series_images(G: PermGroup) -> list[frozenset[tuple]]:
-    table = _element_table(interned(G), DEFAULT_LIMITS)
-    return [table.image_set(m) for m in _derived_series_masks(table)]
+def is_soluble(G: Group) -> bool:
+    def compute():
+        table = _element_table(G.root, DEFAULT_LIMITS)
+        mask = G.mask
+        while mask != 1:
+            nxt = _derived_mask(table, mask)
+            if nxt == mask:
+                return False
+            mask = nxt
+        return True
+    return _memo(G, compute, "soluble")
 
 
-def is_soluble(G: PermGroup) -> bool:
-    key = "soluble"
-    K = interned(G)
-    if key not in K.cache:
-        K.cache[key] = _derived_series_masks(_element_table(K, DEFAULT_LIMITS))[-1] == 1
-    return K.cache[key]
-
-
-def is_perfect(G: PermGroup) -> bool:
-    table = _element_table(interned(G), DEFAULT_LIMITS)
-    full = (1 << table.order) - 1
-    return _derived_mask(table, full) == full
+def is_perfect(G: Group) -> bool:
+    return _derived_mask(_element_table(G.root, DEFAULT_LIMITS), G.mask) == G.mask
 
 
 # ---------------------------------------------------------------------------
 # subgroup lattice
 
-def all_subgroups(G: PermGroup, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgroup, ...]:
+def all_subgroups(G: Group, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgroup, ...]:
     """Every subgroup of G, canonically sorted, trivial and G included.
 
-    Soluble ambients use cyclic extension: grow each known subgroup H by a
+    Soluble groups use cyclic extension: grow each known subgroup H by a
     prime-order element of its normalizer, which reaches every (necessarily
-    soluble) subgroup through its own composition series.  Insoluble ambients
+    soluble) subgroup through its own composition series.  Insoluble groups
     fall back to join closure over prime-power cyclic subgroups, which is
     complete for arbitrary subgroups at higher cost.
 
-    The tuple is built once per ambient instance; every later call returns
-    the same shared tuple.
+    The lattice is computed once per subgroup of a root, and the tuple built
+    once per G; every later call returns the same shared tuple, unless it has
+    more members than ``limits.subgroup_bound``.
     """
     if "lattice-subgroups" not in G.cache:
-        K = interned(G)
-        if "lattice" not in K.cache:
-            table = _element_table(K, limits)
-            if is_soluble(K):
-                found = _lattice_cyclic_extension(table, limits)
-            else:
-                found = _lattice_join_closure(table, limits)
-            K.cache["lattice"] = table.entries(found)
-        G.cache["lattice-subgroups"] = _wrap_known(G, K.cache["lattice"])
+        def compute():
+            table = _element_table(G.root, limits)
+            kernel = _lattice_cyclic_extension if is_soluble(G) else _lattice_join_closure
+            return table.entries(kernel(table, G.mask, limits))
+        G.cache["lattice-subgroups"] = _wrap(G, _memo(G, compute, "lattice"))
+    _check_lattice_room(len(G.cache["lattice-subgroups"]), limits)
     return G.cache["lattice-subgroups"]
 
 
-def _check_lattice_room(found: dict, limits: Limits) -> None:
-    if len(found) >= limits.subgroup_bound:
+def _check_lattice_room(size: int, limits: Limits) -> None:
+    if size > limits.subgroup_bound:
         raise CapacityError(
             f"subgroup enumeration exceeds subgroup-enumeration bound {limits.subgroup_bound}")
 
 
-def _lattice_cyclic_extension(table: _ElementTable, limits: Limits) -> dict[int, tuple]:
-    """Subgroup masks -> generator indices, by cyclic extension."""
+def _lattice_cyclic_extension(table: _ElementTable, gmask: int,
+                              limits: Limits) -> dict[int, tuple]:
+    """Subgroup masks -> generator indices, by cyclic extension inside the
+    subgroup ``gmask``."""
     rows, inverse, n = table.rows, table.inverse, table.order
+    elements = table.members(gmask)
     found: dict[int, tuple] = {1: ()}
     queue = [1]
     for hmask in queue:
         hgens = found[hmask]
         hflags = table.flags(hmask)
         block = list(compress(range(n), hflags))
-        for x in range(n):
+        for x in elements:
             if hflags[x]:
                 continue
             by_xi = rows[inverse[x]]
@@ -444,17 +400,18 @@ def _lattice_cyclic_extension(table: _ElementTable, limits: Limits) -> dict[int,
             if jflags.count(1) != len(block) * k:
                 raise InvariantError(f"cyclic extension of a subgroup of order {len(block)} "
                                      f"by a coset of order {k} has {jflags.count(1)} elements")
-            _check_lattice_room(found, limits)
+            _check_lattice_room(len(found) + 1, limits)
             found[jmask] = jgens
             queue.append(jmask)
     return found
 
 
-def _lattice_join_closure(table: _ElementTable, limits: Limits) -> dict[int, tuple]:
+def _lattice_join_closure(table: _ElementTable, gmask: int,
+                          limits: Limits) -> dict[int, tuple]:
     """Subgroup masks -> generator indices, by joins with prime-power cyclic
-    subgroups."""
+    subgroups of the subgroup ``gmask``."""
     seeds: dict[int, int] = {}
-    for e in range(1, table.order):
+    for e in table.members(gmask)[1:]:
         cyc = table.generate((e,))[0]
         if is_prime_power(cyc.bit_count()):
             seeds.setdefault(cyc, e)
@@ -473,42 +430,41 @@ def _lattice_join_closure(table: _ElementTable, limits: Limits) -> dict[int, tup
             jmask = _mask(table.closure(jgens, block))
             if jmask in found:
                 continue
-            _check_lattice_room(found, limits)
+            _check_lattice_room(len(found) + 1, limits)
             found[jmask] = jgens
             queue.append(jmask)
     return found
 
 
-def subgroups_of_order(G: PermGroup, n: int, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgroup, ...]:
+def subgroups_of_order(G: Group, n: int, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgroup, ...]:
     return tuple(h for h in all_subgroups(G, limits) if h.order == n)
 
 
-def maximal_subgroups(G: PermGroup, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgroup, ...]:
+def maximal_subgroups(G: Group, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgroup, ...]:
+    """The proper subgroups of G inside no larger proper subgroup; the cover
+    test runs once per subgroup of a root, on masks."""
     subs = all_subgroups(G, limits)
-    proper = [h for h in subs if h.order < G.order]
-    out = []
-    for h in proper:
-        hset = h.element_images()
-        if not any(hset < k.element_images() for k in proper if k.order > h.order):
-            out.append(h)
-    return tuple(out)
+
+    def compute():
+        # canonical order puts every proper superset of a subgroup after it
+        proper = [h.mask for h in subs if h.order < G.order]
+        return tuple(i for i, h in enumerate(proper)
+                     if not any(k & h == h for k in proper[i + 1:]))
+    return tuple(subs[i] for i in _memo(G, compute, "maximal"))
 
 
-def frattini_subgroup(G: PermGroup, limits: Limits = DEFAULT_LIMITS) -> Subgroup:
+def frattini_subgroup(G: Group, limits: Limits = DEFAULT_LIMITS) -> Subgroup:
     """Intersection of the maximal subgroups (G itself when there are none)."""
-    maxes = maximal_subgroups(G, limits)
-    if not maxes:
-        return subgroup_from_images(G, G.element_images())
-    acc = set(maxes[0].element_images())
-    for h in maxes[1:]:
-        acc &= h.element_images()
-    return subgroup_from_images(G, frozenset(acc))
+    meet = G.mask
+    for h in maximal_subgroups(G, limits):
+        meet &= h.mask
+    return _greedy_subgroup(G, meet, limits)
 
 
 # ---------------------------------------------------------------------------
 # normal structure
 
-def normal_subgroups(G: PermGroup, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgroup, ...]:
+def normal_subgroups(G: Group, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgroup, ...]:
     """All normal subgroups, via join closure of cyclic normal closures.
 
     Every normal subgroup is the product of the normal closures of the cyclic
@@ -516,25 +472,23 @@ def normal_subgroups(G: PermGroup, limits: Limits = DEFAULT_LIMITS) -> tuple[Sub
     element-set product, so no generic subgroup search is needed.  Agrees with
     filtering all_subgroups by conjugation invariance (tested), but stays
     affordable for regular coset images where the full lattice would not.
-    Like all_subgroups, the tuple is built once per ambient and shared.
+    Like all_subgroups, the tuple is built once per G and shared.
     """
-    if "normal-subgroups" in G.cache:
-        return G.cache["normal-subgroups"]
-    K = interned(G)
-    if "normals" not in K.cache:
-        table = _element_table(K, limits)
-        K.cache["normals"] = table.entries(_normal_lattice(table))
-    G.cache["normal-subgroups"] = _wrap_known(G, K.cache["normals"])
+    if "normal-subgroups" not in G.cache:
+        def compute():
+            table = _element_table(G.root, limits)
+            return table.entries(_normal_lattice(table, G.mask, table.gens_of(G)))
+        G.cache["normal-subgroups"] = _wrap(G, _memo(G, compute, "normals"))
     return G.cache["normal-subgroups"]
 
 
-def _normal_lattice(table: _ElementTable) -> dict[int, tuple]:
-    """Normal subgroup masks -> generator indices."""
-    n = table.order
-    conjugations = table.conjugations
+def _normal_lattice(table: _ElementTable, gmask: int, gens: Sequence[int]) -> dict[int, tuple]:
+    """Normal subgroup masks -> generator indices, for the subgroup ``gmask``
+    generated by the indices ``gens``."""
+    conjugations = table.conjugations(gens)
     base: set[int] = set()
-    in_class = bytearray(n)
-    for x in range(1, n):
+    in_class = bytearray(table.order)
+    for x in table.members(gmask)[1:]:
         if in_class[x]:
             continue
         in_class[x] = 1
@@ -549,10 +503,10 @@ def _normal_lattice(table: _ElementTable) -> dict[int, tuple]:
     found: dict[int, tuple] = {1: ()}
     for nmask in sorted(base, key=table.key):
         size = nmask.bit_count()
-        closed, gens = table.generate(table.members(nmask), size)
+        closed, ngens = table.generate(table.members(nmask), size)
         if closed != nmask:
             raise InvariantError("a conjugacy-class closure is not generated by its elements")
-        found[nmask] = gens
+        found[nmask] = ngens
     base_list = sorted(found.items(), key=lambda kv: table.key(kv[0]))
     queue = [m for m, _ in base_list]
     for nmask in queue:
@@ -569,16 +523,12 @@ def _normal_lattice(table: _ElementTable) -> dict[int, tuple]:
     return found
 
 
-def minimal_normal_subgroups(G: PermGroup, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgroup, ...]:
+def minimal_normal_subgroups(G: Group, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgroup, ...]:
     if G.order == 1:
         raise GroupInputError("the trivial group has no minimal normal subgroups")
     normals = [n for n in normal_subgroups(G, limits) if n.order > 1]
-    out = []
-    for n in normals:
-        nset = n.element_images()
-        if not any(m.element_images() < nset for m in normals if m.order < n.order):
-            out.append(n)
-    return tuple(out)
+    return tuple(n for n in normals
+                 if not any(m.mask & n.mask == m.mask for m in normals if m.order < n.order))
 
 
 @dataclass(frozen=True)
@@ -591,26 +541,22 @@ class ChiefFactor:
     prime_support: frozenset[int]
 
 
-def chief_series(G: PermGroup, limits: Limits = DEFAULT_LIMITS) -> tuple[ChiefFactor, ...]:
+def chief_series(G: Group, limits: Limits = DEFAULT_LIMITS) -> tuple[ChiefFactor, ...]:
     """A chief series built greedily: each step takes the lexicographically
     least normal subgroup sitting minimally above the current term."""
-    normals = normal_subgroups(G, limits)
-    normal_sets = [n.element_images() for n in normals]
-    by_set = {n.element_images(): n for n in normals}
-    current = frozenset({identity_images(G.degree)})
+    by_mask = {n.mask: n for n in normal_subgroups(G, limits)}
+    table = _element_table(G.root, limits)
+    current = 1
     factors: list[ChiefFactor] = []
-    full = G.element_images()
-    while current != full:
-        above = [s for s in normal_sets if current < s]
+    while current != G.mask:
+        above = [s for s in by_mask if s & current == current and s != current]
         minimal = [s for s in above
-                   if not any(t for t in above if len(t) < len(s) and current < t < s)]
-        chosen = min(minimal, key=lambda s: tuple(sorted(s)))
-        order = len(chosen) // len(current)
-        factors.append(ChiefFactor(
-            lower=by_set[current] if current in by_set else subgroup_from_images(G, current),
-            upper=by_set[chosen],
-            order=order,
-            prime_support=primes_of(order)))
+                   if not any(t & s == t for t in above if t.bit_count() < s.bit_count())]
+        # index order is image order, so this is the least sorted element list
+        chosen = min(minimal, key=table.members)
+        order = chosen.bit_count() // current.bit_count()
+        factors.append(ChiefFactor(lower=by_mask[current], upper=by_mask[chosen],
+                                   order=order, prime_support=primes_of(order)))
         current = chosen
     return tuple(factors)
 
@@ -618,7 +564,7 @@ def chief_series(G: PermGroup, limits: Limits = DEFAULT_LIMITS) -> tuple[ChiefFa
 # ---------------------------------------------------------------------------
 # Sylow and Hall subgroups
 
-def sylow_subgroup(G: PermGroup, p: int, limits: Limits = DEFAULT_LIMITS) -> Subgroup:
+def sylow_subgroup(G: Group, p: int, limits: Limits = DEFAULT_LIMITS) -> Subgroup:
     """A Sylow p-subgroup, grown through normalizers from a p-element seed."""
     if not is_prime(p):
         raise GroupInputError(f"{p} is not a prime")
@@ -626,87 +572,77 @@ def sylow_subgroup(G: PermGroup, p: int, limits: Limits = DEFAULT_LIMITS) -> Sub
     if target == 1:
         return trivial_subgroup(G)
     if target == G.order:
-        return subgroup_from_images(G, G.element_images())
-    els = sorted(G.element_images())
-    p_elements = [e for e in els
-                  if is_prime_power(images_order(e)) and images_order(e) % p == 0]
-    max_order = max(images_order(e) for e in p_elements)
-    seed = min(e for e in p_elements if images_order(e) == max_order)
-    pset = frozenset(_powers(seed))
-    pgens: tuple = (seed,)
-    while len(pset) < target:
-        grown = False
-        for x in p_elements:
-            if x in pset:
-                continue
-            if not _normalizes(x, pgens, pset):
-                continue
-            pset = frozenset(compose_images(h, xk) for h in pset for xk in _powers(x))
-            pgens = pgens + (x,)
-            grown = True
-            break
-        if not grown:
+        return _greedy_subgroup(G, G.mask, limits)
+    table = _element_table(G.root, limits)
+    rows, inverse = table.rows, table.inverse
+    orders = {x: images_order(table.images[x]) for x in table.members(G.mask)}
+    p_elements = [x for x, k in orders.items() if is_prime_power(k) and k % p == 0]
+    max_order = max(orders[x] for x in p_elements)
+    pgens = (next(x for x in p_elements if orders[x] == max_order),)
+    pmask = table.generate(pgens)[0]
+    while pmask.bit_count() < target:
+        pflags = table.flags(pmask)
+        x = next((x for x in p_elements if not pflags[x]
+                  and all(pflags[rows[rows[inverse[x]][g]][x]] for g in pgens)), None)
+        if x is None:
             # growth stalled (should not happen); fall back to a lattice scan
             for h in all_subgroups(G, limits):
                 if h.order == target:
                     return h
             raise GroupInputError(f"no Sylow {p}-subgroup found (inconsistent group)")
-    if len(pset) != target:
-        raise InvariantError(f"Sylow {p}-subgroup grew to order {len(pset)}, not {target}")
-    return subgroup_from_images(G, pset)
+        pgens += (x,)
+        pmask = _mask(table.closure(pgens, list(compress(range(table.order), pflags))))
+    if pmask.bit_count() != target:
+        raise InvariantError(f"Sylow {p}-subgroup grew to order {pmask.bit_count()}, not {target}")
+    return _greedy_subgroup(G, pmask, limits)
 
 
-def hall_subgroup(G: PermGroup, pi: Iterable[int], limits: Limits = DEFAULT_LIMITS) -> Subgroup | None:
+def hall_subgroup(G: Group, pi: Iterable[int], limits: Limits = DEFAULT_LIMITS) -> Subgroup | None:
     """Canonical Hall pi-subgroup if one exists, else None (lattice scan)."""
     pi = frozenset(pi)
     target = part_for_primes(G.order, pi)
     if target == 1:
         return trivial_subgroup(G)
     if target == G.order:
-        return subgroup_from_images(G, G.element_images())
+        return _greedy_subgroup(G, G.mask, limits)
     for h in all_subgroups(G, limits):
         if h.order == target:
             return h
     return None
 
 
-def is_p_group(G: PermGroup) -> bool:
+def is_p_group(G: Group) -> bool:
     return len(prime_factors(G.order)) <= 1
 
 
 def maximal_subgroups_of_p_group(P: Subgroup, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgroup, ...]:
     """The index-p subgroups of a p-group, as subgroups of P's ambient."""
-    if not is_p_group(P.group):
+    if not is_p_group(P):
         raise GroupInputError(f"group of order {P.order} is not a p-group")
     if P.order == 1:
         return ()
     p = prime_factors(P.order)[0][0]
-    subs = all_subgroups(P.group, limits)
-    out = [Subgroup._of_interned(P.ambient, h.group, h.generators)
-           for h in subs if h.order * p == P.order]
-    return tuple(out)
+    return tuple(Subgroup._of_mask(P.ambient, h.mask, h.generators)
+                 for h in all_subgroups(P, limits) if h.order * p == P.order)
 
 
 # ---------------------------------------------------------------------------
 # supplements and quotients
 
-def supplements(G: PermGroup, V: Subgroup, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgroup, ...]:
+def supplements(G: Group, V: Subgroup, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgroup, ...]:
     """All T <= G with VT = G, by |V||T| = |G||V n T| over the lattice."""
-    vset = V.element_images()
-    out = []
-    for t in all_subgroups(G, limits):
-        inter = len(vset & t.element_images())
-        if V.order * t.order == G.order * inter:
-            out.append(t)
-    return tuple(out)
+    _check_inside(G, V)
+    return tuple(t for t in all_subgroups(G, limits)
+                 if V.order * t.order == G.order * (V.mask & t.mask).bit_count())
 
 
 @dataclass(frozen=True)
 class QuotientGroup:
     """G/N acting on the right cosets of N.
 
-    ``coset_of[i]`` is the coset of the element with index i in G's element
-    table, and ``coset_images[c]`` is the image tuple of coset c in ``group``.
+    ``coset_of[i]`` is the coset of the element with index i in the element
+    table of G's root (-1 outside G), and ``coset_images[c]`` is the image
+    tuple of coset c in ``group``, itself a root group.
     """
 
     group: PermGroup
@@ -717,7 +653,7 @@ class QuotientGroup:
 
     def project(self, x: Perm) -> Perm:
         index = self.table.index.get(x.images)
-        if index is None:
+        if index is None or self.coset_of[index] < 0:
             raise GroupInputError(f"{x} is not in the group")
         return Perm(self.coset_images[self.coset_of[index]])
 
@@ -728,24 +664,26 @@ class QuotientGroup:
         return frozenset(map(self.coset_images.__getitem__, cosets))
 
 
-def quotient_group(G: PermGroup, N: Subgroup, limits: Limits = DEFAULT_LIMITS) -> QuotientGroup:
+def quotient_group(G: Group, N: Subgroup, limits: Limits = DEFAULT_LIMITS) -> QuotientGroup:
     """G/N on the right cosets of N, numbered in the order of their least
     elements.  The coset action is constant on cosets, so it is computed once
-    per coset representative on G's element table (built under ``limits``)."""
-    K = interned(G)
-    nset = N.element_images()
-    cache_key = ("quotient", nset)
+    per coset representative on the element table of G's root (built under
+    ``limits``)."""
+    _check_inside(G, N)
+    K = G.root
+    cache_key = ("quotient", G.mask, N.mask)
     if cache_key in K.cache:
         return K.cache[cache_key]
     table = _element_table(K, limits)
     rows = table.rows
-    block = table.index_set(nset)
-    ngens = [table.index[g.images] for g in N.generators]
-    if not all(conj[h] in block for conj in table.conjugations for h in ngens):
+    block = table.members(N.mask)
+    gens = table.gens_of(G)
+    if not all(N.mask >> conj[h] & 1
+               for conj in table.conjugations(gens) for h in table.gens_of(N)):
         raise GroupInputError("quotient by a non-normal subgroup")
-    coset_of = [-1] * table.order
+    coset_of = array("i", [-1]) * table.order
     reps: list[int] = []
-    for x in range(table.order):
+    for x in table.members(G.mask):
         if coset_of[x] < 0:
             for y in map(rows[x].__getitem__, block):  # xN = Nx
                 coset_of[y] = len(reps)
@@ -754,39 +692,38 @@ def quotient_group(G: PermGroup, N: Subgroup, limits: Limits = DEFAULT_LIMITS) -
     # coset Nr maps coset Ns to Nsr
     coset_images = [tuple(coset_of[rows[s][r]] for s in reps) for r in reps]
     qset = frozenset(coset_images)
-    if len(qset) != index or index * len(block) != table.order:
+    if len(qset) != index or index * len(block) != G.order:
         raise InvariantError("coset action order mismatch")
     Q = find_interned(index, qset)
     if Q is None:
-        gen_images = [Perm(coset_images[coset_of[g]]) for g in table.generators]
-        Q = interned_within(K, PermGroup(index, gen_images))
+        Q = PermGroup(index, [Perm(coset_images[coset_of[g]]) for g in gens])
+        Q.elements(K.order)  # never larger than G, which was enumerated
+        Q = interned(Q)
         if Q.element_images() != qset:
             raise InvariantError("the generators' coset images generate another group")
     ident = identity_images(index)
     if [c for c, img in enumerate(coset_images) if img == ident] != [0]:
         raise InvariantError("coset action kernel mismatch")
-    result = QuotientGroup(group=Q, kernel=N, table=table,
-                           coset_of=array(table.typecode, coset_of),
+    result = QuotientGroup(group=Q, kernel=N, table=table, coset_of=coset_of,
                            coset_images=coset_images)
     K.cache[cache_key] = result
     return result
 
 
-def product_subgroup(G: PermGroup, A: Subgroup, B: Subgroup,
+def product_subgroup(G: Group, A: Subgroup, B: Subgroup,
                      limits: Limits = DEFAULT_LIMITS) -> Subgroup:
     """The product set AB, which must be a subgroup (for instance when A or B
-    is normal in G).  It is then <A, B>, closed on G's element table with
-    A's elements as the seed block; GroupInputError when |<A, B>| is not
+    is normal in G).  It is then <A, B>, closed on the root's element table
+    with A's elements as the seed block; GroupInputError when |<A, B>| is not
     |A||B|/|A n B|, that is when AB is not a subgroup."""
-    table = _element_table(interned(G), limits)
-    index = table.index
-    gens = [index[g.images] for g in A.generators + B.generators]
-    flags = table.closure(gens, list(table.index_set(A.element_images())))
-    size = flags.count(1)
-    if size * len(A.element_images() & B.element_images()) != A.order * B.order:
+    _check_inside(G, A, B)
+    table = _element_table(G.root, limits)
+    flags = table.closure(table.gens_of(A) + table.gens_of(B), table.members(A.mask))
+    if flags.count(1) * (A.mask & B.mask).bit_count() != A.order * B.order:
         raise GroupInputError("the product of the two subgroups is not a subgroup")
-    return subgroup_from_images(G, frozenset(compress(table.images, flags)))
+    return _greedy_subgroup(G, _mask(flags), limits)
 
 
-def intersection_subgroup(G: PermGroup, A: Subgroup, B: Subgroup) -> Subgroup:
-    return subgroup_from_images(G, A.element_images() & B.element_images())
+def intersection_subgroup(G: Group, A: Subgroup, B: Subgroup) -> Subgroup:
+    _check_inside(G, A, B)
+    return _greedy_subgroup(G, A.mask & B.mask)

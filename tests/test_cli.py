@@ -296,6 +296,15 @@ def test_verify_bad_pi_is_usage_error(capsys, statement, pi):
     assert err.startswith("usage error: --pi ")
 
 
+@pytest.mark.parametrize("statement, sigma", [("Lem2.2", "junk"), ("Cor1.2", "[2,3]")])
+def test_verify_sigma_outside_sigma_scope_is_usage_error(capsys, statement, sigma):
+    code, out, err = run(capsys, "verify", "--group", "A5", "--statement", statement,
+                         "--sigma", sigma)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"usage error: --sigma does not apply to {statement}")
+
+
 def test_unknown_group_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--group", "ZZZ",
                        "--statement", "Lem2.4")

@@ -291,7 +291,7 @@ def test_lagrange_check_raises():
     S3 = PermGroup(3, [Perm.parse("(1 2 3)", 3), Perm.parse("(1 2)", 3)])
     C4 = PermGroup(4, [Perm.parse("(1 2 3 4)", 4)])
     with pytest.raises(InvariantError, match="Lagrange"):
-        Subgroup._of_interned(S3, C4, ())
+        Subgroup._of_mask(S3, C4.mask, ())
 
 
 def test_conjugate_order_check_raises(monkeypatch):

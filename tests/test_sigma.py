@@ -10,9 +10,11 @@ import functools
 import pytest
 
 from sigmagroups import (CapacityError, GroupInputError, Limits, Perm,
-                         Subgroup, full_subgroup, parse_sigma,
+                         Subgroup, builtin_corpus, full_subgroup, parse_sigma,
                          trivial_subgroup)
 from sigmagroups import sigma as sigma_module
+from sigmagroups import structure as structure_module
+from sigmagroups.numbers import primes_of
 from sigmagroups.errors import InvariantError
 from sigmagroups.permcore import clear_intern_cache, compose_images, conjugate_images
 from sigmagroups.sigma import (SigmaPartition, complete_hall_sigma_set,
@@ -202,8 +204,7 @@ def test_violation_triple_is_self_consistent(corpus, name):
     G = corpus[name].build()
     K, H = psigma_t_violation(G, S1)
     assert 1 < H.order < G.order
-    h_group = H.as_group()
-    assert is_sigma_permutable(h_group, Subgroup(h_group, K.generators), S1)
+    assert is_sigma_permutable(H, Subgroup(H, K.generators), S1)
     assert is_sigma_permutable(G, H, S1)
     assert not is_sigma_permutable(G, K, S1)
 
@@ -226,6 +227,37 @@ def test_pst_vacuous_without_complete_hall_set(corpus):
     sigma = parse_sigma("[2,5][3]")
     assert is_psigma_t(A5, sigma)
     assert not has_complete_hall_sigma_set(A5, sigma)
+
+
+def naive_psigma_t(G, sigma):
+    """Direct reading: K sp H and H sp G imply K sp G, for all K <= H <= G,
+    with sp the naive definition above."""
+    subs = all_subgroups(G)
+    in_g = {K: naive_sigma_permutable(G, K, sigma) for K in subs}
+    return all(in_g[K] or not (in_g[H] and naive_sigma_permutable(H, K, sigma))
+               for H in subs for K in subs if K.is_subset_of(H))
+
+
+@pytest.mark.parametrize("name", [e.name for e in builtin_corpus()])
+def test_one_block_partition_is_psigma_t_without_scanning_subgroups(corpus, name, monkeypatch):
+    """With every prime of |G| in one block, {G} is the only complete Hall
+    sigma-set, every subgroup is sigma-permutable, and the answer needs no
+    lattice of a proper subgroup."""
+    G = corpus[name].build()
+    primes = sorted(primes_of(G.order))
+    sigma = SigmaPartition.of_blocks(primes) if primes else SigmaPartition()
+    scanned = []
+    for kernel in ("_lattice_cyclic_extension", "_lattice_join_closure"):
+        original = getattr(structure_module, kernel)
+        monkeypatch.setattr(structure_module, kernel,
+                            lambda table, gmask, limits, original=original:
+                            scanned.append(gmask) or original(table, gmask, limits))
+    monkeypatch.setattr(sigma_module, "all_subgroups",
+                        lambda H, *a: scanned.append(H.mask) or all_subgroups(H, *a))
+    verdict = is_psigma_t(G, sigma)
+    monkeypatch.undo()
+    assert [m for m in scanned if m != G.mask] == []
+    assert verdict == naive_psigma_t(G, sigma)
 
 
 # ---------------------------------------------------------------------------

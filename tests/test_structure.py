@@ -9,10 +9,12 @@ import pytest
 
 import oracles
 from sigmagroups import (CapacityError, GroupInputError, Limits, Perm,
-                         PermGroup, Subgroup)
-from sigmagroups.permcore import clear_intern_cache, compose_images
+                         PermGroup, SigmaPartition, Subgroup, builtin_corpus,
+                         builtin_entry, is_psigma_t)
+from sigmagroups import structure
+from sigmagroups.permcore import clear_intern_cache, closure_of_images, compose_images
 from sigmagroups.structure import (all_subgroups, centralizer, chief_series,
-                                   closure_of_images, conjugate_image_sets,
+                                   conjugate_image_sets,
                                    derived_subgroup, frattini_subgroup,
                                    generated_subgroup, hall_subgroup,
                                    intersection_subgroup, is_normal,
@@ -351,6 +353,65 @@ def test_lattice_tuples_are_built_once_per_ambient(corpus, chain_builds, name):
     assert all_subgroups(G) is subs
     assert normal_subgroups(G) is normals
     assert chain_builds == []
+
+
+@pytest.fixture()
+def table_builds(monkeypatch):
+    """Every group an element table is built for from now on."""
+    built = []
+    original = structure._ElementTable.__init__
+
+    def counting(self, K):
+        built.append(K)
+        original(self, K)
+
+    monkeypatch.setattr(structure._ElementTable, "__init__", counting)
+    return built
+
+
+def test_subgroup_kernels_build_no_table_or_chain(corpus, chain_builds, table_builds):
+    clear_intern_cache()  # nothing cached for the subgroups of this S4
+    S4 = corpus["S4"].build()
+    assert len(all_subgroups(S4)) == 30
+    chain_builds.clear()
+    table_builds.clear()
+    A4 = sub(S4, "(1 2 3)", "(1 2)(3 4)")
+    assert len(all_subgroups(A4)) == 10
+    assert [n.order for n in normal_subgroups(A4)] == [1, 4, 12]
+    assert not is_psigma_t(A4, SigmaPartition.sigma1())
+    assert chain_builds == []
+    assert table_builds == []
+
+
+# every builtin group but the two largest, whose proper subgroups are all
+# soluble; S5 covers join closure restricted to a proper subgroup (A5)
+@pytest.mark.parametrize("name", [e.name for e in builtin_corpus()
+                                  if e.name not in ("SL(2,5)", "PSL(2,7)")])
+def test_in_place_lattices_equal_those_of_a_fresh_root(corpus, name):
+    """The kernels restricted to a subgroup's members give the lattice and
+    normal lattice of the subgroup as a group of its own: the same sets, in
+    the same order, with the same generators."""
+    G = corpus[name].build()
+    for H in all_subgroups(G):
+        R = PermGroup(H.degree, H.generators)
+        for fn in (all_subgroups, normal_subgroups):
+            assert [(h.element_images(), h.generators) for h in fn(H)] == \
+                [(r.element_images(), r.generators) for r in fn(R)]
+
+
+def test_subgroup_of_another_group_is_rejected(corpus):
+    S3, S4 = corpus["S3"].build(), corpus["S4"].build()
+    a4 = sub(S4, "(1 2 3)", "(1 2)(3 4)")
+    with pytest.raises(GroupInputError, match="not inside the group"):
+        supplements(S3, a4)
+    with pytest.raises(GroupInputError, match="not inside the group"):
+        quotient_group(a4, sylow_subgroup(S4, 2))
+
+
+def test_cached_lattice_keeps_a_lower_subgroup_bound(corpus):
+    assert len(all_subgroups(corpus["S4"].build())) == 30
+    with pytest.raises(CapacityError, match="subgroup-enumeration bound 3"):
+        all_subgroups(builtin_entry("S4").build(), Limits(subgroup_bound=3))
 
 
 @pytest.mark.parametrize("name", ["S4", "A5"])
