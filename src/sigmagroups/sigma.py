@@ -358,22 +358,30 @@ def sigma_full_sylow_type_violation(G: Group, sigma: SigmaPartition,
                                     limits: Limits = DEFAULT_LIMITS) -> dict | None:
     """First subgroup E and block failing the Hall coverage property: E must
     own a Hall sigma_i-subgroup whose conjugates absorb every sigma_i-subgroup
-    of E.  None when every subgroup passes every block."""
+    of E.  None when every subgroup passes every block.
+
+    One walk over G's lattice: E's subgroups are the masks of G's lattice
+    inside E's, already in canonical order since the sort key depends only on
+    the mask, and E's Hall sigma_i-subgroups are those of order the sigma_i-part
+    of |E|.  Only the conjugates of the least one are needed.  E's own lattice
+    is computed only to report the generators of an uncovered subgroup."""
     def compute():
         table = _element_table(G.root, limits)
-        for e_sub in all_subgroups(G, limits):
-            for block in _hall_data(e_sub, sigma, limits):
-                if not block["candidates"]:
-                    return {"subgroup": e_sub.generators, "block": block["id"],
-                            "missing_hall": True}
-                # the first class is that of the least candidate
-                conjugates = block["classes"][0]
-                for cand in all_subgroups(e_sub, limits):
-                    if primes_of(cand.order) <= block["primes"] and cand.order > 1:
-                        members = table.members(cand.mask)
-                        if not any(c.issuperset(members) for c in conjugates):
-                            return {"subgroup": e_sub.generators, "block": block["id"],
-                                    "uncovered": cand.generators}
+        subs = all_subgroups(G, limits)
+        masks = [h.mask for h in subs]
+        for e_sub in subs:
+            down = [k for k in masks if k & e_sub.mask == k]
+            for bid, ps, part in _group_blocks(e_sub, sigma):
+                halls = [k for k in down if k.bit_count() == part]
+                if not halls:
+                    return {"subgroup": e_sub.generators, "block": bid, "missing_hall": True}
+                conjugates = [table.mask_of(c) for c in table.conjugates(
+                    frozenset(table.members(halls[0])), table.gens_of(e_sub))]
+                for k in down:
+                    if primes_of(k.bit_count()) <= ps and not any(c & k == k for c in conjugates):
+                        uncovered = next(h for h in all_subgroups(e_sub, limits) if h.mask == k)
+                        return {"subgroup": e_sub.generators, "block": bid,
+                                "uncovered": uncovered.generators}
         return None
     return _memo(G, compute, "sigma-full", sigma.text())
 

@@ -129,15 +129,23 @@ class _ElementTable:
         """The canonical (order, element list) sort key of a subgroup."""
         return (mask.bit_count(), self.members(mask))
 
-    def closure(self, gens: Sequence[int], block: Sequence[int]) -> bytearray:
+    def closure(self, gens: Sequence[int], block: Sequence[int],
+                cap: int | None = None) -> bytearray | None:
         """Flags of <H, gens>, where ``block`` lists the elements of a
-        subgroup H and ``gens`` includes generators of H.
+        subgroup H and ``gens`` includes generators of H; None as soon as
+        <H, gens> is known to have more than ``cap`` elements.
 
         Dimino's algorithm on left cosets: each new coset xH is one row of the
         table read at H's indices, and only representative x generator
         products are tested.  The union of the cosets reached is closed under
-        left multiplication by every generator, so it is <gens>.
+        left multiplication by every generator, so it is <gens>.  After k
+        cosets exactly k|H| elements are flagged, so the cut-off is exact:
+        None comes back exactly when the whole closure exceeds ``cap``.
         """
+        # k cosets exceed cap exactly when k > cap // |H|
+        max_cosets = (self.order if cap is None else cap) // len(block)
+        if max_cosets < 1:
+            return None
         rows = self.rows
         seen = bytearray(self.order)
         for h in block:
@@ -148,6 +156,8 @@ class _ElementTable:
                 x = rows[g][r]
                 if not seen[x]:
                     reps.append(x)
+                    if len(reps) > max_cosets:
+                        return None
                     for y in map(rows[x].__getitem__, block):
                         seen[y] = 1
         return seen
@@ -186,11 +196,17 @@ def check_table_order(order: int, limits: Limits) -> None:
                             f"bound {limits.table_order_bound}")
 
 
-def _element_table(K: PermGroup, limits: Limits) -> _ElementTable:
-    """The element table of a root group, built on first use."""
+def _element_table(K: PermGroup, limits: Limits | None = None) -> _ElementTable:
+    """The element table of a root group, built on first use.
+
+    Caller limits are checked on every call, so a lower table bound refuses a
+    table built earlier under a higher one.  Without limits, a table that
+    exists is reused and a missing one is built under the default bound.
+    """
     table = K.cache.get("element-table")
+    if limits is not None or table is None:
+        check_table_order(K.order, limits or DEFAULT_LIMITS)
     if table is None:
-        check_table_order(K.order, limits)
         table = K.cache["element-table"] = _ElementTable(K)
     return table
 
@@ -215,7 +231,7 @@ def _wrap(G: Group, entries: Iterable[tuple[int, tuple[Perm, ...]]]) -> tuple[Su
     return tuple(Subgroup._of_mask(G, m, gens) for m, gens in entries)
 
 
-def _greedy_subgroup(G: Group, mask: int, limits: Limits = DEFAULT_LIMITS) -> Subgroup:
+def _greedy_subgroup(G: Group, mask: int, limits: Limits | None = None) -> Subgroup:
     """The subgroup of G with this member mask, generated by adjoining each
     member, in sorted order, not yet reached.  The generators depend only on
     the set, and are cached on the root."""
@@ -232,7 +248,7 @@ def _greedy_subgroup(G: Group, mask: int, limits: Limits = DEFAULT_LIMITS) -> Su
 
 def subgroup_from_images(G: Group, images: frozenset[tuple]) -> Subgroup:
     """Wrap a known subgroup element set, picking a short generator list greedily."""
-    table = _element_table(G.root, DEFAULT_LIMITS)
+    table = _element_table(G.root)
     mask = table.mask_of(table.index_set(images))
     if mask & G.mask != mask:
         raise GroupInputError("element set is not inside the group")
@@ -269,7 +285,7 @@ def normal_closure(G: Group, seed: Subgroup | Iterable[Perm]) -> Subgroup:
     for p in seed_perms:
         if p not in G:
             raise GroupInputError(f"seed element {p} is not in the group")
-    table = _element_table(G.root, DEFAULT_LIMITS)
+    table = _element_table(G.root)
     maps = table.conjugations(table.gens_of(G))
     seen = {table.index[p.images] for p in seed_perms}
     orbit = list(seen)
@@ -282,7 +298,7 @@ def normal_closure(G: Group, seed: Subgroup | Iterable[Perm]) -> Subgroup:
 
 
 def centralizer(G: Group, H: Subgroup) -> Subgroup:
-    table = _element_table(G.root, DEFAULT_LIMITS)
+    table = _element_table(G.root)
     hg = [g.images for g in H.generators]
     return _greedy_subgroup(G, table.mask_of(
         x for x in table.members(G.mask)
@@ -310,7 +326,7 @@ def _derived_mask(table: _ElementTable, mask: int) -> int:
 
 
 def derived_subgroup(G: Group) -> Subgroup:
-    return _greedy_subgroup(G, _derived_mask(_element_table(G.root, DEFAULT_LIMITS), G.mask))
+    return _greedy_subgroup(G, _derived_mask(_element_table(G.root), G.mask))
 
 
 # The derived series takes no limits: it uses the root's table if one was
@@ -319,7 +335,7 @@ def derived_subgroup(G: Group) -> Subgroup:
 
 def is_soluble(G: Group) -> bool:
     def compute():
-        table = _element_table(G.root, DEFAULT_LIMITS)
+        table = _element_table(G.root)
         mask = G.mask
         while mask != 1:
             nxt = _derived_mask(table, mask)
@@ -331,7 +347,7 @@ def is_soluble(G: Group) -> bool:
 
 
 def is_perfect(G: Group) -> bool:
-    return _derived_mask(_element_table(G.root, DEFAULT_LIMITS), G.mask) == G.mask
+    return _derived_mask(_element_table(G.root), G.mask) == G.mask
 
 
 # ---------------------------------------------------------------------------
@@ -346,13 +362,18 @@ def all_subgroups(G: Group, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgroup, 
     fall back to join closure over prime-power cyclic subgroups, which is
     complete for arbitrary subgroups at higher cost.
 
+    Join closure stops a closure once it is known to reach the whole group:
+    a join of H has an order dividing |G| and divisible by |H|, so past the
+    largest proper divisor of |G| that is a multiple of |H| it is G.
+
     The lattice is computed once per subgroup of a root, and the tuple built
     once per G; every later call returns the same shared tuple, unless it has
-    more members than ``limits.subgroup_bound``.
+    more members than ``limits.subgroup_bound`` or the root is larger than
+    ``limits.table_order_bound``.
     """
+    table = _element_table(G.root, limits)
     if "lattice-subgroups" not in G.cache:
         def compute():
-            table = _element_table(G.root, limits)
             kernel = _lattice_cyclic_extension if is_soluble(G) else _lattice_join_closure
             return table.entries(kernel(table, G.mask, limits))
         G.cache["lattice-subgroups"] = _wrap(G, _memo(G, compute, "lattice"))
@@ -420,20 +441,31 @@ def _lattice_join_closure(table: _ElementTable, gmask: int,
     for cyc, e in seed_list:
         found[cyc] = (e,)
     queue = sorted(found, key=table.key)
+    n = gmask.bit_count()
     for hmask in queue:
         hgens = found[hmask]
         block = table.members(hmask)
+        cap = _largest_proper_multiple(len(block), n)
         for cyc, e in seed_list:
             if cyc & hmask == cyc:
                 continue
             jgens = hgens + (e,)
-            jmask = _mask(table.closure(jgens, block))
+            # Lagrange: |H| divides |<H, e>|, which divides n, so past cap
+            # the join is the whole group
+            jflags = table.closure(jgens, block, cap)
+            jmask = gmask if jflags is None else _mask(jflags)
             if jmask in found:
                 continue
             _check_lattice_room(len(found) + 1, limits)
             found[jmask] = jgens
             queue.append(jmask)
     return found
+
+
+def _largest_proper_multiple(h: int, n: int) -> int:
+    """The largest proper divisor of n that is a multiple of h (h divides n),
+    or 0 when h is n."""
+    return 0 if h == n else n // prime_factors(n // h)[0][0]
 
 
 def subgroups_of_order(G: Group, n: int, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgroup, ...]:
@@ -472,11 +504,12 @@ def normal_subgroups(G: Group, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgrou
     element-set product, so no generic subgroup search is needed.  Agrees with
     filtering all_subgroups by conjugation invariance (tested), but stays
     affordable for regular coset images where the full lattice would not.
-    Like all_subgroups, the tuple is built once per G and shared.
+    Like all_subgroups, the tuple is built once per G and shared, and a later
+    call with a lower table bound is refused.
     """
+    table = _element_table(G.root, limits)
     if "normal-subgroups" not in G.cache:
         def compute():
-            table = _element_table(G.root, limits)
             return table.entries(_normal_lattice(table, G.mask, table.gens_of(G)))
         G.cache["normal-subgroups"] = _wrap(G, _memo(G, compute, "normals"))
     return G.cache["normal-subgroups"]
@@ -671,10 +704,10 @@ def quotient_group(G: Group, N: Subgroup, limits: Limits = DEFAULT_LIMITS) -> Qu
     ``limits``)."""
     _check_inside(G, N)
     K = G.root
+    table = _element_table(K, limits)
     cache_key = ("quotient", G.mask, N.mask)
     if cache_key in K.cache:
         return K.cache[cache_key]
-    table = _element_table(K, limits)
     rows = table.rows
     block = table.members(N.mask)
     gens = table.gens_of(G)

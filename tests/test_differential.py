@@ -9,7 +9,8 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 import oracles
 from sigmagroups import Limits, Perm, PermGroup, builtin_corpus
 from sigmagroups.sigma import SigmaPartition, is_sigma_nilpotent, sigma_nilpotent_residual
-from sigmagroups.permcore import closure_of_images
+from sigmagroups.numbers import is_prime_power
+from sigmagroups.permcore import _mask, closure_of_images
 from sigmagroups.structure import (_element_table, _lattice_cyclic_extension,
                                    _lattice_join_closure, all_subgroups,
                                    conjugate_image_sets, is_soluble,
@@ -21,18 +22,48 @@ def image_sets(subgroups):
                   key=lambda s: (len(s), sorted(s)))
 
 
+def uncapped_join_closure(table, gmask):
+    """The join-closure kernel without its Lagrange cut-off: every join is
+    closed to the end."""
+    seeds = {}
+    for e in table.members(gmask)[1:]:
+        cyc = table.generate((e,))[0]
+        if is_prime_power(cyc.bit_count()):
+            seeds.setdefault(cyc, e)
+    seed_list = sorted(seeds.items(), key=lambda kv: table.key(kv[0]))
+    found = {1: ()}
+    for cyc, e in seed_list:
+        found[cyc] = (e,)
+    queue = sorted(found, key=table.key)
+    for hmask in queue:
+        hgens = found[hmask]
+        block = table.members(hmask)
+        for cyc, e in seed_list:
+            if cyc & hmask == cyc:
+                continue
+            jgens = hgens + (e,)
+            jmask = _mask(table.closure(jgens, block))
+            if jmask not in found:
+                found[jmask] = jgens
+                queue.append(jmask)
+    return found
+
+
 @pytest.mark.parametrize("name", [e.name for e in builtin_corpus()])
 def test_lattice_kernels_match_oracle(corpus, oracle_group, name):
     """Join closure on every group, cyclic extension on the soluble ones;
-    every lattice entry's generators generate its element set."""
+    every lattice entry's generators generate its element set, and join
+    closure's Lagrange cut-off changes no entry, generator or order."""
     G = corpus[name].build()
     table = _element_table(G, Limits())
     expected = oracle_group(name).subgroup_image_sets()
-    kernels = [_lattice_join_closure]
+    joins = _lattice_join_closure(table, G.mask, Limits())
+    assert list(joins.items()) == list(uncapped_join_closure(table, G.mask).items())
+    found = [joins]
     if is_soluble(G):
-        kernels.append(_lattice_cyclic_extension)
-    for kernel in kernels:
-        entries = table.entries(kernel(table, G.mask, Limits()))
+        found.append(_lattice_cyclic_extension(table, G.mask, Limits()))
+    for lattice in found:
+        entries = table.entries(lattice)
         assert [table.image_set(mask) for mask, _ in entries] == expected
         for mask, gens in entries:
             assert closure_of_images(G.degree, [g.images for g in gens]) == table.image_set(mask)
@@ -92,6 +123,9 @@ def test_random_groups_match_oracle(G):
     assert image_sets(all_subgroups(G)) == tg.subgroup_image_sets()
     assert image_sets(normal_subgroups(G)) == tg.normal_image_sets()
     assert is_soluble(G) == tg.mt.is_soluble()
+    table = _element_table(G.root, Limits())
+    assert list(_lattice_join_closure(table, G.mask, Limits()).items()) == \
+        list(uncapped_join_closure(table, G.mask).items())
 
 
 @settings(RANDOM_GROUPS, max_examples=100)

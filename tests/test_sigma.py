@@ -28,6 +28,7 @@ from sigmagroups.sigma import (SigmaPartition, complete_hall_sigma_set,
                                psigma_t_violation, sigma_full_sylow_type_violation,
                                sigma_nilpotent_residual, sigma_of_group,
                                sigma_of_int, sigma_permutable_sets)
+from sigmagroups.harness import campaign_sigmas
 from sigmagroups.structure import all_subgroups, is_normal, normal_subgroups
 
 S1 = SigmaPartition.sigma1()
@@ -340,6 +341,61 @@ def test_sigma_full_sylow_type(corpus):
     assert violation["block"] == "2,5"
     assert violation["missing_hall"] is True
     assert not is_sigma_full_sylow_type(A5, parse_sigma("[2,5][3]"))
+
+
+def per_subgroup_violation(G, sigma, limits=Limits()):
+    """Lem2.1 as first written: the lattice and Hall data of every subgroup E
+    of G, each computed on E as an ambient of its own."""
+    table = structure_module._element_table(G.root, limits)
+    for e_sub in all_subgroups(G, limits):
+        for block in sigma_module._hall_data(e_sub, sigma, limits):
+            if not block["candidates"]:
+                return {"subgroup": e_sub.generators, "block": block["id"],
+                        "missing_hall": True}
+            conjugates = block["classes"][0]
+            for cand in all_subgroups(e_sub, limits):
+                if primes_of(cand.order) <= block["primes"] and cand.order > 1:
+                    members = table.members(cand.mask)
+                    if not any(c.issuperset(members) for c in conjugates):
+                        return {"subgroup": e_sub.generators, "block": block["id"],
+                                "uncovered": cand.generators}
+    return None
+
+
+def test_sigma_full_sylow_type_matches_per_subgroup_scan(corpus):
+    """Every builtin group at every campaign partition: the same violation,
+    witness generators included."""
+    kinds = []
+    for name, entry in corpus.items():
+        G = entry.build()
+        for sigma in campaign_sigmas(G):
+            violation = sigma_full_sylow_type_violation(G, sigma)
+            assert violation == per_subgroup_violation(G, sigma), (name, sigma.text())
+            if violation is not None:
+                kinds.append((name, sigma.text(), "missing_hall" in violation))
+    assert len(kinds) == 11
+    assert sum(missing for _, _, missing in kinds) == 7
+    assert {("A5", "[2,3][5]", False), ("S5", "[2,3][5]", False)} <= set(kinds)
+
+
+@pytest.mark.parametrize("name, stext", [("S4", "sigma1"), ("SL(2,3)", "[2][3]")])
+def test_sigma_full_sylow_type_scans_no_proper_lattice(corpus, name, stext, monkeypatch):
+    """With no violation, only G's own lattice is computed."""
+    clear_intern_cache()  # no lattice or verdict cached by an earlier test
+    G = corpus[name].build()
+    scanned = []
+    for kernel in ("_lattice_cyclic_extension", "_lattice_join_closure"):
+        original = getattr(structure_module, kernel)
+        monkeypatch.setattr(structure_module, kernel,
+                            lambda table, gmask, limits, original=original:
+                            scanned.append(gmask) or original(table, gmask, limits))
+    hall_data = sigma_module._hall_data
+    monkeypatch.setattr(sigma_module, "_hall_data",
+                        lambda H, *a: scanned.append(H.mask) or hall_data(H, *a))
+    violation = sigma_full_sylow_type_violation(G, parse_sigma(stext))
+    monkeypatch.undo()
+    assert violation is None
+    assert scanned == [G.mask]
 
 
 def test_pi_separability(corpus):

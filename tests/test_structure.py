@@ -430,6 +430,26 @@ def test_seeded_index_closure_matches_unseeded_and_oracle(corpus, name):
             assert seeded == oracles.close_tuples(gens, G.degree)
 
 
+@pytest.mark.parametrize("name", ["S4", "A5"])
+def test_closure_cap_cuts_off_exactly_past_it(corpus, name):
+    """closure(gens, block, cap) is None exactly when the uncapped closure has
+    more than cap elements, and otherwise the same flags."""
+    G = corpus[name].build()
+    table = _element_table(G, Limits())
+    for h in all_subgroups(G):
+        block = table.members(h.mask)
+        hgens = [table.index[g.images] for g in h.generators]
+        for e in range(0, G.order, 3):
+            flags = table.closure(hgens + [e], block)
+            size = flags.count(1)
+            for cap in {0, len(block) - 1, len(block), size - 1, size, size + 1, G.order}:
+                capped = table.closure(hgens + [e], block, cap)
+                if size > cap:
+                    assert capped is None, (h, e, cap)
+                else:
+                    assert capped == flags, (h, e, cap)
+
+
 def test_subgroup_from_images_warm_path_matches_cold(corpus, chain_builds):
     G = corpus["S4"].build()
     sets = [h.element_images() for h in all_subgroups(G)]
@@ -449,6 +469,22 @@ def test_subgroup_from_images_warm_path_matches_cold(corpus, chain_builds):
 # ---------------------------------------------------------------------------
 # the multiplication-table bound
 
+def test_cached_table_keeps_a_lower_table_bound(corpus):
+    G = corpus["S4"].build()
+    assert len(all_subgroups(G)) == 30
+    low = Limits(table_order_bound=10)
+    refused = pytest.raises(CapacityError,
+                            match="group order 24 exceeds multiplication-table bound 10")
+    with refused:
+        normal_subgroups(builtin_entry("S4").build(), low)
+    # cached normal lattices, lattices and quotients are refused too
+    N = normal_subgroups(G)[1]
+    quotient_group(G, N)
+    for fn in (normal_subgroups, all_subgroups, lambda K, limits: quotient_group(K, N, limits)):
+        with refused:
+            fn(builtin_entry("S4").build(), low)
+
+
 C504_GENS = ("(1 2 3 4 5 6 7)", "(8 9 10 11 12 13 14 15)", "(16 17 18 19 20 21 22 23 24)")
 
 
@@ -465,3 +501,16 @@ def test_table_order_bound_takes_effect():
     assert image_sets(all_subgroups(G, raised)) == tg.subgroup_image_sets()
     # abelian: every subgroup is normal
     assert image_sets(normal_subgroups(G, raised)) == tg.subgroup_image_sets()
+
+
+def test_limit_free_derived_series_reuses_an_existing_table(monkeypatch):
+    # C7 x C8 x C9 tabled under a raised bound: is_soluble, is_perfect,
+    # derived_subgroup and normal_closure take no limits, so they must not
+    # apply the default bound to a table that exists
+    gens = [Perm.parse(t, 24) for t in C504_GENS]
+    G = PermGroup(24, gens)
+    _element_table(G.root, Limits(table_order_bound=504))
+    monkeypatch.setattr(structure, "DEFAULT_LIMITS", Limits(table_order_bound=100))
+    assert is_soluble(G) and not is_perfect(G)
+    assert derived_subgroup(G).order == 1
+    assert normal_closure(G, gens[:1]).order == 7
