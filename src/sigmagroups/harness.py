@@ -606,10 +606,12 @@ def run_campaign(entries: list[CorpusEntry],
                  config: CampaignConfig = CampaignConfig()) -> list[dict]:
     """Deterministic outcome list over a corpus: results are computed per
     group (in parallel when jobs > 1, each worker receiving the entry and the
-    config by pickle) and merged sorted by (group, sigma, statement)."""
+    config by pickle, largest declared order first so that the slowest groups
+    do not start last) and merged sorted by (group, sigma, statement)."""
     if config.jobs > 1 and len(entries) > 1:
+        largest_first = sorted(entries, key=lambda e: -e.expected_order)
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            chunks = list(pool.map(_worker, entries, repeat(config)))
+            chunks = list(pool.map(_worker, largest_first, repeat(config)))
     else:
         chunks = [_worker(e, config) for e in entries]
     rows = [r for chunk in chunks for r in chunk]

@@ -8,10 +8,15 @@ Conventions used throughout the package:
 - the conjugate ``h ** x`` is ``x^-1 * h * x``
 - permutations are immutable and ordered lexicographically by image tuple
 
-Groups carry a deterministic Schreier-Sims stabilizer chain with the fixed
-base 0, 1, ..., n-1, so identical generator input always produces identical
-internal state.  Hot paths (closures, product sets) work on raw image tuples;
-``Perm`` is the value type seen by callers.
+Groups carry a stabilizer chain with the fixed base 0, 1, ..., n-1, built by
+deterministic incremental Schreier-Sims, so identical generator input always
+produces identical internal state.  Orbits are extended as strong generators
+arrive, never rebuilt, and each Schreier generator is sifted once: an orbit
+point remembers how many of its level's generators it has been verified
+with.  Each transversal rep is stored with its inverse, so a sift is one
+composition per moved level.  Hot paths (closures, product sets) work on raw
+image tuples, composed with ``map``; ``Perm`` is the value type seen by
+callers.
 
 Only root groups carry a chain: groups built from generators, such as corpus
 entries and quotient groups.  A subgroup is its root, a bitmask over the
@@ -33,7 +38,7 @@ from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, InvariantErr
 
 def compose_images(p: tuple, q: tuple) -> tuple:
     """Apply p, then q."""
-    return tuple(q[i] for i in p)
+    return tuple(map(q.__getitem__, p))
 
 
 def invert_images(p: tuple) -> tuple:
@@ -214,9 +219,11 @@ class Perm:
 class PermGroup:
     """Group generated by permutations of a common degree.
 
-    The stabilizer chain is built deterministically with base 0..n-1; order
-    and membership come from the chain, the element list from transversal
-    products (exact, no closure pass).
+    The stabilizer chain has the fixed base 0..n-1 and is built by
+    deterministic incremental Schreier-Sims; order and membership come from
+    the chain, the element list from transversal products (exact, no closure
+    pass).  Each transversal rep is stored with its inverse, so a sift costs
+    one composition per moved level.
     """
 
     def __init__(self, degree: int, generators: Iterable[Perm] = ()):
@@ -229,16 +236,13 @@ class PermGroup:
                     f"generator degree {g.degree} does not match group degree {degree}")
         self.degree = degree
         self.generators = tuple(g for g in gens if not g.is_identity())
-        self._transversals: list[dict[int, tuple]] = [
-            {i: identity_images(degree)} for i in range(degree)]
+        # level i: None while the orbit of i is {i}, else orbit point -> the
+        # rep mapping i to it, and orbit point -> the rep's inverse
+        self._transversals: list[dict[int, tuple] | None] = [None] * degree
+        self._inverses: list[dict[int, tuple] | None] = [None] * degree
         self._strong: list[tuple] = []
-        for g in self.generators:
-            if g.images not in self._strong:
-                self._strong.append(g.images)
         self._build_chain()
-        self.order = 1
-        for t in self._transversals:
-            self.order *= len(t)
+        self.order = math.prod(len(t) for t in self._transversals if t is not None)
         self._elements: tuple[Perm, ...] | None = None
         self._element_set: frozenset[tuple] | None = None
         self.cache: dict = {}
@@ -246,72 +250,118 @@ class PermGroup:
     # -- chain construction
 
     def _sift(self, x: tuple, start: int = 0) -> tuple | None:
-        """Reduce x through the chain; None means x is a member."""
-        ident = identity_images(self.degree)
+        """Reduce x through the chain from level ``start``; None means x is a
+        member.  A residue fixes every base point before the first level whose
+        orbit lacks its image.  Since the base is every point, x is the
+        identity once all levels are passed."""
+        inverses = self._inverses
         for i in range(start, self.degree):
-            if x == ident:
-                return None
             p = x[i]
-            if p == i:
-                continue
-            u = self._transversals[i].get(p)
-            if u is None:
-                return x
-            x = compose_images(x, invert_images(u))
-        return None if x == ident else x
-
-    def _level_generators(self, i: int) -> list[tuple]:
-        """Strong generators fixing the base points 0..i-1."""
-        return [s for s in self._strong if all(s[t] == t for t in range(i))]
+            if p != i:
+                level = inverses[i]
+                if level is None or (inv := level.get(p)) is None:
+                    return x
+                x = tuple(map(inv.__getitem__, x))
+        return None
 
     def _build_chain(self) -> None:
-        """Deepest-first Schreier-Sims verification with base 0..n-1.
+        """Incremental Schreier-Sims with base 0..n-1, deepest level first.
 
-        A level is verified once every Schreier generator of its orbit sifts
-        to the identity through the deeper levels; failed residues join the
-        strong set at their first moved base point and verification resumes
-        there.  Deterministic: no randomisation, fixed iteration orders.
+        Level i has the strong generators fixing 0..i-1, an append-only list,
+        and the orbit of i under them.  Orbits are extended, never rebuilt,
+        and reps are never replaced, so a Schreier generator once sifted to
+        the identity through the deeper levels stays verified: each orbit
+        point counts the level generators it has been verified with, and only
+        new (point, generator) pairs are sifted.  A residue joins the strong
+        set and the generator lists of the levels up to its first moved point,
+        and verification resumes at that level.  The given generators are
+        sifted one at a time through the chain completed for those before
+        them, and only their residues join, so a generator that is a word in
+        earlier ones adds no Schreier generators.  Deterministic: no
+        randomisation, fixed iteration orders.
         """
-        ident = identity_images(self.degree)
-        i = self.degree - 1
-        while i >= 0:
-            gens = self._level_generators(i)
-            self._rebuild_orbit(i, gens)
-            trans = self._transversals[i]
-            residue_level = None
-            for p in sorted(trans):
-                up = trans[p]
-                for s in gens:
-                    sg = compose_images(up, s)
-                    sg = compose_images(sg, invert_images(trans[sg[i]]))
-                    if sg == ident:
-                        continue
-                    r = self._sift(sg, i + 1)
-                    if r is not None:
-                        self._strong.append(r)
-                        residue_level = next(t for t in range(self.degree) if r[t] != t)
-                        break
-                if residue_level is not None:
-                    break
-            if residue_level is not None:
-                i = residue_level
-            else:
-                i -= 1
+        n = self.degree
+        level_gens: list[list[tuple[tuple, tuple]]] = [[] for _ in range(n)]
+        closed = [0] * n        # orbit i is closed under level_gens[i][:closed[i]]
+        verified: list[dict[int, int]] = [{} for _ in range(n)]
 
-    def _rebuild_orbit(self, i: int, gens: list[tuple]) -> None:
-        trans = {i: identity_images(self.degree)}
-        frontier = [i]
-        while frontier:
-            nxt = []
-            for a in frontier:
-                ua = trans[a]
-                for s in gens:
-                    b = s[a]
-                    if b not in trans:
-                        trans[b] = compose_images(ua, s)
-                        nxt.append(b)
-            frontier = nxt
-        self._transversals[i] = trans
+        def add_strong(s: tuple) -> int:
+            self._strong.append(s)
+            pair = (s, invert_images(s))
+            base = next(t for t in range(n) if s[t] != t)
+            for level in level_gens[:base + 1]:
+                level.append(pair)
+            return base
+
+        for g in self.generators:
+            residue = self._sift(g.images)
+            i = -1 if residue is None else add_strong(residue)
+            while i >= 0:
+                gens = level_gens[i]    # every level visited has a new generator
+                self._extend_orbit(i, gens, closed[i])
+                closed[i] = len(gens)
+                residue = self._verify_level(i, gens, verified[i])
+                i = i - 1 if residue is None else add_strong(residue)
+
+    def _extend_orbit(self, i: int, gens: list[tuple[tuple, tuple]], old: int) -> None:
+        """Close the orbit of i under gens; the points it has are closed under
+        gens[:old] already.  A new point's rep is its finder's rep times the
+        generator, and its inverse the generator's inverse times the finder's
+        inverse."""
+        trans, invs = self._transversals[i], self._inverses[i]
+        if trans is None:
+            if all(s[i] == i for s, _ in gens[old:]):
+                return
+            ident = identity_images(self.degree)
+            trans = self._transversals[i] = {i: ident}
+            invs = self._inverses[i] = {i: ident}
+
+        def reach(a: int, pairs: list[tuple[tuple, tuple]]) -> None:
+            ua, va = trans[a], invs[a]
+            for s, s_inv in pairs:
+                b = s[a]
+                if b not in trans:
+                    trans[b] = tuple(map(s.__getitem__, ua))
+                    invs[b] = tuple(map(va.__getitem__, s_inv))
+                    found.append(b)
+
+        found: list[int] = []
+        new = gens[old:]
+        for a in list(trans):
+            reach(a, new)
+        for a in found:     # grows while it is walked
+            reach(a, gens)
+
+    def _verify_level(self, i: int, gens: list[tuple[tuple, tuple]],
+                      verified: dict[int, int]) -> tuple | None:
+        """Sift every unverified Schreier generator u_p s u_(p^s)^-1 of level
+        i through the deeper levels; the first residue, or None.  Those that
+        are the identity, or s itself for p = i, need no sift.
+
+        The pair that gave a residue counts as verified: once the residue is a
+        strong generator and the deeper levels are complete again, that
+        Schreier generator sifts to the identity."""
+        trans, invs = self._transversals[i], self._inverses[i]
+        if trans is None:   # every s fixes i: each is a strong generator one level down
+            return None
+        count = len(gens)
+        for p, up in trans.items():
+            k = verified.get(p, 0)
+            while k < count:
+                s = gens[k][0]
+                k += 1
+                q = s[p]
+                if q == p == i:     # s fixes 0..i: a strong generator one level down
+                    continue
+                t = tuple(map(s.__getitem__, up))
+                if t == trans[q]:
+                    continue
+                residue = self._sift(tuple(map(invs[q].__getitem__, t)), i + 1)
+                if residue is not None:
+                    verified[p] = k
+                    return residue
+            verified[p] = count
+        return None
 
     # -- queries
 
@@ -332,9 +382,9 @@ class PermGroup:
                     f"group order {self.order} exceeds element-cache bound {limit}")
             elems = [identity_images(self.degree)]
             for trans in reversed(self._transversals):
-                if len(trans) == 1:
+                if trans is None:
                     continue
-                elems = [compose_images(e, u) for e in elems for u in trans.values()]
+                elems = [tuple(map(u.__getitem__, e)) for e in elems for u in trans.values()]
             elems.sort()
             self._elements = tuple(Perm(e) for e in elems)
             self._element_set = frozenset(elems)
@@ -385,6 +435,12 @@ def find_interned(degree: int, images: frozenset[tuple]) -> PermGroup | None:
 
 
 def clear_intern_cache() -> None:
+    """Forget the interned groups and empty their caches.  A root's cache
+    holds the root itself and its subgroups, which point back at it, so
+    emptying it lets reference counting free them at once instead of
+    leaving them to the cycle collector."""
+    for group in _INTERNED.values():
+        group.cache.clear()
     _INTERNED.clear()
 
 

@@ -159,7 +159,7 @@ def _hall_data(G: Group, sigma: SigmaPartition, limits: Limits):
             blocks.append({"id": bid, "primes": ps, "part": part,
                            "candidates": candidates, "classes": tuple(classes)})
         return blocks
-    return _memo(G, compute, "hall-data", sigma.text())
+    return _memo(G, compute, "hall-data", sigma.text(), limits)
 
 
 @dataclass(frozen=True)
@@ -251,7 +251,7 @@ def is_sigma_permutable(G: Group, A: Subgroup, sigma: SigmaPartition,
         return all(
             any(all(_product_sets_equal(table, a, w) for w in cls) for cls in block["classes"])
             for block in blocks)
-    return _memo(G, compute, "sigma-perm", sigma.text(), A.mask)
+    return _memo(G, compute, "sigma-perm", sigma.text(), A.mask, limits)
 
 
 def _sigma_permutable(G: Group, sigma: SigmaPartition, limits: Limits) -> list[Subgroup]:
@@ -286,7 +286,7 @@ def psigma_t_violation(G: Group, sigma: SigmaPartition,
             if k is not None:
                 return (k.mask, k.generators), (h.mask, h.generators)
         return None
-    result = _memo(G, compute, "psigma-t", sigma.text())
+    result = _memo(G, compute, "psigma-t", sigma.text(), limits)
     return None if result is None else _wrap(G, result)
 
 
@@ -308,7 +308,7 @@ def is_sigma_soluble(G: Group, sigma: SigmaPartition,
     on the chosen series, so one greedy series decides."""
     return _memo(G, lambda: all(is_sigma_primary(f.order, sigma)
                                 for f in chief_series(G, limits)),
-                 "sigma-soluble", sigma.text())
+                 "sigma-soluble", sigma.text(), limits)
 
 
 def is_sigma_nilpotent(G: Group, sigma: SigmaPartition,
@@ -319,7 +319,7 @@ def is_sigma_nilpotent(G: Group, sigma: SigmaPartition,
     def compute():
         normal_orders = {n.order for n in normal_subgroups(G, limits)}
         return all(part in normal_orders for _, _, part in _group_blocks(G, sigma))
-    return _memo(G, compute, "sigma-nilpotent", sigma.text())
+    return _memo(G, compute, "sigma-nilpotent", sigma.text(), limits)
 
 
 def _quotient_is_sigma_nilpotent(G: Group, n_sub: Subgroup, sigma: SigmaPartition,
@@ -348,7 +348,7 @@ def sigma_nilpotent_residual(G: Group, sigma: SigmaPartition,
             raise InvariantError(
                 "residual: minimal witness differs from intersection of witnesses")
         return least.mask, least.generators
-    return _wrap(G, [_memo(G, compute, "sigma-residual", sigma.text())])[0]
+    return _wrap(G, [_memo(G, compute, "sigma-residual", sigma.text(), limits)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +383,7 @@ def sigma_full_sylow_type_violation(G: Group, sigma: SigmaPartition,
                         return {"subgroup": e_sub.generators, "block": bid,
                                 "uncovered": uncovered.generators}
         return None
-    return _memo(G, compute, "sigma-full", sigma.text())
+    return _memo(G, compute, "sigma-full", sigma.text(), limits)
 
 
 def is_sigma_full_sylow_type(G: Group, sigma: SigmaPartition,

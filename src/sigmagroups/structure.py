@@ -212,7 +212,11 @@ def _element_table(K: PermGroup, limits: Limits | None = None) -> _ElementTable:
 
 
 def _memo(G: Group, compute: Callable, *key):
-    """compute(), cached on G's root under (*key, G's mask)."""
+    """compute(), cached on G's root under (*key, G's mask).
+
+    A compute that takes caller limits has them in its key, so a call under
+    other limits computes again, and every bound it reaches takes effect:
+    the inner steps check their limits on cached tables and lattices too."""
     cache = G.root.cache
     k = (*key, G.mask)
     if k not in cache:

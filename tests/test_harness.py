@@ -332,6 +332,31 @@ def test_run_campaign_rows_are_sorted_and_job_independent(corpus):
     assert keys == sorted(keys)
 
 
+def test_parallel_campaign_submits_largest_groups_first(corpus, monkeypatch):
+    submitted = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, entries, configs):
+            entries = list(entries)
+            submitted.extend(e.name for e in entries)
+            return map(fn, entries, configs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    entries = [corpus[n] for n in ["S3", "C6", "S4", "A4"]]
+    par = run_campaign(entries, CampaignConfig(jobs=2, zero_millis=True))
+    assert submitted == ["S4", "A4", "S3", "C6"]     # stable among equal orders
+    assert par == run_campaign(entries, CampaignConfig(jobs=1, zero_millis=True))
+
+
 def test_run_campaign_workers_keep_every_limit(corpus):
     # S4 (order 24) is over the table bound, S3 (order 6) under it; a worker
     # that fell back to the default bound would compute S4's rows

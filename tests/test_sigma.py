@@ -10,7 +10,7 @@ import functools
 import pytest
 
 from sigmagroups import (CapacityError, GroupInputError, Limits, Perm,
-                         Subgroup, builtin_corpus, full_subgroup, parse_sigma,
+                         Subgroup, builtin_corpus, builtin_entry, full_subgroup, parse_sigma,
                          trivial_subgroup)
 from sigmagroups import sigma as sigma_module
 from sigmagroups import structure as structure_module
@@ -428,6 +428,41 @@ def test_induces_power_automorphisms(corpus):
     assert not induces_power_automorphisms(SL23, sigma_nilpotent_residual(SL23, S1))
     with pytest.raises(GroupInputError):
         induces_power_automorphisms(S3, sub(S3, "(1 2)"))
+
+
+# ---------------------------------------------------------------------------
+# cached verdicts keep the caller's limits
+
+LOW_TABLE = Limits(table_order_bound=10)
+
+
+def test_cached_sigma_soluble_keeps_a_lower_table_bound(corpus):
+    assert is_sigma_soluble(corpus["S4"].build(), S1)
+    with pytest.raises(CapacityError, match="group order 24 exceeds multiplication-table bound 10"):
+        is_sigma_soluble(builtin_entry("S4").build(), S1, LOW_TABLE)
+
+
+def test_cached_sylow_type_verdict_keeps_a_lower_subgroup_bound(corpus):
+    S4 = corpus["S4"].build()
+    assert sigma_full_sylow_type_violation(S4, S1) is None
+    with pytest.raises(CapacityError, match="subgroup-enumeration bound 3"):
+        sigma_full_sylow_type_violation(S4, S1, Limits(subgroup_bound=3))
+
+
+@pytest.mark.parametrize("verdict", [
+    lambda G, limits: is_sigma_nilpotent(G, S1, limits),
+    lambda G, limits: sigma_nilpotent_residual(G, S1, limits),
+    lambda G, limits: psigma_t_violation(G, S1, limits),
+    lambda G, limits: complete_hall_sigma_set(G, S1, limits),
+    lambda G, limits: is_sigma_permutable(G, full_subgroup(G), S1, limits),
+    lambda G, limits: sigma_full_sylow_type_violation(G, S1, limits),
+], ids=["nilpotent", "residual", "psigma-t", "hall-set", "permutable", "sylow-type"])
+def test_every_cached_verdict_keeps_a_lower_table_bound(corpus, verdict):
+    first = verdict(corpus["S4"].build(), Limits())
+    with pytest.raises(CapacityError, match="multiplication-table bound 10"):
+        verdict(builtin_entry("S4").build(), LOW_TABLE)
+    # the default limits still find the cached verdict
+    assert verdict(corpus["S4"].build(), Limits()) == first
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""The benchmark tracer and the demo scripts keep working against the
-package: every name the tracer wraps resolves, and every demo runs."""
+"""The benchmark tracer, the benchmark's self-test and the demo scripts keep
+working against the package: every name the tracer wraps resolves, the
+self-test's checks hold, and every demo runs."""
 
 import os
 import subprocess
@@ -39,3 +40,8 @@ def test_demo_runs(script):
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / script)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_selftest_passes(benchmark_selftest):
+    stdout, stderr = benchmark_selftest.communicate(timeout=300)
+    assert benchmark_selftest.returncode == 0, stdout[-2000:] + stderr[-2000:]
