@@ -48,7 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def caps(p):
         p.add_argument("--element-cache-bound", type=int)
         p.add_argument("--subgroup-bound", type=int)
-        p.add_argument("--hall-set-cap", type=int)
         p.add_argument("--table-order-bound", type=int)
 
     p = sub.add_parser("classify", help="class predicates and residual for one group")
@@ -86,8 +85,7 @@ def _limits(args) -> Limits:
     """DEFAULT_LIMITS with every cap given on the command line; a cap below 1
     is a usage error, never a silent fallback to the default."""
     caps = {}
-    for field in ("element_cache_bound", "subgroup_bound", "hall_set_cap",
-                  "table_order_bound"):
+    for field in ("element_cache_bound", "subgroup_bound", "table_order_bound"):
         value = getattr(args, field, None)
         if value is None:
             continue
@@ -108,11 +106,11 @@ def _resolve_entry(args) -> CorpusEntry:
     return builtin_entry(args.group)
 
 
-def _sigmas_for(args, G: PermGroup, limits: Limits) -> list[SigmaPartition]:
+def _sigmas_for(args, G: PermGroup) -> list[SigmaPartition]:
     if args.sigma == "all":
         if args.command not in ("verify", "campaign"):
             raise _Usage("--sigma all is only valid for verify and campaign")
-        return campaign_sigmas(G, limits)
+        return campaign_sigmas(G)
     return [parse_sigma(args.sigma)]
 
 
@@ -133,7 +131,7 @@ def _emit(args, human_lines: list[str], machine_obj) -> None:
 def cmd_classify(args) -> int:
     limits = _limits(args)
     G = _resolve_entry(args).build(limits)
-    sigmas = _sigmas_for(args, G, limits)
+    sigmas = _sigmas_for(args, G)
     lines, blob = [], []
     lines.append(f"group {args.group} (order {G.order}, degree {G.degree})")
     for sigma in sigmas:
@@ -179,7 +177,7 @@ def cmd_classify(args) -> int:
 def cmd_residual(args) -> int:
     limits = _limits(args)
     G = _resolve_entry(args).build(limits)
-    sigma = _sigmas_for(args, G, limits)[0]
+    sigma = _sigmas_for(args, G)[0]
     r = sigma_nilpotent_residual(G, sigma, limits)
     gens = ", ".join(str(g) for g in r.generators) or "()"
     _emit(args, [f"sigma-nilpotent residual of {args.group} under {sigma.text()}: "
@@ -192,7 +190,7 @@ def cmd_residual(args) -> int:
 def cmd_permutable(args) -> int:
     limits = _limits(args)
     G = _resolve_entry(args).build(limits)
-    sigma = _sigmas_for(args, G, limits)[0]
+    sigma = _sigmas_for(args, G)[0]
     gens = [Perm.parse(t, G.degree) for t in args.gen]
     H = Subgroup(G, gens)
     verdict = is_sigma_permutable(G, H, sigma, limits)
@@ -238,7 +236,7 @@ def cmd_verify(args) -> int:
     if scope != "sigma" and args.sigma not in ("sigma1", "all"):
         raise _Usage(f"--sigma does not apply to {args.statement}, whose scope is {scope}")
     G = entry.build(limits)
-    sigmas = _sigmas_for(args, G, limits) if scope == "sigma" else None
+    sigmas = _sigmas_for(args, G) if scope == "sigma" else None
     rows = run_statements(G, entry.name, (args.statement,), limits,
                           sigmas=sigmas, pis=pis, zero_millis=True)
     _emit(args, _outcome_lines(rows), [r.to_json() for r in rows])

@@ -30,14 +30,13 @@ from typing import NamedTuple
 from .corpus import CorpusEntry, partitions_of_primes
 from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, InvariantError, Limits
 from .numbers import primes_of
-from .permcore import (Perm, PermGroup, Subgroup, clear_intern_cache, compose_images,
-                       interned)
+from .permcore import Perm, PermGroup, Subgroup, clear_intern_cache, compose_images
 from .sigma import (SigmaPartition, _group_blocks, _quotient_is_sigma_nilpotent,
                     induces_power_automorphisms, is_pi_separable, is_psigma_t,
                     is_sigma_nilpotent, is_sigma_soluble, largest_normal_block_subgroup,
                     sigma_nilpotent_residual, sigma_full_sylow_type_violation)
-from .structure import (all_subgroups, conjugate_subgroups, frattini_subgroup,
-                        hall_subgroup, intersection_subgroup, is_normal,
+from .structure import (_element_table, _memo, _wrap, all_subgroups, conjugate_subgroups,
+                        frattini_subgroup, hall_subgroup, intersection_subgroup, is_normal,
                         maximal_subgroups_of_p_group, normal_subgroups,
                         product_subgroup, quotient_group, subgroups_of_order,
                         supplements, sylow_subgroup)
@@ -116,19 +115,17 @@ def _sub_json(h: Subgroup) -> dict:
 
 def _sylow_maximal_candidates(G: PermGroup, limits: Limits) -> tuple[Subgroup, ...]:
     """Maximal subgroups of every Sylow subgroup of G (all conjugates),
-    deduplicated, smallest first.  They do not depend on sigma, so they are
-    computed once per interned ambient."""
-    K = interned(G)
-    if "sylow-maximal-candidates" not in K.cache:
-        found: dict[int, Subgroup] = {}
-        for p in sorted(primes_of(K.order)):
-            for P in conjugate_subgroups(K, sylow_subgroup(K, p, limits), limits):
+    deduplicated, canonically sorted.  They do not depend on sigma, so they
+    are computed once per root and limits."""
+    def compute():
+        found: dict[int, tuple] = {}
+        for p in sorted(primes_of(G.order)):
+            for P in conjugate_subgroups(G, sylow_subgroup(G, p, limits), limits):
                 for V in maximal_subgroups_of_p_group(P, limits):
-                    found.setdefault(V.mask, V)
-        # index order is image order: this sorts by (order, element list)
-        K.cache["sylow-maximal-candidates"] = tuple(
-            sorted(found.values(), key=lambda v: (v.order, v.sorted_images())))
-    return K.cache["sylow-maximal-candidates"]
+                    found.setdefault(V.mask, V.generators)
+        key = _element_table(G.root, limits).key
+        return tuple(sorted(found.items(), key=lambda kv: key(kv[0])))
+    return _wrap(G, _memo(G, compute, "sylow-maximal-candidates", limits))
 
 
 def _covering_outcome(sid: str, G: PermGroup, sigma: SigmaPartition, cls: str,
@@ -272,37 +269,36 @@ def verify_lemma_2_2(G: PermGroup, pi, group_name: str = "",
 def verify_lemma_2_3(G: PermGroup, sigma: SigmaPartition, group_name: str = "",
                      limits: Limits = DEFAULT_LIMITS) -> VerificationOutcome:
     """Normal products, quotients, subgroups, and the Frattini condition."""
-    K = interned(G)
     failures: list[dict] = []
     nontrivial_instances = 0
 
-    normals = normal_subgroups(K, limits)
+    normals = normal_subgroups(G, limits)
     nilpotent_normals = [n for n in normals
                          if is_sigma_nilpotent(n, sigma, limits)]
     for i, n1 in enumerate(nilpotent_normals):
         for n2 in nilpotent_normals[i:]:
-            P = product_subgroup(K, n1, n2, limits)
+            P = product_subgroup(G, n1, n2, limits)
             if P.order > 1 and P.order not in (n1.order, n2.order):
                 nontrivial_instances += 1
             if not is_sigma_nilpotent(P, sigma, limits):
                 failures.append({"part": "normal-product",
                                  "N1": _sub_json(n1), "N2": _sub_json(n2)})
 
-    if is_sigma_nilpotent(K, sigma, limits):
+    if is_sigma_nilpotent(G, sigma, limits):
         for n in normals:
             if 1 < n.order:
                 nontrivial_instances += 1
-            if not _quotient_is_sigma_nilpotent(K, n, sigma, limits):
+            if not _quotient_is_sigma_nilpotent(G, n, sigma, limits):
                 failures.append({"part": "quotient", "N": _sub_json(n)})
-        for h in all_subgroups(K, limits):
-            if 1 < h.order < K.order:
+        for h in all_subgroups(G, limits):
+            if 1 < h.order < G.order:
                 nontrivial_instances += 1
             if not is_sigma_nilpotent(h, sigma, limits):
                 failures.append({"part": "subgroup", "H": _sub_json(h)})
 
-    phi = frattini_subgroup(K, limits)
+    phi = frattini_subgroup(G, limits)
     for e in normals:
-        if _quotient_is_sigma_nilpotent(e, intersection_subgroup(K, e, phi), sigma, limits):
+        if _quotient_is_sigma_nilpotent(e, intersection_subgroup(G, e, phi), sigma, limits):
             if e.order > 1:
                 nontrivial_instances += 1
             if not is_sigma_nilpotent(e, sigma, limits):
@@ -324,22 +320,24 @@ def verify_lemma_2_3(G: PermGroup, sigma: SigmaPartition, group_name: str = "",
 
 def verify_lemma_2_4(G: PermGroup, sigma: SigmaPartition, group_name: str = "",
                      limits: Limits = DEFAULT_LIMITS) -> VerificationOutcome:
-    K = interned(G)
-    d_set = sigma_nilpotent_residual(K, sigma, limits).element_images()
+    """The residual of G/N is DN/N, D the residual of G, for every normal N.
+    G/1 (residual D) and G/G (trivial) are counted without being built."""
+    d_set = sigma_nilpotent_residual(G, sigma, limits).element_images()
     checked = 0
-    for N in normal_subgroups(K, limits):
-        q = quotient_group(K, N, limits)
-        lhs = sigma_nilpotent_residual(q.group, sigma, limits).element_images()
-        rhs = q.image_set(d_set)  # DN/N is the image of D
-        if lhs != rhs:
-            return VerificationOutcome(
-                "Lem2.4", group_name, sigma, "counterexample",
-                witness={"N": _sub_json(N),
-                         "lhs_order": len(lhs), "rhs_order": len(rhs),
-                         "note": "implementation bug candidate: statement is proved"})
+    for N in normal_subgroups(G, limits):
+        if 1 < N.order < G.order:
+            q = quotient_group(G, N, limits)
+            lhs = sigma_nilpotent_residual(q.group, sigma, limits).element_images()
+            rhs = q.image_set(d_set)  # DN/N is the image of D
+            if lhs != rhs:
+                return VerificationOutcome(
+                    "Lem2.4", group_name, sigma, "counterexample",
+                    witness={"N": _sub_json(N),
+                             "lhs_order": len(lhs), "rhs_order": len(rhs),
+                             "note": "implementation bug candidate: statement is proved"})
         checked += 1
     return VerificationOutcome(
-        "Lem2.4", group_name, sigma, "confirmed", vacuous=K.order == 1,
+        "Lem2.4", group_name, sigma, "confirmed", vacuous=G.order == 1,
         witness={"normals_checked": checked})
 
 
@@ -389,33 +387,32 @@ def verify_lemma_2_5_forward(G: PermGroup, sigma: SigmaPartition, group_name: st
         return VerificationOutcome(
             "Lem2.5.fwd", group_name, sigma, "skipped", vacuous=True,
             reason="premise not satisfied: G is not a sigma-soluble PsigmaT-group")
-    K = interned(G)
-    D = sigma_nilpotent_residual(K, sigma, limits)
+    D = sigma_nilpotent_residual(G, sigma, limits)
     problems = []
     if not _is_abelian_subgroup(D):
         problems.append("D is not abelian")
     if D.order % 2 == 0 and D.order > 1:
         problems.append("|D| is even")
-    if math.gcd(D.order, K.order // D.order) != 1:
+    if math.gcd(D.order, G.order // D.order) != 1:
         problems.append("D is not a Hall subgroup")
     M = None
-    for h in all_subgroups(K, limits):
-        if h.order * D.order == K.order and (h.mask & D.mask).bit_count() == 1:
+    for h in all_subgroups(G, limits):
+        if h.order * D.order == G.order and (h.mask & D.mask).bit_count() == 1:
             M = h
             break
     if M is None:
         problems.append("no complement M to D exists")
     elif not is_sigma_nilpotent(M, sigma, limits):
         problems.append("complement M is not sigma-nilpotent")
-    if not induces_power_automorphisms(K, D, limits):
+    if not induces_power_automorphisms(G, D, limits):
         problems.append("G does not induce power automorphisms in D")
-    cond_ii_ok, blocks = _condition_ii_blocks(K, D, sigma, limits)
+    cond_ii_ok, blocks = _condition_ii_blocks(G, D, sigma, limits)
     if not cond_ii_ok:
         problems.append("condition (ii) fails for some block")
     witness = {"D": _sub_json(D), "M": _sub_json(M) if M else None, "blocks": blocks}
     if problems:
         witness["problems"] = problems
-        witness["lattice_orders"] = sorted(h.order for h in all_subgroups(K, limits))
+        witness["lattice_orders"] = sorted(h.order for h in all_subgroups(G, limits))
         witness["note"] = "implementation bug candidate: statement is proved"
         return VerificationOutcome(
             "Lem2.5.fwd", group_name, sigma, "counterexample", witness=witness)
@@ -427,24 +424,23 @@ def verify_lemma_2_5_forward(G: PermGroup, sigma: SigmaPartition, group_name: st
 def _pair_satisfies_conditions(G: PermGroup, sigma: SigmaPartition, D: Subgroup,
                                M: Subgroup, limits: Limits) -> bool:
     """Conditions (i)+(ii) for an explicit candidate pair (D, M)."""
-    K = interned(G)
-    if D.order * M.order != K.order:
+    if D.order * M.order != G.order:
         return False
     if (D.mask & M.mask).bit_count() != 1:
         return False
-    if not is_normal(K, D):
+    if not is_normal(G, D):
         return False
     if not _is_abelian_subgroup(D):
         return False
     if D.order > 1 and D.order % 2 == 0:
         return False
-    if math.gcd(D.order, K.order // D.order) != 1:
+    if math.gcd(D.order, G.order // D.order) != 1:
         return False
     if not is_sigma_nilpotent(M, sigma, limits):
         return False
-    if not induces_power_automorphisms(K, D, limits):
+    if not induces_power_automorphisms(G, D, limits):
         return False
-    ok, _ = _condition_ii_blocks(K, D, sigma, limits)
+    ok, _ = _condition_ii_blocks(G, D, sigma, limits)
     return ok
 
 
@@ -469,19 +465,18 @@ def verify_lemma_2_5_converse_search(G: PermGroup, sigma: SigmaPartition,
                                      limits: Limits = DEFAULT_LIMITS) -> VerificationOutcome:
     """Campaign form: exhaust all (D, M) with D normal and conditions (i)+(ii);
     each found pair forces the PsigmaT conclusion."""
-    K = interned(G)
     pairs = 0
     first = None
-    for D in normal_subgroups(K, limits):
-        for M in all_subgroups(K, limits):
-            if M.order * D.order != K.order:
+    for D in normal_subgroups(G, limits):
+        for M in all_subgroups(G, limits):
+            if M.order * D.order != G.order:
                 continue
-            if not _pair_satisfies_conditions(K, sigma, D, M, limits):
+            if not _pair_satisfies_conditions(G, sigma, D, M, limits):
                 continue
             pairs += 1
             if first is None:
                 first = (D, M)
-            if not is_psigma_t(K, sigma, limits):
+            if not is_psigma_t(G, sigma, limits):
                 return VerificationOutcome(
                     "Lem2.5.conv", group_name, sigma, "counterexample",
                     witness={"D": _sub_json(D), "M": _sub_json(M),
@@ -512,12 +507,16 @@ class CampaignConfig:
             raise GroupInputError(f"unknown statement ids: {', '.join(unknown)}")
 
 
-def campaign_sigmas(G: PermGroup, limits: Limits = DEFAULT_LIMITS) -> list[SigmaPartition]:
+PARTITION_PRIME_CAP = 4
+
+
+def campaign_sigmas(G: PermGroup) -> list[SigmaPartition]:
     """Partitions paired with a group in a campaign: all set partitions of
-    pi(G) while Bell stays tractable, else the classical and one-block
-    fallbacks; sigma^1 is always appended as the classical spelling."""
+    pi(G) while Bell stays tractable (at most ``PARTITION_PRIME_CAP``
+    primes), else the one-block fallback; sigma^1 is always appended as the
+    classical spelling."""
     pig = sorted(primes_of(G.order))
-    if len(pig) <= limits.partition_prime_cap:
+    if len(pig) <= PARTITION_PRIME_CAP:
         sigmas = partitions_of_primes(pig)
     else:
         sigmas = [SigmaPartition.of_blocks(set(pig))]
@@ -544,7 +543,7 @@ def run_statements(G: PermGroup, name: str, statements, limits: Limits = DEFAULT
     kept G from being enumerated, becomes a skipped row labelled with that
     row's own sigma."""
     if sigmas is None:
-        sigmas = campaign_sigmas(G, limits)
+        sigmas = campaign_sigmas(G)
     if pis is None:
         pis = [frozenset(s) for s in _subsets(sorted(primes_of(G.order)))]
     chosen = [(sid, st) for sid, st in REGISTRY.items() if sid in statements]

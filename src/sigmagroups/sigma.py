@@ -10,7 +10,10 @@ All class predicates take the ambient group together with a partition and
 answer deterministically, and take a ``Subgroup`` wherever they take a
 group; expensive intermediates (per-block Hall subgroup classes,
 permutability verdicts) are memoised on the root group per subgroup mask,
-keyed by the partition text.
+keyed by the partition text and the caller's limits.
+
+Sigma-nilpotency of G or of a quotient G/N (the residual, Lemma 2.3) is read
+off G's normal lattice by the correspondence theorem: no group is built.
 """
 from __future__ import annotations
 
@@ -21,10 +24,9 @@ from typing import Iterable
 
 from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, InvariantError, Limits
 from .numbers import is_prime, part_for_primes, primes_of
-from .permcore import Subgroup
+from .permcore import Subgroup, trivial_subgroup
 from .structure import (Group, _ElementTable, _check_inside, _element_table, _greedy_subgroup,
-                        _memo, _wrap, all_subgroups, chief_series, is_normal, normal_subgroups,
-                        quotient_group)
+                        _memo, _wrap, all_subgroups, chief_series, is_normal, normal_subgroups)
 
 # ---------------------------------------------------------------------------
 # partitions
@@ -316,20 +318,23 @@ def is_sigma_nilpotent(G: Group, sigma: SigmaPartition,
     """G is the direct product of sigma-primary groups; equivalently each
     block of sigma(G) is covered by a normal Hall subgroup (then automatically
     unique, and the orders multiply to |G|)."""
-    def compute():
-        normal_orders = {n.order for n in normal_subgroups(G, limits)}
-        return all(part in normal_orders for _, _, part in _group_blocks(G, sigma))
-    return _memo(G, compute, "sigma-nilpotent", sigma.text(), limits)
+    return _quotient_is_sigma_nilpotent(G, trivial_subgroup(G), sigma, limits)
 
 
-def _quotient_is_sigma_nilpotent(G: Group, n_sub: Subgroup, sigma: SigmaPartition,
+def _quotient_is_sigma_nilpotent(G: Group, N: Subgroup, sigma: SigmaPartition,
                                  limits: Limits) -> bool:
-    if n_sub.order == G.order:
-        return True
-    if n_sub.order == 1:
-        return is_sigma_nilpotent(G, sigma, limits)
-    q = quotient_group(G, n_sub, limits)
-    return is_sigma_nilpotent(q.group, sigma, limits)
+    """Is G/N sigma-nilpotent, for N normal in G?  G/N has a normal Hall
+    sigma_i-subgroup exactly when some normal L >= N of G has order
+    |N| |G:N|_{sigma_i}, so G's normal lattice decides; G/N is not built."""
+    def compute():
+        normals = normal_subgroups(G, limits)
+        if N not in normals:
+            raise GroupInputError("quotient by a non-normal subgroup")
+        above = {L.order for L in normals if L.mask & N.mask == N.mask}
+        index = G.order // N.order
+        return all(N.order * part_for_primes(index, ps) in above
+                   for _, ps, _ in _group_blocks(G, sigma))
+    return _memo(G, compute, "sigma-nilpotent", sigma.text(), N.mask, limits)
 
 
 def sigma_nilpotent_residual(G: Group, sigma: SigmaPartition,

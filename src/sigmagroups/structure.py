@@ -622,11 +622,9 @@ def sylow_subgroup(G: Group, p: int, limits: Limits = DEFAULT_LIMITS) -> Subgrou
         x = next((x for x in p_elements if not pflags[x]
                   and all(pflags[rows[rows[inverse[x]][g]][x]] for g in pgens)), None)
         if x is None:
-            # growth stalled (should not happen); fall back to a lattice scan
-            for h in all_subgroups(G, limits):
-                if h.order == target:
-                    return h
-            raise GroupInputError(f"no Sylow {p}-subgroup found (inconsistent group)")
+            # P < S Sylow: N_S(P) has a p-element outside P, so no stall
+            raise InvariantError(f"Sylow {p}-subgroup growth stalled at order "
+                                 f"{pmask.bit_count()} below {target}")
         pgens += (x,)
         pmask = _mask(table.closure(pgens, list(compress(range(table.order), pflags))))
     if pmask.bit_count() != target:

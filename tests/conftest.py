@@ -1,5 +1,6 @@
-"""Shared fixtures: the builtin corpus, lazily-built oracle groups, and one
-full campaign run reused by every test that needs campaign rows."""
+"""Shared fixtures: the builtin corpus, lazily-built oracle groups, one full
+campaign run reused by every test that needs campaign rows, and spies on
+chain and element-table builds."""
 
 import subprocess
 import sys
@@ -9,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import oracles
-from sigmagroups import CampaignConfig, builtin_corpus, run_campaign
+from sigmagroups import CampaignConfig, PermGroup, builtin_corpus, run_campaign
+from sigmagroups import structure
 
 ROOT = Path(__file__).resolve().parent.parent
 SELFTEST = pytest.StashKey[subprocess.Popen]()
@@ -74,3 +76,31 @@ def campaign():
     t0 = time.perf_counter()
     rows = run_campaign(entries, CampaignConfig(jobs=1, zero_millis=True))
     return {"rows": rows, "elapsed": time.perf_counter() - t0}
+
+
+@pytest.fixture()
+def chain_builds(monkeypatch):
+    """Every PermGroup whose Schreier-Sims chain is built from now on."""
+    built = []
+    original = PermGroup._build_chain
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(PermGroup, "_build_chain", counting)
+    return built
+
+
+@pytest.fixture()
+def table_builds(monkeypatch):
+    """Every group an element table is built for from now on."""
+    built = []
+    original = structure._ElementTable.__init__
+
+    def counting(self, K):
+        built.append(K)
+        original(self, K)
+
+    monkeypatch.setattr(structure._ElementTable, "__init__", counting)
+    return built

@@ -90,13 +90,35 @@ def test_classify_degrades_gracefully_under_tight_limits():
     assert "sigma-nilpotent residual order: 12" in proc.stdout
 
 
-@pytest.mark.parametrize("knob", ["--element-cache-bound", "--subgroup-bound",
-                                  "--hall-set-cap", "--table-order-bound"])
+CAPS = ["--element-cache-bound", "--subgroup-bound", "--table-order-bound"]
+
+
+@pytest.mark.parametrize("knob", CAPS)
 def test_cap_below_one_is_usage_error(capsys, knob):
     for value in ("0", "-3"):
         code, out, err = run(capsys, "classify", "--group", "S4", knob, value)
         assert (code, out) == (2, "")
         assert err.strip() == f"usage error: {knob} must be at least 1, got {value}"
+
+
+def test_hall_set_cap_is_not_a_cli_flag(capsys):
+    # no command enumerates complete Hall sigma-sets, so the cap would be
+    # ignored; it stays a library bound (Limits.hall_set_cap)
+    for argv in (("classify", "--group", "S4"),
+                 ("verify", "--group", "S4", "--statement", "ThmA.i")):
+        code, out, err = run(capsys, *argv, "--hall-set-cap", "1")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --hall-set-cap 1" in err
+
+
+@pytest.mark.parametrize("knob", CAPS)
+def test_every_cli_cap_takes_effect(capsys, knob):
+    """At 1, each cap changes what classify prints or how it exits, even
+    after a default run has cached the group's lattices and verdicts."""
+    default = run(capsys, "classify", "--group", "S4", "--format", "machine")
+    assert default[0] == 0
+    capped = run(capsys, "classify", "--group", "S4", "--format", "machine", knob, "1")
+    assert capped[:2] != default[:2]
 
 
 def test_element_cache_bound_trips(capsys, mini_corpus):

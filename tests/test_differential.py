@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import oracles
 from sigmagroups import Limits, Perm, PermGroup, builtin_corpus
+from sigmagroups import sigma as sigma_module
 from sigmagroups.sigma import SigmaPartition, is_sigma_nilpotent, sigma_nilpotent_residual
 from sigmagroups.numbers import is_prime_power
 from sigmagroups.permcore import _mask, closure_of_images
@@ -133,8 +134,9 @@ def test_random_groups_match_oracle(G):
 def test_random_residual_sigma_nilpotency_and_quotients_match_oracle(G, data):
     """The classical residual order; sigma-nilpotency for a drawn sigma, read
     as "every block of sigma(G) has a normal Hall subgroup"; and for every
-    normal N the order of G/N, the kernel of the projection and the
-    homomorphism property, against the oracle's coset table."""
+    normal N the order of G/N, the kernel of the projection, the
+    homomorphism property and the sigma-nilpotency of G/N read off G's
+    normal lattice, against the oracle's coset table."""
     tg = oracles.TupleGroup([g.images for g in G.generators], G.degree)
     assert (sigma_nilpotent_residual(G, SigmaPartition.sigma1()).order
             == oracles.nilpotent_residual_order(tg))
@@ -157,6 +159,10 @@ def test_random_residual_sigma_nilpotency_and_quotients_match_oracle(G, data):
         q = quotient_group(G, N)
         mq = tg.mt.quotient(frozenset(tg.index[e] for e in N.element_images()))
         assert q.group.order == mq.order == G.order // N.order
+        q_parts = mq.sylow_parts()
+        q_normal_orders = {len(s) for s in mq.normal_subgroups()}
+        assert sigma_module._quotient_is_sigma_nilpotent(G, N, sigma, Limits()) == all(
+            math.prod(q_parts.get(p, 1) for p in b) in q_normal_orders for b in blocks.values())
         assert {x.images for x in elements if q.project(x).is_identity()} == \
             N.element_images()
         for a in elements:

@@ -4,7 +4,8 @@ from dataclasses import replace
 
 import pytest
 
-from sigmagroups import (GroupInputError, Limits, Perm, Subgroup, harness, parse_sigma)
+from sigmagroups import (CapacityError, GroupInputError, Limits, Perm, Subgroup,
+                         builtin_entry, harness, parse_sigma)
 from sigmagroups.errors import InvariantError
 from sigmagroups.harness import (CLASSES, STATEMENTS, CampaignConfig,
                                  VerificationOutcome, _check_class_monotonicity,
@@ -17,7 +18,7 @@ from sigmagroups.harness import (CLASSES, STATEMENTS, CampaignConfig,
                                  verify_lemma_2_5_converse,
                                  verify_lemma_2_5_converse_search,
                                  verify_lemma_2_5_forward, verify_theorem_A)
-from sigmagroups.permcore import compose_images
+from sigmagroups.permcore import clear_intern_cache, compose_images
 from sigmagroups.sigma import SigmaPartition, sigma_nilpotent_residual
 from sigmagroups.structure import normal_subgroups, quotient_group
 
@@ -101,6 +102,18 @@ def test_witness_validation_accepts_genuine_and_rejects_tampered(corpus):
     assert not validate_covering_witness(corpus["C6"].build(), S1,
                                          "sigma-nilpotent",
                                          {"V": {"order": 1, "generators": []}})
+
+
+def test_cached_sylow_maximal_candidates_keep_a_lower_subgroup_bound(corpus):
+    clear_intern_cache()
+    A5 = builtin_entry("A5").build()
+    candidates = harness._sylow_maximal_candidates(A5, Limits())
+    assert len(candidates) == 16
+    assert list(candidates) == sorted(candidates, key=lambda v: (v.order, v.sorted_images()))
+    # a Sylow 2-subgroup of A5 (a Klein four-group) has 5 subgroups
+    with pytest.raises(CapacityError, match="subgroup-enumeration bound 3"):
+        harness._sylow_maximal_candidates(A5, Limits(subgroup_bound=3))
+    assert harness._sylow_maximal_candidates(A5, Limits()) == candidates
 
 
 # ---------------------------------------------------------------------------

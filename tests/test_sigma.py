@@ -28,8 +28,8 @@ from sigmagroups.sigma import (SigmaPartition, complete_hall_sigma_set,
                                psigma_t_violation, sigma_full_sylow_type_violation,
                                sigma_nilpotent_residual, sigma_of_group,
                                sigma_of_int, sigma_permutable_sets)
-from sigmagroups.harness import campaign_sigmas
-from sigmagroups.structure import all_subgroups, is_normal, normal_subgroups
+from sigmagroups.harness import campaign_sigmas, verify_lemma_2_3, verify_lemma_2_4
+from sigmagroups.structure import all_subgroups, is_normal, normal_subgroups, quotient_group
 
 S1 = SigmaPartition.sigma1()
 
@@ -318,7 +318,6 @@ def test_residual_values(corpus):
 
 
 def test_residual_is_normal_with_sigma_nilpotent_quotient(corpus):
-    from sigmagroups.structure import quotient_group
     for name, stext in [("S4", "sigma1"), ("SL(2,3)", "sigma1"),
                         ("C5xA4", "[2,5][3]"), ("F21", "sigma1")]:
         G = corpus[name].build()
@@ -327,6 +326,47 @@ def test_residual_is_normal_with_sigma_nilpotent_quotient(corpus):
         assert is_normal(G, r)
         q = quotient_group(G, r)
         assert is_sigma_nilpotent(q.group, sigma)
+
+
+LATTICE_GROUPS = ["S4", "SL(2,3)", "C5xA4", "SL(2,5)", "PSL(2,7)"]
+
+
+@pytest.mark.parametrize("name", LATTICE_GROUPS)
+def test_quotient_verdict_read_off_the_normal_lattice_matches_the_quotient_group(corpus, name):
+    G = corpus[name].build()
+    for sigma in campaign_sigmas(G):
+        for N in normal_subgroups(G):
+            assert sigma_module._quotient_is_sigma_nilpotent(G, N, sigma, Limits()) == \
+                is_sigma_nilpotent(quotient_group(G, N).group, sigma), (N.order, sigma.text())
+
+
+def test_quotient_verdict_refuses_a_non_normal_subgroup(corpus):
+    S3 = corpus["S3"].build()
+    with pytest.raises(GroupInputError, match="non-normal"):
+        sigma_module._quotient_is_sigma_nilpotent(S3, sub(S3, "(1 2)"), S1, Limits())
+
+
+@pytest.mark.parametrize("name", LATTICE_GROUPS)
+def test_sigma_verdicts_build_no_group(corpus, chain_builds, table_builds, name):
+    """Once G and its table are built, the residual, sigma-nilpotency of every
+    subgroup and Lemma 2.3 build no chain and no table at any campaign
+    partition; Lemma 2.4 builds at most one quotient root per normal N with
+    1 < N < G."""
+    clear_intern_cache()  # no quotient root left by an earlier test
+    G = builtin_entry(name).build()
+    subgroups = all_subgroups(G)
+    chain_builds.clear()
+    table_builds.clear()
+    for sigma in campaign_sigmas(G):
+        sigma_nilpotent_residual(G, sigma)
+        for H in subgroups:
+            is_sigma_nilpotent(H, sigma)
+        verify_lemma_2_3(G, sigma)
+    assert chain_builds == [] and table_builds == []
+    proper = [N for N in normal_subgroups(G) if 1 < N.order < G.order]
+    for sigma in campaign_sigmas(G):
+        verify_lemma_2_4(G, sigma)
+    assert len(chain_builds) <= len(proper) and len(table_builds) <= len(proper)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from sigmagroups import (CapacityError, GroupInputError, Limits, Perm,
                          PermGroup, SigmaPartition, Subgroup, builtin_corpus,
                          builtin_entry, is_psigma_t)
 from sigmagroups import structure
+from sigmagroups.errors import InvariantError
 from sigmagroups.permcore import clear_intern_cache, closure_of_images, compose_images
 from sigmagroups.structure import (all_subgroups, centralizer, chief_series,
                                    conjugate_image_sets,
@@ -196,6 +197,14 @@ def test_sylow_subgroups(corpus):
     assert sylow_subgroup(A5, 7).order == 1  # prime not dividing the order
 
 
+def test_stalled_sylow_growth_raises(corpus, monkeypatch):
+    # claim a Sylow 2-subgroup of order 4 in S3: <(1 2)> is self-normalizing,
+    # so growth from it stalls at order 2
+    monkeypatch.setattr(structure, "part_for_primes", lambda n, primes: 4)
+    with pytest.raises(InvariantError, match="growth stalled at order 2 below 4"):
+        sylow_subgroup(corpus["S3"].build(), 2)
+
+
 def test_hall_subgroups(corpus):
     S4 = corpus["S4"].build()
     assert hall_subgroup(S4, {2, 3}).order == 24
@@ -329,20 +338,6 @@ def test_conjugate_image_sets(corpus):
 # ---------------------------------------------------------------------------
 # known subgroups are handed out again, not rebuilt
 
-@pytest.fixture()
-def chain_builds(monkeypatch):
-    """Every PermGroup whose Schreier-Sims chain is built from now on."""
-    built = []
-    original = PermGroup._build_chain
-
-    def counting(self):
-        built.append(self)
-        original(self)
-
-    monkeypatch.setattr(PermGroup, "_build_chain", counting)
-    return built
-
-
 @pytest.mark.parametrize("name", ["S4", "A5"])
 def test_lattice_tuples_are_built_once_per_ambient(corpus, chain_builds, name):
     # a fresh, non-interned instance: its own cache starts empty
@@ -353,20 +348,6 @@ def test_lattice_tuples_are_built_once_per_ambient(corpus, chain_builds, name):
     assert all_subgroups(G) is subs
     assert normal_subgroups(G) is normals
     assert chain_builds == []
-
-
-@pytest.fixture()
-def table_builds(monkeypatch):
-    """Every group an element table is built for from now on."""
-    built = []
-    original = structure._ElementTable.__init__
-
-    def counting(self, K):
-        built.append(K)
-        original(self, K)
-
-    monkeypatch.setattr(structure._ElementTable, "__init__", counting)
-    return built
 
 
 def test_subgroup_kernels_build_no_table_or_chain(corpus, chain_builds, table_builds):
