@@ -249,13 +249,15 @@ def cmd_verify(args) -> int:
 
 def cmd_campaign(args) -> int:
     limits = _limits(args)
+    if args.jobs < 1:
+        raise _Usage(f"--jobs must be at least 1, got {args.jobs}")
     if args.corpus == "builtin":
         entries = builtin_corpus()
     else:
         with open(args.corpus, encoding="utf-8") as fh:
             entries = parse_corpus_file(fh.read())
     statements = tuple(t.strip() for t in args.only.split(",")) if args.only else STATEMENTS
-    config = CampaignConfig(jobs=max(1, args.jobs), limits=limits,
+    config = CampaignConfig(jobs=args.jobs, limits=limits,
                             statements=statements, zero_millis=args.no_timestamp)
     rows = run_campaign(entries, config)
     stamp = None if args.no_timestamp else \

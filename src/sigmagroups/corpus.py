@@ -32,6 +32,16 @@ class CorpusEntry:
     expected_order: int
     tags: tuple[str, ...] = ()
 
+    def generated(self) -> PermGroup:
+        """The group of the generators, with its Schreier-Sims chain only, so
+        no bound applies; GroupInputError when its order is not the declared one."""
+        G = PermGroup(self.degree, self.generators)
+        if G.order != self.expected_order:
+            raise GroupInputError(
+                f"corpus entry {self.name!r}: generated order {G.order}, "
+                f"declared {self.expected_order}")
+        return G
+
     def build(self, limits: Limits = DEFAULT_LIMITS) -> PermGroup:
         """The interned group; CapacityError when its order exceeds the
         element-cache bound or the multiplication-table bound of ``limits``.
@@ -39,11 +49,7 @@ class CorpusEntry:
         Every lattice computed for the group is of it or of a subgroup or
         quotient, none larger, so the table bound is checked here, before
         any work is done."""
-        G = PermGroup(self.degree, self.generators)
-        if G.order != self.expected_order:
-            raise GroupInputError(
-                f"corpus entry {self.name!r}: generated order {G.order}, "
-                f"declared {self.expected_order}")
+        G = self.generated()
         G.elements(limits.element_cache_bound)
         check_table_order(G.order, limits)
         return interned(G)
@@ -141,7 +147,8 @@ def parse_corpus_file(text: str) -> list[CorpusEntry]:
                 f"line {lineno}: entry {cur['name']!r} has no order line")
         e = CorpusEntry(cur["name"], cur["degree"], tuple(cur["gens"]),
                         cur["order"], tuple(cur["tags"]))
-        e.build()  # raises with the entry named on order mismatch
+        # the declared order is checked here; the caller's bounds apply at build
+        e.generated()
         entries.append(e)
         cur = None
 

@@ -21,7 +21,7 @@ class InvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class Limits:
-    """Resource bounds for element lists, lattices, Hall-set products and tables.
+    """Resource bounds for element lists, lattices and tables.
 
     ``table_order_bound`` caps the order of a group given a multiplication
     table (quadratic: 32 MiB of ``array('H')`` rows at the default 4096),
@@ -29,7 +29,6 @@ class Limits:
 
     element_cache_bound: int = 20000
     subgroup_bound: int = 2000
-    hall_set_cap: int = 100000
     table_order_bound: int = 4096
 
 

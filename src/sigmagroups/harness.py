@@ -25,7 +25,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import repeat
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .corpus import CorpusEntry, partitions_of_primes
 from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, InvariantError, Limits
@@ -35,7 +35,7 @@ from .sigma import (SigmaPartition, _group_blocks, _quotient_is_sigma_nilpotent,
                     induces_power_automorphisms, is_pi_separable, is_psigma_t,
                     is_sigma_nilpotent, is_sigma_soluble, largest_normal_block_subgroup,
                     sigma_nilpotent_residual, sigma_full_sylow_type_violation)
-from .structure import (_element_table, _memo, _wrap, all_subgroups, conjugate_subgroups,
+from .structure import (_element_table, _memo, all_subgroups, conjugate_subgroups,
                         frattini_subgroup, hall_subgroup, intersection_subgroup, is_normal,
                         maximal_subgroups_of_p_group, normal_subgroups,
                         product_subgroup, quotient_group, subgroups_of_order,
@@ -118,14 +118,14 @@ def _sylow_maximal_candidates(G: PermGroup, limits: Limits) -> tuple[Subgroup, .
     deduplicated, canonically sorted.  They do not depend on sigma, so they
     are computed once per root and limits."""
     def compute():
-        found: dict[int, tuple] = {}
+        found: dict[int, Subgroup] = {}
         for p in sorted(primes_of(G.order)):
             for P in conjugate_subgroups(G, sylow_subgroup(G, p, limits), limits):
                 for V in maximal_subgroups_of_p_group(P, limits):
-                    found.setdefault(V.mask, V.generators)
+                    found.setdefault(V.mask, V)
         key = _element_table(G.root, limits).key
-        return tuple(sorted(found.items(), key=lambda kv: key(kv[0])))
-    return _wrap(G, _memo(G, compute, "sylow-maximal-candidates", limits))
+        return tuple(sorted(found.values(), key=lambda V: key(V.mask)))
+    return _memo(G, compute, "sylow-maximal-candidates", limits)
 
 
 def _covering_outcome(sid: str, G: PermGroup, sigma: SigmaPartition, cls: str,
@@ -381,6 +381,26 @@ def _condition_ii_blocks(G: PermGroup, D: Subgroup, sigma: SigmaPartition,
     return ok, detail
 
 
+def _condition_problems(G: PermGroup, sigma: SigmaPartition, D: Subgroup,
+                        M: Subgroup | None, limits: Limits) -> Iterator[str]:
+    """The ways in which D and its complement M (None: no complement exists)
+    fail conditions (i)+(ii), lazily, so a caller may stop at the first."""
+    if not _is_abelian_subgroup(D):
+        yield "D is not abelian"
+    if D.order % 2 == 0 and D.order > 1:
+        yield "|D| is even"
+    if math.gcd(D.order, G.order // D.order) != 1:
+        yield "D is not a Hall subgroup"
+    if M is None:
+        yield "no complement M to D exists"
+    elif not is_sigma_nilpotent(M, sigma, limits):
+        yield "complement M is not sigma-nilpotent"
+    if not induces_power_automorphisms(G, D, limits):
+        yield "G does not induce power automorphisms in D"
+    if not _condition_ii_blocks(G, D, sigma, limits)[0]:
+        yield "condition (ii) fails for some block"
+
+
 def verify_lemma_2_5_forward(G: PermGroup, sigma: SigmaPartition, group_name: str = "",
                              limits: Limits = DEFAULT_LIMITS) -> VerificationOutcome:
     if not (is_sigma_soluble(G, sigma, limits) and is_psigma_t(G, sigma, limits)):
@@ -388,27 +408,10 @@ def verify_lemma_2_5_forward(G: PermGroup, sigma: SigmaPartition, group_name: st
             "Lem2.5.fwd", group_name, sigma, "skipped", vacuous=True,
             reason="premise not satisfied: G is not a sigma-soluble PsigmaT-group")
     D = sigma_nilpotent_residual(G, sigma, limits)
-    problems = []
-    if not _is_abelian_subgroup(D):
-        problems.append("D is not abelian")
-    if D.order % 2 == 0 and D.order > 1:
-        problems.append("|D| is even")
-    if math.gcd(D.order, G.order // D.order) != 1:
-        problems.append("D is not a Hall subgroup")
-    M = None
-    for h in all_subgroups(G, limits):
-        if h.order * D.order == G.order and (h.mask & D.mask).bit_count() == 1:
-            M = h
-            break
-    if M is None:
-        problems.append("no complement M to D exists")
-    elif not is_sigma_nilpotent(M, sigma, limits):
-        problems.append("complement M is not sigma-nilpotent")
-    if not induces_power_automorphisms(G, D, limits):
-        problems.append("G does not induce power automorphisms in D")
-    cond_ii_ok, blocks = _condition_ii_blocks(G, D, sigma, limits)
-    if not cond_ii_ok:
-        problems.append("condition (ii) fails for some block")
+    M = next((h for h in all_subgroups(G, limits)
+              if h.order * D.order == G.order and (h.mask & D.mask).bit_count() == 1), None)
+    problems = list(_condition_problems(G, sigma, D, M, limits))
+    _, blocks = _condition_ii_blocks(G, D, sigma, limits)
     witness = {"D": _sub_json(D), "M": _sub_json(M) if M else None, "blocks": blocks}
     if problems:
         witness["problems"] = problems
@@ -430,18 +433,7 @@ def _pair_satisfies_conditions(G: PermGroup, sigma: SigmaPartition, D: Subgroup,
         return False
     if not is_normal(G, D):
         return False
-    if not _is_abelian_subgroup(D):
-        return False
-    if D.order > 1 and D.order % 2 == 0:
-        return False
-    if math.gcd(D.order, G.order // D.order) != 1:
-        return False
-    if not is_sigma_nilpotent(M, sigma, limits):
-        return False
-    if not induces_power_automorphisms(G, D, limits):
-        return False
-    ok, _ = _condition_ii_blocks(G, D, sigma, limits)
-    return ok
+    return next(_condition_problems(G, sigma, D, M, limits), None) is None
 
 
 def verify_lemma_2_5_converse(G: PermGroup, sigma: SigmaPartition, D: Subgroup,
@@ -604,12 +596,13 @@ def _worker(entry: CorpusEntry, config: CampaignConfig) -> list[dict]:
 def run_campaign(entries: list[CorpusEntry],
                  config: CampaignConfig = CampaignConfig()) -> list[dict]:
     """Deterministic outcome list over a corpus: results are computed per
-    group (in parallel when jobs > 1, each worker receiving the entry and the
-    config by pickle, largest declared order first so that the slowest groups
-    do not start last) and merged sorted by (group, sigma, statement)."""
+    group (in parallel when jobs > 1, in at most one worker per entry, each
+    worker receiving the entry and the config by pickle, largest declared
+    order first so that the slowest groups do not start last) and merged
+    sorted by (group, sigma, statement)."""
     if config.jobs > 1 and len(entries) > 1:
         largest_first = sorted(entries, key=lambda e: -e.expected_order)
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(config.jobs, len(entries))) as pool:
             chunks = list(pool.map(_worker, largest_first, repeat(config)))
     else:
         chunks = [_worker(e, config) for e in entries]

@@ -478,55 +478,48 @@ class Subgroup:
     """A subgroup of a root group: the root, the ``int`` bitmask of its
     members over the root's sorted elements, and generators.
 
-    The ambient is the group or subgroup it was found in; all of them share
-    one root.  A subgroup is accepted wherever a group is expected, and the
+    The group or subgroup it is made in only checks the generators'
+    membership and Lagrange; it is not kept, so a subgroup is the same value
+    however it was found, and its results are cached once, on the root per
+    mask.  A subgroup is accepted wherever a group is expected, and the
     structure kernels run on the root's element table restricted to its
     members.  Lagrange is checked on every construction as a cheap sanity net.
     """
 
-    __slots__ = ("ambient", "root", "mask", "generators", "order", "_cache")
+    __slots__ = ("root", "mask", "generators", "order")
 
-    def __init__(self, ambient: "PermGroup | Subgroup", generators: Iterable[Perm]):
+    def __init__(self, group: "PermGroup | Subgroup", generators: Iterable[Perm]):
         gens = tuple(generators)
         for g in gens:
-            if g not in ambient:
+            if g not in group:
                 raise GroupInputError(f"generator {g} is not in the ambient group")
-        root = ambient.root
+        root = group.root
         flags = bytearray(root.order)
         index = root.element_index()
         for e in closure_of_images(root.degree, [g.images for g in gens]):
             flags[index[e]] = 1
-        self._bind(ambient, _mask(flags), tuple(g for g in gens if not g.is_identity()))
+        self._bind(group, _mask(flags), tuple(g for g in gens if not g.is_identity()))
 
     @classmethod
-    def _of_mask(cls, ambient: "PermGroup | Subgroup", mask: int,
+    def _of_mask(cls, group: "PermGroup | Subgroup", mask: int,
                  generators: tuple[Perm, ...]) -> "Subgroup":
-        """Wrap a member mask of ambient's root that ``generators`` generate."""
+        """Wrap a member mask of group's root that ``generators`` generate."""
         self = cls.__new__(cls)
-        self._bind(ambient, mask, generators)
+        self._bind(group, mask, generators)
         return self
 
-    def _bind(self, ambient, mask: int, generators: tuple[Perm, ...]) -> None:
-        self.ambient = ambient
-        self.root = ambient.root
+    def _bind(self, group, mask: int, generators: tuple[Perm, ...]) -> None:
+        self.root = group.root
         self.mask = mask
         self.generators = generators
         self.order = mask.bit_count()
-        self._cache = None
-        if ambient.order % self.order:
+        if group.order % self.order:
             raise InvariantError(f"Lagrange violated: a subgroup of order {self.order} "
-                                 f"in a group of order {ambient.order}")
+                                 f"in a group of order {group.order}")
 
     @property
     def degree(self) -> int:
         return self.root.degree
-
-    @property
-    def cache(self) -> dict:
-        """Results computed for this object, like ``PermGroup.cache``."""
-        if self._cache is None:
-            self._cache = {}
-        return self._cache
 
     def elements(self) -> tuple[Perm, ...]:
         return tuple(compress(self.root.elements(), _flags(self.mask, self.root.order)))
@@ -559,18 +552,18 @@ class Subgroup:
 
 
 def conjugate_subgroup(h: Subgroup, x: Perm) -> Subgroup:
-    """H^x = x^-1 H x; x must belong to the ambient group."""
-    if x not in h.ambient:
-        raise GroupInputError(f"conjugating element {x} is not in the ambient group")
-    conj = Subgroup(h.ambient, tuple(g ** x for g in h.generators))
+    """H^x = x^-1 H x; x must belong to H's root."""
+    if x not in h.root:
+        raise GroupInputError(f"conjugating element {x} is not in the root group")
+    conj = Subgroup(h.root, tuple(g ** x for g in h.generators))
     if conj.order != h.order:
         raise InvariantError(f"a conjugate of a subgroup of order {h.order} has order {conj.order}")
     return conj
 
 
-def trivial_subgroup(ambient: "PermGroup | Subgroup") -> Subgroup:
-    return Subgroup._of_mask(ambient, 1, ())
+def trivial_subgroup(group: "PermGroup | Subgroup") -> Subgroup:
+    return Subgroup._of_mask(group, 1, ())
 
 
-def full_subgroup(ambient: "PermGroup | Subgroup") -> Subgroup:
-    return Subgroup._of_mask(ambient, ambient.mask, ambient.generators)
+def full_subgroup(group: "PermGroup | Subgroup") -> Subgroup:
+    return Subgroup._of_mask(group, group.mask, group.generators)

@@ -6,11 +6,11 @@ A partition splits the primes into blocks.  Two spellings exist:
   fall into one implicit "rest" block
 - classical: ``sigma1``, every prime alone in its own block
 
-All class predicates take the ambient group together with a partition and
-answer deterministically, and take a ``Subgroup`` wherever they take a
-group; expensive intermediates (per-block Hall subgroup classes,
-permutability verdicts) are memoised on the root group per subgroup mask,
-keyed by the partition text and the caller's limits.
+All class predicates take a group, or a ``Subgroup`` of one, together with
+a partition and answer deterministically; results and expensive
+intermediates (per-block Hall subgroup classes, permutability verdicts,
+residuals) are memoised on the root group per subgroup mask, keyed by the
+partition text and the caller's limits.
 
 Sigma-nilpotency of G or of a quotient G/N (the residual, Lemma 2.3) is read
 off G's normal lattice by the correspondence theorem: no group is built.
@@ -26,7 +26,7 @@ from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, InvariantErr
 from .numbers import is_prime, part_for_primes, primes_of
 from .permcore import Subgroup, trivial_subgroup
 from .structure import (Group, _ElementTable, _check_inside, _element_table, _greedy_subgroup,
-                        _memo, _wrap, all_subgroups, chief_series, is_normal, normal_subgroups)
+                        _memo, all_subgroups, chief_series, is_normal, normal_subgroups)
 
 # ---------------------------------------------------------------------------
 # partitions
@@ -195,16 +195,20 @@ def has_complete_hall_sigma_set(G: Group, sigma: SigmaPartition,
     return complete_hall_sigma_set(G, sigma, limits) is not None
 
 
+HALL_SET_CAP = 100000
+
+
 def enumerate_complete_hall_sigma_sets(G: Group, sigma: SigmaPartition,
                                        limits: Limits = DEFAULT_LIMITS) -> tuple[HallSigmaSet, ...]:
-    """Every complete Hall sigma-set, as the cartesian product over blocks."""
+    """Every complete Hall sigma-set, as the cartesian product over blocks;
+    CapacityError when there are more than ``HALL_SET_CAP``."""
     blocks = _hall_data(G, sigma, limits)
     count = 1
     for block in blocks:
         count *= len(block["candidates"])
-    if count > limits.hall_set_cap:
+    if count > HALL_SET_CAP:
         raise CapacityError(
-            f"{count} complete Hall sigma-sets exceed the Hall-set cap {limits.hall_set_cap}")
+            f"{count} complete Hall sigma-sets exceed the Hall-set cap {HALL_SET_CAP}")
     if any(not block["candidates"] for block in blocks):
         return ()
     out = []
@@ -286,10 +290,9 @@ def psigma_t_violation(G: Group, sigma: SigmaPartition,
                 continue
             k = next((k for k in _sigma_permutable(h, sigma, limits) if k.mask not in in_g), None)
             if k is not None:
-                return (k.mask, k.generators), (h.mask, h.generators)
+                return k, h
         return None
-    result = _memo(G, compute, "psigma-t", sigma.text(), limits)
-    return None if result is None else _wrap(G, result)
+    return _memo(G, compute, "psigma-t", sigma.text(), limits)
 
 
 def is_psigma_t(G: Group, sigma: SigmaPartition, limits: Limits = DEFAULT_LIMITS) -> bool:
@@ -352,8 +355,8 @@ def sigma_nilpotent_residual(G: Group, sigma: SigmaPartition,
         if meet != least.mask:
             raise InvariantError(
                 "residual: minimal witness differs from intersection of witnesses")
-        return least.mask, least.generators
-    return _wrap(G, [_memo(G, compute, "sigma-residual", sigma.text(), limits)])[0]
+        return least
+    return _memo(G, compute, "sigma-residual", sigma.text(), limits)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +415,7 @@ def largest_normal_block_subgroup(D: Subgroup, block_primes,
     best = max(cands, key=lambda n: n.order)
     if any(n.mask & best.mask != n.mask for n in cands):
         raise InvariantError("normal block subgroups must join into the largest one")
-    return _greedy_subgroup(D.ambient, best.mask, limits)
+    return _greedy_subgroup(D, best.mask, limits)
 
 
 def induces_power_automorphisms(G: Group, D: Subgroup,

@@ -11,11 +11,13 @@ numbered by table rows, products, conjugates, and the product tests of
 sigma-permutability) run on the root's table restricted to the subgroup's
 members.  Since index order is image-tuple order, a kernel restricted to a
 subgroup walks its members in the same order as a walk over the subgroup's
-own sorted elements would.  Results are ``Subgroup`` values of the caller's
-group, sorted canonically by (order, element list).
+own sorted elements would.  Results are ``Subgroup`` values on the caller's
+root, sorted canonically by (order, element list).
 
-Derived results are cached on the root per member mask, so repeated queries
-against the same subgroup (however it was constructed) are answered once.
+Derived results, wrapped ``Subgroup`` and ``QuotientGroup`` values included,
+are cached once, on the root per member mask, so repeated queries against
+the same subgroup (however it was constructed) are answered once and get
+the same objects back.
 """
 from __future__ import annotations
 
@@ -238,16 +240,16 @@ def _wrap(G: Group, entries: Iterable[tuple[int, tuple[Perm, ...]]]) -> tuple[Su
 def _greedy_subgroup(G: Group, mask: int, limits: Limits | None = None) -> Subgroup:
     """The subgroup of G with this member mask, generated by adjoining each
     member, in sorted order, not yet reached.  The generators depend only on
-    the set, and are cached on the root."""
+    the set, so the subgroup is cached on the root."""
     cache = G.root.cache
-    key = ("greedy-generators", mask)
+    key = ("greedy", mask)
     if key not in cache:
         table = _element_table(G.root, limits)
         closed, gens = table.generate(table.members(mask), mask.bit_count())
         if closed != mask:
             raise GroupInputError("images do not form a subgroup")
-        cache[key] = tuple(table.perms[g] for g in gens)
-    return Subgroup._of_mask(G, mask, cache[key])
+        cache[key] = Subgroup._of_mask(G, mask, tuple(table.perms[g] for g in gens))
+    return cache[key]
 
 
 def subgroup_from_images(G: Group, images: frozenset[tuple]) -> Subgroup:
@@ -370,19 +372,19 @@ def all_subgroups(G: Group, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgroup, 
     a join of H has an order dividing |G| and divisible by |H|, so past the
     largest proper divisor of |G| that is a multiple of |H| it is G.
 
-    The lattice is computed once per subgroup of a root, and the tuple built
-    once per G; every later call returns the same shared tuple, unless it has
-    more members than ``limits.subgroup_bound`` or the root is larger than
-    ``limits.table_order_bound``.
+    The tuple is built once per root and mask: every later call for the same
+    subgroup, however it was constructed, returns the same shared tuple,
+    unless it has more members than ``limits.subgroup_bound`` or the root is
+    larger than ``limits.table_order_bound``.
     """
     table = _element_table(G.root, limits)
-    if "lattice-subgroups" not in G.cache:
-        def compute():
-            kernel = _lattice_cyclic_extension if is_soluble(G) else _lattice_join_closure
-            return table.entries(kernel(table, G.mask, limits))
-        G.cache["lattice-subgroups"] = _wrap(G, _memo(G, compute, "lattice"))
-    _check_lattice_room(len(G.cache["lattice-subgroups"]), limits)
-    return G.cache["lattice-subgroups"]
+
+    def compute():
+        kernel = _lattice_cyclic_extension if is_soluble(G) else _lattice_join_closure
+        return _wrap(G, table.entries(kernel(table, G.mask, limits)))
+    subs = _memo(G, compute, "lattice")
+    _check_lattice_room(len(subs), limits)
+    return subs
 
 
 def _check_lattice_room(size: int, limits: Limits) -> None:
@@ -484,9 +486,9 @@ def maximal_subgroups(G: Group, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgro
     def compute():
         # canonical order puts every proper superset of a subgroup after it
         proper = [h.mask for h in subs if h.order < G.order]
-        return tuple(i for i, h in enumerate(proper)
+        return tuple(subs[i] for i, h in enumerate(proper)
                      if not any(k & h == h for k in proper[i + 1:]))
-    return tuple(subs[i] for i in _memo(G, compute, "maximal"))
+    return _memo(G, compute, "maximal")
 
 
 def frattini_subgroup(G: Group, limits: Limits = DEFAULT_LIMITS) -> Subgroup:
@@ -508,15 +510,12 @@ def normal_subgroups(G: Group, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgrou
     element-set product, so no generic subgroup search is needed.  Agrees with
     filtering all_subgroups by conjugation invariance (tested), but stays
     affordable for regular coset images where the full lattice would not.
-    Like all_subgroups, the tuple is built once per G and shared, and a later
-    call with a lower table bound is refused.
+    Like all_subgroups, the tuple is built once per root and mask and shared,
+    and a later call with a lower table bound is refused.
     """
     table = _element_table(G.root, limits)
-    if "normal-subgroups" not in G.cache:
-        def compute():
-            return table.entries(_normal_lattice(table, G.mask, table.gens_of(G)))
-        G.cache["normal-subgroups"] = _wrap(G, _memo(G, compute, "normals"))
-    return G.cache["normal-subgroups"]
+    return _memo(G, lambda: _wrap(G, table.entries(
+        _normal_lattice(table, G.mask, table.gens_of(G)))), "normals")
 
 
 def _normal_lattice(table: _ElementTable, gmask: int, gens: Sequence[int]) -> dict[int, tuple]:
@@ -651,14 +650,13 @@ def is_p_group(G: Group) -> bool:
 
 
 def maximal_subgroups_of_p_group(P: Subgroup, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgroup, ...]:
-    """The index-p subgroups of a p-group, as subgroups of P's ambient."""
+    """The index-p subgroups of a p-group, from P's own lattice."""
     if not is_p_group(P):
         raise GroupInputError(f"group of order {P.order} is not a p-group")
     if P.order == 1:
         return ()
     p = prime_factors(P.order)[0][0]
-    return tuple(Subgroup._of_mask(P.ambient, h.mask, h.generators)
-                 for h in all_subgroups(P, limits) if h.order * p == P.order)
+    return tuple(h for h in all_subgroups(P, limits) if h.order * p == P.order)
 
 
 # ---------------------------------------------------------------------------
@@ -705,11 +703,11 @@ def quotient_group(G: Group, N: Subgroup, limits: Limits = DEFAULT_LIMITS) -> Qu
     per coset representative on the element table of G's root (built under
     ``limits``)."""
     _check_inside(G, N)
-    K = G.root
-    table = _element_table(K, limits)
-    cache_key = ("quotient", G.mask, N.mask)
-    if cache_key in K.cache:
-        return K.cache[cache_key]
+    table = _element_table(G.root, limits)
+    return _memo(G, lambda: _quotient(G, N, table), "quotient", N.mask)
+
+
+def _quotient(G: Group, N: Subgroup, table: _ElementTable) -> QuotientGroup:
     rows = table.rows
     block = table.members(N.mask)
     gens = table.gens_of(G)
@@ -732,17 +730,15 @@ def quotient_group(G: Group, N: Subgroup, limits: Limits = DEFAULT_LIMITS) -> Qu
     Q = find_interned(index, qset)
     if Q is None:
         Q = PermGroup(index, [Perm(coset_images[coset_of[g]]) for g in gens])
-        Q.elements(K.order)  # never larger than G, which was enumerated
+        Q.elements(table.order)  # never larger than G's root, which was enumerated
         Q = interned(Q)
         if Q.element_images() != qset:
             raise InvariantError("the generators' coset images generate another group")
     ident = identity_images(index)
     if [c for c, img in enumerate(coset_images) if img == ident] != [0]:
         raise InvariantError("coset action kernel mismatch")
-    result = QuotientGroup(group=Q, kernel=N, table=table, coset_of=coset_of,
-                           coset_images=coset_images)
-    K.cache[cache_key] = result
-    return result
+    return QuotientGroup(group=Q, kernel=N, table=table, coset_of=coset_of,
+                         coset_images=coset_images)
 
 
 def product_subgroup(G: Group, A: Subgroup, B: Subgroup,

@@ -103,7 +103,7 @@ def test_cap_below_one_is_usage_error(capsys, knob):
 
 def test_hall_set_cap_is_not_a_cli_flag(capsys):
     # no command enumerates complete Hall sigma-sets, so the cap would be
-    # ignored; it stays a library bound (Limits.hall_set_cap)
+    # ignored; it is the library constant sigma.HALL_SET_CAP
     for argv in (("classify", "--group", "S4"),
                  ("verify", "--group", "S4", "--statement", "ThmA.i")):
         code, out, err = run(capsys, *argv, "--hall-set-cap", "1")
@@ -399,6 +399,46 @@ def test_campaign_out_file_and_rerun_byte_identical(capsys, mini_corpus,
                "--no-timestamp", "--out", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
     assert json.loads(a.read_text())["summary"]["counterexample"] == 0
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_campaign_jobs_below_one_is_usage_error(capsys, mini_corpus, value):
+    code, out, err = run(capsys, "campaign", "--corpus", mini_corpus, "--jobs", value)
+    assert (code, out) == (2, "")
+    assert err.strip() == f"usage error: --jobs must be at least 1, got {value}"
+
+
+S7_AND_S3_CORPUS = """\
+group S7 deg 7
+gen (1 2 3 4 5 6 7)
+gen (1 2)
+order 5040
+
+group S3 deg 3
+gen (1 2 3)
+gen (1 2)
+order 6
+"""
+
+
+def test_corpus_file_group_over_the_table_bound_skips_only_its_rows(capsys, tmp_path):
+    # S7 passes its order check when the file is read; only building it
+    # meets the default table bound, so S3 is still verified and classified
+    path = tmp_path / "s7s3.corpus"
+    path.write_text(S7_AND_S3_CORPUS)
+    report_path = tmp_path / "report.json"
+    code, _, err = run(capsys, "campaign", "--corpus", str(path), "--no-timestamp",
+                       "--out", str(report_path))
+    assert code == 3 and err == ""
+    rows = json.loads(report_path.read_text())["outcomes"]
+    s7 = [r for r in rows if r["group"] == "S7"]
+    s3 = [r for r in rows if r["group"] == "S3"]
+    assert s7 and all(r["verdict"] == "skipped" and r["reason"] ==
+                      "capacity: group order 5040 exceeds multiplication-table bound 4096"
+                      for r in s7)
+    assert len(s3) == 32 and {r["verdict"] for r in s3} == {"confirmed"}
+    code, out, _ = run(capsys, "classify", "--corpus-file", str(path), "--group", "S3")
+    assert code == 0 and "group S3 (order 6, degree 3)" in out
 
 
 def test_campaign_only_filters_statements(capsys, mini_corpus):

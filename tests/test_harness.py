@@ -1,5 +1,6 @@
 """Statement verifiers, witness validation, and the campaign driver."""
 
+import gc
 from dataclasses import replace
 
 import pytest
@@ -346,11 +347,12 @@ def test_run_campaign_rows_are_sorted_and_job_independent(corpus):
 
 
 def test_parallel_campaign_submits_largest_groups_first(corpus, monkeypatch):
-    submitted = []
+    submitted, workers = [], []
 
     class InlinePool:
+        """Maps serially, so no process is started."""
         def __init__(self, max_workers):
-            pass
+            workers.append(max_workers)
 
         def __enter__(self):
             return self
@@ -368,6 +370,27 @@ def test_parallel_campaign_submits_largest_groups_first(corpus, monkeypatch):
     par = run_campaign(entries, CampaignConfig(jobs=2, zero_millis=True))
     assert submitted == ["S4", "A4", "S3", "C6"]     # stable among equal orders
     assert par == run_campaign(entries, CampaignConfig(jobs=1, zero_millis=True))
+    # no more workers than groups, however many jobs are asked for
+    run_campaign(entries, CampaignConfig(jobs=500, zero_millis=True))
+    assert workers == [2, 4]
+
+
+def test_verify_group_leaves_no_cycle_garbage(corpus):
+    # every cached subgroup, lattice tuple and quotient hangs off a root's
+    # cache, which verify_group empties, so reference counting frees it all
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for name in ("S4", "A5", "PSL(2,7)"):
+            verify_group(corpus[name], CampaignConfig(zero_millis=True))
+        assert gc.collect() == 0
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
 
 
 def test_run_campaign_workers_keep_every_limit(corpus):

@@ -282,6 +282,11 @@ def test_conjugate_subgroup(corpus):
     assert hx.element_images() == Subgroup(G, [Perm.parse("(2 3)", 3)]).element_images()
     with pytest.raises(GroupInputError):
         conjugate_subgroup(h, Perm.parse("(1 2)", 4))
+    # x must lie in the subgroup's root: (1 2) is in S4 but not in A4
+    A4 = corpus["A4"].build()
+    k = Subgroup(A4, [Perm.parse("(1 2)(3 4)", 4)])
+    with pytest.raises(GroupInputError, match="not in the root group"):
+        conjugate_subgroup(k, Perm.parse("(1 2)", 4))
 
 
 # ---------------------------------------------------------------------------

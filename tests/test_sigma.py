@@ -119,10 +119,10 @@ def test_enumerate_complete_hall_sets(corpus):
         corpus["A5"].build(), parse_sigma("[2,5][3]")) == ()
 
 
-def test_enumerate_hall_sets_capacity(corpus):
-    with pytest.raises(CapacityError):
-        enumerate_complete_hall_sigma_sets(corpus["S4"].build(), S1,
-                                           Limits(hall_set_cap=2))
+def test_enumerate_hall_sets_capacity(corpus, monkeypatch):
+    monkeypatch.setattr(sigma_module, "HALL_SET_CAP", 2)
+    with pytest.raises(CapacityError, match="exceed the Hall-set cap 2"):
+        enumerate_complete_hall_sigma_sets(corpus["S4"].build(), S1)
 
 
 # ---------------------------------------------------------------------------

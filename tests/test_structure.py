@@ -10,7 +10,7 @@ import pytest
 import oracles
 from sigmagroups import (CapacityError, GroupInputError, Limits, Perm,
                          PermGroup, SigmaPartition, Subgroup, builtin_corpus,
-                         builtin_entry, is_psigma_t)
+                         builtin_entry, full_subgroup, is_psigma_t)
 from sigmagroups import structure
 from sigmagroups.errors import InvariantError
 from sigmagroups.permcore import clear_intern_cache, closure_of_images, compose_images
@@ -48,12 +48,6 @@ def image_sets(subgroups):
 def test_all_subgroups_match_oracle(corpus, oracle_group, name):
     G = corpus[name].build()
     assert image_sets(all_subgroups(G)) == oracle_group(name).subgroup_image_sets()
-
-
-def test_all_subgroups_ambient_is_shared(corpus):
-    G = corpus["S4"].build()
-    for s in all_subgroups(G):
-        assert s.ambient is G
 
 
 def test_all_subgroups_capacity():
@@ -313,7 +307,7 @@ def test_closure_and_subgroup_from_images(corpus):
     images = closure_of_images(3, [Perm.parse("(1 2 3)", 3).images])
     assert len(images) == 3
     h = subgroup_from_images(S3, images)
-    assert h.order == 3 and h.ambient is S3
+    assert h.order == 3 and h.root is S3
 
 
 def test_generated_subgroup(corpus):
@@ -339,14 +333,18 @@ def test_conjugate_image_sets(corpus):
 # known subgroups are handed out again, not rebuilt
 
 @pytest.mark.parametrize("name", ["S4", "A5"])
-def test_lattice_tuples_are_built_once_per_ambient(corpus, chain_builds, name):
-    # a fresh, non-interned instance: its own cache starts empty
+def test_lattice_tuples_are_built_once_per_root(corpus, chain_builds, name):
+    # a fresh, non-interned instance, its interned root and the root's full
+    # subgroup are one root and mask, so they share one cached tuple
     G = PermGroup(corpus[name].degree, corpus[name].generators)
+    root = corpus[name].build()
+    assert G is not root and G.root is root
     subs, normals = all_subgroups(G), normal_subgroups(G)
-    assert all(s.ambient is G for s in subs + normals)
+    assert all(s.root is root for s in subs + normals)
     chain_builds.clear()
-    assert all_subgroups(G) is subs
-    assert normal_subgroups(G) is normals
+    for H in (G, root, full_subgroup(root)):
+        assert all_subgroups(H) is subs
+        assert normal_subgroups(H) is normals
     assert chain_builds == []
 
 
