@@ -247,6 +247,13 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _dump_report(report: dict, fh) -> None:
+    """Stream the report as indented, key-sorted JSON plus a newline, with no
+    whole-report string in memory."""
+    json.dump(report, fh, indent=2, sort_keys=True)
+    fh.write("\n")
+
+
 def cmd_campaign(args) -> int:
     limits = _limits(args)
     if args.jobs < 1:
@@ -263,10 +270,9 @@ def cmd_campaign(args) -> int:
     stamp = None if args.no_timestamp else \
         _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")
     report = report_from_rows(rows, generated_at=stamp)
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _dump_report(report, fh)
     summary = report["summary"]
     lines = [f"groups: {len(entries)}   outcomes: {len(rows)}",
              f"confirmed: {summary['confirmed']}   "
@@ -280,7 +286,7 @@ def cmd_campaign(args) -> int:
         if r["verdict"] == "counterexample":
             lines.append(f"COUNTEREXAMPLE: {r['statement_id']} {r['group']} {r['sigma']}")
     if args.format == "machine" and not args.out:
-        sys.stdout.write(text)
+        _dump_report(report, sys.stdout)
     else:
         print("\n".join(lines))
     if summary["counterexample"]:

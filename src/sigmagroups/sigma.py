@@ -12,11 +12,13 @@ intermediates (per-block Hall subgroup classes, permutability verdicts,
 residuals) are memoised on the root group per subgroup mask, keyed by the
 partition text and the caller's limits.
 
-Sigma-nilpotency of G or of a quotient G/N (the residual, Lemma 2.3) is read
-off G's normal lattice by the correspondence theorem: no group is built.
+Sigma-nilpotency of G or of a quotient G/N (the residual, Lemma 2.3) is
+read off the subgroups R_i of G generated by its sigma_i-elements: no group
+and no normal lattice is built.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -26,7 +28,8 @@ from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, InvariantErr
 from .numbers import is_prime, part_for_primes, primes_of
 from .permcore import Subgroup, trivial_subgroup
 from .structure import (Group, _ElementTable, _check_inside, _element_table, _greedy_subgroup,
-                        _memo, all_subgroups, chief_series, is_normal, normal_subgroups)
+                        _is_normal_in, _memo, all_subgroups, chief_series, is_normal,
+                        normal_subgroups)
 
 # ---------------------------------------------------------------------------
 # partitions
@@ -129,15 +132,20 @@ def is_sigma_primary(n: int, sigma: SigmaPartition) -> bool:
 # ---------------------------------------------------------------------------
 # per-block Hall data
 
-def _group_blocks(G: Group, sigma: SigmaPartition) -> list[tuple[str, frozenset[int], int]]:
+def _group_blocks(G: Group, sigma: SigmaPartition) -> tuple[tuple[str, frozenset[int], int], ...]:
     """(block id, primes of the block inside pi(G), sigma_i-part of |G|),
     ordered by least prime."""
+    return _order_blocks(G.order, sigma)
+
+
+@functools.lru_cache(maxsize=4096)
+def _order_blocks(order: int, sigma: SigmaPartition) -> tuple[tuple[str, frozenset[int], int], ...]:
     by_id: dict[str, set[int]] = {}
-    for p in sorted(primes_of(G.order)):
+    for p in sorted(primes_of(order)):
         by_id.setdefault(sigma.block_id(p), set()).add(p)
-    out = [(bid, frozenset(ps), part_for_primes(G.order, ps)) for bid, ps in by_id.items()]
+    out = [(bid, frozenset(ps), part_for_primes(order, ps)) for bid, ps in by_id.items()]
     out.sort(key=lambda t: min(t[1]))
-    return out
+    return tuple(out)
 
 
 def _hall_data(G: Group, sigma: SigmaPartition, limits: Limits):
@@ -320,23 +328,47 @@ def is_sigma_nilpotent(G: Group, sigma: SigmaPartition,
                        limits: Limits = DEFAULT_LIMITS) -> bool:
     """G is the direct product of sigma-primary groups; equivalently each
     block of sigma(G) is covered by a normal Hall subgroup (then automatically
-    unique, and the orders multiply to |G|)."""
+    unique, and the orders multiply to |G|).  The sigma_i-elements of G
+    generate a subgroup of order |G|_{sigma_i} exactly when that subgroup is
+    such a Hall subgroup, so no normal lattice is built."""
     return _quotient_is_sigma_nilpotent(G, trivial_subgroup(G), sigma, limits)
+
+
+def _block_generated(G: Group, primes: frozenset[int], limits: Limits) -> int:
+    """The mask of R = <x in G : the primes of |x| lie in ``primes``>, that is
+    O^{primes'}(G), a normal subgroup of G.  The element orders come from the
+    root's table."""
+    def compute():
+        table = _element_table(G.root, limits)
+        orders = table.element_orders()
+        members = table.members(G.mask)
+        kinds = {k for k in map(orders.__getitem__, members) if primes_of(k) <= primes}
+        return table.generate((x for x in members if orders[x] in kinds), G.order)[0]
+    return _memo(G, compute, "block-generated", primes, limits)
 
 
 def _quotient_is_sigma_nilpotent(G: Group, N: Subgroup, sigma: SigmaPartition,
                                  limits: Limits) -> bool:
-    """Is G/N sigma-nilpotent, for N normal in G?  G/N has a normal Hall
-    sigma_i-subgroup exactly when some normal L >= N of G has order
-    |N| |G:N|_{sigma_i}, so G's normal lattice decides; G/N is not built."""
+    """Is G/N sigma-nilpotent, for N normal in G (N = 1 included)?
+
+    Let R_i be generated by the sigma_i-elements of G.  Every sigma_i-element
+    of G/N is the image of one of G (the sigma_i-part of any preimage), so
+    R_i N/N is generated by the sigma_i-elements of G/N.  It contains a Sylow
+    p-subgroup of G/N for every p in sigma_i, and it is the normal Hall
+    sigma_i-subgroup of G/N exactly when it has order |G:N|_{sigma_i}, that is
+    when |R_i| = |R_i n N| |G:N|_{sigma_i}.  Blocks whose part of |G:N| is 1
+    or all of it need no test.  Neither G/N nor a normal lattice is built."""
     def compute():
-        normals = normal_subgroups(G, limits)
-        if N not in normals:
+        if not _is_normal_in(_element_table(G.root, limits), G, N):
             raise GroupInputError("quotient by a non-normal subgroup")
-        above = {L.order for L in normals if L.mask & N.mask == N.mask}
         index = G.order // N.order
-        return all(N.order * part_for_primes(index, ps) in above
-                   for _, ps, _ in _group_blocks(G, sigma))
+        for _, ps, _ in _group_blocks(G, sigma):
+            part = part_for_primes(index, ps)
+            if 1 < part < index:
+                r = _block_generated(G, ps, limits)
+                if r.bit_count() != (r & N.mask).bit_count() * part:
+                    return False
+        return True
     return _memo(G, compute, "sigma-nilpotent", sigma.text(), N.mask, limits)
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from itertools import compress
+from math import gcd
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
@@ -48,7 +49,7 @@ class _ElementTable:
     """
 
     __slots__ = ("order", "perms", "images", "index", "typecode", "rows", "inverse",
-                 "_conjugations")
+                 "_conjugations", "_orders")
 
     def __init__(self, K: PermGroup):
         self.perms = K.elements()
@@ -77,6 +78,30 @@ class _ElementTable:
         self.rows = rows
         self.inverse = [index[invert_images(e)] for e in images]
         self._conjugations: dict[int, array] = {}
+        self._orders: array | None = None
+
+    def element_orders(self) -> array:
+        """The order of each element, built on first use by walking the powers
+        of each element not yet reached: if x has order k, x^j has order
+        k / gcd(j, k)."""
+        if self._orders is None:
+            rows = self.rows
+            orders = array(self.typecode, [0]) * self.order
+            orders[0] = 1
+            for x in range(1, self.order):
+                if orders[x]:
+                    continue
+                powers = [x]
+                p = rows[x][x]
+                while p:
+                    powers.append(p)
+                    p = rows[p][x]
+                k = len(powers) + 1
+                for j, y in enumerate(powers, 1):
+                    if not orders[y]:
+                        orders[y] = k // gcd(j, k)
+            self._orders = orders
+        return self._orders
 
     def conjugations(self, gens: Sequence[int]) -> list[array]:
         """Per generator index g, the index map e -> g^-1 e g; each built on first use."""
@@ -233,6 +258,16 @@ def _check_inside(G: Group, *subgroups: Subgroup) -> None:
             raise GroupInputError(f"a subgroup of order {H.order} is not inside the group")
 
 
+def _is_normal_in(table: _ElementTable, G: Group, N: Subgroup) -> bool:
+    """Is N a subgroup of G, on G's root, normal in G?  1 and G are; for any
+    other N, one lookup in a conjugation map of the root's table per pair of
+    generators of G and N."""
+    return (N.root is G.root and N.mask & G.mask == N.mask
+            and (N.mask in (1, G.mask)
+                 or all(N.mask >> conj[h] & 1 for conj in table.conjugations(table.gens_of(G))
+                        for h in table.gens_of(N))))
+
+
 def _wrap(G: Group, entries: Iterable[tuple[int, tuple[Perm, ...]]]) -> tuple[Subgroup, ...]:
     return tuple(Subgroup._of_mask(G, m, gens) for m, gens in entries)
 
@@ -370,7 +405,10 @@ def all_subgroups(G: Group, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgroup, 
 
     Join closure stops a closure once it is known to reach the whole group:
     a join of H has an order dividing |G| and divisible by |H|, so past the
-    largest proper divisor of |G| that is a multiple of |H| it is G.
+    largest proper divisor of |G| that is a multiple of |H| it is G.  It also
+    skips a join that is already known: when a seed C lies in H and H lies in
+    <C, C'> for another seed C', then <H, C'> is <C, C'>, found when C was
+    processed.
 
     The tuple is built once per root and mask: every later call for the same
     subgroup, however it was constructed, returns the same shared tuple,
@@ -436,7 +474,14 @@ def _lattice_cyclic_extension(table: _ElementTable, gmask: int,
 def _lattice_join_closure(table: _ElementTable, gmask: int,
                           limits: Limits) -> dict[int, tuple]:
     """Subgroup masks -> generator indices, by joins with prime-power cyclic
-    subgroups of the subgroup ``gmask``."""
+    subgroups (the seeds) of the subgroup ``gmask``.
+
+    The queue starts with the trivial group and the seeds, so every seed C is
+    processed, and each join <C, C'> with a seed C' recorded in C's row,
+    before any larger subgroup H.  For H with C <= H <= <C, C'>, the join
+    <H, C'> is <C, C'>, already in ``found``, so it is skipped without a
+    closure; ``found`` gets the same keys, in the same order, with the same
+    generators as when every join is closed."""
     seeds: dict[int, int] = {}
     for e in table.members(gmask)[1:]:
         cyc = table.generate((e,))[0]
@@ -447,13 +492,22 @@ def _lattice_join_closure(table: _ElementTable, gmask: int,
     for cyc, e in seed_list:
         found[cyc] = (e,)
     queue = sorted(found, key=table.key)
+    where = {m: i for i, m in enumerate(queue)}
     n = gmask.bit_count()
+    # seed element e -> the queue position of <C_e, C_j> per seed j; 0, the
+    # trivial group, where that join was not closed
+    joins: dict[int, array] = {}
     for hmask in queue:
         hgens = found[hmask]
         block = table.members(hmask)
         cap = _largest_proper_multiple(len(block), n)
-        for cyc, e in seed_list:
-            if cyc & hmask == cyc:
+        # skip C_j inside H, and C_j with H <= <C_e, C_j> for a seed C_e <= H
+        skip = [cyc & hmask == cyc for cyc, _ in seed_list]
+        for r in [joins[e] for (_, e), s in zip(seed_list, skip) if s and e in joins]:
+            skip = [s or queue[k] & hmask == hmask for s, k in zip(skip, r)]
+        row = array("I", bytes(4 * len(seed_list)))
+        for j, (cyc, e) in enumerate(seed_list):
+            if skip[j]:
                 continue
             jgens = hgens + (e,)
             # Lagrange: |H| divides |<H, e>|, which divides n, so past cap
@@ -461,10 +515,14 @@ def _lattice_join_closure(table: _ElementTable, gmask: int,
             jflags = table.closure(jgens, block, cap)
             jmask = gmask if jflags is None else _mask(jflags)
             if jmask in found:
+                row[j] = where[jmask]
                 continue
             _check_lattice_room(len(found) + 1, limits)
             found[jmask] = jgens
+            row[j] = where[jmask] = len(queue)
             queue.append(jmask)
+        if len(hgens) == 1:
+            joins[hgens[0]] = row
     return found
 
 
@@ -710,10 +768,9 @@ def quotient_group(G: Group, N: Subgroup, limits: Limits = DEFAULT_LIMITS) -> Qu
 def _quotient(G: Group, N: Subgroup, table: _ElementTable) -> QuotientGroup:
     rows = table.rows
     block = table.members(N.mask)
-    gens = table.gens_of(G)
-    if not all(N.mask >> conj[h] & 1
-               for conj in table.conjugations(gens) for h in table.gens_of(N)):
+    if not _is_normal_in(table, G, N):
         raise GroupInputError("quotient by a non-normal subgroup")
+    gens = table.gens_of(G)
     coset_of = array("i", [-1]) * table.order
     reps: list[int] = []
     for x in table.members(G.mask):

@@ -369,6 +369,20 @@ def test_sigma_verdicts_build_no_group(corpus, chain_builds, table_builds, name)
     assert len(chain_builds) <= len(proper) and len(table_builds) <= len(proper)
 
 
+@pytest.mark.parametrize("name", ["S4", "SL(2,3)", "C5xA4", "PSL(2,7)"])
+def test_sigma_nilpotency_runs_no_normal_lattice(monkeypatch, name):
+    """Sigma-nilpotency of every subgroup at every campaign partition comes
+    from the subgroups generated by sigma_i-elements, not normal lattices."""
+    clear_intern_cache()  # no verdict cached by an earlier test
+    G = builtin_entry(name).build()
+    subgroups = all_subgroups(G)
+    runs = []
+    monkeypatch.setattr(structure_module, "_normal_lattice", lambda *args: runs.append(args))
+    verdicts = [is_sigma_nilpotent(H, sigma) for sigma in campaign_sigmas(G) for H in subgroups]
+    assert runs == []
+    assert any(verdicts) and not all(verdicts)
+
+
 # ---------------------------------------------------------------------------
 # sigma-full of Sylow type, separability, residual structure helpers
 

@@ -13,7 +13,8 @@ from sigmagroups import (CapacityError, GroupInputError, Limits, Perm,
                          builtin_entry, full_subgroup, is_psigma_t)
 from sigmagroups import structure
 from sigmagroups.errors import InvariantError
-from sigmagroups.permcore import clear_intern_cache, closure_of_images, compose_images
+from sigmagroups.permcore import (clear_intern_cache, closure_of_images, compose_images,
+                                  images_order)
 from sigmagroups.structure import (all_subgroups, centralizer, chief_series,
                                    conjugate_image_sets,
                                    derived_subgroup, frattini_subgroup,
@@ -91,6 +92,12 @@ def test_normal_subgroups_match_oracle_and_lattice_filter(corpus, oracle_group, 
     assert direct == oracle_group(name).normal_image_sets()
     via_filter = image_sets(s for s in all_subgroups(G) if is_normal(G, s))
     assert direct == via_filter
+
+
+@pytest.mark.parametrize("name", ["S4", "SL(2,3)", "C5xA4", "PSL(2,7)"])
+def test_element_orders_match_cycle_types(corpus, name):
+    table = _element_table(corpus[name].build())
+    assert list(table.element_orders()) == list(map(images_order, table.images))
 
 
 def test_is_normal(corpus):
