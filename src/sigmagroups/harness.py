@@ -382,9 +382,12 @@ def _condition_ii_blocks(G: PermGroup, D: Subgroup, sigma: SigmaPartition,
 
 
 def _condition_problems(G: PermGroup, sigma: SigmaPartition, D: Subgroup,
-                        M: Subgroup | None, limits: Limits) -> Iterator[str]:
+                        M: Subgroup | None, limits: Limits,
+                        condition_ii: tuple[bool, list[dict]] | None = None) -> Iterator[str]:
     """The ways in which D and its complement M (None: no complement exists)
-    fail conditions (i)+(ii), lazily, so a caller may stop at the first."""
+    fail conditions (i)+(ii), lazily, so a caller may stop at the first.
+    ``condition_ii`` is ``_condition_ii_blocks``'s result when the caller
+    has it already."""
     if not _is_abelian_subgroup(D):
         yield "D is not abelian"
     if D.order % 2 == 0 and D.order > 1:
@@ -397,7 +400,9 @@ def _condition_problems(G: PermGroup, sigma: SigmaPartition, D: Subgroup,
         yield "complement M is not sigma-nilpotent"
     if not induces_power_automorphisms(G, D, limits):
         yield "G does not induce power automorphisms in D"
-    if not _condition_ii_blocks(G, D, sigma, limits)[0]:
+    if condition_ii is None:
+        condition_ii = _condition_ii_blocks(G, D, sigma, limits)
+    if not condition_ii[0]:
         yield "condition (ii) fails for some block"
 
 
@@ -410,9 +415,9 @@ def verify_lemma_2_5_forward(G: PermGroup, sigma: SigmaPartition, group_name: st
     D = sigma_nilpotent_residual(G, sigma, limits)
     M = next((h for h in all_subgroups(G, limits)
               if h.order * D.order == G.order and (h.mask & D.mask).bit_count() == 1), None)
-    problems = list(_condition_problems(G, sigma, D, M, limits))
-    _, blocks = _condition_ii_blocks(G, D, sigma, limits)
-    witness = {"D": _sub_json(D), "M": _sub_json(M) if M else None, "blocks": blocks}
+    condition_ii = _condition_ii_blocks(G, D, sigma, limits)
+    problems = list(_condition_problems(G, sigma, D, M, limits, condition_ii))
+    witness = {"D": _sub_json(D), "M": _sub_json(M) if M else None, "blocks": condition_ii[1]}
     if problems:
         witness["problems"] = problems
         witness["lattice_orders"] = sorted(h.order for h in all_subgroups(G, limits))

@@ -399,16 +399,22 @@ def all_subgroups(G: Group, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgroup, 
 
     Soluble groups use cyclic extension: grow each known subgroup H by a
     prime-order element of its normalizer, which reaches every (necessarily
-    soluble) subgroup through its own composition series.  Insoluble groups
-    fall back to join closure over prime-power cyclic subgroups, which is
-    complete for arbitrary subgroups at higher cost.
+    soluble) subgroup through its own composition series; once <H, x> is
+    closed, no other element of it is tried.  Insoluble groups fall back to
+    join closure over prime-power cyclic subgroups, which is complete for
+    arbitrary subgroups at higher cost.
 
-    Join closure stops a closure once it is known to reach the whole group:
-    a join of H has an order dividing |G| and divisible by |H|, so past the
-    largest proper divisor of |G| that is a multiple of |H| it is G.  It also
-    skips a join that is already known: when a seed C lies in H and H lies in
-    <C, C'> for another seed C', then <H, C'> is <C, C'>, found when C was
-    processed.
+    Join closure closes joins only for the first subgroup found in each
+    conjugacy class under G's generators: conjugation preserves joins, so
+    the joins of every other member are conjugates of the first one's, one
+    mask conjugation each.  A closure stops once it is known to reach the
+    whole group: a join of H has an order dividing |G| and divisible by |H|,
+    so past the largest proper divisor of |G| that is a multiple of |H| it
+    is G.  A join that is already known is not closed: when a seed C lies in
+    H and H lies in <C, C'> for another seed C', then <H, C'> is <C, C'>,
+    found when C was processed.  Neither kernel's result depends on these
+    savings: the same subgroups come out in the same order with the same
+    generators as when every join or extension is closed.
 
     The tuple is built once per root and mask: every later call for the same
     subgroup, however it was constructed, returns the same shared tuple,
@@ -418,8 +424,11 @@ def all_subgroups(G: Group, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgroup, 
     table = _element_table(G.root, limits)
 
     def compute():
-        kernel = _lattice_cyclic_extension if is_soluble(G) else _lattice_join_closure
-        return _wrap(G, table.entries(kernel(table, G.mask, limits)))
+        if is_soluble(G):
+            found = _lattice_cyclic_extension(table, G.mask, limits)
+        else:
+            found = _lattice_join_closure(table, G.mask, limits, table.gens_of(G))
+        return _wrap(G, table.entries(found))
     subs = _memo(G, compute, "lattice")
     _check_lattice_room(len(subs), limits)
     return subs
@@ -434,7 +443,13 @@ def _check_lattice_room(size: int, limits: Limits) -> None:
 def _lattice_cyclic_extension(table: _ElementTable, gmask: int,
                               limits: Limits) -> dict[int, tuple]:
     """Subgroup masks -> generator indices, by cyclic extension inside the
-    subgroup ``gmask``."""
+    subgroup ``gmask``.
+
+    Each queued H is extended by every element x outside it that normalizes
+    H with xH of prime order in N(H)/H, in index order; a new J = <H, x> is
+    queued with generators H's plus x.  |J:H| is prime, so every y in J but
+    not in H gives <H, y> = J again: once J is closed, those y are skipped,
+    which leaves ``found`` as it is when every y is tried."""
     rows, inverse, n = table.rows, table.inverse, table.order
     elements = table.members(gmask)
     found: dict[int, tuple] = {1: ()}
@@ -443,8 +458,10 @@ def _lattice_cyclic_extension(table: _ElementTable, gmask: int,
         hgens = found[hmask]
         hflags = table.flags(hmask)
         block = list(compress(range(n), hflags))
+        # H and every element of an extension <H, x> already closed
+        done = bytearray(hflags)
         for x in elements:
-            if hflags[x]:
+            if done[x]:
                 continue
             by_xi = rows[inverse[x]]
             if not all(hflags[rows[by_xi[g]][x]] for g in hgens):
@@ -460,6 +477,9 @@ def _lattice_cyclic_extension(table: _ElementTable, gmask: int,
             jgens = hgens + (x,)
             jflags = table.closure(jgens, block)
             jmask = _mask(jflags)
+            # |J:H| is prime, so every y in J but not in H gives <H, y> = J again
+            for y in compress(range(n), jflags):
+                done[y] = 1
             if jmask in found:
                 continue
             if jflags.count(1) != len(block) * k:
@@ -471,56 +491,115 @@ def _lattice_cyclic_extension(table: _ElementTable, gmask: int,
     return found
 
 
-def _lattice_join_closure(table: _ElementTable, gmask: int,
-                          limits: Limits) -> dict[int, tuple]:
+def _lattice_join_closure(table: _ElementTable, gmask: int, limits: Limits,
+                          gens: Sequence[int] | None = None) -> dict[int, tuple]:
     """Subgroup masks -> generator indices, by joins with prime-power cyclic
-    subgroups (the seeds) of the subgroup ``gmask``.
+    subgroups (the seeds) of the subgroup ``gmask``, generated by the
+    indices ``gens`` (by default, greedily from its members).
 
-    The queue starts with the trivial group and the seeds, so every seed C is
-    processed, and each join <C, C'> with a seed C' recorded in C's row,
-    before any larger subgroup H.  For H with C <= H <= <C, C'>, the join
-    <H, C'> is <C, C'>, already in ``found``, so it is skipped without a
-    closure; ``found`` gets the same keys, in the same order, with the same
+    The queue starts with the trivial group and the seeds.  Each queued H
+    is joined with every seed C_j not inside it, and a new join is queued
+    with generators H's plus e_j, the least element generating C_j.  Only
+    the first queued member R of each conjugacy class under ``gens`` closes
+    joins: its row holds the queue position of <R, C_j> for every seed.  A
+    closure stops once Lagrange says it is the whole group, and a known
+    join needs none: the seeds come first, so when C <= R <= <C, C_j> for
+    a seed C, <R, C_j> is <C, C_j>, in C's row.  Every later member
+    H = R^x reads <H, C_j> = <R, C_k>^x off R's row, with C_k the seed of
+    x e_j x^-1; a join equal to G or to R needs no mask work, and any other
+    is one conjugation, made once per (H, join).  Conjugation preserves
+    joins, so ``found`` gets the same keys, in the same order, with the same
     generators as when every join is closed."""
+    rows, inverse = table.rows, table.inverse
+    inv = inverse.__getitem__
+    if gens is None:
+        gens = table.generate(table.members(gmask), gmask.bit_count())[1]
     seeds: dict[int, int] = {}
+    cyclic: dict[int, int] = {}
     for e in table.members(gmask)[1:]:
         cyc = table.generate((e,))[0]
         if is_prime_power(cyc.bit_count()):
             seeds.setdefault(cyc, e)
+            cyclic[e] = cyc
     seed_list = sorted(seeds.items(), key=lambda kv: table.key(kv[0]))
+    seed_elements = [e for _, e in seed_list]
+    # prime-power element -> the index in seed_list of the seed it generates
+    seed_of = array("i", [-1]) * table.order
+    position = {cyc: j for j, (cyc, _) in enumerate(seed_list)}
+    for e, cyc in cyclic.items():
+        seed_of[e] = position[cyc]
     found: dict[int, tuple] = {1: ()}
     for cyc, e in seed_list:
         found[cyc] = (e,)
     queue = sorted(found, key=table.key)
     where = {m: i for i, m in enumerate(queue)}
     n = gmask.bit_count()
-    # seed element e -> the queue position of <C_e, C_j> per seed j; 0, the
-    # trivial group, where that join was not closed
+    maps = table.conjugations(gens)
+    # subgroup mask -> (the row of the first queued member R of its class,
+    # R's queue position, an x with mask = R^x)
+    transport: dict[int, tuple[array, int, int]] = {}
+    # seed element e -> the row of <e>
     joins: dict[int, array] = {}
-    for hmask in queue:
-        hgens = found[hmask]
-        block = table.members(hmask)
-        cap = _largest_proper_multiple(len(block), n)
-        # skip C_j inside H, and C_j with H <= <C_e, C_j> for a seed C_e <= H
-        skip = [cyc & hmask == cyc for cyc, _ in seed_list]
-        for r in [joins[e] for (_, e), s in zip(seed_list, skip) if s and e in joins]:
-            skip = [s or queue[k] & hmask == hmask for s, k in zip(skip, r)]
-        row = array("I", bytes(4 * len(seed_list)))
-        for j, (cyc, e) in enumerate(seed_list):
-            if skip[j]:
-                continue
-            jgens = hgens + (e,)
-            # Lagrange: |H| divides |<H, e>|, which divides n, so past cap
-            # the join is the whole group
-            jflags = table.closure(jgens, block, cap)
-            jmask = gmask if jflags is None else _mask(jflags)
-            if jmask in found:
-                row[j] = where[jmask]
-                continue
+    # queue position -> the members of that subgroup, for conjugating it
+    members_at: dict[int, array] = {}
+
+    def add(jmask: int, jgens: tuple) -> int:
+        if jmask not in found:
             _check_lattice_room(len(found) + 1, limits)
             found[jmask] = jgens
-            row[j] = where[jmask] = len(queue)
+            where[jmask] = len(queue)
             queue.append(jmask)
+        return where[jmask]
+
+    for hmask in queue:
+        hgens = found[hmask]
+        here = where[hmask]
+        row = array("I", bytes(4 * len(seed_list)))
+        if hmask in transport:
+            rrow, rpos, x = transport[hmask]
+            by_x, by_xi = rows[x].__getitem__, rows[inverse[x]].__getitem__
+            # x e x^-1 = (x (x e)^-1)^-1, so seed C_j^(x^-1) is C_k for k in ks
+            ks = map(seed_of.__getitem__, map(inv, map(by_x, map(inv, map(by_x, seed_elements)))))
+            conjugated = {rpos: here}
+            for j, k in enumerate(ks):
+                pos = rrow[k]
+                if pos not in conjugated:
+                    jmask = queue[pos]
+                    if jmask != gmask:
+                        if pos not in members_at:
+                            members_at[pos] = array(table.typecode, table.members(jmask))
+                        # u^x = x^-1 u x = (x^-1 (x^-1 u)^-1)^-1
+                        jmask = table.mask_of(map(inv, map(by_xi, map(inv, map(
+                            by_xi, members_at[pos])))))
+                    conjugated[pos] = add(jmask, hgens + (seed_elements[j],))
+                row[j] = conjugated[pos]
+        else:
+            transport[hmask] = (row, here, 0)
+            orbit = [(hmask, 0)]
+            for s, y in orbit:
+                members = table.members(s)
+                for g, conj in zip(gens, maps):
+                    c = table.mask_of(map(conj.__getitem__, members))
+                    if c not in transport:
+                        transport[c] = (row, here, rows[y][g])
+                        orbit.append((c, rows[y][g]))
+            block = table.members(hmask)
+            cap = _largest_proper_multiple(len(block), n)
+            # C_j <= H joins to H; <H, C_j> is <C, C_j> for a seed C <= H when
+            # <C, C_j> contains H
+            known = [here if cyc & hmask == cyc else -1 for cyc, _ in seed_list]
+            for r in [joins[e] for cyc, e in seed_list if cyc & hmask == cyc and e in joins]:
+                known = [k if c < 0 and queue[k] & hmask == hmask else c
+                         for c, k in zip(known, r)]
+            for j, e in enumerate(seed_elements):
+                if known[j] >= 0:
+                    row[j] = known[j]
+                    continue
+                jgens = hgens + (e,)
+                # Lagrange: |H| divides |<H, e>|, which divides n, so past cap
+                # the join is the whole group
+                jflags = table.closure(jgens, block, cap)
+                row[j] = add(gmask if jflags is None else _mask(jflags), jgens)
         if len(hgens) == 1:
             joins[hgens[0]] = row
     return found

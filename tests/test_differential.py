@@ -2,17 +2,19 @@
 groups and on random small permutation groups."""
 
 import math
+from itertools import compress
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import oracles
-from sigmagroups import Limits, Perm, PermGroup, builtin_corpus
+from sigmagroups import Limits, Perm, PermGroup, Subgroup, builtin_corpus
 from sigmagroups import sigma as sigma_module
 from sigmagroups import structure
 from sigmagroups.harness import campaign_sigmas
 from sigmagroups.sigma import SigmaPartition, is_sigma_nilpotent, sigma_nilpotent_residual
-from sigmagroups.numbers import is_prime_power, part_for_primes
+from sigmagroups.errors import InvariantError
+from sigmagroups.numbers import is_prime, is_prime_power, part_for_primes
 from sigmagroups.permcore import _mask, closure_of_images
 from sigmagroups.structure import (_element_table, _lattice_cyclic_extension,
                                    _lattice_join_closure, all_subgroups,
@@ -49,6 +51,45 @@ def uncapped_join_closure(table, gmask):
             if jmask not in found:
                 found[jmask] = jgens
                 queue.append(jmask)
+    return found
+
+
+def reference_cyclic_extension(table, gmask, limits):
+    """The cyclic-extension kernel that tries every element outside H,
+    including those of an extension <H, x> already closed."""
+    rows, inverse, n = table.rows, table.inverse, table.order
+    elements = table.members(gmask)
+    found: dict[int, tuple] = {1: ()}
+    queue = [1]
+    for hmask in queue:
+        hgens = found[hmask]
+        hflags = table.flags(hmask)
+        block = list(compress(range(n), hflags))
+        for x in elements:
+            if hflags[x]:
+                continue
+            by_xi = rows[inverse[x]]
+            if not all(hflags[rows[by_xi[g]][x]] for g in hgens):
+                continue  # x does not normalize H
+            # order of the coset xH in N(H)/H must be prime for a one-step extension
+            k = 1
+            cur = x
+            while not hflags[cur]:
+                cur = rows[cur][x]
+                k += 1
+            if not is_prime(k):
+                continue
+            jgens = hgens + (x,)
+            jflags = table.closure(jgens, block)
+            jmask = _mask(jflags)
+            if jmask in found:
+                continue
+            if jflags.count(1) != len(block) * k:
+                raise InvariantError(f"cyclic extension of a subgroup of order {len(block)} "
+                                     f"by a coset of order {k} has {jflags.count(1)} elements")
+            structure._check_lattice_room(len(found) + 1, limits)
+            found[jmask] = jgens
+            queue.append(jmask)
     return found
 
 
@@ -117,6 +158,80 @@ def test_join_closure_skips_known_joins(corpus, monkeypatch):
     assert kernel_closures <= 0.6 * len(calls)
 
 
+def count_closures(monkeypatch, kernel, *args):
+    """The result of kernel(*args) and the number of table closures it ran."""
+    calls = []
+    closure = structure._ElementTable.closure
+
+    def counting(self, *closure_args):
+        calls.append(closure_args)
+        return closure(self, *closure_args)
+
+    with monkeypatch.context() as m:
+        m.setattr(structure._ElementTable, "closure", counting)
+        return kernel(*args), len(calls)
+
+
+def test_join_closure_closes_only_for_class_representatives(corpus, monkeypatch):
+    """On PSL(2,7) (179 subgroups in 15 conjugacy classes), closing joins
+    only for the first member of each class leaves at most 15% of the
+    closures of closing every join, with the same result."""
+    G = corpus["PSL(2,7)"].build()
+    table = _element_table(G, Limits())
+    found, kernel_closures = count_closures(
+        monkeypatch, _lattice_join_closure, table, G.mask, Limits(), table.gens_of(G))
+    expected, all_closures = count_closures(monkeypatch, uncapped_join_closure, table, G.mask)
+    assert list(found.items()) == list(expected.items())
+    assert kernel_closures <= 0.15 * all_closures
+
+
+def test_cyclic_extension_matches_reference(corpus):
+    """Skipping the elements of an extension already closed changes no
+    entry, generator or insertion order, on every soluble builtin group."""
+    soluble = 0
+    for name, entry in corpus.items():
+        G = entry.build()
+        if not is_soluble(G):
+            continue
+        soluble += 1
+        table = _element_table(G, Limits())
+        assert list(_lattice_cyclic_extension(table, G.mask, Limits()).items()) == \
+            list(reference_cyclic_extension(table, G.mask, Limits()).items()), name
+    assert soluble == 41
+
+
+def alternating_group_6():
+    return PermGroup(6, [Perm.parse("(1 2 3)", 6), Perm.parse("(2 3 4 5 6)", 6)])
+
+
+def test_a6_lattice_has_501_subgroups_generated_by_their_generators():
+    G = alternating_group_6()
+    assert G.order == 360
+    subs = all_subgroups(G)
+    assert len(subs) == 501
+    for h in subs:
+        assert closure_of_images(G.degree, [g.images for g in h.generators]) == \
+            h.element_images()
+
+
+def test_point_stabiliser_lattice_is_a_down_set_of_the_root_lattice():
+    """A5 fixing a point of A6 is insoluble and not normal: its join closure
+    must take conjugacy classes under A5's generators, not A6's.  Its
+    subgroups are the down-set of A6's lattice, and its entries, generators
+    included, are those of closing every join."""
+    G = alternating_group_6()
+    A5 = Subgroup(G, [Perm.parse("(2 3 4)", 6), Perm.parse("(2 3 4 5 6)", 6)])
+    assert A5.order == 60 and not is_soluble(A5)
+    assert not structure.is_normal(G, A5)
+    subs = all_subgroups(A5)
+    assert [h.mask for h in subs] == \
+        [k.mask for k in all_subgroups(G) if k.mask & A5.mask == k.mask]
+    assert len(subs) == 59
+    table = _element_table(G, Limits())
+    assert [(h.mask, h.generators) for h in subs] == \
+        list(table.entries(uncapped_join_closure(table, A5.mask)))
+
+
 @st.composite
 def _generator(draw, degree):
     """A permutation of 0..degree-1; half of them preserve the blocks
@@ -174,6 +289,9 @@ def test_random_groups_match_oracle(G):
     table = _element_table(G.root, Limits())
     assert list(_lattice_join_closure(table, G.mask, Limits()).items()) == \
         list(uncapped_join_closure(table, G.mask).items())
+    if is_soluble(G):
+        assert list(_lattice_cyclic_extension(table, G.mask, Limits()).items()) == \
+            list(reference_cyclic_extension(table, G.mask, Limits()).items())
 
 
 @settings(RANDOM_GROUPS, max_examples=100)

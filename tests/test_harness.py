@@ -223,6 +223,22 @@ def test_lemma_2_5_forward_structure(corpus):
         assert all(b["complemented"] for b in out.witness["blocks"])
 
 
+def test_lemma_2_5_forward_checks_condition_ii_once(corpus, monkeypatch):
+    """The forward verifier reads condition (ii) and its per-block witness
+    from one _condition_ii_blocks call."""
+    calls = []
+    blocks = harness._condition_ii_blocks
+
+    def counting(G, D, *args):
+        calls.append(D.mask)
+        return blocks(G, D, *args)
+
+    monkeypatch.setattr(harness, "_condition_ii_blocks", counting)
+    out = verify_lemma_2_5_forward(corpus["F21"].build(), S1, "F21")
+    assert (out.verdict, out.vacuous) == ("confirmed", False)
+    assert len(calls) == 1
+
+
 def test_lemma_2_5_forward_vacuous_when_residual_trivial(corpus):
     out = verify_lemma_2_5_forward(corpus["Q8"].build(), S1, "Q8")
     assert (out.verdict, out.vacuous) == ("confirmed", True)
