@@ -14,21 +14,25 @@ partition text and the caller's limits.
 
 Sigma-nilpotency of G or of a quotient G/N (the residual, Lemma 2.3) is
 read off the subgroups R_i of G generated by its sigma_i-elements: no group
-and no normal lattice is built.
+and no normal lattice is built.  Sigma-solubility and pi-separability walk
+a descending series of subgroups generated by elements, with no chief
+series.  The Hall data of a block whose Hall subgroup is forced (all of G,
+or a normal R_i) needs no subgroup lattice, and neither do PsigmaT and the
+residual of a sigma-nilpotent group: the lattice is read only when the
+sigma-structure leaves the question open.
 """
 from __future__ import annotations
 
 import functools
 import itertools
-import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, InvariantError, Limits
 from .numbers import is_prime, part_for_primes, primes_of
 from .permcore import Subgroup, trivial_subgroup
 from .structure import (Group, _ElementTable, _check_inside, _element_table, _greedy_subgroup,
-                        _is_normal_in, _memo, all_subgroups, chief_series, is_normal,
+                        _is_normal_in, _memo, all_subgroups, check_table_order, is_normal,
                         normal_subgroups)
 
 # ---------------------------------------------------------------------------
@@ -108,12 +112,33 @@ def parse_sigma(text: str) -> SigmaPartition:
         return SigmaPartition.sigma1()
     if s == "[]":
         return SigmaPartition()
-    if not re.fullmatch(r"(\[\d+(?:\s*,\s*\d+)*\])+", s):
+    blocks = _scan_blocks(s)
+    if blocks is None:
         raise GroupInputError(f"bad partition text {text!r}")
-    blocks = []
-    for body in re.findall(r"\[([^\]]*)\]", s):
-        blocks.append(frozenset(int(tok) for tok in re.split(r"\s*,\s*", body)))
     return SigmaPartition.of_blocks(*blocks)
+
+
+def _scan_blocks(s: str) -> list[frozenset[int]] | None:
+    r"""The blocks of text made of one or more ``[n, ...]`` lists of decimal
+    numbers, with whitespace only around commas and nothing between lists;
+    None for any other text.  This is the language of the pattern
+    ``(\[\d+(?:\s*,\s*\d+)*\])+``, with ``str.isdecimal`` for ``\d`` and
+    ``str.isspace`` for ``\s``, as in ``re``."""
+    blocks = []
+    pos = 0
+    while pos < len(s) and s[pos] == "[":
+        end = s.find("]", pos)
+        if end < 0:
+            return None
+        body = s[pos + 1:end]
+        if body != body.strip():
+            return None
+        tokens = [tok.strip() for tok in body.split(",")]
+        if not all(tok.isdecimal() for tok in tokens):
+            return None
+        blocks.append(frozenset(map(int, tokens)))
+        pos = end + 1
+    return blocks if blocks and pos == len(s) else None
 
 
 def sigma_of_int(n: int, sigma: SigmaPartition) -> frozenset[str]:
@@ -150,26 +175,48 @@ def _order_blocks(order: int, sigma: SigmaPartition) -> tuple[tuple[str, frozens
 
 def _hall_data(G: Group, sigma: SigmaPartition, limits: Limits):
     """Per block: the masks of all Hall subgroups, canonically sorted, and
-    their conjugacy classes under G as index sets of the root's table."""
+    their conjugacy classes under G as index sets of the root's table.
+
+    A block's Hall subgroup is forced, and no lattice is read, in two cases.
+    When the block's part of |G| is |G|, G is the only candidate.  When the
+    subgroup R_i generated by the block's elements has order the block's
+    part, R_i is a normal Hall subgroup: for any subgroup H of that order,
+    HR_i is a subgroup whose order is a multiple of |R_i| and a number of
+    the block dividing |G|, so HR_i = R_i and H = R_i.  Either way the one
+    candidate is normal, so it is its own conjugacy class.  Other blocks
+    filter G's lattice by order."""
     def compute():
         table = _element_table(G.root, limits)
         gens = table.gens_of(G)
         blocks = []
         for bid, ps, part in _group_blocks(G, sigma):
-            # all_subgroups is sorted canonically, so the candidates are too
-            candidates = tuple(h.mask for h in all_subgroups(G, limits) if h.order == part)
-            cand_members = [frozenset(table.members(mask)) for mask in candidates]
-            classes: list[tuple[frozenset[int], ...]] = []
-            unassigned = set(cand_members)
-            for members in cand_members:
-                if members in unassigned:
-                    orbit = table.conjugates(members, gens)
-                    unassigned.difference_update(orbit)
-                    classes.append(tuple(orbit))
+            forced = G.mask if part == G.order else _block_generated(G, ps, limits)
+            if forced.bit_count() == part:
+                candidates = (forced,)
+                classes = ((frozenset(table.members(forced)),),)
+            else:
+                # all_subgroups is sorted canonically, so the candidates are too
+                candidates = tuple(h.mask for h in all_subgroups(G, limits) if h.order == part)
+                classes = _conjugacy_classes(table, candidates, gens)
             blocks.append({"id": bid, "primes": ps, "part": part,
-                           "candidates": candidates, "classes": tuple(classes)})
+                           "candidates": candidates, "classes": classes})
         return blocks
     return _memo(G, compute, "hall-data", sigma.text(), limits)
+
+
+def _conjugacy_classes(table: _ElementTable, masks: Iterable[int],
+                       gens: Sequence[int]) -> tuple[tuple[frozenset[int], ...], ...]:
+    """The conjugacy classes under ``gens`` of subgroups given by masks, as
+    index sets, in order of each class's first mask."""
+    classes: list[tuple[frozenset[int], ...]] = []
+    cand_members = [frozenset(table.members(mask)) for mask in masks]
+    unassigned = set(cand_members)
+    for members in cand_members:
+        if members in unassigned:
+            orbit = table.conjugates(members, gens)
+            unassigned.difference_update(orbit)
+            classes.append(tuple(orbit))
+    return tuple(classes)
 
 
 @dataclass(frozen=True)
@@ -283,10 +330,11 @@ def psigma_t_violation(G: Group, sigma: SigmaPartition,
     """A chain (K, H) with K sigma-permutable in H, H sigma-permutable in G,
     K not sigma-permutable in G; None when transitivity holds throughout.
 
-    When sigma(G) has at most one block, {H} is the only complete Hall
-    sigma-set of each subgroup H of G, so every subgroup is sigma-permutable
-    in every subgroup containing it and no subgroup is scanned."""
-    if len(sigma_of_group(G, sigma)) <= 1:
+    When G is sigma-nilpotent, every Hall sigma_i-subgroup of G is normal,
+    so every subgroup of G is sigma-permutable in G, K sp G holds for every
+    K, and no subgroup is scanned.  This covers every G whose sigma(G) has at
+    most one block: such a G is sigma-primary."""
+    if is_sigma_nilpotent(G, sigma, limits):
         return None
 
     def compute():
@@ -317,11 +365,48 @@ def is_psigma_t(G: Group, sigma: SigmaPartition, limits: Limits = DEFAULT_LIMITS
 
 def is_sigma_soluble(G: Group, sigma: SigmaPartition,
                      limits: Limits = DEFAULT_LIMITS) -> bool:
-    """Every chief factor is sigma-primary.  Chief factor orders do not depend
-    on the chosen series, so one greedy series decides."""
-    return _memo(G, lambda: all(is_sigma_primary(f.order, sigma)
-                                for f in chief_series(G, limits)),
+    """Every chief factor is sigma-primary.  The descending O^{sigma_i}
+    series of ``_descends_to_one`` over the blocks of sigma(G) decides, and
+    no chief series or normal lattice is built."""
+    blocks = [ps for _, ps, _ in _group_blocks(G, sigma)]
+    return _memo(G, lambda: _descends_to_one(G, blocks, limits),
                  "sigma-soluble", sigma.text(), limits)
+
+
+def _descends_to_one(G: Group, blocks: Sequence[frozenset[int]], limits: Limits) -> bool:
+    """Is G sigma-soluble for a partition whose blocks inside pi(G) are
+    ``blocks``?
+
+    Start with X = G.  While some block's O^{sigma_i}(X), the subgroup
+    generated by the elements of X whose order has no prime in sigma_i, is
+    smaller than X, replace X by it; G is sigma-soluble exactly when this
+    reaches X = 1.  Each term is characteristic in the one before, so the
+    series is normal in G, and X/O^{sigma_i}(X) is a sigma_i-group: each
+    element of X is its sigma_i-part times its sigma_i'-part, which lies in
+    O^{sigma_i}(X).  So a series reaching 1 refines to a chief series with
+    sigma-primary factors.  If it stalls at X != 1, X is sigma-soluble when
+    G is (the class is subgroup-closed), so some chief factor X/M of X on
+    top is sigma_i-primary; then O^{sigma_i}(X) <= M < X, a contradiction.
+    With at most one block G is sigma-primary, so the answer is yes at once.
+    The element orders and the generation run on the root's table."""
+    check_table_order(G.root.order, limits)
+    if len(blocks) <= 1:
+        return True
+    table = _element_table(G.root, limits)
+    orders = table.element_orders()
+    x = G.mask
+    while x != 1:
+        members = table.members(x)
+        kinds = set(map(orders.__getitem__, members))
+        for ps in blocks:
+            outside = {k for k in kinds if not primes_of(k) & ps}
+            y = table.generate((e for e in members if orders[e] in outside), x.bit_count())[0]
+            if y != x:
+                x = y
+                break
+        else:
+            return False
+    return True
 
 
 def is_sigma_nilpotent(G: Group, sigma: SigmaPartition,
@@ -374,9 +459,13 @@ def _quotient_is_sigma_nilpotent(G: Group, N: Subgroup, sigma: SigmaPartition,
 
 def sigma_nilpotent_residual(G: Group, sigma: SigmaPartition,
                              limits: Limits = DEFAULT_LIMITS) -> Subgroup:
-    """Least normal subgroup with sigma-nilpotent quotient.  The minimal-order
-    witness and the intersection of all witnesses must agree (checked)."""
+    """Least normal subgroup with sigma-nilpotent quotient.  For a
+    sigma-nilpotent G it is the trivial subgroup, and no normal lattice is
+    built.  Otherwise the minimal-order witness among G's normal subgroups
+    and the intersection of all witnesses must agree (checked)."""
     def compute():
+        if is_sigma_nilpotent(G, sigma, limits):
+            return trivial_subgroup(G)
         witnesses = [n for n in normal_subgroups(G, limits)
                      if _quotient_is_sigma_nilpotent(G, n, sigma, limits)]
         # normal_subgroups is sorted by (order, element list): the first is least
@@ -432,11 +521,12 @@ def is_sigma_full_sylow_type(G: Group, sigma: SigmaPartition,
 
 
 def is_pi_separable(G: Group, pi, limits: Limits = DEFAULT_LIMITS) -> bool:
-    """Every chief factor is a pi-group or a pi'-group."""
-    pi = frozenset(pi)
-    return all(
-        f.prime_support <= pi or not (f.prime_support & pi)
-        for f in chief_series(G, limits))
+    """Every chief factor is a pi-group or a pi'-group: sigma-solubility for
+    the blocks pi and pi' of pi(G), decided by ``_descends_to_one``."""
+    pig = primes_of(G.order)
+    inside = pig & frozenset(pi)
+    blocks = [b for b in (inside, pig - inside) if b]
+    return _memo(G, lambda: _descends_to_one(G, blocks, limits), "pi-separable", inside, limits)
 
 
 def largest_normal_block_subgroup(D: Subgroup, block_primes,

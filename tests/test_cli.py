@@ -90,6 +90,19 @@ def test_classify_degrades_gracefully_under_tight_limits():
     assert "sigma-nilpotent residual order: 12" in proc.stdout
 
 
+def test_classify_answers_lattice_free_fields_under_tight_limits(capsys):
+    # a sigma-nilpotent group whose Hall subgroups are generated by the
+    # elements of each block: no field needs the subgroup lattice
+    clear_intern_cache()  # a lattice cached by an earlier test would hide a lattice read
+    code, out, _ = run(capsys, "classify", "--group", "C5xA4", "--sigma", "[2,3][5]",
+                       "--subgroup-bound", "2")
+    assert code == 0
+    assert "skipped" not in out
+    assert "PsigmaT: yes" in out
+    assert "complete Hall sigma-set: yes (orders 12, 5)" in out
+    assert "sigma-nilpotent residual order: 1" in out
+
+
 CAPS = ["--element-cache-bound", "--subgroup-bound", "--table-order-bound"]
 
 

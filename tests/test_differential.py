@@ -1,6 +1,7 @@
 """The element-indexed kernels against the brute-force oracle, on builtin
 groups and on random small permutation groups."""
 
+import itertools
 import math
 from itertools import compress
 
@@ -12,12 +13,13 @@ from sigmagroups import Limits, Perm, PermGroup, Subgroup, builtin_corpus
 from sigmagroups import sigma as sigma_module
 from sigmagroups import structure
 from sigmagroups.harness import campaign_sigmas
-from sigmagroups.sigma import SigmaPartition, is_sigma_nilpotent, sigma_nilpotent_residual
+from sigmagroups.sigma import (SigmaPartition, is_pi_separable, is_sigma_nilpotent,
+                               is_sigma_primary, is_sigma_soluble, sigma_nilpotent_residual)
 from sigmagroups.errors import InvariantError
-from sigmagroups.numbers import is_prime, is_prime_power, part_for_primes
+from sigmagroups.numbers import is_prime, is_prime_power, part_for_primes, primes_of
 from sigmagroups.permcore import _mask, closure_of_images
 from sigmagroups.structure import (_element_table, _lattice_cyclic_extension,
-                                   _lattice_join_closure, all_subgroups,
+                                   _lattice_join_closure, all_subgroups, chief_series,
                                    conjugate_image_sets, is_soluble,
                                    normal_subgroups, quotient_group)
 
@@ -115,6 +117,71 @@ def test_sigma_nilpotency_matches_the_normal_lattice_read(corpus, name):
     """The test on the subgroups generated by sigma_i-elements against the
     normal-lattice read, for every normal N and campaign partition."""
     assert_sigma_nilpotency_matches_lattice_read(corpus[name].build())
+
+
+def reference_is_sigma_soluble(G, sigma):
+    """Sigma-solubility read off one greedy chief series of G."""
+    return all(is_sigma_primary(f.order, sigma) for f in chief_series(G))
+
+
+def reference_is_pi_separable(G, pi):
+    """Pi-separability read off one greedy chief series of G."""
+    pi = frozenset(pi)
+    return all(f.prime_support <= pi or not (f.prime_support & pi) for f in chief_series(G))
+
+
+def reference_hall_data(G, sigma, limits):
+    """The Hall data of every block filtered from G's lattice by order, with
+    the conjugacy classes of the candidates under G's generators."""
+    table = _element_table(G.root, limits)
+    gens = table.gens_of(G)
+    blocks = []
+    for bid, ps, part in sigma_module._group_blocks(G, sigma):
+        # all_subgroups is sorted canonically, so the candidates are too
+        candidates = tuple(h.mask for h in all_subgroups(G, limits) if h.order == part)
+        cand_members = [frozenset(table.members(mask)) for mask in candidates]
+        classes = []
+        unassigned = set(cand_members)
+        for members in cand_members:
+            if members in unassigned:
+                orbit = table.conjugates(members, gens)
+                unassigned.difference_update(orbit)
+                classes.append(tuple(orbit))
+        blocks.append({"id": bid, "primes": ps, "part": part,
+                       "candidates": candidates, "classes": tuple(classes)})
+    return blocks
+
+
+def unordered_classes(blocks):
+    """Hall data with each conjugacy class as a set.  The order inside a
+    class follows the generators of the first group with G's element set
+    that asked for it, since the data is cached on the shared root."""
+    return [{**block, "classes": tuple(map(frozenset, block["classes"]))} for block in blocks]
+
+
+def assert_sigma_verdicts_match_references(G, subgroups):
+    """Sigma-solubility of each subgroup and the Hall data of G at every
+    campaign partition, and pi-separability of G for every set of its
+    primes, against the chief-series and lattice-filter references."""
+    for sigma in campaign_sigmas(G):
+        for H in subgroups:
+            assert is_sigma_soluble(H, sigma) == reference_is_sigma_soluble(H, sigma), \
+                (H.generators, sigma.text())
+        assert unordered_classes(sigma_module._hall_data(G, sigma, Limits())) == \
+            unordered_classes(reference_hall_data(G, sigma, Limits())), sigma.text()
+    primes = sorted(primes_of(G.order))
+    for k in range(len(primes) + 1):
+        for pi in itertools.combinations(primes, k):
+            assert is_pi_separable(G, pi) == reference_is_pi_separable(G, pi), pi
+
+
+@pytest.mark.parametrize("name", [e.name for e in builtin_corpus()])
+def test_sigma_verdicts_match_chief_series_and_lattice_filter(corpus, name):
+    """The descending O^{sigma_i} series on every subgroup of every builtin
+    group, and the Hall data with forced blocks read without the lattice,
+    give the verdicts and data of the chief series and the lattice filter."""
+    G = corpus[name].build()
+    assert_sigma_verdicts_match_references(G, all_subgroups(G))
 
 
 @pytest.mark.parametrize("name", [e.name for e in builtin_corpus()])
@@ -292,6 +359,7 @@ def test_random_groups_match_oracle(G):
     if is_soluble(G):
         assert list(_lattice_cyclic_extension(table, G.mask, Limits()).items()) == \
             list(reference_cyclic_extension(table, G.mask, Limits()).items())
+    assert_sigma_verdicts_match_references(G, [G])
 
 
 @settings(RANDOM_GROUPS, max_examples=100)

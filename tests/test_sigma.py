@@ -6,8 +6,10 @@ product-set condition for every member and every conjugating element.
 """
 
 import functools
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sigmagroups import (CapacityError, GroupInputError, Limits, Perm,
                          Subgroup, builtin_corpus, builtin_entry, full_subgroup, parse_sigma,
@@ -84,6 +86,48 @@ def test_text_and_parse_round_trip():
 def test_parse_sigma_rejects_bad_text(bad):
     with pytest.raises(GroupInputError):
         parse_sigma(bad)
+
+
+def regex_parse_sigma(text):
+    """parse_sigma as first written, with regular expressions."""
+    s = text.strip().lower()
+    if s == "sigma1":
+        return SigmaPartition.sigma1()
+    if s == "[]":
+        return SigmaPartition()
+    if not re.fullmatch(r"(\[\d+(?:\s*,\s*\d+)*\])+", s):
+        raise GroupInputError(f"bad partition text {text!r}")
+    blocks = []
+    for body in re.findall(r"\[([^\]]*)\]", s):
+        blocks.append(frozenset(int(tok) for tok in re.split(r"\s*,\s*", body)))
+    return SigmaPartition.of_blocks(*blocks)
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except GroupInputError as exc:
+        return str(exc)
+
+
+PARSE_ACCEPTED = ["[2]", "[2,3][5]", "[2 ,3]", "[2, 3]", "[2\t,\n3]", "[2\u3000,\x1c3]",
+                  " [7][2] ", "[２]", "[2,2]", "[02,3]", "SIGMA1", " sigma1 ", "[]", " [] "]
+PARSE_REJECTED = ["[ 2]", "[2 ]", "[2] [3]", "[2][", "[2,]", "[,2]", "[2,,3]", "[]]", "[][2]",
+                  "[2]x", "x[2]", "[2;3]", "[-2]", "[+2]", "[2.0]", "[²]", "[2_3]", "[2]]",
+                  "[[2]]", "[2][]", "sigma1[2]", "[ ]", "", "[4]", "[2][2]", "[1]"]
+
+
+@pytest.mark.parametrize("text", PARSE_ACCEPTED + PARSE_REJECTED)
+def test_parse_sigma_scanner_matches_the_regex(text):
+    expected = parse_outcome(regex_parse_sigma, text)
+    assert parse_outcome(parse_sigma, text) == expected
+    assert isinstance(expected, SigmaPartition) == (text in PARSE_ACCEPTED)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.text(alphabet="[]23, \t", max_size=12))
+def test_parse_sigma_scanner_matches_the_regex_on_random_text(text):
+    assert parse_outcome(parse_sigma, text) == parse_outcome(regex_parse_sigma, text)
 
 
 def test_sigma_of_and_primary(corpus):
@@ -381,6 +425,42 @@ def test_sigma_nilpotency_runs_no_normal_lattice(monkeypatch, name):
     verdicts = [is_sigma_nilpotent(H, sigma) for sigma in campaign_sigmas(G) for H in subgroups]
     assert runs == []
     assert any(verdicts) and not all(verdicts)
+
+
+def classify_fields(G, sigma):
+    """The five classify fields that take a partition and run kernels."""
+    hall = complete_hall_sigma_set(G, sigma)
+    return (is_sigma_soluble(G, sigma), is_sigma_nilpotent(G, sigma), is_psigma_t(G, sigma),
+            None if hall is None else hall.member_orders(),
+            sigma_nilpotent_residual(G, sigma).order)
+
+
+LATTICE_FREE_CASES = (
+    [(name, "[2,3,5,7]") for name in ("S4", "A5", "PSL(2,7)")]
+    + [(name, "all") for name in ("C15", "Q8")]
+    + [("C5xA4", "[2,3][5]")])
+
+
+@pytest.mark.parametrize("name,stext", LATTICE_FREE_CASES)
+def test_classify_fields_run_no_lattice_kernel_when_sigma_decides(monkeypatch, name, stext):
+    """At a one-block partition, and on a sigma-nilpotent group at any
+    partition, the classify fields need no subgroup lattice, normal lattice
+    or chief series."""
+    clear_intern_cache()  # no lattice cached by an earlier test
+    G = builtin_entry(name).build()
+    sigmas = campaign_sigmas(G) if stext == "all" else [parse_sigma(stext)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a lattice kernel ran")
+
+    for kernel in ("_lattice_cyclic_extension", "_lattice_join_closure", "_normal_lattice",
+                   "chief_series"):
+        monkeypatch.setattr(structure_module, kernel, refuse)
+    for sigma in sigmas:
+        soluble, nilpotent, psigma_t, hall_orders, residual = classify_fields(G, sigma)
+        assert soluble and nilpotent and psigma_t and residual == 1
+        assert sorted(hall_orders) == sorted(
+            part for _, _, part in sigma_module._group_blocks(G, sigma))
 
 
 # ---------------------------------------------------------------------------
