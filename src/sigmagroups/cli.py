@@ -20,7 +20,7 @@ from .harness import (REGISTRY, STATEMENTS, CampaignConfig, VerificationOutcome,
                       campaign_sigmas, report_from_rows, run_campaign, run_statements)
 from .numbers import is_prime
 from .permcore import Perm, PermGroup, Subgroup
-from .sigma import (SigmaPartition, complete_hall_sigma_set, is_psigma_t,
+from .sigma import (BLOCK_DIGITS, SigmaPartition, complete_hall_sigma_set, is_psigma_t,
                     is_sigma_nilpotent, is_sigma_permutable, is_sigma_primary,
                     is_sigma_soluble, parse_sigma, sigma_nilpotent_residual,
                     sigma_of_group)
@@ -214,15 +214,16 @@ def _outcome_lines(rows: list[VerificationOutcome]) -> list[str]:
 
 def _pi_sets(args) -> list[frozenset[int]] | None:
     """The one prime set given by --pi, or None for every subset of pi(G).
-    Primality is decided by trial division, so a token has at most 9 digits."""
+    A token has at most ``BLOCK_DIGITS`` digits, as a block number has."""
     if args.pi is None:
         return None
     if REGISTRY[args.statement].scope != "pi":
         only = ", ".join(sid for sid, st in REGISTRY.items() if st.scope == "pi")
         raise _Usage(f"--pi applies only to {only}, not {args.statement}")
     tokens = [t.strip() for t in args.pi.split(",")]
-    if not all(t.isdecimal() and len(t) <= 9 and is_prime(int(t)) for t in tokens):
-        raise _Usage(f"--pi takes comma-separated primes of at most 9 digits, got {args.pi!r}")
+    if not all(t.isdecimal() and len(t) <= BLOCK_DIGITS and is_prime(int(t)) for t in tokens):
+        raise _Usage(f"--pi takes comma-separated primes of at most {BLOCK_DIGITS} digits, "
+                     f"got {args.pi!r}")
     return [frozenset(int(t) for t in tokens)]
 
 

@@ -200,18 +200,6 @@ def parse_corpus_file(text: str) -> list[CorpusEntry]:
     return entries
 
 
-def serialize_corpus(entries: list[CorpusEntry]) -> str:
-    chunks = []
-    for e in entries:
-        lines = [f"group {e.name} deg {e.degree}"]
-        lines += [f"gen {g}" for g in e.generators]
-        lines.append(f"order {e.expected_order}")
-        if e.tags:
-            lines.append("tags " + " ".join(e.tags))
-        chunks.append("\n".join(lines))
-    return "\n\n".join(chunks) + ("\n" if chunks else "")
-
-
 # ---------------------------------------------------------------------------
 # partitions of a prime set
 

@@ -41,8 +41,6 @@ from .structure import (_element_table, _memo, all_subgroups, conjugate_subgroup
                         product_subgroup, quotient_group, subgroups_of_order,
                         supplements, sylow_subgroup)
 
-CLASSES = ("sigma-soluble", "sigma-nilpotent", "sigma-soluble-psigma-t")
-
 _THMA_CLASS = {"ThmA.i": "sigma-soluble", "ThmA.ii": "sigma-nilpotent",
                "ThmA.iii": "sigma-soluble-psigma-t"}
 
@@ -439,22 +437,6 @@ def _pair_satisfies_conditions(G: PermGroup, sigma: SigmaPartition, D: Subgroup,
     if not is_normal(G, D):
         return False
     return next(_condition_problems(G, sigma, D, M, limits), None) is None
-
-
-def verify_lemma_2_5_converse(G: PermGroup, sigma: SigmaPartition, D: Subgroup,
-                              M: Subgroup, group_name: str = "",
-                              limits: Limits = DEFAULT_LIMITS) -> VerificationOutcome:
-    if not _pair_satisfies_conditions(G, sigma, D, M, limits):
-        raise GroupInputError(
-            "conditions (i)+(ii) do not hold for the supplied (D, M)")
-    if is_psigma_t(G, sigma, limits):
-        return VerificationOutcome(
-            "Lem2.5.conv", group_name, sigma, "confirmed",
-            witness={"D": _sub_json(D), "M": _sub_json(M)})
-    return VerificationOutcome(
-        "Lem2.5.conv", group_name, sigma, "counterexample",
-        witness={"D": _sub_json(D), "M": _sub_json(M),
-                 "note": "implementation bug candidate: statement is proved"})
 
 
 def verify_lemma_2_5_converse_search(G: PermGroup, sigma: SigmaPartition,

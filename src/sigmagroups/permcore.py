@@ -29,7 +29,7 @@ import functools
 import math
 import re
 from itertools import compress
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, InvariantError
 
@@ -370,9 +370,6 @@ class PermGroup:
             return False
         return self._sift(p.images) is None
 
-    def contains_images(self, images: tuple) -> bool:
-        return self._sift(images) is None
-
     def elements(self, bound: int | None = None) -> tuple[Perm, ...]:
         """All elements, sorted lexicographically; capped by the element-cache bound."""
         if self._elements is None:
@@ -540,11 +537,6 @@ class Subgroup:
 
     def __hash__(self) -> int:
         return hash((id(self.root), self.mask))
-
-    def is_subset_of(self, other: "Subgroup") -> bool:
-        if self.root is other.root:
-            return self.mask & other.mask == self.mask
-        return self.element_images() <= other.element_images()
 
     def __repr__(self) -> str:
         gens = ", ".join(str(g) for g in self.generators) or "()"

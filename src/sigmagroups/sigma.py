@@ -16,27 +16,32 @@ Sigma-nilpotency of G or of a quotient G/N (the residual, Lemma 2.3) is
 read off the subgroups R_i of G generated by its sigma_i-elements: no group
 and no normal lattice is built.  Sigma-solubility and pi-separability walk
 a descending series of subgroups generated by elements, with no chief
-series.  The Hall data of a block whose Hall subgroup is forced (all of G,
-or a normal R_i) needs no subgroup lattice, and neither do PsigmaT and the
-residual of a sigma-nilpotent group: the lattice is read only when the
-sigma-structure leaves the question open.
+series: the walk is ``structure._descends_to_one``, which also decides
+classical solubility, one block per prime.  The Hall data of a block whose
+Hall subgroup is forced (all of G, or a normal R_i) needs no subgroup
+lattice, and neither do PsigmaT and the residual of a sigma-nilpotent
+group: the lattice is read only when the sigma-structure leaves the
+question open.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, InvariantError, Limits
+from .errors import DEFAULT_LIMITS, GroupInputError, InvariantError, Limits
 from .numbers import is_prime, part_for_primes, primes_of
 from .permcore import Subgroup, trivial_subgroup
-from .structure import (Group, _ElementTable, _check_inside, _element_table, _greedy_subgroup,
-                        _is_normal_in, _memo, all_subgroups, check_table_order, is_normal,
+from .structure import (Group, _ElementTable, _check_inside, _descends_to_one, _element_table,
+                        _greedy_subgroup, _is_normal_in, _memo, all_subgroups, is_normal,
                         normal_subgroups)
 
 # ---------------------------------------------------------------------------
 # partitions
+
+# Primality is decided by trial division, so a block number has at most 9 digits
+BLOCK_DIGITS = 9
+_TOO_LONG = f"a block number has more than {BLOCK_DIGITS} digits"
 
 @dataclass(frozen=True)
 class SigmaPartition:
@@ -56,6 +61,8 @@ class SigmaPartition:
             if not block:
                 raise GroupInputError("empty block in partition")
             for p in block:
+                if p >= 10 ** BLOCK_DIGITS:
+                    raise GroupInputError(_TOO_LONG)
                 if not is_prime(p):
                     raise GroupInputError(f"{p} is not a prime")
                 if p in seen:
@@ -82,17 +89,6 @@ class SigmaPartition:
             if p in block:
                 return ",".join(str(q) for q in sorted(block))
         return self.REST
-    def block_primes(self, p: int) -> frozenset[int] | None:
-        """The full prime set of p's block; None for the (infinite) rest block."""
-        if self.classical:
-            return frozenset({p})
-        for block in self.blocks:
-            if p in block:
-                return block
-        return None
-
-    def same_block(self, p: int, q: int) -> bool:
-        return self.block_id(p) == self.block_id(q)
 
     def text(self) -> str:
         if self.classical:
@@ -136,9 +132,18 @@ def _scan_blocks(s: str) -> list[frozenset[int]] | None:
         tokens = [tok.strip() for tok in body.split(",")]
         if not all(tok.isdecimal() for tok in tokens):
             return None
-        blocks.append(frozenset(map(int, tokens)))
+        blocks.append(frozenset(map(_block_number, tokens)))
         pos = end + 1
     return blocks if blocks and pos == len(s) else None
+
+
+def _block_number(token: str) -> int:
+    """The value of a decimal token, read without ``int`` on more than
+    ``BLOCK_DIGITS`` characters: GroupInputError when a digit before the
+    last ``BLOCK_DIGITS`` is not zero."""
+    if any(map(int, token[:-BLOCK_DIGITS])):
+        raise GroupInputError(_TOO_LONG)
+    return int(token[-BLOCK_DIGITS:])
 
 
 def sigma_of_int(n: int, sigma: SigmaPartition) -> frozenset[str]:
@@ -207,7 +212,8 @@ def _hall_data(G: Group, sigma: SigmaPartition, limits: Limits):
 def _conjugacy_classes(table: _ElementTable, masks: Iterable[int],
                        gens: Sequence[int]) -> tuple[tuple[frozenset[int], ...], ...]:
     """The conjugacy classes under ``gens`` of subgroups given by masks, as
-    index sets, in order of each class's first mask."""
+    index sets, in order of each class's first mask.  Each class is sorted
+    by element list, so it does not depend on the choice of ``gens``."""
     classes: list[tuple[frozenset[int], ...]] = []
     cand_members = [frozenset(table.members(mask)) for mask in masks]
     unassigned = set(cand_members)
@@ -215,7 +221,7 @@ def _conjugacy_classes(table: _ElementTable, masks: Iterable[int],
         if members in unassigned:
             orbit = table.conjugates(members, gens)
             unassigned.difference_update(orbit)
-            classes.append(tuple(orbit))
+            classes.append(tuple(sorted(orbit, key=sorted)))
     return tuple(classes)
 
 
@@ -243,36 +249,6 @@ def complete_hall_sigma_set(G: Group, sigma: SigmaPartition,
     if total != G.order:
         raise InvariantError(f"Hall sigma-set member orders multiply to {total}, not {G.order}")
     return HallSigmaSet(members=tuple(members))
-
-
-def has_complete_hall_sigma_set(G: Group, sigma: SigmaPartition,
-                                limits: Limits = DEFAULT_LIMITS) -> bool:
-    return complete_hall_sigma_set(G, sigma, limits) is not None
-
-
-HALL_SET_CAP = 100000
-
-
-def enumerate_complete_hall_sigma_sets(G: Group, sigma: SigmaPartition,
-                                       limits: Limits = DEFAULT_LIMITS) -> tuple[HallSigmaSet, ...]:
-    """Every complete Hall sigma-set, as the cartesian product over blocks;
-    CapacityError when there are more than ``HALL_SET_CAP``."""
-    blocks = _hall_data(G, sigma, limits)
-    count = 1
-    for block in blocks:
-        count *= len(block["candidates"])
-    if count > HALL_SET_CAP:
-        raise CapacityError(
-            f"{count} complete Hall sigma-sets exceed the Hall-set cap {HALL_SET_CAP}")
-    if any(not block["candidates"] for block in blocks):
-        return ()
-    out = []
-    for combo in itertools.product(*(block["candidates"] for block in blocks)):
-        members = tuple(
-            (block["id"], _greedy_subgroup(G, mask, limits))
-            for block, mask in zip(blocks, combo))
-        out.append(HallSigmaSet(members=members))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +331,7 @@ def is_psigma_t(G: Group, sigma: SigmaPartition, limits: Limits = DEFAULT_LIMITS
     """Transitivity of sigma-permutability: K sp H sp G implies K sp G.
 
     Vacuously true when G has no complete Hall sigma-set (nothing is
-    sigma-permutable then); pair with has_complete_hall_sigma_set to audit.
+    sigma-permutable then); audit with ``complete_hall_sigma_set(...) is None``.
     """
     return psigma_t_violation(G, sigma, limits) is None
 
@@ -366,47 +342,11 @@ def is_psigma_t(G: Group, sigma: SigmaPartition, limits: Limits = DEFAULT_LIMITS
 def is_sigma_soluble(G: Group, sigma: SigmaPartition,
                      limits: Limits = DEFAULT_LIMITS) -> bool:
     """Every chief factor is sigma-primary.  The descending O^{sigma_i}
-    series of ``_descends_to_one`` over the blocks of sigma(G) decides, and
-    no chief series or normal lattice is built."""
+    series of ``structure._descends_to_one`` over the blocks of sigma(G)
+    decides, and no chief series or normal lattice is built."""
     blocks = [ps for _, ps, _ in _group_blocks(G, sigma)]
     return _memo(G, lambda: _descends_to_one(G, blocks, limits),
                  "sigma-soluble", sigma.text(), limits)
-
-
-def _descends_to_one(G: Group, blocks: Sequence[frozenset[int]], limits: Limits) -> bool:
-    """Is G sigma-soluble for a partition whose blocks inside pi(G) are
-    ``blocks``?
-
-    Start with X = G.  While some block's O^{sigma_i}(X), the subgroup
-    generated by the elements of X whose order has no prime in sigma_i, is
-    smaller than X, replace X by it; G is sigma-soluble exactly when this
-    reaches X = 1.  Each term is characteristic in the one before, so the
-    series is normal in G, and X/O^{sigma_i}(X) is a sigma_i-group: each
-    element of X is its sigma_i-part times its sigma_i'-part, which lies in
-    O^{sigma_i}(X).  So a series reaching 1 refines to a chief series with
-    sigma-primary factors.  If it stalls at X != 1, X is sigma-soluble when
-    G is (the class is subgroup-closed), so some chief factor X/M of X on
-    top is sigma_i-primary; then O^{sigma_i}(X) <= M < X, a contradiction.
-    With at most one block G is sigma-primary, so the answer is yes at once.
-    The element orders and the generation run on the root's table."""
-    check_table_order(G.root.order, limits)
-    if len(blocks) <= 1:
-        return True
-    table = _element_table(G.root, limits)
-    orders = table.element_orders()
-    x = G.mask
-    while x != 1:
-        members = table.members(x)
-        kinds = set(map(orders.__getitem__, members))
-        for ps in blocks:
-            outside = {k for k in kinds if not primes_of(k) & ps}
-            y = table.generate((e for e in members if orders[e] in outside), x.bit_count())[0]
-            if y != x:
-                x = y
-                break
-        else:
-            return False
-    return True
 
 
 def is_sigma_nilpotent(G: Group, sigma: SigmaPartition,
@@ -513,11 +453,6 @@ def sigma_full_sylow_type_violation(G: Group, sigma: SigmaPartition,
                                 "uncovered": uncovered.generators}
         return None
     return _memo(G, compute, "sigma-full", sigma.text(), limits)
-
-
-def is_sigma_full_sylow_type(G: Group, sigma: SigmaPartition,
-                             limits: Limits = DEFAULT_LIMITS) -> bool:
-    return sigma_full_sylow_type_violation(G, sigma, limits) is None
 
 
 def is_pi_separable(G: Group, pi, limits: Limits = DEFAULT_LIMITS) -> bool:

@@ -6,13 +6,17 @@ the lattice bound.  The set algebra runs on an element-indexed kernel: each
 root group gets a multiplication table over its sorted elements, and its
 subgroups are ``int`` bitmasks over that numbering.  Every function taking a
 group also takes a ``Subgroup``: its kernels (the subgroup lattice, the
-normal lattice, the derived series, maximal subgroups, quotients with cosets
-numbered by table rows, products, conjugates, and the product tests of
-sigma-permutability) run on the root's table restricted to the subgroup's
-members.  Since index order is image-tuple order, a kernel restricted to a
-subgroup walks its members in the same order as a walk over the subgroup's
-own sorted elements would.  Results are ``Subgroup`` values on the caller's
-root, sorted canonically by (order, element list).
+normal lattice, the derived subgroup, maximal subgroups, quotients with
+cosets numbered by table rows, products, conjugates, and the product tests
+of sigma-permutability) run on the root's table restricted to the
+subgroup's members.  Since index order is image-tuple order, a kernel
+restricted to a subgroup walks its members in the same order as a walk over
+the subgroup's own sorted elements would.  Results are ``Subgroup`` values
+on the caller's root, sorted canonically by (order, element list).
+
+Solubility, classical or relative to a partition of the primes, is one walk
+down a series of subgroups generated by elements, ``_descends_to_one``,
+which ``sigma`` imports.
 
 Derived results, wrapped ``Subgroup`` and ``QuotientGroup`` values included,
 are cached once, on the root per member mask, so repeated queries against
@@ -31,8 +35,8 @@ from typing import Callable, Iterable, Sequence
 from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, InvariantError, Limits
 from .numbers import is_prime, is_prime_power, part_for_primes, prime_factors, primes_of
 from .permcore import (Perm, PermGroup, Subgroup, _flags, _mask, compose_images,
-                       conjugate_images, find_interned, identity_images, images_order,
-                       interned, invert_images, trivial_subgroup)
+                       find_interned, identity_images, interned, invert_images,
+                       trivial_subgroup)
 
 Group = PermGroup | Subgroup
 
@@ -230,12 +234,18 @@ def _element_table(K: PermGroup, limits: Limits | None = None) -> _ElementTable:
     table built earlier under a higher one.  Without limits, a table that
     exists is reused and a missing one is built under the default bound.
     """
+    _check_table_room(K, limits)
     table = K.cache.get("element-table")
-    if limits is not None or table is None:
-        check_table_order(K.order, limits or DEFAULT_LIMITS)
     if table is None:
         table = K.cache["element-table"] = _ElementTable(K)
     return table
+
+
+def _check_table_room(K: PermGroup, limits: Limits | None) -> None:
+    """The table bound ``_element_table`` applies: the caller's limits, or
+    without limits the default bound unless a table exists."""
+    if limits is not None or "element-table" not in K.cache:
+        check_table_order(K.order, limits or DEFAULT_LIMITS)
 
 
 def _memo(G: Group, compute: Callable, *key):
@@ -314,44 +324,11 @@ def conjugate_subgroups(G: Group, H: Subgroup,
 
 
 # ---------------------------------------------------------------------------
-# generated/normal/derived subgroups
-
-def generated_subgroup(G: Group, gens: Iterable[Perm]) -> Subgroup:
-    return Subgroup(G, tuple(gens))
-
-
-def normal_closure(G: Group, seed: Subgroup | Iterable[Perm]) -> Subgroup:
-    """Smallest normal subgroup of G containing the seed elements."""
-    seed_perms = seed.generators if isinstance(seed, Subgroup) else tuple(seed)
-    for p in seed_perms:
-        if p not in G:
-            raise GroupInputError(f"seed element {p} is not in the group")
-    table = _element_table(G.root)
-    maps = table.conjugations(table.gens_of(G))
-    seen = {table.index[p.images] for p in seed_perms}
-    orbit = list(seen)
-    for e in orbit:
-        for conj in maps:
-            if conj[e] not in seen:
-                seen.add(conj[e])
-                orbit.append(conj[e])
-    return _greedy_subgroup(G, table.generate(sorted(orbit))[0])
-
-
-def centralizer(G: Group, H: Subgroup) -> Subgroup:
-    table = _element_table(G.root)
-    hg = [g.images for g in H.generators]
-    return _greedy_subgroup(G, table.mask_of(
-        x for x in table.members(G.mask)
-        if all(compose_images(table.images[x], h) == compose_images(h, table.images[x])
-               for h in hg)))
-
+# normality, derived subgroup, solubility
 
 def is_normal(G: Group, H: Subgroup) -> bool:
     _check_inside(G, H)
-    index = G.root.element_index()
-    return all(H.mask >> index[conjugate_images(h.images, g.images)] & 1
-               for h in H.generators for g in G.generators)
+    return _is_normal_in(_element_table(G.root), G, H)
 
 
 def _derived_mask(table: _ElementTable, mask: int) -> int:
@@ -370,25 +347,52 @@ def derived_subgroup(G: Group) -> Subgroup:
     return _greedy_subgroup(G, _derived_mask(_element_table(G.root), G.mask))
 
 
-# The derived series takes no limits: it uses the root's table if one was
-# built (all_subgroups builds it under the caller's limits first), else it
-# builds one under the default table bound.
-
 def is_soluble(G: Group) -> bool:
-    def compute():
-        table = _element_table(G.root)
-        mask = G.mask
-        while mask != 1:
-            nxt = _derived_mask(table, mask)
-            if nxt == mask:
-                return False
-            mask = nxt
+    """Solubility is sigma-solubility for the partition with one prime per
+    block, so it is the walk of ``_descends_to_one`` with a block for each
+    prime of |G|.  It takes no limits: it uses the root's table if one was
+    built (all_subgroups builds it under the caller's limits first), else it
+    builds one under the default table bound."""
+    blocks = [frozenset({p}) for p in sorted(primes_of(G.order))]
+    return _memo(G, lambda: _descends_to_one(G, blocks, None), "soluble")
+
+
+def _descends_to_one(G: Group, blocks: Sequence[frozenset[int]], limits: Limits | None) -> bool:
+    """Is G sigma-soluble for a partition whose blocks inside pi(G) are
+    ``blocks``?
+
+    Start with X = G.  While some block's O^{sigma_i}(X), the subgroup
+    generated by the elements of X whose order has no prime in sigma_i, is
+    smaller than X, replace X by it; G is sigma-soluble exactly when this
+    reaches X = 1.  Each term is characteristic in the one before, so the
+    series is normal in G, and X/O^{sigma_i}(X) is a sigma_i-group: each
+    element of X is its sigma_i-part times its sigma_i'-part, which lies in
+    O^{sigma_i}(X).  So a series reaching 1 refines to a chief series with
+    sigma-primary factors.  If it stalls at X != 1, X is sigma-soluble when
+    G is (the class is subgroup-closed), so some chief factor X/M of X on
+    top is sigma_i-primary; then O^{sigma_i}(X) <= M < X, a contradiction.
+    With at most one block G is sigma-primary, so the answer is yes at once.
+    The element orders and the generation run on the root's table, got as
+    ``_element_table`` gets it under ``limits``; the table bound is checked
+    also when the answer needs no table."""
+    if len(blocks) <= 1:
+        _check_table_room(G.root, limits)
         return True
-    return _memo(G, compute, "soluble")
-
-
-def is_perfect(G: Group) -> bool:
-    return _derived_mask(_element_table(G.root), G.mask) == G.mask
+    table = _element_table(G.root, limits)
+    orders = table.element_orders()
+    x = G.mask
+    while x != 1:
+        members = table.members(x)
+        kinds = set(map(orders.__getitem__, members))
+        for ps in blocks:
+            outside = {k for k in kinds if not primes_of(k) & ps}
+            y = table.generate((e for e in members if orders[e] in outside), x.bit_count())[0]
+            if y != x:
+                x = y
+                break
+        else:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -492,10 +496,10 @@ def _lattice_cyclic_extension(table: _ElementTable, gmask: int,
 
 
 def _lattice_join_closure(table: _ElementTable, gmask: int, limits: Limits,
-                          gens: Sequence[int] | None = None) -> dict[int, tuple]:
+                          gens: Sequence[int]) -> dict[int, tuple]:
     """Subgroup masks -> generator indices, by joins with prime-power cyclic
     subgroups (the seeds) of the subgroup ``gmask``, generated by the
-    indices ``gens`` (by default, greedily from its members).
+    indices ``gens``.
 
     The queue starts with the trivial group and the seeds.  Each queued H
     is joined with every seed C_j not inside it, and a new join is queued
@@ -512,8 +516,6 @@ def _lattice_join_closure(table: _ElementTable, gmask: int, limits: Limits,
     generators as when every join is closed."""
     rows, inverse = table.rows, table.inverse
     inv = inverse.__getitem__
-    if gens is None:
-        gens = table.generate(table.members(gmask), gmask.bit_count())[1]
     seeds: dict[int, int] = {}
     cyclic: dict[int, int] = {}
     for e in table.members(gmask)[1:]:
@@ -748,8 +750,9 @@ def sylow_subgroup(G: Group, p: int, limits: Limits = DEFAULT_LIMITS) -> Subgrou
         return _greedy_subgroup(G, G.mask, limits)
     table = _element_table(G.root, limits)
     rows, inverse = table.rows, table.inverse
-    orders = {x: images_order(table.images[x]) for x in table.members(G.mask)}
-    p_elements = [x for x, k in orders.items() if is_prime_power(k) and k % p == 0]
+    orders = table.element_orders()
+    p_elements = [x for x in table.members(G.mask)
+                  if is_prime_power(orders[x]) and orders[x] % p == 0]
     max_order = max(orders[x] for x in p_elements)
     pgens = (next(x for x in p_elements if orders[x] == max_order),)
     pmask = table.generate(pgens)[0]

@@ -162,9 +162,9 @@ def test_acceptance_08_hall_existence_lemma_all_subsets(capsys, corpus,
 
 def test_acceptance_09_class_hierarchy_and_coarsening(capsys, corpus):
     def coarsens(fine, coarse, primes):
-        return all(coarse.same_block(p, q)
+        return all(coarse.block_id(p) == coarse.block_id(q)
                    for p in primes for q in primes
-                   if fine.same_block(p, q))
+                   if fine.block_id(p) == fine.block_id(q))
 
     bad = []
     for name, entry in corpus.items():

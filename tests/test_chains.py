@@ -195,7 +195,7 @@ def check_against_reference(n, gens, seed, with_elements):
     if with_elements:
         assert [p.images for p in G.elements()] == ref.elements()
     for x in random_tests(n, gens, seed):
-        assert (Perm(x) in G) == G.contains_images(x) == (ref.sift(x) is None)
+        assert (Perm(x) in G) == (ref.sift(x) is None)
 
 
 @pytest.mark.parametrize("spec", SMALL + LARGER, ids=str)

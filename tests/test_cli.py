@@ -115,8 +115,8 @@ def test_cap_below_one_is_usage_error(capsys, knob):
 
 
 def test_hall_set_cap_is_not_a_cli_flag(capsys):
-    # no command enumerates complete Hall sigma-sets, so the cap would be
-    # ignored; it is the library constant sigma.HALL_SET_CAP
+    # no command enumerates complete Hall sigma-sets, so there is no cap
+    # for them to take
     for argv in (("classify", "--group", "S4"),
                  ("verify", "--group", "S4", "--statement", "ThmA.i")):
         code, out, err = run(capsys, *argv, "--hall-set-cap", "1")
@@ -351,6 +351,14 @@ def test_bad_sigma_text_is_usage_error(capsys):
     code, _, err = run(capsys, "classify", "--group", "S3", "--sigma", "junk")
     assert code == 2
     assert "usage error: bad partition text 'junk'" in err
+
+
+@pytest.mark.parametrize("block", ["100000000000031", "1" * 5000],
+                         ids=["15-digit prime", "5000 ones"])
+def test_overlong_block_number_is_usage_error(capsys, block):
+    code, out, err = run(capsys, "classify", "--group", "S3", "--sigma", f"[{block}]")
+    assert (code, out) == (2, "")
+    assert err == "usage error: a block number has more than 9 digits\n"
 
 
 def test_sigma_all_rejected_outside_verify_and_campaign(capsys):

@@ -153,9 +153,8 @@ def reference_hall_data(G, sigma, limits):
 
 
 def unordered_classes(blocks):
-    """Hall data with each conjugacy class as a set.  The order inside a
-    class follows the generators of the first group with G's element set
-    that asked for it, since the data is cached on the shared root."""
+    """Hall data with each conjugacy class as a set: the reference lists a
+    class in orbit order under G's generators, the engine by element list."""
     return [{**block, "classes": tuple(map(frozenset, block["classes"]))} for block in blocks]
 
 
@@ -173,6 +172,30 @@ def assert_sigma_verdicts_match_references(G, subgroups):
     for k in range(len(primes) + 1):
         for pi in itertools.combinations(primes, k):
             assert is_pi_separable(G, pi) == reference_is_pi_separable(G, pi), pi
+
+
+def reference_is_soluble(G):
+    """Solubility read off the derived series on the root's table."""
+    table = _element_table(G.root, Limits())
+    mask = G.mask
+    while mask != 1:
+        lower = structure._derived_mask(table, mask)
+        if lower == mask:
+            return False
+        mask = lower
+    return True
+
+
+def test_is_soluble_is_sigma1_solubility(corpus):
+    """Solubility is sigma-solubility at sigma1, one walk with a block per
+    prime; on every subgroup of every builtin group it gives the verdict of
+    the derived series."""
+    sigma1 = SigmaPartition.sigma1()
+    for name, entry in corpus.items():
+        G = entry.build()
+        for H in all_subgroups(G):
+            assert is_soluble(H) == is_sigma_soluble(H, sigma1) == reference_is_soluble(H), \
+                (name, H.generators)
 
 
 @pytest.mark.parametrize("name", [e.name for e in builtin_corpus()])
@@ -193,7 +216,7 @@ def test_lattice_kernels_match_oracle(corpus, oracle_group, name):
     G = corpus[name].build()
     table = _element_table(G, Limits())
     expected = oracle_group(name).subgroup_image_sets()
-    joins = _lattice_join_closure(table, G.mask, Limits())
+    joins = _lattice_join_closure(table, G.mask, Limits(), table.gens_of(G))
     assert list(joins.items()) == list(uncapped_join_closure(table, G.mask).items())
     found = [joins]
     if is_soluble(G):
@@ -218,7 +241,7 @@ def test_join_closure_skips_known_joins(corpus, monkeypatch):
         return closure(self, *args)
 
     monkeypatch.setattr(structure._ElementTable, "closure", counting)
-    found = _lattice_join_closure(table, G.mask, Limits())
+    found = _lattice_join_closure(table, G.mask, Limits(), table.gens_of(G))
     kernel_closures = len(calls)
     calls.clear()
     assert list(found.items()) == list(uncapped_join_closure(table, G.mask).items())
@@ -354,8 +377,8 @@ def test_random_groups_match_oracle(G):
     assert image_sets(normal_subgroups(G)) == tg.normal_image_sets()
     assert is_soluble(G) == tg.mt.is_soluble()
     table = _element_table(G.root, Limits())
-    assert list(_lattice_join_closure(table, G.mask, Limits()).items()) == \
-        list(uncapped_join_closure(table, G.mask).items())
+    joins = _lattice_join_closure(table, G.mask, Limits(), table.gens_of(G))
+    assert list(joins.items()) == list(uncapped_join_closure(table, G.mask).items())
     if is_soluble(G):
         assert list(_lattice_cyclic_extension(table, G.mask, Limits()).items()) == \
             list(reference_cyclic_extension(table, G.mask, Limits()).items())

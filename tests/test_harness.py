@@ -8,15 +8,15 @@ import pytest
 from sigmagroups import (CapacityError, GroupInputError, Limits, Perm, Subgroup,
                          builtin_entry, harness, parse_sigma)
 from sigmagroups.errors import InvariantError
-from sigmagroups.harness import (CLASSES, STATEMENTS, CampaignConfig,
+from sigmagroups.harness import (STATEMENTS, CampaignConfig,
                                  VerificationOutcome, _check_class_monotonicity,
+                                 _pair_satisfies_conditions,
                                  campaign_sigmas,
                                  class_member, report_from_rows, run_campaign,
                                  validate_covering_witness, verify_cor_1_1,
                                  verify_cor_1_2, verify_group,
                                  verify_lemma_2_1, verify_lemma_2_2,
                                  verify_lemma_2_3, verify_lemma_2_4,
-                                 verify_lemma_2_5_converse,
                                  verify_lemma_2_5_converse_search,
                                  verify_lemma_2_5_forward, verify_theorem_A)
 from sigmagroups.permcore import clear_intern_cache, compose_images
@@ -35,7 +35,7 @@ def sub(G, *texts):
 
 def test_statement_and_class_registries():
     assert len(STATEMENTS) == 11
-    assert len(CLASSES) == 3
+    assert len(set(harness._THMA_CLASS.values())) == 3
     assert "ThmA.iii" in STATEMENTS and "Lem2.5.conv" in STATEMENTS
 
 
@@ -252,12 +252,11 @@ def test_lemma_2_5_forward_skips_without_premise(corpus):
 
 
 def test_lemma_2_5_converse_explicit_pair(corpus):
+    # the pair test of the converse search: (A3, C2) meets conditions (i)+(ii)
+    # in S3; with D = C2 not normal, the swapped pair does not
     S3 = corpus["S3"].build()
-    out = verify_lemma_2_5_converse(S3, S1, sub(S3, "(1 2 3)"), sub(S3, "(1 2)"), "S3")
-    assert out.verdict == "confirmed"
-    with pytest.raises(GroupInputError):
-        # D not normal: conditions (i)+(ii) fail, the pair is rejected upfront
-        verify_lemma_2_5_converse(S3, S1, sub(S3, "(1 2)"), sub(S3, "(1 2 3)"), "S3")
+    assert _pair_satisfies_conditions(S3, S1, sub(S3, "(1 2 3)"), sub(S3, "(1 2)"), Limits())
+    assert not _pair_satisfies_conditions(S3, S1, sub(S3, "(1 2)"), sub(S3, "(1 2 3)"), Limits())
 
 
 def test_lemma_2_5_converse_search_counts_pairs(corpus):

@@ -1,7 +1,7 @@
 """Subgroup lattices, normal structure, series, Sylow/Hall theory, quotients.
 
 Derived expectations (subgroup counts, normal lattices, maximal subgroups,
-Frattini orders, centralizers) are cross-checked against the brute-force
+Frattini orders) are cross-checked against the brute-force
 oracle rather than asserted from memory.
 """
 
@@ -15,15 +15,15 @@ from sigmagroups import structure
 from sigmagroups.errors import InvariantError
 from sigmagroups.permcore import (clear_intern_cache, closure_of_images, compose_images,
                                   images_order)
-from sigmagroups.structure import (all_subgroups, centralizer, chief_series,
+from sigmagroups.structure import (all_subgroups, chief_series,
                                    conjugate_image_sets,
                                    derived_subgroup, frattini_subgroup,
-                                   generated_subgroup, hall_subgroup,
+                                   hall_subgroup,
                                    intersection_subgroup, is_normal,
-                                   is_p_group, is_perfect, is_soluble,
+                                   is_p_group, is_soluble,
                                    maximal_subgroups,
                                    maximal_subgroups_of_p_group,
-                                   minimal_normal_subgroups, normal_closure,
+                                   minimal_normal_subgroups,
                                    normal_subgroups, product_subgroup,
                                    quotient_group, subgroup_from_images,
                                    subgroups_of_order,
@@ -113,13 +113,6 @@ def test_minimal_normal_subgroups(corpus):
         assert sorted(m.order for m in minimal_normal_subgroups(G)) == orders
 
 
-def test_normal_closure(corpus):
-    S3 = corpus["S3"].build()
-    assert normal_closure(S3, sub(S3, "(1 2)")).order == 6
-    S4 = corpus["S4"].build()
-    assert normal_closure(S4, sub(S4, "(1 2)(3 4)")).order == 4
-
-
 def test_chief_series():
     # literature factor orders; lower/upper orders must telescope
     from sigmagroups import builtin_entry
@@ -161,29 +154,9 @@ def test_is_soluble_matches_oracle(corpus, oracle_group, name):
 
 
 def test_is_perfect(corpus):
-    assert is_perfect(corpus["A5"].build())
-    assert is_perfect(corpus["SL(2,5)"].build())
-    assert not is_perfect(corpus["S5"].build())
-    assert not is_perfect(corpus["A4"].build())
-
-
-# ---------------------------------------------------------------------------
-# centralizers
-
-@pytest.mark.parametrize("name,order", [("Q8", 2), ("D8", 2), ("S3", 1)])
-def test_center_orders(corpus, name, order):
-    G = corpus[name].build()
-    full = Subgroup(G, G.generators)
-    assert centralizer(G, full).order == order
-
-
-def test_centralizer_matches_oracle(corpus, oracle_group):
-    G = corpus["S4"].build()
-    h = sub(G, "(1 2)(3 4)")
-    oracle = oracle_group("S4")
-    want = oracles.centralizer_tuples(oracle.elements,
-                                      [g.images for g in h.generators])
-    assert centralizer(G, h).element_images() == want
+    for name, perfect in [("A5", True), ("SL(2,5)", True), ("S5", False), ("A4", False)]:
+        G = corpus[name].build()
+        assert (derived_subgroup(G).order == G.order) == perfect, name
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +292,7 @@ def test_closure_and_subgroup_from_images(corpus):
 
 def test_generated_subgroup(corpus):
     S4 = corpus["S4"].build()
-    h = generated_subgroup(S4, [Perm.parse("(1 2)", 4), Perm.parse("(3 4)", 4)])
+    h = Subgroup(S4, [Perm.parse("(1 2)", 4), Perm.parse("(3 4)", 4)])
     assert h.order == 4
 
 
@@ -490,13 +463,13 @@ def test_table_order_bound_takes_effect():
 
 
 def test_limit_free_derived_series_reuses_an_existing_table(monkeypatch):
-    # C7 x C8 x C9 tabled under a raised bound: is_soluble, is_perfect,
-    # derived_subgroup and normal_closure take no limits, so they must not
-    # apply the default bound to a table that exists
+    # C7 x C8 x C9 tabled under a raised bound: is_soluble, is_normal and
+    # derived_subgroup take no limits, so they must not apply the default
+    # bound to a table that exists
     gens = [Perm.parse(t, 24) for t in C504_GENS]
     G = PermGroup(24, gens)
     _element_table(G.root, Limits(table_order_bound=504))
     monkeypatch.setattr(structure, "DEFAULT_LIMITS", Limits(table_order_bound=100))
-    assert is_soluble(G) and not is_perfect(G)
+    assert is_soluble(G)
     assert derived_subgroup(G).order == 1
-    assert normal_closure(G, gens[:1]).order == 7
+    assert is_normal(G, Subgroup(G, gens[:1]))
