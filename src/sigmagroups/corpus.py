@@ -15,6 +15,7 @@ against the group actually generated, so a typo'd generator fails loudly.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, Limits
@@ -189,7 +190,10 @@ def parse_corpus_file(text: str) -> list[CorpusEntry]:
         elif kind == "order":
             if cur["order"] is not None:
                 raise GroupInputError(f"line {lineno}: second order line for {cur['name']!r}")
-            if len(fields) != 2 or not fields[1].isdigit():
+            # isdecimal, unlike isdigit, admits only digits that int reads, and
+            # int reads at most sys.get_int_max_str_digits() of them (0: no limit)
+            if len(fields) != 2 or not fields[1].isdecimal() \
+                    or 0 < sys.get_int_max_str_digits() < len(fields[1]):
                 raise GroupInputError(f"line {lineno}: bad order line {raw!r}")
             cur["order"] = int(fields[1])
         elif kind == "tags":

@@ -353,7 +353,6 @@ def _condition_ii_blocks(G: PermGroup, D: Subgroup, sigma: SigmaPartition,
     """For each block of sigma(G): O_{sigma_i}(D) must own a normal complement
     inside some Hall sigma_i-subgroup of G."""
     detail = []
-    ok = True
     for bid, ps, part in _group_blocks(G, sigma):
         O = largest_normal_block_subgroup(D, ps, limits)
         found = None
@@ -371,12 +370,7 @@ def _condition_ii_blocks(G: PermGroup, D: Subgroup, sigma: SigmaPartition,
                        "complemented": found is not None,
                        **({"hall": _sub_json(found[0]), "complement": _sub_json(found[1])}
                           if found else {})})
-        if found is None and part > 1:
-            ok = False
-        if found is None and part == 1:
-            # no primes of the block divide |G|: trivially complemented
-            detail[-1]["complemented"] = True
-    return ok, detail
+    return all(d["complemented"] for d in detail), detail
 
 
 def _condition_problems(G: PermGroup, sigma: SigmaPartition, D: Subgroup,

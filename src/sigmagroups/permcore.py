@@ -115,9 +115,12 @@ def parse_cycles(text: str, degree: int) -> tuple:
             continue  # "()" identity cycle
         pts = []
         for tok in body:
-            val = int(tok)
+            # a point has no more significant digits than the degree, so int
+            # never reads a longer token
+            digits = tok.lstrip("0") or "0"
+            val = int(digits) if len(digits) <= len(str(degree)) else 0
             if not 1 <= val <= degree:
-                raise GroupInputError(f"point {val} outside 1..{degree}")
+                raise GroupInputError(f"point {digits} outside 1..{degree}")
             if val - 1 in seen:
                 raise GroupInputError(f"repeated point {val} in {text!r}")
             seen.add(val - 1)

@@ -12,16 +12,26 @@ intermediates (per-block Hall subgroup classes, permutability verdicts,
 residuals) are memoised on the root group per subgroup mask, keyed by the
 partition text and the caller's limits.
 
-Sigma-nilpotency of G or of a quotient G/N (the residual, Lemma 2.3) is
-read off the subgroups R_i of G generated by its sigma_i-elements: no group
-and no normal lattice is built.  Sigma-solubility and pi-separability walk
-a descending series of subgroups generated by elements, with no chief
-series: the walk is ``structure._descends_to_one``, which also decides
-classical solubility, one block per prime.  The Hall data of a block whose
-Hall subgroup is forced (all of G, or a normal R_i) needs no subgroup
-lattice, and neither do PsigmaT and the residual of a sigma-nilpotent
-group: the lattice is read only when the sigma-structure leaves the
-question open.
+Every verdict and subgroup here comes from subgroups generated by elements
+on the root's table (``_ElementTable.generated_by_orders``), and no normal
+lattice is built:
+
+- sigma-nilpotency of G or of a quotient G/N (Lemma 2.3) is read off the
+  subgroups R_i of G generated by its sigma_i-elements, and no group is
+  built;
+- the residual (Lemma 2.4) is the join of the O^{sigma_i}(R_i), each
+  generated by the sigma_i'-elements of R_i;
+- O_{sigma_i}(D) (Lemma 2.5) is the join of the normal closures of the
+  conjugacy classes of D that are sigma_i-groups;
+- sigma-solubility and pi-separability walk a descending series of
+  subgroups generated by elements, with no chief series: the walk is
+  ``structure._descends_to_one``, which also decides classical
+  solubility, one block per prime.
+
+The Hall data of a block whose Hall subgroup is forced (all of G, or a
+normal R_i) needs no subgroup lattice, and neither does PsigmaT of a
+sigma-nilpotent group: the lattice is read only when the sigma-structure
+leaves the question open.
 """
 from __future__ import annotations
 
@@ -32,9 +42,9 @@ from typing import Iterable, Sequence
 from .errors import DEFAULT_LIMITS, GroupInputError, InvariantError, Limits
 from .numbers import is_prime, part_for_primes, primes_of
 from .permcore import Subgroup, trivial_subgroup
-from .structure import (Group, _ElementTable, _check_inside, _descends_to_one, _element_table,
-                        _greedy_subgroup, _is_normal_in, _memo, all_subgroups, is_normal,
-                        normal_subgroups)
+from .structure import (Group, _ElementTable, _check_inside, _class_closures, _descends_to_one,
+                        _element_table, _greedy_subgroup, _is_normal_in, _memo, all_subgroups,
+                        is_normal)
 
 # ---------------------------------------------------------------------------
 # partitions
@@ -361,15 +371,9 @@ def is_sigma_nilpotent(G: Group, sigma: SigmaPartition,
 
 def _block_generated(G: Group, primes: frozenset[int], limits: Limits) -> int:
     """The mask of R = <x in G : the primes of |x| lie in ``primes``>, that is
-    O^{primes'}(G), a normal subgroup of G.  The element orders come from the
-    root's table."""
-    def compute():
-        table = _element_table(G.root, limits)
-        orders = table.element_orders()
-        members = table.members(G.mask)
-        kinds = {k for k in map(orders.__getitem__, members) if primes_of(k) <= primes}
-        return table.generate((x for x in members if orders[x] in kinds), G.order)[0]
-    return _memo(G, compute, "block-generated", primes, limits)
+    O^{primes'}(G), a normal subgroup of G, generated on the root's table."""
+    return _memo(G, lambda: _element_table(G.root, limits).generated_by_orders(
+        G.mask, primes.issuperset), "block-generated", primes, limits)
 
 
 def _quotient_is_sigma_nilpotent(G: Group, N: Subgroup, sigma: SigmaPartition,
@@ -399,24 +403,32 @@ def _quotient_is_sigma_nilpotent(G: Group, N: Subgroup, sigma: SigmaPartition,
 
 def sigma_nilpotent_residual(G: Group, sigma: SigmaPartition,
                              limits: Limits = DEFAULT_LIMITS) -> Subgroup:
-    """Least normal subgroup with sigma-nilpotent quotient.  For a
-    sigma-nilpotent G it is the trivial subgroup, and no normal lattice is
-    built.  Otherwise the minimal-order witness among G's normal subgroups
-    and the intersection of all witnesses must agree (checked)."""
+    """Least normal subgroup D of G with sigma-nilpotent quotient: the join of
+    the O^{sigma_i}(R_i) over the blocks of sigma(G), with R_i generated by
+    the sigma_i-elements of G and O^{sigma_i}(R_i) by the sigma_i'-elements
+    of R_i.
+
+    For N normal in G, R_i N/N is the subgroup of G/N generated by its
+    sigma_i-elements (``_quotient_is_sigma_nilpotent``), so G/N is
+    sigma-nilpotent exactly when each R_i N/N, isomorphic to R_i/(R_i n N),
+    is a sigma_i-group, that is when O^{sigma_i}(R_i) <= N.  Each
+    O^{sigma_i}(R_i) is characteristic in R_i, which is normal in G, so their
+    join is normal and is the least such N.  A block whose R_i has order
+    |G|_{sigma_i} (R_i = G when that part is |G|) adds nothing; on a
+    sigma-nilpotent G every block is one, and D = 1.  No normal lattice is
+    built.  D is checked to be normal with a sigma-nilpotent quotient, and
+    its generators are the greedy ones, which depend only on its set."""
     def compute():
-        if is_sigma_nilpotent(G, sigma, limits):
-            return trivial_subgroup(G)
-        witnesses = [n for n in normal_subgroups(G, limits)
-                     if _quotient_is_sigma_nilpotent(G, n, sigma, limits)]
-        # normal_subgroups is sorted by (order, element list): the first is least
-        least = witnesses[0]
-        meet = G.mask
-        for n in witnesses:
-            meet &= n.mask
-        if meet != least.mask:
-            raise InvariantError(
-                "residual: minimal witness differs from intersection of witnesses")
-        return least
+        table = _element_table(G.root, limits)
+        union = 1
+        for _, ps, part in _group_blocks(G, sigma):
+            r = G.mask if part == G.order else _block_generated(G, ps, limits)
+            if r.bit_count() != part:
+                union |= table.generated_by_orders(r, ps.isdisjoint)
+        D = _greedy_subgroup(G, table.generate(table.members(union))[0], limits)
+        if not (_is_normal_in(table, G, D) and _quotient_is_sigma_nilpotent(G, D, sigma, limits)):
+            raise InvariantError("residual: not normal, or the quotient is not sigma-nilpotent")
+        return D
     return _memo(G, compute, "sigma-residual", sigma.text(), limits)
 
 
@@ -466,13 +478,23 @@ def is_pi_separable(G: Group, pi, limits: Limits = DEFAULT_LIMITS) -> bool:
 
 def largest_normal_block_subgroup(D: Subgroup, block_primes,
                                   limits: Limits = DEFAULT_LIMITS) -> Subgroup:
-    """O_{sigma_i}(D): the largest normal subgroup of D supported on the block."""
+    """O_{sigma_i}(D): the largest normal subgroup of D supported on the block.
+
+    A normal subgroup of D holds the conjugacy class of each of its
+    elements, so it is the join of the class closures (the subgroups
+    generated by one class of D) inside it.  O_{sigma_i}(D) is therefore
+    the join of the class closures of D that are sigma_i-groups, and a join
+    of normal sigma_i-subgroups is one (checked).  No normal lattice is
+    built; the class closures are computed once per D and limits."""
     block_primes = frozenset(block_primes)
-    cands = [n for n in normal_subgroups(D, limits) if primes_of(n.order) <= block_primes]
-    best = max(cands, key=lambda n: n.order)
-    if any(n.mask & best.mask != n.mask for n in cands):
-        raise InvariantError("normal block subgroups must join into the largest one")
-    return _greedy_subgroup(D, best.mask, limits)
+    table = _element_table(D.root, limits)
+    closures = _memo(D, lambda: _class_closures(table, D.mask, table.gens_of(D)),
+                     "class-closures", limits)
+    join = table.generate(x for c in closures if primes_of(c.bit_count()) <= block_primes
+                          for x in table.members(c))[0]
+    if not primes_of(join.bit_count()) <= block_primes:
+        raise InvariantError("the normal block subgroups join outside the block")
+    return _greedy_subgroup(D, join, limits)
 
 
 def induces_power_automorphisms(G: Group, D: Subgroup,

@@ -16,7 +16,10 @@ on the caller's root, sorted canonically by (order, element list).
 
 Solubility, classical or relative to a partition of the primes, is one walk
 down a series of subgroups generated by elements, ``_descends_to_one``,
-which ``sigma`` imports.
+which ``sigma`` imports with the generation by element orders
+(``_ElementTable.generated_by_orders``) and the normal closures of
+conjugacy classes (``_class_closures``), the first step of the normal
+lattice.
 
 Derived results, wrapped ``Subgroup`` and ``QuotientGroup`` values included,
 are cached once, on the root per member mask, so repeated queries against
@@ -211,6 +214,14 @@ class _ElementTable:
                 break
         return _mask(flags), gens
 
+    def generated_by_orders(self, mask: int, keep: Callable[[frozenset[int]], bool]) -> int:
+        """The mask of the subgroup generated by the members of ``mask``
+        whose order's primes pass ``keep``, adjoined in index order."""
+        orders = self.element_orders()
+        members = self.members(mask)
+        kinds = {k for k in set(map(orders.__getitem__, members)) if keep(primes_of(k))}
+        return self.generate((x for x in members if orders[x] in kinds), mask.bit_count())[0]
+
     def image_set(self, mask: int) -> frozenset[tuple]:
         return frozenset(compress(self.images, self.flags(mask)))
 
@@ -379,14 +390,10 @@ def _descends_to_one(G: Group, blocks: Sequence[frozenset[int]], limits: Limits 
         _check_table_room(G.root, limits)
         return True
     table = _element_table(G.root, limits)
-    orders = table.element_orders()
     x = G.mask
     while x != 1:
-        members = table.members(x)
-        kinds = set(map(orders.__getitem__, members))
         for ps in blocks:
-            outside = {k for k in kinds if not primes_of(k) & ps}
-            y = table.generate((e for e in members if orders[e] in outside), x.bit_count())[0]
+            y = table.generated_by_orders(x, ps.isdisjoint)
             if y != x:
                 x = y
                 break
@@ -657,11 +664,12 @@ def normal_subgroups(G: Group, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgrou
         _normal_lattice(table, G.mask, table.gens_of(G)))), "normals")
 
 
-def _normal_lattice(table: _ElementTable, gmask: int, gens: Sequence[int]) -> dict[int, tuple]:
-    """Normal subgroup masks -> generator indices, for the subgroup ``gmask``
-    generated by the indices ``gens``."""
+def _class_closures(table: _ElementTable, gmask: int, gens: Sequence[int]) -> set[int]:
+    """The masks of the normal closures of the non-trivial conjugacy classes
+    of the subgroup ``gmask`` generated by the indices ``gens``: each is
+    the subgroup generated by one class."""
     conjugations = table.conjugations(gens)
-    base: set[int] = set()
+    closures: set[int] = set()
     in_class = bytearray(table.order)
     for x in table.members(gmask)[1:]:
         if in_class[x]:
@@ -674,9 +682,15 @@ def _normal_lattice(table: _ElementTable, gmask: int, gens: Sequence[int]) -> di
                 if not in_class[f]:
                     in_class[f] = 1
                     orbit.append(f)
-        base.add(table.generate(sorted(orbit))[0])
+        closures.add(table.generate(sorted(orbit))[0])
+    return closures
+
+
+def _normal_lattice(table: _ElementTable, gmask: int, gens: Sequence[int]) -> dict[int, tuple]:
+    """Normal subgroup masks -> generator indices, for the subgroup ``gmask``
+    generated by the indices ``gens``."""
     found: dict[int, tuple] = {1: ()}
-    for nmask in sorted(base, key=table.key):
+    for nmask in sorted(_class_closures(table, gmask, gens), key=table.key):
         size = nmask.bit_count()
         closed, ngens = table.generate(table.members(nmask), size)
         if closed != nmask:

@@ -361,6 +361,27 @@ def test_overlong_block_number_is_usage_error(capsys, block):
     assert err == "usage error: a block number has more than 9 digits\n"
 
 
+@pytest.mark.parametrize("order", ["\u00b2", "9" * 5000], ids=["superscript two", "5000 nines"])
+def test_unreadable_corpus_order_is_usage_error(capsys, tmp_path, order):
+    # both pass str.isdigit, and int refuses both
+    path = tmp_path / "order.corpus"
+    path.write_text(f"group X deg 3\ngen (1 2)\norder {order}\n", encoding="utf-8")
+    code, out, err = run(capsys, "campaign", "--corpus", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"usage error: line 3: bad order line 'order {order}'\n"
+
+
+def test_overlong_cycle_point_is_usage_error(capsys, tmp_path):
+    code, out, err = run(capsys, "permutable", "--group", "S3", "--gen", f"({'9' * 5000})")
+    assert (code, out) == (2, "")
+    assert err == f"usage error: point {'9' * 5000} outside 1..3\n"
+    path = tmp_path / "gen.corpus"
+    path.write_text(f"group X deg 3\ngen (1 {'1' * 5000})\norder 2\n")
+    code, out, err = run(capsys, "campaign", "--corpus", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"usage error: line 2: point {'1' * 5000} outside 1..3\n"
+
+
 def test_sigma_all_rejected_outside_verify_and_campaign(capsys):
     code, _, err = run(capsys, "classify", "--group", "S3", "--sigma", "all")
     assert code == 2

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import oracles
-from sigmagroups import Limits, Perm, PermGroup, Subgroup, builtin_corpus
+from sigmagroups import Limits, Perm, PermGroup, Subgroup, builtin_corpus, trivial_subgroup
 from sigmagroups import sigma as sigma_module
 from sigmagroups import structure
 from sigmagroups.harness import campaign_sigmas
 from sigmagroups.sigma import (SigmaPartition, is_pi_separable, is_sigma_nilpotent,
-                               is_sigma_primary, is_sigma_soluble, sigma_nilpotent_residual)
+                               is_sigma_primary, is_sigma_soluble, largest_normal_block_subgroup,
+                               sigma_nilpotent_residual)
 from sigmagroups.errors import InvariantError
 from sigmagroups.numbers import is_prime, is_prime_power, part_for_primes, primes_of
 from sigmagroups.permcore import _mask, closure_of_images
@@ -172,6 +173,55 @@ def assert_sigma_verdicts_match_references(G, subgroups):
     for k in range(len(primes) + 1):
         for pi in itertools.combinations(primes, k):
             assert is_pi_separable(G, pi) == reference_is_pi_separable(G, pi), pi
+
+
+def reference_sigma_nilpotent_residual(G, sigma):
+    """The residual read off G's normal lattice: the least-order normal
+    subgroup with sigma-nilpotent quotient, which must be the meet of all of
+    them; the trivial subgroup when G is sigma-nilpotent."""
+    if is_sigma_nilpotent(G, sigma):
+        return trivial_subgroup(G)
+    witnesses = [n for n in normal_subgroups(G)
+                 if sigma_module._quotient_is_sigma_nilpotent(G, n, sigma, Limits())]
+    # normal_subgroups is sorted by (order, element list): the first is least
+    least = witnesses[0]
+    meet = G.mask
+    for n in witnesses:
+        meet &= n.mask
+    assert meet == least.mask
+    return least
+
+
+def reference_largest_normal_block_mask(D, block_primes):
+    """O_pi(D) read off D's normal lattice: the largest normal pi-subgroup,
+    which must contain every other."""
+    cands = [n for n in normal_subgroups(D) if primes_of(n.order) <= block_primes]
+    best = max(cands, key=lambda n: n.order)
+    assert all(n.mask & best.mask == n.mask for n in cands)
+    return best.mask
+
+
+def assert_residual_and_block_subgroups_match_references(G):
+    """At every campaign partition, the residual's mask and generators; for
+    every normal D of G and every block of a campaign partition, the mask
+    of O_pi(D); both against the normal-lattice references."""
+    sigmas = campaign_sigmas(G)
+    for sigma in sigmas:
+        D = sigma_nilpotent_residual(G, sigma)
+        expected = reference_sigma_nilpotent_residual(G, sigma)
+        assert (D.mask, D.generators) == (expected.mask, expected.generators), sigma.text()
+    blocks = {ps for sigma in sigmas for _, ps, _ in sigma_module._group_blocks(G, sigma)}
+    for D in normal_subgroups(G):
+        for ps in blocks:
+            assert largest_normal_block_subgroup(D, ps).mask == \
+                reference_largest_normal_block_mask(D, ps), (D.generators, sorted(ps))
+
+
+@pytest.mark.parametrize("name", [e.name for e in builtin_corpus()])
+def test_residual_and_block_subgroups_match_the_normal_lattice_read(corpus, name):
+    """The residual as a join of the O^{sigma_i}(R_i) and O_pi(D) as a join
+    of class closures give the subgroups the normal lattice gives."""
+    assert_residual_and_block_subgroups_match_references(corpus[name].build())
 
 
 def reference_is_soluble(G):
@@ -383,6 +433,7 @@ def test_random_groups_match_oracle(G):
         assert list(_lattice_cyclic_extension(table, G.mask, Limits()).items()) == \
             list(reference_cyclic_extension(table, G.mask, Limits()).items())
     assert_sigma_verdicts_match_references(G, [G])
+    assert_residual_and_block_subgroups_match_references(G)
 
 
 @settings(RANDOM_GROUPS, max_examples=100)

@@ -43,6 +43,19 @@ def test_parse_cycles_rejects_bad_text(bad):
         parse_cycles(bad, 5)
 
 
+@pytest.mark.parametrize("token", ["9" * 5000, "1" * 5000, "10" + "0" * 4999, "0" * 5000],
+                         ids=["5000 nines", "5000 ones", "one and 4999 zeros", "5000 zeros"])
+def test_parse_cycles_rejects_an_overlong_point_before_reading_it(token):
+    # int refuses more than 4300 digits; the point is rejected as out of range first
+    with pytest.raises(GroupInputError, match=r"^point \d+ outside 1\.\.5$"):
+        parse_cycles(f"(1 {token})", 5)
+
+
+def test_parse_cycles_accepts_leading_zeros():
+    assert parse_cycles("(01 " + "0" * 5000 + "2)", 5) == (1, 0, 2, 3, 4)
+    assert parse_cycles("(0010 2)", 10) == (0, 9, 2, 3, 4, 5, 6, 7, 8, 1)
+
+
 def test_format_cycles_least_point_first():
     assert format_cycles((1, 2, 0, 4, 3)) == "(1 2 3)(4 5)"
     assert format_cycles((0, 1, 2)) == "()"

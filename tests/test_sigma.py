@@ -446,6 +446,24 @@ def test_sigma_nilpotency_runs_no_normal_lattice(monkeypatch, name):
     assert any(verdicts) and not all(verdicts)
 
 
+@pytest.mark.parametrize("name", LATTICE_GROUPS)
+def test_residual_and_block_subgroups_run_no_normal_lattice(monkeypatch, name):
+    """The residual, and O_pi of the residual and of G for every block, at
+    every campaign partition, come from generated subgroups and class
+    closures, not normal lattices."""
+    clear_intern_cache()  # no residual or normal lattice cached by an earlier test
+    G = builtin_entry(name).build()
+    runs = []
+    monkeypatch.setattr(structure_module, "_normal_lattice", lambda *args: runs.append(args))
+    orders = set()
+    for sigma in campaign_sigmas(G):
+        D = sigma_nilpotent_residual(G, sigma)
+        for _, ps, _ in sigma_module._group_blocks(G, sigma):
+            orders.update(largest_normal_block_subgroup(X, ps).order for X in (D, full_subgroup(G)))
+    assert runs == []
+    assert max(orders) > 1
+
+
 def classify_fields(G, sigma):
     """The five classify fields that take a partition and run kernels."""
     hall = complete_hall_sigma_set(G, sigma)
@@ -629,20 +647,33 @@ def test_hall_set_order_check_raises(corpus, monkeypatch):
         complete_hall_sigma_set(S3, S1)
 
 
-def test_residual_witness_check_raises(corpus, monkeypatch):
-    # in E4 the three subgroups of order 2 are normal and meet trivially;
-    # taking them as the only witnesses breaks the minimum = meet check
-    clear_intern_cache()  # no residual cached by an earlier test
-    E4 = corpus["E4"].build()
-    monkeypatch.setattr(sigma_module, "_quotient_is_sigma_nilpotent",
-                        lambda G, n, sigma, limits: n.order == 2)
-    with pytest.raises(InvariantError, match="intersection of witnesses"):
-        sigma_nilpotent_residual(E4, parse_sigma("[3]"))
+@pytest.fixture()
+def fresh_s3():
+    """S3 on an empty intern table, emptied again afterwards, so nothing a
+    test caches on it reaches another test."""
+    clear_intern_cache()
+    yield builtin_entry("S3").build()
+    clear_intern_cache()
 
 
-def test_largest_normal_block_check_raises(corpus, monkeypatch):
-    E4 = corpus["E4"].build()
-    halves = tuple(n for n in normal_subgroups(E4) if n.order == 2)
-    monkeypatch.setattr(sigma_module, "normal_subgroups", lambda G, limits: halves)
-    with pytest.raises(InvariantError, match="join into the largest one"):
-        largest_normal_block_subgroup(full_subgroup(E4), {2})
+def test_residual_witness_check_raises(monkeypatch, fresh_s3):
+    # S3 at sigma1 has residual A3: a residual that is not normal, or one
+    # whose quotient is not sigma-nilpotent, trips a check
+    S3 = fresh_s3
+    with monkeypatch.context() as m:
+        m.setattr(sigma_module, "_greedy_subgroup", lambda G, mask, limits: sub(S3, "(1 2)"))
+        with pytest.raises(InvariantError, match="residual: not normal, or the quotient"):
+            sigma_nilpotent_residual(S3, S1)
+    monkeypatch.setattr(sigma_module, "_quotient_is_sigma_nilpotent", lambda *args: False)
+    with pytest.raises(InvariantError, match="residual: not normal, or the quotient"):
+        sigma_nilpotent_residual(S3, S1)
+
+
+def test_largest_normal_block_check_raises(monkeypatch, fresh_s3):
+    # two subgroups of order 2 of S3 passed off as class closures join to S3,
+    # which is not a 2-group
+    S3 = fresh_s3
+    halves = {sub(S3, "(1 2)").mask, sub(S3, "(1 3)").mask}
+    monkeypatch.setattr(sigma_module, "_class_closures", lambda table, gmask, gens: halves)
+    with pytest.raises(InvariantError, match="join outside the block"):
+        largest_normal_block_subgroup(full_subgroup(S3), {2})

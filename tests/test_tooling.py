@@ -88,3 +88,18 @@ def test_exported_names_are_used():
     quickstart = readme[readme.index("## Library quickstart"):readme.index("## Command-line")]
     for reason in KEPT_FOR_LIBRARY_CALLERS.values():
         assert reason in quickstart
+
+
+def test_sigma_reads_no_normal_lattice():
+    """The sigma verdicts, the residual and O_pi(D) come from subgroups
+    generated by elements: ``sigma.py`` names no normal-lattice entry point."""
+    tree = ast.parse((ROOT / "src" / "sigmagroups" / "sigma.py").read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    assert names.isdisjoint({"normal_subgroups", "_normal_lattice"})
