@@ -134,6 +134,14 @@ def builtin_entry(name: str) -> CorpusEntry:
 # ---------------------------------------------------------------------------
 # corpus files
 
+def _is_decimal(text: str) -> bool:
+    """Does ``int`` read this text as plain decimal digits?  isdecimal,
+    unlike isdigit, admits only digits that int reads, and refuses the signs
+    and underscores int accepts; int reads at most
+    sys.get_int_max_str_digits() digits (0: no limit)."""
+    return text.isdecimal() and not 0 < sys.get_int_max_str_digits() < len(text)
+
+
 def parse_corpus_file(text: str) -> list[CorpusEntry]:
     entries: list[CorpusEntry] = []
     names: set[str] = set()
@@ -171,10 +179,9 @@ def parse_corpus_file(text: str) -> list[CorpusEntry]:
             if name in names:
                 raise GroupInputError(f"line {lineno}: duplicate group name {name!r}")
             names.add(name)
-            try:
-                degree = int(fields[3])
-            except ValueError:
-                raise GroupInputError(f"line {lineno}: bad degree {fields[3]!r}") from None
+            if not _is_decimal(fields[3]):
+                raise GroupInputError(f"line {lineno}: bad degree {fields[3]!r}")
+            degree = int(fields[3])
             if degree < 1:
                 raise GroupInputError(f"line {lineno}: degree must be positive")
             cur = {"name": name, "degree": degree, "gens": [], "order": None, "tags": []}
@@ -190,10 +197,7 @@ def parse_corpus_file(text: str) -> list[CorpusEntry]:
         elif kind == "order":
             if cur["order"] is not None:
                 raise GroupInputError(f"line {lineno}: second order line for {cur['name']!r}")
-            # isdecimal, unlike isdigit, admits only digits that int reads, and
-            # int reads at most sys.get_int_max_str_digits() of them (0: no limit)
-            if len(fields) != 2 or not fields[1].isdecimal() \
-                    or 0 < sys.get_int_max_str_digits() < len(fields[1]):
+            if len(fields) != 2 or not _is_decimal(fields[1]):
                 raise GroupInputError(f"line {lineno}: bad order line {raw!r}")
             cur["order"] = int(fields[1])
         elif kind == "tags":

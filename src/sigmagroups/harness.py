@@ -25,7 +25,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import repeat
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .corpus import CorpusEntry, partitions_of_primes
 from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, InvariantError, Limits
@@ -36,7 +36,7 @@ from .sigma import (SigmaPartition, _group_blocks, _quotient_is_sigma_nilpotent,
                     is_sigma_nilpotent, is_sigma_soluble, largest_normal_block_subgroup,
                     sigma_nilpotent_residual, sigma_full_sylow_type_violation)
 from .structure import (_element_table, _memo, all_subgroups, conjugate_subgroups,
-                        frattini_subgroup, hall_subgroup, intersection_subgroup, is_normal,
+                        frattini_subgroup, hall_subgroup, intersection_subgroup,
                         maximal_subgroups_of_p_group, normal_subgroups,
                         product_subgroup, quotient_group, subgroups_of_order,
                         supplements, sylow_subgroup)
@@ -373,29 +373,13 @@ def _condition_ii_blocks(G: PermGroup, D: Subgroup, sigma: SigmaPartition,
     return all(d["complemented"] for d in detail), detail
 
 
-def _condition_problems(G: PermGroup, sigma: SigmaPartition, D: Subgroup,
-                        M: Subgroup | None, limits: Limits,
-                        condition_ii: tuple[bool, list[dict]] | None = None) -> Iterator[str]:
-    """The ways in which D and its complement M (None: no complement exists)
-    fail conditions (i)+(ii), lazily, so a caller may stop at the first.
-    ``condition_ii`` is ``_condition_ii_blocks``'s result when the caller
-    has it already."""
-    if not _is_abelian_subgroup(D):
-        yield "D is not abelian"
-    if D.order % 2 == 0 and D.order > 1:
-        yield "|D| is even"
-    if math.gcd(D.order, G.order // D.order) != 1:
-        yield "D is not a Hall subgroup"
-    if M is None:
-        yield "no complement M to D exists"
-    elif not is_sigma_nilpotent(M, sigma, limits):
-        yield "complement M is not sigma-nilpotent"
-    if not induces_power_automorphisms(G, D, limits):
-        yield "G does not induce power automorphisms in D"
-    if condition_ii is None:
-        condition_ii = _condition_ii_blocks(G, D, sigma, limits)
-    if not condition_ii[0]:
-        yield "condition (ii) fails for some block"
+def _shape_problems(G: PermGroup, D: Subgroup) -> list[str]:
+    """The ways in which D fails to be an abelian Hall subgroup of odd
+    order, the part of condition (i) on D alone."""
+    return [problem for failed, problem in (
+        (not _is_abelian_subgroup(D), "D is not abelian"),
+        (D.order % 2 == 0, "|D| is even"),
+        (math.gcd(D.order, G.order // D.order) != 1, "D is not a Hall subgroup")) if failed]
 
 
 def verify_lemma_2_5_forward(G: PermGroup, sigma: SigmaPartition, group_name: str = "",
@@ -408,7 +392,15 @@ def verify_lemma_2_5_forward(G: PermGroup, sigma: SigmaPartition, group_name: st
     M = next((h for h in all_subgroups(G, limits)
               if h.order * D.order == G.order and (h.mask & D.mask).bit_count() == 1), None)
     condition_ii = _condition_ii_blocks(G, D, sigma, limits)
-    problems = list(_condition_problems(G, sigma, D, M, limits, condition_ii))
+    problems = _shape_problems(G, D)
+    if M is None:
+        problems.append("no complement M to D exists")
+    elif not is_sigma_nilpotent(M, sigma, limits):
+        problems.append("complement M is not sigma-nilpotent")
+    if not induces_power_automorphisms(G, D, limits):
+        problems.append("G does not induce power automorphisms in D")
+    if not condition_ii[0]:
+        problems.append("condition (ii) fails for some block")
     witness = {"D": _sub_json(D), "M": _sub_json(M) if M else None, "blocks": condition_ii[1]}
     if problems:
         witness["problems"] = problems
@@ -421,16 +413,22 @@ def verify_lemma_2_5_forward(G: PermGroup, sigma: SigmaPartition, group_name: st
         witness=witness)
 
 
-def _pair_satisfies_conditions(G: PermGroup, sigma: SigmaPartition, D: Subgroup,
-                               M: Subgroup, limits: Limits) -> bool:
-    """Conditions (i)+(ii) for an explicit candidate pair (D, M)."""
-    if D.order * M.order != G.order:
-        return False
-    if (D.mask & M.mask).bit_count() != 1:
-        return False
-    if not is_normal(G, D):
-        return False
-    return next(_condition_problems(G, sigma, D, M, limits), None) is None
+def _complements_meeting_conditions(G: PermGroup, sigma: SigmaPartition, D: Subgroup,
+                                    limits: Limits) -> list[Subgroup]:
+    """The complements M of a normal subgroup D of G, in canonical order,
+    such that (D, M) meets conditions (i)+(ii); none when D fails its part.
+    Each condition on D is checked once: D's shape first, then each
+    complement's sigma-nilpotency, and G's action on D and condition (ii),
+    the costly parts, only when some complement passes."""
+    if _shape_problems(G, D):
+        return []
+    ms = [M for M in all_subgroups(G, limits)
+          if M.order * D.order == G.order and (M.mask & D.mask).bit_count() == 1
+          and is_sigma_nilpotent(M, sigma, limits)]
+    if ms and induces_power_automorphisms(G, D, limits) \
+            and _condition_ii_blocks(G, D, sigma, limits)[0]:
+        return ms
+    return []
 
 
 def verify_lemma_2_5_converse_search(G: PermGroup, sigma: SigmaPartition,
@@ -441,19 +439,17 @@ def verify_lemma_2_5_converse_search(G: PermGroup, sigma: SigmaPartition,
     pairs = 0
     first = None
     for D in normal_subgroups(G, limits):
-        for M in all_subgroups(G, limits):
-            if M.order * D.order != G.order:
-                continue
-            if not _pair_satisfies_conditions(G, sigma, D, M, limits):
-                continue
-            pairs += 1
-            if first is None:
-                first = (D, M)
-            if not is_psigma_t(G, sigma, limits):
-                return VerificationOutcome(
-                    "Lem2.5.conv", group_name, sigma, "counterexample",
-                    witness={"D": _sub_json(D), "M": _sub_json(M),
-                             "note": "implementation bug candidate: statement is proved"})
+        ms = _complements_meeting_conditions(G, sigma, D, limits)
+        if not ms:
+            continue
+        pairs += len(ms)
+        if first is None:
+            first = (D, ms[0])
+        if not is_psigma_t(G, sigma, limits):
+            return VerificationOutcome(
+                "Lem2.5.conv", group_name, sigma, "counterexample",
+                witness={"D": _sub_json(D), "M": _sub_json(ms[0]),
+                         "note": "implementation bug candidate: statement is proved"})
     if pairs == 0:
         return VerificationOutcome(
             "Lem2.5.conv", group_name, sigma, "confirmed", vacuous=True,

@@ -8,9 +8,11 @@ A partition splits the primes into blocks.  Two spellings exist:
 
 All class predicates take a group, or a ``Subgroup`` of one, together with
 a partition and answer deterministically; results and expensive
-intermediates (per-block Hall subgroup classes, permutability verdicts,
-residuals) are memoised on the root group per subgroup mask, keyed by the
-partition text and the caller's limits.
+intermediates (per-block Hall subgroup classes, class verdicts, residuals)
+are memoised on the root group per subgroup mask, keyed by the partition
+text and the caller's limits.  Checks that the campaign and one-shot
+queries seldom or never repeat (sigma-permutability of one subgroup, Hall
+coverage, pi-separability) are computed on each call.
 
 Every verdict and subgroup here comes from subgroups generated by elements
 on the root's table (``_ElementTable.generated_by_orders``), and no normal
@@ -31,7 +33,9 @@ lattice is built:
 The Hall data of a block whose Hall subgroup is forced (all of G, or a
 normal R_i) needs no subgroup lattice, and neither does PsigmaT of a
 sigma-nilpotent group: the lattice is read only when the sigma-structure
-leaves the question open.
+leaves the question open.  The conjugacy classes of Hall subgroups, which
+sigma-permutability ranges over, and the E-conjugates of Hall coverage
+(Lemma 2.1) come from the one mask walk of ``_ElementTable.conjugates``.
 """
 from __future__ import annotations
 
@@ -190,7 +194,8 @@ def _order_blocks(order: int, sigma: SigmaPartition) -> tuple[tuple[str, frozens
 
 def _hall_data(G: Group, sigma: SigmaPartition, limits: Limits):
     """Per block: the masks of all Hall subgroups, canonically sorted, and
-    their conjugacy classes under G as index sets of the root's table.
+    their conjugacy classes under G, each member as its list of indices on
+    the root's table.
 
     A block's Hall subgroup is forced, and no lattice is read, in two cases.
     When the block's part of |G| is |G|, G is the only candidate.  When the
@@ -208,7 +213,7 @@ def _hall_data(G: Group, sigma: SigmaPartition, limits: Limits):
             forced = G.mask if part == G.order else _block_generated(G, ps, limits)
             if forced.bit_count() == part:
                 candidates = (forced,)
-                classes = ((frozenset(table.members(forced)),),)
+                classes = ((tuple(table.members(forced)),),)
             else:
                 # all_subgroups is sorted canonically, so the candidates are too
                 candidates = tuple(h.mask for h in all_subgroups(G, limits) if h.order == part)
@@ -219,19 +224,20 @@ def _hall_data(G: Group, sigma: SigmaPartition, limits: Limits):
     return _memo(G, compute, "hall-data", sigma.text(), limits)
 
 
-def _conjugacy_classes(table: _ElementTable, masks: Iterable[int],
-                       gens: Sequence[int]) -> tuple[tuple[frozenset[int], ...], ...]:
-    """The conjugacy classes under ``gens`` of subgroups given by masks, as
-    index sets, in order of each class's first mask.  Each class is sorted
-    by element list, so it does not depend on the choice of ``gens``."""
-    classes: list[tuple[frozenset[int], ...]] = []
-    cand_members = [frozenset(table.members(mask)) for mask in masks]
-    unassigned = set(cand_members)
-    for members in cand_members:
-        if members in unassigned:
-            orbit = table.conjugates(members, gens)
+def _conjugacy_classes(table: _ElementTable, masks: Sequence[int],
+                       gens: Sequence[int]) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The conjugacy classes under ``gens`` of subgroups given by masks, in
+    order of each class's first mask, each from one walk of
+    ``_ElementTable.conjugates``.  A class lists the member indices of each
+    subgroup in it, sorted by element list, so it does not depend on the
+    choice of ``gens``."""
+    classes = []
+    unassigned = set(masks)
+    for mask in masks:
+        if mask in unassigned:
+            orbit = table.conjugates(mask, gens)
             unassigned.difference_update(orbit)
-            classes.append(tuple(sorted(orbit, key=sorted)))
+            classes.append(tuple(sorted(tuple(table.members(c)) for c in orbit)))
     return tuple(classes)
 
 
@@ -264,8 +270,8 @@ def complete_hall_sigma_set(G: Group, sigma: SigmaPartition,
 # ---------------------------------------------------------------------------
 # sigma-permutability
 
-def _product_sets_equal(table: _ElementTable, a: Iterable[int], b: frozenset[int]) -> bool:
-    """AB == BA for subgroups given by indices on the root's table.
+def _product_sets_equal(table: _ElementTable, a: Iterable[int], b: Sequence[int]) -> bool:
+    """AB == BA for subgroups given by their member indices on the root's table.
 
     AB is built as a union of left cosets xB, skipping every x already in it
     (then xB is already there).  Since (AB)^-1 = BA, AB == BA exactly when AB
@@ -290,15 +296,11 @@ def is_sigma_permutable(G: Group, A: Subgroup, sigma: SigmaPartition,
     subgroup is sigma-permutable.
     """
     _check_inside(G, A)
-
-    def compute():
-        blocks = _hall_data(G, sigma, limits)
-        table = _element_table(G.root, limits)
-        a = table.members(A.mask)
-        return all(
-            any(all(_product_sets_equal(table, a, w) for w in cls) for cls in block["classes"])
-            for block in blocks)
-    return _memo(G, compute, "sigma-perm", sigma.text(), A.mask, limits)
+    blocks = _hall_data(G, sigma, limits)
+    table = _element_table(G.root, limits)
+    a = table.members(A.mask)
+    return all(any(all(_product_sets_equal(table, a, w) for w in cls) for cls in block["classes"])
+               for block in blocks)
 
 
 def _sigma_permutable(G: Group, sigma: SigmaPartition, limits: Limits) -> list[Subgroup]:
@@ -446,25 +448,22 @@ def sigma_full_sylow_type_violation(G: Group, sigma: SigmaPartition,
     the mask, and E's Hall sigma_i-subgroups are those of order the sigma_i-part
     of |E|.  Only the conjugates of the least one are needed.  E's own lattice
     is computed only to report the generators of an uncovered subgroup."""
-    def compute():
-        table = _element_table(G.root, limits)
-        subs = all_subgroups(G, limits)
-        masks = [h.mask for h in subs]
-        for e_sub in subs:
-            down = [k for k in masks if k & e_sub.mask == k]
-            for bid, ps, part in _group_blocks(e_sub, sigma):
-                halls = [k for k in down if k.bit_count() == part]
-                if not halls:
-                    return {"subgroup": e_sub.generators, "block": bid, "missing_hall": True}
-                conjugates = [table.mask_of(c) for c in table.conjugates(
-                    frozenset(table.members(halls[0])), table.gens_of(e_sub))]
-                for k in down:
-                    if primes_of(k.bit_count()) <= ps and not any(c & k == k for c in conjugates):
-                        uncovered = next(h for h in all_subgroups(e_sub, limits) if h.mask == k)
-                        return {"subgroup": e_sub.generators, "block": bid,
-                                "uncovered": uncovered.generators}
-        return None
-    return _memo(G, compute, "sigma-full", sigma.text(), limits)
+    table = _element_table(G.root, limits)
+    subs = all_subgroups(G, limits)
+    masks = [h.mask for h in subs]
+    for e_sub in subs:
+        down = [k for k in masks if k & e_sub.mask == k]
+        for bid, ps, part in _group_blocks(e_sub, sigma):
+            halls = [k for k in down if k.bit_count() == part]
+            if not halls:
+                return {"subgroup": e_sub.generators, "block": bid, "missing_hall": True}
+            conjugates = table.conjugates(halls[0], table.gens_of(e_sub))
+            for k in down:
+                if primes_of(k.bit_count()) <= ps and not any(c & k == k for c in conjugates):
+                    uncovered = next(h for h in all_subgroups(e_sub, limits) if h.mask == k)
+                    return {"subgroup": e_sub.generators, "block": bid,
+                            "uncovered": uncovered.generators}
+    return None
 
 
 def is_pi_separable(G: Group, pi, limits: Limits = DEFAULT_LIMITS) -> bool:
@@ -472,8 +471,7 @@ def is_pi_separable(G: Group, pi, limits: Limits = DEFAULT_LIMITS) -> bool:
     the blocks pi and pi' of pi(G), decided by ``_descends_to_one``."""
     pig = primes_of(G.order)
     inside = pig & frozenset(pi)
-    blocks = [b for b in (inside, pig - inside) if b]
-    return _memo(G, lambda: _descends_to_one(G, blocks, limits), "pi-separable", inside, limits)
+    return _descends_to_one(G, [b for b in (inside, pig - inside) if b], limits)
 
 
 def largest_normal_block_subgroup(D: Subgroup, block_primes,

@@ -14,6 +14,12 @@ restricted to a subgroup walks its members in the same order as a walk over
 the subgroup's own sorted elements would.  Results are ``Subgroup`` values
 on the caller's root, sorted canonically by (order, element list).
 
+Conjugacy classes of subgroups come from one walk on masks,
+``_ElementTable.conjugates``: the conjugates of a subgroup in breadth-first
+orbit order under given generators, each with an element conjugating the
+subgroup onto it.  The join-closure kernel, ``conjugate_subgroups`` and
+``sigma``'s Hall classes and Hall coverage all read their classes off it.
+
 Solubility, classical or relative to a partition of the primes, is one walk
 down a series of subgroups generated by elements, ``_descends_to_one``,
 which ``sigma`` imports with the generation by element orders
@@ -132,19 +138,23 @@ class _ElementTable:
         except KeyError:
             raise GroupInputError("element set is not inside the group") from None
 
-    def conjugates(self, members: frozenset[int], gens: Sequence[int]) -> list[frozenset[int]]:
-        """Distinct conjugates of a subgroup given by its indices, in
-        breadth-first orbit order under the generators ``gens``."""
-        maps = self.conjugations(gens)
-        seen = {members}
-        out = [members]
-        for s in out:
-            for conj in maps:
-                c = frozenset(map(conj.__getitem__, s))
-                if c not in seen:
-                    seen.add(c)
-                    out.append(c)
-        return out
+    def conjugates(self, mask: int, gens: Sequence[int]) -> dict[int, int]:
+        """The distinct conjugates of the subgroup ``mask``, in breadth-first
+        orbit order under the generators ``gens``, each mapped to the index
+        of an x with conjugate = mask^x (0 for the mask itself).  This is the
+        one walk over a conjugacy class of subgroups."""
+        rows = self.rows
+        steps = list(zip(gens, self.conjugations(gens)))
+        orbit = {mask: 0}
+        queue = [(mask, 0)]
+        for s, y in queue:
+            members = self.members(s)
+            for g, conj in steps:
+                c = self.mask_of(map(conj.__getitem__, members))
+                if c not in orbit:
+                    orbit[c] = rows[y][g]
+                    queue.append((c, orbit[c]))
+        return orbit
 
     def flags(self, mask: int) -> bytearray:
         """One byte per element: 1 where the element is in the mask."""
@@ -330,8 +340,7 @@ def conjugate_subgroups(G: Group, H: Subgroup,
     """Distinct conjugates of H under G, in breadth-first orbit order under
     G's generators, each generated greedily."""
     table = _element_table(G.root, limits)
-    return tuple(_greedy_subgroup(G, table.mask_of(c), limits)
-                 for c in table.conjugates(frozenset(table.members(H.mask)), table.gens_of(G)))
+    return tuple(_greedy_subgroup(G, c, limits) for c in table.conjugates(H.mask, table.gens_of(G)))
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +373,7 @@ def is_soluble(G: Group) -> bool:
     prime of |G|.  It takes no limits: it uses the root's table if one was
     built (all_subgroups builds it under the caller's limits first), else it
     builds one under the default table bound."""
-    blocks = [frozenset({p}) for p in sorted(primes_of(G.order))]
-    return _memo(G, lambda: _descends_to_one(G, blocks, None), "soluble")
+    return _descends_to_one(G, [frozenset({p}) for p in sorted(primes_of(G.order))], None)
 
 
 def _descends_to_one(G: Group, blocks: Sequence[frozenset[int]], limits: Limits | None) -> bool:
@@ -543,7 +551,6 @@ def _lattice_join_closure(table: _ElementTable, gmask: int, limits: Limits,
     queue = sorted(found, key=table.key)
     where = {m: i for i, m in enumerate(queue)}
     n = gmask.bit_count()
-    maps = table.conjugations(gens)
     # subgroup mask -> (the row of the first queued member R of its class,
     # R's queue position, an x with mask = R^x)
     transport: dict[int, tuple[array, int, int]] = {}
@@ -583,15 +590,9 @@ def _lattice_join_closure(table: _ElementTable, gmask: int, limits: Limits,
                     conjugated[pos] = add(jmask, hgens + (seed_elements[j],))
                 row[j] = conjugated[pos]
         else:
-            transport[hmask] = (row, here, 0)
-            orbit = [(hmask, 0)]
-            for s, y in orbit:
-                members = table.members(s)
-                for g, conj in zip(gens, maps):
-                    c = table.mask_of(map(conj.__getitem__, members))
-                    if c not in transport:
-                        transport[c] = (row, here, rows[y][g])
-                        orbit.append((c, rows[y][g]))
+            # H is the first queued member of its class: no member is known yet
+            for c, x in table.conjugates(hmask, gens).items():
+                transport[c] = (row, here, x)
             block = table.members(hmask)
             cap = _largest_proper_multiple(len(block), n)
             # C_j <= H joins to H; <H, C_j> is <C, C_j> for a seed C <= H when

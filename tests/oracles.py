@@ -32,6 +32,27 @@ def identity(degree: int) -> tuple:
     return tuple(range(degree))
 
 
+def conjugate(h: tuple, x: tuple) -> tuple:
+    """x^-1 h x."""
+    return compose(compose(inverse(x), h), x)
+
+
+def conjugate_orbit(generators, hset) -> list[frozenset]:
+    """The distinct conjugates of a set of image tuples under the group
+    generated by ``generators``, breadth first: conjugate each set found by
+    each generator in turn."""
+    pairs = [(inverse(g), g) for g in generators]
+    out = [frozenset(hset)]
+    seen = set(out)
+    for s in out:
+        for gi, g in pairs:
+            c = frozenset(compose(compose(gi, e), g) for e in s)
+            if c not in seen:
+                seen.add(c)
+                out.append(c)
+    return out
+
+
 def close_tuples(generators, degree: int) -> frozenset:
     """Closure of a generator list under composition, as raw image tuples."""
     ident = identity(degree)

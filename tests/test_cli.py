@@ -371,6 +371,17 @@ def test_unreadable_corpus_order_is_usage_error(capsys, tmp_path, order):
     assert err == f"usage error: line 3: bad order line 'order {order}'\n"
 
 
+@pytest.mark.parametrize("degree", ["1_0", "+3", "\u00b3", "9" * 5000],
+                         ids=["underscore", "plus sign", "superscript three", "5000 nines"])
+def test_unreadable_corpus_degree_is_usage_error(capsys, tmp_path, degree):
+    # int reads the first two, refuses the last two; a degree is decimal digits only
+    path = tmp_path / "degree.corpus"
+    path.write_text(f"group X deg {degree}\ngen (1 2)\norder 2\n", encoding="utf-8")
+    code, out, err = run(capsys, "campaign", "--corpus", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"usage error: line 1: bad degree {degree!r}\n"
+
+
 def test_overlong_cycle_point_is_usage_error(capsys, tmp_path):
     code, out, err = run(capsys, "permutable", "--group", "S3", "--gen", f"({'9' * 5000})")
     assert (code, out) == (2, "")

@@ -133,21 +133,23 @@ def reference_is_pi_separable(G, pi):
 
 def reference_hall_data(G, sigma, limits):
     """The Hall data of every block filtered from G's lattice by order, with
-    the conjugacy classes of the candidates under G's generators."""
+    the conjugacy classes of the candidates under G's generators from the
+    naive walk of ``tuple_conjugates``, each member as its sorted indices on
+    the root's table."""
     table = _element_table(G.root, limits)
-    gens = table.gens_of(G)
     blocks = []
     for bid, ps, part in sigma_module._group_blocks(G, sigma):
         # all_subgroups is sorted canonically, so the candidates are too
         candidates = tuple(h.mask for h in all_subgroups(G, limits) if h.order == part)
-        cand_members = [frozenset(table.members(mask)) for mask in candidates]
+        cand_sets = [table.image_set(mask) for mask in candidates]
         classes = []
-        unassigned = set(cand_members)
-        for members in cand_members:
-            if members in unassigned:
-                orbit = table.conjugates(members, gens)
+        unassigned = set(cand_sets)
+        for hset in cand_sets:
+            if hset in unassigned:
+                orbit = tuple_conjugates(G, hset)
                 unassigned.difference_update(orbit)
-                classes.append(tuple(orbit))
+                classes.append(tuple(tuple(sorted(map(table.index.__getitem__, c)))
+                                     for c in orbit))
         blocks.append({"id": bid, "primes": ps, "part": part,
                        "candidates": candidates, "classes": tuple(classes)})
     return blocks
@@ -395,14 +397,7 @@ def small_groups(draw, max_order=72):
 
 def tuple_conjugates(G, hset):
     """The old tuple walk: conjugate whole sets by each generator, breadth first."""
-    gen_pairs = [(g.images, oracles.inverse(g.images)) for g in G.generators]
-    out = [frozenset(hset)]
-    for s in out:
-        for g, gi in gen_pairs:
-            c = frozenset(oracles.compose(oracles.compose(gi, e), g) for e in s)
-            if c not in out:
-                out.append(c)
-    return out
+    return oracles.conjugate_orbit([g.images for g in G.generators], hset)
 
 
 @pytest.mark.parametrize("name", ["S4", "A5", "PSL(2,7)"])
@@ -412,6 +407,23 @@ def test_conjugate_image_sets_match_tuple_conjugation(corpus, name):
     for h in all_subgroups(G):
         assert conjugate_image_sets(G, h.element_images()) == \
             tuple_conjugates(G, h.element_images())
+
+
+@pytest.mark.parametrize("name", ["S4", "A5"])
+def test_mask_walk_matches_tuple_conjugation(corpus, name):
+    """The mask walk of the element table gives the tuple walk's conjugates
+    in its order, and each conjugate's element x conjugates the members of
+    the subgroup onto it, for every lattice member."""
+    G = corpus[name].build()
+    table = _element_table(G.root, Limits())
+    for h in all_subgroups(G):
+        hset = h.element_images()
+        walk = table.conjugates(h.mask, table.gens_of(G))
+        assert next(iter(walk.items())) == (h.mask, 0)
+        assert [table.image_set(c) for c in walk] == tuple_conjugates(G, hset)
+        for c, x in walk.items():
+            assert table.image_set(c) == frozenset(
+                oracles.conjugate(e, table.images[x]) for e in hset)
 
 
 RANDOM_GROUPS = settings(derandomize=True, deadline=None,

@@ -10,7 +10,7 @@ from sigmagroups import (CapacityError, GroupInputError, Limits, Perm, Subgroup,
 from sigmagroups.errors import InvariantError
 from sigmagroups.harness import (STATEMENTS, CampaignConfig,
                                  VerificationOutcome, _check_class_monotonicity,
-                                 _pair_satisfies_conditions,
+                                 _complements_meeting_conditions,
                                  campaign_sigmas,
                                  class_member, report_from_rows, run_campaign,
                                  validate_covering_witness, verify_cor_1_1,
@@ -252,11 +252,14 @@ def test_lemma_2_5_forward_skips_without_premise(corpus):
 
 
 def test_lemma_2_5_converse_explicit_pair(corpus):
-    # the pair test of the converse search: (A3, C2) meets conditions (i)+(ii)
-    # in S3; with D = C2 not normal, the swapped pair does not
+    # the per-D step of the converse search: (A3, C2) meets conditions
+    # (i)+(ii) in S3; the swapped pair does not, since D = C2 is not normal
+    # (the search never takes it as D) and has even order
     S3 = corpus["S3"].build()
-    assert _pair_satisfies_conditions(S3, S1, sub(S3, "(1 2 3)"), sub(S3, "(1 2)"), Limits())
-    assert not _pair_satisfies_conditions(S3, S1, sub(S3, "(1 2)"), sub(S3, "(1 2 3)"), Limits())
+    A3, C2 = sub(S3, "(1 2 3)"), sub(S3, "(1 2)")
+    assert C2 in _complements_meeting_conditions(S3, S1, A3, Limits())
+    assert C2 not in normal_subgroups(S3)
+    assert A3 not in _complements_meeting_conditions(S3, S1, C2, Limits())
 
 
 def test_lemma_2_5_converse_search_counts_pairs(corpus):

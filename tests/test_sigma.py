@@ -13,6 +13,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from sigmagroups import (CapacityError, GroupInputError, Limits, Perm, PermGroup,
                          Subgroup, builtin_corpus, builtin_entry, full_subgroup, parse_sigma,
                          trivial_subgroup)
@@ -513,19 +514,24 @@ def test_sigma_full_sylow_type(corpus):
     assert violation["missing_hall"] is True
 
 
+_naive_orbit = functools.lru_cache(maxsize=None)(oracles.conjugate_orbit)
+
+
 def per_subgroup_violation(G, sigma, limits=Limits()):
     """Lem2.1 as first written: the lattice and Hall data of every subgroup E
-    of G, each computed on E as an ambient of its own."""
+    of G, each computed on E as an ambient of its own, with the E-conjugates
+    of a Hall subgroup from the naive orbit walk of the oracle."""
     table = structure_module._element_table(G.root, limits)
     for e_sub in all_subgroups(G, limits):
         for block in sigma_module._hall_data(e_sub, sigma, limits):
             if not block["candidates"]:
                 return {"subgroup": e_sub.generators, "block": block["id"],
                         "missing_hall": True}
-            conjugates = block["classes"][0]
+            conjugates = _naive_orbit(tuple(g.images for g in e_sub.generators),
+                                      table.image_set(block["candidates"][0]))
             for cand in all_subgroups(e_sub, limits):
                 if primes_of(cand.order) <= block["primes"] and cand.order > 1:
-                    members = table.members(cand.mask)
+                    members = cand.element_images()
                     if not any(c.issuperset(members) for c in conjugates):
                         return {"subgroup": e_sub.generators, "block": block["id"],
                                 "uncovered": cand.generators}

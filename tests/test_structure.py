@@ -358,6 +358,30 @@ def test_in_place_lattices_equal_those_of_a_fresh_root(corpus, name):
                 [(r.element_images(), r.generators) for r in fn(R)]
 
 
+def test_lattice_kernels_are_hereditary(corpus):
+    """A subgroup's lattice is the down-set of its group's lattice, the same
+    masks in the same order with the same generators, whenever one kernel
+    makes both: H and G both soluble or both not.  Cyclic extension run on
+    an insoluble group, restricted to a soluble subgroup, is that subgroup's
+    lattice too."""
+    def entries(subgroups):
+        return [(h.mask, h.generators) for h in subgroups]
+
+    for entry in corpus.values():
+        G = entry.build()
+        table = _element_table(G.root)
+        lattice = all_subgroups(G)
+        kernel = {} if is_soluble(G) else \
+            structure._lattice_cyclic_extension(table, G.mask, Limits())
+        for H in lattice:
+            if is_soluble(H) == is_soluble(G):
+                assert entries(all_subgroups(H)) == \
+                    entries(k for k in lattice if k.mask & H.mask == k.mask), H.generators
+            else:
+                restricted = {m: gens for m, gens in kernel.items() if m & H.mask == m}
+                assert list(table.entries(restricted)) == entries(all_subgroups(H)), H.generators
+
+
 def test_subgroup_of_another_group_is_rejected(corpus):
     S3, S4 = corpus["S3"].build(), corpus["S4"].build()
     a4 = sub(S4, "(1 2 3)", "(1 2)(3 4)")
