@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import NamedTuple
@@ -570,6 +569,13 @@ def _worker(entry: CorpusEntry, config: CampaignConfig) -> list[dict]:
     return [r.to_json() for r in verify_group(entry, config)]
 
 
+def _process_pool(workers: int):
+    """A process pool of ``workers`` workers.  The pool module is imported
+    here, so a campaign at one job never loads multiprocessing."""
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def run_campaign(entries: list[CorpusEntry],
                  config: CampaignConfig = CampaignConfig()) -> list[dict]:
     """Deterministic outcome list over a corpus: results are computed per
@@ -579,7 +585,7 @@ def run_campaign(entries: list[CorpusEntry],
     sorted by (group, sigma, statement)."""
     if config.jobs > 1 and len(entries) > 1:
         largest_first = sorted(entries, key=lambda e: -e.expected_order)
-        with ProcessPoolExecutor(max_workers=min(config.jobs, len(entries))) as pool:
+        with _process_pool(min(config.jobs, len(entries))) as pool:
             chunks = list(pool.map(_worker, largest_first, repeat(config)))
     else:
         chunks = [_worker(e, config) for e in entries]

@@ -33,9 +33,13 @@ lattice is built:
 The Hall data of a block whose Hall subgroup is forced (all of G, or a
 normal R_i) needs no subgroup lattice, and neither does PsigmaT of a
 sigma-nilpotent group: the lattice is read only when the sigma-structure
-leaves the question open.  The conjugacy classes of Hall subgroups, which
-sigma-permutability ranges over, and the E-conjugates of Hall coverage
-(Lemma 2.1) come from the one mask walk of ``_ElementTable.conjugates``.
+leaves the question open.  Hall coverage (Lemma 2.1) reads G's lattice
+through one index of its masks by order: a subgroup E reads only the
+orders dividing the part of |E| of a block, and none for a block whose
+part is |E|, so at a one-block partition no mask is tested.  The conjugacy
+classes of Hall subgroups, which sigma-permutability ranges over, and the
+E-conjugates of Hall coverage come from the one mask walk of
+``_ElementTable.conjugates``.
 """
 from __future__ import annotations
 
@@ -84,6 +88,15 @@ class SigmaPartition:
                 seen.add(p)
         ordered = tuple(sorted(self.blocks, key=min))
         object.__setattr__(self, "blocks", ordered)
+        # text() keys every memo, so it is built once, outside the fields:
+        # equality, hashing and repr do not see it
+        if self.classical:
+            text = "sigma1"
+        elif not ordered:
+            text = "[]"
+        else:
+            text = "".join("[" + ",".join(str(p) for p in sorted(b)) + "]" for b in ordered)
+        object.__setattr__(self, "_text", text)
 
     @classmethod
     def sigma1(cls) -> "SigmaPartition":
@@ -105,11 +118,7 @@ class SigmaPartition:
         return self.REST
 
     def text(self) -> str:
-        if self.classical:
-            return "sigma1"
-        if not self.blocks:
-            return "[]"
-        return "".join("[" + ",".join(str(p) for p in sorted(b)) + "]" for b in self.blocks)
+        return self._text
 
     def __str__(self) -> str:
         return self.text()
@@ -443,26 +452,39 @@ def sigma_full_sylow_type_violation(G: Group, sigma: SigmaPartition,
     own a Hall sigma_i-subgroup whose conjugates absorb every sigma_i-subgroup
     of E.  None when every subgroup passes every block.
 
-    One walk over G's lattice: E's subgroups are the masks of G's lattice
-    inside E's, already in canonical order since the sort key depends only on
-    the mask, and E's Hall sigma_i-subgroups are those of order the sigma_i-part
-    of |E|.  Only the conjugates of the least one are needed.  E's own lattice
+    A block whose sigma_i-part is |E| has E as its only Hall subgroup, which
+    contains every subgroup of E, so it reads no mask.  For any other block,
+    E's subgroups of order d are the masks of G's lattice of order d inside
+    E's, read from an index of G's masks by order built once per call: E's
+    Hall sigma_i-subgroups are those of order the sigma_i-part of |E|, and
+    its sigma_i-subgroups those whose order divides that part.  The index
+    keeps lattice order, so orders come ascending and the masks of one order
+    in canonical order (the sort key is the order, then the element list):
+    the scan meets E's subgroups in the order of E's own lattice.  Only
+    the conjugates of the least Hall subgroup are needed.  E's own lattice
     is computed only to report the generators of an uncovered subgroup."""
     table = _element_table(G.root, limits)
     subs = all_subgroups(G, limits)
-    masks = [h.mask for h in subs]
+    by_order: dict[int, list[int]] = {}
+    for h in subs:
+        by_order.setdefault(h.order, []).append(h.mask)
     for e_sub in subs:
-        down = [k for k in masks if k & e_sub.mask == k]
-        for bid, ps, part in _group_blocks(e_sub, sigma):
-            halls = [k for k in down if k.bit_count() == part]
-            if not halls:
+        e = e_sub.mask
+        for bid, _, part in _group_blocks(e_sub, sigma):
+            if part == e_sub.order:
+                continue
+            hall = next((k for k in by_order.get(part, ()) if k & e == k), None)
+            if hall is None:
                 return {"subgroup": e_sub.generators, "block": bid, "missing_hall": True}
-            conjugates = table.conjugates(halls[0], table.gens_of(e_sub))
-            for k in down:
-                if primes_of(k.bit_count()) <= ps and not any(c & k == k for c in conjugates):
-                    uncovered = next(h for h in all_subgroups(e_sub, limits) if h.mask == k)
-                    return {"subgroup": e_sub.generators, "block": bid,
-                            "uncovered": uncovered.generators}
+            conjugates = table.conjugates(hall, table.gens_of(e_sub))
+            for d, masks in by_order.items():
+                if part % d:
+                    continue
+                for k in masks:
+                    if k & e == k and not any(c & k == k for c in conjugates):
+                        uncovered = next(h for h in all_subgroups(e_sub, limits) if h.mask == k)
+                        return {"subgroup": e_sub.generators, "block": bid,
+                                "uncovered": uncovered.generators}
     return None
 
 

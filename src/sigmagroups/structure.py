@@ -438,9 +438,16 @@ def all_subgroups(G: Group, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgroup, 
     The tuple is built once per root and mask: every later call for the same
     subgroup, however it was constructed, returns the same shared tuple,
     unless it has more members than ``limits.subgroup_bound`` or the root is
-    larger than ``limits.table_order_bound``.
+    larger than ``limits.table_order_bound``.  A kernel that stops at the
+    subgroup bound is remembered too: it shows that the lattice has more
+    members than that bound, which is kept per root and mask, so a later
+    call under a bound no larger raises the same CapacityError at once,
+    with no kernel run.
     """
     table = _element_table(G.root, limits)
+    cache = G.root.cache
+    at_least = ("lattice-size-at-least", G.mask)
+    _check_lattice_room(cache.get(at_least, 0), limits)
 
     def compute():
         if is_soluble(G):
@@ -448,7 +455,11 @@ def all_subgroups(G: Group, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgroup, 
         else:
             found = _lattice_join_closure(table, G.mask, limits, table.gens_of(G))
         return _wrap(G, table.entries(found))
-    subs = _memo(G, compute, "lattice")
+    try:
+        subs = _memo(G, compute, "lattice")
+    except CapacityError:
+        cache[at_least] = limits.subgroup_bound + 1
+        raise
     _check_lattice_room(len(subs), limits)
     return subs
 

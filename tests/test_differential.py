@@ -15,7 +15,7 @@ from sigmagroups import structure
 from sigmagroups.harness import campaign_sigmas
 from sigmagroups.sigma import (SigmaPartition, is_pi_separable, is_sigma_nilpotent,
                                is_sigma_primary, is_sigma_soluble, largest_normal_block_subgroup,
-                               sigma_nilpotent_residual)
+                               sigma_full_sylow_type_violation, sigma_nilpotent_residual)
 from sigmagroups.errors import InvariantError
 from sigmagroups.numbers import is_prime, is_prime_power, part_for_primes, primes_of
 from sigmagroups.permcore import _mask, closure_of_images
@@ -224,6 +224,50 @@ def test_residual_and_block_subgroups_match_the_normal_lattice_read(corpus, name
     """The residual as a join of the O^{sigma_i}(R_i) and O_pi(D) as a join
     of class closures give the subgroups the normal lattice gives."""
     assert_residual_and_block_subgroups_match_references(corpus[name].build())
+
+
+def reference_sigma_full_sylow_type_violation(G, sigma, limits=Limits()):
+    """Lem2.1's scan with one down-set walk per subgroup: E's subgroups are
+    the masks of G's lattice inside E's, each tested against every mask of
+    G's lattice, and every block is checked, even one whose part is |E|."""
+    table = _element_table(G.root, limits)
+    subs = all_subgroups(G, limits)
+    masks = [h.mask for h in subs]
+    for e_sub in subs:
+        down = [k for k in masks if k & e_sub.mask == k]
+        for bid, ps, part in sigma_module._group_blocks(e_sub, sigma):
+            halls = [k for k in down if k.bit_count() == part]
+            if not halls:
+                return {"subgroup": e_sub.generators, "block": bid, "missing_hall": True}
+            conjugates = table.conjugates(halls[0], table.gens_of(e_sub))
+            for k in down:
+                if primes_of(k.bit_count()) <= ps and not any(c & k == k for c in conjugates):
+                    uncovered = next(h for h in all_subgroups(e_sub, limits) if h.mask == k)
+                    return {"subgroup": e_sub.generators, "block": bid,
+                            "uncovered": uncovered.generators}
+    return None
+
+
+def assert_sylow_type_matches_reference(G):
+    """The first Lem2.1 violation, or None, at every campaign partition;
+    returns the violations found."""
+    violations = []
+    for sigma in campaign_sigmas(G):
+        violation = sigma_full_sylow_type_violation(G, sigma)
+        assert violation == reference_sigma_full_sylow_type_violation(G, sigma), sigma.text()
+        if violation is not None:
+            violations.append(violation)
+    return violations
+
+
+def test_sylow_type_scan_matches_the_down_set_walk(corpus):
+    """Every builtin group at every campaign partition: the same first
+    violation, with its subgroup, block and witness, as the walk over each
+    subgroup's down-set."""
+    violations = [v for entry in corpus.values()
+                  for v in assert_sylow_type_matches_reference(entry.build())]
+    assert len(violations) == 11
+    assert sum("missing_hall" in v for v in violations) == 7
 
 
 def reference_is_soluble(G):
@@ -446,6 +490,7 @@ def test_random_groups_match_oracle(G):
             list(reference_cyclic_extension(table, G.mask, Limits()).items())
     assert_sigma_verdicts_match_references(G, [G])
     assert_residual_and_block_subgroups_match_references(G)
+    assert_sylow_type_matches_reference(G)
 
 
 @settings(RANDOM_GROUPS, max_examples=100)

@@ -383,7 +383,7 @@ def test_parallel_campaign_submits_largest_groups_first(corpus, monkeypatch):
             submitted.extend(e.name for e in entries)
             return map(fn, entries, configs)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(harness, "_process_pool", InlinePool)
     entries = [corpus[n] for n in ["S3", "C6", "S4", "A4"]]
     par = run_campaign(entries, CampaignConfig(jobs=2, zero_millis=True))
     assert submitted == ["S4", "A4", "S3", "C6"]     # stable among equal orders

@@ -574,6 +574,53 @@ def test_sigma_full_sylow_type_scans_no_proper_lattice(corpus, name, stext, monk
     assert scanned == [G.mask]
 
 
+class CountingMask(int):
+    """A lattice mask that counts the ``&`` tests made with it."""
+    tests = 0
+
+    def __and__(self, other):
+        CountingMask.tests += 1
+        return int(self) & int(other)
+
+    __rand__ = __and__
+
+
+class CountedSubgroup:
+    """A subgroup whose mask counts its tests; every other attribute is the
+    subgroup's own."""
+
+    def __init__(self, h):
+        self._h = h
+        self.mask = CountingMask(h.mask)
+
+    def __getattr__(self, name):
+        return getattr(self._h, name)
+
+
+@pytest.mark.parametrize("name, one_block", [("S4", "[2,3]"), ("A5", "[2,3,5]"),
+                                             ("PSL(2,7)", "[2,3,7]")])
+def test_sigma_full_sylow_type_at_one_block_tests_no_mask(corpus, name, one_block,
+                                                           monkeypatch):
+    """At a one-block partition every subgroup is its own Hall subgroup, so
+    the scan makes no conjugation walk and no mask test; at sigma1 the same
+    spies see both."""
+    G = corpus[name].build()
+    lattice = all_subgroups(G)
+    monkeypatch.setattr(sigma_module, "all_subgroups",
+                        lambda H, limits: tuple(map(CountedSubgroup, lattice))
+                        if H is G else all_subgroups(H, limits))
+    walks = []
+    conjugates = structure_module._ElementTable.conjugates
+    monkeypatch.setattr(structure_module._ElementTable, "conjugates",
+                        lambda table, mask, gens: walks.append(mask) or
+                        conjugates(table, mask, gens))
+    CountingMask.tests = 0
+    assert sigma_full_sylow_type_violation(G, parse_sigma(one_block)) is None
+    assert (CountingMask.tests, walks) == (0, [])
+    sigma_full_sylow_type_violation(G, S1)
+    assert CountingMask.tests > 0 and walks
+
+
 def test_pi_separability(corpus):
     A5 = corpus["A5"].build()
     assert not is_pi_separable(A5, {5})

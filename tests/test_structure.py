@@ -397,6 +397,30 @@ def test_cached_lattice_keeps_a_lower_subgroup_bound(corpus):
         all_subgroups(builtin_entry("S4").build(), Limits(subgroup_bound=3))
 
 
+def test_lattice_capacity_failure_is_remembered(corpus, monkeypatch):
+    """A kernel stopped by the subgroup bound runs once: a later call under a
+    bound no larger raises the same error with no kernel run, and a larger
+    bound still computes the lattice."""
+    clear_intern_cache()  # no S4 lattice cached by an earlier test
+    G = corpus["S4"].build()
+    runs = []
+    for kernel in ("_lattice_cyclic_extension", "_lattice_join_closure"):
+        original = getattr(structure, kernel)
+        monkeypatch.setattr(structure, kernel,
+                            lambda table, gmask, limits, *rest, original=original:
+                            runs.append(gmask) or original(table, gmask, limits, *rest))
+    messages = []
+    for bound in (3, 3, 2):
+        with pytest.raises(CapacityError) as failure:
+            all_subgroups(G, Limits(subgroup_bound=bound))
+        messages.append(str(failure.value))
+    assert runs == [G.mask]
+    assert messages == ["subgroup enumeration exceeds subgroup-enumeration bound 3"] * 2 + \
+        ["subgroup enumeration exceeds subgroup-enumeration bound 2"]
+    assert len(all_subgroups(G, Limits(subgroup_bound=30))) == 30
+    assert runs == [G.mask, G.mask]
+
+
 @pytest.mark.parametrize("name", ["S4", "A5"])
 def test_seeded_index_closure_matches_unseeded_and_oracle(corpus, name):
     G = corpus[name].build()

@@ -103,3 +103,15 @@ def test_sigma_reads_no_normal_lattice():
         elif isinstance(node, ast.alias):
             names.add(node.name)
     assert names.isdisjoint({"normal_subgroups", "_normal_lattice"})
+
+
+def test_cli_import_loads_no_process_pool():
+    """The process pool is imported only when a campaign runs more than one
+    job, so importing the CLI loads neither it nor multiprocessing."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    probe = ("import sys, sigmagroups.cli; "
+             "print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
