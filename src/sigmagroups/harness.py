@@ -28,17 +28,15 @@ from typing import NamedTuple
 
 from .corpus import CorpusEntry, partitions_of_primes
 from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, InvariantError, Limits
-from .numbers import primes_of
+from .numbers import part_for_primes, primes_of
 from .permcore import Perm, PermGroup, Subgroup, clear_intern_cache, compose_images
 from .sigma import (SigmaPartition, _group_blocks, _quotient_is_sigma_nilpotent,
                     induces_power_automorphisms, is_pi_separable, is_psigma_t,
                     is_sigma_nilpotent, is_sigma_soluble, largest_normal_block_subgroup,
                     sigma_nilpotent_residual, sigma_full_sylow_type_violation)
-from .structure import (_element_table, _memo, all_subgroups, conjugate_subgroups,
-                        frattini_subgroup, hall_subgroup, intersection_subgroup,
-                        maximal_subgroups_of_p_group, normal_subgroups,
-                        product_subgroup, quotient_group, subgroups_of_order,
-                        supplements, sylow_subgroup)
+from .structure import (_memo, all_subgroups, frattini_subgroup, hall_subgroup,
+                        intersection_subgroup, normal_subgroups, quotient_group,
+                        subgroups_of_order, supplements)
 
 _THMA_CLASS = {"ThmA.i": "sigma-soluble", "ThmA.ii": "sigma-nilpotent",
                "ThmA.iii": "sigma-soluble-psigma-t"}
@@ -111,17 +109,19 @@ def _sub_json(h: Subgroup) -> dict:
 # covering-system statements (Theorem A, Corollaries 1.1/1.2)
 
 def _sylow_maximal_candidates(G: PermGroup, limits: Limits) -> tuple[Subgroup, ...]:
-    """Maximal subgroups of every Sylow subgroup of G (all conjugates),
-    deduplicated, canonically sorted.  They do not depend on sigma, so they
-    are computed once per root and limits."""
+    """The maximal subgroups of every Sylow subgroup of G, canonically
+    sorted.  A maximal subgroup of a p-group has index p, and every
+    p-subgroup lies in a Sylow subgroup, so these are exactly the
+    p-subgroups of G of order |G|_p/p, read off G's lattice.  Each carries the generators of the
+    top entry of its own lattice: for a soluble G that lattice is a down-set
+    of G's, so the entry is G's own; for an insoluble G it is the
+    subgroup's cyclic extension, which gives the generators that a Sylow
+    subgroup's lattice gives it.  They do not depend on sigma, so they are
+    computed once per root and limits."""
     def compute():
-        found: dict[int, Subgroup] = {}
-        for p in sorted(primes_of(G.order)):
-            for P in conjugate_subgroups(G, sylow_subgroup(G, p, limits), limits):
-                for V in maximal_subgroups_of_p_group(P, limits):
-                    found.setdefault(V.mask, V)
-        key = _element_table(G.root, limits).key
-        return tuple(sorted(found.values(), key=lambda V: key(V.mask)))
+        orders = {part_for_primes(G.order, {p}) // p for p in primes_of(G.order)}
+        return tuple(all_subgroups(V, limits)[-1]
+                     for V in all_subgroups(G, limits) if V.order in orders)
     return _memo(G, compute, "sylow-maximal-candidates", limits)
 
 
@@ -274,7 +274,13 @@ def verify_lemma_2_3(G: PermGroup, sigma: SigmaPartition, group_name: str = "",
                          if is_sigma_nilpotent(n, sigma, limits)]
     for i, n1 in enumerate(nilpotent_normals):
         for n2 in nilpotent_normals[i:]:
-            P = product_subgroup(G, n1, n2, limits)
+            # N1N2 is normal and lies in every normal subgroup over N1 and N2,
+            # so it is the first of those in the sorted normal lattice
+            both = n1.mask | n2.mask
+            P = next(n for n in normals if n.mask & both == both)
+            if P.order * (n1.mask & n2.mask).bit_count() != n1.order * n2.order:
+                raise InvariantError(f"the least normal subgroup over normal subgroups of "
+                                     f"orders {n1.order} and {n2.order} has order {P.order}")
             if P.order > 1 and P.order not in (n1.order, n2.order):
                 nontrivial_instances += 1
             if not is_sigma_nilpotent(P, sigma, limits):

@@ -374,12 +374,16 @@ class PermGroup:
         return self._sift(p.images) is None
 
     def elements(self, bound: int | None = None) -> tuple[Perm, ...]:
-        """All elements, sorted lexicographically; capped by the element-cache bound."""
+        """All elements, sorted lexicographically; capped by the element-cache
+        bound.  An explicit ``bound`` is checked on every call, so a lower one
+        refuses a list enumerated earlier under a higher one; without one, a
+        list that exists is reused and a missing one is enumerated under the
+        default bound."""
+        limit = bound if bound is not None else DEFAULT_LIMITS.element_cache_bound
+        if self.order > limit and (bound is not None or self._elements is None):
+            raise CapacityError(
+                f"group order {self.order} exceeds element-cache bound {limit}")
         if self._elements is None:
-            limit = bound if bound is not None else DEFAULT_LIMITS.element_cache_bound
-            if self.order > limit:
-                raise CapacityError(
-                    f"group order {self.order} exceeds element-cache bound {limit}")
             elems = [identity_images(self.degree)]
             for trans in reversed(self._transversals):
                 if trans is None:

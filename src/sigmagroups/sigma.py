@@ -462,7 +462,9 @@ def sigma_full_sylow_type_violation(G: Group, sigma: SigmaPartition,
     in canonical order (the sort key is the order, then the element list):
     the scan meets E's subgroups in the order of E's own lattice.  Only
     the conjugates of the least Hall subgroup are needed.  E's own lattice
-    is computed only to report the generators of an uncovered subgroup."""
+    is read only to report the generators of an uncovered subgroup; it is
+    the down-set of G's root lattice unless E is soluble inside an
+    insoluble root (see ``all_subgroups``)."""
     table = _element_table(G.root, limits)
     subs = all_subgroups(G, limits)
     by_order: dict[int, list[int]] = {}

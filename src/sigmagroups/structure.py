@@ -7,9 +7,10 @@ root group gets a multiplication table over its sorted elements, and its
 subgroups are ``int`` bitmasks over that numbering.  Every function taking a
 group also takes a ``Subgroup``: its kernels (the subgroup lattice, the
 normal lattice, the derived subgroup, maximal subgroups, quotients with
-cosets numbered by table rows, products, conjugates, and the product tests
-of sigma-permutability) run on the root's table restricted to the
-subgroup's members.  Since index order is image-tuple order, a kernel
+cosets numbered by table rows, conjugates, and the product tests of
+sigma-permutability) run on the root's table restricted to the subgroup's
+members; a subgroup's lattice is the down-set of its root's whenever one
+kernel serves both.  Since index order is image-tuple order, a kernel
 restricted to a subgroup walks its members in the same order as a walk over
 the subgroup's own sorted elements would.  Results are ``Subgroup`` values
 on the caller's root, sorted canonically by (order, element list).
@@ -435,6 +436,17 @@ def all_subgroups(G: Group, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgroup, 
     savings: the same subgroups come out in the same order with the same
     generators as when every join or extension is closed.
 
+    Both kernels are hereditary: run on a proper subgroup G of the root,
+    each finds the root's entries inside G, in the same order, with the same
+    generators, since a subgroup inside G is only ever found from a
+    subgroup and an element inside G.  So once the root's lattice is built,
+    a proper subgroup G of the same solubility as the root (both soluble or
+    both insoluble) gets the down-set of the root's lattice, the same
+    ``Subgroup`` objects, and no kernel runs on G.  A soluble G inside an
+    insoluble root runs cyclic extension itself.  A root lattice that is
+    not built yet is not built for G: it may cost far more than G's own,
+    and it may be over ``limits.subgroup_bound`` where G's own fits.
+
     The tuple is built once per root and mask: every later call for the same
     subgroup, however it was constructed, returns the same shared tuple,
     unless it has more members than ``limits.subgroup_bound`` or the root is
@@ -445,12 +457,16 @@ def all_subgroups(G: Group, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgroup, 
     with no kernel run.
     """
     table = _element_table(G.root, limits)
-    cache = G.root.cache
+    root, cache = G.root, G.root.cache
     at_least = ("lattice-size-at-least", G.mask)
     _check_lattice_room(cache.get(at_least, 0), limits)
 
     def compute():
-        if is_soluble(G):
+        soluble = is_soluble(G)
+        roots = cache.get(("lattice", root.mask))
+        if roots is not None and soluble == _memo(root, lambda: is_soluble(root), "soluble"):
+            return tuple(h for h in roots if h.mask & G.mask == h.mask)
+        if soluble:
             found = _lattice_cyclic_extension(table, G.mask, limits)
         else:
             found = _lattice_join_closure(table, G.mask, limits, table.gens_of(G))
@@ -904,20 +920,6 @@ def _quotient(G: Group, N: Subgroup, table: _ElementTable) -> QuotientGroup:
         raise InvariantError("coset action kernel mismatch")
     return QuotientGroup(group=Q, kernel=N, table=table, coset_of=coset_of,
                          coset_images=coset_images)
-
-
-def product_subgroup(G: Group, A: Subgroup, B: Subgroup,
-                     limits: Limits = DEFAULT_LIMITS) -> Subgroup:
-    """The product set AB, which must be a subgroup (for instance when A or B
-    is normal in G).  It is then <A, B>, closed on the root's element table
-    with A's elements as the seed block; GroupInputError when |<A, B>| is not
-    |A||B|/|A n B|, that is when AB is not a subgroup."""
-    _check_inside(G, A, B)
-    table = _element_table(G.root, limits)
-    flags = table.closure(table.gens_of(A) + table.gens_of(B), table.members(A.mask))
-    if flags.count(1) * (A.mask & B.mask).bit_count() != A.order * B.order:
-        raise GroupInputError("the product of the two subgroups is not a subgroup")
-    return _greedy_subgroup(G, _mask(flags), limits)
 
 
 def intersection_subgroup(G: Group, A: Subgroup, B: Subgroup) -> Subgroup:

@@ -10,8 +10,8 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import oracles
 from sigmagroups import Limits, Perm, PermGroup, Subgroup, builtin_corpus, trivial_subgroup
+from sigmagroups import harness, structure
 from sigmagroups import sigma as sigma_module
-from sigmagroups import structure
 from sigmagroups.harness import campaign_sigmas
 from sigmagroups.sigma import (SigmaPartition, is_pi_separable, is_sigma_nilpotent,
                                is_sigma_primary, is_sigma_soluble, largest_normal_block_subgroup,
@@ -21,8 +21,9 @@ from sigmagroups.numbers import is_prime, is_prime_power, part_for_primes, prime
 from sigmagroups.permcore import _mask, closure_of_images
 from sigmagroups.structure import (_element_table, _lattice_cyclic_extension,
                                    _lattice_join_closure, all_subgroups, chief_series,
-                                   conjugate_image_sets, is_soluble,
-                                   normal_subgroups, quotient_group)
+                                   conjugate_image_sets, conjugate_subgroups, is_soluble,
+                                   maximal_subgroups_of_p_group, normal_subgroups,
+                                   quotient_group, sylow_subgroup)
 
 
 def image_sets(subgroups):
@@ -270,6 +271,76 @@ def test_sylow_type_scan_matches_the_down_set_walk(corpus):
     assert sum("missing_hall" in v for v in violations) == 7
 
 
+def reference_sylow_maximal_candidates(G, limits=Limits()):
+    """The maximal subgroups of every Sylow subgroup, found one Sylow
+    subgroup at a time: each conjugate P of a Sylow p-subgroup gets its own
+    cyclic-extension run, whose entries of order |P|/p are kept with their
+    generators (the first found for each mask), canonically sorted.  Each
+    P's maximal subgroups must also be those of
+    ``maximal_subgroups_of_p_group``."""
+    table = _element_table(G.root, limits)
+    found = {}
+    for p in sorted(primes_of(G.order)):
+        for P in conjugate_subgroups(G, sylow_subgroup(G, p, limits), limits):
+            maximal = [(mask, gens) for mask, gens in
+                       table.entries(_lattice_cyclic_extension(table, P.mask, limits))
+                       if mask.bit_count() * p == P.order]
+            assert [(V.mask, V.generators) for V in maximal_subgroups_of_p_group(P, limits)] \
+                == maximal
+            for mask, gens in maximal:
+                found.setdefault(mask, gens)
+    return sorted(found.items(), key=lambda kv: table.key(kv[0]))
+
+
+def assert_sylow_maximal_candidates_match_reference(G):
+    candidates = harness._sylow_maximal_candidates(G, Limits())
+    assert [(V.mask, V.generators) for V in candidates] == reference_sylow_maximal_candidates(G)
+
+
+def test_sylow_maximal_candidates_match_the_sylow_walk(corpus):
+    """The p-subgroups of order |G|_p/p of G's lattice, with the generators
+    of their own lattices, are the maximal subgroups of the Sylow subgroups
+    as each Sylow subgroup's own lattice gives them, on every builtin."""
+    for entry in corpus.values():
+        assert_sylow_maximal_candidates_match_reference(entry.build())
+
+
+def frattini_mask_of_p_group(table, pmask, p):
+    """Phi(P) = P'P^p, generated by the commutators and the p-th powers of
+    the members of the p-group ``pmask``."""
+    rows = table.rows
+    gens = set(table.members(structure._derived_mask(table, pmask)))
+    for x in table.members(pmask):
+        power = 0
+        for _ in range(p):
+            power = rows[power][x]
+        gens.add(power)
+    return table.generate(sorted(gens))[0]
+
+
+def test_sylow_maximal_candidates_obey_burnside_basis_theorem(corpus):
+    """Inside each Sylow p-subgroup P of every builtin there are
+    (p^d - 1)/(p - 1) candidates of order |P|/p, where p^d = |P:Phi(P)|,
+    and each contains Phi(P) (Holt, Eick & O'Brien, Handbook of
+    Computational Group Theory, 2005, on p-groups)."""
+    sylows = 0
+    for entry in corpus.values():
+        G = entry.build()
+        table = _element_table(G.root, Limits())
+        candidates = harness._sylow_maximal_candidates(G, Limits())
+        for p in sorted(primes_of(G.order)):
+            for P in conjugate_subgroups(G, sylow_subgroup(G, p)):
+                sylows += 1
+                phi = frattini_mask_of_p_group(table, P.mask, p)
+                d = round(math.log(P.order // phi.bit_count(), p))
+                assert p ** d * phi.bit_count() == P.order
+                inside = [V for V in candidates
+                          if V.order * p == P.order and V.mask & P.mask == V.mask]
+                assert len(inside) == (p ** d - 1) // (p - 1), (entry.name, p)
+                assert all(V.mask & phi == phi for V in inside), (entry.name, p)
+    assert sylows == 277
+
+
 def reference_is_soluble(G):
     """Solubility read off the derived series on the root's table."""
     table = _element_table(G.root, Limits())
@@ -491,6 +562,7 @@ def test_random_groups_match_oracle(G):
     assert_sigma_verdicts_match_references(G, [G])
     assert_residual_and_block_subgroups_match_references(G)
     assert_sylow_type_matches_reference(G)
+    assert_sylow_maximal_candidates_match_reference(G)
 
 
 @settings(RANDOM_GROUPS, max_examples=100)

@@ -1,12 +1,13 @@
 """Statement verifiers, witness validation, and the campaign driver."""
 
 import gc
+import sys
 from dataclasses import replace
 
 import pytest
 
 from sigmagroups import (CapacityError, GroupInputError, Limits, Perm, Subgroup,
-                         builtin_entry, harness, parse_sigma)
+                         builtin_entry, harness, parse_sigma, structure)
 from sigmagroups.errors import InvariantError
 from sigmagroups.harness import (STATEMENTS, CampaignConfig,
                                  VerificationOutcome, _check_class_monotonicity,
@@ -21,7 +22,7 @@ from sigmagroups.harness import (STATEMENTS, CampaignConfig,
                                  verify_lemma_2_5_forward, verify_theorem_A)
 from sigmagroups.permcore import clear_intern_cache, compose_images
 from sigmagroups.sigma import SigmaPartition, sigma_nilpotent_residual
-from sigmagroups.structure import normal_subgroups, quotient_group
+from sigmagroups.structure import is_soluble, normal_subgroups, quotient_group
 
 S1 = SigmaPartition.sigma1()
 
@@ -111,10 +112,64 @@ def test_cached_sylow_maximal_candidates_keep_a_lower_subgroup_bound(corpus):
     candidates = harness._sylow_maximal_candidates(A5, Limits())
     assert len(candidates) == 16
     assert list(candidates) == sorted(candidates, key=lambda v: (v.order, v.sorted_images()))
-    # a Sylow 2-subgroup of A5 (a Klein four-group) has 5 subgroups
+    # the candidates are read off A5's lattice, which has 59 subgroups
     with pytest.raises(CapacityError, match="subgroup-enumeration bound 3"):
         harness._sylow_maximal_candidates(A5, Limits(subgroup_bound=3))
     assert harness._sylow_maximal_candidates(A5, Limits()) == candidates
+
+
+def test_builtin_campaign_runs_kernels_only_on_soluble_subgroups_of_insoluble_roots(
+        corpus, monkeypatch):
+    """Over one builtin campaign, a lattice kernel runs on a proper subgroup
+    only to give a Sylow-maximal candidate of an insoluble root its own
+    cyclic-extension generators: no sigma-permutable subgroup or Lem2.1
+    subgroup gets a kernel run, and no Sylow subgroup, conjugate walk or
+    p-group lattice is asked for (spy with caller attribution)."""
+    runs = []
+    current = []
+    for kernel in ("_lattice_cyclic_extension", "_lattice_join_closure"):
+        original = getattr(structure, kernel)
+
+        def spy(table, gmask, limits, *rest, original=original, kernel=kernel):
+            callers = set()
+            frame = sys._getframe(1)
+            while frame is not None:
+                callers.add(frame.f_code.co_name)
+                frame = frame.f_back
+            runs.append((current[-1], kernel, gmask != (1 << table.order) - 1, callers))
+            return original(table, gmask, limits, *rest)
+        monkeypatch.setattr(structure, kernel, spy)
+    asked = []
+    for name in ("sylow_subgroup", "conjugate_subgroups", "maximal_subgroups_of_p_group"):
+        for module in (structure, harness):
+            monkeypatch.setattr(module, name, lambda *args, name=name: asked.append(name),
+                                raising=False)
+    verify = harness.verify_group
+    monkeypatch.setattr(harness, "verify_group",
+                        lambda entry, config: current.append(entry.name) or verify(entry, config))
+    run_campaign(list(corpus.values()), CampaignConfig(zero_millis=True))
+    insoluble = {name for name, entry in corpus.items() if not is_soluble(entry.build())}
+    proper = [run for run in runs if run[2]]
+    assert len(runs) - len(proper) == len(corpus) == 45
+    assert 0 < len(proper) <= 104
+    for name, kernel, _, callers in proper:
+        assert name in insoluble and kernel == "_lattice_cyclic_extension", name
+        assert "_sylow_maximal_candidates" in callers, name
+        assert not callers & {"_sigma_permutable", "sigma_full_sylow_type_violation"}, name
+    assert asked == []
+
+
+def test_normal_product_missing_from_the_normal_lattice_raises(corpus, monkeypatch):
+    """Lem2.3 reads N1N2 off G's normal lattice as the first normal subgroup
+    over both; a lattice missing a product gives a larger one, which the
+    order check |N1N2| = |N1||N2|/|N1 n N2| catches."""
+    E8 = corpus["E8"].build()
+    normals = normal_subgroups(E8)
+    dropped = next(n for n in normals if n.order == 4)
+    monkeypatch.setattr(harness, "normal_subgroups",
+                        lambda G, limits: tuple(n for n in normals if n != dropped))
+    with pytest.raises(InvariantError, match="orders 2 and 2 has order 8"):
+        verify_lemma_2_3(E8, S1, "E8")
 
 
 # ---------------------------------------------------------------------------

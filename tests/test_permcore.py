@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 
 import oracles
 from sigmagroups import (CapacityError, GroupInputError, Perm, PermGroup,
-                         Subgroup, conjugate_subgroup, full_subgroup, interned,
-                         trivial_subgroup)
+                         Subgroup, builtin_entry, conjugate_subgroup, full_subgroup,
+                         interned, trivial_subgroup)
 from sigmagroups.errors import InvariantError
 from sigmagroups.permcore import clear_intern_cache, format_cycles, parse_cycles
 
@@ -207,6 +207,19 @@ def test_elements_respect_capacity_bound(corpus):
     with pytest.raises(CapacityError):
         G.elements(bound=10)
     assert len(G.elements(bound=24)) == 24
+
+
+def test_cached_elements_keep_a_lower_bound():
+    """An explicit bound is checked on every call, so a group enumerated
+    under a higher bound refuses a lower one; without a bound the list that
+    exists is reused."""
+    G = builtin_entry("S4").build()
+    elems = G.elements()
+    with pytest.raises(CapacityError, match="element-cache bound 10"):
+        G.elements(10)
+    with pytest.raises(CapacityError, match="element-cache bound 10"):
+        G.element_images(10)
+    assert G.elements() is elems and G.elements(24) is elems
 
 
 def test_trivial_group():

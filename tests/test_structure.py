@@ -13,8 +13,7 @@ from sigmagroups import (CapacityError, GroupInputError, Limits, Perm,
                          builtin_entry, full_subgroup, is_psigma_t)
 from sigmagroups import structure
 from sigmagroups.errors import InvariantError
-from sigmagroups.permcore import (clear_intern_cache, closure_of_images, compose_images,
-                                  images_order)
+from sigmagroups.permcore import clear_intern_cache, closure_of_images, images_order
 from sigmagroups.structure import (all_subgroups, chief_series,
                                    conjugate_image_sets,
                                    derived_subgroup, frattini_subgroup,
@@ -24,7 +23,7 @@ from sigmagroups.structure import (all_subgroups, chief_series,
                                    maximal_subgroups,
                                    maximal_subgroups_of_p_group,
                                    minimal_normal_subgroups,
-                                   normal_subgroups, product_subgroup,
+                                   normal_subgroups,
                                    quotient_group, subgroup_from_images,
                                    subgroups_of_order,
                                    supplements, sylow_subgroup)
@@ -258,21 +257,6 @@ def test_quotient_by_non_normal_subgroup_is_rejected(corpus):
 # ---------------------------------------------------------------------------
 # misc helpers
 
-def test_product_subgroup(corpus):
-    S4 = corpus["S4"].build()
-    v4 = sub(S4, "(1 2)(3 4)", "(1 3)(2 4)")
-    c3 = sub(S4, "(1 2 3)")
-    got = product_subgroup(S4, v4, c3)
-    assert got.order == 12
-    assert got.element_images() == frozenset(
-        compose_images(a, b) for a in v4.element_images() for b in c3.element_images())
-    assert product_subgroup(S4, c3, v4) == got
-    # two subgroups of order 2 in S3 whose product set has 4 elements
-    S3 = corpus["S3"].build()
-    with pytest.raises(GroupInputError, match="not a subgroup"):
-        product_subgroup(S3, sub(S3, "(1 2)"), sub(S3, "(1 3)"))
-
-
 def test_intersection_subgroup(corpus):
     S4 = corpus["S4"].build()
     a4 = sub(S4, "(1 2 3)", "(1 2)(3 4)")
@@ -359,11 +343,12 @@ def test_in_place_lattices_equal_those_of_a_fresh_root(corpus, name):
 
 
 def test_lattice_kernels_are_hereditary(corpus):
-    """A subgroup's lattice is the down-set of its group's lattice, the same
-    masks in the same order with the same generators, whenever one kernel
-    makes both: H and G both soluble or both not.  Cyclic extension run on
-    an insoluble group, restricted to a soluble subgroup, is that subgroup's
-    lattice too."""
+    """Every subgroup's lattice is the one its own kernel makes, run on the
+    subgroup itself: cyclic extension when it is soluble, join closure when
+    not.  When its group uses the same kernel, that lattice is the down-set
+    of the group's lattice, the same masks in the same order with the same
+    generators; for a soluble subgroup of an insoluble group, it is cyclic
+    extension run on the group, restricted to the subgroup."""
     def entries(subgroups):
         return [(h.mask, h.generators) for h in subgroups]
 
@@ -374,12 +359,72 @@ def test_lattice_kernels_are_hereditary(corpus):
         kernel = {} if is_soluble(G) else \
             structure._lattice_cyclic_extension(table, G.mask, Limits())
         for H in lattice:
+            if is_soluble(H):
+                own = structure._lattice_cyclic_extension(table, H.mask, Limits())
+            else:
+                own = structure._lattice_join_closure(table, H.mask, Limits(), table.gens_of(H))
+            assert entries(all_subgroups(H)) == list(table.entries(own)), H.generators
             if is_soluble(H) == is_soluble(G):
-                assert entries(all_subgroups(H)) == \
-                    entries(k for k in lattice if k.mask & H.mask == k.mask), H.generators
+                expected = entries(k for k in lattice if k.mask & H.mask == k.mask)
             else:
                 restricted = {m: gens for m, gens in kernel.items() if m & H.mask == m}
-                assert list(table.entries(restricted)) == entries(all_subgroups(H)), H.generators
+                expected = list(table.entries(restricted))
+            assert list(table.entries(own)) == expected, H.generators
+
+
+def test_subgroup_lattice_is_read_off_the_root(corpus, monkeypatch):
+    """Once the root's lattice is built, a subgroup of the same solubility
+    gets the root's lattice entries inside it, the same objects, and no
+    kernel runs on it; a soluble subgroup of an insoluble root runs cyclic
+    extension itself.  Before that, a subgroup runs its own kernel and the
+    root's lattice is not built."""
+    clear_intern_cache()  # no subgroup lattice cached by an earlier test
+    runs = []
+    for kernel in ("_lattice_cyclic_extension", "_lattice_join_closure"):
+        original = getattr(structure, kernel)
+        monkeypatch.setattr(structure, kernel,
+                            lambda table, gmask, limits, *rest, original=original, kernel=kernel:
+                            runs.append((kernel, gmask)) or original(table, gmask, limits, *rest))
+    S4 = builtin_entry("S4").build()
+    a4 = sub(S4, "(1 2 3)", "(1 2)(3 4)")
+    assert len(all_subgroups(a4)) == 10
+    assert runs == [("_lattice_cyclic_extension", a4.mask)]
+    lattice = all_subgroups(S4)
+    d8 = sylow_subgroup(S4, 2)
+    runs.clear()
+    down = all_subgroups(d8)
+    assert runs == []
+    assert len(down) == 10
+    assert all(any(h is k for k in lattice) for h in down)
+    S5 = builtin_entry("S5").build()
+    all_subgroups(S5)
+    a5 = sub(S5, "(1 2 3)", "(1 2 3 4 5)")
+    s4 = sub(S5, "(1 2 3 4)", "(1 2)")
+    runs.clear()
+    assert len(all_subgroups(a5)) == 59 and runs == []
+    assert len(all_subgroups(s4)) == 30
+    assert runs == [("_lattice_cyclic_extension", s4.mask)]
+    clear_intern_cache()
+
+
+def test_subgroup_lattice_fits_when_its_roots_does_not(corpus):
+    """A5 inside S5 has 59 subgroups and S5 has 156.  Under a bound of 100,
+    A5's lattice is listed whether S5's lattice is not built or was built
+    under a higher bound, and it is the down-set of S5's."""
+    clear_intern_cache()  # no S5 lattice cached by an earlier test
+    S5 = builtin_entry("S5").build()
+    a5 = sub(S5, "(1 2 3)", "(1 2 3 4 5)")
+    subs = all_subgroups(a5, Limits(subgroup_bound=100))
+    with pytest.raises(CapacityError, match="subgroup-enumeration bound 100"):
+        all_subgroups(S5, Limits(subgroup_bound=100))
+    down = [(k.mask, k.generators) for k in all_subgroups(S5) if k.mask & a5.mask == k.mask]
+    assert len(subs) == 59 and [(h.mask, h.generators) for h in subs] == down
+    clear_intern_cache()
+    S5 = builtin_entry("S5").build()
+    assert len(all_subgroups(S5)) == 156
+    a5 = sub(S5, "(1 2 3)", "(1 2 3 4 5)")
+    assert [(h.mask, h.generators) for h in all_subgroups(a5, Limits(subgroup_bound=100))] == down
+    clear_intern_cache()
 
 
 def test_subgroup_of_another_group_is_rejected(corpus):
