@@ -31,6 +31,14 @@ EXIT_USAGE = 2
 EXIT_CAPACITY = 3
 
 
+def _nonempty(text: str) -> str:
+    """A path or list option's value: empty text is a usage error, never a
+    silent fallback to the option's default."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="sigmagroups",
@@ -39,7 +47,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, sigma_default="sigma1"):
         p.add_argument("--group", required=True, help="corpus group name")
-        p.add_argument("--corpus-file", help="resolve --group in this file instead of the builtin corpus")
+        p.add_argument("--corpus-file", type=_nonempty,
+                       help="resolve --group in this file instead of the builtin corpus")
         p.add_argument("--sigma", default=sigma_default,
                        help="partition text like [2,3][5], or sigma1")
         p.add_argument("--format", choices=("human", "machine"), default="human")
@@ -68,9 +77,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("campaign", help="verify every statement over a corpus")
     p.add_argument("--corpus", default="builtin", help="'builtin' or a corpus file path")
-    p.add_argument("--only", help="comma-separated statement ids")
+    p.add_argument("--only", type=_nonempty, help="comma-separated statement ids")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out", help="write the machine-readable report here")
+    p.add_argument("--out", type=_nonempty, help="write the machine-readable report here")
     p.add_argument("--no-timestamp", action="store_true",
                    help="suppress generated_at and zero all millis (byte-identical reruns)")
     p.add_argument("--format", choices=("human", "machine"), default="human")

@@ -325,18 +325,18 @@ def verify_lemma_2_4(G: PermGroup, sigma: SigmaPartition, group_name: str = "",
                      limits: Limits = DEFAULT_LIMITS) -> VerificationOutcome:
     """The residual of G/N is DN/N, D the residual of G, for every normal N.
     G/1 (residual D) and G/G (trivial) are counted without being built."""
-    d_set = sigma_nilpotent_residual(G, sigma, limits).element_images()
+    D = sigma_nilpotent_residual(G, sigma, limits)
     checked = 0
     for N in normal_subgroups(G, limits):
         if 1 < N.order < G.order:
             q = quotient_group(G, N, limits)
-            lhs = sigma_nilpotent_residual(q.group, sigma, limits).element_images()
-            rhs = q.image_set(d_set)  # DN/N is the image of D
+            lhs = sigma_nilpotent_residual(q.group, sigma, limits)
+            rhs = q.image(D)
             if lhs != rhs:
                 return VerificationOutcome(
                     "Lem2.4", group_name, sigma, "counterexample",
                     witness={"N": _sub_json(N),
-                             "lhs_order": len(lhs), "rhs_order": len(rhs),
+                             "lhs_order": lhs.order, "rhs_order": rhs.order,
                              "note": "implementation bug candidate: statement is proved"})
         checked += 1
     return VerificationOutcome(
@@ -478,7 +478,8 @@ class CampaignConfig:
     def __post_init__(self) -> None:
         unknown = [s for s in self.statements if s not in REGISTRY]
         if unknown:
-            raise GroupInputError(f"unknown statement ids: {', '.join(unknown)}")
+            raise GroupInputError(
+                f"unknown statement ids: {', '.join(sid or repr(sid) for sid in unknown)}")
 
 
 PARTITION_PRIME_CAP = 4

@@ -14,14 +14,15 @@ produces identical internal state.  Orbits are extended as strong generators
 arrive, never rebuilt, and each Schreier generator is sifted once: an orbit
 point remembers how many of its level's generators it has been verified
 with.  Each transversal rep is stored with its inverse, so a sift is one
-composition per moved level.  Hot paths (closures, product sets) work on raw
-image tuples, composed with ``map``; ``Perm`` is the value type seen by
-callers.
+composition per moved level.  The chain works on raw image tuples, composed
+with ``map``; ``Perm`` is the value type seen by callers.
 
 Only root groups carry a chain: groups built from generators, such as corpus
 entries and quotient groups.  A subgroup is its root, a bitmask over the
 root's sorted elements and its generators, with no chain or element list of
-its own.
+its own: a subgroup made from generators is closed by a throwaway chain on
+them, whose elements give the mask.  Sets of image tuples are only the
+currency of interning and of the public calls that take or return them.
 """
 from __future__ import annotations
 
@@ -399,10 +400,6 @@ class PermGroup:
         assert self._element_set is not None
         return self._element_set
 
-    def key(self) -> tuple[int, frozenset[tuple]]:
-        """Canonical identity for interning: (degree, element set)."""
-        return (self.degree, self.element_images())
-
     def element_index(self) -> dict[tuple, int]:
         """The position of each element, as an image tuple, in sorted order."""
         if "element-index" not in self.cache:
@@ -430,7 +427,7 @@ _INTERNED: dict[tuple[int, frozenset[tuple]], PermGroup] = {}
 
 def interned(group: PermGroup) -> PermGroup:
     """Canonical instance per element set, so derived caches are shared."""
-    return _INTERNED.setdefault(group.key(), group)
+    return _INTERNED.setdefault((group.degree, group.element_images()), group)
 
 
 def find_interned(degree: int, images: frozenset[tuple]) -> PermGroup | None:
@@ -446,19 +443,6 @@ def clear_intern_cache() -> None:
     for group in _INTERNED.values():
         group.cache.clear()
     _INTERNED.clear()
-
-
-def closure_of_images(degree: int, gens: Sequence[tuple]) -> frozenset[tuple]:
-    """Elements of <gens>, by breadth-first products with the generators."""
-    seen = {identity_images(degree)}
-    frontier = list(seen)
-    for x in frontier:
-        for g in gens:
-            y = compose_images(x, g)
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return frozenset(seen)
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +484,8 @@ class Subgroup:
         root = group.root
         flags = bytearray(root.order)
         index = root.element_index()
-        for e in closure_of_images(root.degree, [g.images for g in gens]):
-            flags[index[e]] = 1
+        for e in PermGroup(root.degree, gens).elements(root.order):
+            flags[index[e.images]] = 1
         self._bind(group, _mask(flags), tuple(g for g in gens if not g.is_identity()))
 
     @classmethod
@@ -529,10 +513,7 @@ class Subgroup:
         return tuple(compress(self.root.elements(), _flags(self.mask, self.root.order)))
 
     def element_images(self) -> frozenset[tuple]:
-        return frozenset(self.sorted_images())
-
-    def sorted_images(self) -> tuple[tuple, ...]:
-        return tuple(p.images for p in self.elements())
+        return frozenset(p.images for p in self.elements())
 
     def __contains__(self, p: Perm) -> bool:
         i = self.root.element_index().get(p.images) if isinstance(p, Perm) else None

@@ -132,13 +132,6 @@ class _ElementTable:
         """The indices of the generators of a group or subgroup on this root."""
         return [self.index[g.images] for g in G.generators]
 
-    def index_set(self, images: Iterable[tuple]) -> frozenset[int]:
-        """The indices of elements given as image tuples."""
-        try:
-            return frozenset(map(self.index.__getitem__, images))
-        except KeyError:
-            raise GroupInputError("element set is not inside the group") from None
-
     def conjugates(self, mask: int, gens: Sequence[int]) -> dict[int, int]:
         """The distinct conjugates of the subgroup ``mask``, in breadth-first
         orbit order under the generators ``gens``, each mapped to the index
@@ -322,8 +315,8 @@ def _greedy_subgroup(G: Group, mask: int, limits: Limits | None = None) -> Subgr
 def subgroup_from_images(G: Group, images: frozenset[tuple]) -> Subgroup:
     """Wrap a known subgroup element set, picking a short generator list greedily."""
     table = _element_table(G.root)
-    mask = table.mask_of(table.index_set(images))
-    if mask & G.mask != mask:
+    mask = table.mask_of(table.index[e] for e in images if e in table.index)
+    if mask.bit_count() != len(images) or mask & G.mask != mask:
         raise GroupInputError("element set is not inside the group")
     return _greedy_subgroup(G, mask)
 
@@ -872,11 +865,15 @@ class QuotientGroup:
             raise GroupInputError(f"{x} is not in the group")
         return Perm(self.coset_images[self.coset_of[index]])
 
-    def image_set(self, elements: Iterable[tuple]) -> frozenset[tuple]:
-        """The image in ``group`` of a set of G's elements, as image tuples."""
-        coset_of = self.coset_of
-        cosets = {coset_of[i] for i in self.table.index_set(elements)}
-        return frozenset(map(self.coset_images.__getitem__, cosets))
+    def image(self, H: Subgroup) -> Subgroup:
+        """HN/N for a subgroup H of G, as a subgroup of ``group`` with greedy
+        generators."""
+        cosets = {self.coset_of[i] for i in self.table.members(H.mask)}
+        if H.root is not self.kernel.root or -1 in cosets:
+            raise GroupInputError(f"a subgroup of order {H.order} is not inside the group")
+        qtable = _element_table(self.group)
+        return _greedy_subgroup(self.group, qtable.mask_of(
+            qtable.index[self.coset_images[c]] for c in cosets))
 
 
 def quotient_group(G: Group, N: Subgroup, limits: Limits = DEFAULT_LIMITS) -> QuotientGroup:

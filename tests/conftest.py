@@ -11,7 +11,7 @@ import pytest
 
 import oracles
 from sigmagroups import CampaignConfig, PermGroup, builtin_corpus, run_campaign
-from sigmagroups import structure
+from sigmagroups import harness, structure
 
 ROOT = Path(__file__).resolve().parent.parent
 SELFTEST = pytest.StashKey[subprocess.Popen]()
@@ -104,3 +104,12 @@ def table_builds(monkeypatch):
 
     monkeypatch.setattr(structure._ElementTable, "__init__", counting)
     return built
+
+
+@pytest.fixture()
+def lying_class_member(monkeypatch):
+    """A planted fault: every proper subgroup of its root counts as lying in
+    the class and the root itself does not, so each Theorem A scan over a
+    group with a proper supplement to every candidate V is refuted."""
+    monkeypatch.setattr(harness, "class_member",
+                        lambda cls, T, sigma, limits=None: T.order < T.root.order)

@@ -511,6 +511,47 @@ def test_campaign_unknown_statement_id(capsys):
     assert "unknown statement ids: Nope" in err
 
 
+def test_campaign_empty_statement_ids_are_named(capsys, mini_corpus):
+    code, _, err = run(capsys, "campaign", "--corpus", mini_corpus, "--only", ",")
+    assert code == 2
+    assert "unknown statement ids: '', ''" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("campaign", "--only", ""),
+    ("campaign", "--out", ""),
+    ("classify", "--group", "S3", "--corpus-file", ""),
+], ids=["only", "out", "corpus-file"])
+def test_empty_option_value_is_usage_error(capsys, mini_corpus, argv):
+    """An empty --only, --out or --corpus-file is refused, never read as
+    "every statement", "no report" or "the builtin corpus"."""
+    option = argv[-2]
+    if argv[0] == "campaign":
+        argv += ("--corpus", mini_corpus)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"argument {option}: must not be empty" in err
+
+
+def test_planted_fault_counterexample_exits_1(capsys, tmp_path, lying_class_member):
+    """Under a lying class predicate, verify and campaign report the
+    refuted Theorem A row and exit 1."""
+    code, out, _ = run(capsys, "verify", "--group", "D8", "--statement", "ThmA.i")
+    assert code == 1
+    assert "ThmA.i      D8           sigma1       counterexample" in out
+    path = tmp_path / "d8.corpus"
+    entry = builtin_entry("D8")
+    path.write_text(f"group D8 deg {entry.degree}\n"
+                    + "".join(f"gen {g}\n" for g in entry.generators)
+                    + f"order {entry.expected_order}\n")
+    code, out, _ = run(capsys, "campaign", "--corpus", str(path), "--only", "ThmA.i",
+                       "--no-timestamp")
+    assert code == 1
+    assert "COUNTEREXAMPLE: ThmA.i D8 [2]" in out.splitlines()
+    assert "COUNTEREXAMPLE: ThmA.i D8 sigma1" in out.splitlines()
+
+
 # ---------------------------------------------------------------------------
 # corpus-list
 

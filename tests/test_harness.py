@@ -1,12 +1,14 @@
 """Statement verifiers, witness validation, and the campaign driver."""
 
 import gc
+import json
 import sys
 from dataclasses import replace
 
 import pytest
 
-from sigmagroups import (CapacityError, GroupInputError, Limits, Perm, Subgroup,
+import oracles
+from sigmagroups import (CapacityError, GroupInputError, Limits, Perm, PermGroup, Subgroup,
                          builtin_entry, harness, parse_sigma, structure)
 from sigmagroups.errors import InvariantError
 from sigmagroups.harness import (STATEMENTS, CampaignConfig,
@@ -20,7 +22,7 @@ from sigmagroups.harness import (STATEMENTS, CampaignConfig,
                                  verify_lemma_2_3, verify_lemma_2_4,
                                  verify_lemma_2_5_converse_search,
                                  verify_lemma_2_5_forward, verify_theorem_A)
-from sigmagroups.permcore import clear_intern_cache, compose_images
+from sigmagroups.permcore import clear_intern_cache, compose_images, trivial_subgroup
 from sigmagroups.sigma import SigmaPartition, sigma_nilpotent_residual
 from sigmagroups.structure import is_soluble, normal_subgroups, quotient_group
 
@@ -111,7 +113,7 @@ def test_cached_sylow_maximal_candidates_keep_a_lower_subgroup_bound(corpus):
     A5 = builtin_entry("A5").build()
     candidates = harness._sylow_maximal_candidates(A5, Limits())
     assert len(candidates) == 16
-    assert list(candidates) == sorted(candidates, key=lambda v: (v.order, v.sorted_images()))
+    assert list(candidates) == sorted(candidates, key=lambda v: (v.order, v.elements()))
     # the candidates are read off A5's lattice, which has 59 subgroups
     with pytest.raises(CapacityError, match="subgroup-enumeration bound 3"):
         harness._sylow_maximal_candidates(A5, Limits(subgroup_bound=3))
@@ -266,6 +268,43 @@ def test_lemma_2_4_trivial_group_is_vacuous(corpus):
 
 
 # ---------------------------------------------------------------------------
+# planted faults: each verifier can say counterexample
+
+def test_theorem_a_planted_fault_is_refuted_with_checkable_witness(corpus,
+                                                                   lying_class_member):
+    """With every proper subgroup counted in the class and D8 outside it,
+    each of D8's three maximal subgroups V has an in-class supplement, so
+    the scan is refuted; the witness survives the report's JSON, and
+    re-checking any refuting V from it rejects V."""
+    D8 = corpus["D8"].build()
+    out = verify_theorem_A(D8, S1, "sigma-soluble", "D8")
+    assert (out.verdict, out.vacuous) == ("counterexample", False)
+    witness = json.loads(json.dumps(out.to_json()))["witness"]
+    assert witness == out.witness
+    assert witness["class"] == "sigma-soluble"
+    refutation = witness["every_V_has_in_class_supplement"]
+    assert len(refutation) == 3
+    for entry in refutation:
+        assert entry["V"]["order"] == 4 and entry["in_class_supplement"]["order"] < 8
+        assert not validate_covering_witness(D8, S1, "sigma-soluble", entry)
+
+
+def test_lemma_2_4_planted_fault_is_a_counterexample(corpus, monkeypatch):
+    """A residual that is trivial on every quotient of S4 but right on S4
+    itself breaks Lem2.4 at sigma1 on the first proper quotient, S4/V4,
+    whose image of D = A4 has order 3."""
+    S4 = corpus["S4"].build()
+    residual = harness.sigma_nilpotent_residual
+    monkeypatch.setattr(harness, "sigma_nilpotent_residual",
+                        lambda X, sigma, limits: residual(X, sigma, limits) if X is S4
+                        else trivial_subgroup(X))
+    out = verify_lemma_2_4(S4, S1, "S4")
+    assert (out.verdict, out.vacuous) == ("counterexample", False)
+    assert out.witness["N"]["order"] == 4
+    assert (out.witness["lhs_order"], out.witness["rhs_order"]) == (1, 3)
+
+
+# ---------------------------------------------------------------------------
 # Lemma 2.5, both directions
 
 def test_lemma_2_5_forward_structure(corpus):
@@ -337,6 +376,17 @@ def test_campaign_sigmas(corpus):
     assert [s.text() for s in campaign_sigmas(corpus["C1"].build())] == \
         ["[]", "sigma1"]
     assert len(campaign_sigmas(corpus["A5"].build())) == 6  # Bell(3) + sigma1
+
+
+def test_campaign_sigmas_fall_back_to_one_block_past_the_prime_cap(table_builds):
+    """C2310 has five primes, more than PARTITION_PRIME_CAP: its campaign
+    partitions are the one block of pi(G) and sigma1, read off the order of
+    a chain-only group, with no element table."""
+    C2310 = PermGroup(28, [Perm.parse("(1 2)(3 4 5)(6 7 8 9 10)(11 12 13 14 15 16 17)"
+                                      "(18 19 20 21 22 23 24 25 26 27 28)", 28)])
+    assert C2310.order == 2310 and harness.PARTITION_PRIME_CAP < 5
+    assert [s.text() for s in campaign_sigmas(C2310)] == ["[2,3,5,7,11]", "sigma1"]
+    assert table_builds == []
 
 
 def test_verify_group_row_inventory(corpus):
@@ -506,11 +556,16 @@ def test_class_monotonicity_check_raises():
 @pytest.mark.parametrize("name", ["S4", "SL(2,5)"])
 def test_lemma_2_4_image_of_residual_is_dn_over_n(corpus, name):
     """Lem2.4's right-hand side, the image of D, is the projection of the
-    product set DN, for every normal N and every campaign partition."""
+    product set DN as a subgroup of the quotient that its generators
+    generate, for every normal N and every campaign partition."""
     G = corpus[name].build()
     for sigma in campaign_sigmas(G):
-        d_set = sigma_nilpotent_residual(G, sigma).element_images()
+        D = sigma_nilpotent_residual(G, sigma)
         for N in normal_subgroups(G):
             q = quotient_group(G, N)
-            dn = {compose_images(d, n) for d in d_set for n in N.element_images()}
-            assert q.image_set(d_set) == frozenset(q.project(Perm(x)).images for x in dn)
+            dn = {compose_images(d, n) for d in D.element_images() for n in N.element_images()}
+            image = q.image(D)
+            assert image.root is q.group
+            assert image.element_images() == frozenset(q.project(Perm(x)).images for x in dn)
+            assert oracles.close_tuples([g.images for g in image.generators],
+                                        q.group.degree) == image.element_images()

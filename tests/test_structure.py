@@ -13,7 +13,7 @@ from sigmagroups import (CapacityError, GroupInputError, Limits, Perm,
                          builtin_entry, full_subgroup, is_psigma_t)
 from sigmagroups import structure
 from sigmagroups.errors import InvariantError
-from sigmagroups.permcore import clear_intern_cache, closure_of_images, images_order
+from sigmagroups.permcore import clear_intern_cache, images_order
 from sigmagroups.structure import (all_subgroups, chief_series,
                                    conjugate_image_sets,
                                    derived_subgroup, frattini_subgroup,
@@ -242,6 +242,19 @@ def test_quotient_of_s4_by_v4(corpus):
     assert kernel == set(V4.elements())
 
 
+def test_quotient_image_needs_a_subgroup_of_the_group(corpus):
+    """HN/N is refused for a subgroup of another root, and for one of G's
+    root that is not inside G."""
+    S4 = corpus["S4"].build()
+    A4 = sub(S4, "(1 2 3)", "(1 2)(3 4)")
+    V4 = sub(S4, "(1 2)(3 4)", "(1 3)(2 4)")
+    q = quotient_group(A4, V4)
+    assert q.image(A4).order == 3 and q.image(V4).order == 1
+    for H in (sub(S4, "(1 2)"), sub(corpus["S3"].build(), "(1 2 3)")):
+        with pytest.raises(GroupInputError, match="not inside the group"):
+            q.image(H)
+
+
 def test_quotient_by_full_group_is_trivial(corpus):
     S3 = corpus["S3"].build()
     q = quotient_group(S3, Subgroup(S3, S3.generators))
@@ -268,7 +281,7 @@ def test_intersection_subgroup(corpus):
 
 def test_closure_and_subgroup_from_images(corpus):
     S3 = corpus["S3"].build()
-    images = closure_of_images(3, [Perm.parse("(1 2 3)", 3).images])
+    images = oracles.close_tuples([Perm.parse("(1 2 3)", 3).images], 3)
     assert len(images) == 3
     h = subgroup_from_images(S3, images)
     assert h.order == 3 and h.root is S3
@@ -278,6 +291,14 @@ def test_generated_subgroup(corpus):
     S4 = corpus["S4"].build()
     h = Subgroup(S4, [Perm.parse("(1 2)", 4), Perm.parse("(3 4)", 4)])
     assert h.order == 4
+
+
+@pytest.mark.parametrize("name", [e.name for e in builtin_corpus()])
+def test_subgroup_from_lattice_generators_is_the_lattice_entry(corpus, name):
+    """Closing a lattice entry's generators with a chain gives the entry back."""
+    G = corpus[name].build()
+    for h in all_subgroups(G):
+        assert Subgroup(G, h.generators) == h
 
 
 def test_conjugate_image_sets(corpus):
@@ -316,9 +337,9 @@ def test_subgroup_kernels_build_no_table_or_chain(corpus, chain_builds, table_bu
     clear_intern_cache()  # nothing cached for the subgroups of this S4
     S4 = corpus["S4"].build()
     assert len(all_subgroups(S4)) == 30
+    A4 = sub(S4, "(1 2 3)", "(1 2)(3 4)")  # closed by a throwaway chain
     chain_builds.clear()
     table_builds.clear()
-    A4 = sub(S4, "(1 2 3)", "(1 2)(3 4)")
     assert len(all_subgroups(A4)) == 10
     assert [n.order for n in normal_subgroups(A4)] == [1, 4, 12]
     assert not is_psigma_t(A4, SigmaPartition.sigma1())
@@ -478,7 +499,6 @@ def test_seeded_index_closure_matches_unseeded_and_oracle(corpus, name):
             gens = hgens + [e]
             flags = table.closure([index[g] for g in gens], block)
             seeded = table.image_set(_mask(flags))
-            assert seeded == closure_of_images(G.degree, gens)
             assert seeded == oracles.close_tuples(gens, G.degree)
 
 

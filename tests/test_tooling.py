@@ -90,19 +90,31 @@ def test_exported_names_are_used():
         assert reason in quickstart
 
 
-def test_sigma_reads_no_normal_lattice():
-    """The sigma verdicts, the residual and O_pi(D) come from subgroups
-    generated by elements: ``sigma.py`` names no normal-lattice entry point."""
-    tree = ast.parse((ROOT / "src" / "sigmagroups" / "sigma.py").read_text(encoding="utf-8"))
+def names_in_module(module: str) -> set[str]:
+    """Every name, attribute and imported name in a package module."""
+    path = ROOT / "src" / "sigmagroups" / module
     names = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name)
-    assert names.isdisjoint({"normal_subgroups", "_normal_lattice"})
+    return names
+
+
+def test_sigma_reads_no_normal_lattice():
+    """The sigma verdicts, the residual and O_pi(D) come from subgroups
+    generated by elements: ``sigma.py`` names no normal-lattice entry point."""
+    assert names_in_module("sigma.py").isdisjoint({"normal_subgroups", "_normal_lattice"})
+
+
+def test_harness_compares_subgroups_not_image_sets():
+    """The verifiers compare subgroups as masks on a root: ``harness.py``
+    names no call that builds or takes a set of image tuples."""
+    assert names_in_module("harness.py").isdisjoint(
+        {"element_images", "image_set", "closure_of_images"})
 
 
 def test_cli_import_loads_no_process_pool():
