@@ -9,10 +9,10 @@ is not a vacuous (premise) skip.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime as _dt
 import json
 import sys
-from dataclasses import replace
 
 from .corpus import CorpusEntry, builtin_corpus, builtin_entry, parse_corpus_file
 from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, Limits
@@ -55,9 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
         caps(p)
 
     def caps(p):
-        p.add_argument("--element-cache-bound", type=int)
-        p.add_argument("--subgroup-bound", type=int)
-        p.add_argument("--table-order-bound", type=int)
+        for cap in dataclasses.fields(Limits):
+            p.add_argument(f"--{cap.name.replace('_', '-')}", type=int)
 
     p = sub.add_parser("classify", help="class predicates and residual for one group")
     common(p)
@@ -94,14 +93,14 @@ def _limits(args) -> Limits:
     """DEFAULT_LIMITS with every cap given on the command line; a cap below 1
     is a usage error, never a silent fallback to the default."""
     caps = {}
-    for field in ("element_cache_bound", "subgroup_bound", "table_order_bound"):
-        value = getattr(args, field, None)
+    for cap in dataclasses.fields(Limits):
+        value = getattr(args, cap.name, None)
         if value is None:
             continue
         if value < 1:
-            raise _Usage(f"--{field.replace('_', '-')} must be at least 1, got {value}")
-        caps[field] = value
-    return replace(DEFAULT_LIMITS, **caps)
+            raise GroupInputError(f"--{cap.name.replace('_', '-')} must be at least 1, got {value}")
+        caps[cap.name] = value
+    return dataclasses.replace(DEFAULT_LIMITS, **caps)
 
 
 def _resolve_entry(args) -> CorpusEntry:
@@ -118,13 +117,9 @@ def _resolve_entry(args) -> CorpusEntry:
 def _sigmas_for(args, G: PermGroup) -> list[SigmaPartition]:
     if args.sigma == "all":
         if args.command not in ("verify", "campaign"):
-            raise _Usage("--sigma all is only valid for verify and campaign")
+            raise GroupInputError("--sigma all is only valid for verify and campaign")
         return campaign_sigmas(G)
     return [parse_sigma(args.sigma)]
-
-
-class _Usage(Exception):
-    pass
 
 
 def _emit(args, human_lines: list[str], machine_obj) -> None:
@@ -228,11 +223,11 @@ def _pi_sets(args) -> list[frozenset[int]] | None:
         return None
     if REGISTRY[args.statement].scope != "pi":
         only = ", ".join(sid for sid, st in REGISTRY.items() if st.scope == "pi")
-        raise _Usage(f"--pi applies only to {only}, not {args.statement}")
+        raise GroupInputError(f"--pi applies only to {only}, not {args.statement}")
     tokens = [t.strip() for t in args.pi.split(",")]
     if not all(t.isdecimal() and len(t) <= BLOCK_DIGITS and is_prime(int(t)) for t in tokens):
-        raise _Usage(f"--pi takes comma-separated primes of at most {BLOCK_DIGITS} digits, "
-                     f"got {args.pi!r}")
+        raise GroupInputError(f"--pi takes comma-separated primes of at most {BLOCK_DIGITS} "
+                              f"digits, got {args.pi!r}")
     return [frozenset(int(t) for t in tokens)]
 
 
@@ -244,15 +239,22 @@ def cmd_verify(args) -> int:
     # "all" asks for the campaign's rows, which a statement of another scope
     # gives whatever the partition text
     if scope != "sigma" and args.sigma not in ("sigma1", "all"):
-        raise _Usage(f"--sigma does not apply to {args.statement}, whose scope is {scope}")
+        raise GroupInputError(f"--sigma does not apply to {args.statement}, whose scope is {scope}")
     G = entry.build(limits)
     sigmas = _sigmas_for(args, G) if scope == "sigma" else None
     rows = run_statements(G, entry.name, (args.statement,), limits,
                           sigmas=sigmas, pis=pis, zero_millis=True)
-    _emit(args, _outcome_lines(rows), [r.to_json() for r in rows])
-    if any(r.verdict == "counterexample" for r in rows):
+    blob = [r.to_json() for r in rows]
+    _emit(args, _outcome_lines(rows), blob)
+    return _exit_code(blob)
+
+
+def _exit_code(rows: list[dict]) -> int:
+    """The exit code of verify and campaign rows: 1 on a counterexample, else
+    3 when a skip is not vacuous (a bound stopped a check), else 0."""
+    if any(r["verdict"] == "counterexample" for r in rows):
         return EXIT_COUNTEREXAMPLE
-    if any(r.verdict == "skipped" and not r.vacuous for r in rows):
+    if any(r["verdict"] == "skipped" and not r["vacuous"] for r in rows):
         return EXIT_CAPACITY
     return EXIT_OK
 
@@ -267,7 +269,7 @@ def _dump_report(report: dict, fh) -> None:
 def cmd_campaign(args) -> int:
     limits = _limits(args)
     if args.jobs < 1:
-        raise _Usage(f"--jobs must be at least 1, got {args.jobs}")
+        raise GroupInputError(f"--jobs must be at least 1, got {args.jobs}")
     if args.corpus == "builtin":
         entries = builtin_corpus()
     else:
@@ -299,11 +301,7 @@ def cmd_campaign(args) -> int:
         _dump_report(report, sys.stdout)
     else:
         print("\n".join(lines))
-    if summary["counterexample"]:
-        return EXIT_COUNTEREXAMPLE
-    if any(r["verdict"] == "skipped" and not r["vacuous"] for r in rows):
-        return EXIT_CAPACITY
-    return EXIT_OK
+    return _exit_code(rows)
 
 
 def cmd_corpus_list(args) -> int:
@@ -327,9 +325,6 @@ def main(argv=None) -> int:
                 "campaign": cmd_campaign, "corpus-list": cmd_corpus_list}
     try:
         return handlers[args.command](args)
-    except _Usage as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except GroupInputError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

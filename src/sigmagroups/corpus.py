@@ -22,7 +22,7 @@ from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, Limits
 from .numbers import is_prime
 from .permcore import Perm, PermGroup, interned, parse_cycles
 from .sigma import SigmaPartition
-from .structure import check_table_order
+from .structure import _check_table_room
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class CorpusEntry:
         any work is done."""
         G = self.generated()
         G.elements(limits.element_cache_bound)
-        check_table_order(G.order, limits)
+        _check_table_room(G, limits)
         return interned(G)
 
 

@@ -5,7 +5,8 @@ from dataclasses import dataclass
 
 
 class GroupInputError(ValueError):
-    """Malformed input: bad cycle text, degree mismatch, non-member generator, ..."""
+    """Malformed input or usage: bad cycle text, degree mismatch, non-member
+    generator, a command-line cap below 1, ..."""
 
 
 class CapacityError(RuntimeError):
@@ -23,9 +24,14 @@ class InvariantError(RuntimeError):
 class Limits:
     """Resource bounds for element lists, lattices and tables.
 
-    ``table_order_bound`` caps the order of a group given a multiplication
-    table (quadratic: 32 MiB of ``array('H')`` rows at the default 4096),
-    which every subgroup or normal lattice needs."""
+    ``subgroup_bound`` caps the size of both lattices: the subgroup lattice
+    and the normal lattice, so it reaches every statement and call that
+    reads normal subgroups (Lem2.3, Lem2.4, Lem2.5, ``chief_series``,
+    ``minimal_normal_subgroups``).  ``table_order_bound`` caps the order of
+    a group given a multiplication table (quadratic: 32 MiB of
+    ``array('H')`` rows at the default 4096), which every subgroup or
+    normal lattice needs.  The command line offers one ``--`` option per
+    field, read off this class."""
 
     element_cache_bound: int = 20000
     subgroup_bound: int = 2000

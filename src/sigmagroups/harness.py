@@ -225,14 +225,21 @@ def verify_lemma_2_1(G: PermGroup, sigma: SigmaPartition, group_name: str = "",
 # ---------------------------------------------------------------------------
 # Lemma 2.2: pi-separability vs Hall-subgroup existence
 
+def _pi_label(G: PermGroup, pi) -> SigmaPartition:
+    """The label of a pi-scope row, whatever its verdict: pi n pi(G) as one
+    block, or no block when that is empty."""
+    pi_in = frozenset(pi) & primes_of(G.order)
+    return SigmaPartition.of_blocks(pi_in) if pi_in else SigmaPartition()
+
+
 def verify_lemma_2_2(G: PermGroup, pi, group_name: str = "",
                      limits: Limits = DEFAULT_LIMITS) -> VerificationOutcome:
     pi = frozenset(pi)
     pig = primes_of(G.order)
+    # primes outside pi(G) change no Hall order, so quantifiers restrict to pi(G)
     pi_in = pi & pig
     pi_out = pig - pi
-    # primes outside pi(G) change no Hall order, so quantifiers restrict to pi(G)
-    sigma_label = SigmaPartition.of_blocks(pi_in) if pi_in else SigmaPartition()
+    sigma_label = _pi_label(G, pi)
     separable = is_pi_separable(G, pi, limits)
     halls: dict[str, bool] = {}
 
@@ -515,8 +522,9 @@ def run_statements(G: PermGroup, name: str, statements, limits: Limits = DEFAULT
     ``verifier(G, name, limits)`` once at sigma1; then the pi scope,
     ``verifier(G, pi, name, limits)`` per prime set (every subset of pi(G) by
     default).  Each call is timed; a CapacityError, or the ``overflow`` that
-    kept G from being enumerated, becomes a skipped row labelled with that
-    row's own sigma."""
+    kept G from being enumerated, becomes a skipped row labelled as the
+    row's verdict would be: with its own sigma, or ``_pi_label`` in the pi
+    scope."""
     if sigmas is None:
         sigmas = campaign_sigmas(G)
     if pis is None:
@@ -526,8 +534,8 @@ def run_statements(G: PermGroup, name: str, statements, limits: Limits = DEFAULT
             for sigma in sigmas for sid, st in chosen if st.scope == "sigma"]
     runs += [(sid, st.verifier, SigmaPartition.sigma1(), (G,))
              for sid, st in chosen if st.scope == "classical"]
-    runs += [(sid, st.verifier, SigmaPartition.of_blocks(pi) if pi else SigmaPartition(),
-              (G, pi)) for sid, st in chosen if st.scope == "pi" for pi in pis]
+    runs += [(sid, st.verifier, _pi_label(G, pi), (G, pi))
+             for sid, st in chosen if st.scope == "pi" for pi in pis]
     rows = []
     for sid, verifier, label, args in runs:
         t0 = time.perf_counter()

@@ -235,13 +235,6 @@ class _ElementTable:
                      for m in sorted(found, key=self.key))
 
 
-def check_table_order(order: int, limits: Limits) -> None:
-    """CapacityError unless a group of this order may get a multiplication table."""
-    if order > limits.table_order_bound:
-        raise CapacityError(f"group order {order} exceeds multiplication-table "
-                            f"bound {limits.table_order_bound}")
-
-
 def _element_table(K: PermGroup, limits: Limits | None = None) -> _ElementTable:
     """The element table of a root group, built on first use.
 
@@ -257,10 +250,12 @@ def _element_table(K: PermGroup, limits: Limits | None = None) -> _ElementTable:
 
 
 def _check_table_room(K: PermGroup, limits: Limits | None) -> None:
-    """The table bound ``_element_table`` applies: the caller's limits, or
-    without limits the default bound unless a table exists."""
-    if limits is not None or "element-table" not in K.cache:
-        check_table_order(K.order, limits or DEFAULT_LIMITS)
+    """CapacityError unless the root K may get a multiplication table: the
+    one table-bound check.  It applies the caller's limits, or without
+    limits the default bound unless a table exists."""
+    bound = (limits or DEFAULT_LIMITS).table_order_bound
+    if K.order > bound and (limits is not None or "element-table" not in K.cache):
+        raise CapacityError(f"group order {K.order} exceeds multiplication-table bound {bound}")
 
 
 def _memo(G: Group, compute: Callable, *key):
@@ -440,6 +435,26 @@ def all_subgroups(G: Group, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgroup, 
     not built yet is not built for G: it may cost far more than G's own,
     and it may be over ``limits.subgroup_bound`` where G's own fits.
 
+    The bounds and the sharing of the tuple are those of ``_bounded_lattice``.
+    """
+    def kernel(table: _ElementTable) -> tuple[Subgroup, ...]:
+        soluble = is_soluble(G)
+        roots = G.root.cache.get(("lattice", G.root.mask))
+        if roots is not None and soluble == _memo(G.root, lambda: is_soluble(G.root), "soluble"):
+            return tuple(h for h in roots if h.mask & G.mask == h.mask)
+        if soluble:
+            found = _lattice_cyclic_extension(table, G.mask, limits)
+        else:
+            found = _lattice_join_closure(table, G.mask, limits, table.gens_of(G))
+        return _wrap(G, table.entries(found))
+    return _bounded_lattice(G, limits, "lattice", kernel)
+
+
+def _bounded_lattice(G: Group, limits: Limits, kind: str,
+                     kernel: Callable[[_ElementTable], tuple]) -> tuple[Subgroup, ...]:
+    """The lattice ``kernel(table)`` of G, the subgroup bound's one check,
+    for both the subgroup and the normal lattice (``kind``).
+
     The tuple is built once per root and mask: every later call for the same
     subgroup, however it was constructed, returns the same shared tuple,
     unless it has more members than ``limits.subgroup_bound`` or the root is
@@ -450,24 +465,12 @@ def all_subgroups(G: Group, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgroup, 
     with no kernel run.
     """
     table = _element_table(G.root, limits)
-    root, cache = G.root, G.root.cache
-    at_least = ("lattice-size-at-least", G.mask)
-    _check_lattice_room(cache.get(at_least, 0), limits)
-
-    def compute():
-        soluble = is_soluble(G)
-        roots = cache.get(("lattice", root.mask))
-        if roots is not None and soluble == _memo(root, lambda: is_soluble(root), "soluble"):
-            return tuple(h for h in roots if h.mask & G.mask == h.mask)
-        if soluble:
-            found = _lattice_cyclic_extension(table, G.mask, limits)
-        else:
-            found = _lattice_join_closure(table, G.mask, limits, table.gens_of(G))
-        return _wrap(G, table.entries(found))
+    at_least = (kind + "-size-at-least", G.mask)
+    _check_lattice_room(G.root.cache.get(at_least, 0), limits)
     try:
-        subs = _memo(G, compute, "lattice")
+        subs = _memo(G, lambda: kernel(table), kind)
     except CapacityError:
-        cache[at_least] = limits.subgroup_bound + 1
+        G.root.cache[at_least] = limits.subgroup_bound + 1
         raise
     _check_lattice_room(len(subs), limits)
     return subs
@@ -677,12 +680,11 @@ def normal_subgroups(G: Group, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgrou
     element-set product, so no generic subgroup search is needed.  Agrees with
     filtering all_subgroups by conjugation invariance (tested), but stays
     affordable for regular coset images where the full lattice would not.
-    Like all_subgroups, the tuple is built once per root and mask and shared,
-    and a later call with a lower table bound is refused.
+    Its bounds and sharing are those of all_subgroups, through
+    ``_bounded_lattice``: ``limits.subgroup_bound`` caps its size too.
     """
-    table = _element_table(G.root, limits)
-    return _memo(G, lambda: _wrap(G, table.entries(
-        _normal_lattice(table, G.mask, table.gens_of(G)))), "normals")
+    return _bounded_lattice(G, limits, "normals", lambda table: _wrap(G, table.entries(
+        _normal_lattice(table, G.mask, limits, table.gens_of(G)))))
 
 
 def _class_closures(table: _ElementTable, gmask: int, gens: Sequence[int]) -> set[int]:
@@ -707,7 +709,8 @@ def _class_closures(table: _ElementTable, gmask: int, gens: Sequence[int]) -> se
     return closures
 
 
-def _normal_lattice(table: _ElementTable, gmask: int, gens: Sequence[int]) -> dict[int, tuple]:
+def _normal_lattice(table: _ElementTable, gmask: int, limits: Limits,
+                    gens: Sequence[int]) -> dict[int, tuple]:
     """Normal subgroup masks -> generator indices, for the subgroup ``gmask``
     generated by the indices ``gens``."""
     found: dict[int, tuple] = {1: ()}
@@ -716,6 +719,7 @@ def _normal_lattice(table: _ElementTable, gmask: int, gens: Sequence[int]) -> di
         closed, ngens = table.generate(table.members(nmask), size)
         if closed != nmask:
             raise InvariantError("a conjugacy-class closure is not generated by its elements")
+        _check_lattice_room(len(found) + 1, limits)
         found[nmask] = ngens
     base_list = sorted(found.items(), key=lambda kv: table.key(kv[0]))
     queue = [m for m, _ in base_list]
@@ -728,6 +732,7 @@ def _normal_lattice(table: _ElementTable, gmask: int, gens: Sequence[int]) -> di
             # N normal: NM = <N, M>
             prod = _mask(table.closure(ngens + mgens, block))
             if prod not in found:
+                _check_lattice_room(len(found) + 1, limits)
                 found[prod] = ngens + mgens
                 queue.append(prod)
     return found

@@ -209,6 +209,20 @@ def test_permutable_capacity_abort_exits_3(capsys, fresh_cap_group):
     assert "capacity abort: subgroup enumeration exceeds" in err
 
 
+def test_normal_lattice_over_the_subgroup_bound_is_a_capacity_skip(capsys, tmp_path):
+    """C2^6 has 2825 normal subgroups, over the default subgroup bound, so
+    Lem2.4 cannot list them and its row is skipped with exit 3."""
+    path = tmp_path / "c2-6.corpus"
+    path.write_text("group C2^6 deg 12\n"
+                    + "".join(f"gen ({2 * i + 1} {2 * i + 2})\n" for i in range(6))
+                    + "order 64\n")
+    code, out, _ = run(capsys, "verify", "--group", "C2^6", "--corpus-file", str(path),
+                       "--statement", "Lem2.4", "--sigma", "[2]")
+    assert code == 3
+    assert out.split("—")[0].split() == ["Lem2.4", "C2^6", "[2]", "skipped"]
+    assert "capacity: subgroup enumeration exceeds subgroup-enumeration bound 2000" in out
+
+
 @pytest.fixture()
 def fresh_cap_group(tmp_path):
     """A group no other test interns, so no cached lattice can satisfy it."""
@@ -260,6 +274,21 @@ def test_verify_pi_restricts_lemma_2_2(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 1
     assert lines[0].split() == ["Lem2.2", "A5", "[5]", "confirmed"]
+
+
+def test_lemma_2_2_row_label_does_not_depend_on_the_verdict(capsys):
+    """A pi row is labelled by pi n pi(G) whether it is confirmed or skipped
+    for capacity: 7 does not divide |S4|, so both rows carry no block."""
+    argv = ("verify", "--group", "S4", "--statement", "Lem2.2", "--pi", "7",
+            "--format", "machine")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    confirmed = json.loads(out)
+    code, out, _ = run(capsys, *argv, "--subgroup-bound", "1")
+    assert code == 3
+    skipped = json.loads(out)
+    assert [r["verdict"] for r in confirmed + skipped] == ["confirmed", "skipped"]
+    assert [r["sigma"] for r in skipped] == [r["sigma"] for r in confirmed] == ["[]"]
 
 
 def test_verify_capacity_skip_exits_3(capsys, fresh_cap_group):

@@ -487,6 +487,27 @@ def test_lattice_capacity_failure_is_remembered(corpus, monkeypatch):
     assert runs == [G.mask, G.mask]
 
 
+def test_normal_lattice_obeys_the_subgroup_bound(monkeypatch):
+    """C2^6 has 2825 subgroups, all normal: the normal lattice stops at the
+    default subgroup bound of 2000, a later call under that bound raises with
+    no kernel run, a larger bound lists all 2825, and the shared tuple is
+    refused under the default bound again."""
+    # not interned, so no lattice of another test is cached on it
+    G = PermGroup(12, [Perm.parse(f"({2 * i + 1} {2 * i + 2})", 12) for i in range(6)])
+    runs = []
+    original = structure._normal_lattice
+    monkeypatch.setattr(structure, "_normal_lattice",
+                        lambda *args: runs.append(args[1]) or original(*args))
+    for _ in range(2):
+        with pytest.raises(CapacityError, match="subgroup-enumeration bound 2000"):
+            normal_subgroups(G)
+    assert runs == [G.mask]
+    assert len(normal_subgroups(G, Limits(subgroup_bound=3000))) == 2825
+    with pytest.raises(CapacityError, match="subgroup-enumeration bound 2000"):
+        normal_subgroups(G)
+    assert runs == [G.mask, G.mask]
+
+
 @pytest.mark.parametrize("name", ["S4", "A5"])
 def test_seeded_index_closure_matches_unseeded_and_oracle(corpus, name):
     G = corpus[name].build()

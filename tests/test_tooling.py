@@ -117,6 +117,24 @@ def test_harness_compares_subgroups_not_image_sets():
         {"element_images", "image_set", "closure_of_images"})
 
 
+def test_cli_reads_its_caps_off_limits():
+    """The command line's caps come from ``Limits``'s fields, so ``cli.py``
+    names none of them, nor spells one as a string or an option: a bound
+    added to ``Limits`` becomes an option with no edit there."""
+    caps = {"element_cache_bound", "subgroup_bound", "table_order_bound"}
+    assert names_in_module("cli.py").isdisjoint(caps)
+    tree = ast.parse((ROOT / "src" / "sigmagroups" / "cli.py").read_text(encoding="utf-8"))
+    texts = {node.value for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    assert texts.isdisjoint(caps | {"--" + cap.replace("_", "-") for cap in caps})
+
+
+def test_table_bound_has_one_check():
+    """``structure._check_table_room`` is the only table-bound check."""
+    for path in (ROOT / "src" / "sigmagroups").glob("*.py"):
+        assert "check_table_order" not in names_in_module(path.name), path.name
+
+
 def test_cli_import_loads_no_process_pool():
     """The process pool is imported only when a campaign runs more than one
     job, so importing the CLI loads neither it nor multiprocessing."""
