@@ -14,8 +14,9 @@ produces identical internal state.  Orbits are extended as strong generators
 arrive, never rebuilt, and each Schreier generator is sifted once: an orbit
 point remembers how many of its level's generators it has been verified
 with.  Each transversal rep is stored with its inverse, so a sift is one
-composition per moved level.  The chain works on raw image tuples, composed
-with ``map``; ``Perm`` is the value type seen by callers.
+composition per moved level.  The chain works on raw image tuples, and each
+composition is one gather: "p, then q" is ``itemgetter(*p)(q)``, a single C
+call whatever the degree.  ``Perm`` is the value type seen by callers.
 
 Only root groups carry a chain: groups built from generators, such as corpus
 entries and quotient groups.  A subgroup is its root, a bitmask over the
@@ -30,6 +31,7 @@ import functools
 import math
 import re
 from itertools import compress
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, InvariantError
@@ -38,8 +40,10 @@ from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, InvariantErr
 # raw image-tuple arithmetic
 
 def compose_images(p: tuple, q: tuple) -> tuple:
-    """Apply p, then q."""
-    return tuple(map(q.__getitem__, p))
+    """Apply p, then q: q gathered at p's images."""
+    if len(p) < 2:  # itemgetter gives a scalar for one index and refuses none
+        return tuple(q[i] for i in p)
+    return itemgetter(*p)(q)
 
 
 def invert_images(p: tuple) -> tuple:
@@ -227,7 +231,9 @@ class PermGroup:
     deterministic incremental Schreier-Sims; order and membership come from
     the chain, the element list from transversal products (exact, no closure
     pass).  Each transversal rep is stored with its inverse, so a sift costs
-    one composition per moved level.
+    one ``itemgetter`` gather per moved level.  Only a level whose orbit has
+    two or more points is composed with, so the chain gathers only at degree
+    2 and up, where a gather gives a tuple.
     """
 
     def __init__(self, degree: int, generators: Iterable[Perm] = ()):
@@ -265,7 +271,7 @@ class PermGroup:
                 level = inverses[i]
                 if level is None or (inv := level.get(p)) is None:
                     return x
-                x = tuple(map(inv.__getitem__, x))
+                x = itemgetter(*x)(inv)
         return None
 
     def _build_chain(self) -> None:
@@ -325,8 +331,8 @@ class PermGroup:
             for s, s_inv in pairs:
                 b = s[a]
                 if b not in trans:
-                    trans[b] = tuple(map(s.__getitem__, ua))
-                    invs[b] = tuple(map(va.__getitem__, s_inv))
+                    trans[b] = itemgetter(*ua)(s)
+                    invs[b] = itemgetter(*s_inv)(va)
                     found.append(b)
 
         found: list[int] = []
@@ -357,10 +363,10 @@ class PermGroup:
                 q = s[p]
                 if q == p == i:     # s fixes 0..i: a strong generator one level down
                     continue
-                t = tuple(map(s.__getitem__, up))
+                t = itemgetter(*up)(s)
                 if t == trans[q]:
                     continue
-                residue = self._sift(tuple(map(invs[q].__getitem__, t)), i + 1)
+                residue = self._sift(itemgetter(*t)(invs[q]), i + 1)
                 if residue is not None:
                     verified[p] = k
                     return residue
@@ -389,7 +395,7 @@ class PermGroup:
             for trans in reversed(self._transversals):
                 if trans is None:
                     continue
-                elems = [tuple(map(u.__getitem__, e)) for e in elems for u in trans.values()]
+                elems = [x for e in elems for x in map(itemgetter(*e), trans.values())]
             elems.sort()
             self._elements = tuple(Perm(e) for e in elems)
             self._element_set = frozenset(elems)

@@ -44,9 +44,8 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, InvariantError, Limits
 from .numbers import is_prime, is_prime_power, part_for_primes, prime_factors, primes_of
-from .permcore import (Perm, PermGroup, Subgroup, _flags, _mask, compose_images,
-                       find_interned, identity_images, interned, invert_images,
-                       trivial_subgroup)
+from .permcore import (Perm, PermGroup, Subgroup, _flags, _mask, find_interned,
+                       identity_images, interned, invert_images, trivial_subgroup)
 
 Group = PermGroup | Subgroup
 
@@ -71,7 +70,7 @@ class _ElementTable:
         self.order = n = len(images)
         self.index = index = K.element_index()
         self.typecode = code = "H" if n <= 1 << 16 else "I"
-        gen_rows = [array(code, [index[compose_images(g.images, b)] for b in images])
+        gen_rows = [array(code, map(index.__getitem__, map(itemgetter(*g.images), images)))
                     for g in K.generators]
         # row(x*g)[y] = row(x)[row(g)[y]]: one itemgetter call per row,
         # rows reached breadth-first from the identity

@@ -242,6 +242,54 @@ def test_seeded_random_group_matches_reference_build(seed):
 
 
 # ---------------------------------------------------------------------------
+# past 255 points: quotient groups act on up to table_order_bound cosets
+
+def affine(n, a, b):
+    return tuple((a * x + b) % n for x in range(n))
+
+
+def is_affine(p):
+    """x -> ax + b with a != 0, on a prime number of points."""
+    n, b = len(p), p[0]
+    a = (p[1] - b) % n
+    return a != 0 and p == affine(n, a, b)
+
+
+def is_dihedral(p):
+    """x -> x + b or x -> -x + b."""
+    n, b = len(p), p[0]
+    return p in (affine(n, 1, b), affine(n, -1, b))
+
+
+@pytest.mark.parametrize("n, gens, order, member", [
+    (257, [affine(257, 1, 1), affine(257, 3, 0)], 257 * 256, is_affine),
+    (300, [affine(300, 1, 1), affine(300, -1, 0)], 2 * 300, is_dihedral),
+], ids=["AGL(1,257)", "D_300"])
+def test_chain_past_255_points(n, gens, order, member):
+    """Orders against the closed form; membership of words, uniform
+    permutations, random members and members with two points swapped
+    against the affine or dihedral rule."""
+    G = build(n, gens)
+    assert G.order == order
+    rng = random.Random(n)
+    units = [1, n - 1] if member is is_dihedral else range(1, n)
+    members = [affine(n, rng.choice(units), rng.randrange(n)) for _ in range(20)]
+    swapped = []
+    for p in members:
+        i, j = rng.sample(range(n), 2)
+        q = list(p)
+        q[i], q[j] = q[j], q[i]
+        swapped.append(tuple(q))
+    tests = random_tests(n, gens, n, count=40) + members + swapped
+    for x in tests:
+        assert (Perm(x) in G) == member(x)
+    assert sum(map(member, tests)) == 40
+    if member is is_dihedral:
+        assert [p.images for p in G.elements()] == sorted(
+            affine(n, a, b) for a in (1, -1) for b in range(n))
+
+
+# ---------------------------------------------------------------------------
 # determinism
 
 @pytest.mark.parametrize("spec", SMALL + LARGER, ids=str)

@@ -127,6 +127,16 @@ def test_perm_pickle_round_trip():
             assert q == p and q.images == p.images and isinstance(q, Perm)
 
 
+@pytest.mark.parametrize("degree", [0, 1])
+def test_degree_0_and_1_perms_compose(degree):
+    """A gather of one point is a scalar and of none an error, so these
+    degrees take compose_images' short path; Perm.identity(0) is Perm(())."""
+    e = Perm.identity(degree)
+    assert e.images == tuple(range(degree)) and str(e) == "()"
+    for p in (e * e, e ** e, e.inverse(), (e * e) ** e):
+        assert p == e and isinstance(p.images, tuple)
+
+
 @given(perms(6), perms(6))
 def test_product_inverse_law(p, q):
     assert (p * q).inverse() == q.inverse() * p.inverse()
@@ -226,6 +236,23 @@ def test_trivial_group():
     G = PermGroup(3)
     assert G.order == 1
     assert G.elements() == (Perm.identity(3),)
+
+
+def test_degree_1_group():
+    G = PermGroup(1, [Perm.identity(1)])
+    assert G.generators == () and G.order == 1
+    assert G.elements() == (Perm.identity(1),)
+    assert Perm.identity(1) in G
+    assert Perm(()) not in G and Perm.identity(2) not in G
+
+
+def test_degree_2_group():
+    t = Perm.parse("(1 2)", 2)
+    G = PermGroup(2, [t])
+    assert G.order == 2
+    assert G.elements() == (Perm.identity(2), t)
+    assert t in G and t * t in G
+    assert Perm.identity(1) not in G and Perm.parse("(1 2)", 3) not in G
 
 
 def test_generator_validation():

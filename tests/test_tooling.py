@@ -90,11 +90,16 @@ def test_exported_names_are_used():
         assert reason in quickstart
 
 
+def module_nodes(module: str) -> list[ast.AST]:
+    """Every node of a package module's syntax tree."""
+    path = ROOT / "src" / "sigmagroups" / module
+    return list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+
+
 def names_in_module(module: str) -> set[str]:
     """Every name, attribute and imported name in a package module."""
-    path = ROOT / "src" / "sigmagroups" / module
     names = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in module_nodes(module):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -123,8 +128,7 @@ def test_cli_reads_its_caps_off_limits():
     added to ``Limits`` becomes an option with no edit there."""
     caps = {"element_cache_bound", "subgroup_bound", "table_order_bound"}
     assert names_in_module("cli.py").isdisjoint(caps)
-    tree = ast.parse((ROOT / "src" / "sigmagroups" / "cli.py").read_text(encoding="utf-8"))
-    texts = {node.value for node in ast.walk(tree)
+    texts = {node.value for node in module_nodes("cli.py")
              if isinstance(node, ast.Constant) and isinstance(node.value, str)}
     assert texts.isdisjoint(caps | {"--" + cap.replace("_", "-") for cap in caps})
 
@@ -133,6 +137,18 @@ def test_table_bound_has_one_check():
     """``structure._check_table_room`` is the only table-bound check."""
     for path in (ROOT / "src" / "sigmagroups").glob("*.py"):
         assert "check_table_order" not in names_in_module(path.name), path.name
+
+
+def test_permcore_composes_by_gathers():
+    """Every composition in ``permcore.py`` is one ``itemgetter`` gather:
+    no ``map(x.__getitem__, ...)`` call, which makes one Python-level call
+    per point."""
+    per_point = [node.lineno for node in module_nodes("permcore.py")
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                 and node.func.id == "map" and node.args
+                 and isinstance(node.args[0], ast.Attribute)
+                 and node.args[0].attr == "__getitem__"]
+    assert per_point == []
 
 
 def test_cli_import_loads_no_process_pool():
