@@ -14,9 +14,15 @@ produces identical internal state.  Orbits are extended as strong generators
 arrive, never rebuilt, and each Schreier generator is sifted once: an orbit
 point remembers how many of its level's generators it has been verified
 with.  Each transversal rep is stored with its inverse, so a sift is one
-composition per moved level.  The chain works on raw image tuples, and each
-composition is one gather: "p, then q" is ``itemgetter(*p)(q)``, a single C
-call whatever the degree.  ``Perm`` is the value type seen by callers.
+composition per moved level, and a sift stops once its element is the
+identity.  Each composition is one C call, a gather "p, then q" that reads
+the second operand, the table, at the first one's images.  Up to 256 points
+the chain holds its permutations as ``bytes`` and gathers with
+``p.translate(q)``; an operand used as a table (a stored inverse rep, a
+strong generator in its level's list) is padded with the fixed points
+n..255 to the 256 bytes ``translate`` needs.  Past 256 points it holds image
+tuples and gathers with ``itemgetter(*p)(q)``.  ``Perm`` is the value type
+seen by callers, always on image tuples.
 
 Only root groups carry a chain: groups built from generators, such as corpus
 entries and quotient groups.  A subgroup is its root, a bitmask over the
@@ -30,7 +36,7 @@ from __future__ import annotations
 import functools
 import math
 import re
-from itertools import compress
+from itertools import compress, repeat
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -159,7 +165,13 @@ class Perm:
 
     def __init__(self, images: Sequence[int]):
         imgs = tuple(images)
-        if sorted(imgs) != list(range(len(imgs))):
+        try:
+            # a sum of ints is an int, so a float image (1.0 == 1 sorts as 1)
+            # or any other non-int one fails the first test
+            valid = type(sum(imgs)) is int and sorted(imgs) == list(range(len(imgs)))
+        except TypeError:   # an image that does not add to or order with ints
+            valid = False
+        if not valid:
             raise GroupInputError(f"not a permutation of 0..{len(imgs) - 1}: {imgs!r}")
         object.__setattr__(self, "images", imgs)
 
@@ -231,9 +243,15 @@ class PermGroup:
     deterministic incremental Schreier-Sims; order and membership come from
     the chain, the element list from transversal products (exact, no closure
     pass).  Each transversal rep is stored with its inverse, so a sift costs
-    one ``itemgetter`` gather per moved level.  Only a level whose orbit has
-    two or more points is composed with, so the chain gathers only at degree
-    2 and up, where a gather gives a tuple.
+    one gather per moved level and ends at the identity.
+
+    The chain's encoding is chosen once, from the degree: ``bytes`` gathered
+    by ``bytes.translate`` up to 256 points, image tuples gathered by
+    ``compose_images`` past them.  Data operands (residues, reps, strong
+    generators, inverses of strong generators) are n long; tables (inverse
+    reps, strong generators in the level lists) are ``p + self._pad``, which
+    pads bytes to 256 and leaves a tuple as it is.  Either way the chain
+    holds the same permutations, built in the same order.
     """
 
     def __init__(self, degree: int, generators: Iterable[Perm] = ()):
@@ -246,11 +264,17 @@ class PermGroup:
                     f"generator degree {g.degree} does not match group degree {degree}")
         self.degree = degree
         self.generators = tuple(g for g in gens if not g.is_identity())
+        if degree <= 256:   # a translate table maps all 256 byte values
+            self._encode, self._gather = bytes, bytes.translate
+            self._pad = bytes(range(degree, 256))
+        else:
+            self._encode, self._gather, self._pad = tuple, compose_images, ()
+        self._identity = self._encode(range(degree))
         # level i: None while the orbit of i is {i}, else orbit point -> the
-        # rep mapping i to it, and orbit point -> the rep's inverse
-        self._transversals: list[dict[int, tuple] | None] = [None] * degree
-        self._inverses: list[dict[int, tuple] | None] = [None] * degree
-        self._strong: list[tuple] = []
+        # rep mapping i to it, and orbit point -> the rep's inverse, as a table
+        self._transversals: list[dict[int, bytes | tuple] | None] = [None] * degree
+        self._inverses: list[dict[int, bytes | tuple] | None] = [None] * degree
+        self._strong: list[bytes | tuple] = []
         self._build_chain()
         self.order = math.prod(len(t) for t in self._transversals if t is not None)
         self._elements: tuple[Perm, ...] | None = None
@@ -259,52 +283,56 @@ class PermGroup:
 
     # -- chain construction
 
-    def _sift(self, x: tuple, start: int = 0) -> tuple | None:
-        """Reduce x through the chain from level ``start``; None means x is a
-        member.  A residue fixes every base point before the first level whose
-        orbit lacks its image.  Since the base is every point, x is the
-        identity once all levels are passed."""
-        inverses = self._inverses
+    def _sift(self, x: bytes | tuple, start: int = 0) -> bytes | tuple | None:
+        """Reduce the encoded x through the chain from level ``start``; None
+        means x is a member.  A residue fixes every base point before the
+        first level whose orbit lacks its image.  Only a composition can make
+        x the identity, and the sift stops there; since the base is every
+        point, x is the identity too once all levels are passed."""
+        ident, inverses, gather = self._identity, self._inverses, self._gather
         for i in range(start, self.degree):
             p = x[i]
             if p != i:
                 level = inverses[i]
                 if level is None or (inv := level.get(p)) is None:
                     return x
-                x = itemgetter(*x)(inv)
+                x = gather(x, inv)
+                if x == ident:
+                    return None
         return None
 
     def _build_chain(self) -> None:
         """Incremental Schreier-Sims with base 0..n-1, deepest level first.
 
-        Level i has the strong generators fixing 0..i-1, an append-only list,
-        and the orbit of i under them.  Orbits are extended, never rebuilt,
-        and reps are never replaced, so a Schreier generator once sifted to
-        the identity through the deeper levels stays verified: each orbit
-        point counts the level generators it has been verified with, and only
-        new (point, generator) pairs are sifted.  A residue joins the strong
-        set and the generator lists of the levels up to its first moved point,
-        and verification resumes at that level.  The given generators are
-        sifted one at a time through the chain completed for those before
-        them, and only their residues join, so a generator that is a word in
-        earlier ones adds no Schreier generators.  Deterministic: no
-        randomisation, fixed iteration orders.
+        Level i has the strong generators fixing 0..i-1, an append-only list
+        of (generator as a table, its inverse), and the orbit of i under
+        them.  Orbits are extended, never rebuilt, and reps are never
+        replaced, so a Schreier generator once sifted to the identity through
+        the deeper levels stays verified: each orbit point counts the level
+        generators it has been verified with, and only new (point, generator)
+        pairs are sifted.  A residue joins the strong set and the generator
+        lists of the levels up to its first moved point, and verification
+        resumes at that level.  The given generators are sifted one at a time
+        through the chain completed for those before them, and only their
+        residues join, so a generator that is a word in earlier ones adds no
+        Schreier generators.  Deterministic: no randomisation, fixed iteration
+        orders.
         """
-        n = self.degree
-        level_gens: list[list[tuple[tuple, tuple]]] = [[] for _ in range(n)]
+        n, encode, pad = self.degree, self._encode, self._pad
+        level_gens: list[list[tuple]] = [[] for _ in range(n)]
         closed = [0] * n        # orbit i is closed under level_gens[i][:closed[i]]
         verified: list[dict[int, int]] = [{} for _ in range(n)]
 
-        def add_strong(s: tuple) -> int:
+        def add_strong(s: bytes | tuple) -> int:
             self._strong.append(s)
-            pair = (s, invert_images(s))
+            pair = (s + pad, encode(invert_images(s)))
             base = next(t for t in range(n) if s[t] != t)
             for level in level_gens[:base + 1]:
                 level.append(pair)
             return base
 
         for g in self.generators:
-            residue = self._sift(g.images)
+            residue = self._sift(encode(g.images))
             i = -1 if residue is None else add_strong(residue)
             while i >= 0:
                 gens = level_gens[i]    # every level visited has a new generator
@@ -313,26 +341,26 @@ class PermGroup:
                 residue = self._verify_level(i, gens, verified[i])
                 i = i - 1 if residue is None else add_strong(residue)
 
-    def _extend_orbit(self, i: int, gens: list[tuple[tuple, tuple]], old: int) -> None:
+    def _extend_orbit(self, i: int, gens: list[tuple], old: int) -> None:
         """Close the orbit of i under gens; the points it has are closed under
         gens[:old] already.  A new point's rep is its finder's rep times the
         generator, and its inverse the generator's inverse times the finder's
         inverse."""
         trans, invs = self._transversals[i], self._inverses[i]
+        gather, pad = self._gather, self._pad
         if trans is None:
             if all(s[i] == i for s, _ in gens[old:]):
                 return
-            ident = identity_images(self.degree)
-            trans = self._transversals[i] = {i: ident}
-            invs = self._inverses[i] = {i: ident}
+            trans = self._transversals[i] = {i: self._identity}
+            invs = self._inverses[i] = {i: self._identity + pad}
 
-        def reach(a: int, pairs: list[tuple[tuple, tuple]]) -> None:
+        def reach(a: int, pairs: list[tuple]) -> None:
             ua, va = trans[a], invs[a]
             for s, s_inv in pairs:
                 b = s[a]
                 if b not in trans:
-                    trans[b] = itemgetter(*ua)(s)
-                    invs[b] = itemgetter(*s_inv)(va)
+                    trans[b] = gather(ua, s)
+                    invs[b] = gather(s_inv, va) + pad
                     found.append(b)
 
         found: list[int] = []
@@ -342,8 +370,8 @@ class PermGroup:
         for a in found:     # grows while it is walked
             reach(a, gens)
 
-    def _verify_level(self, i: int, gens: list[tuple[tuple, tuple]],
-                      verified: dict[int, int]) -> tuple | None:
+    def _verify_level(self, i: int, gens: list[tuple],
+                      verified: dict[int, int]) -> bytes | tuple | None:
         """Sift every unverified Schreier generator u_p s u_(p^s)^-1 of level
         i through the deeper levels; the first residue, or None.  Those that
         are the identity, or s itself for p = i, need no sift.
@@ -354,6 +382,7 @@ class PermGroup:
         trans, invs = self._transversals[i], self._inverses[i]
         if trans is None:   # every s fixes i: each is a strong generator one level down
             return None
+        gather = self._gather
         count = len(gens)
         for p, up in trans.items():
             k = verified.get(p, 0)
@@ -363,10 +392,10 @@ class PermGroup:
                 q = s[p]
                 if q == p == i:     # s fixes 0..i: a strong generator one level down
                     continue
-                t = itemgetter(*up)(s)
+                t = gather(up, s)
                 if t == trans[q]:
                     continue
-                residue = self._sift(itemgetter(*t)(invs[q]), i + 1)
+                residue = self._sift(gather(t, invs[q]), i + 1)
                 if residue is not None:
                     verified[p] = k
                     return residue
@@ -378,7 +407,7 @@ class PermGroup:
     def __contains__(self, p: Perm) -> bool:
         if not isinstance(p, Perm) or p.degree != self.degree:
             return False
-        return self._sift(p.images) is None
+        return self._sift(self._encode(p.images)) is None
 
     def elements(self, bound: int | None = None) -> tuple[Perm, ...]:
         """All elements, sorted lexicographically; capped by the element-cache
@@ -391,13 +420,16 @@ class PermGroup:
             raise CapacityError(
                 f"group order {self.order} exceeds element-cache bound {limit}")
         if self._elements is None:
-            elems = [identity_images(self.degree)]
+            gather, pad = self._gather, self._pad
+            elems = [self._identity]
             for trans in reversed(self._transversals):
                 if trans is None:
                     continue
-                elems = [x for e in elems for x in map(itemgetter(*e), trans.values())]
-            elems.sort()
-            self._elements = tuple(Perm(e) for e in elems)
+                tables = [u + pad for u in trans.values()]
+                elems = [x for e in elems for x in map(gather, repeat(e, len(tables)), tables)]
+            elems.sort()    # bytes sort as their image tuples do
+            elems = list(map(tuple, elems))
+            self._elements = tuple(map(Perm, elems))
             self._element_set = frozenset(elems)
         return self._elements
 

@@ -3,6 +3,7 @@ brute-force orbits, and order, elements and membership against the previous
 chain build, kept here as a reference."""
 
 import math
+import pickle
 import random
 
 import pytest
@@ -139,6 +140,19 @@ def build(n, gens):
 # ---------------------------------------------------------------------------
 # every level against brute force
 
+def chain_state(G):
+    """The stored chain as image tuples: the strong generators, then each
+    level's (key, rep) and (key, inverse) items in insertion order, None for
+    a level that is not stored.  Below 257 points the chain holds bytes, and
+    its tables are padded to 256, so each is cut to the degree."""
+    n = G.degree
+
+    def levels(stored):
+        return [t and [(key, tuple(p[:n])) for key, p in t.items()] for t in stored]
+
+    return [tuple(s[:n]) for s in G._strong], levels(G._transversals), levels(G._inverses)
+
+
 def check_levels(G, elements):
     """Level i's transversal keys are the orbit of i under the pointwise
     stabilizer of 0..i-1, and a level is stored exactly when that orbit is
@@ -146,13 +160,15 @@ def check_levels(G, elements):
     each stored inverse is its inverse."""
     n = G.degree
     ident = identity_images(n)
-    assert len(G._transversals) == len(G._inverses) == n
+    _, transversals, inverses = chain_state(G)
+    assert len(transversals) == len(inverses) == n
     for i in range(n):
         orbit = {e[i] for e in elements if e[:i] == ident[:i]}
-        trans, invs = G._transversals[i], G._inverses[i]
+        trans, invs = transversals[i], inverses[i]
         if trans is None:
             assert invs is None and orbit == {i}
             continue
+        trans, invs = dict(trans), dict(invs)
         assert set(trans) == orbit and len(orbit) > 1
         assert set(invs) == set(trans)
         for key, rep in trans.items():
@@ -296,7 +312,67 @@ def test_chain_past_255_points(n, gens, order, member):
 def test_two_builds_hold_the_same_chain(spec):
     n, gens, _ = relabelled_padded(spec, 2)
     a, b = build(n, gens), build(n, gens)
-    assert a._strong == b._strong
-    for levels in ("_transversals", "_inverses"):
-        assert [t and list(t.items()) for t in getattr(a, levels)] == \
-            [t and list(t.items()) for t in getattr(b, levels)]
+    assert chain_state(a) == chain_state(b)
+
+
+# ---------------------------------------------------------------------------
+# the chain holds bytes up to 256 points and image tuples past them
+
+def lifted(p, n):
+    """p moved to the last len(p) of n points, the others fixed."""
+    offset = n - len(p)
+    return tuple(range(offset)) + tuple(offset + x for x in p)
+
+
+def lowered(p, k):
+    """lifted undone: p fixes all but its last k points."""
+    offset = len(p) - k
+    assert p[:offset] == tuple(range(offset))
+    return tuple(x - offset for x in p[offset:])
+
+
+def lowered_chain(G, k):
+    """chain_state of a group on the last k points, lowered to 0..k-1; the
+    levels of the fixed points are not stored."""
+    offset = G.degree - k
+    strong, transversals, inverses = chain_state(G)
+    assert transversals[:offset] == inverses[:offset] == [None] * offset
+    return ([lowered(s, k) for s in strong],
+            *([t and [(key - offset, lowered(p, k)) for key, p in t] for t in levels[offset:]]
+              for levels in (transversals, inverses)))
+
+
+@pytest.mark.parametrize("spec", [("W", 2, 4), ("A", 7), ("AGL", 13)], ids=str)
+def test_byte_and_tuple_chains_agree_at_255_256_257_points(spec):
+    """One group on the last points of 255, 256 and 257: bytes with padded
+    tables, bytes whose tables need no padding and whose points reach 255,
+    then image tuples.  The same chain, order, sorted elements and
+    membership answers; permutations that move a fixed point are refused."""
+    k, gens, order = relabelled_padded(spec, 3)
+    tests = random_tests(k, gens, 3, count=100)
+    expected = [ReferenceChain(k, gens).sift(t) is None for t in tests]
+    seen = []
+    for n in (255, 256, 257):
+        G = build(n, [lifted(g, n) for g in gens])
+        assert isinstance(G._strong[0], bytes if n <= 256 else tuple)
+        assert G.order == order
+        assert [Perm(lifted(t, n)) in G for t in tests] == expected
+        swap = {0: n - k, n - k: 0}     # then swap the fixed point 0 with a moved one
+        assert not any(Perm(tuple(swap.get(x, x) for x in lifted(t, n))) in G for t in tests[:10])
+        seen.append((lowered_chain(G, k), [lowered(p.images, k) for p in G.elements()]))
+    assert seen[0] == seen[1] == seen[2]
+
+
+@pytest.mark.parametrize("n", [12, 257])
+def test_group_pickles_with_its_chain(n):
+    """A group pickles with its chain in either encoding; nothing stored on
+    it is a lambda or closure."""
+    k, gens, order = relabelled_padded(("W", 3, 3), 4)
+    G = build(n, [lifted(g, n) for g in gens])
+    tests = [Perm(lifted(t, n)) for t in random_tests(k, gens, 4, count=60)]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        H = pickle.loads(pickle.dumps(G, protocol))
+        assert H.order == G.order == order
+        assert chain_state(H) == chain_state(G)
+        assert [p in H for p in tests] == [p in G for p in tests]
+    assert sum(p in G for p in tests) >= 30

@@ -127,6 +127,21 @@ def test_perm_pickle_round_trip():
             assert q == p and q.images == p.images and isinstance(q, Perm)
 
 
+@pytest.mark.parametrize("images", [(1.0, 0), (0, 1, 2.0), (0.5, 0), (0, "1"), ("a",),
+                                    (0, None), (1, 0j)], ids=repr)
+def test_perm_rejects_non_int_images(images):
+    """1.0 == 1 passes a sorted comparison with 0..n-1, so a float image was
+    accepted and its repr raised; other non-ints raised TypeError."""
+    with pytest.raises(GroupInputError, match="not a permutation"):
+        Perm(images)
+
+
+def test_perm_accepts_int_images_of_any_iterable():
+    for images in ([1, 0], range(3), b"\x01\x00", (n for n in (2, 0, 1))):
+        p = Perm(images)
+        assert all(type(i) is int for i in p.images) and repr(p)
+
+
 @pytest.mark.parametrize("degree", [0, 1])
 def test_degree_0_and_1_perms_compose(degree):
     """A gather of one point is a scalar and of none an error, so these

@@ -139,16 +139,78 @@ def test_table_bound_has_one_check():
         assert "check_table_order" not in names_in_module(path.name), path.name
 
 
+CHAIN_METHODS = ("_sift", "_extend_orbit", "_verify_level", "elements")
+COMPOSITIONS = {"itemgetter", "attrgetter", "methodcaller", "compose_images",
+                "conjugate_images", "translate", "__getitem__"}
+
+
+def bindings(node: ast.AST) -> list[tuple[str, ast.AST]]:
+    """(name, value) for each plain name an assignment binds, also in a
+    tuple assignment of a tuple."""
+    out = []
+    if isinstance(node, ast.Assign):
+        for target in node.targets:
+            if isinstance(target, ast.Name):
+                out.append((target.id, node.value))
+            elif isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                out += [(t.id, v) for t, v in zip(target.elts, node.value.elts)
+                        if isinstance(t, ast.Name)]
+    return out
+
+
+def callee(call: ast.Call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def mapped(call: ast.Call) -> str | None:
+    """The function a ``map`` call maps, when it is a plain name; "" for
+    anything else; None for a call that is not ``map``."""
+    if callee(call) != "map":
+        return None
+    return call.args[0].id if isinstance(call.args[0], ast.Name) else ""
+
+
+def is_self_gather(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "_gather"
+            and isinstance(node.value, ast.Name) and node.value.id == "self")
+
+
 def test_permcore_composes_by_gathers():
-    """Every composition in ``permcore.py`` is one ``itemgetter`` gather:
-    no ``map(x.__getitem__, ...)`` call, which makes one Python-level call
-    per point."""
-    per_point = [node.lineno for node in module_nodes("permcore.py")
+    """Every composition in ``permcore.py`` is one C-level gather: no
+    ``map(x.__getitem__, ...)`` call, which makes one Python-level call per
+    point.  The chain composes only by the group's one gather,
+    ``self._gather``, which only ``__init__`` sets, from the degree: each of
+    its methods binds ``gather`` to it alone and calls it (or maps it), and
+    none calls or maps another composition (``itemgetter``, ``translate``,
+    ``compose_images``, ...), maps a bound method such as ``e.translate``,
+    or gathers point by point in a comprehension."""
+    nodes = module_nodes("permcore.py")
+    per_point = [node.lineno for node in nodes
                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                  and node.func.id == "map" and node.args
                  and isinstance(node.args[0], ast.Attribute)
                  and node.args[0].attr == "__getitem__"]
     assert per_point == []
+    group = next(node for node in nodes
+                 if isinstance(node, ast.ClassDef) and node.name == "PermGroup")
+    methods = {f.name: f for f in group.body if isinstance(f, ast.FunctionDef)}
+    setters = {name for name, f in methods.items() for node in ast.walk(f)
+               if isinstance(node, ast.Assign)
+               and any(is_self_gather(t) for target in node.targets
+                       for t in getattr(target, "elts", [target]))}
+    assert setters == {"__init__"}
+    for name in CHAIN_METHODS:
+        body = list(ast.walk(methods[name]))
+        bound = [value for node in body for target, value in bindings(node) if target == "gather"]
+        assert bound and all(map(is_self_gather, bound)), name
+        calls = [node for node in body if isinstance(node, ast.Call)]
+        assert any("gather" in (callee(c), mapped(c)) for c in calls), name
+        assert [callee(c) for c in calls if callee(c) in COMPOSITIONS] == [], name
+        assert [c.lineno for c in calls if mapped(c) == "" or mapped(c) in COMPOSITIONS] == [], name
+        assert [node.lineno for node in body
+                if isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.SetComp))
+                and isinstance(node.elt, ast.Subscript)] == [], name
 
 
 def test_cli_import_loads_no_process_pool():
