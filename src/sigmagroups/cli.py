@@ -90,24 +90,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _limits(args) -> Limits:
-    """DEFAULT_LIMITS with every cap given on the command line; a cap below 1
-    is a usage error, never a silent fallback to the default."""
-    caps = {}
-    for cap in dataclasses.fields(Limits):
-        value = getattr(args, cap.name, None)
-        if value is None:
-            continue
-        if value < 1:
-            raise GroupInputError(f"--{cap.name.replace('_', '-')} must be at least 1, got {value}")
-        caps[cap.name] = value
-    return dataclasses.replace(DEFAULT_LIMITS, **caps)
+    """DEFAULT_LIMITS with every cap given on the command line; ``Limits``
+    refuses a cap out of range as a usage error, never a silent fallback to
+    the default."""
+    return dataclasses.replace(DEFAULT_LIMITS, **{
+        cap.name: value for cap in dataclasses.fields(Limits)
+        if (value := getattr(args, cap.name, None)) is not None})
+
+
+def _read_corpus(path: str) -> list[CorpusEntry]:
+    """The entries of a corpus file (``--corpus FILE``, ``--corpus-file FILE``)."""
+    with open(path, encoding="utf-8") as fh:
+        return parse_corpus_file(fh.read())
 
 
 def _resolve_entry(args) -> CorpusEntry:
     if args.corpus_file:
-        with open(args.corpus_file, encoding="utf-8") as fh:
-            entries = parse_corpus_file(fh.read())
-        for e in entries:
+        for e in _read_corpus(args.corpus_file):
             if e.name == args.group:
                 return e
         raise GroupInputError(f"no group named {args.group!r} in {args.corpus_file}")
@@ -270,11 +269,7 @@ def cmd_campaign(args) -> int:
     limits = _limits(args)
     if args.jobs < 1:
         raise GroupInputError(f"--jobs must be at least 1, got {args.jobs}")
-    if args.corpus == "builtin":
-        entries = builtin_corpus()
-    else:
-        with open(args.corpus, encoding="utf-8") as fh:
-            entries = parse_corpus_file(fh.read())
+    entries = builtin_corpus() if args.corpus == "builtin" else _read_corpus(args.corpus)
     statements = tuple(t.strip() for t in args.only.split(",")) if args.only else STATEMENTS
     config = CampaignConfig(jobs=args.jobs, limits=limits,
                             statements=statements, zero_millis=args.no_timestamp)

@@ -1,12 +1,12 @@
 """Shared error types and capacity limits."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 class GroupInputError(ValueError):
     """Malformed input or usage: bad cycle text, degree mismatch, non-member
-    generator, a command-line cap below 1, ..."""
+    generator, a resource bound out of range, ..."""
 
 
 class CapacityError(RuntimeError):
@@ -30,12 +30,25 @@ class Limits:
     ``minimal_normal_subgroups``).  ``table_order_bound`` caps the order of
     a group given a multiplication table (quadratic: 32 MiB of
     ``array('H')`` rows at the default 4096), which every subgroup or
-    normal lattice needs.  The command line offers one ``--`` option per
-    field, read off this class."""
+    normal lattice needs; above 65536 it is a GroupInputError, since table
+    indices are 16-bit.  Any bound below 1 is a GroupInputError too.  The
+    command line offers one ``--`` option per field, read off this class,
+    so a refusal names the field by that option."""
 
     element_cache_bound: int = 20000
     subgroup_bound: int = 2000
     table_order_bound: int = 4096
+
+    def __post_init__(self):
+        for cap in fields(self):
+            value = getattr(self, cap.name)
+            if value < 1:
+                raise GroupInputError(
+                    f"--{cap.name.replace('_', '-')} must be at least 1, got {value}")
+        if self.table_order_bound > 1 << 16:
+            raise GroupInputError(
+                f"table order bound {self.table_order_bound} is above 65536, the largest "
+                f"group order whose table indices fit 16 bits")
 
 
 DEFAULT_LIMITS = Limits()

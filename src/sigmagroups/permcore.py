@@ -28,8 +28,11 @@ Only root groups carry a chain: groups built from generators, such as corpus
 entries and quotient groups.  A subgroup is its root, a bitmask over the
 root's sorted elements and its generators, with no chain or element list of
 its own: a subgroup made from generators is closed by a throwaway chain on
-them, whose elements give the mask.  Sets of image tuples are only the
-currency of interning and of the public calls that take or return them.
+them, whose elements give the mask.  A root's one hashed view of its
+elements is its element index, image tuple -> position, built with the
+element list; interning keys a root by the index's keys, its sorted image
+tuples.  Sets of image tuples are built only by the public calls that take
+or return them.
 """
 from __future__ import annotations
 
@@ -278,7 +281,7 @@ class PermGroup:
         self._build_chain()
         self.order = math.prod(len(t) for t in self._transversals if t is not None)
         self._elements: tuple[Perm, ...] | None = None
-        self._element_set: frozenset[tuple] | None = None
+        self._index: dict[tuple, int] | None = None
         self.cache: dict = {}
 
     # -- chain construction
@@ -428,21 +431,19 @@ class PermGroup:
                 tables = [u + pad for u in trans.values()]
                 elems = [x for e in elems for x in map(gather, repeat(e, len(tables)), tables)]
             elems.sort()    # bytes sort as their image tuples do
-            elems = list(map(tuple, elems))
-            self._elements = tuple(map(Perm, elems))
-            self._element_set = frozenset(elems)
+            self._index = {e: i for i, e in enumerate(map(tuple, elems))}
+            self._elements = tuple(map(Perm, self._index))
         return self._elements
 
     def element_images(self, bound: int | None = None) -> frozenset[tuple]:
         self.elements(bound)
-        assert self._element_set is not None
-        return self._element_set
+        return frozenset(self._index)
 
     def element_index(self) -> dict[tuple, int]:
-        """The position of each element, as an image tuple, in sorted order."""
-        if "element-index" not in self.cache:
-            self.cache["element-index"] = {p.images: i for i, p in enumerate(self.elements())}
-        return self.cache["element-index"]
+        """The position of each element, as an image tuple, in sorted order:
+        its keys are the sorted image tuples."""
+        self.elements()
+        return self._index
 
     @property
     def root(self) -> "PermGroup":
@@ -460,16 +461,19 @@ class PermGroup:
         return f"<PermGroup degree={self.degree} order={self.order}>"
 
 
-_INTERNED: dict[tuple[int, frozenset[tuple]], PermGroup] = {}
+_INTERNED: dict[tuple[int, tuple[tuple, ...]], PermGroup] = {}
 
 
 def interned(group: PermGroup) -> PermGroup:
-    """Canonical instance per element set, so derived caches are shared."""
-    return _INTERNED.setdefault((group.degree, group.element_images()), group)
+    """Canonical instance per element set, so derived caches are shared: a
+    root is keyed by its degree and its sorted image tuples, the keys of its
+    element index."""
+    return _INTERNED.setdefault((group.degree, tuple(group.element_index())), group)
 
 
-def find_interned(degree: int, images: frozenset[tuple]) -> PermGroup | None:
-    """The interned group with this element set, if one exists."""
+def find_interned(degree: int, images: tuple[tuple, ...]) -> PermGroup | None:
+    """The interned group whose sorted image tuples are ``images``, if one
+    exists."""
     return _INTERNED.get((degree, images))
 
 

@@ -18,7 +18,7 @@ on the caller's root, sorted canonically by (order, element list).
 Conjugacy classes of subgroups come from one walk on masks,
 ``_ElementTable.conjugates``: the conjugates of a subgroup in breadth-first
 orbit order under given generators, each with an element conjugating the
-subgroup onto it.  The join-closure kernel, ``conjugate_subgroups`` and
+subgroup onto it.  The join-closure kernel, ``conjugate_image_sets`` and
 ``sigma``'s Hall classes and Hall coverage all read their classes off it.
 
 Solubility, classical or relative to a partition of the primes, is one walk
@@ -39,7 +39,7 @@ from array import array
 from dataclasses import dataclass, field
 from itertools import compress
 from math import gcd
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, InvariantError, Limits
@@ -57,49 +57,47 @@ class _ElementTable:
     """A root group with its elements numbered in sorted order.
 
     ``rows[a][b]`` is the index of a*b (a applied first) and ``inverse[a]``
-    that of a^-1; index 0 is the identity.  ``index`` maps image tuples to
-    indices.  Index arrays use ``typecode``.
+    that of a^-1; index 0 is the identity.  ``index`` is the root's element
+    index, image tuple -> index.  Index arrays are ``array('H')``: ``Limits``
+    admits no table of order above 65536.
     """
 
-    __slots__ = ("order", "perms", "images", "index", "typecode", "rows", "inverse",
-                 "_conjugations", "_orders")
+    __slots__ = ("order", "perms", "index", "rows", "inverse", "_conjugations", "_orders")
 
     def __init__(self, K: PermGroup):
         self.perms = K.elements()
-        self.images = images = [p.images for p in self.perms]
-        self.order = n = len(images)
         self.index = index = K.element_index()
-        self.typecode = code = "H" if n <= 1 << 16 else "I"
-        gen_rows = [array(code, map(index.__getitem__, map(itemgetter(*g.images), images)))
+        self.order = n = len(index)
+        gen_rows = [array("H", map(index.__getitem__, map(itemgetter(*g.images), index)))
                     for g in K.generators]
         # row(x*g)[y] = row(x)[row(g)[y]]: one itemgetter call per row,
         # rows reached breadth-first from the identity
         steps = [(row[0], itemgetter(*row)) for row in gen_rows]
         rows: list = [None] * n
-        rows[0] = array(code, range(n))
+        rows[0] = array("H", range(n))
         reached = [0]
         for x in reached:
             rx = rows[x]
             for g, times_g in steps:
                 y = rx[g]
                 if rows[y] is None:
-                    rows[y] = array(code, times_g(rx))
+                    rows[y] = array("H", times_g(rx))
                     reached.append(y)
         if len(reached) != n:
             raise InvariantError(
                 f"generators reach {len(reached)} of {n} elements in the table build")
         self.rows = rows
-        self.inverse = [index[invert_images(e)] for e in images]
+        self.inverse = [index[invert_images(e)] for e in index]
         self._conjugations: dict[int, array] = {}
         self._orders: array | None = None
 
     def element_orders(self) -> array:
         """The order of each element, built on first use by walking the powers
         of each element not yet reached: if x has order k, x^j has order
-        k / gcd(j, k)."""
+        k / gcd(j, k).  An order may be 65536 itself, so orders are 32-bit."""
         if self._orders is None:
             rows = self.rows
-            orders = array(self.typecode, [0]) * self.order
+            orders = array("I", [0]) * self.order
             orders[0] = 1
             for x in range(1, self.order):
                 if orders[x]:
@@ -122,8 +120,7 @@ class _ElementTable:
         for g in gens:
             if g not in self._conjugations:
                 rows = self.rows
-                self._conjugations[g] = array(self.typecode,
-                                              [rows[x][g] for x in rows[self.inverse[g]]])
+                self._conjugations[g] = array("H", [rows[x][g] for x in rows[self.inverse[g]]])
             out.append(self._conjugations[g])
         return out
 
@@ -225,9 +222,6 @@ class _ElementTable:
         kinds = {k for k in set(map(orders.__getitem__, members)) if keep(primes_of(k))}
         return self.generate((x for x in members if orders[x] in kinds), mask.bit_count())[0]
 
-    def image_set(self, mask: int) -> frozenset[tuple]:
-        return frozenset(compress(self.images, self.flags(mask)))
-
     def entries(self, found: dict[int, tuple]) -> tuple[tuple[int, tuple[Perm, ...]], ...]:
         """(mask, generators) pairs of a lattice, canonically sorted."""
         return tuple((m, tuple(self.perms[g] for g in found[m]))
@@ -319,16 +313,10 @@ def conjugate_image_sets(G: Group, hset: frozenset[tuple],
                          limits: Limits = DEFAULT_LIMITS) -> list[frozenset[tuple]]:
     """Distinct conjugates of a subgroup element set under G, in breadth-first
     orbit order under G's generators."""
-    return [h.element_images()
-            for h in conjugate_subgroups(G, subgroup_from_images(G, hset), limits)]
-
-
-def conjugate_subgroups(G: Group, H: Subgroup,
-                        limits: Limits = DEFAULT_LIMITS) -> tuple[Subgroup, ...]:
-    """Distinct conjugates of H under G, in breadth-first orbit order under
-    G's generators, each generated greedily."""
     table = _element_table(G.root, limits)
-    return tuple(_greedy_subgroup(G, c, limits) for c in table.conjugates(H.mask, table.gens_of(G)))
+    H = subgroup_from_images(G, hset)
+    return [_greedy_subgroup(G, c, limits).element_images()
+            for c in table.conjugates(H.mask, table.gens_of(G))]
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +593,7 @@ def _lattice_join_closure(table: _ElementTable, gmask: int, limits: Limits,
                     jmask = queue[pos]
                     if jmask != gmask:
                         if pos not in members_at:
-                            members_at[pos] = array(table.typecode, table.members(jmask))
+                            members_at[pos] = array("H", table.members(jmask))
                         # u^x = x^-1 u x = (x^-1 (x^-1 u)^-1)^-1
                         jmask = table.mask_of(map(inv, map(by_xi, map(inv, map(
                             by_xi, members_at[pos])))))
@@ -824,17 +812,14 @@ def hall_subgroup(G: Group, pi: Iterable[int], limits: Limits = DEFAULT_LIMITS) 
     return None
 
 
-def is_p_group(G: Group) -> bool:
-    return len(prime_factors(G.order)) <= 1
-
-
 def maximal_subgroups_of_p_group(P: Subgroup, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgroup, ...]:
     """The index-p subgroups of a p-group, from P's own lattice."""
-    if not is_p_group(P):
+    primes = prime_factors(P.order)
+    if len(primes) > 1:
         raise GroupInputError(f"group of order {P.order} is not a p-group")
-    if P.order == 1:
+    if not primes:
         return ()
-    p = prime_factors(P.order)[0][0]
+    p = primes[0][0]
     return tuple(h for h in all_subgroups(P, limits) if h.order * p == P.order)
 
 
@@ -906,15 +891,16 @@ def _quotient(G: Group, N: Subgroup, table: _ElementTable) -> QuotientGroup:
     index = len(reps)
     # coset Nr maps coset Ns to Nsr
     coset_images = [tuple(coset_of[rows[s][r]] for s in reps) for r in reps]
-    qset = frozenset(coset_images)
-    if len(qset) != index or index * len(block) != G.order:
+    # the interning key: the sorted coset images, each coset's image distinct
+    key = tuple(sorted(coset_images))
+    if index * len(block) != G.order or any(map(eq, key, key[1:])):
         raise InvariantError("coset action order mismatch")
-    Q = find_interned(index, qset)
+    Q = find_interned(index, key)
     if Q is None:
         Q = PermGroup(index, [Perm(coset_images[coset_of[g]]) for g in gens])
         Q.elements(table.order)  # never larger than G's root, which was enumerated
         Q = interned(Q)
-        if Q.element_images() != qset:
+        if tuple(Q.element_index()) != key:
             raise InvariantError("the generators' coset images generate another group")
     ident = identity_images(index)
     if [c for c, img in enumerate(coset_images) if img == ident] != [0]:

@@ -5,6 +5,7 @@ chain and element-table builds."""
 import subprocess
 import sys
 import time
+from itertools import compress
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,11 @@ def benchmark_selftest(request) -> subprocess.Popen:
     """The benchmark self-test process, started early or, failing that, now."""
     proc = request.config.stash.get(SELFTEST, None)
     return proc if proc is not None else start_benchmark_selftest()
+
+
+def image_set(table, mask):
+    """The image tuples of the members of ``mask`` on an element table."""
+    return frozenset(p.images for p in compress(table.perms, table.flags(mask)))
 
 
 @pytest.fixture(scope="session")

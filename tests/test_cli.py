@@ -114,6 +114,14 @@ def test_cap_below_one_is_usage_error(capsys, knob):
         assert err.strip() == f"usage error: {knob} must be at least 1, got {value}"
 
 
+@pytest.mark.parametrize("command", [("classify", "--group", "S4"), ("campaign",)])
+def test_table_order_bound_above_16_bits_is_usage_error(capsys, command):
+    code, out, err = run(capsys, *command, "--table-order-bound", "65537")
+    assert (code, out) == (2, "")
+    assert err.strip() == ("usage error: table order bound 65537 is above 65536, "
+                           "the largest group order whose table indices fit 16 bits")
+
+
 def test_hall_set_cap_is_not_a_cli_flag(capsys):
     # no command enumerates complete Hall sigma-sets, so there is no cap
     # for them to take

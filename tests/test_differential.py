@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import oracles
+from conftest import image_set
 from sigmagroups import Limits, Perm, PermGroup, Subgroup, builtin_corpus, trivial_subgroup
 from sigmagroups import harness, structure
 from sigmagroups import sigma as sigma_module
@@ -21,7 +22,7 @@ from sigmagroups.numbers import is_prime, is_prime_power, part_for_primes, prime
 from sigmagroups.permcore import _mask
 from sigmagroups.structure import (_element_table, _lattice_cyclic_extension,
                                    _lattice_join_closure, all_subgroups, chief_series,
-                                   conjugate_image_sets, conjugate_subgroups, is_soluble,
+                                   conjugate_image_sets, is_soluble,
                                    maximal_subgroups_of_p_group, normal_subgroups,
                                    quotient_group, sylow_subgroup)
 
@@ -142,7 +143,7 @@ def reference_hall_data(G, sigma, limits):
     for bid, ps, part in sigma_module._group_blocks(G, sigma):
         # all_subgroups is sorted canonically, so the candidates are too
         candidates = tuple(h.mask for h in all_subgroups(G, limits) if h.order == part)
-        cand_sets = [table.image_set(mask) for mask in candidates]
+        cand_sets = [image_set(table, mask) for mask in candidates]
         classes = []
         unassigned = set(cand_sets)
         for hset in cand_sets:
@@ -271,6 +272,16 @@ def test_sylow_type_scan_matches_the_down_set_walk(corpus):
     assert sum("missing_hall" in v for v in violations) == 7
 
 
+def reference_conjugate_subgroups(G, H, limits=Limits()):
+    """The distinct conjugates of H under G, in breadth-first orbit order
+    under G's generators, each generated greedily: the engine's former
+    ``structure.conjugate_subgroups``, kept here as the reference's Sylow
+    walk."""
+    table = _element_table(G.root, limits)
+    return tuple(structure._greedy_subgroup(G, c, limits)
+                 for c in table.conjugates(H.mask, table.gens_of(G)))
+
+
 def reference_sylow_maximal_candidates(G, limits=Limits()):
     """The maximal subgroups of every Sylow subgroup, found one Sylow
     subgroup at a time: each conjugate P of a Sylow p-subgroup gets its own
@@ -281,7 +292,7 @@ def reference_sylow_maximal_candidates(G, limits=Limits()):
     table = _element_table(G.root, limits)
     found = {}
     for p in sorted(primes_of(G.order)):
-        for P in conjugate_subgroups(G, sylow_subgroup(G, p, limits), limits):
+        for P in reference_conjugate_subgroups(G, sylow_subgroup(G, p, limits), limits):
             maximal = [(mask, gens) for mask, gens in
                        table.entries(_lattice_cyclic_extension(table, P.mask, limits))
                        if mask.bit_count() * p == P.order]
@@ -329,7 +340,7 @@ def test_sylow_maximal_candidates_obey_burnside_basis_theorem(corpus):
         table = _element_table(G.root, Limits())
         candidates = harness._sylow_maximal_candidates(G, Limits())
         for p in sorted(primes_of(G.order)):
-            for P in conjugate_subgroups(G, sylow_subgroup(G, p)):
+            for P in reference_conjugate_subgroups(G, sylow_subgroup(G, p)):
                 sylows += 1
                 phi = frattini_mask_of_p_group(table, P.mask, p)
                 d = round(math.log(P.order // phi.bit_count(), p))
@@ -390,10 +401,10 @@ def test_lattice_kernels_match_oracle(corpus, oracle_group, name):
         found.append(_lattice_cyclic_extension(table, G.mask, Limits()))
     for lattice in found:
         entries = table.entries(lattice)
-        assert [table.image_set(mask) for mask, _ in entries] == expected
+        assert [image_set(table, mask) for mask, _ in entries] == expected
         for mask, gens in entries:
             assert oracles.close_tuples([g.images for g in gens], G.degree) == \
-                table.image_set(mask)
+                image_set(table, mask)
 
 
 def test_join_closure_skips_known_joins(corpus, monkeypatch):
@@ -532,14 +543,15 @@ def test_mask_walk_matches_tuple_conjugation(corpus, name):
     the subgroup onto it, for every lattice member."""
     G = corpus[name].build()
     table = _element_table(G.root, Limits())
+    images = list(table.index)
     for h in all_subgroups(G):
         hset = h.element_images()
         walk = table.conjugates(h.mask, table.gens_of(G))
         assert next(iter(walk.items())) == (h.mask, 0)
-        assert [table.image_set(c) for c in walk] == tuple_conjugates(G, hset)
+        assert [image_set(table, c) for c in walk] == tuple_conjugates(G, hset)
         for c, x in walk.items():
-            assert table.image_set(c) == frozenset(
-                oracles.conjugate(e, table.images[x]) for e in hset)
+            assert image_set(table, c) == frozenset(
+                oracles.conjugate(e, images[x]) for e in hset)
 
 
 RANDOM_GROUPS = settings(derandomize=True, deadline=None,

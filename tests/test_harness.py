@@ -142,7 +142,7 @@ def test_builtin_campaign_runs_kernels_only_on_soluble_subgroups_of_insoluble_ro
             return original(table, gmask, limits, *rest)
         monkeypatch.setattr(structure, kernel, spy)
     asked = []
-    for name in ("sylow_subgroup", "conjugate_subgroups", "maximal_subgroups_of_p_group"):
+    for name in ("sylow_subgroup", "conjugate_image_sets", "maximal_subgroups_of_p_group"):
         for module in (structure, harness):
             monkeypatch.setattr(module, name, lambda *args, name=name: asked.append(name),
                                 raising=False)

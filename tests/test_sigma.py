@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from conftest import image_set
 from sigmagroups import (CapacityError, GroupInputError, Limits, Perm, PermGroup,
                          Subgroup, builtin_corpus, builtin_entry, full_subgroup, parse_sigma,
                          trivial_subgroup)
@@ -528,7 +529,7 @@ def per_subgroup_violation(G, sigma, limits=Limits()):
                 return {"subgroup": e_sub.generators, "block": block["id"],
                         "missing_hall": True}
             conjugates = _naive_orbit(tuple(g.images for g in e_sub.generators),
-                                      table.image_set(block["candidates"][0]))
+                                      image_set(table, block["candidates"][0]))
             for cand in all_subgroups(e_sub, limits):
                 if primes_of(cand.order) <= block["primes"] and cand.order > 1:
                     members = cand.element_images()

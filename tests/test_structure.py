@@ -5,21 +5,24 @@ Frattini orders) are cross-checked against the brute-force
 oracle rather than asserted from memory.
 """
 
+import dataclasses
+
 import pytest
 
 import oracles
+from conftest import image_set
 from sigmagroups import (CapacityError, GroupInputError, Limits, Perm,
                          PermGroup, SigmaPartition, Subgroup, builtin_corpus,
                          builtin_entry, full_subgroup, is_psigma_t)
 from sigmagroups import structure
 from sigmagroups.errors import InvariantError
-from sigmagroups.permcore import clear_intern_cache, images_order
+from sigmagroups.permcore import clear_intern_cache, images_order, interned
 from sigmagroups.structure import (all_subgroups, chief_series,
                                    conjugate_image_sets,
                                    derived_subgroup, frattini_subgroup,
                                    hall_subgroup,
                                    intersection_subgroup, is_normal,
-                                   is_p_group, is_soluble,
+                                   is_soluble,
                                    maximal_subgroups,
                                    maximal_subgroups_of_p_group,
                                    minimal_normal_subgroups,
@@ -95,8 +98,10 @@ def test_normal_subgroups_match_oracle_and_lattice_filter(corpus, oracle_group, 
 
 @pytest.mark.parametrize("name", ["S4", "SL(2,3)", "C5xA4", "PSL(2,7)"])
 def test_element_orders_match_cycle_types(corpus, name):
-    table = _element_table(corpus[name].build())
-    assert list(table.element_orders()) == list(map(images_order, table.images))
+    G = corpus[name].build()
+    table = _element_table(G)
+    images = list(table.index)
+    assert list(table.element_orders()) == list(map(images_order, images))
 
 
 def test_is_normal(corpus):
@@ -193,13 +198,14 @@ def test_hall_subgroups(corpus):
 
 def test_p_group_helpers(corpus):
     E8 = corpus["E8"].build()
-    assert is_p_group(E8)
     maxes = maximal_subgroups_of_p_group(Subgroup(E8, E8.generators))
     assert len(maxes) == 7 and all(m.order == 4 for m in maxes)
     Q8 = corpus["Q8"].build()
     maxes = maximal_subgroups_of_p_group(Subgroup(Q8, Q8.generators))
     assert sorted(m.order for m in maxes) == [4, 4, 4]
-    assert not is_p_group(corpus["C6"].build())
+    C6 = corpus["C6"].build()
+    with pytest.raises(GroupInputError, match="not a p-group"):
+        maximal_subgroups_of_p_group(Subgroup(C6, C6.generators))
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +265,27 @@ def test_quotient_by_full_group_is_trivial(corpus):
     S3 = corpus["S3"].build()
     q = quotient_group(S3, Subgroup(S3, S3.generators))
     assert q.group.order == 1
+
+
+def test_equal_quotients_share_one_interned_root(corpus, chain_builds):
+    """A quotient whose sorted coset images are those of an interned root is
+    that root: E8's seven quotients by its subgroups of order 2 are one
+    group, found by ``find_interned`` after the first one's chain build."""
+    clear_intern_cache()
+    E8 = corpus["E8"].build()
+    twos = [h for h in all_subgroups(E8) if h.order == 2]
+    built = len(chain_builds)
+    roots = {id(quotient_group(E8, N).group) for N in twos}
+    assert len(twos) == 7 and len(roots) == 1
+    assert len(chain_builds) == built + 1
+
+
+def test_a_group_interns_to_the_root_with_its_elements(corpus):
+    """S4 from other generators is the builtin S4's root."""
+    S4 = corpus["S4"].build()
+    other = PermGroup(4, [Perm.parse("(1 2 3)", 4), Perm.parse("(3 4)", 4)])
+    assert other.root is S4 and other is not S4
+    assert interned(other) is S4
 
 
 def test_quotient_by_non_normal_subgroup_is_rejected(corpus):
@@ -512,14 +539,14 @@ def test_normal_lattice_obeys_the_subgroup_bound(monkeypatch):
 def test_seeded_index_closure_matches_unseeded_and_oracle(corpus, name):
     G = corpus[name].build()
     table = _element_table(G, Limits())
-    index = {e: i for i, e in enumerate(table.images)}
+    index = table.index
     for h in all_subgroups(G):
         block = sorted(index[e] for e in h.element_images())
         hgens = [g.images for g in h.generators]
         for e in G.element_images():
             gens = hgens + [e]
             flags = table.closure([index[g] for g in gens], block)
-            seeded = table.image_set(_mask(flags))
+            seeded = image_set(table, _mask(flags))
             assert seeded == oracles.close_tuples(gens, G.degree)
 
 
@@ -594,6 +621,28 @@ def test_table_order_bound_takes_effect():
     assert image_sets(all_subgroups(G, raised)) == tg.subgroup_image_sets()
     # abelian: every subgroup is normal
     assert image_sets(normal_subgroups(G, raised)) == tg.subgroup_image_sets()
+
+
+def test_table_order_bound_above_16_bits_is_refused():
+    """Table indices are 16-bit, so ``Limits`` refuses a table bound above
+    65536 when it is made, before any table could be built."""
+    assert Limits(table_order_bound=65536).table_order_bound == 65536
+    for bad in (65537, 1 << 20):
+        with pytest.raises(GroupInputError, match=f"table order bound {bad} is above 65536"):
+            Limits(table_order_bound=bad)
+    with pytest.raises(GroupInputError, match="above 65536"):
+        dataclasses.replace(Limits(), table_order_bound=65537)
+
+
+def test_limits_refuse_a_bound_below_one():
+    """Every ``Limits`` field is refused below 1 when it is made, with the
+    message the command line prints for its option."""
+    for cap in dataclasses.fields(Limits):
+        option = "--" + cap.name.replace("_", "-")
+        for bad in (0, -3):
+            with pytest.raises(GroupInputError, match=f"^{option} must be at least 1, got {bad}$"):
+                Limits(**{cap.name: bad})
+    assert Limits(element_cache_bound=1, subgroup_bound=1, table_order_bound=1)
 
 
 def test_limit_free_derived_series_reuses_an_existing_table(monkeypatch):

@@ -96,17 +96,24 @@ def module_nodes(module: str) -> list[ast.AST]:
     return list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
 
 
-def names_in_module(module: str) -> set[str]:
-    """Every name, attribute and imported name in a package module."""
+def names_of(nodes) -> set[str]:
+    """Every name, attribute, imported name and ``def`` name among ``nodes``."""
     names = set()
-    for node in module_nodes(module):
+    for node in nodes:
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name)
+        elif isinstance(node, ast.FunctionDef):
+            names.add(node.name)
     return names
+
+
+def names_in_module(module: str) -> set[str]:
+    """Every name, attribute, imported name and ``def`` name in a package module."""
+    return names_of(module_nodes(module))
 
 
 def test_sigma_reads_no_normal_lattice():
@@ -120,6 +127,41 @@ def test_harness_compares_subgroups_not_image_sets():
     names no call that builds or takes a set of image tuples."""
     assert names_in_module("harness.py").isdisjoint(
         {"element_images", "image_set", "closure_of_images"})
+
+
+def names_by_function(module: str) -> dict[str, set[str]]:
+    """The names of a package module, as ``names_in_module`` finds them, per
+    top-level function or method (``Class.method``).  Nested functions count
+    toward the one around them, and all else toward ``<module>``."""
+    tree = ast.parse((ROOT / "src" / "sigmagroups" / module).read_text(encoding="utf-8"))
+    out: dict[str, set[str]] = {}
+    for top in tree.body:
+        in_class = isinstance(top, ast.ClassDef)
+        for member in top.body if in_class else [top]:
+            owner = "<module>"
+            if isinstance(member, ast.FunctionDef):
+                owner = f"{top.name}.{member.name}" if in_class else member.name
+            out.setdefault(owner, set()).update(names_of(ast.walk(member)))
+    return out
+
+
+IMAGE_SET_NAMES = {"element_images", "image_set", "_element_set"}
+PUBLIC_IMAGE_SET_CALLS = {"PermGroup.element_images", "Subgroup.element_images",
+                          "subgroup_from_images", "conjugate_image_sets",
+                          "sigma_permutable_sets"}
+
+
+def test_engine_builds_image_sets_only_in_the_public_calls():
+    """A root's one hashed view of its elements is its element index:
+    interning and quotients key a root by its sorted image tuples, so in
+    ``permcore.py``, ``structure.py`` and ``sigma.py`` only the public calls
+    that take or return image-tuple sets name ``element_images``,
+    ``image_set`` or ``_element_set``."""
+    owners = {owner for module in ("permcore.py", "structure.py", "sigma.py")
+              for owner, names in names_by_function(module).items()
+              if names & IMAGE_SET_NAMES}
+    assert owners <= PUBLIC_IMAGE_SET_CALLS, sorted(owners - PUBLIC_IMAGE_SET_CALLS)
+    assert "PermGroup.element_images" in owners
 
 
 def test_cli_reads_its_caps_off_limits():
