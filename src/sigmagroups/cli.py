@@ -20,10 +20,9 @@ from .harness import (REGISTRY, STATEMENTS, CampaignConfig, VerificationOutcome,
                       campaign_sigmas, report_from_rows, run_campaign, run_statements)
 from .numbers import is_prime
 from .permcore import Perm, PermGroup, Subgroup
-from .sigma import (BLOCK_DIGITS, SigmaPartition, complete_hall_sigma_set, is_psigma_t,
-                    is_sigma_nilpotent, is_sigma_permutable, is_sigma_primary,
-                    is_sigma_soluble, parse_sigma, sigma_nilpotent_residual,
-                    sigma_of_group)
+from .sigma import (BLOCK_DIGITS, SigmaPartition, _block_number, complete_hall_sigma_set,
+                    is_psigma_t, is_sigma_nilpotent, is_sigma_permutable, is_sigma_primary,
+                    is_sigma_soluble, parse_sigma, sigma_nilpotent_residual, sigma_of_group)
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -123,7 +122,7 @@ def _sigmas_for(args, G: PermGroup) -> list[SigmaPartition]:
 
 def _emit(args, human_lines: list[str], machine_obj) -> None:
     if args.format == "machine":
-        print(json.dumps(machine_obj, indent=2, sort_keys=True))
+        _dump_json(machine_obj, sys.stdout)
     else:
         print("\n".join(human_lines))
 
@@ -217,17 +216,23 @@ def _outcome_lines(rows: list[VerificationOutcome]) -> list[str]:
 
 def _pi_sets(args) -> list[frozenset[int]] | None:
     """The one prime set given by --pi, or None for every subset of pi(G).
-    A token has at most ``BLOCK_DIGITS`` digits, as a block number has."""
+    Each token is read as a block number of ``--sigma`` is, so leading
+    zeros do not count toward its ``BLOCK_DIGITS`` digits."""
     if args.pi is None:
         return None
     if REGISTRY[args.statement].scope != "pi":
         only = ", ".join(sid for sid, st in REGISTRY.items() if st.scope == "pi")
         raise GroupInputError(f"--pi applies only to {only}, not {args.statement}")
     tokens = [t.strip() for t in args.pi.split(",")]
-    if not all(t.isdecimal() and len(t) <= BLOCK_DIGITS and is_prime(int(t)) for t in tokens):
+    try:
+        # 0 stands for a token that is no decimal number: it is not a prime
+        primes = [_block_number(t) if t.isdecimal() else 0 for t in tokens]
+    except GroupInputError:  # more than BLOCK_DIGITS digits past the leading zeros
+        primes = [0]
+    if not all(map(is_prime, primes)):
         raise GroupInputError(f"--pi takes comma-separated primes of at most {BLOCK_DIGITS} "
                               f"digits, got {args.pi!r}")
-    return [frozenset(int(t) for t in tokens)]
+    return [frozenset(primes)]
 
 
 def cmd_verify(args) -> int:
@@ -258,10 +263,11 @@ def _exit_code(rows: list[dict]) -> int:
     return EXIT_OK
 
 
-def _dump_report(report: dict, fh) -> None:
-    """Stream the report as indented, key-sorted JSON plus a newline, with no
-    whole-report string in memory."""
-    json.dump(report, fh, indent=2, sort_keys=True)
+def _dump_json(obj, fh) -> None:
+    """The one JSON writer of the machine format and the campaign report:
+    indented, key-sorted JSON plus a newline, streamed with no whole-report
+    string in memory."""
+    json.dump(obj, fh, indent=2, sort_keys=True)
     fh.write("\n")
 
 
@@ -279,7 +285,7 @@ def cmd_campaign(args) -> int:
     report = report_from_rows(rows, generated_at=stamp)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            _dump_report(report, fh)
+            _dump_json(report, fh)
     summary = report["summary"]
     lines = [f"groups: {len(entries)}   outcomes: {len(rows)}",
              f"confirmed: {summary['confirmed']}   "
@@ -293,7 +299,7 @@ def cmd_campaign(args) -> int:
         if r["verdict"] == "counterexample":
             lines.append(f"COUNTEREXAMPLE: {r['statement_id']} {r['group']} {r['sigma']}")
     if args.format == "machine" and not args.out:
-        _dump_report(report, sys.stdout)
+        _dump_json(report, sys.stdout)
     else:
         print("\n".join(lines))
     return _exit_code(rows)

@@ -38,14 +38,13 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from itertools import compress
-from math import gcd
 from operator import eq, itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, InvariantError, Limits
 from .numbers import is_prime, is_prime_power, part_for_primes, prime_factors, primes_of
-from .permcore import (Perm, PermGroup, Subgroup, _flags, _mask, find_interned,
-                       identity_images, interned, invert_images, trivial_subgroup)
+from .permcore import (Perm, PermGroup, Subgroup, _flags, _mask, find_interned, identity_images,
+                       images_order, interned, invert_images, trivial_subgroup)
 
 Group = PermGroup | Subgroup
 
@@ -92,26 +91,10 @@ class _ElementTable:
         self._orders: array | None = None
 
     def element_orders(self) -> array:
-        """The order of each element, built on first use by walking the powers
-        of each element not yet reached: if x has order k, x^j has order
-        k / gcd(j, k).  An order may be 65536 itself, so orders are 32-bit."""
+        """The order of each element, read off its cycle type, built on first
+        use.  An order may be 65536 itself, so orders are 32-bit."""
         if self._orders is None:
-            rows = self.rows
-            orders = array("I", [0]) * self.order
-            orders[0] = 1
-            for x in range(1, self.order):
-                if orders[x]:
-                    continue
-                powers = [x]
-                p = rows[x][x]
-                while p:
-                    powers.append(p)
-                    p = rows[p][x]
-                k = len(powers) + 1
-                for j, y in enumerate(powers, 1):
-                    if not orders[y]:
-                        orders[y] = k // gcd(j, k)
-            self._orders = orders
+            self._orders = array("I", map(images_order, self.index))
         return self._orders
 
     def conjugations(self, gens: Sequence[int]) -> list[array]:

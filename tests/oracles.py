@@ -32,6 +32,16 @@ def identity(degree: int) -> tuple:
     return tuple(range(degree))
 
 
+def element_order(p: tuple) -> int:
+    """The least k >= 1 with p^k the identity, by composing p with itself."""
+    ident = identity(len(p))
+    power, k = tuple(p), 1
+    while power != ident:
+        power = compose(power, p)
+        k += 1
+    return k
+
+
 def conjugate(h: tuple, x: tuple) -> tuple:
     """x^-1 h x."""
     return compose(compose(inverse(x), h), x)

@@ -368,6 +368,30 @@ def test_verify_bad_pi_is_usage_error(capsys, statement, pi):
     assert err.startswith("usage error: --pi ")
 
 
+ZEROS = "0" * 5000
+
+
+@pytest.mark.parametrize("pi", ["0000000002", ZEROS + "2"], ids=["ten-digits", "5001-digits"])
+def test_verify_pi_reads_leading_zeros_as_sigma_does(capsys, pi):
+    """A --pi token is read as a --sigma block number is: leading zeros do
+    not count toward its digits, so the row is that of --pi 2."""
+    expected = run(capsys, "verify", "--group", "S3", "--statement", "Lem2.2", "--pi", "2",
+                   "--format", "machine")
+    assert expected[0] == 0
+    assert run(capsys, "verify", "--group", "S3", "--statement", "Lem2.2", "--pi", pi,
+               "--format", "machine") == expected
+
+
+def test_verify_pi_with_leading_zeros_past_the_digit_bound_is_usage_error(capsys):
+    """Past its leading zeros, a --pi token still has at most 9 digits: the
+    value is refused with the --pi usage message, never read by int."""
+    code, out, err = run(capsys, "verify", "--group", "S3", "--statement", "Lem2.2",
+                         "--pi", ZEROS + "1000000007")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: --pi takes comma-separated primes of at most 9 digits")
+
+
 @pytest.mark.parametrize("statement, sigma", [("Lem2.2", "junk"), ("Cor1.2", "[2,3]")])
 def test_verify_sigma_outside_sigma_scope_is_usage_error(capsys, statement, sigma):
     code, out, err = run(capsys, "verify", "--group", "A5", "--statement", statement,

@@ -10,6 +10,7 @@ import pytest
 import oracles
 from sigmagroups import (CapacityError, GroupInputError, Limits, Perm, PermGroup, Subgroup,
                          builtin_entry, harness, parse_sigma, structure)
+from sigmagroups.cli import main
 from sigmagroups.errors import InvariantError
 from sigmagroups.harness import (STATEMENTS, CampaignConfig,
                                  VerificationOutcome, _check_class_monotonicity,
@@ -302,6 +303,56 @@ def test_lemma_2_4_planted_fault_is_a_counterexample(corpus, monkeypatch):
     assert (out.verdict, out.vacuous) == ("counterexample", False)
     assert out.witness["N"]["order"] == 4
     assert (out.witness["lhs_order"], out.witness["rhs_order"]) == (1, 3)
+
+
+def lemma_2_1_lie(G, original):
+    """A Hall-coverage violation on G itself."""
+    return lambda X, sigma, limits: ({"subgroup": X.generators, "block": "2",
+                                      "missing_hall": True} if X is G
+                                     else original(X, sigma, limits))
+
+
+def lemma_2_2_lie(G, original):
+    """G counts as pi-separable at pi = {2}."""
+    return lambda X, pi, limits: (X is G and set(pi) == {2}) or original(X, pi, limits)
+
+
+def lemma_2_3_lie(G, original):
+    """No proper non-trivial subgroup of G counts as sigma-nilpotent."""
+    return lambda X, sigma, limits: (not (X.root is G and 1 < X.order < G.order)
+                                     and original(X, sigma, limits))
+
+
+def lemma_2_5_lie(G, original):
+    """The predicate answers False on G itself."""
+    return lambda X, *args: X is not G and original(X, *args)
+
+
+# statement id -> (group, the verify option naming its sigma or pi, the
+# harness predicate that lies, the lie)
+PLANTED_FAULTS = {
+    "Lem2.1": ("S4", ("--sigma", "sigma1"), "sigma_full_sylow_type_violation", lemma_2_1_lie),
+    "Lem2.2": ("A5", ("--pi", "2"), "is_pi_separable", lemma_2_2_lie),
+    "Lem2.3": ("C6", ("--sigma", "sigma1"), "is_sigma_nilpotent", lemma_2_3_lie),
+    "Lem2.5.fwd": ("S3", ("--sigma", "sigma1"), "induces_power_automorphisms", lemma_2_5_lie),
+    "Lem2.5.conv": ("S3", ("--sigma", "sigma1"), "is_psigma_t", lemma_2_5_lie),
+}
+
+
+@pytest.mark.parametrize("sid", sorted(PLANTED_FAULTS))
+def test_planted_fault_is_a_counterexample_and_verify_exits_1(corpus, monkeypatch, capsys, sid):
+    """One harness predicate lies on one group: the statement's row on that
+    group is a counterexample whose row survives a JSON round trip, and
+    ``verify`` on the same group and sigma or pi exits 1."""
+    name, option, predicate, lie = PLANTED_FAULTS[sid]
+    G = corpus[name].build()
+    monkeypatch.setattr(harness, predicate, lie(G, getattr(harness, predicate)))
+    [out] = harness.run_statements(G, name, (sid,), sigmas=[S1], pis=[frozenset({2})])
+    assert out.verdict == "counterexample"
+    row = out.to_json()
+    assert json.loads(json.dumps(row)) == row
+    assert main(["verify", "--group", name, "--statement", sid, *option]) == 1
+    assert "counterexample" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,14 @@ def test_table_bound_has_one_check():
         assert "check_table_order" not in names_in_module(path.name), path.name
 
 
+def test_element_orders_come_from_cycle_types():
+    """An element's order has one definition, ``permcore.images_order`` on
+    its cycle type: ``_ElementTable.element_orders`` reads it, and
+    ``structure.py`` walks no powers to derive orders by ``gcd``."""
+    assert "images_order" in names_by_function("structure.py")["_ElementTable.element_orders"]
+    assert "gcd" not in names_in_module("structure.py")
+
+
 CHAIN_METHODS = ("_sift", "_extend_orbit", "_verify_level", "elements")
 COMPOSITIONS = {"itemgetter", "attrgetter", "methodcaller", "compose_images",
                 "conjugate_images", "translate", "__getitem__"}
