@@ -13,16 +13,19 @@ deterministic incremental Schreier-Sims, so identical generator input always
 produces identical internal state.  Orbits are extended as strong generators
 arrive, never rebuilt, and each Schreier generator is sifted once: an orbit
 point remembers how many of its level's generators it has been verified
-with.  Each transversal rep is stored with its inverse, so a sift is one
-composition per moved level, and a sift stops once its element is the
-identity.  Each composition is one C call, a gather "p, then q" that reads
-the second operand, the table, at the first one's images.  Up to 256 points
-the chain holds its permutations as ``bytes`` and gathers with
+with.  A residue found at a level joins the generator lists of the levels
+from the one below it up to its first moved point, the only levels whose
+group it enlarges; a given generator's residue joins every level up to its
+first moved point.  Each transversal rep is stored with its inverse, so a
+sift is one composition per moved level, and a sift stops once its element
+is the identity.  Each composition is one C call, a gather "p, then q" that
+reads the second operand, the table, at the first one's images.  Up to 256
+points the chain holds its permutations as ``bytes`` and gathers with
 ``p.translate(q)``; an operand used as a table (a stored inverse rep, a
-strong generator in its level's list) is padded with the fixed points
-n..255 to the 256 bytes ``translate`` needs.  Past 256 points it holds image
-tuples and gathers with ``itemgetter(*p)(q)``.  ``Perm`` is the value type
-seen by callers, always on image tuples.
+strong generator in its level's list) is padded with the fixed points n..255
+to the 256 bytes ``translate`` needs.  Past 256 points it holds image tuples
+and gathers with ``itemgetter(*p)(q)``.  ``Perm`` is the value type seen by
+callers, always on image tuples.
 
 Only root groups carry a chain: groups built from generators, such as corpus
 entries and quotient groups.  A subgroup is its root, a bitmask over the
@@ -258,6 +261,8 @@ class PermGroup:
     """
 
     def __init__(self, degree: int, generators: Iterable[Perm] = ()):
+        if type(degree) is not int or degree < 0:   # bool is not a degree either
+            raise GroupInputError(f"degree {degree!r} is not a non-negative int")
         gens = tuple(generators)
         for g in gens:
             if not isinstance(g, Perm):
@@ -307,42 +312,56 @@ class PermGroup:
     def _build_chain(self) -> None:
         """Incremental Schreier-Sims with base 0..n-1, deepest level first.
 
-        Level i has the strong generators fixing 0..i-1, an append-only list
-        of (generator as a table, its inverse), and the orbit of i under
+        Level i has an append-only list of strong generators fixing 0..i-1,
+        each as (generator as a table, its inverse), and the orbit of i under
         them.  Orbits are extended, never rebuilt, and reps are never
         replaced, so a Schreier generator once sifted to the identity through
         the deeper levels stays verified: each orbit point counts the level
         generators it has been verified with, and only new (point, generator)
-        pairs are sifted.  A residue joins the strong set and the generator
-        lists of the levels up to its first moved point, and verification
-        resumes at that level.  The given generators are sifted one at a time
+        pairs are sifted.  The given generators are sifted one at a time
         through the chain completed for those before them, and only their
         residues join, so a generator that is a word in earlier ones adds no
-        Schreier generators.  Deterministic: no randomisation, fixed iteration
-        orders.
+        Schreier generators.  A given generator's residue joins the lists of
+        levels 0 up to its first moved point, since it enlarges the group.
+
+        A residue r that verifying level i finds joins only the lists of
+        levels i+1 up to its first moved point, and verification resumes
+        there.  The lists still generate the groups they would if r joined
+        every level from 0, and they still nest:
+        - r is a Schreier generator of level i times reps of deeper levels,
+          so by induction it lies in the group of every level j <= i:
+          adding it there would change neither that group nor its orbit;
+        - Schreier's lemma at level j needs only some generating set of the
+          level's group, so leaving r out of levels 0..i loses no check;
+        - each level's group still lies in the one before it: r is in level
+          i's group and in every list from i+1 to its first moved point.
+        Each residue still adds a point to the orbit of its first moved
+        point, so the build ends as before.  Deterministic: no
+        randomisation, fixed iteration orders.
         """
         n, encode, pad = self.degree, self._encode, self._pad
         level_gens: list[list[tuple]] = [[] for _ in range(n)]
         closed = [0] * n        # orbit i is closed under level_gens[i][:closed[i]]
         verified: list[dict[int, int]] = [{} for _ in range(n)]
 
-        def add_strong(s: bytes | tuple) -> int:
+        def add_strong(s: bytes | tuple, low: int) -> int:
             self._strong.append(s)
             pair = (s + pad, encode(invert_images(s)))
             base = next(t for t in range(n) if s[t] != t)
-            for level in level_gens[:base + 1]:
+            for level in level_gens[low:base + 1]:
                 level.append(pair)
             return base
 
         for g in self.generators:
             residue = self._sift(encode(g.images))
-            i = -1 if residue is None else add_strong(residue)
+            i = -1 if residue is None else add_strong(residue, 0)
             while i >= 0:
-                gens = level_gens[i]    # every level visited has a new generator
-                self._extend_orbit(i, gens, closed[i])
-                closed[i] = len(gens)
+                gens = level_gens[i]
+                if closed[i] < len(gens):   # a level gains none from a residue it found
+                    self._extend_orbit(i, gens, closed[i])
+                    closed[i] = len(gens)
                 residue = self._verify_level(i, gens, verified[i])
-                i = i - 1 if residue is None else add_strong(residue)
+                i = i - 1 if residue is None else add_strong(residue, i + 1)
 
     def _extend_orbit(self, i: int, gens: list[tuple], old: int) -> None:
         """Close the orbit of i under gens; the points it has are closed under

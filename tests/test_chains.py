@@ -306,6 +306,31 @@ def test_chain_past_255_points(n, gens, order, member):
 
 
 # ---------------------------------------------------------------------------
+# Schreier generators sifted during a build
+
+@pytest.mark.parametrize("n, gens, most", [
+    (16, [cycle(16, [0, 1]), cycle(16, list(range(16)))], 600),
+    (*relabelled_padded(("S", 12), 0)[:2], 400),
+], ids=["S_16", "S_12 relabelled and padded"])
+def test_residues_join_only_the_levels_they_enlarge(monkeypatch, n, gens, most):
+    """A Schreier generator is sifted from the level below its own, so the
+    sifts with start > 0 are the Schreier generators sifted.  Adding each
+    residue to every level from 0 up, not from the level below the one where
+    it was found, sifts 1053 of them for S_16 and 769 for the padded S_12."""
+    sifts = []
+    original = PermGroup._sift
+
+    def counting(self, x, start=0):
+        if start > 0:
+            sifts.append(start)
+        return original(self, x, start)
+
+    monkeypatch.setattr(PermGroup, "_sift", counting)
+    assert build(n, gens).order == math.factorial(n)
+    assert 0 < len(sifts) <= most
+
+
+# ---------------------------------------------------------------------------
 # determinism
 
 @pytest.mark.parametrize("spec", SMALL + LARGER, ids=str)

@@ -261,6 +261,20 @@ def test_degree_1_group():
     assert Perm(()) not in G and Perm.identity(2) not in G
 
 
+@pytest.mark.parametrize("degree", [-1, -300, 2.5, 3.0, "3", None, True, 1j], ids=repr)
+def test_bad_degree_is_an_input_error(degree):
+    """A negative degree failed in the byte pad with ValueError, a float or
+    a string in a comparison with TypeError; a bool is not a degree either."""
+    with pytest.raises(GroupInputError, match="is not a non-negative int"):
+        PermGroup(degree)
+
+
+def test_degree_0_group():
+    G = PermGroup(0, [Perm(())])
+    assert G.generators == () and G.order == 1
+    assert G.elements() == (Perm(()),) and Perm(()) in G
+
+
 def test_degree_2_group():
     t = Perm.parse("(1 2)", 2)
     G = PermGroup(2, [t])
