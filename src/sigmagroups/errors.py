@@ -28,12 +28,13 @@ class Limits:
     and the normal lattice, so it reaches every statement and call that
     reads normal subgroups (Lem2.3, Lem2.4, Lem2.5, ``chief_series``,
     ``minimal_normal_subgroups``).  ``table_order_bound`` caps the order of
-    a group given a multiplication table (quadratic: 32 MiB of
-    ``array('H')`` rows at the default 4096), which every subgroup or
-    normal lattice needs; above 65536 it is a GroupInputError, since table
-    indices are 16-bit.  Any bound below 1 is a GroupInputError too.  The
-    command line offers one ``--`` option per field, read off this class,
-    so a refusal names the field by that option."""
+    a group given a multiplication table, which every subgroup or normal
+    lattice needs.  The table of a group of order n is n rows of n
+    ``array('H')`` entries, 2·n² bytes: 32 MiB at the default 4096 and
+    8 GiB at 65536.  Above 65536 the bound is a GroupInputError, since
+    table indices are 16-bit.  Any bound below 1 is a GroupInputError too.
+    The command line offers one ``--`` option per field, read off this
+    class, so a refusal names the field by that option."""
 
     element_cache_bound: int = 20000
     subgroup_bound: int = 2000

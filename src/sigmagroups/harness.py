@@ -112,16 +112,12 @@ def _sylow_maximal_candidates(G: PermGroup, limits: Limits) -> tuple[Subgroup, .
     """The maximal subgroups of every Sylow subgroup of G, canonically
     sorted.  A maximal subgroup of a p-group has index p, and every
     p-subgroup lies in a Sylow subgroup, so these are exactly the
-    p-subgroups of G of order |G|_p/p, read off G's lattice.  Each carries the generators of the
-    top entry of its own lattice: for a soluble G that lattice is a down-set
-    of G's, so the entry is G's own; for an insoluble G it is the
-    subgroup's cyclic extension, which gives the generators that a Sylow
-    subgroup's lattice gives it.  They do not depend on sigma, so they are
-    computed once per root and limits."""
+    p-subgroups of G of order |G|_p/p: G's own lattice entries, with their
+    generators.  They do not depend on sigma, so they are computed once per
+    root and limits."""
     def compute():
         orders = {part_for_primes(G.order, {p}) // p for p in primes_of(G.order)}
-        return tuple(all_subgroups(V, limits)[-1]
-                     for V in all_subgroups(G, limits) if V.order in orders)
+        return tuple(V for V in all_subgroups(G, limits) if V.order in orders)
     return _memo(G, compute, "sylow-maximal-candidates", limits)
 
 

@@ -51,8 +51,7 @@ from .errors import DEFAULT_LIMITS, GroupInputError, InvariantError, Limits
 from .numbers import is_prime, part_for_primes, primes_of
 from .permcore import Subgroup, trivial_subgroup
 from .structure import (Group, _ElementTable, _check_inside, _class_closures, _descends_to_one,
-                        _element_table, _greedy_subgroup, _is_normal_in, _memo, all_subgroups,
-                        is_normal)
+                        _element_table, _greedy_subgroup, _is_normal_in, _memo, all_subgroups)
 
 # ---------------------------------------------------------------------------
 # partitions
@@ -462,9 +461,8 @@ def sigma_full_sylow_type_violation(G: Group, sigma: SigmaPartition,
     in canonical order (the sort key is the order, then the element list):
     the scan meets E's subgroups in the order of E's own lattice.  Only
     the conjugates of the least Hall subgroup are needed.  E's own lattice
-    is read only to report the generators of an uncovered subgroup; it is
-    the down-set of G's root lattice unless E is soluble inside an
-    insoluble root (see ``all_subgroups``)."""
+    is the down-set of G's (see ``all_subgroups``), so an uncovered
+    subgroup is reported with the generators of its entry in G's."""
     table = _element_table(G.root, limits)
     subs = all_subgroups(G, limits)
     by_order: dict[int, list[int]] = {}
@@ -484,7 +482,7 @@ def sigma_full_sylow_type_violation(G: Group, sigma: SigmaPartition,
                     continue
                 for k in masks:
                     if k & e == k and not any(c & k == k for c in conjugates):
-                        uncovered = next(h for h in all_subgroups(e_sub, limits) if h.mask == k)
+                        uncovered = next(h for h in subs if h.mask == k)
                         return {"subgroup": e_sub.generators, "block": bid,
                                 "uncovered": uncovered.generators}
     return None
@@ -524,9 +522,9 @@ def induces_power_automorphisms(G: Group, D: Subgroup,
     """Does conjugation by every element of G map each d in D to a power of d?
     The elements acting as power automorphisms form a subgroup, so checking
     the generators of G suffices."""
-    if not is_normal(G, D):
-        raise GroupInputError("power-automorphism check requires a normal subgroup")
     table = _element_table(G.root, limits)
+    if not _is_normal_in(table, G, D):
+        raise GroupInputError("power-automorphism check requires a normal subgroup")
     rows = table.rows
     for conj in table.conjugations(table.gens_of(G)):
         for d in table.members(D.mask):

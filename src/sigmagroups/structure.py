@@ -9,11 +9,12 @@ group also takes a ``Subgroup``: its kernels (the subgroup lattice, the
 normal lattice, the derived subgroup, maximal subgroups, quotients with
 cosets numbered by table rows, conjugates, and the product tests of
 sigma-permutability) run on the root's table restricted to the subgroup's
-members; a subgroup's lattice is the down-set of its root's whenever one
-kernel serves both.  Since index order is image-tuple order, a kernel
-restricted to a subgroup walks its members in the same order as a walk over
-the subgroup's own sorted elements would.  Results are ``Subgroup`` values
-on the caller's root, sorted canonically by (order, element list).
+members.  The lattice kernel is chosen by the root, so every subgroup's
+lattice is the down-set of its root's.  Since index order is image-tuple
+order, a kernel restricted to a subgroup walks its members in the same
+order as a walk over the subgroup's own sorted elements would.  Results
+are ``Subgroup`` values on the caller's root, sorted canonically by
+(order, element list).
 
 Conjugacy classes of subgroups come from one walk on masks,
 ``_ElementTable.conjugates``: the conjugates of a subgroup in breadth-first
@@ -375,12 +376,13 @@ def _descends_to_one(G: Group, blocks: Sequence[frozenset[int]], limits: Limits 
 def all_subgroups(G: Group, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgroup, ...]:
     """Every subgroup of G, canonically sorted, trivial and G included.
 
-    Soluble groups use cyclic extension: grow each known subgroup H by a
-    prime-order element of its normalizer, which reaches every (necessarily
-    soluble) subgroup through its own composition series; once <H, x> is
-    closed, no other element of it is tried.  Insoluble groups fall back to
-    join closure over prime-power cyclic subgroups, which is complete for
-    arbitrary subgroups at higher cost.
+    The kernel is chosen by the solubility of G's root.  Under a soluble
+    root, cyclic extension: grow each known subgroup H by a prime-order
+    element of its normalizer, which reaches every (necessarily soluble)
+    subgroup through its own composition series; once <H, x> is closed, no
+    other element of it is tried.  Under an insoluble root, join closure
+    over prime-power cyclic subgroups, which is complete for arbitrary
+    subgroups at higher cost.
 
     Join closure closes joins only for the first subgroup found in each
     conjugacy class under G's generators: conjugation preserves joins, so
@@ -397,22 +399,20 @@ def all_subgroups(G: Group, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgroup, 
     Both kernels are hereditary: run on a proper subgroup G of the root,
     each finds the root's entries inside G, in the same order, with the same
     generators, since a subgroup inside G is only ever found from a
-    subgroup and an element inside G.  So once the root's lattice is built,
-    a proper subgroup G of the same solubility as the root (both soluble or
-    both insoluble) gets the down-set of the root's lattice, the same
-    ``Subgroup`` objects, and no kernel runs on G.  A soluble G inside an
-    insoluble root runs cyclic extension itself.  A root lattice that is
-    not built yet is not built for G: it may cost far more than G's own,
-    and it may be over ``limits.subgroup_bound`` where G's own fits.
+    subgroup and an element inside G.  So G's lattice is the down-set of
+    its root's, whether or not the root's lattice was built first.  Once it
+    is built, G gets the down-set, the same ``Subgroup`` objects, and no
+    kernel runs on G.  A root lattice that is not built yet is not built
+    for G: it may cost far more than G's own, and it may be over
+    ``limits.subgroup_bound`` where G's own fits.
 
     The bounds and the sharing of the tuple are those of ``_bounded_lattice``.
     """
     def kernel(table: _ElementTable) -> tuple[Subgroup, ...]:
-        soluble = is_soluble(G)
         roots = G.root.cache.get(("lattice", G.root.mask))
-        if roots is not None and soluble == _memo(G.root, lambda: is_soluble(G.root), "soluble"):
+        if roots is not None:
             return tuple(h for h in roots if h.mask & G.mask == h.mask)
-        if soluble:
+        if is_soluble(G.root):
             found = _lattice_cyclic_extension(table, G.mask, limits)
         else:
             found = _lattice_join_closure(table, G.mask, limits, table.gens_of(G))

@@ -689,6 +689,18 @@ def test_every_cached_verdict_keeps_a_lower_table_bound(corpus, verdict):
     assert verdict(corpus["S4"].build(), Limits()) == first
 
 
+def test_power_automorphism_check_keeps_a_lower_table_bound(table_builds):
+    """Normality is checked on the table fetched under the caller's limits,
+    so a table bound below |G| refuses before any table is built."""
+    clear_intern_cache()  # no table left on S4 by an earlier test
+    S4 = builtin_entry("S4").build()
+    V4 = sub(S4, "(1 2)(3 4)", "(1 3)(2 4)")
+    with pytest.raises(CapacityError, match="group order 24 exceeds multiplication-table bound 10"):
+        induces_power_automorphisms(S4, V4, LOW_TABLE)
+    assert table_builds == []
+    clear_intern_cache()
+
+
 # ---------------------------------------------------------------------------
 # internal checks raise InvariantError, which python -O keeps
 

@@ -383,51 +383,50 @@ def test_subgroup_kernels_build_no_table_or_chain(corpus, chain_builds, table_bu
 def test_in_place_lattices_equal_those_of_a_fresh_root(corpus, name):
     """The kernels restricted to a subgroup's members give the lattice and
     normal lattice of the subgroup as a group of its own: the same sets, in
-    the same order, with the same generators."""
+    the same order.  The normal lattice has the same generators too, and so
+    has the lattice of a subgroup as soluble as its root; a subgroup of the
+    other solubility carries the generators of its root's lattice."""
     G = corpus[name].build()
-    for H in all_subgroups(G):
+    lattice = all_subgroups(G)
+    for H in lattice:
         R = PermGroup(H.degree, H.generators)
-        for fn in (all_subgroups, normal_subgroups):
-            assert [(h.element_images(), h.generators) for h in fn(H)] == \
-                [(r.element_images(), r.generators) for r in fn(R)]
+        assert [(h.element_images(), h.generators) for h in normal_subgroups(H)] == \
+            [(r.element_images(), r.generators) for r in normal_subgroups(R)]
+        own, fresh = all_subgroups(H), all_subgroups(R)
+        assert [h.element_images() for h in own] == [r.element_images() for r in fresh]
+        if is_soluble(H) == is_soluble(G):
+            assert [h.generators for h in own] == [r.generators for r in fresh]
+        else:
+            assert [(h.mask, h.generators) for h in own] == \
+                [(k.mask, k.generators) for k in lattice if k.mask & H.mask == k.mask]
 
 
 def test_lattice_kernels_are_hereditary(corpus):
-    """Every subgroup's lattice is the one its own kernel makes, run on the
-    subgroup itself: cyclic extension when it is soluble, join closure when
-    not.  When its group uses the same kernel, that lattice is the down-set
-    of the group's lattice, the same masks in the same order with the same
-    generators; for a soluble subgroup of an insoluble group, it is cyclic
-    extension run on the group, restricted to the subgroup."""
-    def entries(subgroups):
-        return [(h.mask, h.generators) for h in subgroups]
-
+    """The root's kernel, cyclic extension under a soluble root and join
+    closure under an insoluble one, run on any subgroup gives the down-set
+    of the root's lattice: the root's entries inside the subgroup, the same
+    masks in the same order with the same generators.  So a subgroup's
+    lattice is the same whether or not its root's lattice was built first."""
     for entry in corpus.values():
         G = entry.build()
         table = _element_table(G.root)
         lattice = all_subgroups(G)
-        kernel = {} if is_soluble(G) else \
-            structure._lattice_cyclic_extension(table, G.mask, Limits())
+        soluble = is_soluble(G)
         for H in lattice:
-            if is_soluble(H):
+            if soluble:
                 own = structure._lattice_cyclic_extension(table, H.mask, Limits())
             else:
                 own = structure._lattice_join_closure(table, H.mask, Limits(), table.gens_of(H))
-            assert entries(all_subgroups(H)) == list(table.entries(own)), H.generators
-            if is_soluble(H) == is_soluble(G):
-                expected = entries(k for k in lattice if k.mask & H.mask == k.mask)
-            else:
-                restricted = {m: gens for m, gens in kernel.items() if m & H.mask == m}
-                expected = list(table.entries(restricted))
-            assert list(table.entries(own)) == expected, H.generators
+            down = [(k.mask, k.generators) for k in lattice if k.mask & H.mask == k.mask]
+            assert list(table.entries(own)) == down, H.generators
+            assert [(h.mask, h.generators) for h in all_subgroups(H)] == down, H.generators
 
 
 def test_subgroup_lattice_is_read_off_the_root(corpus, monkeypatch):
-    """Once the root's lattice is built, a subgroup of the same solubility
-    gets the root's lattice entries inside it, the same objects, and no
-    kernel runs on it; a soluble subgroup of an insoluble root runs cyclic
-    extension itself.  Before that, a subgroup runs its own kernel and the
-    root's lattice is not built."""
+    """Once the root's lattice is built, every subgroup gets the root's
+    lattice entries inside it, the same objects, and no kernel runs on it.
+    Before that, a subgroup runs its root's kernel on its own mask, whatever
+    its own solubility, and the root's lattice is not built."""
     clear_intern_cache()  # no subgroup lattice cached by an earlier test
     runs = []
     for kernel in ("_lattice_cyclic_extension", "_lattice_join_closure"):
@@ -447,13 +446,22 @@ def test_subgroup_lattice_is_read_off_the_root(corpus, monkeypatch):
     assert len(down) == 10
     assert all(any(h is k for k in lattice) for h in down)
     S5 = builtin_entry("S5").build()
-    all_subgroups(S5)
-    a5 = sub(S5, "(1 2 3)", "(1 2 3 4 5)")
     s4 = sub(S5, "(1 2 3 4)", "(1 2)")
     runs.clear()
+    before = all_subgroups(s4)
+    assert len(before) == 30
+    assert runs == [("_lattice_join_closure", s4.mask)]
+    lattice = all_subgroups(S5)
+    a5 = sub(S5, "(1 2 3)", "(1 2 3 4 5)")
+    s4_moved = sub(S5, "(2 3 4 5)", "(2 3)")
+    runs.clear()
     assert len(all_subgroups(a5)) == 59 and runs == []
-    assert len(all_subgroups(s4)) == 30
-    assert runs == [("_lattice_cyclic_extension", s4.mask)]
+    after = all_subgroups(s4_moved)
+    assert len(after) == 30 and runs == []
+    assert all(any(h is k for k in lattice) for h in after)
+    # s4's lattice, built before S5's, is S5's down-set all the same
+    assert [(h.mask, h.generators) for h in before] == \
+        [(k.mask, k.generators) for k in lattice if k.mask & s4.mask == k.mask]
     clear_intern_cache()
 
 
