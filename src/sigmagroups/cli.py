@@ -55,7 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def caps(p):
         for cap in dataclasses.fields(Limits):
-            p.add_argument(f"--{cap.name.replace('_', '-')}", type=int)
+            p.add_argument(f"--{cap.name.replace('_', '-')}", type=int,
+                           help=f"{cap.metadata['help']} (default {cap.default})")
 
     p = sub.add_parser("classify", help="class predicates and residual for one group")
     common(p)
@@ -272,13 +273,10 @@ def _dump_json(obj, fh) -> None:
 
 
 def cmd_campaign(args) -> int:
-    limits = _limits(args)
-    if args.jobs < 1:
-        raise GroupInputError(f"--jobs must be at least 1, got {args.jobs}")
-    entries = builtin_corpus() if args.corpus == "builtin" else _read_corpus(args.corpus)
     statements = tuple(t.strip() for t in args.only.split(",")) if args.only else STATEMENTS
-    config = CampaignConfig(jobs=args.jobs, limits=limits,
+    config = CampaignConfig(jobs=args.jobs, limits=_limits(args),
                             statements=statements, zero_millis=args.no_timestamp)
+    entries = builtin_corpus() if args.corpus == "builtin" else _read_corpus(args.corpus)
     rows = run_campaign(entries, config)
     stamp = None if args.no_timestamp else \
         _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")

@@ -1,7 +1,7 @@
 """Shared error types and capacity limits."""
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 
 class GroupInputError(ValueError):
@@ -32,24 +32,37 @@ class Limits:
     lattice needs.  The table of a group of order n is n rows of n
     ``array('H')`` entries, 2·n² bytes: 32 MiB at the default 4096 and
     8 GiB at 65536.  Above 65536 the bound is a GroupInputError, since
-    table indices are 16-bit.  Any bound below 1 is a GroupInputError too.
-    The command line offers one ``--`` option per field, read off this
-    class, so a refusal names the field by that option."""
+    table indices are 16-bit.  A bound that is not an ``int`` (a bool
+    included) or is below 1 is a GroupInputError too.  The command line
+    offers one ``--`` option per field, read off this class with the help
+    text in the field's metadata, so a refusal names the field by that
+    option."""
 
-    element_cache_bound: int = 20000
-    subgroup_bound: int = 2000
-    table_order_bound: int = 4096
+    element_cache_bound: int = field(default=20000, metadata={
+        "help": "largest group order whose elements are listed"})
+    subgroup_bound: int = field(default=2000, metadata={
+        "help": "largest number of subgroups, or of normal subgroups, of one group"})
+    table_order_bound: int = field(default=4096, metadata={
+        "help": "largest group order given a multiplication table; the table of "
+                "order n takes 2*n^2 bytes: 32 MiB at 4096, 8 GiB at 65536, the "
+                "largest bound admitted"})
 
     def __post_init__(self):
         for cap in fields(self):
-            value = getattr(self, cap.name)
-            if value < 1:
-                raise GroupInputError(
-                    f"--{cap.name.replace('_', '-')} must be at least 1, got {value}")
+            _check_count(f"--{cap.name.replace('_', '-')}", getattr(self, cap.name))
         if self.table_order_bound > 1 << 16:
             raise GroupInputError(
                 f"table order bound {self.table_order_bound} is above 65536, the largest "
                 f"group order whose table indices fit 16 bits")
+
+
+def _check_count(option: str, value) -> None:
+    """GroupInputError unless ``value`` is an ``int`` of at least 1; a bool
+    is not a count, as it is not a ``PermGroup`` degree."""
+    if type(value) is not int:
+        raise GroupInputError(f"{option} must be an int, got {value!r}")
+    if value < 1:
+        raise GroupInputError(f"{option} must be at least 1, got {value}")
 
 
 DEFAULT_LIMITS = Limits()

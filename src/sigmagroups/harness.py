@@ -23,18 +23,19 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from itertools import repeat
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .corpus import CorpusEntry, partitions_of_primes
-from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, InvariantError, Limits
+from .errors import (CapacityError, DEFAULT_LIMITS, GroupInputError, InvariantError, Limits,
+                     _check_count)
 from .numbers import part_for_primes, primes_of
 from .permcore import Perm, PermGroup, Subgroup, clear_intern_cache, compose_images
 from .sigma import (SigmaPartition, _group_blocks, _quotient_is_sigma_nilpotent,
                     induces_power_automorphisms, is_pi_separable, is_psigma_t,
                     is_sigma_nilpotent, is_sigma_soluble, largest_normal_block_subgroup,
                     sigma_nilpotent_residual, sigma_full_sylow_type_violation)
-from .structure import (_memo, all_subgroups, frattini_subgroup, hall_subgroup,
+from .structure import (all_subgroups, frattini_subgroup, hall_subgroup,
                         intersection_subgroup, normal_subgroups, quotient_group,
                         subgroups_of_order, supplements)
 
@@ -113,12 +114,9 @@ def _sylow_maximal_candidates(G: PermGroup, limits: Limits) -> tuple[Subgroup, .
     sorted.  A maximal subgroup of a p-group has index p, and every
     p-subgroup lies in a Sylow subgroup, so these are exactly the
     p-subgroups of G of order |G|_p/p: G's own lattice entries, with their
-    generators.  They do not depend on sigma, so they are computed once per
-    root and limits."""
-    def compute():
-        orders = {part_for_primes(G.order, {p}) // p for p in primes_of(G.order)}
-        return tuple(V for V in all_subgroups(G, limits) if V.order in orders)
-    return _memo(G, compute, "sylow-maximal-candidates", limits)
+    generators, read off G's by-order index in ascending order."""
+    orders = sorted({part_for_primes(G.order, {p}) // p for p in primes_of(G.order)})
+    return tuple(chain.from_iterable(subgroups_of_order(G, n, limits) for n in orders))
 
 
 def _covering_outcome(sid: str, G: PermGroup, sigma: SigmaPartition, cls: str,
@@ -397,8 +395,7 @@ def verify_lemma_2_5_forward(G: PermGroup, sigma: SigmaPartition, group_name: st
             "Lem2.5.fwd", group_name, sigma, "skipped", vacuous=True,
             reason="premise not satisfied: G is not a sigma-soluble PsigmaT-group")
     D = sigma_nilpotent_residual(G, sigma, limits)
-    M = next((h for h in all_subgroups(G, limits)
-              if h.order * D.order == G.order and (h.mask & D.mask).bit_count() == 1), None)
+    M = next(iter(_complements(G, D, limits)), None)
     condition_ii = _condition_ii_blocks(G, D, sigma, limits)
     problems = _shape_problems(G, D)
     if M is None:
@@ -421,6 +418,13 @@ def verify_lemma_2_5_forward(G: PermGroup, sigma: SigmaPartition, group_name: st
         witness=witness)
 
 
+def _complements(G: PermGroup, D: Subgroup, limits: Limits) -> tuple[Subgroup, ...]:
+    """The complements of D in G, in canonical order: the subgroups of
+    order |G:D| that meet D in 1."""
+    return tuple(M for M in subgroups_of_order(G, G.order // D.order, limits)
+                 if M.mask & D.mask == 1)
+
+
 def _complements_meeting_conditions(G: PermGroup, sigma: SigmaPartition, D: Subgroup,
                                     limits: Limits) -> list[Subgroup]:
     """The complements M of a normal subgroup D of G, in canonical order,
@@ -430,9 +434,7 @@ def _complements_meeting_conditions(G: PermGroup, sigma: SigmaPartition, D: Subg
     the costly parts, only when some complement passes."""
     if _shape_problems(G, D):
         return []
-    ms = [M for M in all_subgroups(G, limits)
-          if M.order * D.order == G.order and (M.mask & D.mask).bit_count() == 1
-          and is_sigma_nilpotent(M, sigma, limits)]
+    ms = [M for M in _complements(G, D, limits) if is_sigma_nilpotent(M, sigma, limits)]
     if ms and induces_power_automorphisms(G, D, limits) \
             and _condition_ii_blocks(G, D, sigma, limits)[0]:
         return ms
@@ -479,6 +481,7 @@ class CampaignConfig:
     zero_millis: bool = False
 
     def __post_init__(self) -> None:
+        _check_count("--jobs", self.jobs)
         unknown = [s for s in self.statements if s not in REGISTRY]
         if unknown:
             raise GroupInputError(

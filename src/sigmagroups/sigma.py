@@ -51,7 +51,8 @@ from .errors import DEFAULT_LIMITS, GroupInputError, InvariantError, Limits
 from .numbers import is_prime, part_for_primes, primes_of
 from .permcore import Subgroup, trivial_subgroup
 from .structure import (Group, _ElementTable, _check_inside, _class_closures, _descends_to_one,
-                        _element_table, _greedy_subgroup, _is_normal_in, _memo, all_subgroups)
+                        _element_table, _greedy_subgroup, _is_normal_in, _lattice_by_order, _memo,
+                        all_subgroups, subgroups_of_order)
 
 # ---------------------------------------------------------------------------
 # partitions
@@ -223,8 +224,8 @@ def _hall_data(G: Group, sigma: SigmaPartition, limits: Limits):
                 candidates = (forced,)
                 classes = ((tuple(table.members(forced)),),)
             else:
-                # all_subgroups is sorted canonically, so the candidates are too
-                candidates = tuple(h.mask for h in all_subgroups(G, limits) if h.order == part)
+                # the lattice is sorted canonically, so the candidates are too
+                candidates = tuple(h.mask for h in subgroups_of_order(G, part, limits))
                 classes = _conjugacy_classes(table, candidates, gens)
             blocks.append({"id": bid, "primes": ps, "part": part,
                            "candidates": candidates, "classes": classes})
@@ -453,38 +454,34 @@ def sigma_full_sylow_type_violation(G: Group, sigma: SigmaPartition,
 
     A block whose sigma_i-part is |E| has E as its only Hall subgroup, which
     contains every subgroup of E, so it reads no mask.  For any other block,
-    E's subgroups of order d are the masks of G's lattice of order d inside
-    E's, read from an index of G's masks by order built once per call: E's
-    Hall sigma_i-subgroups are those of order the sigma_i-part of |E|, and
-    its sigma_i-subgroups those whose order divides that part.  The index
-    keeps lattice order, so orders come ascending and the masks of one order
-    in canonical order (the sort key is the order, then the element list):
-    the scan meets E's subgroups in the order of E's own lattice.  Only
-    the conjugates of the least Hall subgroup are needed.  E's own lattice
-    is the down-set of G's (see ``all_subgroups``), so an uncovered
-    subgroup is reported with the generators of its entry in G's."""
+    E's subgroups of order d are the entries of G's lattice of order d
+    inside E, read off G's by-order index (``_lattice_by_order``): E's Hall
+    sigma_i-subgroups are those of order the sigma_i-part of |E|, and its
+    sigma_i-subgroups those whose order divides that part.  The index keeps
+    lattice order, so orders come ascending and the entries of one order in
+    canonical order (the sort key is the order, then the element list): the
+    scan meets E's subgroups in the order of E's own lattice.  Only the
+    conjugates of the least Hall subgroup are needed.  E's own lattice is
+    the down-set of G's (see ``all_subgroups``), so an uncovered subgroup is
+    reported with the generators of its entry in G's."""
     table = _element_table(G.root, limits)
-    subs = all_subgroups(G, limits)
-    by_order: dict[int, list[int]] = {}
-    for h in subs:
-        by_order.setdefault(h.order, []).append(h.mask)
-    for e_sub in subs:
+    by_order = _lattice_by_order(G, limits)
+    for e_sub in all_subgroups(G, limits):
         e = e_sub.mask
         for bid, _, part in _group_blocks(e_sub, sigma):
             if part == e_sub.order:
                 continue
-            hall = next((k for k in by_order.get(part, ()) if k & e == k), None)
+            hall = next((k.mask for k in by_order.get(part, ()) if k.mask & e == k.mask), None)
             if hall is None:
                 return {"subgroup": e_sub.generators, "block": bid, "missing_hall": True}
             conjugates = table.conjugates(hall, table.gens_of(e_sub))
-            for d, masks in by_order.items():
+            for d, subs in by_order.items():
                 if part % d:
                     continue
-                for k in masks:
-                    if k & e == k and not any(c & k == k for c in conjugates):
-                        uncovered = next(h for h in subs if h.mask == k)
+                for k in subs:
+                    if k.mask & e == k.mask and not any(c & k.mask == k.mask for c in conjugates):
                         return {"subgroup": e_sub.generators, "block": bid,
-                                "uncovered": uncovered.generators}
+                                "uncovered": k.generators}
     return None
 
 

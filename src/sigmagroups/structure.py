@@ -10,7 +10,9 @@ normal lattice, the derived subgroup, maximal subgroups, quotients with
 cosets numbered by table rows, conjugates, and the product tests of
 sigma-permutability) run on the root's table restricted to the subgroup's
 members.  The lattice kernel is chosen by the root, so every subgroup's
-lattice is the down-set of its root's.  Since index order is image-tuple
+lattice is the down-set of its root's, and every read of the subgroups of
+one order goes through one index of a lattice by order,
+``subgroups_of_order``.  Since index order is image-tuple
 order, a kernel restricted to a subgroup walks its members in the same
 order as a walk over the subgroup's own sorted elements would.  Results
 are ``Subgroup`` values on the caller's root, sorted canonically by
@@ -38,8 +40,8 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from itertools import compress
-from operator import eq, itemgetter
+from itertools import compress, groupby
+from operator import attrgetter, eq, itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, InvariantError, Limits
@@ -615,7 +617,21 @@ def _largest_proper_multiple(h: int, n: int) -> int:
 
 
 def subgroups_of_order(G: Group, n: int, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgroup, ...]:
-    return tuple(h for h in all_subgroups(G, limits) if h.order == n)
+    """The subgroups of G of order n, in lattice order: one read of G's
+    by-order index (``_lattice_by_order``), empty when none has order n."""
+    return _lattice_by_order(G, limits).get(n, ())
+
+
+def _lattice_by_order(G: Group, limits: Limits) -> dict[int, tuple[Subgroup, ...]]:
+    """G's lattice grouped by order: each order, ascending, maps to the
+    entries of ``all_subgroups(G, limits)`` of that order, the same objects
+    in the same order.  It is built once per root and mask from the shared
+    lattice tuple, which is sorted by order.  Every call asks
+    ``all_subgroups`` under the caller's limits first, the one bound check,
+    so the memo key carries no limits."""
+    subs = all_subgroups(G, limits)
+    return _memo(G, lambda: {n: tuple(hs) for n, hs in groupby(subs, attrgetter("order"))},
+                 "lattice-by-order")
 
 
 def maximal_subgroups(G: Group, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgroup, ...]:
@@ -782,17 +798,15 @@ def sylow_subgroup(G: Group, p: int, limits: Limits = DEFAULT_LIMITS) -> Subgrou
 
 
 def hall_subgroup(G: Group, pi: Iterable[int], limits: Limits = DEFAULT_LIMITS) -> Subgroup | None:
-    """Canonical Hall pi-subgroup if one exists, else None (lattice scan)."""
+    """Canonical Hall pi-subgroup if one exists, else None: the first
+    lattice entry of order |G|_pi."""
     pi = frozenset(pi)
     target = part_for_primes(G.order, pi)
     if target == 1:
         return trivial_subgroup(G)
     if target == G.order:
         return _greedy_subgroup(G, G.mask, limits)
-    for h in all_subgroups(G, limits):
-        if h.order == target:
-            return h
-    return None
+    return next(iter(subgroups_of_order(G, target, limits)), None)
 
 
 def maximal_subgroups_of_p_group(P: Subgroup, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgroup, ...]:
@@ -802,8 +816,7 @@ def maximal_subgroups_of_p_group(P: Subgroup, limits: Limits = DEFAULT_LIMITS) -
         raise GroupInputError(f"group of order {P.order} is not a p-group")
     if not primes:
         return ()
-    p = primes[0][0]
-    return tuple(h for h in all_subgroups(P, limits) if h.order * p == P.order)
+    return subgroups_of_order(P, P.order // primes[0][0], limits)
 
 
 # ---------------------------------------------------------------------------

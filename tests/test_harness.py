@@ -2,6 +2,7 @@
 
 import gc
 import json
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -488,6 +489,35 @@ def test_campaign_covering_witnesses_are_mostly_trivial(corpus, campaign):
         V = r["witness"]["V"]
         elements = Subgroup(G, [Perm.parse(t, G.degree) for t in V["generators"]]).elements()
         assert V["generators"] == [str(x) for x in elements[1:2]], (r["group"], r["sigma"])
+
+
+@pytest.mark.parametrize("jobs", [0, -1, 2.5, True], ids=repr)
+def test_campaign_config_refuses_a_bad_job_count(jobs):
+    """The config is the one check of the job count, for the command line
+    and for library callers alike; it is refused before any pool starts."""
+    with pytest.raises(GroupInputError,
+                       match=rf"^--jobs must be (at least 1|an int), got {re.escape(repr(jobs))}$"):
+        CampaignConfig(jobs=jobs)
+
+
+def test_builtin_campaign_builds_each_by_order_index_once(corpus, monkeypatch):
+    """Over one builtin campaign, every root's lattice gets a by-order index,
+    and an index is built at most once per root and mask, however many
+    statements read it."""
+    clear_intern_cache()
+    builds = []
+    memo = structure._memo
+
+    def spy(G, compute, *key):
+        if key == ("lattice-by-order",):
+            return memo(G, lambda: builds.append((G.root, G.mask)) or compute(), *key)
+        return memo(G, compute, *key)
+    monkeypatch.setattr(structure, "_memo", spy)
+    run_campaign(list(corpus.values()), CampaignConfig(zero_millis=True))
+    # the roots stay referenced in ``builds``, so their ids are not reused
+    counts = Counter((id(root), mask) for root, mask in builds)
+    assert len({id(root) for root, mask in builds if mask == root.mask}) == len(corpus)
+    assert max(counts.values()) == 1
 
 
 def test_unknown_statement_id_is_rejected_by_the_config(corpus):

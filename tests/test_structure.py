@@ -6,6 +6,7 @@ oracle rather than asserted from memory.
 """
 
 import dataclasses
+import operator
 
 import pytest
 
@@ -70,6 +71,42 @@ def test_subgroups_of_order(corpus, oracle_group):
         got = {s.element_images() for s in subgroups_of_order(G, k)}
         want = {s for s in oracle.subgroup_image_sets() if len(s) == k}
         assert got == want, f"order {k}"
+
+
+def test_subgroups_of_order_are_the_lattice_entries_of_that_order(corpus):
+    """On every builtin group, and on S4 inside S5 and A4 inside S4, the
+    subgroups of order n are the lattice entries of order n, the same
+    objects in the same order, for each divisor n of |G|; a non-divisor
+    has none."""
+    S5, S4 = corpus["S5"].build(), corpus["S4"].build()
+    groups = {name: entry.build() for name, entry in corpus.items()}
+    groups["S4 in S5"] = sub(S5, "(1 2)", "(1 2 3 4)")
+    groups["A4 in S4"] = sub(S4, "(1 2 3)", "(1 2)(3 4)")
+    for name, G in groups.items():
+        subs = all_subgroups(G)
+        non_divisor = next(k for k in range(2, G.order + 2) if G.order % k)
+        for n in [d for d in range(1, G.order + 1) if G.order % d == 0] + [non_divisor]:
+            found = subgroups_of_order(G, n)
+            want = [h for h in subs if h.order == n]
+            assert len(found) == len(want) and all(map(operator.is_, found, want)), (name, n)
+        assert subgroups_of_order(G, non_divisor) == ()
+
+
+def test_by_order_index_keeps_a_lower_subgroup_bound():
+    """The by-order index is kept per root and mask, not per limits, and
+    every read asks the lattice under the caller's limits first: a bound
+    below A5's 59 subgroups refuses an index built under the default."""
+    clear_intern_cache()
+    A5 = builtin_entry("A5").build()
+    fives = subgroups_of_order(A5, 5)
+    assert len(fives) == 6 and hall_subgroup(A5, {5}) is fives[0]
+    low = Limits(subgroup_bound=3)
+    with pytest.raises(CapacityError, match="subgroup-enumeration bound 3"):
+        subgroups_of_order(A5, 5, low)
+    with pytest.raises(CapacityError, match="subgroup-enumeration bound 3"):
+        hall_subgroup(A5, {5}, low)
+    assert subgroups_of_order(A5, 5) is fives
+    clear_intern_cache()
 
 
 @pytest.mark.parametrize("name", ["S3", "A4", "Q8", "S4"])
@@ -653,6 +690,17 @@ def test_limits_refuse_a_bound_below_one():
             with pytest.raises(GroupInputError, match=f"^{option} must be at least 1, got {bad}$"):
                 Limits(**{cap.name: bad})
     assert Limits(element_cache_bound=1, subgroup_bound=1, table_order_bound=1)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 2.5, True, "3", None], ids=repr)
+def test_limits_refuse_a_bound_that_is_not_an_int(bad):
+    """A bound that is not an ``int`` is refused when ``Limits`` is made, as
+    ``PermGroup`` refuses such a degree: a nan bound was accepted and then
+    ignored by every comparison, and a string raised TypeError."""
+    for cap in dataclasses.fields(Limits):
+        option = "--" + cap.name.replace("_", "-")
+        with pytest.raises(GroupInputError, match=f"^{option} must be an int, got "):
+            Limits(**{cap.name: bad})
 
 
 def test_limit_free_derived_series_reuses_an_existing_table(monkeypatch):

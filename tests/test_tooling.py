@@ -4,6 +4,7 @@ self-test's checks hold, and every demo runs.  Every exported name is used
 by the tool, or README says why it is kept."""
 
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from types import ModuleType
 import pytest
 
 import sigmagroups
+from sigmagroups import Limits
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -173,6 +175,30 @@ def test_cli_reads_its_caps_off_limits():
     texts = {node.value for node in module_nodes("cli.py")
              if isinstance(node, ast.Constant) and isinstance(node.value, str)}
     assert texts.isdisjoint(caps | {"--" + cap.replace("_", "-") for cap in caps})
+
+
+def test_cli_help_states_each_cap_from_limits(capsys):
+    """Each cap option's help is the text in its ``Limits`` field's
+    metadata, and the table bound's states the table's memory figure."""
+    from sigmagroups.cli import main
+    assert main(["campaign", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for cap in dataclasses.fields(Limits):
+        assert f"{cap.metadata['help']} (default {cap.default})" in text, cap.name
+    assert "2*n^2 bytes: 32 MiB at 4096, 8 GiB at 65536" in text
+
+
+def test_lattice_reads_by_order_go_through_the_index():
+    """No comprehension in ``sigma.py`` or ``harness.py`` walks a call to
+    ``all_subgroups`` and filters on ``.order``: the subgroups of one order
+    are read off the by-order index, through ``subgroups_of_order``."""
+    offenders = [(module, node.iter.lineno)
+                 for module in ("sigma.py", "harness.py") for node in module_nodes(module)
+                 if isinstance(node, ast.comprehension) and isinstance(node.iter, ast.Call)
+                 and callee(node.iter) == "all_subgroups"
+                 and any(isinstance(n, ast.Attribute) and n.attr == "order"
+                         for cond in node.ifs for n in ast.walk(cond))]
+    assert offenders == []
 
 
 def test_table_bound_has_one_check():
