@@ -18,8 +18,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, Limits
-from .numbers import is_prime
+from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, Limits, _check_prime
 from .permcore import Perm, PermGroup, interned, parse_cycles
 from .sigma import SigmaPartition
 from .structure import _check_table_room
@@ -218,10 +217,7 @@ def partitions_of_primes(pi) -> list[SigmaPartition]:
     spelling is never added separately; the empty prime set yields the single
     empty partition.
     """
-    primes = sorted(set(pi))
-    for p in primes:
-        if not is_prime(p):
-            raise GroupInputError(f"{p} is not a prime")
+    primes = sorted(set(map(_check_prime, pi)))
     if len(primes) > 6:
         raise CapacityError(f"partitions of {len(primes)} primes exceed the size bound 6")
     out: list[SigmaPartition] = []

@@ -3,6 +3,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
+from .numbers import is_prime
+
+# Primality is decided by trial division, so a prime given as input, a block
+# number of a partition included, has at most 9 digits
+BLOCK_DIGITS = 9
+_TOO_LONG = f"a block number has more than {BLOCK_DIGITS} digits"
+
 
 class GroupInputError(ValueError):
     """Malformed input or usage: bad cycle text, degree mismatch, non-member
@@ -63,6 +70,19 @@ def _check_count(option: str, value) -> None:
         raise GroupInputError(f"{option} must be an int, got {value!r}")
     if value < 1:
         raise GroupInputError(f"{option} must be at least 1, got {value}")
+
+
+def _check_prime(p) -> int:
+    """``p`` when it is a prime ``int`` of at most ``BLOCK_DIGITS`` digits,
+    else GroupInputError.  A bool is not a prime, and the digits are
+    counted before any trial division."""
+    if type(p) is not int:
+        raise GroupInputError(f"a prime must be an int, got {p!r}")
+    if p >= 10 ** BLOCK_DIGITS:
+        raise GroupInputError(_TOO_LONG)
+    if not is_prime(p):
+        raise GroupInputError(f"{p} is not a prime")
+    return p
 
 
 DEFAULT_LIMITS = Limits()

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from .corpus import CorpusEntry, partitions_of_primes
 from .errors import (CapacityError, DEFAULT_LIMITS, GroupInputError, InvariantError, Limits,
-                     _check_count)
+                     _check_count, _check_prime)
 from .numbers import part_for_primes, primes_of
 from .permcore import Perm, PermGroup, Subgroup, clear_intern_cache, compose_images
 from .sigma import (SigmaPartition, _group_blocks, _quotient_is_sigma_nilpotent,
@@ -228,7 +228,7 @@ def _pi_label(G: PermGroup, pi) -> SigmaPartition:
 
 def verify_lemma_2_2(G: PermGroup, pi, group_name: str = "",
                      limits: Limits = DEFAULT_LIMITS) -> VerificationOutcome:
-    pi = frozenset(pi)
+    pi = frozenset(map(_check_prime, pi))
     pig = primes_of(G.order)
     # primes outside pi(G) change no Hall order, so quantifiers restrict to pi(G)
     pi_in = pi & pig

@@ -39,16 +39,18 @@ orders dividing the part of |E| of a block, and none for a block whose
 part is |E|, so at a one-block partition no mask is tested.  The conjugacy
 classes of Hall subgroups, which sigma-permutability ranges over, and the
 E-conjugates of Hall coverage come from the one mask walk of
-``_ElementTable.conjugates``.
+``_ElementTable.conjugates``.  Sigma-permutability builds no product of
+subgroups: AW == WA is read off orders on G's lattice (``_permutes``).
 """
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import DEFAULT_LIMITS, GroupInputError, InvariantError, Limits
-from .numbers import is_prime, part_for_primes, primes_of
+from .errors import (_TOO_LONG, BLOCK_DIGITS, DEFAULT_LIMITS, GroupInputError, InvariantError,
+                     Limits, _check_prime)
+from .numbers import part_for_primes, primes_of
 from .permcore import Subgroup, trivial_subgroup
 from .structure import (Group, _ElementTable, _check_inside, _class_closures, _descends_to_one,
                         _element_table, _greedy_subgroup, _is_normal_in, _lattice_by_order, _memo,
@@ -56,10 +58,6 @@ from .structure import (Group, _ElementTable, _check_inside, _class_closures, _d
 
 # ---------------------------------------------------------------------------
 # partitions
-
-# Primality is decided by trial division, so a block number has at most 9 digits
-BLOCK_DIGITS = 9
-_TOO_LONG = f"a block number has more than {BLOCK_DIGITS} digits"
 
 @dataclass(frozen=True)
 class SigmaPartition:
@@ -79,11 +77,7 @@ class SigmaPartition:
             if not block:
                 raise GroupInputError("empty block in partition")
             for p in block:
-                if p >= 10 ** BLOCK_DIGITS:
-                    raise GroupInputError(_TOO_LONG)
-                if not is_prime(p):
-                    raise GroupInputError(f"{p} is not a prime")
-                if p in seen:
+                if _check_prime(p) in seen:
                     raise GroupInputError(f"prime {p} appears in two blocks")
                 seen.add(p)
         ordered = tuple(sorted(self.blocks, key=min))
@@ -108,8 +102,7 @@ class SigmaPartition:
 
     def block_id(self, p: int) -> str:
         """Stable textual id of the block containing prime p."""
-        if not is_prime(p):
-            raise GroupInputError(f"{p} is not a prime")
+        _check_prime(p)
         if self.classical:
             return str(p)
         for block in self.blocks:
@@ -203,8 +196,7 @@ def _order_blocks(order: int, sigma: SigmaPartition) -> tuple[tuple[str, frozens
 
 def _hall_data(G: Group, sigma: SigmaPartition, limits: Limits):
     """Per block: the masks of all Hall subgroups, canonically sorted, and
-    their conjugacy classes under G, each member as its list of indices on
-    the root's table.
+    their conjugacy classes under G, each a sorted tuple of masks.
 
     A block's Hall subgroup is forced, and no lattice is read, in two cases.
     When the block's part of |G| is |G|, G is the only candidate.  When the
@@ -222,7 +214,7 @@ def _hall_data(G: Group, sigma: SigmaPartition, limits: Limits):
             forced = G.mask if part == G.order else _block_generated(G, ps, limits)
             if forced.bit_count() == part:
                 candidates = (forced,)
-                classes = ((tuple(table.members(forced)),),)
+                classes = ((forced,),)
             else:
                 # the lattice is sorted canonically, so the candidates are too
                 candidates = tuple(h.mask for h in subgroups_of_order(G, part, limits))
@@ -234,19 +226,18 @@ def _hall_data(G: Group, sigma: SigmaPartition, limits: Limits):
 
 
 def _conjugacy_classes(table: _ElementTable, masks: Sequence[int],
-                       gens: Sequence[int]) -> tuple[tuple[tuple[int, ...], ...], ...]:
+                       gens: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """The conjugacy classes under ``gens`` of subgroups given by masks, in
     order of each class's first mask, each from one walk of
-    ``_ElementTable.conjugates``.  A class lists the member indices of each
-    subgroup in it, sorted by element list, so it does not depend on the
-    choice of ``gens``."""
+    ``_ElementTable.conjugates``.  A class is the sorted tuple of its
+    members' masks, so it does not depend on the choice of ``gens``."""
     classes = []
     unassigned = set(masks)
     for mask in masks:
         if mask in unassigned:
             orbit = table.conjugates(mask, gens)
             unassigned.difference_update(orbit)
-            classes.append(tuple(sorted(tuple(table.members(c)) for c in orbit)))
+            classes.append(tuple(sorted(orbit)))
     return tuple(classes)
 
 
@@ -279,20 +270,6 @@ def complete_hall_sigma_set(G: Group, sigma: SigmaPartition,
 # ---------------------------------------------------------------------------
 # sigma-permutability
 
-def _product_sets_equal(table: _ElementTable, a: Iterable[int], b: Sequence[int]) -> bool:
-    """AB == BA for subgroups given by their member indices on the root's table.
-
-    AB is built as a union of left cosets xB, skipping every x already in it
-    (then xB is already there).  Since (AB)^-1 = BA, AB == BA exactly when AB
-    is closed under inverses."""
-    rows = table.rows
-    ab: set[int] = set()
-    for x in a:
-        if x not in ab:
-            ab.update(map(rows[x].__getitem__, b))
-    return ab.issuperset(map(table.inverse.__getitem__, ab))
-
-
 def is_sigma_permutable(G: Group, A: Subgroup, sigma: SigmaPartition,
                         limits: Limits = DEFAULT_LIMITS) -> bool:
     """Does some complete Hall sigma-set H of G satisfy A.H^x == H^x.A for
@@ -302,14 +279,26 @@ def is_sigma_permutable(G: Group, A: Subgroup, sigma: SigmaPartition,
     condition ranges over all conjugates), and blocks are independent, so the
     existential over complete Hall sigma-sets factors into one existential
     over conjugacy classes per block.  No complete Hall sigma-set means no
-    subgroup is sigma-permutable.
+    subgroup is sigma-permutable.  A class of one member is a normal Hall
+    subgroup, which permutes with every subgroup; these are exactly the
+    forced blocks of ``_hall_data``, so the lattice is read only where the
+    Hall data read it.  Other classes are tested on their masks by
+    ``_permutes``.
     """
     _check_inside(G, A)
-    blocks = _hall_data(G, sigma, limits)
-    table = _element_table(G.root, limits)
-    a = table.members(A.mask)
-    return all(any(all(_product_sets_equal(table, a, w) for w in cls) for cls in block["classes"])
-               for block in blocks)
+    return all(any(len(cls) == 1 or all(_permutes(G, A, w, limits) for w in cls)
+                   for cls in block["classes"])
+               for block in _hall_data(G, sigma, limits))
+
+
+def _permutes(G: Group, A: Subgroup, w: int, limits: Limits) -> bool:
+    """AW == WA for the subgroup W of G given by the mask ``w``.  The set AW
+    has n = |A||W|/|A n W| elements, and AW == WA exactly when AW is a
+    subgroup, that is when some subgroup of G of order n contains A and W:
+    it contains AW, which has as many elements."""
+    n = A.order * w.bit_count() // (A.mask & w).bit_count()
+    both = A.mask | w
+    return G.order % n == 0 and any(h.mask & both == both for h in subgroups_of_order(G, n, limits))
 
 
 def _sigma_permutable(G: Group, sigma: SigmaPartition, limits: Limits) -> list[Subgroup]:
@@ -489,7 +478,7 @@ def is_pi_separable(G: Group, pi, limits: Limits = DEFAULT_LIMITS) -> bool:
     """Every chief factor is a pi-group or a pi'-group: sigma-solubility for
     the blocks pi and pi' of pi(G), decided by ``_descends_to_one``."""
     pig = primes_of(G.order)
-    inside = pig & frozenset(pi)
+    inside = pig & frozenset(map(_check_prime, pi))
     return _descends_to_one(G, [b for b in (inside, pig - inside) if b], limits)
 
 
@@ -503,7 +492,7 @@ def largest_normal_block_subgroup(D: Subgroup, block_primes,
     the join of the class closures of D that are sigma_i-groups, and a join
     of normal sigma_i-subgroups is one (checked).  No normal lattice is
     built; the class closures are computed once per D and limits."""
-    block_primes = frozenset(block_primes)
+    block_primes = frozenset(map(_check_prime, block_primes))
     table = _element_table(D.root, limits)
     closures = _memo(D, lambda: _class_closures(table, D.mask, table.gens_of(D)),
                      "class-closures", limits)

@@ -7,12 +7,11 @@ root group gets a multiplication table over its sorted elements, and its
 subgroups are ``int`` bitmasks over that numbering.  Every function taking a
 group also takes a ``Subgroup``: its kernels (the subgroup lattice, the
 normal lattice, the derived subgroup, maximal subgroups, quotients with
-cosets numbered by table rows, conjugates, and the product tests of
-sigma-permutability) run on the root's table restricted to the subgroup's
-members.  The lattice kernel is chosen by the root, so every subgroup's
-lattice is the down-set of its root's, and every read of the subgroups of
-one order goes through one index of a lattice by order,
-``subgroups_of_order``.  Since index order is image-tuple
+cosets numbered by table rows and conjugates) run on the root's table
+restricted to the subgroup's members.  The lattice kernel is chosen by the
+root, so every subgroup's lattice is the down-set of its root's, and every
+read of the subgroups of one order goes through one index of a lattice by
+order, ``subgroups_of_order``.  Since index order is image-tuple
 order, a kernel restricted to a subgroup walks its members in the same
 order as a walk over the subgroup's own sorted elements would.  Results
 are ``Subgroup`` values on the caller's root, sorted canonically by
@@ -44,7 +43,8 @@ from itertools import compress, groupby
 from operator import attrgetter, eq, itemgetter
 from typing import Callable, Iterable, Sequence
 
-from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, InvariantError, Limits
+from .errors import (CapacityError, DEFAULT_LIMITS, GroupInputError, InvariantError, Limits,
+                     _check_prime)
 from .numbers import is_prime, is_prime_power, part_for_primes, prime_factors, primes_of
 from .permcore import (Perm, PermGroup, Subgroup, _flags, _mask, find_interned, identity_images,
                        images_order, interned, invert_images, trivial_subgroup)
@@ -767,9 +767,7 @@ def chief_series(G: Group, limits: Limits = DEFAULT_LIMITS) -> tuple[ChiefFactor
 
 def sylow_subgroup(G: Group, p: int, limits: Limits = DEFAULT_LIMITS) -> Subgroup:
     """A Sylow p-subgroup, grown through normalizers from a p-element seed."""
-    if not is_prime(p):
-        raise GroupInputError(f"{p} is not a prime")
-    target = part_for_primes(G.order, {p})
+    target = part_for_primes(G.order, {_check_prime(p)})
     if target == 1:
         return trivial_subgroup(G)
     if target == G.order:
@@ -800,8 +798,7 @@ def sylow_subgroup(G: Group, p: int, limits: Limits = DEFAULT_LIMITS) -> Subgrou
 def hall_subgroup(G: Group, pi: Iterable[int], limits: Limits = DEFAULT_LIMITS) -> Subgroup | None:
     """Canonical Hall pi-subgroup if one exists, else None: the first
     lattice entry of order |G|_pi."""
-    pi = frozenset(pi)
-    target = part_for_primes(G.order, pi)
+    target = part_for_primes(G.order, frozenset(map(_check_prime, pi)))
     if target == 1:
         return trivial_subgroup(G)
     if target == G.order:

@@ -136,8 +136,8 @@ def reference_is_pi_separable(G, pi):
 def reference_hall_data(G, sigma, limits):
     """The Hall data of every block filtered from G's lattice by order, with
     the conjugacy classes of the candidates under G's generators from the
-    naive walk of ``tuple_conjugates``, each member as its sorted indices on
-    the root's table."""
+    naive walk of ``tuple_conjugates``, each member as its mask on the
+    root's table."""
     table = _element_table(G.root, limits)
     blocks = []
     for bid, ps, part in sigma_module._group_blocks(G, sigma):
@@ -150,7 +150,7 @@ def reference_hall_data(G, sigma, limits):
             if hset in unassigned:
                 orbit = tuple_conjugates(G, hset)
                 unassigned.difference_update(orbit)
-                classes.append(tuple(tuple(sorted(map(table.index.__getitem__, c)))
+                classes.append(tuple(table.mask_of(map(table.index.__getitem__, c))
                                      for c in orbit))
         blocks.append({"id": bid, "primes": ps, "part": part,
                        "candidates": candidates, "classes": tuple(classes)})
@@ -177,6 +177,53 @@ def assert_sigma_verdicts_match_references(G, subgroups):
     for k in range(len(primes) + 1):
         for pi in itertools.combinations(primes, k):
             assert is_pi_separable(G, pi) == reference_is_pi_separable(G, pi), pi
+
+
+def reference_product_sets_equal(table, a, b):
+    """AB == BA for subgroups given by their member indices on the root's
+    table: the engine's former ``sigma._product_sets_equal``, kept here as
+    the reference of the order rule.
+
+    AB is built as a union of left cosets xB, skipping every x already in it
+    (then xB is already there).  Since (AB)^-1 = BA, AB == BA exactly when AB
+    is closed under inverses."""
+    rows = table.rows
+    ab = set()
+    for x in a:
+        if x not in ab:
+            ab.update(map(rows[x].__getitem__, b))
+    return ab.issuperset(map(table.inverse.__getitem__, ab))
+
+
+def reference_is_sigma_permutable(G, A, sigma, limits=Limits()):
+    """Sigma-permutability over the engine's Hall classes, with each product
+    AW built as a set on the root's table, a class of one member included."""
+    table = _element_table(G.root, limits)
+    a = table.members(A.mask)
+    return all(any(all(reference_product_sets_equal(table, a, table.members(w)) for w in cls)
+                   for cls in block["classes"])
+               for block in sigma_module._hall_data(G, sigma, limits))
+
+
+def test_order_rule_matches_the_product_sets(corpus):
+    """Every subgroup of every builtin group at every campaign partition:
+    AW == WA decided by orders on the lattice gives the verdict that
+    building AW on the table gives.  PSL(2,7) at [2,3][7] has two classes
+    of seven Hall {2,3}-subgroups, so there the existential ranges over
+    two classes."""
+    PSL27 = corpus["PSL(2,7)"].build()
+    blocks = sigma_module._hall_data(PSL27, SigmaPartition.of_blocks({2, 3}, {7}), Limits())
+    assert [len(cls) for cls in blocks[0]["classes"]] == [7, 7]
+    answers = []
+    for entry in corpus.values():
+        G = entry.build()
+        for sigma in campaign_sigmas(G):
+            for A in all_subgroups(G):
+                answer = sigma_module.is_sigma_permutable(G, A, sigma)
+                assert answer == reference_is_sigma_permutable(G, A, sigma), \
+                    (entry.name, A.generators, sigma.text())
+                answers.append(answer)
+    assert set(answers) == {True, False}
 
 
 def reference_sigma_nilpotent_residual(G, sigma):

@@ -31,8 +31,11 @@ from sigmagroups.sigma import (SigmaPartition, complete_hall_sigma_set,
                                psigma_t_violation, sigma_full_sylow_type_violation,
                                sigma_nilpotent_residual, sigma_of_group,
                                sigma_of_int, sigma_permutable_sets)
-from sigmagroups.harness import campaign_sigmas, verify_lemma_2_3, verify_lemma_2_4
-from sigmagroups.structure import all_subgroups, is_normal, normal_subgroups, quotient_group
+from sigmagroups.corpus import partitions_of_primes
+from sigmagroups.harness import (campaign_sigmas, verify_lemma_2_2, verify_lemma_2_3,
+                                 verify_lemma_2_4)
+from sigmagroups.structure import (all_subgroups, hall_subgroup, is_normal, normal_subgroups,
+                                   quotient_group, sylow_subgroup)
 
 S1 = SigmaPartition.sigma1()
 
@@ -61,6 +64,34 @@ def test_partition_validation():
         SigmaPartition(blocks=(frozenset({2}),), classical=True)
     with pytest.raises(GroupInputError, match="more than 9 digits"):
         SigmaPartition.of_blocks({2}, {10 ** 15 + 37})   # no trial division
+
+
+@pytest.mark.parametrize("bad, message", [
+    (4, "4 is not a prime"), (6, "6 is not a prime"), (0, "0 is not a prime"),
+    (1, "1 is not a prime"), (True, "must be an int, got True"),
+    (2.5, "must be an int, got 2.5"), ("3", "must be an int, got '3'"),
+    (1000000007, "more than 9 digits")])
+def test_every_prime_argument_is_checked(corpus, bad, message):
+    """A prime handed to the engine is an ``int`` (not a bool), prime, and of
+    at most 9 digits, counted before any trial division: each call that
+    takes a prime or a set of primes refuses anything else."""
+    S4 = corpus["S4"].build()
+    calls = {"SigmaPartition": lambda: SigmaPartition.of_blocks({bad}),
+             "block_id": lambda: S1.block_id(bad),
+             "partitions_of_primes": lambda: partitions_of_primes([2, bad]),
+             "sylow_subgroup": lambda: sylow_subgroup(S4, bad),
+             "hall_subgroup": lambda: hall_subgroup(S4, [2, bad]),
+             "is_pi_separable": lambda: is_pi_separable(S4, [bad]),
+             "largest_normal_block_subgroup":
+                 lambda: largest_normal_block_subgroup(full_subgroup(S4), [2, bad]),
+             "verify_lemma_2_2": lambda: verify_lemma_2_2(S4, [bad])}
+    refused = {}
+    for name, call in calls.items():
+        try:
+            call()
+        except GroupInputError as exc:
+            refused[name] = message in str(exc)
+    assert refused == dict.fromkeys(calls, True)
 
 
 def test_block_id_and_primes():
@@ -250,6 +281,23 @@ def test_nothing_permutable_without_complete_hall_set(corpus):
     assert not is_sigma_permutable(A5, full_subgroup(A5), sigma)
     assert not is_sigma_permutable(A5, trivial_subgroup(A5), sigma)
     assert sigma_permutable_sets(A5, sigma) == {}
+
+
+def test_forced_blocks_read_no_lattice(monkeypatch):
+    """In a sigma-nilpotent group every Hall sigma_i-subgroup is normal, so
+    it is its own class and permutes with every subgroup: with a subgroup
+    bound of 1, every answer comes without a lattice read."""
+    G = PermGroup(7, [Perm.parse(t, 7) for t in ("(1 2 3 4)", "(1 3)", "(5 6 7)")])  # D8 x C3
+    given = [sub(G, *gens) for gens in [(), ("(1 3)",), ("(1 3)(5 6 7)",), ("(1 2 3 4)",),
+                                        ("(1 2)(3 4)", "(5 6 7)"), ("(1 3)", "(2 4)")]]
+    read = []
+    for module in (structure_module, sigma_module):
+        monkeypatch.setattr(module, "all_subgroups",
+                            lambda H, *a: read.append(H.mask) or all_subgroups(H, *a))
+    limits = Limits(subgroup_bound=1)
+    for stext in ("sigma1", "[2][3]"):
+        assert all(is_sigma_permutable(G, A, parse_sigma(stext), limits) for A in given), stext
+    assert read == []
 
 
 # ---------------------------------------------------------------------------

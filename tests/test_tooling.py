@@ -166,6 +166,15 @@ def test_engine_builds_image_sets_only_in_the_public_calls():
     assert "PermGroup.element_images" in owners
 
 
+def test_sigma_reads_table_rows_only_for_power_automorphisms():
+    """AW == WA is decided by orders on the lattice, so no product of
+    subgroups is built on the table: in ``sigma.py`` only
+    ``induces_power_automorphisms`` reads a table's ``rows`` or ``inverse``."""
+    readers = {owner for owner, names in names_by_function("sigma.py").items()
+               if names & {"rows", "inverse"}}
+    assert readers == {"induces_power_automorphisms"}
+
+
 def test_cli_reads_its_caps_off_limits():
     """The command line's caps come from ``Limits``'s fields, so ``cli.py``
     names none of them, nor spells one as a string or an option: a bound
