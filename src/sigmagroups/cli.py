@@ -2,9 +2,11 @@
 single-statement verification, and full campaigns.
 
 Exit codes: 0 success/confirmed, 1 counterexample found, 2 usage error,
-3 capacity abort.  Campaigns never abort on capacity — affected statements
-become skipped rows in the report, and the campaign exits 3 when any of them
-is not a vacuous (premise) skip.
+3 capacity abort, 4 engine error.  Campaigns never abort on capacity —
+affected statements become skipped rows in the report, and the campaign
+exits 3 when any of them is not a vacuous (premise) skip.  Nor do they abort
+on another exception in a verifier: that row's verdict is ``error``, and
+the campaign exits 4 unless a counterexample makes it 1.
 """
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 EXIT_CAPACITY = 3
+EXIT_ERROR = 4
 
 
 def _nonempty(text: str) -> str:
@@ -256,9 +259,12 @@ def cmd_verify(args) -> int:
 
 def _exit_code(rows: list[dict]) -> int:
     """The exit code of verify and campaign rows: 1 on a counterexample, else
-    3 when a skip is not vacuous (a bound stopped a check), else 0."""
+    4 when a row errored, else 3 when a skip is not vacuous (a bound stopped
+    a check), else 0."""
     if any(r["verdict"] == "counterexample" for r in rows):
         return EXIT_COUNTEREXAMPLE
+    if any(r["verdict"] == "error" for r in rows):
+        return EXIT_ERROR
     if any(r["verdict"] == "skipped" and not r["vacuous"] for r in rows):
         return EXIT_CAPACITY
     return EXIT_OK
@@ -285,10 +291,11 @@ def cmd_campaign(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             _dump_json(report, fh)
     summary = report["summary"]
+    errors = f"   errors: {summary['error']}" if "error" in summary else ""
     lines = [f"groups: {len(entries)}   outcomes: {len(rows)}",
              f"confirmed: {summary['confirmed']}   "
              f"counterexamples: {summary['counterexample']}   "
-             f"skipped: {summary['skipped']}   (vacuous: {summary['vacuous']})"]
+             f"skipped: {summary['skipped']}   (vacuous: {summary['vacuous']}){errors}"]
     for sid in sorted(summary["by_statement"]):
         per = summary["by_statement"][sid]
         lines.append(f"  {sid:11s} confirmed={per['confirmed']:4d} "
@@ -296,6 +303,8 @@ def cmd_campaign(args) -> int:
     for r in rows:
         if r["verdict"] == "counterexample":
             lines.append(f"COUNTEREXAMPLE: {r['statement_id']} {r['group']} {r['sigma']}")
+        elif r["verdict"] == "error":
+            lines.append(f"ERROR: {r['statement_id']} {r['group']} {r['sigma']} — {r['reason']}")
     if args.format == "machine" and not args.out:
         _dump_json(report, sys.stdout)
     else:

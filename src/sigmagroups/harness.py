@@ -10,6 +10,8 @@ Each verifier confronts one statement with exhaustive computation on a
                    needed to re-check the failure independently
 - ``skipped``      a capacity bound was hit, or a statement premise was not
                    satisfied (``vacuous`` distinguishes the premise case)
+- ``error``        the verifier raised another exception; the reason names
+                   its type and message, and the campaign goes on
 
 The covering-system statements are verified through their contrapositive:
 "every maximal subgroup V of every Sylow subgroup has a supplement in the
@@ -23,7 +25,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
+from itertools import chain, combinations, repeat
 from typing import NamedTuple
 
 from .corpus import CorpusEntry, partitions_of_primes
@@ -83,7 +85,7 @@ class VerificationOutcome:
     statement_id: str
     group_name: str
     sigma: SigmaPartition
-    verdict: str                      # confirmed | counterexample | skipped
+    verdict: str                      # confirmed | counterexample | skipped | error
     vacuous: bool = False
     witness: dict | None = None
     reason: str | None = None
@@ -243,11 +245,9 @@ def verify_lemma_2_2(G: PermGroup, pi, group_name: str = "",
             halls[key] = hall_subgroup(G, primes, limits) is not None
         return halls[key]
 
-    conditions = have(pi_in) and have(pi_out)
-    if conditions:
-        conditions = all(have(pi_in | {p}) for p in sorted(pi_out))
-    if conditions:
-        conditions = all(have(pi_out | {q}) for q in sorted(pi_in))
+    # one short-circuit pass: the witness lists only the prime sets asked before the first miss
+    conditions = all(map(have, chain((pi_in, pi_out), (pi_in | {p} for p in sorted(pi_out)),
+                                     (pi_out | {q} for q in sorted(pi_in)))))
     vacuous = pi_in == pig or not pi_in
     if separable == conditions:
         return VerificationOutcome(
@@ -273,8 +273,9 @@ def verify_lemma_2_3(G: PermGroup, sigma: SigmaPartition, group_name: str = "",
     normals = normal_subgroups(G, limits)
     nilpotent_normals = [n for n in normals
                          if is_sigma_nilpotent(n, sigma, limits)]
+    # a pair N1 = N2 has product N1, so it can neither fail nor count
     for i, n1 in enumerate(nilpotent_normals):
-        for n2 in nilpotent_normals[i:]:
+        for n2 in nilpotent_normals[i + 1:]:
             # N1N2 is normal and lies in every normal subgroup over N1 and N2,
             # so it is the first of those in the sorted normal lattice
             both = n1.mask | n2.mask
@@ -504,13 +505,6 @@ def campaign_sigmas(G: PermGroup) -> list[SigmaPartition]:
     return sigmas + [SigmaPartition.sigma1()]
 
 
-def _subsets(items: list) -> list[tuple]:
-    out = [()]
-    for x in items:
-        out += [s + (x,) for s in out]
-    return sorted(out, key=lambda s: (len(s), s))
-
-
 def run_statements(G: PermGroup, name: str, statements, limits: Limits = DEFAULT_LIMITS,
                    sigmas: list[SigmaPartition] | None = None, pis=None,
                    zero_millis: bool = False,
@@ -520,14 +514,17 @@ def run_statements(G: PermGroup, name: str, statements, limits: Limits = DEFAULT
     (``campaign_sigmas`` by default); then the classical scope,
     ``verifier(G, name, limits)`` once at sigma1; then the pi scope,
     ``verifier(G, pi, name, limits)`` per prime set (every subset of pi(G) by
-    default).  Each call is timed; a CapacityError, or the ``overflow`` that
-    kept G from being enumerated, becomes a skipped row labelled as the
-    row's verdict would be: with its own sigma, or ``_pi_label`` in the pi
-    scope."""
+    default, by size and then lexicographically).  Each call is timed; a
+    CapacityError, or the ``overflow`` that kept G from being enumerated,
+    becomes a skipped row, and any other exception an ``error`` row whose
+    reason names its type and message, labelled as the row's verdict would
+    be: with its own sigma, or ``_pi_label`` in the pi scope.  An error row
+    keeps only strings, so the exception and its traceback are freed."""
     if sigmas is None:
         sigmas = campaign_sigmas(G)
     if pis is None:
-        pis = [frozenset(s) for s in _subsets(sorted(primes_of(G.order)))]
+        pig = sorted(primes_of(G.order))
+        pis = [frozenset(s) for r in range(len(pig) + 1) for s in combinations(pig, r)]
     chosen = [(sid, st) for sid, st in REGISTRY.items() if sid in statements]
     runs = [(sid, st.verifier, sigma, (G, sigma, *st.extra))
             for sigma in sigmas for sid, st in chosen if st.scope == "sigma"]
@@ -544,6 +541,9 @@ def run_statements(G: PermGroup, name: str, statements, limits: Limits = DEFAULT
             out = globals()[verifier](*args, name, limits)
         except CapacityError as exc:
             out = VerificationOutcome(sid, name, label, "skipped", reason=f"capacity: {exc}")
+        except Exception as exc:
+            out = VerificationOutcome(sid, name, label, "error",
+                                      reason=f"{type(exc).__name__}: {exc}")
         ms = 0 if zero_millis else int((time.perf_counter() - t0) * 1000)
         rows.append(replace(out, millis=ms))
     return rows
@@ -609,15 +609,19 @@ def run_campaign(entries: list[CorpusEntry],
 
 
 def report_from_rows(rows: list[dict], generated_at: str | None = None) -> dict:
+    """The report of campaign rows.  The summary and each statement's counts
+    always carry confirmed, counterexample and skipped, and carry ``error``
+    only when some row errored."""
     summary = {"confirmed": 0, "counterexample": 0, "skipped": 0,
                "vacuous": 0, "by_statement": {}}
     for r in rows:
-        summary[r["verdict"]] += 1
+        verdict = r["verdict"]
+        summary[verdict] = summary.get(verdict, 0) + 1
         if r["vacuous"]:
             summary["vacuous"] += 1
         per = summary["by_statement"].setdefault(
             r["statement_id"], {"confirmed": 0, "counterexample": 0, "skipped": 0})
-        per[r["verdict"]] += 1
+        per[verdict] = per.get(verdict, 0) + 1
     report = {"schema": "sigmagroups-report/1", "summary": summary, "outcomes": rows}
     if generated_at is not None:
         report["generated_at"] = generated_at

@@ -301,14 +301,11 @@ def _permutes(G: Group, A: Subgroup, w: int, limits: Limits) -> bool:
     return G.order % n == 0 and any(h.mask & both == both for h in subgroups_of_order(G, n, limits))
 
 
-def _sigma_permutable(G: Group, sigma: SigmaPartition, limits: Limits) -> list[Subgroup]:
-    return [h for h in all_subgroups(G, limits) if is_sigma_permutable(G, h, sigma, limits)]
-
-
 def sigma_permutable_sets(G: Group, sigma: SigmaPartition,
                           limits: Limits = DEFAULT_LIMITS) -> dict[frozenset, Subgroup]:
     """Element set -> subgroup, for every sigma-permutable subgroup of G."""
-    return {h.element_images(): h for h in _sigma_permutable(G, sigma, limits)}
+    return {h.element_images(): h for h in all_subgroups(G, limits)
+            if is_sigma_permutable(G, h, sigma, limits)}
 
 
 def psigma_t_violation(G: Group, sigma: SigmaPartition,
@@ -319,18 +316,22 @@ def psigma_t_violation(G: Group, sigma: SigmaPartition,
     When G is sigma-nilpotent, every Hall sigma_i-subgroup of G is normal,
     so every subgroup of G is sigma-permutable in G, K sp G holds for every
     K, and no subgroup is scanned.  This covers every G whose sigma(G) has at
-    most one block: such a G is sigma-primary."""
+    most one block: such a G is sigma-primary.  Otherwise only a K outside
+    sigma-perm(G) can refute transitivity, so sigma-permutability in H is
+    asked of those K alone; an H all of whose subgroups are sigma-permutable
+    in G gets no Hall data.  H and K are both met in all_subgroups order, so
+    the first (K, H) found is the first in canonical order."""
     if is_sigma_nilpotent(G, sigma, limits):
         return None
 
     def compute():
-        # both lists follow all_subgroups, so they are in canonical order
-        sp_g = _sigma_permutable(G, sigma, limits)
+        sp_g = [h for h in all_subgroups(G, limits) if is_sigma_permutable(G, h, sigma, limits)]
         in_g = {h.mask for h in sp_g}
         for h in sp_g:
             if h.order in (1, G.order):
                 continue
-            k = next((k for k in _sigma_permutable(h, sigma, limits) if k.mask not in in_g), None)
+            k = next((k for k in all_subgroups(h, limits)
+                      if k.mask not in in_g and is_sigma_permutable(h, k, sigma, limits)), None)
             if k is not None:
                 return k, h
         return None

@@ -1,15 +1,19 @@
 """Command-line interface: output formats, exit codes, error handling."""
 
 import json
+import multiprocessing
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from sigmagroups import harness
 from sigmagroups.cli import main
-from sigmagroups.corpus import builtin_entry
-from sigmagroups.harness import STATEMENTS, CampaignConfig, verify_group
+from sigmagroups.corpus import builtin_entry, parse_corpus_file
+from sigmagroups.errors import InvariantError
+from sigmagroups.harness import (STATEMENTS, CampaignConfig, report_from_rows, run_campaign,
+                                 verify_group)
 from sigmagroups.permcore import clear_intern_cache
 
 MINI_CORPUS = """\
@@ -611,6 +615,47 @@ def test_planted_fault_counterexample_exits_1(capsys, tmp_path, lying_class_memb
     assert code == 1
     assert "COUNTEREXAMPLE: ThmA.i D8 [2]" in out.splitlines()
     assert "COUNTEREXAMPLE: ThmA.i D8 sigma1" in out.splitlines()
+
+
+def test_engine_error_becomes_error_rows_and_exits_4(capsys, tmp_path, monkeypatch):
+    """An InvariantError planted in Lem2.4 on S4 makes exactly S4's three
+    Lem2.4 rows error rows in a --jobs 2 campaign on a fork pool, which
+    inherits the plant; every other row is the clean run's, and both verify
+    and campaign exit 4."""
+    path = tmp_path / "three.corpus"
+    path.write_text("\n".join(
+        f"group {e.name} deg {e.degree}\n" + "".join(f"gen {g}\n" for g in e.generators)
+        + f"order {e.expected_order}\n" for e in map(builtin_entry, ("S3", "S4", "D8"))))
+    clean = run_campaign(parse_corpus_file(path.read_text()), CampaignConfig(zero_millis=True))
+    assert '"error"' not in json.dumps(report_from_rows(clean))
+    original = harness.verify_lemma_2_4
+
+    def planted(G, sigma, name, limits):
+        if name == "S4":
+            raise InvariantError("planted")
+        return original(G, sigma, name, limits)
+
+    monkeypatch.setattr(harness, "verify_lemma_2_4", planted)
+    monkeypatch.setattr(harness, "_process_pool", lambda workers: ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork")))
+    code, out, _ = run(capsys, "verify", "--group", "S4", "--statement", "Lem2.4")
+    assert code == 4
+    assert "error — InvariantError: planted" in out
+    report = tmp_path / "report.json"
+    code, out, _ = run(capsys, "campaign", "--corpus", str(path), "--jobs", "2",
+                       "--no-timestamp", "--out", str(report))
+    assert code == 4
+    rows = json.loads(report.read_text())["outcomes"]
+    planted_rows = [r["statement_id"] == "Lem2.4" and r["group"] == "S4" for r in clean]
+    assert sum(planted_rows) == 3
+    for row, was, hit in zip(rows, clean, planted_rows):
+        assert row == ({**was, "verdict": "error", "vacuous": False, "witness": None,
+                        "reason": "InvariantError: planted"} if hit else was)
+    summary = json.loads(report.read_text())["summary"]
+    assert summary["error"] == 3 and summary["by_statement"]["Lem2.4"]["error"] == 3
+    assert "error" not in summary["by_statement"]["Lem2.3"]
+    assert "errors: 3" in out.splitlines()[1]
+    assert "ERROR: Lem2.4 S4 [2,3] — InvariantError: planted" in out.splitlines()
 
 
 # ---------------------------------------------------------------------------

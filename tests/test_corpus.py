@@ -2,8 +2,8 @@
 
 import pytest
 
-from sigmagroups import (CapacityError, CorpusEntry, GroupInputError, Perm,
-                         builtin_corpus, builtin_entry, parse_corpus_file,
+from sigmagroups import (CapacityError, CorpusEntry, GroupInputError, Limits, Perm,
+                         PermGroup, builtin_corpus, builtin_entry, parse_corpus_file,
                          partitions_of_primes)
 from sigmagroups.numbers import primes_of
 from sigmagroups.sigma import SigmaPartition
@@ -42,6 +42,19 @@ def test_every_entry_has_at_most_three_primes(corpus):
 
 def test_builds_are_interned(corpus):
     assert corpus["S4"].build() is corpus["S4"].build()
+
+
+def test_table_bound_refuses_before_any_element_is_listed(monkeypatch):
+    """The chain knows the order, so a group over the table bound is refused
+    without being enumerated; over both bounds, the table bound is named."""
+    listed = []
+    original = PermGroup.elements
+    monkeypatch.setattr(PermGroup, "elements",
+                        lambda self, *a: listed.append(self.order) or original(self, *a))
+    with pytest.raises(CapacityError,
+                       match="group order 24 exceeds multiplication-table bound 10"):
+        builtin_entry("S4").build(Limits(element_cache_bound=5, table_order_bound=10))
+    assert listed == []
 
 
 def test_builtin_entry_lookup():

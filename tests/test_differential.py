@@ -226,6 +226,44 @@ def test_order_rule_matches_the_product_sets(corpus):
     assert set(answers) == {True, False}
 
 
+def reference_psigma_t_violation(G, sigma, limits=Limits()):
+    """The PsigmaT scan as two lists: sigma-perm(H) in full for each
+    sigma-permutable proper H, then its first member outside sigma-perm(G)."""
+    if is_sigma_nilpotent(G, sigma, limits):
+        return None
+    sp_g = [h for h in all_subgroups(G, limits)
+            if sigma_module.is_sigma_permutable(G, h, sigma, limits)]
+    in_g = {h.mask for h in sp_g}
+    for h in sp_g:
+        if h.order in (1, G.order):
+            continue
+        sp_h = [k for k in all_subgroups(h, limits)
+                if sigma_module.is_sigma_permutable(h, k, sigma, limits)]
+        k = next((k for k in sp_h if k.mask not in in_g), None)
+        if k is not None:
+            return k, h
+    return None
+
+
+def test_psigma_t_scan_matches_the_two_list_scan(corpus):
+    """Every builtin group at every campaign partition: asking H only about
+    the K outside sigma-perm(G) finds the (K, H) that the two-list scan
+    finds, or none when it finds none.  S4 fails PsigmaT at sigma1 (demo 04)."""
+    def masks(pair):
+        return pair and tuple(s.mask for s in pair)
+
+    refuted = set()
+    for entry in corpus.values():
+        G = entry.build()
+        for sigma in campaign_sigmas(G):
+            found = sigma_module.psigma_t_violation(G, sigma)
+            assert masks(found) == masks(reference_psigma_t_violation(G, sigma)), \
+                (entry.name, sigma.text())
+            if found is not None:
+                refuted.add((entry.name, sigma.text()))
+    assert ("S4", "sigma1") in refuted
+
+
 def reference_sigma_nilpotent_residual(G, sigma):
     """The residual read off G's normal lattice: the least-order normal
     subgroup with sigma-nilpotent quotient, which must be the meet of all of

@@ -323,6 +323,27 @@ def test_violation_triple_is_self_consistent(corpus, name):
     assert not is_sigma_permutable(G, K, S1)
 
 
+def test_psigma_t_asks_h_only_about_subgroups_outside_sigma_perm_g(corpus, monkeypatch):
+    """Only a K that is not sigma-permutable in G can refute transitivity, so
+    sigma-permutability in a proper H is asked of no other K.  Limits of
+    their own keep the memos of earlier calls out of the scan."""
+    limits = Limits(subgroup_bound=1999)
+    original = sigma_module.is_sigma_permutable
+    asked = []
+    monkeypatch.setattr(sigma_module, "is_sigma_permutable",
+                        lambda H, K, *a: asked.append((H, K)) or original(H, K, *a))
+    in_h = 0
+    for name in ("A4", "S4", "SL(2,3)", "C3xS4", "PSL(2,7)"):
+        G = corpus[name].build()
+        for sigma in campaign_sigmas(G):
+            asked.clear()
+            psigma_t_violation(G, sigma, limits)
+            in_h_asked = [K for H, K in asked if H.mask != G.mask]
+            assert not any(original(G, K, sigma, limits) for K in in_h_asked), (name, sigma)
+            in_h += len(in_h_asked)
+    assert in_h > 0
+
+
 def test_no_violation_in_pst_groups(corpus):
     assert psigma_t_violation(corpus["S3"].build(), S1) is None
     assert psigma_t_violation(corpus["Q8"].build(), S1) is None
