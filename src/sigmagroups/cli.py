@@ -2,11 +2,13 @@
 single-statement verification, and full campaigns.
 
 Exit codes: 0 success/confirmed, 1 counterexample found, 2 usage error,
-3 capacity abort, 4 engine error.  Campaigns never abort on capacity —
-affected statements become skipped rows in the report, and the campaign
-exits 3 when any of them is not a vacuous (premise) skip.  Nor do they abort
-on another exception in a verifier: that row's verdict is ``error``, and
-the campaign exits 4 unless a counterexample makes it 1.
+3 capacity abort, 4 engine error: any other exception of any command, with
+one ``engine error: <Type>: <message>`` line on stderr.  Campaigns never
+abort on capacity — affected statements become skipped rows in the report,
+and the campaign exits 3 when any of them is not a vacuous (premise) skip.
+Nor do they abort on another exception of one group (in a verifier, in its
+build or in the class-monotonicity check): those rows' verdict is
+``error``, and the campaign exits 4 unless a counterexample makes it 1.
 """
 from __future__ import annotations
 
@@ -342,6 +344,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"engine error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

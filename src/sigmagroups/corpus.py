@@ -44,15 +44,14 @@ class CorpusEntry:
 
     def build(self, limits: Limits = DEFAULT_LIMITS) -> PermGroup:
         """The interned group; CapacityError when its order exceeds the
-        multiplication-table bound or the element-cache bound of ``limits``.
+        multiplication-table bound of ``limits``.
 
         Every lattice computed for the group is of it or of a subgroup or
-        quotient, none larger, so the table bound is checked here, before
-        any work is done.  The chain knows the order, so both bounds are
-        checked before any element is listed, the table bound first."""
+        quotient, none larger, so the table bound, the one bound on a
+        group's order, is checked here, before any work is done.  The chain
+        knows the order, so it is checked before any element is listed."""
         G = self.generated()
         _check_table_room(G, limits)
-        G.elements(limits.element_cache_bound)
         return interned(G)
 
 

@@ -10,6 +10,10 @@ from .numbers import is_prime
 BLOCK_DIGITS = 9
 _TOO_LONG = f"a block number has more than {BLOCK_DIGITS} digits"
 
+# Table indices are 16-bit, so no group of larger order gets a table, and no
+# group of larger order has its elements listed
+MAX_TABLE_ORDER = 1 << 16
+
 
 class GroupInputError(ValueError):
     """Malformed input or usage: bad cycle text, degree mismatch, non-member
@@ -29,24 +33,23 @@ class InvariantError(RuntimeError):
 
 @dataclass(frozen=True)
 class Limits:
-    """Resource bounds for element lists, lattices and tables.
+    """Resource bounds for lattices and tables.
 
     ``subgroup_bound`` caps the size of both lattices: the subgroup lattice
     and the normal lattice, so it reaches every statement and call that
     reads normal subgroups (Lem2.3, Lem2.4, Lem2.5, ``chief_series``,
     ``minimal_normal_subgroups``).  ``table_order_bound`` caps the order of
     a group given a multiplication table, which every subgroup or normal
-    lattice needs.  The table of a group of order n is n rows of n
-    ``array('H')`` entries, 2·n² bytes: 32 MiB at the default 4096 and
-    8 GiB at 65536.  Above 65536 the bound is a GroupInputError, since
-    table indices are 16-bit.  A bound that is not an ``int`` (a bool
-    included) or is below 1 is a GroupInputError too.  The command line
-    offers one ``--`` option per field, read off this class with the help
-    text in the field's metadata, so a refusal names the field by that
-    option."""
+    lattice needs, and it is the one bound on a group's order: a corpus
+    group over it is refused before its elements are listed.  The table of
+    a group of order n is n rows of n ``array('H')`` entries, 2·n² bytes:
+    32 MiB at the default 4096 and 8 GiB at 65536.  Above
+    ``MAX_TABLE_ORDER``, 65536, the bound is a GroupInputError, since table
+    indices are 16-bit.  A bound that is not an ``int`` (a bool included)
+    or is below 1 is a GroupInputError too.  The command line offers one
+    ``--`` option per field, read off this class with the help text in the
+    field's metadata, so a refusal names the field by that option."""
 
-    element_cache_bound: int = field(default=20000, metadata={
-        "help": "largest group order whose elements are listed"})
     subgroup_bound: int = field(default=2000, metadata={
         "help": "largest number of subgroups, or of normal subgroups, of one group"})
     table_order_bound: int = field(default=4096, metadata={
@@ -57,10 +60,10 @@ class Limits:
     def __post_init__(self):
         for cap in fields(self):
             _check_count(f"--{cap.name.replace('_', '-')}", getattr(self, cap.name))
-        if self.table_order_bound > 1 << 16:
+        if self.table_order_bound > MAX_TABLE_ORDER:
             raise GroupInputError(
-                f"table order bound {self.table_order_bound} is above 65536, the largest "
-                f"group order whose table indices fit 16 bits")
+                f"table order bound {self.table_order_bound} is above {MAX_TABLE_ORDER}, the "
+                f"largest group order whose table indices fit 16 bits")
 
 
 def _check_count(option: str, value) -> None:

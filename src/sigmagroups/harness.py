@@ -508,18 +508,17 @@ def campaign_sigmas(G: PermGroup) -> list[SigmaPartition]:
 def run_statements(G: PermGroup, name: str, statements, limits: Limits = DEFAULT_LIMITS,
                    sigmas: list[SigmaPartition] | None = None, pis=None,
                    zero_millis: bool = False,
-                   overflow: CapacityError | None = None) -> list[VerificationOutcome]:
+                   overflow: Exception | None = None) -> list[VerificationOutcome]:
     """The rows of the chosen statements on G, in registry order: first the
     sigma scope, ``verifier(G, sigma, *extra, name, limits)`` per partition
     (``campaign_sigmas`` by default); then the classical scope,
     ``verifier(G, name, limits)`` once at sigma1; then the pi scope,
     ``verifier(G, pi, name, limits)`` per prime set (every subset of pi(G) by
     default, by size and then lexicographically).  Each call is timed; a
-    CapacityError, or the ``overflow`` that kept G from being enumerated,
-    becomes a skipped row, and any other exception an ``error`` row whose
-    reason names its type and message, labelled as the row's verdict would
-    be: with its own sigma, or ``_pi_label`` in the pi scope.  An error row
-    keeps only strings, so the exception and its traceback are freed."""
+    CapacityError becomes a skipped row, and any other exception an
+    ``error`` row (``_error_row``), labelled as the row's verdict would be:
+    with its own sigma, or ``_pi_label`` in the pi scope.  An ``overflow``,
+    the exception that kept G from being built, is raised in every call."""
     if sigmas is None:
         sigmas = campaign_sigmas(G)
     if pis is None:
@@ -542,41 +541,54 @@ def run_statements(G: PermGroup, name: str, statements, limits: Limits = DEFAULT
         except CapacityError as exc:
             out = VerificationOutcome(sid, name, label, "skipped", reason=f"capacity: {exc}")
         except Exception as exc:
-            out = VerificationOutcome(sid, name, label, "error",
-                                      reason=f"{type(exc).__name__}: {exc}")
+            out = _error_row(VerificationOutcome(sid, name, label, "error"), exc)
         ms = 0 if zero_millis else int((time.perf_counter() - t0) * 1000)
         rows.append(replace(out, millis=ms))
     return rows
 
 
+def _error_row(row: VerificationOutcome, exc: Exception) -> VerificationOutcome:
+    """``row`` as an ``error`` row whose reason names the type and message of
+    ``exc``.  It keeps only strings, so the exception and its traceback are
+    freed."""
+    return replace(row, verdict="error", vacuous=False, witness=None,
+                   reason=f"{type(exc).__name__}: {exc}")
+
+
 def verify_group(entry: CorpusEntry, config: CampaignConfig) -> list[VerificationOutcome]:
-    """All statement outcomes for one corpus entry; capacity errors become
-    skipped rows, never exceptions."""
+    """All statement outcomes for one corpus entry.  A group that cannot be
+    built has every row skipped (a capacity bound) or ``error`` (anything
+    else, such as a wrong declared order), and the class-monotonicity check
+    makes the rows it refutes ``error`` rows."""
     try:
         G, overflow = entry.build(config.limits), None
-    except CapacityError as exc:
-        # too large to enumerate: every statement of the group is skipped
+    except Exception as exc:
+        # not built, so every statement of the group gets the build's exception
         G, overflow = PermGroup(entry.degree, entry.generators), exc
     rows = run_statements(G, entry.name, config.statements, config.limits,
                           zero_millis=config.zero_millis, overflow=overflow)
     # the roots interned for this group (it and its quotients) are of no use
     # to the next one
     clear_intern_cache()
-    _check_class_monotonicity(rows)
-    return rows
+    return _check_class_monotonicity(rows)
 
 
-def _check_class_monotonicity(rows: list[VerificationOutcome]) -> None:
+def _check_class_monotonicity(rows: list[VerificationOutcome]) -> list[VerificationOutcome]:
     """A group outside sigma-soluble is outside sigma-nilpotent, so a
-    non-vacuous ThmA.i confirmation must come with a non-vacuous ThmA.ii one."""
-    by_key = {(r.statement_id, r.sigma.text()): r for r in rows}
-    for (sid, stext), r in by_key.items():
-        if sid != "ThmA.i" or r.verdict != "confirmed" or r.vacuous:
+    non-vacuous ThmA.i confirmation must come with a non-vacuous ThmA.ii one.
+    The rows, with each pair that breaks this made ``error`` rows whose
+    reason is the check's InvariantError."""
+    at = {(r.statement_id, r.sigma.text()): i for i, r in enumerate(rows)}
+    rows = list(rows)
+    for (sid, stext), i in at.items():
+        j = at.get(("ThmA.ii", stext))
+        if sid != "ThmA.i" or j is None:
             continue
-        partner = by_key.get(("ThmA.ii", stext))
-        if partner is not None and partner.verdict == "confirmed" and partner.vacuous:
-            raise InvariantError(
-                f"{r.group_name}/{stext}: ThmA.i non-vacuous but ThmA.ii vacuous")
+        r, partner = rows[i], rows[j]
+        if r.verdict == partner.verdict == "confirmed" and not r.vacuous and partner.vacuous:
+            exc = InvariantError(f"{r.group_name}/{stext}: ThmA.i non-vacuous but ThmA.ii vacuous")
+            rows[i], rows[j] = _error_row(r, exc), _error_row(partner, exc)
+    return rows
 
 
 def _worker(entry: CorpusEntry, config: CampaignConfig) -> list[dict]:

@@ -46,7 +46,7 @@ from itertools import compress, repeat
 from operator import itemgetter
 from typing import Iterable, Sequence
 
-from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, InvariantError
+from .errors import MAX_TABLE_ORDER, CapacityError, GroupInputError, InvariantError
 
 # ---------------------------------------------------------------------------
 # raw image-tuple arithmetic
@@ -431,17 +431,17 @@ class PermGroup:
             return False
         return self._sift(self._encode(p.images)) is None
 
-    def elements(self, bound: int | None = None) -> tuple[Perm, ...]:
-        """All elements, sorted lexicographically; capped by the element-cache
-        bound.  An explicit ``bound`` is checked on every call, so a lower one
-        refuses a list enumerated earlier under a higher one; without one, a
-        list that exists is reused and a missing one is enumerated under the
-        default bound."""
-        limit = bound if bound is not None else DEFAULT_LIMITS.element_cache_bound
-        if self.order > limit and (bound is not None or self._elements is None):
-            raise CapacityError(
-                f"group order {self.order} exceeds element-cache bound {limit}")
+    def elements(self) -> tuple[Perm, ...]:
+        """All elements, sorted lexicographically, listed on first use.  A
+        group of order above ``MAX_TABLE_ORDER`` is refused before any
+        element is listed: no table could index it.  No order a ``Limits``
+        admits is above that ceiling, so the caller's bound on a group's
+        order is its table bound, checked where a table or a corpus group is
+        asked for."""
         if self._elements is None:
+            if self.order > MAX_TABLE_ORDER:
+                raise CapacityError(f"group order {self.order} exceeds {MAX_TABLE_ORDER}, the "
+                                    f"largest group order whose elements are listed")
             gather, pad = self._gather, self._pad
             elems = [self._identity]
             for trans in reversed(self._transversals):
@@ -454,8 +454,8 @@ class PermGroup:
             self._elements = tuple(map(Perm, self._index))
         return self._elements
 
-    def element_images(self, bound: int | None = None) -> frozenset[tuple]:
-        self.elements(bound)
+    def element_images(self) -> frozenset[tuple]:
+        self.elements()
         return frozenset(self._index)
 
     def element_index(self) -> dict[tuple, int]:
@@ -545,7 +545,7 @@ class Subgroup:
         root = group.root
         flags = bytearray(root.order)
         index = root.element_index()
-        for e in PermGroup(root.degree, gens).elements(root.order):
+        for e in PermGroup(root.degree, gens).elements():
             flags[index[e.images]] = 1
         self._bind(group, _mask(flags), tuple(g for g in gens if not g.is_identity()))
 

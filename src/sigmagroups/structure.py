@@ -1,8 +1,8 @@
 """Structural algorithms on permutation groups.
 
 Everything here is exact and deterministic.  Scales are "desk" sized: the
-ambient order stays under the element-cache bound, subgroup enumeration under
-the lattice bound.  The set algebra runs on an element-indexed kernel: each
+ambient order stays under the table bound, subgroup enumeration under the
+lattice bound.  The set algebra runs on an element-indexed kernel: each
 root group gets a multiplication table over its sorted elements, and its
 subgroups are ``int`` bitmasks over that numbering.  Every function taking a
 group also takes a ``Subgroup``: its kernels (the subgroup lattice, the
@@ -890,9 +890,7 @@ def _quotient(G: Group, N: Subgroup, table: _ElementTable) -> QuotientGroup:
         raise InvariantError("coset action order mismatch")
     Q = find_interned(index, key)
     if Q is None:
-        Q = PermGroup(index, [Perm(coset_images[coset_of[g]]) for g in gens])
-        Q.elements(table.order)  # never larger than G's root, which was enumerated
-        Q = interned(Q)
+        Q = interned(PermGroup(index, [Perm(coset_images[coset_of[g]]) for g in gens]))
         if tuple(Q.element_index()) != key:
             raise InvariantError("the generators' coset images generate another group")
     ident = identity_images(index)

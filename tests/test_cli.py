@@ -5,10 +5,11 @@ import multiprocessing
 import subprocess
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import pytest
 
-from sigmagroups import harness
+from sigmagroups import cli, harness
 from sigmagroups.cli import main
 from sigmagroups.corpus import builtin_entry, parse_corpus_file
 from sigmagroups.errors import InvariantError
@@ -107,7 +108,7 @@ def test_classify_answers_lattice_free_fields_under_tight_limits(capsys):
     assert "sigma-nilpotent residual order: 1" in out
 
 
-CAPS = ["--element-cache-bound", "--subgroup-bound", "--table-order-bound"]
+CAPS = ["--subgroup-bound", "--table-order-bound"]
 
 
 @pytest.mark.parametrize("knob", CAPS)
@@ -128,12 +129,14 @@ def test_table_order_bound_above_16_bits_is_usage_error(capsys, command):
 
 def test_hall_set_cap_is_not_a_cli_flag(capsys):
     # no command enumerates complete Hall sigma-sets, so there is no cap
-    # for them to take
-    for argv in (("classify", "--group", "S4"),
-                 ("verify", "--group", "S4", "--statement", "ThmA.i")):
-        code, out, err = run(capsys, *argv, "--hall-set-cap", "1")
-        assert (code, out) == (2, "")
-        assert "unrecognized arguments: --hall-set-cap 1" in err
+    # for them to take; nor is there a bound on listing elements besides
+    # the table bound, the one bound on a group's order
+    for flag in ("--hall-set-cap", "--element-cache-bound"):
+        for argv in (("classify", "--group", "S4"),
+                     ("verify", "--group", "S4", "--statement", "ThmA.i")):
+            code, out, err = run(capsys, *argv, flag, "1")
+            assert (code, out) == (2, "")
+            assert f"unrecognized arguments: {flag} 1" in err
 
 
 @pytest.mark.parametrize("knob", CAPS)
@@ -147,13 +150,15 @@ def test_every_cli_cap_takes_effect(capsys, knob):
 
 
 def test_element_cache_bound_trips(capsys, mini_corpus):
+    """The table bound is the bound on listing a group's elements: a group
+    over it is refused before it is listed, by classify and by a campaign."""
     code, out, err = run(capsys, "classify", "--group", "S5",
-                         "--element-cache-bound", "10")
+                         "--table-order-bound", "10")
     assert (code, out) == (3, "")
     assert err.strip() == \
-        "capacity abort: group order 120 exceeds element-cache bound 10"
+        "capacity abort: group order 120 exceeds multiplication-table bound 10"
     code, out, _ = run(capsys, "campaign", "--corpus", mini_corpus,
-                       "--no-timestamp", "--element-cache-bound", "5")
+                       "--no-timestamp", "--table-order-bound", "5")
     assert code == 3
     assert "confirmed: 0   counterexamples: 0   skipped: 32" in out
 
@@ -621,7 +626,8 @@ def test_engine_error_becomes_error_rows_and_exits_4(capsys, tmp_path, monkeypat
     """An InvariantError planted in Lem2.4 on S4 makes exactly S4's three
     Lem2.4 rows error rows in a --jobs 2 campaign on a fork pool, which
     inherits the plant; every other row is the clean run's, and both verify
-    and campaign exit 4."""
+    and campaign exit 4.  So does a pair of S4's rows that fails the
+    class-monotonicity check: exactly those two rows become error rows."""
     path = tmp_path / "three.corpus"
     path.write_text("\n".join(
         f"group {e.name} deg {e.degree}\n" + "".join(f"gen {g}\n" for g in e.generators)
@@ -656,6 +662,41 @@ def test_engine_error_becomes_error_rows_and_exits_4(capsys, tmp_path, monkeypat
     assert "error" not in summary["by_statement"]["Lem2.3"]
     assert "errors: 3" in out.splitlines()[1]
     assert "ERROR: Lem2.4 S4 [2,3] — InvariantError: planted" in out.splitlines()
+
+    # a pair of rows that fails the class-monotonicity check: S4's ThmA.i
+    # made non-vacuous at [2,3], where its ThmA.ii is vacuous
+    monkeypatch.setattr(harness, "verify_lemma_2_4", original)
+    theorem_a = harness.verify_theorem_A
+
+    def non_vacuous(G, sigma, cls, name, limits):
+        out = theorem_a(G, sigma, cls, name, limits)
+        planted = (name, cls, sigma.text()) == ("S4", "sigma-soluble", "[2,3]")
+        return replace(out, vacuous=False) if planted else out
+
+    monkeypatch.setattr(harness, "verify_theorem_A", non_vacuous)
+    code, out, _ = run(capsys, "campaign", "--corpus", str(path), "--jobs", "2",
+                       "--no-timestamp", "--out", str(report))
+    assert code == 4
+    rows = json.loads(report.read_text())["outcomes"]
+    refuted = [(r["group"], r["sigma"], r["statement_id"]) in
+               {("S4", "[2,3]", "ThmA.i"), ("S4", "[2,3]", "ThmA.ii")} for r in clean]
+    assert sum(refuted) == 2
+    reason = "InvariantError: S4/[2,3]: ThmA.i non-vacuous but ThmA.ii vacuous"
+    for row, was, hit in zip(rows, clean, refuted):
+        assert row == ({**was, "verdict": "error", "vacuous": False, "witness": None,
+                        "reason": reason} if hit else was)
+
+
+@pytest.mark.parametrize("command", ["classify", "residual"])
+def test_engine_error_of_a_command_exits_4(capsys, monkeypatch, command):
+    """An exception that is not an input, capacity or i/o error exits 4
+    with one stderr line, never 1 with a traceback: 1 means a counterexample."""
+    def planted(*args):
+        raise InvariantError("planted")
+
+    monkeypatch.setattr(cli, "sigma_nilpotent_residual", planted)
+    code, out, err = run(capsys, command, "--group", "S4")
+    assert (code, out, err) == (4, "", "engine error: InvariantError: planted\n")
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from sigmagroups import (CapacityError, CorpusEntry, GroupInputError, Limits, Pe
                          PermGroup, builtin_corpus, builtin_entry, parse_corpus_file,
                          partitions_of_primes)
 from sigmagroups.numbers import primes_of
+from sigmagroups.permcore import clear_intern_cache
 from sigmagroups.sigma import SigmaPartition
 
 REQUIRED_NAMES = (
@@ -46,15 +47,29 @@ def test_builds_are_interned(corpus):
 
 def test_table_bound_refuses_before_any_element_is_listed(monkeypatch):
     """The chain knows the order, so a group over the table bound is refused
-    without being enumerated; over both bounds, the table bound is named."""
+    without being enumerated."""
     listed = []
     original = PermGroup.elements
     monkeypatch.setattr(PermGroup, "elements",
                         lambda self, *a: listed.append(self.order) or original(self, *a))
     with pytest.raises(CapacityError,
                        match="group order 24 exceeds multiplication-table bound 10"):
-        builtin_entry("S4").build(Limits(element_cache_bound=5, table_order_bound=10))
+        builtin_entry("S4").build(Limits(table_order_bound=10))
     assert listed == []
+
+
+def test_a_raised_table_bound_alone_admits_a_larger_group():
+    """The table bound is the one bound on a group's order: A8 (20160) is
+    built and listed under a raised table bound alone, and building it
+    makes no table."""
+    A8 = CorpusEntry("A8", 8, (Perm.parse("(1 2 3)", 8), Perm.parse("(2 3 4 5 6 7 8)", 8)),
+                     20160)
+    try:
+        G = A8.build(Limits(table_order_bound=30000))
+        assert len(G.elements()) == 20160
+        assert "element-table" not in G.cache
+    finally:
+        clear_intern_cache()
 
 
 def test_builtin_entry_lookup():

@@ -9,8 +9,8 @@ from dataclasses import replace
 import pytest
 
 import oracles
-from sigmagroups import (CapacityError, GroupInputError, Limits, Perm, PermGroup, Subgroup,
-                         builtin_entry, harness, parse_sigma, structure)
+from sigmagroups import (CapacityError, CorpusEntry, GroupInputError, Limits, Perm, PermGroup,
+                         Subgroup, builtin_entry, harness, parse_sigma, structure)
 from sigmagroups.cli import main
 from sigmagroups.errors import InvariantError
 from sigmagroups.harness import (STATEMENTS, CampaignConfig,
@@ -446,12 +446,28 @@ def test_verify_group_row_inventory(corpus):
 
 
 def test_verify_group_skips_a_group_over_the_element_cache_bound(corpus):
-    config = CampaignConfig(limits=Limits(element_cache_bound=5), zero_millis=True)
+    """The table bound is the bound on listing a corpus group's elements, so
+    a group over it has every row skipped."""
+    config = CampaignConfig(limits=Limits(table_order_bound=5), zero_millis=True)
     rows = verify_group(corpus["C6"], config)
     assert len(rows) == 9 * 3 + 1 + 4
     assert {r.verdict for r in rows} == {"skipped"}
-    assert all(r.reason == "capacity: group order 6 exceeds element-cache bound 5"
+    assert all(r.reason == "capacity: group order 6 exceeds multiplication-table bound 5"
                for r in rows)
+
+
+def test_a_group_that_does_not_build_becomes_error_rows(corpus):
+    """A library corpus entry whose declared order is wrong makes every row
+    of its group an error row, and the campaign goes on with the next."""
+    bogus = CorpusEntry("bogus", 3, (Perm.parse("(1 2 3)", 3),), 7)
+    config = CampaignConfig(zero_millis=True)
+    rows = run_campaign([bogus, corpus["S3"]], config)
+    assert [r for r in rows if r["group"] == "S3"] == run_campaign([corpus["S3"]], config)
+    bad = [r for r in rows if r["group"] == "bogus"]
+    assert len(bad) == 9 * 2 + 1 + 2
+    assert {r["verdict"] for r in bad} == {"error"}
+    assert {r["reason"] for r in bad} == {
+        "GroupInputError: corpus entry 'bogus': generated order 3, declared 7"}
 
 
 def test_campaign_thma_witnesses_revalidate(corpus, campaign):
@@ -641,13 +657,19 @@ def test_report_from_rows_summary(corpus):
     assert "generated_at" not in report_from_rows(rows)
 
 
-def test_class_monotonicity_check_raises():
+def test_class_monotonicity_check_makes_error_rows():
+    """A pair that fails the check becomes two error rows named by its
+    InvariantError; the other rows, and a pair that holds, are kept."""
     sigma = parse_sigma("[2][3]")
     rows = [VerificationOutcome("ThmA.i", "G", sigma, "confirmed", vacuous=False),
-            VerificationOutcome("ThmA.ii", "G", sigma, "confirmed", vacuous=True)]
-    with pytest.raises(InvariantError, match="ThmA.i non-vacuous but ThmA.ii vacuous"):
-        _check_class_monotonicity(rows)
-    _check_class_monotonicity(rows[:1] + [replace(rows[1], vacuous=False)])
+            VerificationOutcome("ThmA.ii", "G", sigma, "confirmed", vacuous=True, millis=3),
+            VerificationOutcome("ThmA.i", "G", S1, "confirmed", vacuous=False)]
+    reason = "InvariantError: G/[2][3]: ThmA.i non-vacuous but ThmA.ii vacuous"
+    assert _check_class_monotonicity(rows) == [
+        replace(rows[0], verdict="error", reason=reason),
+        replace(rows[1], verdict="error", vacuous=False, reason=reason), rows[2]]
+    held = rows[:1] + [replace(rows[1], vacuous=False)]
+    assert _check_class_monotonicity(held) == held
 
 
 @pytest.mark.parametrize("name", ["S4", "SL(2,5)"])

@@ -7,9 +7,9 @@ from hypothesis import given, strategies as st
 
 import oracles
 from sigmagroups import (CapacityError, GroupInputError, Perm, PermGroup,
-                         Subgroup, builtin_entry, conjugate_subgroup, full_subgroup,
-                         interned, trivial_subgroup)
-from sigmagroups.errors import InvariantError
+                         Subgroup, conjugate_subgroup, full_subgroup, interned,
+                         trivial_subgroup)
+from sigmagroups.errors import MAX_TABLE_ORDER, InvariantError
 from sigmagroups.permcore import clear_intern_cache, format_cycles, parse_cycles
 
 
@@ -226,25 +226,19 @@ def test_construction_is_deterministic(corpus):
     assert g1.elements() == g2.elements()
 
 
-def test_elements_respect_capacity_bound(corpus):
-    e = corpus["S4"]
-    G = PermGroup(e.degree, e.generators)
-    with pytest.raises(CapacityError):
-        G.elements(bound=10)
-    assert len(G.elements(bound=24)) == 24
-
-
-def test_cached_elements_keep_a_lower_bound():
-    """An explicit bound is checked on every call, so a group enumerated
-    under a higher bound refuses a lower one; without a bound the list that
-    exists is reused."""
-    G = builtin_entry("S4").build()
-    elems = G.elements()
-    with pytest.raises(CapacityError, match="element-cache bound 10"):
-        G.elements(10)
-    with pytest.raises(CapacityError, match="element-cache bound 10"):
-        G.element_images(10)
-    assert G.elements() is elems and G.elements(24) is elems
+def test_no_group_above_the_table_ceiling_is_listed(monkeypatch):
+    """No table indexes more than ``MAX_TABLE_ORDER`` elements, so S9 is
+    refused, naming that ceiling, before any element is listed: its chain
+    is never walked for elements."""
+    G = PermGroup(9, [Perm.parse("(1 2 3 4 5 6 7 8 9)", 9), Perm.parse("(1 2)", 9)])
+    assert G.order == 362880 > MAX_TABLE_ORDER
+    gathers = []
+    monkeypatch.setattr(G, "_gather", lambda *a: gathers.append(a))
+    for listing in (G.elements, G.element_images, G.element_index):
+        with pytest.raises(CapacityError, match="^group order 362880 exceeds 65536, the "
+                           "largest group order whose elements are listed$"):
+            listing()
+    assert gathers == [] and G._elements is None
 
 
 def test_trivial_group():
@@ -312,11 +306,10 @@ def test_interning_returns_canonical_instance(corpus):
 # Subgroup
 
 def test_subgroup_of_enumerated_ambient_uses_its_bound():
-    # S8 is admitted by a raised element-cache bound; its subgroup A8
-    # (order 20160, over the default bound 20000) is then enumerated too
-    G = PermGroup(8, [Perm.parse("(1 2 3 4 5 6 7 8)", 8), Perm.parse("(1 2)", 8)])
-    G.elements(50000)
-    G = interned(G)
+    # a subgroup is listed under the ceiling that admitted its ambient: S8
+    # is listed, and so is its subgroup A8 (order 20160), with no bound passed
+    G = interned(PermGroup(8, [Perm.parse("(1 2 3 4 5 6 7 8)", 8), Perm.parse("(1 2)", 8)]))
+    assert len(G.elements()) == 40320
     try:
         A8 = Subgroup(G, [Perm.parse("(1 2 3)", 8), Perm.parse("(2 3 4 5 6 7 8)", 8)])
         assert A8.order == len(A8.element_images()) == 20160

@@ -670,6 +670,19 @@ def test_table_order_bound_takes_effect():
     assert image_sets(normal_subgroups(G, raised)) == tg.subgroup_image_sets()
 
 
+def test_a_fresh_group_is_refused_by_the_table_bound():
+    """A group made from generators is listed under the listing ceiling
+    alone, so the bound that refuses A8 (20160) is the caller's table bound,
+    and its message names it."""
+    A8 = PermGroup(8, [Perm.parse("(1 2 3)", 8), Perm.parse("(2 3 4 5 6 7 8)", 8)])
+    try:
+        with pytest.raises(CapacityError,
+                           match="^group order 20160 exceeds multiplication-table bound 20000$"):
+            all_subgroups(A8, Limits(table_order_bound=20000))
+    finally:
+        clear_intern_cache()
+
+
 def test_table_order_bound_above_16_bits_is_refused():
     """Table indices are 16-bit, so ``Limits`` refuses a table bound above
     65536 when it is made, before any table could be built."""
@@ -689,7 +702,7 @@ def test_limits_refuse_a_bound_below_one():
         for bad in (0, -3):
             with pytest.raises(GroupInputError, match=f"^{option} must be at least 1, got {bad}$"):
                 Limits(**{cap.name: bad})
-    assert Limits(element_cache_bound=1, subgroup_bound=1, table_order_bound=1)
+    assert Limits(subgroup_bound=1, table_order_bound=1)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 2.5, True, "3", None], ids=repr)

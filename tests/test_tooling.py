@@ -179,7 +179,7 @@ def test_cli_reads_its_caps_off_limits():
     """The command line's caps come from ``Limits``'s fields, so ``cli.py``
     names none of them, nor spells one as a string or an option: a bound
     added to ``Limits`` becomes an option with no edit there."""
-    caps = {"element_cache_bound", "subgroup_bound", "table_order_bound"}
+    caps = {cap.name for cap in dataclasses.fields(Limits)}
     assert names_in_module("cli.py").isdisjoint(caps)
     texts = {node.value for node in module_nodes("cli.py")
              if isinstance(node, ast.Constant) and isinstance(node.value, str)}
@@ -211,9 +211,17 @@ def test_lattice_reads_by_order_go_through_the_index():
 
 
 def test_table_bound_has_one_check():
-    """``structure._check_table_room`` is the only table-bound check."""
+    """``structure._check_table_room`` is the only table-bound check, and the
+    table bound is the one bound on a group's order: no module names an
+    element-cache bound or passes a bound to an element listing."""
     for path in (ROOT / "src" / "sigmagroups").glob("*.py"):
-        assert "check_table_order" not in names_in_module(path.name), path.name
+        names = names_in_module(path.name)
+        assert names.isdisjoint({"check_table_order", "element_cache_bound"}), path.name
+        bounded = [node.lineno for node in module_nodes(path.name)
+                   if isinstance(node, ast.Call)
+                   and callee(node) in ("elements", "element_images")
+                   and (node.args or node.keywords)]
+        assert bounded == [], path.name
 
 
 def test_element_orders_come_from_cycle_types():
