@@ -18,7 +18,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 
-from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, Limits, _check_prime
+from .errors import (CapacityError, DEFAULT_LIMITS, GroupInputError, Limits, _check_count,
+                     _check_prime)
 from .permcore import Perm, PermGroup, interned, parse_cycles
 from .sigma import SigmaPartition
 from .structure import _check_table_room
@@ -31,6 +32,11 @@ class CorpusEntry:
     generators: tuple[Perm, ...]
     expected_order: int
     tags: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        # a campaign labels the rows of an entry that does not build from the
+        # primes of its declared order, so that order must be a count
+        _check_count(f"corpus entry {self.name!r}: declared order", self.expected_order)
 
     def generated(self) -> PermGroup:
         """The group of the generators, with its Schreier-Sims chain only, so

@@ -26,7 +26,7 @@ import math
 import time
 from dataclasses import dataclass, replace
 from itertools import chain, combinations, repeat
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .corpus import CorpusEntry, partitions_of_primes
 from .errors import (CapacityError, DEFAULT_LIMITS, GroupInputError, InvariantError, Limits,
@@ -38,8 +38,8 @@ from .sigma import (SigmaPartition, _group_blocks, _quotient_is_sigma_nilpotent,
                     is_sigma_nilpotent, is_sigma_soluble, largest_normal_block_subgroup,
                     sigma_nilpotent_residual, sigma_full_sylow_type_violation)
 from .structure import (all_subgroups, frattini_subgroup, hall_subgroup,
-                        intersection_subgroup, normal_subgroups, quotient_group,
-                        subgroups_of_order, supplements)
+                        intersection_subgroup, normal_subgroups, subgroups_of_order,
+                        supplements)
 
 _THMA_CLASS = {"ThmA.i": "sigma-soluble", "ThmA.ii": "sigma-nilpotent",
                "ThmA.iii": "sigma-soluble-psigma-t"}
@@ -221,10 +221,10 @@ def verify_lemma_2_1(G: PermGroup, sigma: SigmaPartition, group_name: str = "",
 # ---------------------------------------------------------------------------
 # Lemma 2.2: pi-separability vs Hall-subgroup existence
 
-def _pi_label(G: PermGroup, pi) -> SigmaPartition:
-    """The label of a pi-scope row, whatever its verdict: pi n pi(G) as one
-    block, or no block when that is empty."""
-    pi_in = frozenset(pi) & primes_of(G.order)
+def _pi_label(order: int, pi) -> SigmaPartition:
+    """The label of a pi-scope row on a group of this order, whatever its
+    verdict: pi n pi(G) as one block, or no block when that is empty."""
+    pi_in = frozenset(pi) & primes_of(order)
     return SigmaPartition.of_blocks(pi_in) if pi_in else SigmaPartition()
 
 
@@ -235,7 +235,7 @@ def verify_lemma_2_2(G: PermGroup, pi, group_name: str = "",
     # primes outside pi(G) change no Hall order, so quantifiers restrict to pi(G)
     pi_in = pi & pig
     pi_out = pig - pi
-    sigma_label = _pi_label(G, pi)
+    sigma_label = _pi_label(G.order, pi)
     separable = is_pi_separable(G, pi, limits)
     halls: dict[str, bool] = {}
 
@@ -264,6 +264,19 @@ def verify_lemma_2_2(G: PermGroup, pi, group_name: str = "",
 # ---------------------------------------------------------------------------
 # Lemma 2.3: closure properties of the sigma-nilpotent class
 
+def _normal_product(normals: tuple[Subgroup, ...], A: Subgroup, B: Subgroup) -> Subgroup:
+    """AB for normal subgroups A and B of G, whose sorted normal lattice is
+    ``normals``.  AB is normal and lies in every normal subgroup over A and
+    B, so it is the first of those; its order is checked against
+    |A||B|/|A n B|."""
+    both = A.mask | B.mask
+    P = next(n for n in normals if n.mask & both == both)
+    if P.order * (A.mask & B.mask).bit_count() != A.order * B.order:
+        raise InvariantError(f"the least normal subgroup over normal subgroups of "
+                             f"orders {A.order} and {B.order} has order {P.order}")
+    return P
+
+
 def verify_lemma_2_3(G: PermGroup, sigma: SigmaPartition, group_name: str = "",
                      limits: Limits = DEFAULT_LIMITS) -> VerificationOutcome:
     """Normal products, quotients, subgroups, and the Frattini condition."""
@@ -276,13 +289,7 @@ def verify_lemma_2_3(G: PermGroup, sigma: SigmaPartition, group_name: str = "",
     # a pair N1 = N2 has product N1, so it can neither fail nor count
     for i, n1 in enumerate(nilpotent_normals):
         for n2 in nilpotent_normals[i + 1:]:
-            # N1N2 is normal and lies in every normal subgroup over N1 and N2,
-            # so it is the first of those in the sorted normal lattice
-            both = n1.mask | n2.mask
-            P = next(n for n in normals if n.mask & both == both)
-            if P.order * (n1.mask & n2.mask).bit_count() != n1.order * n2.order:
-                raise InvariantError(f"the least normal subgroup over normal subgroups of "
-                                     f"orders {n1.order} and {n2.order} has order {P.order}")
+            P = _normal_product(normals, n1, n2)
             if P.order > 1 and P.order not in (n1.order, n2.order):
                 nontrivial_instances += 1
             if not is_sigma_nilpotent(P, sigma, limits):
@@ -323,27 +330,50 @@ def verify_lemma_2_3(G: PermGroup, sigma: SigmaPartition, group_name: str = "",
 # ---------------------------------------------------------------------------
 # Lemma 2.4: the residual commutes with quotients
 
+def _lemma_2_4_sides(G: PermGroup, sigma: SigmaPartition,
+                     limits: Limits) -> Iterator[tuple[Subgroup, Subgroup, Subgroup]]:
+    """(N, M, DN) for each normal N of G with 1 < N < G, in lattice order,
+    where M/N is the residual of G/N and D is the residual of G.
+
+    By the correspondence theorem both sides are normal subgroups of G over
+    N, read off G's sorted normal lattice, and no quotient group is built.
+    G/M is sigma-nilpotent exactly when each block sigma_i of sigma(G) has a
+    normal L >= M of G with |L| = |M| |G:M|_{sigma_i}: L/M is then the normal
+    Hall sigma_i-subgroup of G/M, and that subgroup, characteristic in G/M,
+    is such an L/M.  These M are closed under intersection, so the least one
+    over N has the least order and comes first.  This read shares nothing
+    with the residual's code but the lattice, so a wrong D shows.  DN is
+    the first normal subgroup over D and N."""
+    D = sigma_nilpotent_residual(G, sigma, limits)
+    normals = normal_subgroups(G, limits)
+
+    def nilpotent_quotient(M: Subgroup) -> bool:
+        over = {L.order for L in normals if L.mask & M.mask == M.mask}
+        return all(M.order * part_for_primes(G.order // M.order, ps) in over
+                   for _, ps, _ in _group_blocks(G, sigma))
+
+    tops = [M for M in normals if nilpotent_quotient(M)]
+    # the lattice is sorted by order, so 1 comes first and G, when it is not 1, last
+    for N in normals[1:-1]:
+        M = next(M for M in tops if M.mask & N.mask == N.mask)
+        yield N, M, _normal_product(normals, D, N)
+
+
 def verify_lemma_2_4(G: PermGroup, sigma: SigmaPartition, group_name: str = "",
                      limits: Limits = DEFAULT_LIMITS) -> VerificationOutcome:
-    """The residual of G/N is DN/N, D the residual of G, for every normal N.
-    G/1 (residual D) and G/G (trivial) are counted without being built."""
-    D = sigma_nilpotent_residual(G, sigma, limits)
-    checked = 0
-    for N in normal_subgroups(G, limits):
-        if 1 < N.order < G.order:
-            q = quotient_group(G, N, limits)
-            lhs = sigma_nilpotent_residual(q.group, sigma, limits)
-            rhs = q.image(D)
-            if lhs != rhs:
-                return VerificationOutcome(
-                    "Lem2.4", group_name, sigma, "counterexample",
-                    witness={"N": _sub_json(N),
-                             "lhs_order": lhs.order, "rhs_order": rhs.order,
-                             "note": "implementation bug candidate: statement is proved"})
-        checked += 1
+    """The residual of G/N is DN/N, D the residual of G, for every normal N,
+    with both sides read in G's normal lattice (``_lemma_2_4_sides``).
+    G/1 (residual D) and G/G (trivial) are counted without being read."""
+    for N, lhs, rhs in _lemma_2_4_sides(G, sigma, limits):
+        if lhs is not rhs:
+            return VerificationOutcome(
+                "Lem2.4", group_name, sigma, "counterexample",
+                witness={"N": _sub_json(N), "lhs_order": lhs.order // N.order,
+                         "rhs_order": rhs.order // N.order,
+                         "note": "implementation bug candidate: statement is proved"})
     return VerificationOutcome(
         "Lem2.4", group_name, sigma, "confirmed", vacuous=G.order == 1,
-        witness={"normals_checked": checked})
+        witness={"normals_checked": len(normal_subgroups(G, limits))})
 
 
 # ---------------------------------------------------------------------------
@@ -362,16 +392,10 @@ def _condition_ii_blocks(G: PermGroup, D: Subgroup, sigma: SigmaPartition,
     detail = []
     for bid, ps, part in _group_blocks(G, sigma):
         O = largest_normal_block_subgroup(D, ps, limits)
-        found = None
-        for H in subgroups_of_order(G, part, limits):
-            if O.mask & H.mask != O.mask:
-                continue
-            for C in normal_subgroups(H, limits):
-                if C.order * O.order == H.order and (C.mask & O.mask).bit_count() == 1:
-                    found = (H, C)
-                    break
-            if found:
-                break
+        found = next(((H, C) for H in subgroups_of_order(G, part, limits)
+                      if O.mask & H.mask == O.mask for C in normal_subgroups(H, limits)
+                      if C.order * O.order == H.order and (C.mask & O.mask).bit_count() == 1),
+                     None)
         detail.append({"block": bid, "O_order": O.order,
                        "hall_order": part,
                        "complemented": found is not None,
@@ -497,7 +521,11 @@ def campaign_sigmas(G: PermGroup) -> list[SigmaPartition]:
     pi(G) while Bell stays tractable (at most ``PARTITION_PRIME_CAP``
     primes), else the one-block fallback; sigma^1 is always appended as the
     classical spelling."""
-    pig = sorted(primes_of(G.order))
+    return _prime_sigmas(sorted(primes_of(G.order)))
+
+
+def _prime_sigmas(pig: list[int]) -> list[SigmaPartition]:
+    """``campaign_sigmas`` of a group whose primes, sorted, are ``pig``."""
     if len(pig) <= PARTITION_PRIME_CAP:
         sigmas = partitions_of_primes(pig)
     else:
@@ -505,70 +533,73 @@ def campaign_sigmas(G: PermGroup) -> list[SigmaPartition]:
     return sigmas + [SigmaPartition.sigma1()]
 
 
+def _runs(order: int, statements, sigmas: list[SigmaPartition] | None = None,
+          pis=None) -> list[tuple[str, str, SigmaPartition, tuple]]:
+    """(statement id, verifier name, row label, the verifier's arguments
+    after the group) of each row of the chosen statements on a group of
+    this order, in the order ``run_statements`` runs them."""
+    pig = sorted(primes_of(order))
+    if sigmas is None:
+        sigmas = _prime_sigmas(pig)
+    if pis is None:
+        pis = [frozenset(s) for r in range(len(pig) + 1) for s in combinations(pig, r)]
+    chosen = [(sid, st) for sid, st in REGISTRY.items() if sid in statements]
+    return ([(sid, st.verifier, sigma, (sigma, *st.extra))
+             for sigma in sigmas for sid, st in chosen if st.scope == "sigma"]
+            + [(sid, st.verifier, SigmaPartition.sigma1(), ())
+               for sid, st in chosen if st.scope == "classical"]
+            + [(sid, st.verifier, _pi_label(order, pi), (pi,))
+               for sid, st in chosen if st.scope == "pi" for pi in pis])
+
+
 def run_statements(G: PermGroup, name: str, statements, limits: Limits = DEFAULT_LIMITS,
                    sigmas: list[SigmaPartition] | None = None, pis=None,
-                   zero_millis: bool = False,
-                   overflow: Exception | None = None) -> list[VerificationOutcome]:
+                   zero_millis: bool = False) -> list[VerificationOutcome]:
     """The rows of the chosen statements on G, in registry order: first the
     sigma scope, ``verifier(G, sigma, *extra, name, limits)`` per partition
     (``campaign_sigmas`` by default); then the classical scope,
     ``verifier(G, name, limits)`` once at sigma1; then the pi scope,
     ``verifier(G, pi, name, limits)`` per prime set (every subset of pi(G) by
-    default, by size and then lexicographically).  Each call is timed; a
-    CapacityError becomes a skipped row, and any other exception an
-    ``error`` row (``_error_row``), labelled as the row's verdict would be:
-    with its own sigma, or ``_pi_label`` in the pi scope.  An ``overflow``,
-    the exception that kept G from being built, is raised in every call."""
-    if sigmas is None:
-        sigmas = campaign_sigmas(G)
-    if pis is None:
-        pig = sorted(primes_of(G.order))
-        pis = [frozenset(s) for r in range(len(pig) + 1) for s in combinations(pig, r)]
-    chosen = [(sid, st) for sid, st in REGISTRY.items() if sid in statements]
-    runs = [(sid, st.verifier, sigma, (G, sigma, *st.extra))
-            for sigma in sigmas for sid, st in chosen if st.scope == "sigma"]
-    runs += [(sid, st.verifier, SigmaPartition.sigma1(), (G,))
-             for sid, st in chosen if st.scope == "classical"]
-    runs += [(sid, st.verifier, _pi_label(G, pi), (G, pi))
-             for sid, st in chosen if st.scope == "pi" for pi in pis]
+    default, by size and then lexicographically).  Each call is timed, and
+    one that raises becomes a ``_failed_row``, labelled as the row's verdict
+    would be: with its own sigma, or ``_pi_label`` in the pi scope."""
     rows = []
-    for sid, verifier, label, args in runs:
+    for sid, verifier, label, args in _runs(G.order, statements, sigmas, pis):
         t0 = time.perf_counter()
         try:
-            if overflow is not None:
-                raise overflow
-            out = globals()[verifier](*args, name, limits)
-        except CapacityError as exc:
-            out = VerificationOutcome(sid, name, label, "skipped", reason=f"capacity: {exc}")
+            out = globals()[verifier](G, *args, name, limits)
         except Exception as exc:
-            out = _error_row(VerificationOutcome(sid, name, label, "error"), exc)
+            out = _failed_row(VerificationOutcome(sid, name, label, "error"), exc)
         ms = 0 if zero_millis else int((time.perf_counter() - t0) * 1000)
         rows.append(replace(out, millis=ms))
     return rows
 
 
-def _error_row(row: VerificationOutcome, exc: Exception) -> VerificationOutcome:
-    """``row`` as an ``error`` row whose reason names the type and message of
-    ``exc``.  It keeps only strings, so the exception and its traceback are
-    freed."""
-    return replace(row, verdict="error", vacuous=False, witness=None,
-                   reason=f"{type(exc).__name__}: {exc}")
+def _failed_row(row: VerificationOutcome, exc: Exception) -> VerificationOutcome:
+    """``row`` as the row of a statement that raised ``exc``: skipped, with
+    reason "capacity: <message>", for a CapacityError, else ``error``, with
+    a reason naming the type and message of ``exc``.  It keeps only strings,
+    so the exception and its traceback are freed."""
+    verdict, reason = (("skipped", f"capacity: {exc}") if isinstance(exc, CapacityError)
+                       else ("error", f"{type(exc).__name__}: {exc}"))
+    return replace(row, verdict=verdict, vacuous=False, witness=None, reason=reason)
 
 
 def verify_group(entry: CorpusEntry, config: CampaignConfig) -> list[VerificationOutcome]:
     """All statement outcomes for one corpus entry.  A group that cannot be
     built has every row skipped (a capacity bound) or ``error`` (anything
-    else, such as a wrong declared order), and the class-monotonicity check
-    makes the rows it refutes ``error`` rows."""
+    else, such as a wrong declared order), labelled from the primes of its
+    declared order, and the class-monotonicity check makes the rows it
+    refutes ``error`` rows."""
     try:
-        G, overflow = entry.build(config.limits), None
+        G = entry.build(config.limits)
     except Exception as exc:
-        # not built, so every statement of the group gets the build's exception
-        G, overflow = PermGroup(entry.degree, entry.generators), exc
-    rows = run_statements(G, entry.name, config.statements, config.limits,
-                          zero_millis=config.zero_millis, overflow=overflow)
-    # the roots interned for this group (it and its quotients) are of no use
-    # to the next one
+        rows = [_failed_row(VerificationOutcome(sid, entry.name, label, "error"), exc)
+                for sid, _, label, _ in _runs(entry.expected_order, config.statements)]
+    else:
+        rows = run_statements(G, entry.name, config.statements, config.limits,
+                              zero_millis=config.zero_millis)
+    # the root interned for this group is of no use to the next one
     clear_intern_cache()
     return _check_class_monotonicity(rows)
 
@@ -587,7 +618,7 @@ def _check_class_monotonicity(rows: list[VerificationOutcome]) -> list[Verificat
         r, partner = rows[i], rows[j]
         if r.verdict == partner.verdict == "confirmed" and not r.vacuous and partner.vacuous:
             exc = InvariantError(f"{r.group_name}/{stext}: ThmA.i non-vacuous but ThmA.ii vacuous")
-            rows[i], rows[j] = _error_row(r, exc), _error_row(partner, exc)
+            rows[i], rows[j] = _failed_row(r, exc), _failed_row(partner, exc)
     return rows
 
 

@@ -847,16 +847,6 @@ class QuotientGroup:
             raise GroupInputError(f"{x} is not in the group")
         return Perm(self.coset_images[self.coset_of[index]])
 
-    def image(self, H: Subgroup) -> Subgroup:
-        """HN/N for a subgroup H of G, as a subgroup of ``group`` with greedy
-        generators."""
-        cosets = {self.coset_of[i] for i in self.table.members(H.mask)}
-        if H.root is not self.kernel.root or -1 in cosets:
-            raise GroupInputError(f"a subgroup of order {H.order} is not inside the group")
-        qtable = _element_table(self.group)
-        return _greedy_subgroup(self.group, qtable.mask_of(
-            qtable.index[self.coset_images[c]] for c in cosets))
-
 
 def quotient_group(G: Group, N: Subgroup, limits: Limits = DEFAULT_LIMITS) -> QuotientGroup:
     """G/N on the right cosets of N, numbered in the order of their least

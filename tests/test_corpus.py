@@ -84,6 +84,18 @@ def test_order_mismatch_fails_loudly():
         bad.build()
 
 
+@pytest.mark.parametrize("order", [0, -6, 6.0, True, "6"], ids=repr)
+def test_a_declared_order_that_is_not_a_count_is_refused(order):
+    """A campaign labels the rows of an entry that does not build from the
+    primes of its declared order, so an order that is not a positive int is
+    refused when the entry is made, in a corpus file too."""
+    with pytest.raises(GroupInputError, match="corpus entry 'z': declared order must be"):
+        CorpusEntry("z", 3, (Perm.parse("(1 2 3)", 3),), order)
+    if order == 0:
+        with pytest.raises(GroupInputError, match="declared order must be at least 1, got 0"):
+            parse_corpus_file("group z deg 3\ngen (1 2 3)\norder 0\n")
+
+
 def test_selected_orders(corpus):
     expected = {"S5": 120, "SL(2,5)": 120, "PSL(2,7)": 168, "F21": 21,
                 "C7:C6": 42, "C13:C3": 39, "C5xA4": 60, "C2xSL(2,3)": 48}

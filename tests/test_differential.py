@@ -313,6 +313,32 @@ def test_residual_and_block_subgroups_match_the_normal_lattice_read(corpus, name
     assert_residual_and_block_subgroups_match_references(corpus[name].build())
 
 
+def reference_lemma_2_4_orders(G, sigma, N):
+    """Lem2.4's two orders as the quotient path read them: the order of the
+    residual of the quotient group G/N itself, and |DN/N| = |D : D n N|
+    from the masks of the residual D of G and of N."""
+    D = sigma_nilpotent_residual(G, sigma)
+    return (sigma_nilpotent_residual(quotient_group(G, N).group, sigma).order,
+            D.order // (D.mask & N.mask).bit_count())
+
+
+@pytest.mark.parametrize("name", [e.name for e in builtin_corpus()])
+def test_lemma_2_4_sides_match_the_quotient_groups(corpus, name):
+    """Lem2.4's read of G/N in G's normal lattice against the quotient
+    groups it replaced, at every campaign partition and for every normal N
+    with 1 < N < G: |M/N| is the order of the residual of G/N, and |DN/N|
+    that of the image of D.  This keeps the residual tested on every proper
+    quotient of a builtin, which the campaign no longer builds."""
+    G = corpus[name].build()
+    proper = [N for N in normal_subgroups(G) if 1 < N.order < G.order]
+    for sigma in campaign_sigmas(G):
+        sides = list(harness._lemma_2_4_sides(G, sigma, Limits()))
+        assert [N for N, _, _ in sides] == proper
+        for N, lhs, rhs in sides:
+            assert (lhs.order // N.order, rhs.order // N.order) == \
+                reference_lemma_2_4_orders(G, sigma, N), (N.order, sigma.text())
+
+
 def reference_sigma_full_sylow_type_violation(G, sigma, limits=Limits()):
     """Lem2.1's scan with one down-set walk per subgroup: E's subgroups are
     the masks of G's lattice inside E's, each tested against every mask of

@@ -8,7 +8,6 @@ from dataclasses import replace
 
 import pytest
 
-import oracles
 from sigmagroups import (CapacityError, CorpusEntry, GroupInputError, Limits, Perm, PermGroup,
                          Subgroup, builtin_entry, harness, parse_sigma, structure)
 from sigmagroups.cli import main
@@ -24,9 +23,9 @@ from sigmagroups.harness import (STATEMENTS, CampaignConfig,
                                  verify_lemma_2_3, verify_lemma_2_4,
                                  verify_lemma_2_5_converse_search,
                                  verify_lemma_2_5_forward, verify_theorem_A)
-from sigmagroups.permcore import clear_intern_cache, compose_images, trivial_subgroup
-from sigmagroups.sigma import SigmaPartition, sigma_nilpotent_residual
-from sigmagroups.structure import is_soluble, normal_subgroups, quotient_group
+from sigmagroups.permcore import clear_intern_cache, trivial_subgroup
+from sigmagroups.sigma import SigmaPartition
+from sigmagroups.structure import is_soluble, normal_subgroups
 
 S1 = SigmaPartition.sigma1()
 
@@ -287,18 +286,34 @@ def test_theorem_a_planted_fault_is_refuted_with_checkable_witness(corpus,
 
 
 def test_lemma_2_4_planted_fault_is_a_counterexample(corpus, monkeypatch):
-    """A residual that is trivial on every quotient of S4 but right on S4
-    itself breaks Lem2.4 at sigma1 on the first proper quotient, S4/V4,
-    whose image of D = A4 has order 3."""
+    """A residual of S4 planted as trivial at sigma1 breaks Lem2.4 on the
+    first proper normal subgroup, V4: the least normal M over V4 with S4/M
+    nilpotent is A4, so the left side has order 3, and DV4/V4 has order 1."""
     S4 = corpus["S4"].build()
     residual = harness.sigma_nilpotent_residual
     monkeypatch.setattr(harness, "sigma_nilpotent_residual",
-                        lambda X, sigma, limits: residual(X, sigma, limits) if X is S4
-                        else trivial_subgroup(X))
+                        lambda X, sigma, limits: trivial_subgroup(X) if X is S4 and sigma == S1
+                        else residual(X, sigma, limits))
     out = verify_lemma_2_4(S4, S1, "S4")
     assert (out.verdict, out.vacuous) == ("counterexample", False)
     assert out.witness["N"]["order"] == 4
-    assert (out.witness["lhs_order"], out.witness["rhs_order"]) == (1, 3)
+    assert (out.witness["lhs_order"], out.witness["rhs_order"]) == (3, 1)
+    assert verify_lemma_2_4(S4, parse_sigma("[2][3]"), "S4").verdict == "confirmed"
+
+
+def test_lemma_2_4_refutes_a_residual_wrong_on_every_group(corpus, monkeypatch):
+    """A residual planted as trivial on every group is wrong wherever the
+    true one is not, and Lem2.4 refutes some of those rows over the
+    builtins' campaign partitions: its left side is read off the normal
+    lattice, not off the residual."""
+    monkeypatch.setattr(harness, "sigma_nilpotent_residual",
+                        lambda X, sigma, limits: trivial_subgroup(X))
+    verdicts = Counter()
+    for name, entry in corpus.items():
+        G = entry.build()
+        verdicts.update(verify_lemma_2_4(G, sigma, name).verdict for sigma in campaign_sigmas(G))
+    assert sum(verdicts.values()) == 136
+    assert verdicts["counterexample"] == 31
 
 
 def lemma_2_1_lie(G, original):
@@ -468,6 +483,44 @@ def test_a_group_that_does_not_build_becomes_error_rows(corpus):
     assert {r["verdict"] for r in bad} == {"error"}
     assert {r["reason"] for r in bad} == {
         "GroupInputError: corpus entry 'bogus': generated order 3, declared 7"}
+
+
+def test_an_entry_whose_generators_do_not_fit_its_degree_becomes_error_rows(corpus):
+    """A library entry of degree 3 with a generator on 4 points is never
+    built, not even to label its rows: they are labelled from the primes of
+    its declared order, 24, and the campaign goes on with the next group."""
+    x = CorpusEntry("x", 3, (Perm.parse("(1 2 3 4)", 4),), 24)
+    config = CampaignConfig(zero_millis=True)
+    rows = run_campaign([x, corpus["S3"]], config)
+    assert [r for r in rows if r["group"] == "S3"] == run_campaign([corpus["S3"]], config)
+    bad = [r for r in rows if r["group"] == "x"]
+    # 9 per-sigma statements x 3 sigmas of {2, 3}, Cor1.2 once, Lem2.2 per subset
+    assert len(bad) == 9 * 3 + 1 + 4
+    assert {r["verdict"] for r in bad} == {"error"}
+    assert {r["reason"] for r in bad} == {
+        "GroupInputError: generator degree 4 does not match group degree 3"}
+    assert {r["sigma"] for r in bad} == {"[2,3]", "[2][3]", "sigma1", "[]", "[2]", "[3]"}
+
+
+def test_verify_group_builds_one_chain_and_one_table_per_group(corpus, table_builds,
+                                                               monkeypatch):
+    """Lem2.4 reads G/N in G's normal lattice, so over the builtins each
+    group's own PermGroup and element table are the only ones built: 45 and
+    45, where building every proper quotient made 136 and 136."""
+    groups = []
+    init = PermGroup.__init__
+
+    def counting(self, *args, **kwargs):
+        groups.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PermGroup, "__init__", counting)
+    clear_intern_cache()  # no root with a table left by an earlier test
+    for entry in corpus.values():
+        verify_group(entry, CampaignConfig(zero_millis=True))
+    assert len(groups) == len(table_builds) == len(corpus) == 45
+    assert [G.order for G in groups] == [entry.expected_order for entry in corpus.values()]
+    assert [K.order for K in table_builds] == [G.order for G in groups]
 
 
 def test_campaign_thma_witnesses_revalidate(corpus, campaign):
@@ -670,21 +723,3 @@ def test_class_monotonicity_check_makes_error_rows():
         replace(rows[1], verdict="error", vacuous=False, reason=reason), rows[2]]
     held = rows[:1] + [replace(rows[1], vacuous=False)]
     assert _check_class_monotonicity(held) == held
-
-
-@pytest.mark.parametrize("name", ["S4", "SL(2,5)"])
-def test_lemma_2_4_image_of_residual_is_dn_over_n(corpus, name):
-    """Lem2.4's right-hand side, the image of D, is the projection of the
-    product set DN as a subgroup of the quotient that its generators
-    generate, for every normal N and every campaign partition."""
-    G = corpus[name].build()
-    for sigma in campaign_sigmas(G):
-        D = sigma_nilpotent_residual(G, sigma)
-        for N in normal_subgroups(G):
-            q = quotient_group(G, N)
-            dn = {compose_images(d, n) for d in D.element_images() for n in N.element_images()}
-            image = q.image(D)
-            assert image.root is q.group
-            assert image.element_images() == frozenset(q.project(Perm(x)).images for x in dn)
-            assert oracles.close_tuples([g.images for g in image.generators],
-                                        q.group.degree) == image.element_images()

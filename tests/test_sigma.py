@@ -483,9 +483,8 @@ def test_quotient_verdict_refuses_a_non_normal_subgroup(corpus):
 @pytest.mark.parametrize("name", LATTICE_GROUPS)
 def test_sigma_verdicts_build_no_group(corpus, chain_builds, table_builds, name):
     """Once G and its table are built, the residual, sigma-nilpotency of every
-    subgroup and Lemma 2.3 build no chain and no table at any campaign
-    partition; Lemma 2.4 builds at most one quotient root per normal N with
-    1 < N < G."""
+    subgroup and Lemmas 2.3 and 2.4 build no chain and no table at any
+    campaign partition: Lemma 2.4 reads each G/N in G's normal lattice."""
     clear_intern_cache()  # no quotient root left by an earlier test
     G = builtin_entry(name).build()
     subgroups = all_subgroups(G)
@@ -496,11 +495,8 @@ def test_sigma_verdicts_build_no_group(corpus, chain_builds, table_builds, name)
         for H in subgroups:
             is_sigma_nilpotent(H, sigma)
         verify_lemma_2_3(G, sigma)
-    assert chain_builds == [] and table_builds == []
-    proper = [N for N in normal_subgroups(G) if 1 < N.order < G.order]
-    for sigma in campaign_sigmas(G):
         verify_lemma_2_4(G, sigma)
-    assert len(chain_builds) <= len(proper) and len(table_builds) <= len(proper)
+    assert chain_builds == [] and table_builds == []
 
 
 @pytest.mark.parametrize("name", ["S4", "SL(2,3)", "C5xA4", "PSL(2,7)"])

@@ -131,6 +131,12 @@ def test_harness_compares_subgroups_not_image_sets():
         {"element_images", "image_set", "closure_of_images"})
 
 
+def test_harness_builds_no_quotient_group():
+    """Lem2.4 reads G/N in G's normal lattice: ``harness.py`` names no
+    quotient construction."""
+    assert "quotient_group" not in names_in_module("harness.py")
+
+
 def names_by_function(module: str) -> dict[str, set[str]]:
     """The names of a package module, as ``names_in_module`` finds them, per
     top-level function or method (``Class.method``).  Nested functions count
