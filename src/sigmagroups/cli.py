@@ -22,11 +22,10 @@ from .corpus import CorpusEntry, builtin_corpus, builtin_entry, parse_corpus_fil
 from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, Limits
 from .harness import (REGISTRY, STATEMENTS, CampaignConfig, VerificationOutcome,
                       campaign_sigmas, report_from_rows, run_campaign, run_statements)
-from .numbers import is_prime
 from .permcore import Perm, PermGroup, Subgroup
-from .sigma import (BLOCK_DIGITS, SigmaPartition, _block_number, complete_hall_sigma_set,
-                    is_psigma_t, is_sigma_nilpotent, is_sigma_permutable, is_sigma_primary,
-                    is_sigma_soluble, parse_sigma, sigma_nilpotent_residual, sigma_of_group)
+from .sigma import (BLOCK_DIGITS, SigmaPartition, complete_hall_sigma_set, is_psigma_t,
+                    is_sigma_nilpotent, is_sigma_permutable, is_sigma_primary, is_sigma_soluble,
+                    parse_sigma, sigma_nilpotent_residual, sigma_of_group)
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -120,7 +119,7 @@ def _resolve_entry(args) -> CorpusEntry:
 
 def _sigmas_for(args, G: PermGroup) -> list[SigmaPartition]:
     if args.sigma == "all":
-        if args.command not in ("verify", "campaign"):
+        if args.command != "verify":
             raise GroupInputError("--sigma all is only valid for verify and campaign")
         return campaign_sigmas(G)
     return [parse_sigma(args.sigma)]
@@ -222,23 +221,19 @@ def _outcome_lines(rows: list[VerificationOutcome]) -> list[str]:
 
 def _pi_sets(args) -> list[frozenset[int]] | None:
     """The one prime set given by --pi, or None for every subset of pi(G).
-    Each token is read as a block number of ``--sigma`` is, so leading
-    zeros do not count toward its ``BLOCK_DIGITS`` digits."""
+    It is read as one ``--sigma`` block, so leading zeros do not count
+    toward a prime's ``BLOCK_DIGITS`` digits."""
     if args.pi is None:
         return None
     if REGISTRY[args.statement].scope != "pi":
         only = ", ".join(sid for sid, st in REGISTRY.items() if st.scope == "pi")
         raise GroupInputError(f"--pi applies only to {only}, not {args.statement}")
-    tokens = [t.strip() for t in args.pi.split(",")]
     try:
-        # 0 stands for a token that is no decimal number: it is not a prime
-        primes = [_block_number(t) if t.isdecimal() else 0 for t in tokens]
-    except GroupInputError:  # more than BLOCK_DIGITS digits past the leading zeros
-        primes = [0]
-    if not all(map(is_prime, primes)):
+        (pi,) = parse_sigma(f"[{args.pi.strip()}]").blocks
+    except (GroupInputError, ValueError):  # ValueError: no block, or more than one
         raise GroupInputError(f"--pi takes comma-separated primes of at most {BLOCK_DIGITS} "
-                              f"digits, got {args.pi!r}")
-    return [frozenset(primes)]
+                              f"digits, got {args.pi!r}") from None
+    return [pi]
 
 
 def cmd_verify(args) -> int:

@@ -15,6 +15,7 @@ against the group actually generated, so a typo'd generator fails loudly.
 """
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
@@ -35,8 +36,19 @@ class CorpusEntry:
 
     def __post_init__(self) -> None:
         # a campaign labels the rows of an entry that does not build from the
-        # primes of its declared order, so that order must be a count
+        # primes of its declared order, so that order must be a count with no
+        # prime factor above the degree, as the order of every group of that
+        # degree is: factoring it then takes at most ``degree`` trial divisions
         _check_count(f"corpus entry {self.name!r}: declared order", self.expected_order)
+        _check_count(f"corpus entry {self.name!r}: degree", self.degree)
+        rest = self.expected_order
+        for p in range(2, min(self.degree, math.isqrt(rest)) + 1):
+            while rest % p == 0:
+                rest //= p
+        if rest > self.degree:
+            raise GroupInputError(
+                f"corpus entry {self.name!r}: declared order {self.expected_order} has a "
+                f"prime factor above the degree {self.degree}")
 
     def generated(self) -> PermGroup:
         """The group of the generators, with its Schreier-Sims chain only, so

@@ -33,13 +33,11 @@ from .errors import (CapacityError, DEFAULT_LIMITS, GroupInputError, InvariantEr
                      _check_count, _check_prime)
 from .numbers import part_for_primes, primes_of
 from .permcore import Perm, PermGroup, Subgroup, clear_intern_cache, compose_images
-from .sigma import (SigmaPartition, _group_blocks, _quotient_is_sigma_nilpotent,
-                    induces_power_automorphisms, is_pi_separable, is_psigma_t,
-                    is_sigma_nilpotent, is_sigma_soluble, largest_normal_block_subgroup,
+from .sigma import (SigmaPartition, _group_blocks, induces_power_automorphisms,
+                    is_pi_separable, is_psigma_t, is_sigma_nilpotent, is_sigma_soluble,
                     sigma_nilpotent_residual, sigma_full_sylow_type_violation)
-from .structure import (all_subgroups, frattini_subgroup, hall_subgroup,
-                        intersection_subgroup, normal_subgroups, subgroups_of_order,
-                        supplements)
+from .structure import (all_subgroups, frattini_subgroup, hall_subgroup, normal_subgroups,
+                        subgroups_of_order, supplements)
 
 _THMA_CLASS = {"ThmA.i": "sigma-soluble", "ThmA.ii": "sigma-nilpotent",
                "ThmA.iii": "sigma-soluble-psigma-t"}
@@ -277,6 +275,21 @@ def _normal_product(normals: tuple[Subgroup, ...], A: Subgroup, B: Subgroup) -> 
     return P
 
 
+def _nilpotent_section(G: PermGroup, normals: tuple[Subgroup, ...], top: int, bottom: int,
+                       sigma: SigmaPartition) -> bool:
+    """Is E/K sigma-nilpotent, for normal subgroups K <= E of G given by the
+    masks ``bottom`` and ``top``, and G's sorted normal lattice ``normals``?
+
+    It is exactly when each block sigma_i of sigma(G) has a normal L of G
+    with K <= L <= E and |L| = |K| |E:K|_{sigma_i}: L/K is then a normal
+    Hall sigma_i-subgroup of E/K, and the normal Hall sigma_i-subgroup of a
+    sigma-nilpotent E/K, characteristic in E/K, which is normal in G/K, is
+    such an L/K (correspondence theorem).  No quotient group is built."""
+    k, index = bottom.bit_count(), top.bit_count() // bottom.bit_count()
+    between = {L.order for L in normals if L.mask & bottom == bottom and L.mask & top == L.mask}
+    return all(k * part_for_primes(index, ps) in between for _, ps, _ in _group_blocks(G, sigma))
+
+
 def verify_lemma_2_3(G: PermGroup, sigma: SigmaPartition, group_name: str = "",
                      limits: Limits = DEFAULT_LIMITS) -> VerificationOutcome:
     """Normal products, quotients, subgroups, and the Frattini condition."""
@@ -300,7 +313,7 @@ def verify_lemma_2_3(G: PermGroup, sigma: SigmaPartition, group_name: str = "",
         for n in normals:
             if 1 < n.order:
                 nontrivial_instances += 1
-            if not _quotient_is_sigma_nilpotent(G, n, sigma, limits):
+            if not _nilpotent_section(G, normals, G.mask, n.mask, sigma):
                 failures.append({"part": "quotient", "N": _sub_json(n)})
         for h in all_subgroups(G, limits):
             if 1 < h.order < G.order:
@@ -310,7 +323,8 @@ def verify_lemma_2_3(G: PermGroup, sigma: SigmaPartition, group_name: str = "",
 
     phi = frattini_subgroup(G, limits)
     for e in normals:
-        if _quotient_is_sigma_nilpotent(e, intersection_subgroup(G, e, phi), sigma, limits):
+        # E n Phi(G) is normal in G, as E and Phi(G) are
+        if _nilpotent_section(G, normals, e.mask, e.mask & phi.mask, sigma):
             if e.order > 1:
                 nontrivial_instances += 1
             if not is_sigma_nilpotent(e, sigma, limits):
@@ -337,22 +351,14 @@ def _lemma_2_4_sides(G: PermGroup, sigma: SigmaPartition,
 
     By the correspondence theorem both sides are normal subgroups of G over
     N, read off G's sorted normal lattice, and no quotient group is built.
-    G/M is sigma-nilpotent exactly when each block sigma_i of sigma(G) has a
-    normal L >= M of G with |L| = |M| |G:M|_{sigma_i}: L/M is then the normal
-    Hall sigma_i-subgroup of G/M, and that subgroup, characteristic in G/M,
-    is such an L/M.  These M are closed under intersection, so the least one
-    over N has the least order and comes first.  This read shares nothing
-    with the residual's code but the lattice, so a wrong D shows.  DN is
-    the first normal subgroup over D and N."""
+    The M with G/M sigma-nilpotent are read by ``_nilpotent_section``; they
+    are closed under intersection, so the least one over N has the least
+    order and comes first.  This read shares nothing with the residual's
+    code but the lattice, so a wrong D shows.  DN is the first normal
+    subgroup over D and N."""
     D = sigma_nilpotent_residual(G, sigma, limits)
     normals = normal_subgroups(G, limits)
-
-    def nilpotent_quotient(M: Subgroup) -> bool:
-        over = {L.order for L in normals if L.mask & M.mask == M.mask}
-        return all(M.order * part_for_primes(G.order // M.order, ps) in over
-                   for _, ps, _ in _group_blocks(G, sigma))
-
-    tops = [M for M in normals if nilpotent_quotient(M)]
+    tops = [M for M in normals if _nilpotent_section(G, normals, G.mask, M.mask, sigma)]
     # the lattice is sorted by order, so 1 comes first and G, when it is not 1, last
     for N in normals[1:-1]:
         M = next(M for M in tops if M.mask & N.mask == N.mask)
@@ -385,13 +391,21 @@ def _is_abelian_subgroup(h: Subgroup) -> bool:
                for i, a in enumerate(gens) for b in gens[i + 1:])
 
 
+def _block_core(normals: tuple[Subgroup, ...], d: int, ps: frozenset[int]) -> Subgroup:
+    """O_ps(D), the largest normal ps-subgroup of D, for D normal in G given
+    by its mask ``d`` and G's sorted normal lattice ``normals``.  O_ps(D) is
+    characteristic in D, so it is normal in G; it holds every normal
+    ps-subgroup of G inside D, so it is the last of them in the lattice."""
+    return next(N for N in reversed(normals) if N.mask & d == N.mask and primes_of(N.order) <= ps)
+
+
 def _condition_ii_blocks(G: PermGroup, D: Subgroup, sigma: SigmaPartition,
                          limits: Limits) -> tuple[bool, list[dict]]:
     """For each block of sigma(G): O_{sigma_i}(D) must own a normal complement
-    inside some Hall sigma_i-subgroup of G."""
+    inside some Hall sigma_i-subgroup of G.  D is normal in G."""
     detail = []
     for bid, ps, part in _group_blocks(G, sigma):
-        O = largest_normal_block_subgroup(D, ps, limits)
+        O = _block_core(normal_subgroups(G, limits), D.mask, ps)
         found = next(((H, C) for H in subgroups_of_order(G, part, limits)
                       if O.mask & H.mask == O.mask for C in normal_subgroups(H, limits)
                       if C.order * O.order == H.order and (C.mask & O.mask).bit_count() == 1),

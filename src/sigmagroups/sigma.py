@@ -18,13 +18,17 @@ Every verdict and subgroup here comes from subgroups generated by elements
 on the root's table (``_ElementTable.generated_by_orders``), and no normal
 lattice is built:
 
-- sigma-nilpotency of G or of a quotient G/N (Lemma 2.3) is read off the
-  subgroups R_i of G generated by its sigma_i-elements, and no group is
-  built;
+- sigma-nilpotency of G or of a quotient G/N is read off the subgroups
+  R_i of G generated by its sigma_i-elements, and no group is built; the
+  quotient form serves the residual's own check and the library, while the
+  Lemma 2.3 and 2.4 verifiers read G/N in G's normal lattice
+  (``harness._nilpotent_section``);
 - the residual (Lemma 2.4) is the join of the O^{sigma_i}(R_i), each
   generated by the sigma_i'-elements of R_i;
-- O_{sigma_i}(D) (Lemma 2.5) is the join of the normal closures of the
-  conjugacy classes of D that are sigma_i-groups;
+- O_{sigma_i}(D) is the join of the normal closures of the conjugacy
+  classes of D that are sigma_i-groups; it serves the library, and the
+  Lemma 2.5 verifier reads it in G's normal lattice
+  (``harness._block_core``);
 - sigma-solubility and pi-separability walk a descending series of
   subgroups generated by elements, with no chief series: the walk is
   ``structure._descends_to_one``, which also decides classical
@@ -387,7 +391,12 @@ def _quotient_is_sigma_nilpotent(G: Group, N: Subgroup, sigma: SigmaPartition,
     p-subgroup of G/N for every p in sigma_i, and it is the normal Hall
     sigma_i-subgroup of G/N exactly when it has order |G:N|_{sigma_i}, that is
     when |R_i| = |R_i n N| |G:N|_{sigma_i}.  Blocks whose part of |G:N| is 1
-    or all of it need no test.  Neither G/N nor a normal lattice is built."""
+    or all of it need no test.  Neither G/N nor a normal lattice is built.
+
+    With N = 1 it is ``is_sigma_nilpotent``; with N the residual it is the
+    residual's own check.  The verifiers read G/N in G's normal lattice
+    instead (``harness._nilpotent_section``), and the tests hold the two
+    reads equal."""
     def compute():
         if not _is_normal_in(_element_table(G.root, limits), G, N):
             raise GroupInputError("quotient by a non-normal subgroup")

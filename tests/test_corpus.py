@@ -1,5 +1,8 @@
 """Builtin catalog integrity, corpus file round trips, prime-set partitions."""
 
+import re
+import time
+
 import pytest
 
 from sigmagroups import (CapacityError, CorpusEntry, GroupInputError, Limits, Perm,
@@ -79,7 +82,7 @@ def test_builtin_entry_lookup():
 
 
 def test_order_mismatch_fails_loudly():
-    bad = CorpusEntry("bogus", 3, (Perm.parse("(1 2 3)", 3),), 7)
+    bad = CorpusEntry("bogus", 3, (Perm.parse("(1 2 3)", 3),), 6)
     with pytest.raises(GroupInputError, match="bogus"):
         bad.build()
 
@@ -94,6 +97,29 @@ def test_a_declared_order_that_is_not_a_count_is_refused(order):
     if order == 0:
         with pytest.raises(GroupInputError, match="declared order must be at least 1, got 0"):
             parse_corpus_file("group z deg 3\ngen (1 2 3)\norder 0\n")
+
+
+@pytest.mark.parametrize("order", [7, 10, 2**61 - 1], ids=repr)
+def test_a_declared_order_with_a_prime_above_the_degree_is_refused(order):
+    """No group of degree 3 has an order with a prime factor above 3, so the
+    entry is refused when it is made, at once: a campaign labels the rows of
+    an entry that does not build by factoring its declared order, and
+    factoring 2**61 - 1 by trial division stalls it."""
+    message = f"corpus entry 'z': declared order {order} has a prime factor above the degree 3"
+    t0 = time.perf_counter()
+    with pytest.raises(GroupInputError, match=re.escape(message)):
+        CorpusEntry("z", 3, (Perm.parse("(1 2 3)", 3),), order)
+    assert time.perf_counter() - t0 < 1
+    with pytest.raises(GroupInputError, match=re.escape(message)):
+        parse_corpus_file(f"group z deg 3\ngen (1 2 3)\norder {order}\n")
+
+
+@pytest.mark.parametrize("degree", [0, True, 3.0, "3"], ids=repr)
+def test_a_degree_that_is_not_a_count_is_refused(degree):
+    """The declared-order check reads the degree, so a library entry's
+    degree must be a positive int, as a corpus file's must."""
+    with pytest.raises(GroupInputError, match="corpus entry 'z': degree must be"):
+        CorpusEntry("z", degree, (), 1)
 
 
 def test_selected_orders(corpus):
@@ -176,6 +202,9 @@ def test_parse_corpus_file_errors(text, fragment):
 def test_parse_corpus_file_checks_generated_order():
     with pytest.raises(GroupInputError, match="'X'"):
         parse_corpus_file("group X deg 3\ngen (1 2 3)\norder 7\n")
+    # an order whose primes fit the degree reaches the check against the group
+    with pytest.raises(GroupInputError, match="'X': generated order 3, declared 6"):
+        parse_corpus_file("group X deg 3\ngen (1 2 3)\norder 6\n")
 
 
 def test_empty_file_yields_no_entries():

@@ -22,7 +22,8 @@ from sigmagroups.numbers import is_prime, is_prime_power, part_for_primes, prime
 from sigmagroups.permcore import _mask
 from sigmagroups.structure import (_element_table, _lattice_cyclic_extension,
                                    _lattice_join_closure, all_subgroups, chief_series,
-                                   conjugate_image_sets, is_soluble,
+                                   conjugate_image_sets, frattini_subgroup,
+                                   intersection_subgroup, is_soluble,
                                    maximal_subgroups_of_p_group, normal_subgroups,
                                    quotient_group, sylow_subgroup)
 
@@ -109,16 +110,29 @@ def lattice_quotient_is_sigma_nilpotent(G, N, sigma):
 
 
 def assert_sigma_nilpotency_matches_lattice_read(G):
+    """At every campaign partition and for every normal N of G: the
+    engine's sigma-nilpotency of G/N against the reference lattice read and
+    against Lem2.3's and Lem2.4's (``harness._nilpotent_section``); and the
+    section read of N/(N n Phi(G)), Lem2.3's Frattini premise, against the
+    path it replaced, the engine on N over ``intersection_subgroup``."""
+    limits = Limits()
+    normals = normal_subgroups(G)
+    phi = frattini_subgroup(G)
     for sigma in campaign_sigmas(G):
-        for N in normal_subgroups(G):
-            assert sigma_module._quotient_is_sigma_nilpotent(G, N, sigma, Limits()) == \
-                lattice_quotient_is_sigma_nilpotent(G, N, sigma), (N.order, sigma.text())
+        for N in normals:
+            where = (N.order, sigma.text())
+            engine = sigma_module._quotient_is_sigma_nilpotent(G, N, sigma, limits)
+            assert engine == lattice_quotient_is_sigma_nilpotent(G, N, sigma), where
+            assert harness._nilpotent_section(G, normals, G.mask, N.mask, sigma) == engine, where
+            assert harness._nilpotent_section(G, normals, N.mask, N.mask & phi.mask, sigma) == \
+                sigma_module._quotient_is_sigma_nilpotent(
+                    N, intersection_subgroup(G, N, phi), sigma, limits), where
 
 
 @pytest.mark.parametrize("name", [e.name for e in builtin_corpus()])
 def test_sigma_nilpotency_matches_the_normal_lattice_read(corpus, name):
     """The test on the subgroups generated by sigma_i-elements against the
-    normal-lattice read, for every normal N and campaign partition."""
+    normal-lattice reads, for every normal N and campaign partition."""
     assert_sigma_nilpotency_matches_lattice_read(corpus[name].build())
 
 
@@ -293,17 +307,20 @@ def reference_largest_normal_block_mask(D, block_primes):
 def assert_residual_and_block_subgroups_match_references(G):
     """At every campaign partition, the residual's mask and generators; for
     every normal D of G and every block of a campaign partition, the mask
-    of O_pi(D); both against the normal-lattice references."""
+    of O_pi(D); both against the normal-lattice references.  O_pi(D) is
+    also Lem2.5's read of it in G's normal lattice (``harness._block_core``)."""
     sigmas = campaign_sigmas(G)
     for sigma in sigmas:
         D = sigma_nilpotent_residual(G, sigma)
         expected = reference_sigma_nilpotent_residual(G, sigma)
         assert (D.mask, D.generators) == (expected.mask, expected.generators), sigma.text()
     blocks = {ps for sigma in sigmas for _, ps, _ in sigma_module._group_blocks(G, sigma)}
-    for D in normal_subgroups(G):
+    normals = normal_subgroups(G)
+    for D in normals:
         for ps in blocks:
-            assert largest_normal_block_subgroup(D, ps).mask == \
-                reference_largest_normal_block_mask(D, ps), (D.generators, sorted(ps))
+            O = largest_normal_block_subgroup(D, ps).mask
+            assert O == reference_largest_normal_block_mask(D, ps), (D.generators, sorted(ps))
+            assert harness._block_core(normals, D.mask, ps).mask == O, (D.generators, sorted(ps))
 
 
 @pytest.mark.parametrize("name", [e.name for e in builtin_corpus()])

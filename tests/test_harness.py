@@ -10,6 +10,7 @@ import pytest
 
 from sigmagroups import (CapacityError, CorpusEntry, GroupInputError, Limits, Perm, PermGroup,
                          Subgroup, builtin_entry, harness, parse_sigma, structure)
+from sigmagroups import sigma as sigma_module
 from sigmagroups.cli import main
 from sigmagroups.errors import InvariantError
 from sigmagroups.harness import (STATEMENTS, CampaignConfig,
@@ -474,15 +475,15 @@ def test_verify_group_skips_a_group_over_the_element_cache_bound(corpus):
 def test_a_group_that_does_not_build_becomes_error_rows(corpus):
     """A library corpus entry whose declared order is wrong makes every row
     of its group an error row, and the campaign goes on with the next."""
-    bogus = CorpusEntry("bogus", 3, (Perm.parse("(1 2 3)", 3),), 7)
+    bogus = CorpusEntry("bogus", 3, (Perm.parse("(1 2 3)", 3),), 6)
     config = CampaignConfig(zero_millis=True)
     rows = run_campaign([bogus, corpus["S3"]], config)
     assert [r for r in rows if r["group"] == "S3"] == run_campaign([corpus["S3"]], config)
     bad = [r for r in rows if r["group"] == "bogus"]
-    assert len(bad) == 9 * 2 + 1 + 2
+    assert len(bad) == 9 * 3 + 1 + 4
     assert {r["verdict"] for r in bad} == {"error"}
     assert {r["reason"] for r in bad} == {
-        "GroupInputError: corpus entry 'bogus': generated order 3, declared 7"}
+        "GroupInputError: corpus entry 'bogus': generated order 3, declared 6"}
 
 
 def test_an_entry_whose_generators_do_not_fit_its_degree_becomes_error_rows(corpus):
@@ -521,6 +522,32 @@ def test_verify_group_builds_one_chain_and_one_table_per_group(corpus, table_bui
     assert len(groups) == len(table_builds) == len(corpus) == 45
     assert [G.order for G in groups] == [entry.expected_order for entry in corpus.values()]
     assert [K.order for K in table_builds] == [G.order for G in groups]
+
+
+def test_campaign_reads_normal_subgroups_off_the_normal_lattices(corpus, monkeypatch):
+    """Lem2.3 reads E n Phi(G) and its quotients, and Lem2.5 reads
+    O_pi(D), off G's normal lattice: a builtin campaign makes no greedy
+    intersection and no O_pi(D) from class closures, and computes class
+    closures only in its 79 normal-lattice kernels.  Reading them through
+    the engine made 628, 309, 147 and 79 calls."""
+    calls = Counter()
+
+    def counting(name, original):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return spy
+
+    names = ("intersection_subgroup", "largest_normal_block_subgroup", "_class_closures",
+             "_normal_lattice")
+    for name in names:
+        original = getattr(structure, name, None) or getattr(sigma_module, name)
+        for module in (structure, sigma_module, harness):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting(name, original))
+    clear_intern_cache()  # no root with lattices left by an earlier test
+    run_campaign(list(corpus.values()), CampaignConfig(zero_millis=True))
+    assert [calls[name] for name in names] == [0, 0, 79, 79]
 
 
 def test_campaign_thma_witnesses_revalidate(corpus, campaign):

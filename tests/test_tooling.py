@@ -137,6 +137,14 @@ def test_harness_builds_no_quotient_group():
     assert "quotient_group" not in names_in_module("harness.py")
 
 
+def test_harness_reads_normal_subgroups_off_the_normal_lattice():
+    """Lem2.3 reads its quotients and E n Phi(G), and Lem2.5 reads O_pi(D),
+    in G's normal lattice: ``harness.py`` names none of the engine's own
+    reads of them, which stay for the library and its tests."""
+    assert names_in_module("harness.py").isdisjoint(
+        {"_quotient_is_sigma_nilpotent", "largest_normal_block_subgroup", "intersection_subgroup"})
+
+
 def names_by_function(module: str) -> dict[str, set[str]]:
     """The names of a package module, as ``names_in_module`` finds them, per
     top-level function or method (``Class.method``).  Nested functions count
