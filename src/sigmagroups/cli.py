@@ -120,7 +120,7 @@ def _resolve_entry(args) -> CorpusEntry:
 def _sigmas_for(args, G: PermGroup) -> list[SigmaPartition]:
     if args.sigma == "all":
         if args.command != "verify":
-            raise GroupInputError("--sigma all is only valid for verify and campaign")
+            raise GroupInputError("--sigma all is only valid for verify")
         return campaign_sigmas(G)
     return [parse_sigma(args.sigma)]
 

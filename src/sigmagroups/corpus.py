@@ -11,7 +11,8 @@ file format is the extension point for importing further groups:
     tags soluble
 
 Entries are blank-line separated; ``order`` is mandatory and is checked
-against the group actually generated, so a typo'd generator fails loudly.
+against the group actually generated when the entry is built, so a typo'd
+generator fails loudly there, and in a campaign gives only its own rows.
 """
 from __future__ import annotations
 
@@ -28,6 +29,11 @@ from .structure import _check_table_room
 
 @dataclass(frozen=True)
 class CorpusEntry:
+    """A named group of permutations with its declared order.
+
+    Making an entry checks only values: the degree and the declared order
+    are counts, and the order has no prime factor above the degree.  The
+    generated order and the table bound are checked by ``build``."""
     name: str
     degree: int
     generators: tuple[Perm, ...]
@@ -160,6 +166,12 @@ def _is_decimal(text: str) -> bool:
 
 
 def parse_corpus_file(text: str) -> list[CorpusEntry]:
+    """The entries of a corpus file's text, in file order; no group is built.
+
+    GroupInputError on a syntax error, a degree or order that is not a
+    count, or a declared order with a prime factor above the degree.  The
+    generated order and the table bound are checked when an entry is built,
+    so a wrong entry fails alone."""
     entries: list[CorpusEntry] = []
     names: set[str] = set()
     cur: dict | None = None
@@ -171,11 +183,8 @@ def parse_corpus_file(text: str) -> list[CorpusEntry]:
         if cur["order"] is None:
             raise GroupInputError(
                 f"line {lineno}: entry {cur['name']!r} has no order line")
-        e = CorpusEntry(cur["name"], cur["degree"], tuple(cur["gens"]),
-                        cur["order"], tuple(cur["tags"]))
-        # the declared order is checked here; the caller's bounds apply at build
-        e.generated()
-        entries.append(e)
+        entries.append(CorpusEntry(cur["name"], cur["degree"], tuple(cur["gens"]),
+                                   cur["order"], tuple(cur["tags"])))
         cur = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):

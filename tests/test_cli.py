@@ -463,10 +463,10 @@ def test_overlong_cycle_point_is_usage_error(capsys, tmp_path):
     assert err == f"usage error: line 2: point {'1' * 5000} outside 1..3\n"
 
 
-def test_sigma_all_rejected_outside_verify_and_campaign(capsys):
-    code, _, err = run(capsys, "classify", "--group", "S3", "--sigma", "all")
-    assert code == 2
-    assert "--sigma all is only valid for verify and campaign" in err
+def test_sigma_all_rejected_outside_verify(capsys):
+    for command in ("classify", "residual", "permutable"):
+        assert run(capsys, command, "--group", "S3", "--sigma", "all") == \
+            (2, "", "usage error: --sigma all is only valid for verify\n")
 
 
 def test_missing_corpus_file_is_io_error(capsys, tmp_path):
@@ -545,8 +545,8 @@ order 6
 
 
 def test_corpus_file_group_over_the_table_bound_skips_only_its_rows(capsys, tmp_path):
-    # S7 passes its order check when the file is read; only building it
-    # meets the default table bound, so S3 is still verified and classified
+    # reading the file builds no group; only building S7 meets the default
+    # table bound, so S3 is still verified and classified
     path = tmp_path / "s7s3.corpus"
     path.write_text(S7_AND_S3_CORPUS)
     report_path = tmp_path / "report.json"
@@ -562,6 +562,48 @@ def test_corpus_file_group_over_the_table_bound_skips_only_its_rows(capsys, tmp_
     assert len(s3) == 32 and {r["verdict"] for r in s3} == {"confirmed"}
     code, out, _ = run(capsys, "classify", "--corpus-file", str(path), "--group", "S3")
     assert code == 0 and "group S3 (order 6, degree 3)" in out
+
+
+S3_AND_BAD_CORPUS = """\
+group S3 deg 3
+gen (1 2 3)
+gen (1 2)
+order 6
+
+group BAD deg 3
+gen (1 2 3)
+order 6
+"""
+
+
+def test_corpus_file_entry_of_a_wrong_order_errors_only_its_rows(capsys, tmp_path):
+    """Reading a file builds no group, so a declared order that the
+    generators do not give is found when BAD is built: its rows are error
+    rows, S3's are those of a campaign over S3 alone, and the campaign exits 4."""
+    path = tmp_path / "s3bad.corpus"
+    path.write_text(S3_AND_BAD_CORPUS)
+    alone = tmp_path / "s3.corpus"
+    alone.write_text(S3_AND_BAD_CORPUS.split("\n\n")[0] + "\n")
+    report_path, alone_path = tmp_path / "report.json", tmp_path / "alone.json"
+    code, _, err = run(capsys, "campaign", "--corpus", str(path), "--no-timestamp",
+                       "--out", str(report_path))
+    assert code == 4 and err == ""
+    assert run(capsys, "campaign", "--corpus", str(alone), "--no-timestamp",
+               "--out", str(alone_path))[0] == 0
+    rows = json.loads(report_path.read_text())["outcomes"]
+    assert [r for r in rows if r["group"] == "S3"] == \
+        json.loads(alone_path.read_text())["outcomes"]
+    bad = [r for r in rows if r["group"] == "BAD"]
+    assert len(bad) == 9 * 3 + 1 + 4
+    assert {r["verdict"] for r in bad} == {"error"}
+    assert {r["reason"] for r in bad} == {
+        "GroupInputError: corpus entry 'BAD': generated order 3, declared 6"}
+    # a command builds only the group it names
+    assert run(capsys, "classify", "--corpus-file", str(path), "--group", "S3") == \
+        run(capsys, "classify", "--group", "S3")
+    code, out, err = run(capsys, "classify", "--corpus-file", str(path), "--group", "BAD")
+    assert (code, out) == (2, "")
+    assert err == "usage error: corpus entry 'BAD': generated order 3, declared 6\n"
 
 
 def test_campaign_only_filters_statements(capsys, mini_corpus):

@@ -200,11 +200,21 @@ def test_parse_corpus_file_errors(text, fragment):
 
 
 def test_parse_corpus_file_checks_generated_order():
-    with pytest.raises(GroupInputError, match="'X'"):
+    # a prime above the degree is refused when the file is read
+    with pytest.raises(GroupInputError, match="'X': declared order 7 has a prime factor"):
         parse_corpus_file("group X deg 3\ngen (1 2 3)\norder 7\n")
-    # an order whose primes fit the degree reaches the check against the group
+    # an order whose primes fit the degree is checked against the group at build
+    [entry] = parse_corpus_file("group X deg 3\ngen (1 2 3)\norder 6\n")
     with pytest.raises(GroupInputError, match="'X': generated order 3, declared 6"):
-        parse_corpus_file("group X deg 3\ngen (1 2 3)\norder 6\n")
+        entry.build()
+
+
+def test_reading_a_corpus_file_builds_no_chain(chain_builds):
+    """Parsing only reads text: the 45 builtins' corpus text yields 45
+    entries and no Schreier-Sims chain."""
+    entries = parse_corpus_file(corpus_text(builtin_corpus()))
+    assert len(entries) == 45
+    assert chain_builds == []
 
 
 def test_empty_file_yields_no_entries():

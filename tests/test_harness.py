@@ -24,9 +24,10 @@ from sigmagroups.harness import (STATEMENTS, CampaignConfig,
                                  verify_lemma_2_3, verify_lemma_2_4,
                                  verify_lemma_2_5_converse_search,
                                  verify_lemma_2_5_forward, verify_theorem_A)
+from sigmagroups.numbers import part_for_primes, primes_of
 from sigmagroups.permcore import clear_intern_cache, trivial_subgroup
 from sigmagroups.sigma import SigmaPartition
-from sigmagroups.structure import is_soluble, normal_subgroups
+from sigmagroups.structure import frattini_subgroup, is_soluble, normal_subgroups
 
 S1 = SigmaPartition.sigma1()
 
@@ -585,6 +586,29 @@ def test_campaign_covering_witnesses_are_mostly_trivial(corpus, campaign):
         V = r["witness"]["V"]
         elements = Subgroup(G, [Perm.parse(t, G.degree) for t in V["generators"]]).elements()
         assert V["generators"] == [str(x) for x in elements[1:2]], (r["group"], r["sigma"])
+
+
+def test_campaign_theorem_a_rows_are_mostly_forced(corpus, campaign):
+    """A non-vacuous ThmA row is forced when some Sylow-maximal V lies in
+    Phi(G): then TV = G gives T = G, outside the class, so V covers.  That
+    holds exactly when |G:Phi(G)|_p <= p for a prime p dividing |G|, as a
+    Sylow p-subgroup P then has |P : P n Phi(G)| <= p.  Of the builtin
+    report's 127 non-vacuous ThmA rows, 119 are forced; the 8 free ones are
+    4 of C3xA4's and 4 of C3xS4's."""
+    rows = [r for r in campaign["rows"]
+            if r["statement_id"].startswith("ThmA.") and not r["vacuous"]]
+    forced = {}
+    for name in sorted({r["group"] for r in rows}):
+        G = corpus[name].build()
+        phi = frattini_subgroup(G)
+        forced[name] = any(part_for_primes(G.order // phi.order, {p}) <= p
+                           for p in primes_of(G.order))
+        in_phi = any(V.mask & phi.mask == V.mask
+                     for V in harness._sylow_maximal_candidates(G, Limits()))
+        assert forced[name] == in_phi, name
+    assert Counter(forced[r["group"]] for r in rows) == {True: 119, False: 8}
+    assert Counter(r["group"] for r in rows if not forced[r["group"]]) == \
+        {"C3xA4": 4, "C3xS4": 4}
 
 
 @pytest.mark.parametrize("jobs", [0, -1, 2.5, True], ids=repr)

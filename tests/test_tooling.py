@@ -145,6 +145,13 @@ def test_harness_reads_normal_subgroups_off_the_normal_lattice():
         {"_quotient_is_sigma_nilpotent", "largest_normal_block_subgroup", "intersection_subgroup"})
 
 
+def test_reading_a_corpus_file_builds_no_group():
+    """A corpus file is read, not built: its entries' orders are checked by
+    ``CorpusEntry.build``, so ``parse_corpus_file`` names no group build."""
+    assert names_by_function("corpus.py")["parse_corpus_file"].isdisjoint(
+        {"generated", "build", "PermGroup"})
+
+
 def names_by_function(module: str) -> dict[str, set[str]]:
     """The names of a package module, as ``names_in_module`` finds them, per
     top-level function or method (``Class.method``).  Nested functions count
