@@ -16,9 +16,10 @@ point remembers how many of its level's generators it has been verified
 with.  A residue found at a level joins the generator lists of the levels
 from the one below it up to its first moved point, the only levels whose
 group it enlarges; a given generator's residue joins every level up to its
-first moved point.  Each transversal rep is stored with its inverse, so a
-sift is one composition per moved level, and a sift stops once its element
-is the identity.  Each composition is one C call, a gather "p, then q" that
+first moved point.  Each transversal rep is stored with its inverse, and a
+level's inverses sit in a list indexed by orbit point, so a sift is one list
+subscript and one composition per moved level, and a sift stops once its
+element is the identity.  Each composition is one C call, a gather "p, then q" that
 reads the second operand, the table, at the first one's images.  Up to 256
 points the chain holds its permutations as ``bytes`` and gathers with
 ``p.translate(q)``; an operand used as a table (a stored inverse rep, a
@@ -249,7 +250,9 @@ class PermGroup:
     deterministic incremental Schreier-Sims; order and membership come from
     the chain, the element list from transversal products (exact, no closure
     pass).  Each transversal rep is stored with its inverse, so a sift costs
-    one gather per moved level and ends at the identity.
+    one gather per moved level and ends at the identity.  A level's inverse
+    reps sit in a list of ``degree`` slots indexed by orbit point, ``None``
+    off the orbit, so a sift finds each one by a list subscript.
 
     The chain's encoding is chosen once, from the degree: ``bytes`` gathered
     by ``bytes.translate`` up to 256 points, image tuples gathered by
@@ -279,9 +282,10 @@ class PermGroup:
             self._encode, self._gather, self._pad = tuple, compose_images, ()
         self._identity = self._encode(range(degree))
         # level i: None while the orbit of i is {i}, else orbit point -> the
-        # rep mapping i to it, and orbit point -> the rep's inverse, as a table
+        # rep mapping i to it, and a list of degree slots holding at each orbit
+        # point the rep's inverse, as a table, and None off the orbit
         self._transversals: list[dict[int, bytes | tuple] | None] = [None] * degree
-        self._inverses: list[dict[int, bytes | tuple] | None] = [None] * degree
+        self._inverses: list[list[bytes | tuple | None] | None] = [None] * degree
         self._strong: list[bytes | tuple] = []
         self._build_chain()
         self.order = math.prod(len(t) for t in self._transversals if t is not None)
@@ -302,7 +306,7 @@ class PermGroup:
             p = x[i]
             if p != i:
                 level = inverses[i]
-                if level is None or (inv := level.get(p)) is None:
+                if level is None or (inv := level[p]) is None:
                     return x
                 x = gather(x, inv)
                 if x == ident:
@@ -374,7 +378,8 @@ class PermGroup:
             if all(s[i] == i for s, _ in gens[old:]):
                 return
             trans = self._transversals[i] = {i: self._identity}
-            invs = self._inverses[i] = {i: self._identity + pad}
+            invs = self._inverses[i] = [None] * self.degree
+            invs[i] = self._identity + pad
 
         def reach(a: int, pairs: list[tuple]) -> None:
             ua, va = trans[a], invs[a]
@@ -427,7 +432,7 @@ class PermGroup:
     # -- queries
 
     def __contains__(self, p: Perm) -> bool:
-        if not isinstance(p, Perm) or p.degree != self.degree:
+        if not isinstance(p, Perm) or len(p.images) != self.degree:
             return False
         return self._sift(self._encode(p.images)) is None
 

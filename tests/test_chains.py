@@ -142,32 +142,36 @@ def build(n, gens):
 
 def chain_state(G):
     """The stored chain as image tuples: the strong generators, then each
-    level's (key, rep) and (key, inverse) items in insertion order, None for
-    a level that is not stored.  Below 257 points the chain holds bytes, and
-    its tables are padded to 256, so each is cut to the degree."""
+    level's (key, rep) and (key, inverse) pairs in its transversal's key
+    order, None for a level that is not stored.  A level's inverses are
+    slots indexed by point.  Below 257 points the chain holds bytes, and its
+    tables are padded to 256, so each is cut to the degree."""
     n = G.degree
-
-    def levels(stored):
-        return [t and [(key, tuple(p[:n])) for key, p in t.items()] for t in stored]
-
-    return [tuple(s[:n]) for s in G._strong], levels(G._transversals), levels(G._inverses)
+    transversals = [t and [(key, tuple(p[:n])) for key, p in t.items()]
+                    for t in G._transversals]
+    inverses = [t and [(key, tuple(slots[key][:n])) for key, _ in t]
+                for t, slots in zip(transversals, G._inverses)]
+    return [tuple(s[:n]) for s in G._strong], transversals, inverses
 
 
 def check_levels(G, elements):
     """Level i's transversal keys are the orbit of i under the pointwise
     stabilizer of 0..i-1, and a level is stored exactly when that orbit is
     more than {i}; each rep lies in G, fixes 0..i-1 and maps i to its key, and
-    each stored inverse is its inverse."""
+    each stored inverse is its inverse.  A stored inverse table has one slot
+    per point, None exactly off the orbit, so no stale slot can hide."""
     n = G.degree
     ident = identity_images(n)
     _, transversals, inverses = chain_state(G)
-    assert len(transversals) == len(inverses) == n
+    assert len(transversals) == len(inverses) == len(G._inverses) == n
     for i in range(n):
         orbit = {e[i] for e in elements if e[:i] == ident[:i]}
-        trans, invs = transversals[i], inverses[i]
+        trans, invs, slots = transversals[i], inverses[i], G._inverses[i]
         if trans is None:
-            assert invs is None and orbit == {i}
+            assert invs is None and slots is None and orbit == {i}
             continue
+        assert len(slots) == n
+        assert {p for p in range(n) if slots[p] is not None} == orbit
         trans, invs = dict(trans), dict(invs)
         assert set(trans) == orbit and len(orbit) > 1
         assert set(invs) == set(trans)

@@ -290,6 +290,12 @@ def is_self_gather(node: ast.AST) -> bool:
             and isinstance(node.value, ast.Name) and node.value.id == "self")
 
 
+def permgroup_methods() -> dict[str, ast.FunctionDef]:
+    group = next(node for node in module_nodes("permcore.py")
+                 if isinstance(node, ast.ClassDef) and node.name == "PermGroup")
+    return {f.name: f for f in group.body if isinstance(f, ast.FunctionDef)}
+
+
 def test_permcore_composes_by_gathers():
     """Every composition in ``permcore.py`` is one C-level gather: no
     ``map(x.__getitem__, ...)`` call, which makes one Python-level call per
@@ -306,9 +312,7 @@ def test_permcore_composes_by_gathers():
                  and isinstance(node.args[0], ast.Attribute)
                  and node.args[0].attr == "__getitem__"]
     assert per_point == []
-    group = next(node for node in nodes
-                 if isinstance(node, ast.ClassDef) and node.name == "PermGroup")
-    methods = {f.name: f for f in group.body if isinstance(f, ast.FunctionDef)}
+    methods = permgroup_methods()
     setters = {name for name, f in methods.items() for node in ast.walk(f)
                if isinstance(node, ast.Assign)
                and any(is_self_gather(t) for target in node.targets
@@ -325,6 +329,19 @@ def test_permcore_composes_by_gathers():
         assert [node.lineno for node in body
                 if isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.SetComp))
                 and isinstance(node.elt, ast.Subscript)] == [], name
+
+
+def test_sift_reads_levels_by_subscript():
+    """``PermGroup._sift`` finds a level's inverse rep by one list subscript:
+    it binds ``level`` to an entry of ``self._inverses``, a table of slots
+    indexed by point, reads ``level[p]``, and calls no ``get``, the dict
+    lookup that table replaced."""
+    body = list(ast.walk(permgroup_methods()["_sift"]))
+    bound = dict(pair for node in body for pair in bindings(node))
+    assert ast.unparse(bound["inverses"]) == "self._inverses"
+    assert ast.unparse(bound["level"]) == "inverses[i]"
+    assert "level[p]" in {ast.unparse(node) for node in body if isinstance(node, ast.Subscript)}
+    assert [c.lineno for c in body if isinstance(c, ast.Call) and callee(c) == "get"] == []
 
 
 def test_cli_import_loads_no_process_pool():
