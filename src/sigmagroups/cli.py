@@ -18,7 +18,7 @@ import datetime as _dt
 import json
 import sys
 
-from .corpus import CorpusEntry, builtin_corpus, builtin_entry, parse_corpus_file
+from .corpus import CorpusEntry, RefusedEntry, builtin_corpus, builtin_entry, parse_corpus_file
 from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, Limits
 from .harness import (REGISTRY, STATEMENTS, CampaignConfig, VerificationOutcome,
                       campaign_sigmas, report_from_rows, run_campaign, run_statements)
@@ -102,13 +102,13 @@ def _limits(args) -> Limits:
         if (value := getattr(args, cap.name, None)) is not None})
 
 
-def _read_corpus(path: str) -> list[CorpusEntry]:
+def _read_corpus(path: str) -> list[CorpusEntry | RefusedEntry]:
     """The entries of a corpus file (``--corpus FILE``, ``--corpus-file FILE``)."""
     with open(path, encoding="utf-8") as fh:
         return parse_corpus_file(fh.read())
 
 
-def _resolve_entry(args) -> CorpusEntry:
+def _resolve_entry(args) -> CorpusEntry | RefusedEntry:
     if args.corpus_file:
         for e in _read_corpus(args.corpus_file):
             if e.name == args.group:

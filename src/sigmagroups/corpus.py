@@ -79,6 +79,22 @@ class CorpusEntry:
         return interned(G)
 
 
+@dataclass(frozen=True)
+class RefusedEntry:
+    """A corpus-file entry whose values ``CorpusEntry`` refused.  ``build``
+    raises that refusal, so the entry fails alone: a campaign gives it one
+    ``error`` row per statement, and a command that names it is a usage
+    error.  No declared order is kept, since a refused one cannot be
+    factored safely."""
+    name: str
+    refusal: str
+    # not a declared order: a campaign pool starts such an entry last
+    expected_order = 0
+
+    def build(self, limits: Limits = DEFAULT_LIMITS) -> PermGroup:
+        raise GroupInputError(self.refusal)
+
+
 def _entry(name: str, degree: int, gens: list[str], order: int, tags: str) -> CorpusEntry:
     perms = tuple(Perm(parse_cycles(g, degree)) for g in gens)
     return CorpusEntry(name, degree, perms, order, tuple(tags.split()))
@@ -165,14 +181,15 @@ def _is_decimal(text: str) -> bool:
     return text.isdecimal() and not 0 < sys.get_int_max_str_digits() < len(text)
 
 
-def parse_corpus_file(text: str) -> list[CorpusEntry]:
+def parse_corpus_file(text: str) -> list[CorpusEntry | RefusedEntry]:
     """The entries of a corpus file's text, in file order; no group is built.
 
-    GroupInputError on a syntax error, a degree or order that is not a
-    count, or a declared order with a prime factor above the degree.  The
+    GroupInputError on a syntax error.  An entry whose values ``CorpusEntry``
+    refuses, such as a degree or order that is not a count or a declared
+    order with a prime factor above the degree, is a ``RefusedEntry``.  The
     generated order and the table bound are checked when an entry is built,
     so a wrong entry fails alone."""
-    entries: list[CorpusEntry] = []
+    entries: list[CorpusEntry | RefusedEntry] = []
     names: set[str] = set()
     cur: dict | None = None
 
@@ -183,8 +200,11 @@ def parse_corpus_file(text: str) -> list[CorpusEntry]:
         if cur["order"] is None:
             raise GroupInputError(
                 f"line {lineno}: entry {cur['name']!r} has no order line")
-        entries.append(CorpusEntry(cur["name"], cur["degree"], tuple(cur["gens"]),
-                                   cur["order"], tuple(cur["tags"])))
+        try:
+            entries.append(CorpusEntry(cur["name"], cur["degree"], tuple(cur["gens"]),
+                                       cur["order"], tuple(cur["tags"])))
+        except GroupInputError as exc:
+            entries.append(RefusedEntry(cur["name"], str(exc)))
         cur = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -207,10 +227,7 @@ def parse_corpus_file(text: str) -> list[CorpusEntry]:
             names.add(name)
             if not _is_decimal(fields[3]):
                 raise GroupInputError(f"line {lineno}: bad degree {fields[3]!r}")
-            degree = int(fields[3])
-            if degree < 1:
-                raise GroupInputError(f"line {lineno}: degree must be positive")
-            cur = {"name": name, "degree": degree, "gens": [], "order": None, "tags": []}
+            cur = {"name": name, "degree": int(fields[3]), "gens": [], "order": None, "tags": []}
             continue
         if cur is None:
             raise GroupInputError(f"line {lineno}: {kind!r} before any group header")

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from itertools import chain, combinations, repeat
 from typing import Iterator, NamedTuple
 
-from .corpus import CorpusEntry, partitions_of_primes
+from .corpus import CorpusEntry, RefusedEntry, partitions_of_primes
 from .errors import (CapacityError, DEFAULT_LIMITS, GroupInputError, InvariantError, Limits,
                      _check_count, _check_prime)
 from .numbers import part_for_primes, primes_of
@@ -599,17 +599,23 @@ def _failed_row(row: VerificationOutcome, exc: Exception) -> VerificationOutcome
     return replace(row, verdict=verdict, vacuous=False, witness=None, reason=reason)
 
 
-def verify_group(entry: CorpusEntry, config: CampaignConfig) -> list[VerificationOutcome]:
+def verify_group(entry: CorpusEntry | RefusedEntry,
+                 config: CampaignConfig) -> list[VerificationOutcome]:
     """All statement outcomes for one corpus entry.  A group that cannot be
     built has every row skipped (a capacity bound) or ``error`` (anything
     else, such as a wrong declared order), labelled from the primes of its
-    declared order, and the class-monotonicity check makes the rows it
-    refutes ``error`` rows."""
+    declared order; a ``RefusedEntry`` has no order to label from, so it has
+    one ``error`` row per statement, labelled with no block.  The
+    class-monotonicity check makes the rows it refutes ``error`` rows."""
     try:
         G = entry.build(config.limits)
     except Exception as exc:
+        labels = ([(sid, SigmaPartition()) for sid in REGISTRY if sid in config.statements]
+                  if isinstance(entry, RefusedEntry) else
+                  [(sid, label) for sid, _, label, _ in _runs(entry.expected_order,
+                                                              config.statements)])
         rows = [_failed_row(VerificationOutcome(sid, entry.name, label, "error"), exc)
-                for sid, _, label, _ in _runs(entry.expected_order, config.statements)]
+                for sid, label in labels]
     else:
         rows = run_statements(G, entry.name, config.statements, config.limits,
                               zero_millis=config.zero_millis)
@@ -636,7 +642,7 @@ def _check_class_monotonicity(rows: list[VerificationOutcome]) -> list[Verificat
     return rows
 
 
-def _worker(entry: CorpusEntry, config: CampaignConfig) -> list[dict]:
+def _worker(entry: CorpusEntry | RefusedEntry, config: CampaignConfig) -> list[dict]:
     return [r.to_json() for r in verify_group(entry, config)]
 
 
@@ -647,7 +653,7 @@ def _process_pool(workers: int):
     return ProcessPoolExecutor(max_workers=workers)
 
 
-def run_campaign(entries: list[CorpusEntry],
+def run_campaign(entries: list[CorpusEntry | RefusedEntry],
                  config: CampaignConfig = CampaignConfig()) -> list[dict]:
     """Deterministic outcome list over a corpus: results are computed per
     group (in parallel when jobs > 1, in at most one worker per entry, each

@@ -226,7 +226,7 @@ def _hall_data(G: Group, sigma: SigmaPartition, limits: Limits):
             blocks.append({"id": bid, "primes": ps, "part": part,
                            "candidates": candidates, "classes": classes})
         return blocks
-    return _memo(G, compute, "hall-data", sigma.text(), limits)
+    return _memo(G, limits, compute, "hall-data", sigma.text(), limits)
 
 
 def _conjugacy_classes(table: _ElementTable, masks: Sequence[int],
@@ -339,7 +339,7 @@ def psigma_t_violation(G: Group, sigma: SigmaPartition,
             if k is not None:
                 return k, h
         return None
-    return _memo(G, compute, "psigma-t", sigma.text(), limits)
+    return _memo(G, limits, compute, "psigma-t", sigma.text(), limits)
 
 
 def is_psigma_t(G: Group, sigma: SigmaPartition, limits: Limits = DEFAULT_LIMITS) -> bool:
@@ -360,7 +360,7 @@ def is_sigma_soluble(G: Group, sigma: SigmaPartition,
     series of ``structure._descends_to_one`` over the blocks of sigma(G)
     decides, and no chief series or normal lattice is built."""
     blocks = [ps for _, ps, _ in _group_blocks(G, sigma)]
-    return _memo(G, lambda: _descends_to_one(G, blocks, limits),
+    return _memo(G, limits, lambda: _descends_to_one(G, blocks, limits),
                  "sigma-soluble", sigma.text(), limits)
 
 
@@ -377,7 +377,7 @@ def is_sigma_nilpotent(G: Group, sigma: SigmaPartition,
 def _block_generated(G: Group, primes: frozenset[int], limits: Limits) -> int:
     """The mask of R = <x in G : the primes of |x| lie in ``primes``>, that is
     O^{primes'}(G), a normal subgroup of G, generated on the root's table."""
-    return _memo(G, lambda: _element_table(G.root, limits).generated_by_orders(
+    return _memo(G, limits, lambda: _element_table(G.root, limits).generated_by_orders(
         G.mask, primes.issuperset), "block-generated", primes, limits)
 
 
@@ -408,7 +408,7 @@ def _quotient_is_sigma_nilpotent(G: Group, N: Subgroup, sigma: SigmaPartition,
                 if r.bit_count() != (r & N.mask).bit_count() * part:
                     return False
         return True
-    return _memo(G, compute, "sigma-nilpotent", sigma.text(), N.mask, limits)
+    return _memo(G, limits, compute, "sigma-nilpotent", sigma.text(), N.mask, limits)
 
 
 def sigma_nilpotent_residual(G: Group, sigma: SigmaPartition,
@@ -439,7 +439,7 @@ def sigma_nilpotent_residual(G: Group, sigma: SigmaPartition,
         if not (_is_normal_in(table, G, D) and _quotient_is_sigma_nilpotent(G, D, sigma, limits)):
             raise InvariantError("residual: not normal, or the quotient is not sigma-nilpotent")
         return D
-    return _memo(G, compute, "sigma-residual", sigma.text(), limits)
+    return _memo(G, limits, compute, "sigma-residual", sigma.text(), limits)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +504,7 @@ def largest_normal_block_subgroup(D: Subgroup, block_primes,
     built; the class closures are computed once per D and limits."""
     block_primes = frozenset(map(_check_prime, block_primes))
     table = _element_table(D.root, limits)
-    closures = _memo(D, lambda: _class_closures(table, D.mask, table.gens_of(D)),
+    closures = _memo(D, limits, lambda: _class_closures(table, D.mask, table.gens_of(D)),
                      "class-closures", limits)
     join = table.generate(x for c in closures if primes_of(c.bit_count()) <= block_primes
                           for x in table.members(c))[0]

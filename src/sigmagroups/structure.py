@@ -30,10 +30,13 @@ which ``sigma`` imports with the generation by element orders
 conjugacy classes (``_class_closures``), the first step of the normal
 lattice.
 
-Derived results, wrapped ``Subgroup`` and ``QuotientGroup`` values included,
-are cached once, on the root per member mask, so repeated queries against
-the same subgroup (however it was constructed) are answered once and get
-the same objects back.
+Derived results, the element table and wrapped ``Subgroup`` and
+``QuotientGroup`` values included, are cached once, on the root per member
+mask, by one cache, ``_memo``, so repeated queries against the same
+subgroup (however it was constructed) are answered once and get the same
+objects back.  Every read of it, hit or miss, first checks the root
+against the caller's table bound, so no cached result outlives a lower
+bound; a call that takes no limits reads ``DEFAULT_LIMITS`` when it runs.
 """
 from __future__ import annotations
 
@@ -47,7 +50,7 @@ from .errors import (CapacityError, DEFAULT_LIMITS, GroupInputError, InvariantEr
                      _check_prime)
 from .numbers import is_prime, is_prime_power, part_for_primes, prime_factors, primes_of
 from .permcore import (Perm, PermGroup, Subgroup, _flags, _mask, find_interned, identity_images,
-                       images_order, interned, invert_images, trivial_subgroup)
+                       images_order, interned, invert_images)
 
 Group = PermGroup | Subgroup
 
@@ -214,36 +217,32 @@ class _ElementTable:
                      for m in sorted(found, key=self.key))
 
 
-def _element_table(K: PermGroup, limits: Limits | None = None) -> _ElementTable:
-    """The element table of a root group, built on first use.
-
-    Caller limits are checked on every call, so a lower table bound refuses a
-    table built earlier under a higher one.  Without limits, a table that
-    exists is reused and a missing one is built under the default bound.
-    """
-    _check_table_room(K, limits)
-    table = K.cache.get("element-table")
-    if table is None:
-        table = K.cache["element-table"] = _ElementTable(K)
-    return table
+def _element_table(K: PermGroup, limits: Limits) -> _ElementTable:
+    """The element table of a root group, built on first use: a ``_memo``
+    read, so the caller's table bound is checked on every call, and a lower
+    bound refuses a table built earlier under a higher one."""
+    return _memo(K, limits, lambda: _ElementTable(K), "element-table")
 
 
-def _check_table_room(K: PermGroup, limits: Limits | None) -> None:
-    """CapacityError unless the root K may get a multiplication table: the
-    one table-bound check.  It applies the caller's limits, or without
-    limits the default bound unless a table exists."""
-    bound = (limits or DEFAULT_LIMITS).table_order_bound
-    if K.order > bound and (limits is not None or "element-table" not in K.cache):
-        raise CapacityError(f"group order {K.order} exceeds multiplication-table bound {bound}")
+def _check_table_room(K: PermGroup, limits: Limits) -> None:
+    """CapacityError unless the root K may get a multiplication table under
+    the caller's limits: the one table-bound check."""
+    if K.order > limits.table_order_bound:
+        raise CapacityError(f"group order {K.order} exceeds multiplication-table bound "
+                            f"{limits.table_order_bound}")
 
 
-def _memo(G: Group, compute: Callable, *key):
-    """compute(), cached on G's root under (*key, G's mask).
+def _memo(G: Group, limits: Limits, compute: Callable, *key):
+    """compute(), cached on G's root under (*key, G's mask): the one cache of
+    results derived on a root, the element table included.
 
-    A compute that takes caller limits has them in its key, so a call under
-    other limits computes again, and every bound it reaches takes effect:
-    the inner steps check their limits on cached tables and lattices too."""
-    cache = G.root.cache
+    Every call checks G's root against the caller's table bound first, hit
+    or miss, so no cached result outlives a lower bound.  A compute that
+    reaches another bound has the caller's limits in its key, so a call
+    under other limits computes again, and that bound takes effect too."""
+    root = G.root
+    _check_table_room(root, limits)
+    cache = root.cache
     k = (*key, G.mask)
     if k not in cache:
         cache[k] = compute()
@@ -271,28 +270,27 @@ def _wrap(G: Group, entries: Iterable[tuple[int, tuple[Perm, ...]]]) -> tuple[Su
     return tuple(Subgroup._of_mask(G, m, gens) for m, gens in entries)
 
 
-def _greedy_subgroup(G: Group, mask: int, limits: Limits | None = None) -> Subgroup:
+def _greedy_subgroup(G: Group, mask: int, limits: Limits) -> Subgroup:
     """The subgroup of G with this member mask, generated by adjoining each
     member, in sorted order, not yet reached.  The generators depend only on
-    the set, so the subgroup is cached on the root."""
-    cache = G.root.cache
-    key = ("greedy", mask)
-    if key not in cache:
+    the set, so the subgroup is a ``_memo`` read on the root."""
+    def compute():
         table = _element_table(G.root, limits)
         closed, gens = table.generate(table.members(mask), mask.bit_count())
         if closed != mask:
             raise GroupInputError("images do not form a subgroup")
-        cache[key] = Subgroup._of_mask(G, mask, tuple(table.perms[g] for g in gens))
-    return cache[key]
+        return Subgroup._of_mask(G, mask, tuple(table.perms[g] for g in gens))
+    return _memo(G.root, limits, compute, "greedy", mask)
 
 
-def subgroup_from_images(G: Group, images: frozenset[tuple]) -> Subgroup:
+def subgroup_from_images(G: Group, images: frozenset[tuple],
+                         limits: Limits = DEFAULT_LIMITS) -> Subgroup:
     """Wrap a known subgroup element set, picking a short generator list greedily."""
-    table = _element_table(G.root)
+    table = _element_table(G.root, limits)
     mask = table.mask_of(table.index[e] for e in images if e in table.index)
     if mask.bit_count() != len(images) or mask & G.mask != mask:
         raise GroupInputError("element set is not inside the group")
-    return _greedy_subgroup(G, mask)
+    return _greedy_subgroup(G, mask, limits)
 
 
 def conjugate_image_sets(G: Group, hset: frozenset[tuple],
@@ -300,7 +298,7 @@ def conjugate_image_sets(G: Group, hset: frozenset[tuple],
     """Distinct conjugates of a subgroup element set under G, in breadth-first
     orbit order under G's generators."""
     table = _element_table(G.root, limits)
-    H = subgroup_from_images(G, hset)
+    H = subgroup_from_images(G, hset, limits)
     return [_greedy_subgroup(G, c, limits).element_images()
             for c in table.conjugates(H.mask, table.gens_of(G))]
 
@@ -310,7 +308,7 @@ def conjugate_image_sets(G: Group, hset: frozenset[tuple],
 
 def is_normal(G: Group, H: Subgroup) -> bool:
     _check_inside(G, H)
-    return _is_normal_in(_element_table(G.root), G, H)
+    return _is_normal_in(_element_table(G.root, DEFAULT_LIMITS), G, H)
 
 
 def _derived_mask(table: _ElementTable, mask: int) -> int:
@@ -326,19 +324,18 @@ def _derived_mask(table: _ElementTable, mask: int) -> int:
 
 
 def derived_subgroup(G: Group) -> Subgroup:
-    return _greedy_subgroup(G, _derived_mask(_element_table(G.root), G.mask))
+    table = _element_table(G.root, DEFAULT_LIMITS)
+    return _greedy_subgroup(G, _derived_mask(table, G.mask), DEFAULT_LIMITS)
 
 
-def is_soluble(G: Group) -> bool:
+def is_soluble(G: Group, limits: Limits = DEFAULT_LIMITS) -> bool:
     """Solubility is sigma-solubility for the partition with one prime per
     block, so it is the walk of ``_descends_to_one`` with a block for each
-    prime of |G|.  It takes no limits: it uses the root's table if one was
-    built (all_subgroups builds it under the caller's limits first), else it
-    builds one under the default table bound."""
-    return _descends_to_one(G, [frozenset({p}) for p in sorted(primes_of(G.order))], None)
+    prime of |G|, on the root's table got under ``limits``."""
+    return _descends_to_one(G, [frozenset({p}) for p in sorted(primes_of(G.order))], limits)
 
 
-def _descends_to_one(G: Group, blocks: Sequence[frozenset[int]], limits: Limits | None) -> bool:
+def _descends_to_one(G: Group, blocks: Sequence[frozenset[int]], limits: Limits) -> bool:
     """Is G sigma-soluble for a partition whose blocks inside pi(G) are
     ``blocks``?
 
@@ -414,7 +411,7 @@ def all_subgroups(G: Group, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgroup, 
         roots = G.root.cache.get(("lattice", G.root.mask))
         if roots is not None:
             return tuple(h for h in roots if h.mask & G.mask == h.mask)
-        if is_soluble(G.root):
+        if is_soluble(G.root, limits):
             found = _lattice_cyclic_extension(table, G.mask, limits)
         else:
             found = _lattice_join_closure(table, G.mask, limits, table.gens_of(G))
@@ -440,7 +437,7 @@ def _bounded_lattice(G: Group, limits: Limits, kind: str,
     at_least = (kind + "-size-at-least", G.mask)
     _check_lattice_room(G.root.cache.get(at_least, 0), limits)
     try:
-        subs = _memo(G, lambda: kernel(table), kind)
+        subs = _memo(G, limits, lambda: kernel(table), kind)
     except CapacityError:
         G.root.cache[at_least] = limits.subgroup_bound + 1
         raise
@@ -630,7 +627,7 @@ def _lattice_by_order(G: Group, limits: Limits) -> dict[int, tuple[Subgroup, ...
     ``all_subgroups`` under the caller's limits first, the one bound check,
     so the memo key carries no limits."""
     subs = all_subgroups(G, limits)
-    return _memo(G, lambda: {n: tuple(hs) for n, hs in groupby(subs, attrgetter("order"))},
+    return _memo(G, limits, lambda: {n: tuple(hs) for n, hs in groupby(subs, attrgetter("order"))},
                  "lattice-by-order")
 
 
@@ -644,7 +641,7 @@ def maximal_subgroups(G: Group, limits: Limits = DEFAULT_LIMITS) -> tuple[Subgro
         proper = [h.mask for h in subs if h.order < G.order]
         return tuple(subs[i] for i, h in enumerate(proper)
                      if not any(k & h == h for k in proper[i + 1:]))
-    return _memo(G, compute, "maximal")
+    return _memo(G, limits, compute, "maximal")
 
 
 def frattini_subgroup(G: Group, limits: Limits = DEFAULT_LIMITS) -> Subgroup:
@@ -766,12 +763,11 @@ def chief_series(G: Group, limits: Limits = DEFAULT_LIMITS) -> tuple[ChiefFactor
 # Sylow and Hall subgroups
 
 def sylow_subgroup(G: Group, p: int, limits: Limits = DEFAULT_LIMITS) -> Subgroup:
-    """A Sylow p-subgroup, grown through normalizers from a p-element seed."""
+    """A Sylow p-subgroup, grown through normalizers from a p-element seed;
+    when |G|_p is 1 or |G|, the one subgroup of that order."""
     target = part_for_primes(G.order, {_check_prime(p)})
-    if target == 1:
-        return trivial_subgroup(G)
-    if target == G.order:
-        return _greedy_subgroup(G, G.mask, limits)
+    if target in (1, G.order):
+        return _greedy_subgroup(G, G.mask if target == G.order else 1, limits)
     table = _element_table(G.root, limits)
     rows, inverse = table.rows, table.inverse
     orders = table.element_orders()
@@ -797,12 +793,11 @@ def sylow_subgroup(G: Group, p: int, limits: Limits = DEFAULT_LIMITS) -> Subgrou
 
 def hall_subgroup(G: Group, pi: Iterable[int], limits: Limits = DEFAULT_LIMITS) -> Subgroup | None:
     """Canonical Hall pi-subgroup if one exists, else None: the first
-    lattice entry of order |G|_pi."""
+    lattice entry of order |G|_pi, or with no lattice read the one subgroup
+    of that order when it is 1 or |G|."""
     target = part_for_primes(G.order, frozenset(map(_check_prime, pi)))
-    if target == 1:
-        return trivial_subgroup(G)
-    if target == G.order:
-        return _greedy_subgroup(G, G.mask, limits)
+    if target in (1, G.order):
+        return _greedy_subgroup(G, G.mask if target == G.order else 1, limits)
     return next(iter(subgroups_of_order(G, target, limits)), None)
 
 
@@ -812,6 +807,7 @@ def maximal_subgroups_of_p_group(P: Subgroup, limits: Limits = DEFAULT_LIMITS) -
     if len(primes) > 1:
         raise GroupInputError(f"group of order {P.order} is not a p-group")
     if not primes:
+        _check_table_room(P.root, limits)
         return ()
     return subgroups_of_order(P, P.order // primes[0][0], limits)
 
@@ -855,7 +851,7 @@ def quotient_group(G: Group, N: Subgroup, limits: Limits = DEFAULT_LIMITS) -> Qu
     ``limits``)."""
     _check_inside(G, N)
     table = _element_table(G.root, limits)
-    return _memo(G, lambda: _quotient(G, N, table), "quotient", N.mask)
+    return _memo(G, limits, lambda: _quotient(G, N, table), "quotient", N.mask)
 
 
 def _quotient(G: Group, N: Subgroup, table: _ElementTable) -> QuotientGroup:
@@ -892,4 +888,4 @@ def _quotient(G: Group, N: Subgroup, table: _ElementTable) -> QuotientGroup:
 
 def intersection_subgroup(G: Group, A: Subgroup, B: Subgroup) -> Subgroup:
     _check_inside(G, A, B)
-    return _greedy_subgroup(G, A.mask & B.mask)
+    return _greedy_subgroup(G, A.mask & B.mask, DEFAULT_LIMITS)

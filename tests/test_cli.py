@@ -606,6 +606,36 @@ def test_corpus_file_entry_of_a_wrong_order_errors_only_its_rows(capsys, tmp_pat
     assert err == "usage error: corpus entry 'BAD': generated order 3, declared 6\n"
 
 
+def test_corpus_file_entry_with_refused_values_errors_only_its_rows(capsys, tmp_path):
+    """A declared order with a prime above the degree is refused when the
+    file is read, but only for its own entry: BAD7 gets one error row per
+    statement, labelled with no block since a refused order is not
+    factored, and S3 answers as it does alone."""
+    s3 = S3_AND_BAD_CORPUS.split("\n\n")[0] + "\n"
+    path = tmp_path / "s3bad7.corpus"
+    path.write_text(s3 + "\ngroup BAD7 deg 3\ngen (1 2 3)\norder 7\n")
+    alone = tmp_path / "s3.corpus"
+    alone.write_text(s3)
+    report_path, alone_path = tmp_path / "report.json", tmp_path / "alone.json"
+    code, _, err = run(capsys, "campaign", "--corpus", str(path), "--no-timestamp",
+                       "--out", str(report_path))
+    assert code == 4 and err == ""
+    assert run(capsys, "campaign", "--corpus", str(alone), "--no-timestamp",
+               "--out", str(alone_path))[0] == 0
+    rows = json.loads(report_path.read_text())["outcomes"]
+    assert [r for r in rows if r["group"] == "S3"] == \
+        json.loads(alone_path.read_text())["outcomes"]
+    message = "corpus entry 'BAD7': declared order 7 has a prime factor above the degree 3"
+    bad = [r for r in rows if r["group"] == "BAD7"]
+    assert sorted(r["statement_id"] for r in bad) == sorted(STATEMENTS)
+    assert {(r["verdict"], r["sigma"], r["reason"]) for r in bad} == {
+        ("error", "[]", f"GroupInputError: {message}")}
+    assert run(capsys, "classify", "--corpus-file", str(path), "--group", "S3") == \
+        run(capsys, "classify", "--group", "S3")
+    assert run(capsys, "classify", "--corpus-file", str(path), "--group", "BAD7") == \
+        (2, "", f"usage error: {message}\n")
+
+
 def test_campaign_only_filters_statements(capsys, mini_corpus):
     code, out, _ = run(capsys, "campaign", "--corpus", mini_corpus,
                        "--only", "Lem2.4,Lem2.2", "--no-timestamp",

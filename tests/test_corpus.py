@@ -61,7 +61,7 @@ def test_table_bound_refuses_before_any_element_is_listed(monkeypatch):
     assert listed == []
 
 
-def test_a_raised_table_bound_alone_admits_a_larger_group():
+def test_a_raised_table_bound_alone_admits_a_larger_group(table_builds):
     """The table bound is the one bound on a group's order: A8 (20160) is
     built and listed under a raised table bound alone, and building it
     makes no table."""
@@ -70,7 +70,7 @@ def test_a_raised_table_bound_alone_admits_a_larger_group():
     try:
         G = A8.build(Limits(table_order_bound=30000))
         assert len(G.elements()) == 20160
-        assert "element-table" not in G.cache
+        assert table_builds == []
     finally:
         clear_intern_cache()
 
@@ -91,12 +91,14 @@ def test_order_mismatch_fails_loudly():
 def test_a_declared_order_that_is_not_a_count_is_refused(order):
     """A campaign labels the rows of an entry that does not build from the
     primes of its declared order, so an order that is not a positive int is
-    refused when the entry is made, in a corpus file too."""
+    refused when the entry is made, in a corpus file too, where the refusal
+    is raised when the entry is built."""
     with pytest.raises(GroupInputError, match="corpus entry 'z': declared order must be"):
         CorpusEntry("z", 3, (Perm.parse("(1 2 3)", 3),), order)
     if order == 0:
+        [entry] = parse_corpus_file("group z deg 3\ngen (1 2 3)\norder 0\n")
         with pytest.raises(GroupInputError, match="declared order must be at least 1, got 0"):
-            parse_corpus_file("group z deg 3\ngen (1 2 3)\norder 0\n")
+            entry.build()
 
 
 @pytest.mark.parametrize("order", [7, 10, 2**61 - 1], ids=repr)
@@ -110,16 +112,24 @@ def test_a_declared_order_with_a_prime_above_the_degree_is_refused(order):
     with pytest.raises(GroupInputError, match=re.escape(message)):
         CorpusEntry("z", 3, (Perm.parse("(1 2 3)", 3),), order)
     assert time.perf_counter() - t0 < 1
+    [entry] = parse_corpus_file(f"group z deg 3\ngen (1 2 3)\norder {order}\n")
+    assert time.perf_counter() - t0 < 1
     with pytest.raises(GroupInputError, match=re.escape(message)):
-        parse_corpus_file(f"group z deg 3\ngen (1 2 3)\norder {order}\n")
+        entry.build()
 
 
 @pytest.mark.parametrize("degree", [0, True, 3.0, "3"], ids=repr)
 def test_a_degree_that_is_not_a_count_is_refused(degree):
     """The declared-order check reads the degree, so a library entry's
-    degree must be a positive int, as a corpus file's must."""
+    degree must be a positive int, as a corpus file's must: ``CorpusEntry``
+    is the one check of both."""
     with pytest.raises(GroupInputError, match="corpus entry 'z': degree must be"):
         CorpusEntry("z", degree, (), 1)
+    if degree == 0:
+        [entry] = parse_corpus_file("group z deg 0\norder 1\n")
+        with pytest.raises(GroupInputError,
+                           match="^corpus entry 'z': degree must be at least 1, got 0$"):
+            entry.build()
 
 
 def test_selected_orders(corpus):
@@ -189,7 +199,6 @@ def test_builtin_round_trips():
      "duplicate group name"),
     ("group X deg 3\nfrobnicate yes\norder 1\n", "unknown directive"),
     ("group X deg zero\norder 1\n", "bad degree"),
-    ("group X deg 0\norder 1\n", "degree must be positive"),
     ("group X deg 3\norder 2\norder 2\n", "second order line"),
     ("group X deg 3\ngen (1 9)\norder 2\n", "line 2"),
     ("group X deg 3\ngen (1 2)\norder twelve\n", "bad order line"),
@@ -200,9 +209,11 @@ def test_parse_corpus_file_errors(text, fragment):
 
 
 def test_parse_corpus_file_checks_generated_order():
-    # a prime above the degree is refused when the file is read
+    # a prime above the degree is refused when the file is read, and the
+    # refusal is raised when the entry is built
+    [entry] = parse_corpus_file("group X deg 3\ngen (1 2 3)\norder 7\n")
     with pytest.raises(GroupInputError, match="'X': declared order 7 has a prime factor"):
-        parse_corpus_file("group X deg 3\ngen (1 2 3)\norder 7\n")
+        entry.build()
     # an order whose primes fit the degree is checked against the group at build
     [entry] = parse_corpus_file("group X deg 3\ngen (1 2 3)\norder 6\n")
     with pytest.raises(GroupInputError, match="'X': generated order 3, declared 6"):

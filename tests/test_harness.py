@@ -111,6 +111,15 @@ def test_witness_validation_accepts_genuine_and_rejects_tampered(corpus):
                                          {"V": {"order": 1, "generators": []}})
 
 
+def test_witness_validation_rejects_a_sylow_subgroup_whose_supplements_all_lie_outside(corpus):
+    """V4 is a Sylow 2-subgroup of A5, not a maximal subgroup of one.  Its
+    one supplement is A5 itself, which is insoluble, so only the
+    Sylow-maximal check refuses this fabricated witness."""
+    A5 = corpus["A5"].build()
+    V4 = {"V": {"order": 4, "generators": ["(1 2)(3 4)", "(1 3)(2 4)"]}}
+    assert not validate_covering_witness(A5, S1, "sigma-soluble", V4)
+
+
 def test_cached_sylow_maximal_candidates_keep_a_lower_subgroup_bound(corpus):
     clear_intern_cache()
     A5 = builtin_entry("A5").build()
@@ -628,10 +637,10 @@ def test_builtin_campaign_builds_each_by_order_index_once(corpus, monkeypatch):
     builds = []
     memo = structure._memo
 
-    def spy(G, compute, *key):
+    def spy(G, limits, compute, *key):
         if key == ("lattice-by-order",):
-            return memo(G, lambda: builds.append((G.root, G.mask)) or compute(), *key)
-        return memo(G, compute, *key)
+            return memo(G, limits, lambda: builds.append((G.root, G.mask)) or compute(), *key)
+        return memo(G, limits, compute, *key)
     monkeypatch.setattr(structure, "_memo", spy)
     run_campaign(list(corpus.values()), CampaignConfig(zero_millis=True))
     # the roots stay referenced in ``builds``, so their ids are not reused

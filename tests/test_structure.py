@@ -6,6 +6,7 @@ oracle rather than asserted from memory.
 """
 
 import dataclasses
+import inspect
 import operator
 
 import pytest
@@ -14,7 +15,8 @@ import oracles
 from conftest import image_set
 from sigmagroups import (CapacityError, GroupInputError, Limits, Perm,
                          PermGroup, SigmaPartition, Subgroup, builtin_corpus,
-                         builtin_entry, full_subgroup, is_psigma_t)
+                         builtin_entry, full_subgroup, is_psigma_t, trivial_subgroup)
+import sigmagroups as sg
 from sigmagroups import structure
 from sigmagroups.errors import InvariantError
 from sigmagroups.permcore import clear_intern_cache, interned
@@ -139,7 +141,7 @@ def test_element_orders_match_cycle_types(corpus, name):
     elements in the table's index order: the least k with x^k = 1, found
     by composing powers."""
     G = corpus[name].build()
-    table = _element_table(G)
+    table = _element_table(G, Limits())
     assert list(table.element_orders()) == list(map(oracles.element_order, table.index))
 
 
@@ -433,7 +435,7 @@ def test_lattice_kernels_are_hereditary(corpus):
     lattice is the same whether or not its root's lattice was built first."""
     for entry in corpus.values():
         G = entry.build()
-        table = _element_table(G.root)
+        table = _element_table(G.root, Limits())
         lattice = all_subgroups(G)
         soluble = is_soluble(G)
         for H in lattice:
@@ -642,6 +644,88 @@ def test_cached_table_keeps_a_lower_table_bound(corpus):
 C504_GENS = ("(1 2 3 4 5 6 7)", "(8 9 10 11 12 13 14 15)", "(16 17 18 19 20 21 22 23 24)")
 
 
+V4_GENS = ("(1 2)(3 4)", "(1 3)(2 4)")
+D8_GENS = ("(1 2 3 4)", "(1 3)")
+S23 = SigmaPartition.of_blocks({2}, {3})
+
+# One row per exported call that takes limits, as (export, case, call on S4
+# under the given limits); a case names a call whose answer is cached once
+# S4's caches are warm, or is the trivial group or S4 itself.
+LIMITED_CALLS = [
+    ("all_subgroups", "", lambda G, lim: sg.all_subgroups(G, lim)),
+    ("chief_series", "", lambda G, lim: sg.chief_series(G, lim)),
+    ("frattini_subgroup", "", lambda G, lim: sg.frattini_subgroup(G, lim)),
+    ("hall_subgroup", "", lambda G, lim: sg.hall_subgroup(G, [2], lim)),
+    ("hall_subgroup", "all-primes", lambda G, lim: sg.hall_subgroup(G, [2, 3], lim)),
+    ("hall_subgroup", "no-prime", lambda G, lim: sg.hall_subgroup(G, [5], lim)),
+    ("is_soluble", "", lambda G, lim: sg.is_soluble(G, lim)),
+    ("maximal_subgroups", "", lambda G, lim: sg.maximal_subgroups(G, lim)),
+    ("maximal_subgroups_of_p_group", "",
+     lambda G, lim: sg.maximal_subgroups_of_p_group(sub(G, *D8_GENS), lim)),
+    ("maximal_subgroups_of_p_group", "trivial",
+     lambda G, lim: sg.maximal_subgroups_of_p_group(sg.trivial_subgroup(G), lim)),
+    ("minimal_normal_subgroups", "", lambda G, lim: sg.minimal_normal_subgroups(G, lim)),
+    ("normal_subgroups", "", lambda G, lim: sg.normal_subgroups(G, lim)),
+    ("quotient_group", "", lambda G, lim: sg.quotient_group(G, sub(G, *V4_GENS), lim)),
+    ("subgroup_from_images", "",
+     lambda G, lim: sg.subgroup_from_images(G, sub(G, *V4_GENS).element_images(), lim)),
+    ("subgroups_of_order", "", lambda G, lim: sg.subgroups_of_order(G, 4, lim)),
+    ("supplements", "", lambda G, lim: sg.supplements(G, sub(G, *V4_GENS), lim)),
+    ("sylow_subgroup", "", lambda G, lim: sg.sylow_subgroup(G, 3, lim)),
+    ("sylow_subgroup", "p-group", lambda G, lim: sg.sylow_subgroup(sub(G, *D8_GENS), 2, lim)),
+    ("sylow_subgroup", "no-prime", lambda G, lim: sg.sylow_subgroup(G, 5, lim)),
+    ("complete_hall_sigma_set", "", lambda G, lim: sg.complete_hall_sigma_set(G, S23, lim)),
+    ("induces_power_automorphisms", "",
+     lambda G, lim: sg.induces_power_automorphisms(G, sub(G, *V4_GENS), lim)),
+    ("is_pi_separable", "", lambda G, lim: sg.is_pi_separable(G, [2], lim)),
+    ("is_psigma_t", "", lambda G, lim: sg.is_psigma_t(G, S23, lim)),
+    ("is_sigma_nilpotent", "", lambda G, lim: sg.is_sigma_nilpotent(G, S23, lim)),
+    ("is_sigma_permutable", "",
+     lambda G, lim: sg.is_sigma_permutable(G, sub(G, *V4_GENS), S23, lim)),
+    ("is_sigma_soluble", "", lambda G, lim: sg.is_sigma_soluble(G, S23, lim)),
+    ("largest_normal_block_subgroup", "",
+     lambda G, lim: sg.largest_normal_block_subgroup(full_subgroup(G), [2], lim)),
+    ("psigma_t_violation", "", lambda G, lim: sg.psigma_t_violation(G, S23, lim)),
+    ("sigma_nilpotent_residual", "", lambda G, lim: sg.sigma_nilpotent_residual(G, S23, lim)),
+    ("sigma_permutable_sets", "", lambda G, lim: sg.sigma_permutable_sets(G, S23, lim)),
+    ("validate_covering_witness", "", lambda G, lim: sg.validate_covering_witness(
+        G, S23, "sigma-nilpotent", {"V": {"order": 4, "generators": list(V4_GENS)}}, lim)),
+    ("verify_theorem_A", "", lambda G, lim: sg.verify_theorem_A(
+        G, S23, "sigma-nilpotent", "S4", lim)),
+    ("verify_cor_1_1", "", lambda G, lim: sg.verify_cor_1_1(G, S23, "S4", lim)),
+    ("verify_cor_1_2", "", lambda G, lim: sg.verify_cor_1_2(G, "S4", lim)),
+    ("verify_lemma_2_1", "", lambda G, lim: sg.verify_lemma_2_1(G, S23, "S4", lim)),
+    ("verify_lemma_2_2", "", lambda G, lim: sg.verify_lemma_2_2(G, {2}, "S4", lim)),
+    ("verify_lemma_2_3", "", lambda G, lim: sg.verify_lemma_2_3(G, S23, "S4", lim)),
+    ("verify_lemma_2_4", "", lambda G, lim: sg.verify_lemma_2_4(G, S23, "S4", lim)),
+    ("verify_lemma_2_5_forward", "",
+     lambda G, lim: sg.verify_lemma_2_5_forward(G, S23, "S4", lim)),
+    ("verify_lemma_2_5_converse_search", "",
+     lambda G, lim: sg.verify_lemma_2_5_converse_search(G, S23, "S4", lim)),
+]
+
+
+def test_the_table_bound_audit_covers_every_export_taking_limits():
+    """A new exported call that takes limits cannot skip the audit below."""
+    taking = {name for name in dir(sg) if not name.startswith("_")
+              and inspect.isfunction(fn := getattr(sg, name))
+              and "limits" in inspect.signature(fn).parameters}
+    assert taking == {export for export, _, _ in LIMITED_CALLS}
+
+
+@pytest.mark.parametrize("export,case,call", LIMITED_CALLS,
+                         ids=[export + (case and f"[{case}]") for export, case, _ in LIMITED_CALLS])
+def test_every_call_taking_limits_checks_the_table_bound(corpus, export, case, call):
+    """Every call that takes ``Limits`` checks the table bound, also when a
+    call under the default limits has left its answer cached: S4 (24) is
+    refused under a table bound of 4."""
+    G = corpus["S4"].build()
+    call(G, sg.DEFAULT_LIMITS)
+    with pytest.raises(CapacityError,
+                       match="^group order 24 exceeds multiplication-table bound 4$"):
+        call(G, Limits(table_order_bound=4))
+
+
 def test_table_order_bound_takes_effect():
     # C7 x C8 x C9 on 24 points: no other test interns a group of this degree
     gens = [Perm.parse(t, 24) for t in C504_GENS]
@@ -703,14 +787,28 @@ def test_limits_refuse_a_bound_that_is_not_an_int(bad):
             Limits(**{cap.name: bad})
 
 
-def test_limit_free_derived_series_reuses_an_existing_table(monkeypatch):
-    # C7 x C8 x C9 tabled under a raised bound: is_soluble, is_normal and
-    # derived_subgroup take no limits, so they must not apply the default
-    # bound to a table that exists
+def test_a_table_built_under_raised_limits_is_refused_under_lower_ones(monkeypatch):
+    """Every cached read checks the caller's table bound, so a table built
+    under a raised bound is refused by a call under a lower one.  The calls
+    that take no limits run under the module's ``DEFAULT_LIMITS``, read when
+    they are called, so lowering it refuses them too, and raising it again
+    lets them answer from the same table."""
+    # C7 x C8 x C9 tabled under a raised bound
     gens = [Perm.parse(t, 24) for t in C504_GENS]
     G = PermGroup(24, gens)
-    _element_table(G.root, Limits(table_order_bound=504))
-    monkeypatch.setattr(structure, "DEFAULT_LIMITS", Limits(table_order_bound=100))
-    assert is_soluble(G)
-    assert derived_subgroup(G).order == 1
-    assert is_normal(G, Subgroup(G, gens[:1]))
+    raised, low = Limits(table_order_bound=504), Limits(table_order_bound=100)
+    _element_table(G.root, raised)
+    A, B = Subgroup(G, gens[:1]), Subgroup(G, gens[1:2])
+    refused = pytest.raises(CapacityError,
+                            match="^group order 504 exceeds multiplication-table bound 100$")
+    with refused:
+        is_soluble(G, low)
+    limit_free = [lambda: derived_subgroup(G), lambda: is_normal(G, A),
+                  lambda: intersection_subgroup(G, A, B)]
+    monkeypatch.setattr(structure, "DEFAULT_LIMITS", low)
+    for call in limit_free:
+        with refused:
+            call()
+    monkeypatch.setattr(structure, "DEFAULT_LIMITS", raised)
+    assert is_soluble(G, raised)
+    assert [call() for call in limit_free] == [trivial_subgroup(G), True, trivial_subgroup(G)]

@@ -245,6 +245,56 @@ def test_table_bound_has_one_check():
         assert bounded == [], path.name
 
 
+def test_no_limits_are_optional():
+    """Every call that takes limits gets them: no annotation in the package
+    admits ``Limits | None``, so no call can take a limit-free second rule."""
+    optional = [(path.name, node.lineno)
+                for path in (ROOT / "src" / "sigmagroups").glob("*.py")
+                for node in module_nodes(path.name)
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr)
+                and {ast.dump(node.left), ast.dump(node.right)}
+                == {ast.dump(ast.Name("Limits", ast.Load())), ast.dump(ast.Constant(None))}]
+    assert optional == []
+
+
+def cache_writers(module: str) -> set[str]:
+    """The top-level functions and methods of a package module that store
+    into a ``.cache`` subscript, or into a name bound to a ``.cache``, or
+    call ``setdefault`` or ``update`` on either."""
+    tree = ast.parse((ROOT / "src" / "sigmagroups" / module).read_text(encoding="utf-8"))
+    writers = set()
+    for top in tree.body:
+        for fn in top.body if isinstance(top, ast.ClassDef) else [top]:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            nodes = list(ast.walk(fn))
+            aliases = {t.id for node in nodes if isinstance(node, ast.Assign)
+                       and isinstance(node.value, ast.Attribute) and node.value.attr == "cache"
+                       for t in node.targets if isinstance(t, ast.Name)}
+
+            def is_cache(v: ast.AST) -> bool:
+                return ((isinstance(v, ast.Attribute) and v.attr == "cache")
+                        or (isinstance(v, ast.Name) and v.id in aliases))
+            if any((isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                    and is_cache(node.value))
+                   or (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                       and node.func.attr in ("setdefault", "update")
+                       and is_cache(node.func.value))
+                   for node in nodes):
+                writers.add(fn.name)
+    return writers
+
+
+def test_structure_and_sigma_cache_only_through_memo():
+    """``structure._memo`` is the one cache of results derived on a root, and
+    it checks the caller's table bound on every read; the one other write
+    is ``_bounded_lattice``'s marker of a lattice known to be over the
+    subgroup bound.  So no second cache, with a second bound rule, can
+    come back."""
+    assert cache_writers("structure.py") == {"_memo", "_bounded_lattice"}
+    assert cache_writers("sigma.py") == set()
+
+
 def test_element_orders_come_from_cycle_types():
     """An element's order has one definition, ``permcore.images_order`` on
     its cycle type: ``_ElementTable.element_orders`` reads it, and
