@@ -81,11 +81,11 @@ class CorpusEntry:
 
 @dataclass(frozen=True)
 class RefusedEntry:
-    """A corpus-file entry whose values ``CorpusEntry`` refused.  ``build``
-    raises that refusal, so the entry fails alone: a campaign gives it one
-    ``error`` row per statement, and a command that names it is a usage
-    error.  No declared order is kept, since a refused one cannot be
-    factored safely."""
+    """A corpus-file entry with a generator that does not fit it, or whose
+    values ``CorpusEntry`` refused.  ``build`` raises that refusal, so the
+    entry fails alone: a campaign gives it one ``error`` row per statement,
+    and a command that names it is a usage error.  No declared order is
+    kept, since a refused one cannot be factored safely."""
     name: str
     refusal: str
     # not a declared order: a campaign pool starts such an entry last
@@ -184,11 +184,14 @@ def _is_decimal(text: str) -> bool:
 def parse_corpus_file(text: str) -> list[CorpusEntry | RefusedEntry]:
     """The entries of a corpus file's text, in file order; no group is built.
 
-    GroupInputError on a syntax error.  An entry whose values ``CorpusEntry``
-    refuses, such as a degree or order that is not a count or a declared
-    order with a prime factor above the degree, is a ``RefusedEntry``.  The
-    generated order and the table bound are checked when an entry is built,
-    so a wrong entry fails alone."""
+    GroupInputError on a syntax error: a bad header, directive or order
+    line, a missing order line or a duplicate name.  An entry with a
+    generator that does not fit it, such as a point outside its degree, is
+    a ``RefusedEntry`` with the first such line's numbered message, and so
+    is one whose values ``CorpusEntry`` refuses, such as a degree or order
+    that is not a count or a declared order with a prime factor above the
+    degree.  The generated order and the table bound are checked when an
+    entry is built, so a wrong entry fails alone."""
     entries: list[CorpusEntry | RefusedEntry] = []
     names: set[str] = set()
     cur: dict | None = None
@@ -201,6 +204,8 @@ def parse_corpus_file(text: str) -> list[CorpusEntry | RefusedEntry]:
             raise GroupInputError(
                 f"line {lineno}: entry {cur['name']!r} has no order line")
         try:
+            if cur["refusal"] is not None:
+                raise GroupInputError(cur["refusal"])
             entries.append(CorpusEntry(cur["name"], cur["degree"], tuple(cur["gens"]),
                                        cur["order"], tuple(cur["tags"])))
         except GroupInputError as exc:
@@ -227,7 +232,8 @@ def parse_corpus_file(text: str) -> list[CorpusEntry | RefusedEntry]:
             names.add(name)
             if not _is_decimal(fields[3]):
                 raise GroupInputError(f"line {lineno}: bad degree {fields[3]!r}")
-            cur = {"name": name, "degree": int(fields[3]), "gens": [], "order": None, "tags": []}
+            cur = {"name": name, "degree": int(fields[3]), "gens": [], "order": None, "tags": [],
+                   "refusal": None}
             continue
         if cur is None:
             raise GroupInputError(f"line {lineno}: {kind!r} before any group header")
@@ -236,7 +242,8 @@ def parse_corpus_file(text: str) -> list[CorpusEntry | RefusedEntry]:
             try:
                 cur["gens"].append(Perm(parse_cycles(body, cur["degree"])))
             except GroupInputError as exc:
-                raise GroupInputError(f"line {lineno}: {exc}") from None
+                if cur["refusal"] is None:
+                    cur["refusal"] = f"line {lineno}: {exc}"
         elif kind == "order":
             if cur["order"] is not None:
                 raise GroupInputError(f"line {lineno}: second order line for {cur['name']!r}")

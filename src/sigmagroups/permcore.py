@@ -17,16 +17,17 @@ with.  A residue found at a level joins the generator lists of the levels
 from the one below it up to its first moved point, the only levels whose
 group it enlarges; a given generator's residue joins every level up to its
 first moved point.  Each transversal rep is stored with its inverse, and a
-level's inverses sit in a list indexed by orbit point, so a sift is one list
-subscript and one composition per moved level, and a sift stops once its
-element is the identity.  Each composition is one C call, a gather "p, then q" that
-reads the second operand, the table, at the first one's images.  Up to 256
-points the chain holds its permutations as ``bytes`` and gathers with
-``p.translate(q)``; an operand used as a table (a stored inverse rep, a
-strong generator in its level's list) is padded with the fixed points n..255
-to the 256 bytes ``translate`` needs.  Past 256 points it holds image tuples
-and gathers with ``itemgetter(*p)(q)``.  ``Perm`` is the value type seen by
-callers, always on image tuples.
+level's inverses sit in a list indexed by orbit point.  A membership test
+walks only the stored levels, those whose orbit is more than their point:
+one list subscript and one composition per level its element moves, and one
+comparison with the identity at the end.  Each composition is one C call, a
+gather "p, then q" that reads the second operand, the table, at the first
+one's images.  Up to 256 points the chain holds its permutations as
+``bytes`` and gathers with ``p.translate(q)``; an operand used as a table (a
+stored inverse rep, a strong generator in its level's list) is padded with
+the fixed points n..255 to the 256 bytes ``translate`` needs.  Past 256
+points it holds image tuples and gathers with ``itemgetter(*p)(q)``.
+``Perm`` is the value type seen by callers, always on image tuples.
 
 Only root groups carry a chain: groups built from generators, such as corpus
 entries and quotient groups.  A subgroup is its root, a bitmask over the
@@ -249,10 +250,13 @@ class PermGroup:
     The stabilizer chain has the fixed base 0..n-1 and is built by
     deterministic incremental Schreier-Sims; order and membership come from
     the chain, the element list from transversal products (exact, no closure
-    pass).  Each transversal rep is stored with its inverse, so a sift costs
-    one gather per moved level and ends at the identity.  A level's inverse
-    reps sit in a list of ``degree`` slots indexed by orbit point, ``None``
-    off the orbit, so a sift finds each one by a list subscript.
+    pass).  Each transversal rep is stored with its inverse.  A level's
+    inverse reps sit in a list of ``degree`` slots indexed by orbit point,
+    ``None`` off the orbit, so a sift finds each one by a list subscript.
+    ``_levels`` lists the stored levels, (point, slots) in base order, and
+    membership walks only them: one gather per level its element moves, then
+    one comparison with the identity.  It is derived once the chain is
+    built, so code that extends a chain in place must derive it again.
 
     The chain's encoding is chosen once, from the degree: ``bytes`` gathered
     by ``bytes.translate`` up to 256 points, image tuples gathered by
@@ -288,6 +292,9 @@ class PermGroup:
         self._inverses: list[list[bytes | tuple | None] | None] = [None] * degree
         self._strong: list[bytes | tuple] = []
         self._build_chain()
+        # the stored levels, in base order: (point, its inverse-rep slots)
+        self._levels = tuple((i, level) for i, level in enumerate(self._inverses)
+                             if level is not None)
         self.order = math.prod(len(t) for t in self._transversals if t is not None)
         self._elements: tuple[Perm, ...] | None = None
         self._index: dict[tuple, int] | None = None
@@ -296,11 +303,14 @@ class PermGroup:
     # -- chain construction
 
     def _sift(self, x: bytes | tuple, start: int = 0) -> bytes | tuple | None:
-        """Reduce the encoded x through the chain from level ``start``; None
-        means x is a member.  A residue fixes every base point before the
-        first level whose orbit lacks its image.  Only a composition can make
-        x the identity, and the sift stops there; since the base is every
-        point, x is the identity too once all levels are passed."""
+        """The build's residue sift: reduce the encoded x through every level
+        from ``start``; None means x is in the group those levels hold.  A
+        residue fixes every base point before the first level whose orbit
+        lacks its image, which is where it joins the strong generators.
+        Only a composition can make x the identity, and the sift stops
+        there; since the base is every point, x is the identity too once all
+        levels are passed.  Membership does not call it: ``__contains__``
+        needs no residue, only a yes or no."""
         ident, inverses, gather = self._identity, self._inverses, self._gather
         for i in range(start, self.degree):
             p = x[i]
@@ -432,9 +442,21 @@ class PermGroup:
     # -- queries
 
     def __contains__(self, p: Perm) -> bool:
+        """Sift p through the stored levels only, then compare it with the
+        identity once.  What is left is p times inverse reps, so it is the
+        identity only for a product of reps, a member; and a member, at each
+        stored level, maps that level's point into its orbit and fixes every
+        point whose level is not stored."""
         if not isinstance(p, Perm) or len(p.images) != self.degree:
             return False
-        return self._sift(self._encode(p.images)) is None
+        x, gather = self._encode(p.images), self._gather
+        for i, level in self._levels:
+            q = x[i]
+            if q != i:
+                if (inv := level[q]) is None:
+                    return False
+                x = gather(x, inv)
+        return x == self._identity
 
     def elements(self) -> tuple[Perm, ...]:
         """All elements, sorted lexicographically, listed on first use.  A
@@ -472,13 +494,18 @@ class PermGroup:
     @property
     def root(self) -> "PermGroup":
         """The interned group with this element set: subgroups of this group
-        are masks over its sorted elements, and their results are cached on it."""
-        if "root" not in self.cache:
-            self.cache["root"] = interned(self)
-        return self.cache["root"]
+        are masks over its sorted elements, and their results are cached on it.
+        Once found it is one dict lookup."""
+        try:
+            return self.cache["root"]
+        except KeyError:
+            pass
+        root = self.cache["root"] = interned(self)
+        return root
 
-    @property
+    @functools.cached_property
     def mask(self) -> int:
+        """Every element's bit, computed on first use and then stored."""
         return (1 << self.order) - 1
 
     def __repr__(self) -> str:

@@ -242,11 +242,13 @@ def _memo(G: Group, limits: Limits, compute: Callable, *key):
     under other limits computes again, and that bound takes effect too."""
     root = G.root
     _check_table_room(root, limits)
-    cache = root.cache
     k = (*key, G.mask)
-    if k not in cache:
-        cache[k] = compute()
-    return cache[k]
+    try:
+        return root.cache[k]    # a hit is this one lookup
+    except KeyError:
+        pass
+    value = root.cache[k] = compute()
+    return value
 
 
 def _check_inside(G: Group, *subgroups: Subgroup) -> None:

@@ -214,8 +214,17 @@ def check_against_reference(n, gens, seed, with_elements):
     assert G.order == ref.order
     if with_elements:
         assert [p.images for p in G.elements()] == ref.elements()
-    for x in random_tests(n, gens, seed):
+    tests = random_tests(n, gens, seed)
+    for x in tests:
         assert (Perm(x) in G) == (ref.sift(x) is None)
+    check_membership_against_sift(G, tests)
+
+
+def check_membership_against_sift(G, tests):
+    """``p in G``, which sifts through the stored levels only, agrees with
+    the build's residue sift over every level."""
+    for x in tests:
+        assert (Perm(x) in G) == (G._sift(G._encode(x)) is None)
 
 
 @pytest.mark.parametrize("spec", SMALL + LARGER, ids=str)
@@ -229,8 +238,10 @@ def test_family_matches_reference_build(spec):
 @given(small_groups())
 def test_random_group_matches_brute_force_and_reference_build(G):
     gens = [g.images for g in G.generators]
-    check_levels(G, oracles.close_tuples(gens, G.degree))
+    elements = oracles.close_tuples(gens, G.degree)
+    check_levels(G, elements)
     check_against_reference(G.degree, gens, G.degree, with_elements=True)
+    check_membership_against_sift(G, elements)
 
 
 def seeded_random_group(seed):
@@ -307,6 +318,25 @@ def test_chain_past_255_points(n, gens, order, member):
     if member is is_dihedral:
         assert [p.images for p in G.elements()] == sorted(
             affine(n, a, b) for a in (1, -1) for b in range(n))
+
+
+@pytest.mark.parametrize("n, gens", [
+    (7, [affine(7, 1, 1), affine(7, 3, 0)]),
+    (257, [affine(257, 1, 1), affine(257, 3, 0)]),
+], ids=["AGL(1,7) bytes", "AGL(1,257) tuples"])
+def test_membership_refuses_a_move_off_the_stored_levels(n, gens):
+    """AGL(1,p) stores the levels of points 1 and 2 only, as its
+    stabilizer of those two points is trivial.  The transposition (3 4)
+    fixes both of them,
+    so the membership loop makes no gather, and only its final identity
+    check refuses it."""
+    G = build(n, gens)
+    assert [i for i, _ in G._levels] == [0, 1]
+    assert isinstance(G._identity, bytes if n <= 256 else tuple)
+    swap = Perm.parse("(3 4)", n)
+    assert swap not in G
+    assert G._sift(G._encode(swap.images)) is not None
+    assert Perm(affine(n, 3, 2)) in G
 
 
 # ---------------------------------------------------------------------------
@@ -395,13 +425,19 @@ def test_byte_and_tuple_chains_agree_at_255_256_257_points(spec):
 @pytest.mark.parametrize("n", [12, 257])
 def test_group_pickles_with_its_chain(n):
     """A group pickles with its chain in either encoding; nothing stored on
-    it is a lambda or closure."""
+    it is a lambda or closure.  The stored levels come back as the levels
+    of the unpickled chain, so membership answers survive the round trip,
+    also for a permutation that moves only points of unstored levels."""
     k, gens, order = relabelled_padded(("W", 3, 3), 4)
     G = build(n, [lifted(g, n) for g in gens])
     tests = [Perm(lifted(t, n)) for t in random_tests(k, gens, 4, count=60)]
+    tests.append(Perm.parse("(1 2)", n))
+    expected = [p in G for p in tests]
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         H = pickle.loads(pickle.dumps(G, protocol))
         assert H.order == G.order == order
         assert chain_state(H) == chain_state(G)
-        assert [p in H for p in tests] == [p in G for p in tests]
-    assert sum(p in G for p in tests) >= 30
+        assert [(i, level is H._inverses[i]) for i, level in H._levels] == \
+            [(i, True) for i, _ in G._levels]
+        assert [p in H for p in tests] == expected
+    assert sum(expected) >= 30 and not expected[-1]

@@ -456,11 +456,14 @@ def test_overlong_cycle_point_is_usage_error(capsys, tmp_path):
     code, out, err = run(capsys, "permutable", "--group", "S3", "--gen", f"({'9' * 5000})")
     assert (code, out) == (2, "")
     assert err == f"usage error: point {'9' * 5000} outside 1..3\n"
+    # in a corpus file the point refuses its entry, and naming that entry
+    # is the usage error
     path = tmp_path / "gen.corpus"
     path.write_text(f"group X deg 3\ngen (1 {'1' * 5000})\norder 2\n")
-    code, out, err = run(capsys, "campaign", "--corpus", str(path))
+    code, out, err = run(capsys, "classify", "--corpus-file", str(path), "--group", "X")
     assert (code, out) == (2, "")
     assert err == f"usage error: line 2: point {'1' * 5000} outside 1..3\n"
+    assert run(capsys, "campaign", "--corpus", str(path))[0] == 4
 
 
 def test_sigma_all_rejected_outside_verify(capsys):
@@ -604,6 +607,35 @@ def test_corpus_file_entry_of_a_wrong_order_errors_only_its_rows(capsys, tmp_pat
     code, out, err = run(capsys, "classify", "--corpus-file", str(path), "--group", "BAD")
     assert (code, out) == (2, "")
     assert err == "usage error: corpus entry 'BAD': generated order 3, declared 6\n"
+
+
+def test_corpus_file_generator_that_does_not_fit_errors_only_its_entry(capsys, tmp_path):
+    """A generator outside its entry's degree refuses that entry alone, with
+    its line number: Z gets one error row per statement, S3 answers as it
+    does alone, and naming Z is the usage error."""
+    s3 = S3_AND_BAD_CORPUS.split("\n\n")[0] + "\n"
+    path = tmp_path / "s3z.corpus"
+    path.write_text(s3 + "\ngroup Z deg 0\ngen (1 2)\norder 2\n")
+    alone = tmp_path / "s3.corpus"
+    alone.write_text(s3)
+    report_path, alone_path = tmp_path / "report.json", tmp_path / "alone.json"
+    code, _, err = run(capsys, "campaign", "--corpus", str(path), "--no-timestamp",
+                       "--out", str(report_path))
+    assert code == 4 and err == ""
+    assert run(capsys, "campaign", "--corpus", str(alone), "--no-timestamp",
+               "--out", str(alone_path))[0] == 0
+    rows = json.loads(report_path.read_text())["outcomes"]
+    assert [r for r in rows if r["group"] == "S3"] == \
+        json.loads(alone_path.read_text())["outcomes"]
+    message = "line 7: point 1 outside 1..0"
+    bad = [r for r in rows if r["group"] == "Z"]
+    assert sorted(r["statement_id"] for r in bad) == sorted(STATEMENTS)
+    assert {(r["verdict"], r["sigma"], r["reason"]) for r in bad} == {
+        ("error", "[]", f"GroupInputError: {message}")}
+    assert run(capsys, "classify", "--corpus-file", str(path), "--group", "S3") == \
+        run(capsys, "classify", "--group", "S3")
+    assert run(capsys, "classify", "--corpus-file", str(path), "--group", "Z") == \
+        (2, "", f"usage error: {message}\n")
 
 
 def test_corpus_file_entry_with_refused_values_errors_only_its_rows(capsys, tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from sigmagroups import (CapacityError, CorpusEntry, GroupInputError, Limits, Perm,
                          PermGroup, builtin_corpus, builtin_entry, parse_corpus_file,
                          partitions_of_primes)
+from sigmagroups.corpus import RefusedEntry
 from sigmagroups.numbers import primes_of
 from sigmagroups.permcore import clear_intern_cache
 from sigmagroups.sigma import SigmaPartition
@@ -204,8 +205,29 @@ def test_builtin_round_trips():
     ("group X deg 3\ngen (1 2)\norder twelve\n", "bad order line"),
 ])
 def test_parse_corpus_file_errors(text, fragment):
+    """A syntax error stops the file when it is read.  A generator that does
+    not fit its entry, such as (1 9) at degree 3, refuses that entry alone:
+    the file reads, and building the entry raises the line-numbered
+    message."""
+    if "gen (1 9)" in text:
+        [entry] = parse_corpus_file(text)
+        assert isinstance(entry, RefusedEntry) and entry.name == "X"
+        with pytest.raises(GroupInputError, match=f"^{fragment}: point 9 outside 1..3$"):
+            entry.build()
+        return
     with pytest.raises(GroupInputError, match=fragment.replace("(", "\\(")):
         parse_corpus_file(text)
+
+
+def test_only_the_first_bad_generator_of_an_entry_is_reported():
+    """Every bad generator line is read, the first one's message is kept,
+    and the entries around the refused one parse as before."""
+    text = ("group A deg 2\ngen (1 2)\norder 2\n\n"
+            "group X deg 3\ngen (1 2 2)\ngen (4 1)\norder 2\n\n"
+            "group B deg 3\ngen (1 2 3)\norder 3\n")
+    a, x, b = parse_corpus_file(text)
+    assert (a.name, a.expected_order, b.name, b.expected_order) == ("A", 2, "B", 3)
+    assert x == RefusedEntry("X", "line 6: repeated point 2 in '(1 2 2)'")
 
 
 def test_parse_corpus_file_checks_generated_order():

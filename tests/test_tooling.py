@@ -303,7 +303,7 @@ def test_element_orders_come_from_cycle_types():
     assert "gcd" not in names_in_module("structure.py")
 
 
-CHAIN_METHODS = ("_sift", "_extend_orbit", "_verify_level", "elements")
+CHAIN_METHODS = ("_sift", "_extend_orbit", "_verify_level", "__contains__", "elements")
 COMPOSITIONS = {"itemgetter", "attrgetter", "methodcaller", "compose_images",
                 "conjugate_images", "translate", "__getitem__"}
 
@@ -385,13 +385,32 @@ def test_sift_reads_levels_by_subscript():
     """``PermGroup._sift`` finds a level's inverse rep by one list subscript:
     it binds ``level`` to an entry of ``self._inverses``, a table of slots
     indexed by point, reads ``level[p]``, and calls no ``get``, the dict
-    lookup that table replaced."""
-    body = list(ast.walk(permgroup_methods()["_sift"]))
+    lookup that table replaced.  The membership loop, ``__contains__``,
+    walks ``self._levels``, the (point, slots) pairs of the stored levels,
+    and reads ``level[q]`` the same way."""
+    methods = permgroup_methods()
+    body = list(ast.walk(methods["_sift"]))
     bound = dict(pair for node in body for pair in bindings(node))
     assert ast.unparse(bound["inverses"]) == "self._inverses"
     assert ast.unparse(bound["level"]) == "inverses[i]"
     assert "level[p]" in {ast.unparse(node) for node in body if isinstance(node, ast.Subscript)}
     assert [c.lineno for c in body if isinstance(c, ast.Call) and callee(c) == "get"] == []
+    body = list(ast.walk(methods["__contains__"]))
+    loops = [(ast.unparse(node.target), ast.unparse(node.iter))
+             for node in body if isinstance(node, ast.For)]
+    assert loops == [("(i, level)", "self._levels")]
+    assert "level[q]" in {ast.unparse(node) for node in body if isinstance(node, ast.Subscript)}
+    assert [c.lineno for c in body if isinstance(c, ast.Call) and callee(c) == "get"] == []
+
+
+def test_stored_levels_are_derived_in_one_place():
+    """``_levels`` is assigned in exactly one method of ``PermGroup``,
+    after the chain is built, so no second derivation can drift from it."""
+    assigners = [name for name, f in permgroup_methods().items() for node in ast.walk(f)
+                 if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+                 for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                 if ast.unparse(target) == "self._levels"]
+    assert assigners == ["__init__"]
 
 
 def test_cli_import_loads_no_process_pool():
