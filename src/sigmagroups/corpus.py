@@ -67,16 +67,16 @@ class CorpusEntry:
         return G
 
     def build(self, limits: Limits = DEFAULT_LIMITS) -> PermGroup:
-        """The interned group; CapacityError when its order exceeds the
-        multiplication-table bound of ``limits``.
+        """The interned group; CapacityError when its declared order exceeds
+        the multiplication-table bound of ``limits``.
 
         Every lattice computed for the group is of it or of a subgroup or
         quotient, none larger, so the table bound, the one bound on a
-        group's order, is checked here, before any work is done.  The chain
-        knows the order, so it is checked before any element is listed."""
-        G = self.generated()
-        _check_table_room(G, limits)
-        return interned(G)
+        group's order, is checked here, before any work is done: against the
+        declared order, before the chain is built.  ``generated`` then
+        refuses any other order, so a group that builds fits the bound."""
+        _check_table_room(self.expected_order, limits)
+        return interned(self.generated())
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,13 @@ with.  A residue found at a level joins the generator lists of the levels
 from the one below it up to its first moved point, the only levels whose
 group it enlarges; a given generator's residue joins every level up to its
 first moved point.  Each transversal rep is stored with its inverse, and a
-level's inverses sit in a list indexed by orbit point.  A membership test
+level's inverses sit in a list indexed by orbit point.  Every stored rep is
+also in one set, identity included.  A Schreier generator of level i fixes
+0..i, so when it is in that set it is the identity or a rep of a deeper level
+j, and its sift would pass the levels it fixes and end at level j with
+nothing left: it is skipped unsifted, and a sift stops as soon as what is
+left is in the set.  Neither changes a residue, so the chain is the one the
+full sifts build.  A membership test
 walks only the stored levels, those whose orbit is more than their point:
 one list subscript and one composition per level its element moves, and one
 comparison with the identity at the end.  Each composition is one C call, a
@@ -253,6 +259,10 @@ class PermGroup:
     pass).  Each transversal rep is stored with its inverse.  A level's
     inverse reps sit in a list of ``degree`` slots indexed by orbit point,
     ``None`` off the orbit, so a sift finds each one by a list subscript.
+    ``_reps`` is the set of every stored rep, identity included, as n-long
+    data; it grows only where a rep is stored, in ``_extend_orbit``, so a
+    chain extended in place keeps it without more work.  The build uses it
+    to skip or end a sift whose element is already a rep (``_build_chain``).
     ``_levels`` lists the stored levels, (point, slots) in base order, and
     membership walks only them: one gather per level its element moves, then
     one comparison with the identity.  It is derived once the chain is
@@ -291,6 +301,8 @@ class PermGroup:
         self._transversals: list[dict[int, bytes | tuple] | None] = [None] * degree
         self._inverses: list[list[bytes | tuple | None] | None] = [None] * degree
         self._strong: list[bytes | tuple] = []
+        # every stored transversal rep, identity included, as n-long data
+        self._reps: set[bytes | tuple] = {self._identity}
         self._build_chain()
         # the stored levels, in base order: (point, its inverse-rep slots)
         self._levels = tuple((i, level) for i, level in enumerate(self._inverses)
@@ -303,15 +315,18 @@ class PermGroup:
     # -- chain construction
 
     def _sift(self, x: bytes | tuple, start: int = 0) -> bytes | tuple | None:
-        """The build's residue sift: reduce the encoded x through every level
-        from ``start``; None means x is in the group those levels hold.  A
-        residue fixes every base point before the first level whose orbit
-        lacks its image, which is where it joins the strong generators.
-        Only a composition can make x the identity, and the sift stops
-        there; since the base is every point, x is the identity too once all
-        levels are passed.  Membership does not call it: ``__contains__``
-        needs no residue, only a yes or no."""
-        ident, inverses, gather = self._identity, self._inverses, self._gather
+        """The build's residue sift: reduce the encoded x, which fixes every
+        point before ``start``, through every level from ``start``; None
+        means x is in the group those levels hold.  A residue fixes every
+        base point before the first level whose orbit lacks its image, which
+        is where it joins the strong generators.  The sift stops once a
+        composition at level i leaves a stored rep: x then fixes 0..i, so it
+        is the identity or a rep of a deeper level j, and the rest of the
+        sift would pass the levels it fixes and end at j with the identity.
+        Since the base is every point, x is the identity too once all levels
+        are passed.  Membership does not call it: ``__contains__`` needs no
+        residue, only a yes or no."""
+        reps, inverses, gather = self._reps, self._inverses, self._gather
         for i in range(start, self.degree):
             p = x[i]
             if p != i:
@@ -319,7 +334,7 @@ class PermGroup:
                 if level is None or (inv := level[p]) is None:
                     return x
                 x = gather(x, inv)
-                if x == ident:
+                if x in reps:
                     return None
         return None
 
@@ -350,8 +365,14 @@ class PermGroup:
         - each level's group still lies in the one before it: r is in level
           i's group and in every list from i+1 to its first moved point.
         Each residue still adds a point to the orbit of its first moved
-        point, so the build ends as before.  Deterministic: no
-        randomisation, fixed iteration orders.
+        point, so the build ends as before.
+
+        A Schreier generator that is already a stored rep (``self._reps``)
+        is not sifted, and a sift ends at the first stored rep it reaches.
+        Such an element fixes every point up to its level, so it is the
+        identity or a rep of a deeper level, whose sift would end there with
+        nothing left: no residue, strong generator, orbit or order changes.
+        Deterministic: no randomisation, fixed iteration orders.
         """
         n, encode, pad = self.degree, self._encode, self._pad
         level_gens: list[list[tuple]] = [[] for _ in range(n)]
@@ -383,7 +404,7 @@ class PermGroup:
         generator, and its inverse the generator's inverse times the finder's
         inverse."""
         trans, invs = self._transversals[i], self._inverses[i]
-        gather, pad = self._gather, self._pad
+        gather, pad, reps = self._gather, self._pad, self._reps
         if trans is None:
             if all(s[i] == i for s, _ in gens[old:]):
                 return
@@ -396,7 +417,8 @@ class PermGroup:
             for s, s_inv in pairs:
                 b = s[a]
                 if b not in trans:
-                    trans[b] = gather(ua, s)
+                    trans[b] = ub = gather(ua, s)
+                    reps.add(ub)
                     invs[b] = gather(s_inv, va) + pad
                     found.append(b)
 
@@ -409,9 +431,13 @@ class PermGroup:
 
     def _verify_level(self, i: int, gens: list[tuple],
                       verified: dict[int, int]) -> bytes | tuple | None:
-        """Sift every unverified Schreier generator u_p s u_(p^s)^-1 of level
-        i through the deeper levels; the first residue, or None.  Those that
-        are the identity, or s itself for p = i, need no sift.
+        """Sift every unverified Schreier generator y = u_p s u_q^-1, q = p^s,
+        of level i through the deeper levels; the first residue, or None.
+        Three kinds need no sift: s itself for p = i, y = 1 (the tree edge
+        u_p s = u_q, one comparison), and y in ``self._reps``.  y fixes
+        0..i, so a stored rep equal to it is the identity or a rep of a
+        level j > i, and its sift would pass the levels it fixes, reach j
+        and return None.
 
         The pair that gave a residue counts as verified: once the residue is a
         strong generator and the deeper levels are complete again, that
@@ -419,7 +445,7 @@ class PermGroup:
         trans, invs = self._transversals[i], self._inverses[i]
         if trans is None:   # every s fixes i: each is a strong generator one level down
             return None
-        gather = self._gather
+        gather, reps = self._gather, self._reps
         count = len(gens)
         for p, up in trans.items():
             k = verified.get(p, 0)
@@ -432,7 +458,10 @@ class PermGroup:
                 t = gather(up, s)
                 if t == trans[q]:
                     continue
-                residue = self._sift(gather(t, invs[q]), i + 1)
+                y = gather(t, invs[q])
+                if y in reps:
+                    continue
+                residue = self._sift(y, i + 1)
                 if residue is not None:
                     verified[p] = k
                     return residue

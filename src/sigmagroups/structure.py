@@ -224,11 +224,11 @@ def _element_table(K: PermGroup, limits: Limits) -> _ElementTable:
     return _memo(K, limits, lambda: _ElementTable(K), "element-table")
 
 
-def _check_table_room(K: PermGroup, limits: Limits) -> None:
-    """CapacityError unless the root K may get a multiplication table under
-    the caller's limits: the one table-bound check."""
-    if K.order > limits.table_order_bound:
-        raise CapacityError(f"group order {K.order} exceeds multiplication-table bound "
+def _check_table_room(order: int, limits: Limits) -> None:
+    """CapacityError unless a root of this order may get a multiplication
+    table under the caller's limits: the one table-bound check."""
+    if order > limits.table_order_bound:
+        raise CapacityError(f"group order {order} exceeds multiplication-table bound "
                             f"{limits.table_order_bound}")
 
 
@@ -241,7 +241,7 @@ def _memo(G: Group, limits: Limits, compute: Callable, *key):
     reaches another bound has the caller's limits in its key, so a call
     under other limits computes again, and that bound takes effect too."""
     root = G.root
-    _check_table_room(root, limits)
+    _check_table_room(root.order, limits)
     k = (*key, G.mask)
     try:
         return root.cache[k]    # a hit is this one lookup
@@ -356,7 +356,7 @@ def _descends_to_one(G: Group, blocks: Sequence[frozenset[int]], limits: Limits)
     ``_element_table`` gets it under ``limits``; the table bound is checked
     also when the answer needs no table."""
     if len(blocks) <= 1:
-        _check_table_room(G.root, limits)
+        _check_table_room(G.root.order, limits)
         return True
     table = _element_table(G.root, limits)
     x = G.mask
@@ -809,7 +809,7 @@ def maximal_subgroups_of_p_group(P: Subgroup, limits: Limits = DEFAULT_LIMITS) -
     if len(primes) > 1:
         raise GroupInputError(f"group of order {P.order} is not a p-group")
     if not primes:
-        _check_table_room(P.root, limits)
+        _check_table_room(P.root.order, limits)
         return ()
     return subgroups_of_order(P, P.order // primes[0][0], limits)
 

@@ -2,6 +2,7 @@
 brute-force orbits, and order, elements and membership against the previous
 chain build, kept here as a reference."""
 
+import hashlib
 import math
 import pickle
 import random
@@ -159,11 +160,13 @@ def check_levels(G, elements):
     stabilizer of 0..i-1, and a level is stored exactly when that orbit is
     more than {i}; each rep lies in G, fixes 0..i-1 and maps i to its key, and
     each stored inverse is its inverse.  A stored inverse table has one slot
-    per point, None exactly off the orbit, so no stale slot can hide."""
+    per point, None exactly off the orbit, so no stale slot can hide.  The
+    rep set holds exactly the stored reps and the identity."""
     n = G.degree
     ident = identity_images(n)
     _, transversals, inverses = chain_state(G)
     assert len(transversals) == len(inverses) == len(G._inverses) == n
+    assert G._reps == {G._identity}.union(*(t.values() for t in G._transversals if t))
     for i in range(n):
         orbit = {e[i] for e in elements if e[:i] == ident[:i]}
         trans, invs, slots = transversals[i], inverses[i], G._inverses[i]
@@ -343,14 +346,16 @@ def test_membership_refuses_a_move_off_the_stored_levels(n, gens):
 # Schreier generators sifted during a build
 
 @pytest.mark.parametrize("n, gens, most", [
-    (16, [cycle(16, [0, 1]), cycle(16, list(range(16)))], 600),
-    (*relabelled_padded(("S", 12), 0)[:2], 400),
+    (16, [cycle(16, [0, 1]), cycle(16, list(range(16)))], 40),
+    (*relabelled_padded(("S", 12), 0)[:2], 30),
 ], ids=["S_16", "S_12 relabelled and padded"])
 def test_residues_join_only_the_levels_they_enlarge(monkeypatch, n, gens, most):
     """A Schreier generator is sifted from the level below its own, so the
-    sifts with start > 0 are the Schreier generators sifted.  Adding each
-    residue to every level from 0 up, not from the level below the one where
-    it was found, sifts 1053 of them for S_16 and 769 for the padded S_12."""
+    sifts with start > 0 are the Schreier generators sifted: 28 for S_16 and
+    19 for the padded S_12.  Sifting those that are already stored reps too
+    sifts 547 and 304; adding each residue to every level from 0 up as
+    well, not from the level below the one where it was found, sifts 1053
+    and 769."""
     sifts = []
     original = PermGroup._sift
 
@@ -365,7 +370,84 @@ def test_residues_join_only_the_levels_they_enlarge(monkeypatch, n, gens, most):
 
 
 # ---------------------------------------------------------------------------
-# determinism
+# determinism, and the chain pinned: skipped sifts change no stored state
+
+def chain_digest(G):
+    """The first 16 hex digits of the sha256 of the stored chain's repr."""
+    return hashlib.sha256(repr(chain_state(G)).encode()).hexdigest()[:16]
+
+
+PINNED_CHAINS = {
+    ("S", 4): "62e4b253d65d2792",
+    ("S", 5): "f31c234aac88d5a7",
+    ("S", 6): "538d053eab6e96f1",
+    ("A", 5): "53fc96ec274c3a70",
+    ("A", 7): "e45098c091657215",
+    ("W", 2, 3): "775f371fe29ac256",
+    ("W", 3, 2): "1a1865ce9d545934",
+    ("W", 2, 4): "ce3b0dc010b26435",
+    ("W", 3, 3): "78e60ba8c57c34ee",
+    ("AGL", 5): "5934c3081b9cc112",
+    ("AGL", 7): "023415c6a8affbbe",
+    ("AGL", 11): "cc9c5cdd337b5911",
+    ("AGL", 13): "bb60e52bc3400322",
+    ("S", 12): "cc64f8f9e43144bc",
+    ("A", 13): "8b9a1863d2998f17",
+    ("W", 3, 4): "6eedac54b97975b9",
+    ("W", 4, 3): "92471afd4954f6c0",
+    ("W", 2, 8): "d794387903b01610",
+    ("AGL", 17): "25f6608d0cd26a73",
+    0: "56c6a7c62eb4c896",
+    1: "b0587daa8191f3ef",
+    2: "1da329b5ec719330",
+    3: "d548521e809fe7e5",
+    4: "eae2448544d4cb38",
+    5: "67e4bfb683265997",
+    6: "7b02b908ad4039c4",
+    7: "a596294c456bcf97",
+    8: "85bd6dbd9f12eba8",
+    9: "30ca321a78cc99b2",
+    10: "aefca1626b3f9273",
+    11: "6bcf804b8845d951",
+    12: "e3458d91fd23b30b",
+    13: "54b3d86173ea5761",
+    14: "cc3de9888ebe1321",
+    15: "ff3d82e626cd5cba",
+    16: "6129fe5b4a69cd4c",
+    17: "cba99ae90f9161db",
+    18: "ff2642f974af76bf",
+    19: "cd33f3aaa9ecb8df",
+    "AGL(1,257)": "45787ba630e3bb54",
+    "D_300": "e907ce9588389462",
+}
+
+
+def pinned_group(key):
+    """A family relabelled and padded with seed 5, a seeded random group by
+    its seed, or a group of ``test_chain_past_255_points``."""
+    if key == "AGL(1,257)":
+        return build(257, [affine(257, 1, 1), affine(257, 3, 0)])
+    if key == "D_300":
+        return build(300, [affine(300, 1, 1), affine(300, -1, 0)])
+    if isinstance(key, int):
+        return build(*seeded_random_group(key))
+    n, gens, _ = relabelled_padded(key, 5)
+    return build(n, gens)
+
+
+def test_pinned_chains_cover_the_families():
+    assert set(PINNED_CHAINS) == {*SMALL, *LARGER, *range(20), "AGL(1,257)", "D_300"}
+
+
+@pytest.mark.parametrize("key", PINNED_CHAINS, ids=str)
+def test_chain_is_the_one_full_sifts_build(key):
+    """The stored chain, strong generators, reps and inverses alike, has the
+    digest recorded from a build that sifted every Schreier generator that
+    is not a tree edge, each through every level until the identity: not
+    sifting a generator that is a stored rep, and ending a sift at a stored
+    rep, changed no stored byte."""
+    assert chain_digest(pinned_group(key)) == PINNED_CHAINS[key]
+
 
 @pytest.mark.parametrize("spec", SMALL + LARGER, ids=str)
 def test_two_builds_hold_the_same_chain(spec):

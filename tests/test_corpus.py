@@ -1,5 +1,6 @@
 """Builtin catalog integrity, corpus file round trips, prime-set partitions."""
 
+import math
 import re
 import time
 
@@ -60,6 +61,21 @@ def test_table_bound_refuses_before_any_element_is_listed(monkeypatch):
                        match="group order 24 exceeds multiplication-table bound 10"):
         builtin_entry("S4").build(Limits(table_order_bound=10))
     assert listed == []
+
+
+def test_table_bound_refuses_a_declared_order_before_the_chain_is_built(chain_builds):
+    """An entry declared as S_60 is refused by its declared order, 60!,
+    with the message the generated order would give, and no Schreier-Sims
+    chain is built: its build took tens of milliseconds only to be refused."""
+    n = 60
+    S60 = CorpusEntry("S60", n, (Perm.parse("(1 2)", n),
+                                 Perm.parse("(" + " ".join(map(str, range(1, n + 1))) + ")", n)),
+                      math.factorial(n))
+    with pytest.raises(CapacityError) as refusal:
+        S60.build()
+    assert str(refusal.value) == (f"group order {math.factorial(n)} exceeds "
+                                  f"multiplication-table bound {Limits().table_order_bound}")
+    assert chain_builds == []
 
 
 def test_a_raised_table_bound_alone_admits_a_larger_group(table_builds):

@@ -496,6 +496,21 @@ def test_a_group_that_does_not_build_becomes_error_rows(corpus):
         "GroupInputError: corpus entry 'bogus': generated order 3, declared 6"}
 
 
+def test_a_declared_order_over_the_table_bound_skips_every_row(corpus, chain_builds):
+    """A library entry declared above the table bound is refused by that
+    declared order before its chain is built, even when its generators give
+    a smaller group: every row is a capacity skip, not an error row.  The
+    declared 2^13 is the order of a 2-group of degree 16, whose 16! has
+    2^15 in it."""
+    big = CorpusEntry("big", 16, (Perm.parse("(1 2 3)", 16),), 2 ** 13)
+    config = CampaignConfig(zero_millis=True)
+    rows = verify_group(big, config)
+    assert chain_builds == []
+    assert rows and {r.verdict for r in rows} == {"skipped"}
+    assert {r.reason for r in rows} == {
+        "capacity: group order 8192 exceeds multiplication-table bound 4096"}
+
+
 def test_an_entry_whose_generators_do_not_fit_its_degree_becomes_error_rows(corpus):
     """A library entry of degree 3 with a generator on 4 points is never
     built, not even to label its rows: they are labelled from the primes of

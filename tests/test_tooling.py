@@ -413,6 +413,31 @@ def test_stored_levels_are_derived_in_one_place():
     assert assigners == ["__init__"]
 
 
+def test_rep_set_grows_in_one_place():
+    """``self._reps``, the set of every stored transversal rep, is bound
+    only in ``__init__`` and added to only in ``_extend_orbit``, where a
+    rep is stored, through ``self._reps`` or a local name bound to it; no
+    method replaces, removes from or empties it, so a chain extended in
+    place keeps it with its transversals."""
+    binders, writers = [], []
+    for name, f in permgroup_methods().items():
+        body = list(ast.walk(f))
+        aliases = {"self._reps"} | {alias for node in body for alias, value in bindings(node)
+                                    if ast.unparse(value) == "self._reps"}
+        for node in body:
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                binders += [name for t in targets for sub in ast.walk(t)
+                            if ast.unparse(sub) == "self._reps"]
+                if isinstance(node, ast.AugAssign) and ast.unparse(node.target) in aliases:
+                    writers.append((name, "augmented"))
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and ast.unparse(node.func.value) in aliases):
+                writers.append((name, node.func.attr))
+    assert binders == ["__init__"]
+    assert writers == [("_extend_orbit", "add")]
+
+
 def test_cli_import_loads_no_process_pool():
     """The process pool is imported only when a campaign runs more than one
     job, so importing the CLI loads neither it nor multiprocessing."""
