@@ -32,7 +32,9 @@ class CorpusEntry:
     """A named group of permutations with its declared order.
 
     Making an entry checks only values: the degree and the declared order
-    are counts, and the order has no prime factor above the degree.  The
+    are counts, and the order divides degree!, as the order of every group
+    of that degree does: it has no prime factor above the degree, and no
+    prime p in it has a higher exponent than p has in degree!.  The
     generated order and the table bound are checked by ``build``."""
     name: str
     degree: int
@@ -49,8 +51,17 @@ class CorpusEntry:
         _check_count(f"corpus entry {self.name!r}: degree", self.degree)
         rest = self.expected_order
         for p in range(2, min(self.degree, math.isqrt(rest)) + 1):
+            e = 0
             while rest % p == 0:
                 rest //= p
+                e += 1
+            # Legendre: p has exponent sum(degree // p^k, k >= 1) in degree!;
+            # a term past k = e is non-zero only when the first is above e
+            if e > sum(self.degree // p ** k for k in range(1, e + 1)):
+                raise GroupInputError(f"corpus entry {self.name!r}: declared order "
+                                      f"{self.expected_order} does not divide {self.degree}!")
+        # what is left is 1, a prime at most the degree (so it divides
+        # degree!), or it has a prime factor above the degree
         if rest > self.degree:
             raise GroupInputError(
                 f"corpus entry {self.name!r}: declared order {self.expected_order} has a "
@@ -189,9 +200,9 @@ def parse_corpus_file(text: str) -> list[CorpusEntry | RefusedEntry]:
     generator that does not fit it, such as a point outside its degree, is
     a ``RefusedEntry`` with the first such line's numbered message, and so
     is one whose values ``CorpusEntry`` refuses, such as a degree or order
-    that is not a count or a declared order with a prime factor above the
-    degree.  The generated order and the table bound are checked when an
-    entry is built, so a wrong entry fails alone."""
+    that is not a count or a declared order that does not divide degree!.
+    The generated order and the table bound are checked when an entry is
+    built, so a wrong entry fails alone."""
     entries: list[CorpusEntry | RefusedEntry] = []
     names: set[str] = set()
     cur: dict | None = None

@@ -33,7 +33,7 @@ from .errors import (CapacityError, DEFAULT_LIMITS, GroupInputError, InvariantEr
                      _check_count, _check_prime)
 from .numbers import part_for_primes, primes_of
 from .permcore import Perm, PermGroup, Subgroup, clear_intern_cache, compose_images
-from .sigma import (SigmaPartition, _group_blocks, induces_power_automorphisms,
+from .sigma import (SigmaPartition, _order_blocks, induces_power_automorphisms,
                     is_pi_separable, is_psigma_t, is_sigma_nilpotent, is_sigma_soluble,
                     sigma_nilpotent_residual, sigma_full_sylow_type_violation)
 from .structure import (all_subgroups, frattini_subgroup, hall_subgroup, normal_subgroups,
@@ -287,7 +287,8 @@ def _nilpotent_section(G: PermGroup, normals: tuple[Subgroup, ...], top: int, bo
     such an L/K (correspondence theorem).  No quotient group is built."""
     k, index = bottom.bit_count(), top.bit_count() // bottom.bit_count()
     between = {L.order for L in normals if L.mask & bottom == bottom and L.mask & top == L.mask}
-    return all(k * part_for_primes(index, ps) in between for _, ps, _ in _group_blocks(G, sigma))
+    return all(k * part_for_primes(index, ps) in between
+               for _, ps, _ in _order_blocks(G.order, sigma))
 
 
 def verify_lemma_2_3(G: PermGroup, sigma: SigmaPartition, group_name: str = "",
@@ -404,7 +405,7 @@ def _condition_ii_blocks(G: PermGroup, D: Subgroup, sigma: SigmaPartition,
     """For each block of sigma(G): O_{sigma_i}(D) must own a normal complement
     inside some Hall sigma_i-subgroup of G.  D is normal in G."""
     detail = []
-    for bid, ps, part in _group_blocks(G, sigma):
+    for bid, ps, part in _order_blocks(G.order, sigma):
         O = _block_core(normal_subgroups(G, limits), D.mask, ps)
         found = next(((H, C) for H in subgroups_of_order(G, part, limits)
                       if O.mask & H.mask == O.mask for C in normal_subgroups(H, limits)

@@ -551,12 +551,6 @@ def interned(group: PermGroup) -> PermGroup:
     return _INTERNED.setdefault((group.degree, tuple(group.element_index())), group)
 
 
-def find_interned(degree: int, images: tuple[tuple, ...]) -> PermGroup | None:
-    """The interned group whose sorted image tuples are ``images``, if one
-    exists."""
-    return _INTERNED.get((degree, images))
-
-
 def clear_intern_cache() -> None:
     """Forget the interned groups and empty their caches.  A root's cache
     holds the root itself and its subgroups, which point back at it, so

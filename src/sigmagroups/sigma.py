@@ -10,9 +10,12 @@ All class predicates take a group, or a ``Subgroup`` of one, together with
 a partition and answer deterministically; results and expensive
 intermediates (per-block Hall subgroup classes, class verdicts, residuals)
 are memoised on the root group per subgroup mask, keyed by the partition
-text and the caller's limits.  Checks that the campaign and one-shot
-queries seldom or never repeat (sigma-permutability of one subgroup, Hall
-coverage, pi-separability) are computed on each call.
+text.  Every read checks the caller's table bound, so only the two results
+that read a lattice, the Hall data and PsigmaT, also key on the caller's
+limits; the rest read only the root's table and are computed once.
+Checks that the campaign and one-shot queries seldom or never repeat
+(sigma-permutability of one subgroup, Hall coverage, pi-separability) are
+computed on each call.
 
 Every verdict and subgroup here comes from subgroups generated by elements
 on the root's table (``_ElementTable.generated_by_orders``), and no normal
@@ -182,43 +185,37 @@ def is_sigma_primary(n: int, sigma: SigmaPartition) -> bool:
 # ---------------------------------------------------------------------------
 # per-block Hall data
 
-def _group_blocks(G: Group, sigma: SigmaPartition) -> tuple[tuple[str, frozenset[int], int], ...]:
-    """(block id, primes of the block inside pi(G), sigma_i-part of |G|),
-    ordered by least prime."""
-    return _order_blocks(G.order, sigma)
-
-
 @functools.lru_cache(maxsize=4096)
 def _order_blocks(order: int, sigma: SigmaPartition) -> tuple[tuple[str, frozenset[int], int], ...]:
+    """(block id, primes of the block that divide ``order``, the block's
+    part of ``order``), ordered by least prime: the primes are met in
+    ascending order, so each block is met first at its least prime."""
     by_id: dict[str, set[int]] = {}
     for p in sorted(primes_of(order)):
         by_id.setdefault(sigma.block_id(p), set()).add(p)
-    out = [(bid, frozenset(ps), part_for_primes(order, ps)) for bid, ps in by_id.items()]
-    out.sort(key=lambda t: min(t[1]))
-    return tuple(out)
+    return tuple((bid, frozenset(ps), part_for_primes(order, ps)) for bid, ps in by_id.items())
 
 
 def _hall_data(G: Group, sigma: SigmaPartition, limits: Limits):
     """Per block: the masks of all Hall subgroups, canonically sorted, and
     their conjugacy classes under G, each a sorted tuple of masks.
 
-    A block's Hall subgroup is forced, and no lattice is read, in two cases.
-    When the block's part of |G| is |G|, G is the only candidate.  When the
-    subgroup R_i generated by the block's elements has order the block's
-    part, R_i is a normal Hall subgroup: for any subgroup H of that order,
-    HR_i is a subgroup whose order is a multiple of |R_i| and a number of
-    the block dividing |G|, so HR_i = R_i and H = R_i.  Either way the one
-    candidate is normal, so it is its own conjugacy class.  Other blocks
+    A block's Hall subgroup is forced, and no lattice is read, when the
+    subgroup R_i generated by the block's elements (``_block_generated``,
+    G itself when the block's part of |G| is |G|) has order the block's
+    part.  R_i is then a normal Hall subgroup: for any subgroup H of that
+    order, HR_i is a subgroup whose order is a multiple of |R_i| and a
+    number of the block dividing |G|, so HR_i = R_i and H = R_i.  So the one
+    candidate is normal, and it is its own conjugacy class.  Other blocks
     filter G's lattice by order."""
     def compute():
         table = _element_table(G.root, limits)
         gens = table.gens_of(G)
         blocks = []
-        for bid, ps, part in _group_blocks(G, sigma):
-            forced = G.mask if part == G.order else _block_generated(G, ps, limits)
+        for bid, ps, part in _order_blocks(G.order, sigma):
+            forced = _block_generated(G, ps, limits)
             if forced.bit_count() == part:
-                candidates = (forced,)
-                classes = ((forced,),)
+                candidates, classes = (forced,), ((forced,),)
             else:
                 # the lattice is sorted canonically, so the candidates are too
                 candidates = tuple(h.mask for h in subgroups_of_order(G, part, limits))
@@ -359,9 +356,9 @@ def is_sigma_soluble(G: Group, sigma: SigmaPartition,
     """Every chief factor is sigma-primary.  The descending O^{sigma_i}
     series of ``structure._descends_to_one`` over the blocks of sigma(G)
     decides, and no chief series or normal lattice is built."""
-    blocks = [ps for _, ps, _ in _group_blocks(G, sigma)]
+    blocks = [ps for _, ps, _ in _order_blocks(G.order, sigma)]
     return _memo(G, limits, lambda: _descends_to_one(G, blocks, limits),
-                 "sigma-soluble", sigma.text(), limits)
+                 "sigma-soluble", sigma.text())
 
 
 def is_sigma_nilpotent(G: Group, sigma: SigmaPartition,
@@ -376,9 +373,14 @@ def is_sigma_nilpotent(G: Group, sigma: SigmaPartition,
 
 def _block_generated(G: Group, primes: frozenset[int], limits: Limits) -> int:
     """The mask of R = <x in G : the primes of |x| lie in ``primes``>, that is
-    O^{primes'}(G), a normal subgroup of G, generated on the root's table."""
-    return _memo(G, limits, lambda: _element_table(G.root, limits).generated_by_orders(
-        G.mask, primes.issuperset), "block-generated", primes, limits)
+    O^{primes'}(G), a normal subgroup of G, generated on the root's table;
+    G itself, with no generation, when ``primes`` holds every prime of |G|.
+    This is the one home of a block's R_i, for the Hall data, the
+    sigma-nilpotency test and the residual.  Both answers are ``_memo``
+    reads, so the table bound is checked for each."""
+    table = _element_table(G.root, limits)
+    return _memo(G, limits, lambda: G.mask if primes >= primes_of(G.order) else
+                 table.generated_by_orders(G.mask, primes.issuperset), "block-generated", primes)
 
 
 def _quotient_is_sigma_nilpotent(G: Group, N: Subgroup, sigma: SigmaPartition,
@@ -401,14 +403,14 @@ def _quotient_is_sigma_nilpotent(G: Group, N: Subgroup, sigma: SigmaPartition,
         if not _is_normal_in(_element_table(G.root, limits), G, N):
             raise GroupInputError("quotient by a non-normal subgroup")
         index = G.order // N.order
-        for _, ps, _ in _group_blocks(G, sigma):
+        for _, ps, _ in _order_blocks(G.order, sigma):
             part = part_for_primes(index, ps)
             if 1 < part < index:
                 r = _block_generated(G, ps, limits)
                 if r.bit_count() != (r & N.mask).bit_count() * part:
                     return False
         return True
-    return _memo(G, limits, compute, "sigma-nilpotent", sigma.text(), N.mask, limits)
+    return _memo(G, limits, compute, "sigma-nilpotent", sigma.text(), N.mask)
 
 
 def sigma_nilpotent_residual(G: Group, sigma: SigmaPartition,
@@ -431,15 +433,15 @@ def sigma_nilpotent_residual(G: Group, sigma: SigmaPartition,
     def compute():
         table = _element_table(G.root, limits)
         union = 1
-        for _, ps, part in _group_blocks(G, sigma):
-            r = G.mask if part == G.order else _block_generated(G, ps, limits)
+        for _, ps, part in _order_blocks(G.order, sigma):
+            r = _block_generated(G, ps, limits)
             if r.bit_count() != part:
                 union |= table.generated_by_orders(r, ps.isdisjoint)
         D = _greedy_subgroup(G, table.generate(table.members(union))[0], limits)
         if not (_is_normal_in(table, G, D) and _quotient_is_sigma_nilpotent(G, D, sigma, limits)):
             raise InvariantError("residual: not normal, or the quotient is not sigma-nilpotent")
         return D
-    return _memo(G, limits, compute, "sigma-residual", sigma.text(), limits)
+    return _memo(G, limits, compute, "sigma-residual", sigma.text())
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +469,7 @@ def sigma_full_sylow_type_violation(G: Group, sigma: SigmaPartition,
     by_order = _lattice_by_order(G, limits)
     for e_sub in all_subgroups(G, limits):
         e = e_sub.mask
-        for bid, _, part in _group_blocks(e_sub, sigma):
+        for bid, _, part in _order_blocks(e_sub.order, sigma):
             if part == e_sub.order:
                 continue
             hall = next((k.mask for k in by_order.get(part, ()) if k.mask & e == k.mask), None)
@@ -505,7 +507,7 @@ def largest_normal_block_subgroup(D: Subgroup, block_primes,
     block_primes = frozenset(map(_check_prime, block_primes))
     table = _element_table(D.root, limits)
     closures = _memo(D, limits, lambda: _class_closures(table, D.mask, table.gens_of(D)),
-                     "class-closures", limits)
+                     "class-closures")
     join = table.generate(x for c in closures if primes_of(c.bit_count()) <= block_primes
                           for x in table.members(c))[0]
     if not primes_of(join.bit_count()) <= block_primes:

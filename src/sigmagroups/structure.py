@@ -49,8 +49,8 @@ from typing import Callable, Iterable, Sequence
 from .errors import (CapacityError, DEFAULT_LIMITS, GroupInputError, InvariantError, Limits,
                      _check_prime)
 from .numbers import is_prime, is_prime_power, part_for_primes, prime_factors, primes_of
-from .permcore import (Perm, PermGroup, Subgroup, _flags, _mask, find_interned, identity_images,
-                       images_order, interned, invert_images)
+from .permcore import (Perm, PermGroup, Subgroup, _flags, _mask, identity_images, images_order,
+                       invert_images)
 
 Group = PermGroup | Subgroup
 
@@ -238,8 +238,11 @@ def _memo(G: Group, limits: Limits, compute: Callable, *key):
 
     Every call checks G's root against the caller's table bound first, hit
     or miss, so no cached result outlives a lower bound.  A compute that
-    reaches another bound has the caller's limits in its key, so a call
-    under other limits computes again, and that bound takes effect too."""
+    reads only the root's table needs nothing more, so its key carries no
+    limits and it is computed once per root and mask, whatever the caller's
+    other bounds.  A compute that reaches another bound has the caller's
+    limits in its key, so a call under other limits computes again, and
+    that bound takes effect too."""
     root = G.root
     _check_table_room(root.order, limits)
     k = (*key, G.mask)
@@ -434,6 +437,12 @@ def _bounded_lattice(G: Group, limits: Limits, kind: str,
     members than that bound, which is kept per root and mask, so a later
     call under a bound no larger raises the same CapacityError at once,
     with no kernel run.
+
+    The table is read before the ``try``, so a root over the table bound is
+    refused there and only the kernel's refusal is caught.  Read inside the
+    memoised compute, the table's refusal would be recorded as a marker of
+    a lattice over the subgroup bound, and the call would then report that
+    bound, not the table's.
     """
     table = _element_table(G.root, limits)
     at_least = (kind + "-size-at-least", G.mask)
@@ -525,24 +534,22 @@ def _lattice_join_closure(table: _ElementTable, gmask: int, limits: Limits,
     generators as when every join is closed."""
     rows, inverse = table.rows, table.inverse
     inv = inverse.__getitem__
-    seeds: dict[int, int] = {}
-    cyclic: dict[int, int] = {}
+    orders = table.element_orders()
+    # the seed table: each seed -> the elements generating it, in index order
+    seeds: dict[int, list[int]] = {}
     for e in table.members(gmask)[1:]:
-        cyc = table.generate((e,))[0]
-        if is_prime_power(cyc.bit_count()):
-            seeds.setdefault(cyc, e)
-            cyclic[e] = cyc
-    seed_list = sorted(seeds.items(), key=lambda kv: table.key(kv[0]))
-    seed_elements = [e for _, e in seed_list]
+        if is_prime_power(orders[e]):
+            seeds.setdefault(table.generate((e,))[0], []).append(e)
+    seed_list = sorted(seeds, key=table.key)
+    seed_elements = [seeds[cyc][0] for cyc in seed_list]
     # prime-power element -> the index in seed_list of the seed it generates
     seed_of = array("i", [-1]) * table.order
-    position = {cyc: j for j, (cyc, _) in enumerate(seed_list)}
-    for e, cyc in cyclic.items():
-        seed_of[e] = position[cyc]
-    found: dict[int, tuple] = {1: ()}
-    for cyc, e in seed_list:
-        found[cyc] = (e,)
-    queue = sorted(found, key=table.key)
+    for j, cyc in enumerate(seed_list):
+        for e in seeds[cyc]:
+            seed_of[e] = j
+    found = {1: (), **{cyc: (e,) for cyc, e in zip(seed_list, seed_elements)}}
+    # the trivial group, then the seeds: already in canonical order
+    queue = list(found)
     where = {m: i for i, m in enumerate(queue)}
     n = gmask.bit_count()
     # subgroup mask -> (the row of the first queued member R of its class,
@@ -591,8 +598,8 @@ def _lattice_join_closure(table: _ElementTable, gmask: int, limits: Limits,
             cap = _largest_proper_multiple(len(block), n)
             # C_j <= H joins to H; <H, C_j> is <C, C_j> for a seed C <= H when
             # <C, C_j> contains H
-            known = [here if cyc & hmask == cyc else -1 for cyc, _ in seed_list]
-            for r in [joins[e] for cyc, e in seed_list if cyc & hmask == cyc and e in joins]:
+            known = [here if cyc & hmask == cyc else -1 for cyc in seed_list]
+            for r in [joins[e] for e, k in zip(seed_elements, known) if k == here and e in joins]:
                 known = [k if c < 0 and queue[k] & hmask == hmask else c
                          for c, k in zip(known, r)]
             for j, e in enumerate(seed_elements):
@@ -700,14 +707,14 @@ def _normal_lattice(table: _ElementTable, gmask: int, limits: Limits,
     generated by the indices ``gens``."""
     found: dict[int, tuple] = {1: ()}
     for nmask in sorted(_class_closures(table, gmask, gens), key=table.key):
-        size = nmask.bit_count()
-        closed, ngens = table.generate(table.members(nmask), size)
+        closed, ngens = table.generate(table.members(nmask), nmask.bit_count())
         if closed != nmask:
             raise InvariantError("a conjugacy-class closure is not generated by its elements")
         _check_lattice_room(len(found) + 1, limits)
         found[nmask] = ngens
-    base_list = sorted(found.items(), key=lambda kv: table.key(kv[0]))
-    queue = [m for m, _ in base_list]
+    # the trivial group, then the closures: already in canonical order
+    base_list = list(found.items())
+    queue = list(found)
     for nmask in queue:
         ngens = found[nmask]
         block = table.members(nmask)
@@ -872,15 +879,14 @@ def _quotient(G: Group, N: Subgroup, table: _ElementTable) -> QuotientGroup:
     index = len(reps)
     # coset Nr maps coset Ns to Nsr
     coset_images = [tuple(coset_of[rows[s][r]] for s in reps) for r in reps]
-    # the interning key: the sorted coset images, each coset's image distinct
+    # the quotient's sorted elements: the coset images, each coset's distinct
     key = tuple(sorted(coset_images))
     if index * len(block) != G.order or any(map(eq, key, key[1:])):
         raise InvariantError("coset action order mismatch")
-    Q = find_interned(index, key)
-    if Q is None:
-        Q = interned(PermGroup(index, [Perm(coset_images[coset_of[g]]) for g in gens]))
-        if tuple(Q.element_index()) != key:
-            raise InvariantError("the generators' coset images generate another group")
+    # interned as every root is: a known root with these elements is the quotient
+    Q = PermGroup(index, [Perm(coset_images[coset_of[g]]) for g in gens]).root
+    if tuple(Q.element_index()) != key:
+        raise InvariantError("the generators' coset images generate another group")
     ident = identity_images(index)
     if [c for c, img in enumerate(coset_images) if img == ident] != [0]:
         raise InvariantError("coset action kernel mismatch")

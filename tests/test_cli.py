@@ -668,6 +668,21 @@ def test_corpus_file_entry_with_refused_values_errors_only_its_rows(capsys, tmp_
         (2, "", f"usage error: {message}\n")
 
 
+def test_corpus_file_entry_with_an_order_no_group_of_its_degree_has(capsys, tmp_path):
+    """2^13 does not divide 3!, so BIG is refused when the file is read: one
+    error row per statement and exit 4, not capacity skips and exit 3."""
+    path = tmp_path / "big.corpus"
+    path.write_text("group BIG deg 3\ngen (1 2 3)\norder 8192\n")
+    report_path = tmp_path / "report.json"
+    code, _, err = run(capsys, "campaign", "--corpus", str(path), "--no-timestamp",
+                       "--out", str(report_path))
+    assert code == 4 and err == ""
+    rows = json.loads(report_path.read_text())["outcomes"]
+    assert sorted(r["statement_id"] for r in rows) == sorted(STATEMENTS)
+    assert {(r["verdict"], r["reason"]) for r in rows} == {
+        ("error", "GroupInputError: corpus entry 'BIG': declared order 8192 does not divide 3!")}
+
+
 def test_campaign_only_filters_statements(capsys, mini_corpus):
     code, out, _ = run(capsys, "campaign", "--corpus", mini_corpus,
                        "--only", "Lem2.4,Lem2.2", "--no-timestamp",

@@ -135,6 +135,22 @@ def test_a_declared_order_with_a_prime_above_the_degree_is_refused(order):
         entry.build()
 
 
+@pytest.mark.parametrize("degree, order, fits", [
+    (4, 24, True), (4, 48, False), (3, 6, True), (3, 2 ** 13, False), (16, 2 ** 13, True),
+    (16, 2 ** 16, False)], ids=repr)
+def test_a_declared_order_must_divide_degree_factorial(degree, order, fits):
+    """Every group of degree n has an order dividing n!, so a declared order
+    with a prime of higher exponent than in n! (Legendre's formula) is
+    refused when the entry is made: 2^4 divides 48 but not 4! = 24."""
+    gens = (Perm.parse("(1 2 3)", degree),)
+    if fits:
+        assert CorpusEntry("z", degree, gens, order).expected_order == order
+    else:
+        with pytest.raises(GroupInputError, match=re.escape(
+                f"corpus entry 'z': declared order {order} does not divide {degree}!")):
+            CorpusEntry("z", degree, gens, order)
+
+
 @pytest.mark.parametrize("degree", [0, True, 3.0, "3"], ids=repr)
 def test_a_degree_that_is_not_a_count_is_refused(degree):
     """The declared-order check reads the degree, so a library entry's

@@ -106,7 +106,7 @@ def lattice_quotient_is_sigma_nilpotent(G, N, sigma):
     above = {L.order for L in normal_subgroups(G) if L.mask & N.mask == N.mask}
     index = G.order // N.order
     return all(N.order * part_for_primes(index, ps) in above
-               for _, ps, _ in sigma_module._group_blocks(G, sigma))
+               for _, ps, _ in sigma_module._order_blocks(G.order, sigma))
 
 
 def assert_sigma_nilpotency_matches_lattice_read(G):
@@ -154,7 +154,7 @@ def reference_hall_data(G, sigma, limits):
     root's table."""
     table = _element_table(G.root, limits)
     blocks = []
-    for bid, ps, part in sigma_module._group_blocks(G, sigma):
+    for bid, ps, part in sigma_module._order_blocks(G.order, sigma):
         # all_subgroups is sorted canonically, so the candidates are too
         candidates = tuple(h.mask for h in all_subgroups(G, limits) if h.order == part)
         cand_sets = [image_set(table, mask) for mask in candidates]
@@ -314,7 +314,7 @@ def assert_residual_and_block_subgroups_match_references(G):
         D = sigma_nilpotent_residual(G, sigma)
         expected = reference_sigma_nilpotent_residual(G, sigma)
         assert (D.mask, D.generators) == (expected.mask, expected.generators), sigma.text()
-    blocks = {ps for sigma in sigmas for _, ps, _ in sigma_module._group_blocks(G, sigma)}
+    blocks = {ps for sigma in sigmas for _, ps, _ in sigma_module._order_blocks(G.order, sigma)}
     normals = normal_subgroups(G)
     for D in normals:
         for ps in blocks:
@@ -365,7 +365,7 @@ def reference_sigma_full_sylow_type_violation(G, sigma, limits=Limits()):
     masks = [h.mask for h in subs]
     for e_sub in subs:
         down = [k for k in masks if k & e_sub.mask == k]
-        for bid, ps, part in sigma_module._group_blocks(e_sub, sigma):
+        for bid, ps, part in sigma_module._order_blocks(e_sub.order, sigma):
             halls = [k for k in down if k.bit_count() == part]
             if not halls:
                 return {"subgroup": e_sub.generators, "block": bid, "missing_hall": True}

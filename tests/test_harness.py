@@ -514,8 +514,8 @@ def test_a_declared_order_over_the_table_bound_skips_every_row(corpus, chain_bui
 def test_an_entry_whose_generators_do_not_fit_its_degree_becomes_error_rows(corpus):
     """A library entry of degree 3 with a generator on 4 points is never
     built, not even to label its rows: they are labelled from the primes of
-    its declared order, 24, and the campaign goes on with the next group."""
-    x = CorpusEntry("x", 3, (Perm.parse("(1 2 3 4)", 4),), 24)
+    its declared order, 6, and the campaign goes on with the next group."""
+    x = CorpusEntry("x", 3, (Perm.parse("(1 2 3 4)", 4),), 6)
     config = CampaignConfig(zero_millis=True)
     rows = run_campaign([x, corpus["S3"]], config)
     assert [r for r in rows if r["group"] == "S3"] == run_campaign([corpus["S3"]], config)

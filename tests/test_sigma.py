@@ -525,7 +525,7 @@ def test_residual_and_block_subgroups_run_no_normal_lattice(monkeypatch, name):
     orders = set()
     for sigma in campaign_sigmas(G):
         D = sigma_nilpotent_residual(G, sigma)
-        for _, ps, _ in sigma_module._group_blocks(G, sigma):
+        for _, ps, _ in sigma_module._order_blocks(G.order, sigma):
             orders.update(largest_normal_block_subgroup(X, ps).order for X in (D, full_subgroup(G)))
     assert runs == []
     assert max(orders) > 1
@@ -564,7 +564,7 @@ def test_classify_fields_run_no_lattice_kernel_when_sigma_decides(monkeypatch, n
         soluble, nilpotent, psigma_t, hall_orders, residual = classify_fields(G, sigma)
         assert soluble and nilpotent and psigma_t and residual == 1
         assert sorted(hall_orders) == sorted(
-            part for _, _, part in sigma_module._group_blocks(G, sigma))
+            part for _, _, part in sigma_module._order_blocks(G.order, sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -752,6 +752,34 @@ def test_every_cached_verdict_keeps_a_lower_table_bound(corpus, verdict):
         verdict(builtin_entry("S4").build(), LOW_TABLE)
     # the default limits still find the cached verdict
     assert verdict(corpus["S4"].build(), Limits()) == first
+
+
+def test_table_only_results_are_computed_once_per_root(monkeypatch):
+    """A sigma result that reads only the root's table is cached once per
+    root and mask: asked under two limits with one table bound, each is
+    computed once, and a lower table bound still refuses the cached value."""
+    clear_intern_cache()  # nothing cached on S4 by an earlier test
+    computed = []
+    memo = sigma_module._memo
+
+    def spying(G, limits, compute, *key):
+        # the value's key with any limits left out
+        value = (G.mask, *(k for k in key if not isinstance(k, Limits)))
+        return memo(G, limits, lambda: computed.append(value) or compute(), *key)
+
+    monkeypatch.setattr(sigma_module, "_memo", spying)
+    S4 = builtin_entry("S4").build()
+    asks = [lambda limits: is_sigma_soluble(S4, S1, limits),
+            lambda limits: sigma_nilpotent_residual(S4, S1, limits),
+            lambda limits: largest_normal_block_subgroup(S4, {2}, limits)]
+    first = [ask(Limits()) for ask in asks]
+    assert [ask(Limits(subgroup_bound=50)) for ask in asks] == first
+    assert {"sigma-soluble", "sigma-residual", "class-closures"} <= {k[1] for k in computed}
+    assert len(computed) == len(set(computed))
+    for ask in asks:
+        with pytest.raises(CapacityError, match="group order 24 exceeds multiplication-table "
+                                                "bound 10"):
+            ask(LOW_TABLE)
 
 
 def test_power_automorphism_check_keeps_a_lower_table_bound(table_builds):

@@ -6,6 +6,7 @@ oracle rather than asserted from memory.
 """
 
 import dataclasses
+import hashlib
 import inspect
 import operator
 
@@ -295,17 +296,15 @@ def test_quotient_by_full_group_is_trivial(corpus):
     assert q.group.order == 1
 
 
-def test_equal_quotients_share_one_interned_root(corpus, chain_builds):
+def test_equal_quotients_share_one_interned_root(corpus):
     """A quotient whose sorted coset images are those of an interned root is
     that root: E8's seven quotients by its subgroups of order 2 are one
-    group, found by ``find_interned`` after the first one's chain build."""
+    group, interned as every root is."""
     clear_intern_cache()
     E8 = corpus["E8"].build()
     twos = [h for h in all_subgroups(E8) if h.order == 2]
-    built = len(chain_builds)
     roots = {id(quotient_group(E8, N).group) for N in twos}
     assert len(twos) == 7 and len(roots) == 1
-    assert len(chain_builds) == built + 1
 
 
 def test_a_group_interns_to_the_root_with_its_elements(corpus):
@@ -367,6 +366,80 @@ def test_conjugate_image_sets(corpus):
     S4 = corpus["S4"].build()
     p = sylow_subgroup(S4, 2)
     assert len(conjugate_image_sets(S4, p.element_images())) == 3
+
+
+# ---------------------------------------------------------------------------
+# the kernels' output pinned: each returned dict, keys in insertion order
+# with their generator indices, as recorded before the kernels stopped
+# re-sorting queues they build in canonical order
+
+PINNED_CYCLIC_EXTENSION = {
+    "C1": "851c366d8b71b994", "C2": "62866b92509fa0f8", "C3": "cadddea150b5af41",
+    "C4": "7fa1f464a452661b", "C5": "cf923cc05b1c8715", "C6": "129e5da7c9016cb5",
+    "C7": "ce79d73ed87fd617", "C8": "c57ce62add748e11", "C9": "ba04d55c558fc38f",
+    "C10": "5b20390c75049bb2", "C11": "3f06c4e2bba073bc", "C12": "b94212d1ef662a42",
+    "C13": "3c631d711bdfd9a2", "C14": "87ec4103998a67ee", "C15": "35e0fc1e1bcdb7ca",
+    "C16": "af17bedb6f488928", "E4": "5fa89a2a592faf0f", "E8": "f250c83af84f316a",
+    "E9": "add858eadb8e7c82", "S3": "82d86c0eb20ad9a5", "S4": "a6867c49f3349591",
+    "A4": "31e17fac8238ae47", "D8": "d796fc86984e35ad", "D10": "0858de56f0a9cec3",
+    "D12": "5ede2abb9eddf010", "Q8": "2c8bf11a22bd572e", "Q16": "19a5f4ec6fd865f5",
+    "F20": "f74a755db18e2385", "F21": "58c308b6e37048f5", "SL(2,3)": "c4c713f01f22e800",
+    "C3xS3": "c660fab2fe666b38", "C2xA4": "444f47b400b950a0", "Dic3": "e5739c8d5c750cf7",
+    "C7:C6": "2d4274e64d83bad7", "C13:C3": "fd3ef8fb54fb0508", "C4xS3": "d37465456abcdd3b",
+    "C2xS4": "20cf95f01e8c17a2", "C3xA4": "c6c2d699b703d968", "C5xA4": "0f984f72918ffc82",
+    "C3xS4": "252fb626afaa2211", "C2xSL(2,3)": "22ec1d6c05ca2cfc",
+}
+PINNED_JOIN_CLOSURE = {
+    "S5": "054585e5aae28b25", "A5": "66e5250e649c8a4f", "SL(2,5)": "bfa6a649e888a014",
+    "PSL(2,7)": "9aa3b3078a51ebc2",
+}
+PINNED_NORMAL_LATTICE = {
+    "C1": "851c366d8b71b994", "C2": "62866b92509fa0f8", "C3": "cadddea150b5af41",
+    "C4": "9fc79b24e9a71fc8", "C5": "cf923cc05b1c8715", "C6": "0a27ba3eb031ef75",
+    "C7": "ce79d73ed87fd617", "C8": "b1c5958c2002ce3c", "C9": "866043c70d078b37",
+    "C10": "8e5a151d385b1706", "C11": "3f06c4e2bba073bc", "C12": "aa58eeb1e3731830",
+    "C13": "3c631d711bdfd9a2", "C14": "43da6e69cedeec48", "C15": "8eb3980dce420381",
+    "C16": "65fa707a6f9203f4", "E4": "5fa89a2a592faf0f", "E8": "f250c83af84f316a",
+    "E9": "add858eadb8e7c82", "S3": "f19ca5c3d8d4a2b3", "S4": "07c9dbcc15471b1d",
+    "S5": "d560bb3856f06208", "A4": "408d1d8ac844cd3c", "A5": "b476c52cb449962e",
+    "D8": "2b33b01c1c1f9ffd", "D10": "1b29c5d5ea19d7c2", "D12": "c4226af031b49dda",
+    "Q8": "e2a197c4f309bb5b", "Q16": "11eab24c3a5f7b52", "F20": "6c3db4a4b341645a",
+    "F21": "db0014bbc0d1660c", "SL(2,3)": "b8821618c17e10bf", "C3xS3": "adafaf34b7f32366",
+    "C2xA4": "d07a9bce2aa4520f", "Dic3": "b364fcf7b610b97c", "C7:C6": "e9698696597945c6",
+    "C13:C3": "9979d917101bdfc7", "C4xS3": "314ea61d31f0ab3c", "C2xS4": "047710758efa9098",
+    "C3xA4": "916ea558cc64fc76", "C5xA4": "3230bf8561dea607", "C3xS4": "c748c2e25cdbb4b5",
+    "C2xSL(2,3)": "c4f0d82218e1a757", "SL(2,5)": "e8696c599e639f7e",
+    "PSL(2,7)": "a070c33f8f75f3ea",
+}
+
+
+def kernel_digest(found):
+    """The first 16 hex digits of the sha256 of a kernel's (mask, generator
+    indices) pairs, in the dict's insertion order."""
+    return hashlib.sha256(repr(list(found.items())).encode()).hexdigest()[:16]
+
+
+def test_pinned_kernels_cover_the_builtins(corpus):
+    soluble = {name for name, e in corpus.items() if is_soluble(e.build())}
+    assert set(PINNED_CYCLIC_EXTENSION) == soluble
+    assert set(PINNED_JOIN_CLOSURE) == set(corpus) - soluble
+    assert set(PINNED_NORMAL_LATTICE) == set(corpus)
+
+
+@pytest.mark.parametrize("kernel, pins", [
+    ("_lattice_cyclic_extension", PINNED_CYCLIC_EXTENSION),
+    ("_lattice_join_closure", PINNED_JOIN_CLOSURE),
+    ("_normal_lattice", PINNED_NORMAL_LATTICE)], ids=["cyclic-extension", "join-closure", "normal"])
+def test_kernel_returns_the_pinned_dict(corpus, kernel, pins):
+    """Each kernel gives every pinned builtin the same keys, in the same
+    order, with the same generator indices as when the pins were recorded."""
+    limits = Limits()
+    for name, digest in pins.items():
+        G = corpus[name].build()
+        table = _element_table(G, limits)
+        args = (table, G.mask, limits) + (() if kernel == "_lattice_cyclic_extension"
+                                          else (table.gens_of(G),))
+        assert kernel_digest(getattr(structure, kernel)(*args)) == digest, name
 
 
 # ---------------------------------------------------------------------------

@@ -295,6 +295,22 @@ def test_structure_and_sigma_cache_only_through_memo():
     assert cache_writers("sigma.py") == set()
 
 
+def test_sigma_memo_keys_carry_limits_only_for_lattice_reads():
+    """``_memo(G, limits, compute, kind, ...)`` checks the table bound on
+    every read, so a result that reads only the root's table is cached
+    once per root and mask, with no limits in its key.  Only the two
+    computes that read a lattice, and so may reach the subgroup bound, key
+    on the caller's limits."""
+    keyed = {}
+    for node in module_nodes("sigma.py"):
+        if isinstance(node, ast.Call) and callee(node) == "_memo":
+            kind, *rest = node.args[3:]
+            keyed[kind.value] = any(isinstance(k, ast.Name) and k.id == "limits" for k in rest)
+    assert {kind for kind, has_limits in keyed.items() if has_limits} == {"hall-data", "psigma-t"}
+    assert set(keyed) == {"hall-data", "psigma-t", "sigma-soluble", "block-generated",
+                          "sigma-nilpotent", "sigma-residual", "class-closures"}
+
+
 def test_element_orders_come_from_cycle_types():
     """An element's order has one definition, ``permcore.images_order`` on
     its cycle type: ``_ElementTable.element_orders`` reads it, and
