@@ -8,9 +8,9 @@ force K sigma-permutable in G.  Groups where it *is* transitive are the
 PsigmaT-groups.
 """
 
-from sigmagroups import (Perm, SigmaPartition, Subgroup, builtin_entry,
+from sigmagroups import (Perm, SigmaPartition, Subgroup, all_subgroups, builtin_entry,
                          is_psigma_t, is_sigma_permutable, normal_subgroups,
-                         psigma_t_violation, sigma_permutable_sets)
+                         psigma_t_violation)
 
 SIGMA1 = SigmaPartition.sigma1()
 
@@ -23,14 +23,14 @@ for gens in ["()", "(1 2)", "(1 3)", "(1 2 3)"]:
     verdict = is_sigma_permutable(S3, H, SIGMA1)
     print(f"    <{gens}>  order {H.order}: {verdict}")
 print("orders of all sigma1-permutable subgroups of S3:",
-      sorted(len(s) for s in sigma_permutable_sets(S3, SIGMA1)))
+      sorted(H.order for H in all_subgroups(S3) if is_sigma_permutable(S3, H, SIGMA1)))
 # Only 1, A3 and S3 qualify: a single transposition fails against the
 # conjugates of the Sylow 2-subgroups.
 
 # Normal subgroups always qualify.
 A4 = builtin_entry("A4").build()
-permutable = sigma_permutable_sets(A4, SIGMA1)
-assert all(n.element_images() in permutable for n in normal_subgroups(A4))
+permutable = [H for H in all_subgroups(A4) if is_sigma_permutable(A4, H, SIGMA1)]
+assert all(N in permutable for N in normal_subgroups(A4))
 print("every normal subgroup of A4 is sigma1-permutable: True")
 
 # --- transitivity can fail ------------------------------------------------------

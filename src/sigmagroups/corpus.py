@@ -16,12 +16,12 @@ generator fails loudly there, and in a campaign gives only its own rows.
 """
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 
 from .errors import (CapacityError, DEFAULT_LIMITS, GroupInputError, Limits, _check_count,
                      _check_prime)
+from .numbers import trial_division
 from .permcore import Perm, PermGroup, interned, parse_cycles
 from .sigma import SigmaPartition
 from .structure import _check_table_room
@@ -46,15 +46,11 @@ class CorpusEntry:
         # a campaign labels the rows of an entry that does not build from the
         # primes of its declared order, so that order must be a count with no
         # prime factor above the degree, as the order of every group of that
-        # degree is: factoring it then takes at most ``degree`` trial divisions
+        # degree is: factoring it then stops at the degree, or at 1
         _check_count(f"corpus entry {self.name!r}: declared order", self.expected_order)
         _check_count(f"corpus entry {self.name!r}: degree", self.degree)
-        rest = self.expected_order
-        for p in range(2, min(self.degree, math.isqrt(rest)) + 1):
-            e = 0
-            while rest % p == 0:
-                rest //= p
-                e += 1
+        found, rest = trial_division(self.expected_order, self.degree)
+        for p, e in found:
             # Legendre: p has exponent sum(degree // p^k, k >= 1) in degree!;
             # a term past k = e is non-zero only when the first is above e
             if e > sum(self.degree // p ** k for k in range(1, e + 1)):

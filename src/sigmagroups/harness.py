@@ -33,7 +33,7 @@ from .errors import (CapacityError, DEFAULT_LIMITS, GroupInputError, InvariantEr
                      _check_count, _check_prime)
 from .numbers import part_for_primes, primes_of
 from .permcore import Perm, PermGroup, Subgroup, clear_intern_cache, compose_images
-from .sigma import (SigmaPartition, _order_blocks, induces_power_automorphisms,
+from .sigma import (SigmaPartition, _order_blocks, _pi_partition, induces_power_automorphisms,
                     is_pi_separable, is_psigma_t, is_sigma_nilpotent, is_sigma_soluble,
                     sigma_nilpotent_residual, sigma_full_sylow_type_violation)
 from .structure import (all_subgroups, frattini_subgroup, hall_subgroup, normal_subgroups,
@@ -219,13 +219,6 @@ def verify_lemma_2_1(G: PermGroup, sigma: SigmaPartition, group_name: str = "",
 # ---------------------------------------------------------------------------
 # Lemma 2.2: pi-separability vs Hall-subgroup existence
 
-def _pi_label(order: int, pi) -> SigmaPartition:
-    """The label of a pi-scope row on a group of this order, whatever its
-    verdict: pi n pi(G) as one block, or no block when that is empty."""
-    pi_in = frozenset(pi) & primes_of(order)
-    return SigmaPartition.of_blocks(pi_in) if pi_in else SigmaPartition()
-
-
 def verify_lemma_2_2(G: PermGroup, pi, group_name: str = "",
                      limits: Limits = DEFAULT_LIMITS) -> VerificationOutcome:
     pi = frozenset(map(_check_prime, pi))
@@ -233,7 +226,7 @@ def verify_lemma_2_2(G: PermGroup, pi, group_name: str = "",
     # primes outside pi(G) change no Hall order, so quantifiers restrict to pi(G)
     pi_in = pi & pig
     pi_out = pig - pi
-    sigma_label = _pi_label(G.order, pi)
+    sigma_label = _pi_partition(G.order, pi)
     separable = is_pi_separable(G, pi, limits)
     halls: dict[str, bool] = {}
 
@@ -563,7 +556,7 @@ def _runs(order: int, statements, sigmas: list[SigmaPartition] | None = None,
              for sigma in sigmas for sid, st in chosen if st.scope == "sigma"]
             + [(sid, st.verifier, SigmaPartition.sigma1(), ())
                for sid, st in chosen if st.scope == "classical"]
-            + [(sid, st.verifier, _pi_label(order, pi), (pi,))
+            + [(sid, st.verifier, _pi_partition(order, pi), (pi,))
                for sid, st in chosen if st.scope == "pi" for pi in pis])
 
 
@@ -577,7 +570,8 @@ def run_statements(G: PermGroup, name: str, statements, limits: Limits = DEFAULT
     ``verifier(G, pi, name, limits)`` per prime set (every subset of pi(G) by
     default, by size and then lexicographically).  Each call is timed, and
     one that raises becomes a ``_failed_row``, labelled as the row's verdict
-    would be: with its own sigma, or ``_pi_label`` in the pi scope."""
+    would be: with its own sigma, or ``sigma._pi_partition`` in the pi
+    scope."""
     rows = []
     for sid, verifier, label, args in _runs(G.order, statements, sigmas, pis):
         t0 = time.perf_counter()

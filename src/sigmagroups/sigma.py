@@ -14,8 +14,8 @@ text.  Every read checks the caller's table bound, so only the two results
 that read a lattice, the Hall data and PsigmaT, also key on the caller's
 limits; the rest read only the root's table and are computed once.
 Checks that the campaign and one-shot queries seldom or never repeat
-(sigma-permutability of one subgroup, Hall coverage, pi-separability) are
-computed on each call.
+(sigma-permutability of one subgroup, Hall coverage) are computed on each
+call.
 
 Every verdict and subgroup here comes from subgroups generated by elements
 on the root's table (``_ElementTable.generated_by_orders``), and no normal
@@ -32,10 +32,11 @@ lattice is built:
   classes of D that are sigma_i-groups; it serves the library, and the
   Lemma 2.5 verifier reads it in G's normal lattice
   (``harness._block_core``);
-- sigma-solubility and pi-separability walk a descending series of
-  subgroups generated by elements, with no chief series: the walk is
+- sigma-solubility walks a descending series of subgroups generated by
+  elements, with no chief series: the walk is
   ``structure._descends_to_one``, which also decides classical
-  solubility, one block per prime.
+  solubility, one block per prime; pi-separability is sigma-solubility
+  at the partition {pi, pi'} (``_pi_partition``), and shares its memo.
 
 The Hall data of a block whose Hall subgroup is forced (all of G, or a
 normal R_i) needs no subgroup lattice, and neither does PsigmaT of a
@@ -170,8 +171,8 @@ def _block_number(token: str) -> int:
 
 
 def sigma_of_int(n: int, sigma: SigmaPartition) -> frozenset[str]:
-    """Block ids met by the primes of n."""
-    return frozenset(sigma.block_id(p) for p in primes_of(n))
+    """Block ids met by the primes of n, read off ``_order_blocks``."""
+    return frozenset(bid for bid, _, _ in _order_blocks(n, sigma))
 
 
 def sigma_of_group(G: Group, sigma: SigmaPartition) -> frozenset[str]:
@@ -486,12 +487,23 @@ def sigma_full_sylow_type_violation(G: Group, sigma: SigmaPartition,
     return None
 
 
+def _pi_partition(order: int, pi) -> SigmaPartition:
+    """The partition {pi, pi'} on a group of this order: pi n pi(G) as one
+    listed block, and pi' in the rest block; no block when pi n pi(G) is
+    empty.  It is the one spelling of the pair, so pi-separability and
+    sigma-solubility share their memo, and it labels a pi-scope row
+    whatever its verdict."""
+    pi_in = frozenset(pi) & primes_of(order)
+    return SigmaPartition.of_blocks(pi_in) if pi_in else SigmaPartition()
+
+
 def is_pi_separable(G: Group, pi, limits: Limits = DEFAULT_LIMITS) -> bool:
-    """Every chief factor is a pi-group or a pi'-group: sigma-solubility for
-    the blocks pi and pi' of pi(G), decided by ``_descends_to_one``."""
-    pig = primes_of(G.order)
-    inside = pig & frozenset(map(_check_prime, pi))
-    return _descends_to_one(G, [b for b in (inside, pig - inside) if b], limits)
+    """Every chief factor is a pi-group or a pi'-group: sigma-solubility at
+    ``_pi_partition``, so the answer is read from or kept in the
+    ``is_sigma_soluble`` memo.  Every prime of pi is checked, also one
+    that does not divide |G|."""
+    pi = frozenset(map(_check_prime, pi))
+    return is_sigma_soluble(G, _pi_partition(G.order, pi), limits)
 
 
 def largest_normal_block_subgroup(D: Subgroup, block_primes,

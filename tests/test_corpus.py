@@ -10,7 +10,7 @@ from sigmagroups import (CapacityError, CorpusEntry, GroupInputError, Limits, Pe
                          PermGroup, builtin_corpus, builtin_entry, parse_corpus_file,
                          partitions_of_primes)
 from sigmagroups.corpus import RefusedEntry
-from sigmagroups.numbers import primes_of
+from sigmagroups.numbers import prime_factors, primes_of, trial_division
 from sigmagroups.permcore import clear_intern_cache
 from sigmagroups.sigma import SigmaPartition
 
@@ -149,6 +149,46 @@ def test_a_declared_order_must_divide_degree_factorial(degree, order, fits):
         with pytest.raises(GroupInputError, match=re.escape(
                 f"corpus entry 'z': declared order {order} does not divide {degree}!")):
             CorpusEntry("z", degree, gens, order)
+
+
+@pytest.mark.parametrize("n, limit, found, rest", [
+    (2 ** 52, 10 ** 8, ((2, 52),), 1), (2 ** 100, 10 ** 10, ((2, 100),), 1),
+    (10 ** 18 + 3, 3, (), 10 ** 18 + 3), (45, 3, ((3, 2),), 5)], ids=repr)
+def test_trial_division_stops_at_one_or_at_its_limit(n, limit, found, rest):
+    """The division stops once the next divisor's square is above what is
+    left, so a power of two is done at 1 whatever the limit, and once the
+    next divisor is above the limit, so 10^18 + 3, with no prime factor up
+    to 3, is left whole after two divisions; the limit itself is tried."""
+    assert trial_division(n, limit) == (found, rest)
+
+
+@pytest.mark.parametrize("degree, order", [(10 ** 8, 2 ** 52), (10 ** 10, 2 ** 100)], ids=repr)
+def test_a_huge_declared_power_of_two_is_read_at_once(degree, order):
+    """Checking that the declared order divides degree! factors it only as
+    far as what is left of it: each file is read at once, where a trial
+    division up to min(degree, sqrt(order)) took 49 s and over 100 s."""
+    t0 = time.perf_counter()
+    [entry] = parse_corpus_file(f"group X deg {degree}\norder {order}\n")
+    assert time.perf_counter() - t0 < 1
+    assert (entry.degree, entry.expected_order) == (degree, order)
+
+
+def naive_factorisation(n):
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return tuple(sorted(out.items()))
+
+
+def test_prime_factors_match_a_naive_factorisation():
+    for n in [*range(1, 10_001), math.factorial(20), 2 ** 100 * 3 ** 5]:
+        assert prime_factors(n) == naive_factorisation(n), n
 
 
 @pytest.mark.parametrize("degree", [0, True, 3.0, "3"], ids=repr)

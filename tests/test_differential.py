@@ -147,6 +147,24 @@ def reference_is_pi_separable(G, pi):
     return all(f.prime_support <= pi or not (f.prime_support & pi) for f in chief_series(G))
 
 
+@pytest.mark.parametrize("entry", builtin_corpus(), ids=lambda e: e.name)
+def test_pi_separability_is_sigma_solubility_at_pi_and_its_complement(entry):
+    """For every pi inside pi(G), and with a prime that does not divide |G|
+    added, pi-separability is sigma-solubility at ``_pi_partition`` and
+    agrees with the chief-series reference."""
+    G = entry.build()
+    primes = sorted(primes_of(G.order))
+    stranger = next(q for q in itertools.count(2) if is_prime(q) and G.order % q)
+    for k in range(len(primes) + 1):
+        for pi in itertools.combinations(primes, k):
+            expected = reference_is_pi_separable(G, pi)
+            partition = sigma_module._pi_partition(G.order, pi)
+            assert is_sigma_soluble(G, partition) == expected, pi
+            assert is_pi_separable(G, pi) == expected, pi
+            assert is_pi_separable(G, (*pi, stranger)) == expected, (pi, stranger)
+            assert sigma_module._pi_partition(G.order, (*pi, stranger)) == partition
+
+
 def reference_hall_data(G, sigma, limits):
     """The Hall data of every block filtered from G's lattice by order, with
     the conjugacy classes of the candidates under G's generators from the

@@ -15,9 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import image_set
-from sigmagroups import (CapacityError, GroupInputError, Limits, Perm, PermGroup,
-                         Subgroup, builtin_corpus, builtin_entry, full_subgroup, parse_sigma,
-                         trivial_subgroup)
+from sigmagroups import (CampaignConfig, CapacityError, GroupInputError, Limits, Perm,
+                         PermGroup, Subgroup, builtin_corpus, builtin_entry, full_subgroup,
+                         parse_sigma, run_campaign, trivial_subgroup)
 from sigmagroups import sigma as sigma_module
 from sigmagroups import structure as structure_module
 from sigmagroups.numbers import part_for_primes, primes_of
@@ -696,6 +696,42 @@ def test_pi_separability(corpus):
     S4 = corpus["S4"].build()
     for pi in [set(), {2}, {3}, {2, 3}]:
         assert is_pi_separable(S4, pi)
+
+
+@pytest.mark.parametrize("name, tests", [("C12", False), ("Q8", False), ("S3", True)])
+def test_a_normal_hall_subgroup_permutes_without_a_test(corpus, monkeypatch, name, tests):
+    """A class of one Hall subgroup is a normal Hall subgroup, which permutes
+    with every subgroup, so AW == WA is tested only against the members of
+    larger classes: never on a sigma-nilpotent group, and on S3 against its
+    three Sylow 2-subgroups."""
+    tested = []
+    permutes = sigma_module._permutes
+    monkeypatch.setattr(sigma_module, "_permutes",
+                        lambda G, A, w, limits: tested.append(w) or permutes(G, A, w, limits))
+    G = corpus[name].build()
+    verdicts = [is_sigma_permutable(G, H, S1) for H in all_subgroups(G)]
+    assert bool(tested) == tests
+    assert all(verdicts) != tests
+
+
+def test_a_builtin_campaign_walks_each_pi_partition_once_per_group(monkeypatch):
+    """Lemma 2.2 asks pi-separability at every pi, and that is
+    sigma-solubility at {pi, pi'}, so the walk it needs is read from the
+    sigma-solubility memo when a sigma-scope row asked it first: a builtin
+    campaign walks 309 descending series, against 354 when pi-separability
+    walked its own."""
+    walks = []
+    walk = structure_module._descends_to_one
+
+    def counting(*args):
+        walks.append(args)
+        return walk(*args)
+
+    # sigma reads the walk by its own name, and structure's is_soluble by its
+    monkeypatch.setattr(structure_module, "_descends_to_one", counting)
+    monkeypatch.setattr(sigma_module, "_descends_to_one", counting)
+    run_campaign(builtin_corpus(), CampaignConfig(jobs=1, zero_millis=True))
+    assert len(walks) == 309
 
 
 def test_largest_normal_block_subgroup(corpus):

@@ -464,3 +464,15 @@ def test_cli_import_loads_no_process_pool():
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_every_mutant_anchor_occurs_once(monkeypatch):
+    """Each committed mutant's anchor occurs exactly once in its file, so a
+    refactor that moves the code it mutates must move the mutant too."""
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import mutants
+    assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
+    for m in mutants.MUTANTS:
+        assert (ROOT / m.path).read_text().count(m.anchor) == 1, m.name
+        assert m.anchor != m.replacement, m.name
+        assert all((ROOT / t).is_file() for t in m.tests), m.name
