@@ -165,8 +165,9 @@ def test_trial_division_stops_at_one_or_at_its_limit(n, limit, found, rest):
 @pytest.mark.parametrize("degree, order", [(10 ** 8, 2 ** 52), (10 ** 10, 2 ** 100)], ids=repr)
 def test_a_huge_declared_power_of_two_is_read_at_once(degree, order):
     """Checking that the declared order divides degree! factors it only as
-    far as what is left of it: each file is read at once, where a trial
-    division up to min(degree, sqrt(order)) took 49 s and over 100 s."""
+    far as what is left of it, so each file is read at once: a division up
+    to min(degree, sqrt(order)), 6.7e7 and 1e10 divisions, takes a minute
+    or more."""
     t0 = time.perf_counter()
     [entry] = parse_corpus_file(f"group X deg {degree}\norder {order}\n")
     assert time.perf_counter() - t0 < 1

@@ -718,8 +718,8 @@ def test_a_builtin_campaign_walks_each_pi_partition_once_per_group(monkeypatch):
     """Lemma 2.2 asks pi-separability at every pi, and that is
     sigma-solubility at {pi, pi'}, so the walk it needs is read from the
     sigma-solubility memo when a sigma-scope row asked it first: a builtin
-    campaign walks 309 descending series, against 354 when pi-separability
-    walked its own."""
+    campaign walks 309 descending series, where a pi-separability with a
+    walk of its own makes 354."""
     walks = []
     walk = structure_module._descends_to_one
 

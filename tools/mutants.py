@@ -123,11 +123,62 @@ MUTANTS = (
            ("tests/test_harness.py",)),
     Mutant("lemma-2-5-complements-meet-trivially", "src/sigmagroups/harness.py",
            "if M.mask & D.mask == 1)", "if M.mask & D.mask != 1)", ("tests/test_harness.py",)),
+    Mutant("lemma-2-3-decision", "src/sigmagroups/harness.py",
+           "    if failures:", "    if not failures:", ("tests/test_harness.py",)),
+    Mutant("lemma-2-5-forward-decision", "src/sigmagroups/harness.py",
+           "    if problems:", "    if not problems:", ("tests/test_harness.py",)),
+    # G/N sigma-nilpotent, read in the normal lattice and read off R_i
+    Mutant("nilpotent-section-every-block", "src/sigmagroups/harness.py",
+           "    return all(k * part_for_primes(index, ps) in between",
+           "    return any(k * part_for_primes(index, ps) in between",
+           ("tests/test_harness.py", "tests/test_sigma.py")),
+    Mutant("quotient-nilpotent-block-order", "src/sigmagroups/sigma.py",
+           "if r.bit_count() != (r & N.mask).bit_count() * part:",
+           "if r.bit_count() == (r & N.mask).bit_count() * part:", ("tests/test_sigma.py",)),
+    # a non-vacuous ThmA.i confirmation needs a non-vacuous ThmA.ii one
+    Mutant("class-monotonicity-check", "src/sigmagroups/harness.py",
+           'if r.verdict == partner.verdict == "confirmed" and not r.vacuous and partner.vacuous:',
+           "if False:", ("tests/test_harness.py",)),
     # pi-separability is asked at pi n pi(G), whatever primes pi adds
     Mutant("pi-partition-restriction", "src/sigmagroups/sigma.py",
            "    pi_in = frozenset(pi) & primes_of(order)\n",
            "    pi_in = frozenset(pi)\n",
            ("tests/test_differential.py",)),
+    Mutant("part-for-primes", "src/sigmagroups/numbers.py",
+           "        if p in primes:", "        if p not in primes:", ("tests/test_sigma.py",)),
+    # input checks: corpus files, permutations, subgroups, limits
+    Mutant("corpus-prime-above-degree-boundary", "src/sigmagroups/corpus.py",
+           "        if rest > self.degree:", "        if rest >= self.degree:",
+           ("tests/test_corpus.py",)),
+    Mutant("corpus-duplicate-name", "src/sigmagroups/corpus.py",
+           "            if name in names:", "            if False:", ("tests/test_corpus.py",)),
+    Mutant("cycle-point-upper-bound", "src/sigmagroups/permcore.py",
+           "            if not 1 <= val <= degree:", "            if not 1 <= val < degree:",
+           ("tests/test_permcore.py",)),
+    Mutant("cycle-repeated-point", "src/sigmagroups/permcore.py",
+           "            if val - 1 in seen:", "            if False:", ("tests/test_permcore.py",)),
+    Mutant("perm-images-form-a-permutation", "src/sigmagroups/permcore.py",
+           "        if not valid:", "        if False:", ("tests/test_permcore.py",)),
+    Mutant("subgroup-generators-in-group", "src/sigmagroups/permcore.py",
+           "            if g not in group:", "            if False:", ("tests/test_permcore.py",)),
+    Mutant("conjugate-order-invariant", "src/sigmagroups/permcore.py",
+           "    if conj.order != h.order:", "    if False:", ("tests/test_permcore.py",)),
+    Mutant("subgroup-inside-group", "src/sigmagroups/structure.py",
+           "        if H.root is not G.root or H.mask & G.mask != H.mask:",
+           "        if H.root is not G.root:", ("tests/test_sigma.py", "tests/test_structure.py")),
+    Mutant("quotient-by-normal-only", "src/sigmagroups/sigma.py",
+           "        if not _is_normal_in(_element_table(G.root, limits), G, N):",
+           "        if False:", ("tests/test_sigma.py",)),
+    Mutant("limits-table-ceiling", "src/sigmagroups/errors.py",
+           "        if self.table_order_bound > MAX_TABLE_ORDER:",
+           "        if self.table_order_bound >= MAX_TABLE_ORDER:", ("tests/test_structure.py",)),
+    # every cached read checks the caller's table bound, hit or miss
+    Mutant("memo-table-bound-on-every-read", "src/sigmagroups/structure.py",
+           "    _check_table_room(root.order, limits)\n", "", ("tests/test_sigma.py",)),
+    # exit 3 only for a skip that a bound caused, not a vacuous one
+    Mutant("exit-code-vacuous-skip", "src/sigmagroups/cli.py",
+           'r["verdict"] == "skipped" and not r["vacuous"]', 'r["verdict"] == "skipped"',
+           ("tests/test_cli.py",)),
 )
 
 
@@ -149,16 +200,19 @@ def _pytest(tree: Path, targets: list[str], timeout: float) -> bool | None:
     return done.returncode == 0
 
 
-def run_mutant(m: Mutant | None, timeout: float) -> str:
-    """'killed', 'killed (timeout)' or 'survived'; with no mutant, the
-    verdict of the unchanged tree, which must survive."""
+def _copy_tree(tmp: str) -> Path:
+    """A copy of the whole tree: the suite also runs the demos and reads
+    perfbench."""
+    tree = Path(tmp)
+    shutil.copytree(ROOT, tree, dirs_exist_ok=True, ignore=shutil.ignore_patterns(
+        ".git", "__pycache__", ".pytest_cache", "out"))
+    return tree
+
+
+def run_mutant(m: Mutant, timeout: float) -> str:
+    """'killed', 'killed (timeout)' or 'survived'."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
-        tree = Path(tmp)
-        # the whole tree: the suite also runs the demos and reads perfbench
-        shutil.copytree(ROOT, tree, dirs_exist_ok=True, ignore=shutil.ignore_patterns(
-            ".git", "__pycache__", ".pytest_cache", "out"))
-        if m is None:
-            return "survived" if _pytest(tree, ["tests"], timeout) else "killed"
+        tree = _copy_tree(tmp)
         target = tree / m.path
         text = target.read_text()
         if text.count(m.anchor) != 1:
@@ -184,8 +238,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"unknown mutants: {', '.join(sorted(unknown))}")
     start = time.perf_counter()
     # a kill means something only when the unchanged tree passes
-    if run_mutant(None, args.timeout) != "survived":
-        raise SystemExit("the suite fails on the unchanged tree")
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        if not _pytest(_copy_tree(tmp), ["tests"], args.timeout):
+            raise SystemExit("the suite fails on the unchanged tree")
     print(f"{'(unchanged tree)':36s} {'passed':18s} {time.perf_counter() - start:6.1f} s",
           flush=True)
     survivors = 0
