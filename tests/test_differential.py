@@ -147,24 +147,6 @@ def reference_is_pi_separable(G, pi):
     return all(f.prime_support <= pi or not (f.prime_support & pi) for f in chief_series(G))
 
 
-@pytest.mark.parametrize("entry", builtin_corpus(), ids=lambda e: e.name)
-def test_pi_separability_is_sigma_solubility_at_pi_and_its_complement(entry):
-    """For every pi inside pi(G), and with a prime that does not divide |G|
-    added, pi-separability is sigma-solubility at ``_pi_partition`` and
-    agrees with the chief-series reference."""
-    G = entry.build()
-    primes = sorted(primes_of(G.order))
-    stranger = next(q for q in itertools.count(2) if is_prime(q) and G.order % q)
-    for k in range(len(primes) + 1):
-        for pi in itertools.combinations(primes, k):
-            expected = reference_is_pi_separable(G, pi)
-            partition = sigma_module._pi_partition(G.order, pi)
-            assert is_sigma_soluble(G, partition) == expected, pi
-            assert is_pi_separable(G, pi) == expected, pi
-            assert is_pi_separable(G, (*pi, stranger)) == expected, (pi, stranger)
-            assert sigma_module._pi_partition(G.order, (*pi, stranger)) == partition
-
-
 def reference_hall_data(G, sigma, limits):
     """The Hall data of every block filtered from G's lattice by order, with
     the conjugacy classes of the candidates under G's generators from the
@@ -198,7 +180,9 @@ def unordered_classes(blocks):
 def assert_sigma_verdicts_match_references(G, subgroups):
     """Sigma-solubility of each subgroup and the Hall data of G at every
     campaign partition, and pi-separability of G for every set of its
-    primes, against the chief-series and lattice-filter references."""
+    primes, also with a prime not dividing |G| added, against the
+    chief-series and lattice-filter references; pi-separability is
+    sigma-solubility at ``_pi_partition``."""
     for sigma in campaign_sigmas(G):
         for H in subgroups:
             assert is_sigma_soluble(H, sigma) == reference_is_sigma_soluble(H, sigma), \
@@ -206,9 +190,13 @@ def assert_sigma_verdicts_match_references(G, subgroups):
         assert unordered_classes(sigma_module._hall_data(G, sigma, Limits())) == \
             unordered_classes(reference_hall_data(G, sigma, Limits())), sigma.text()
     primes = sorted(primes_of(G.order))
+    stranger = next(q for q in itertools.count(2) if is_prime(q) and G.order % q)
     for k in range(len(primes) + 1):
         for pi in itertools.combinations(primes, k):
-            assert is_pi_separable(G, pi) == reference_is_pi_separable(G, pi), pi
+            expected = reference_is_pi_separable(G, pi)
+            assert is_pi_separable(G, pi) == expected, pi
+            assert is_pi_separable(G, (*pi, stranger)) == expected, (pi, stranger)
+            assert is_sigma_soluble(G, sigma_module._pi_partition(G.order, pi)) == expected, pi
 
 
 def reference_product_sets_equal(table, a, b):

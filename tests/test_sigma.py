@@ -730,6 +730,7 @@ def test_a_builtin_campaign_walks_each_pi_partition_once_per_group(monkeypatch):
     # sigma reads the walk by its own name, and structure's is_soluble by its
     monkeypatch.setattr(structure_module, "_descends_to_one", counting)
     monkeypatch.setattr(sigma_module, "_descends_to_one", counting)
+    clear_intern_cache()  # no sigma-solubility memo left by an earlier test
     run_campaign(builtin_corpus(), CampaignConfig(jobs=1, zero_millis=True))
     assert len(walks) == 309
 

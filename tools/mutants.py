@@ -5,13 +5,11 @@ Each mutant is one exact source replacement, an anchor text in one file of
 expected to kill it.  For each mutant the tree is copied to a temporary
 directory and the mutant applied there; those test files run with ``-x``,
 and when they all pass the whole suite runs.  A mutant is killed when a run
-fails or outlasts the timeout, and survives when the whole suite passes.
-A survivor is a gap in the suite: it is mended with a test, never by
-changing or deleting the mutant.
+fails or outlasts ``TIMEOUT`` seconds, and survives when the whole suite
+passes.  A survivor is a gap in the suite: it is mended with a test, never
+by changing or deleting the mutant.
 
-    python tools/mutants.py                 # every mutant
-    python tools/mutants.py legendre-tie    # the named mutants only
-    python tools/mutants.py --timeout 60
+    python tools/mutants.py
 
 The exit status is 1 when a mutant survives.  Only the standard library and
 pytest are used.  ``tests/test_tooling.py`` checks, inside the suite, that
@@ -20,7 +18,6 @@ mutant along rather than dropping it unnoticed.
 """
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -31,6 +28,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 120  # seconds one pytest run may take before it counts as a kill
 
 
 class Mutant(NamedTuple):
@@ -186,14 +184,14 @@ MUTANTS = (
 ANCHOR_TEST = "tests/test_tooling.py::test_every_mutant_anchor_occurs_once"
 
 
-def _pytest(tree: Path, targets: list[str], timeout: float) -> bool | None:
+def _pytest(tree: Path, targets: list[str]) -> bool | None:
     """Did pytest pass on ``targets`` in ``tree``?  None when it outlasted
-    the timeout."""
+    ``TIMEOUT``."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
            "--deselect", ANCHOR_TEST, *targets]
     try:
-        done = subprocess.run(cmd, cwd=tree, env=env, timeout=timeout,
+        done = subprocess.run(cmd, cwd=tree, env=env, timeout=TIMEOUT,
                               stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     except subprocess.TimeoutExpired:
         return None
@@ -209,7 +207,7 @@ def _copy_tree(tmp: str) -> Path:
     return tree
 
 
-def run_mutant(m: Mutant, timeout: float) -> str:
+def run_mutant(m: Mutant) -> str:
     """'killed', 'killed (timeout)' or 'survived'."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         tree = _copy_tree(tmp)
@@ -219,7 +217,7 @@ def run_mutant(m: Mutant, timeout: float) -> str:
             raise SystemExit(f"{m.name}: anchor is not exactly once in {m.path}")
         target.write_text(text.replace(m.anchor, m.replacement))
         for targets in (list(m.tests), ["tests"]):
-            passed = _pytest(tree, targets, timeout)
+            passed = _pytest(tree, targets)
             if passed is None:
                 return "killed (timeout)"
             if not passed:
@@ -227,28 +225,18 @@ def run_mutant(m: Mutant, timeout: float) -> str:
     return "survived"
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    parser.add_argument("--timeout", type=float, default=120.0,
-                        help="seconds one pytest run may take before it counts as killed")
-    args = parser.parse_args(argv)
-    unknown = set(args.names) - {m.name for m in MUTANTS}
-    if unknown:
-        parser.error(f"unknown mutants: {', '.join(sorted(unknown))}")
+def main() -> int:
     start = time.perf_counter()
     # a kill means something only when the unchanged tree passes
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
-        if not _pytest(_copy_tree(tmp), ["tests"], args.timeout):
+        if not _pytest(_copy_tree(tmp), ["tests"]):
             raise SystemExit("the suite fails on the unchanged tree")
     print(f"{'(unchanged tree)':36s} {'passed':18s} {time.perf_counter() - start:6.1f} s",
           flush=True)
     survivors = 0
     for m in MUTANTS:
-        if args.names and m.name not in args.names:
-            continue
         t0 = time.perf_counter()
-        verdict = run_mutant(m, args.timeout)
+        verdict = run_mutant(m)
         survivors += verdict == "survived"
         print(f"{m.name:36s} {verdict:18s} {time.perf_counter() - t0:6.1f} s", flush=True)
     print(f"total {time.perf_counter() - start:.1f} s, {survivors} survived")
