@@ -23,7 +23,14 @@ also in one set, identity included.  A Schreier generator of level i fixes
 j, and its sift would pass the levels it fixes and end at level j with
 nothing left: it is skipped unsifted, and a sift stops as soon as what is
 left is in the set.  Neither changes a residue, so the chain is the one the
-full sifts build.  A membership test
+full sifts build.  A third shortcut keeps it too.  Let X be Alt(Ω) when every
+generator is even, else Sym(Ω), with Ω the points some generator moves; the
+group lies in X, so no level's orbit is larger than its orbit in X's chain,
+the level's full size.  Once every level below i has its full size, the
+deeper levels, complete since the build verifies deepest first, hold
+|Stab_X(0..i)| elements, so they are Stab_X(0..i) and hold every Schreier
+generator of level i: level i is not verified, and an orbit of full size
+is not walked again.  A membership test
 walks only the stored levels, those whose orbit is more than their point:
 one list subscript and one composition per level its element moves, and one
 comparison with the identity at the end.  Each composition is one C call, a
@@ -50,8 +57,8 @@ from __future__ import annotations
 import functools
 import math
 import re
-from itertools import compress, repeat
-from operator import itemgetter
+from itertools import chain, compress, repeat
+from operator import itemgetter, ne
 from typing import Iterable, Sequence
 
 from .errors import MAX_TABLE_ORDER, CapacityError, GroupInputError, InvariantError
@@ -88,6 +95,20 @@ def images_order(p: tuple) -> int:
     for c in _image_cycles(p):
         n = math.lcm(n, len(c))
     return n
+
+
+def _is_even(p: tuple, points: Iterable[int]) -> bool:
+    """Is p, which fixes every point off ``points``, a product of an even
+    number of transpositions?  Each swap that puts a point in its place is
+    one."""
+    q = list(p)
+    even = True
+    for i in points:
+        while q[i] != i:
+            j = q[i]
+            q[i], q[j] = q[j], j
+            even = not even
+    return even
 
 
 def _image_cycles(p: tuple) -> list[tuple[int, ...]]:
@@ -267,6 +288,13 @@ class PermGroup:
     membership walks only them: one gather per level its element moves, then
     one comparison with the identity.  It is derived once the chain is
     built, so code that extends a chain in place must derive it again.
+    ``_full`` holds each level's full size, its orbit size in the chain of
+    Sym(Ω) or Alt(Ω) (``_derive_full_sizes``), and ``_full_from`` the least
+    level from which every orbit has it; a level above it, with every level
+    below it full, needs no verification (``_verify_level``).  Both are
+    derived from the generators before the build, so code that extends a
+    chain in place must derive them again: a new generator can grow Ω, or
+    be odd and turn Alt(Ω) into Sym(Ω).
 
     The chain's encoding is chosen once, from the degree: ``bytes`` gathered
     by ``bytes.translate`` up to 256 points, image tuples gathered by
@@ -303,6 +331,7 @@ class PermGroup:
         self._strong: list[bytes | tuple] = []
         # every stored transversal rep, identity included, as n-long data
         self._reps: set[bytes | tuple] = {self._identity}
+        self._derive_full_sizes()
         self._build_chain()
         # the stored levels, in base order: (point, its inverse-rep slots)
         self._levels = tuple((i, level) for i, level in enumerate(self._inverses)
@@ -313,6 +342,28 @@ class PermGroup:
         self.cache: dict = {}
 
     # -- chain construction
+
+    def _derive_full_sizes(self) -> None:
+        """The orbit size ``self._full[j]`` that level j has in the chain of
+        X = Alt(Ω) when every generator is even, else Sym(Ω), Ω the points
+        some generator moves: |Ω ∩ {j, ..., n-1}| for j in Ω, 1 off Ω, and 1
+        for the last two points of Ω when X = Alt(Ω), whose pointwise
+        stabilizer of the other points is trivial.  The group lies in X, so
+        no level's orbit is ever larger.  ``self._full_from`` is the least
+        level from which every level has its full size; every orbit is {j}
+        before the build, so it starts past the last level of size above 1,
+        and only ``_extend_orbit`` moves it."""
+        n, points = self.degree, range(self.degree)
+        moved = sorted(set().union(*(compress(points, map(ne, g.images, points))
+                                     for g in self.generators)))
+        # the levels of Ω whose size is above 1: all but Ω's last point in
+        # Sym(Ω), all but its last two in Alt(Ω)
+        top = len(moved) - (2 if all(_is_even(g.images, moved) for g in self.generators) else 1)
+        sizes = [1] * n
+        for rank, j in enumerate(moved[:top]):
+            sizes[j] = len(moved) - rank
+        self._full = sizes
+        self._full_from = moved[top - 1] + 1 if top > 0 else 0
 
     def _sift(self, x: bytes | tuple, start: int = 0) -> bytes | tuple | None:
         """The build's residue sift: reduce the encoded x, which fixes every
@@ -372,6 +423,15 @@ class PermGroup:
         Such an element fixes every point up to its level, so it is the
         identity or a rep of a deeper level, whose sift would end there with
         nothing left: no residue, strong generator, orbit or order changes.
+
+        Nor does stopping at a level whose deeper levels are all of their
+        full size (``self._full``), the size they have in the chain of
+        X = Sym(Ω) or Alt(Ω) that holds the group.  When level i is
+        verified, the deeper levels are complete, so the group they hold
+        has the product of their orbit sizes as its order.  That is
+        |Stab_X(0..i)|, and the group lies in Stab_X(0..i), so it is all of
+        it.  Every Schreier generator of level i lies in Stab_X(0..i), so
+        each would sift to the identity, and none is formed.
         Deterministic: no randomisation, fixed iteration orders.
         """
         n, encode, pad = self.degree, self._encode, self._pad
@@ -379,9 +439,13 @@ class PermGroup:
         closed = [0] * n        # orbit i is closed under level_gens[i][:closed[i]]
         verified: list[dict[int, int]] = [{} for _ in range(n)]
 
+        identity = self._identity
+
         def add_strong(s: bytes | tuple, low: int) -> int:
             self._strong.append(s)
-            pair = (s + pad, encode(invert_images(s)))
+            # the table that maps each s[k] to k is the inverse, once cut to n
+            inverse = bytes.maketrans(s, identity)[:n] if encode is bytes else invert_images(s)
+            pair = (s + pad, inverse)
             base = next(t for t in range(n) if s[t] != t)
             for level in level_gens[low:base + 1]:
                 level.append(pair)
@@ -402,8 +466,13 @@ class PermGroup:
         """Close the orbit of i under gens; the points it has are closed under
         gens[:old] already.  A new point's rep is its finder's rep times the
         generator, and its inverse the generator's inverse times the finder's
-        inverse."""
+        inverse.  An orbit of its full size (``self._full``) can gain no
+        point, so it is left at once; one that reaches it may move
+        ``self._full_from`` down."""
         trans, invs = self._transversals[i], self._inverses[i]
+        full = self._full
+        if (len(trans) if trans else 1) == full[i]:
+            return
         gather, pad, reps = self._gather, self._pad, self._reps
         if trans is None:
             if all(s[i] == i for s, _ in gens[old:]):
@@ -411,8 +480,10 @@ class PermGroup:
             trans = self._transversals[i] = {i: self._identity}
             invs = self._inverses[i] = [None] * self.degree
             invs[i] = self._identity + pad
-
-        def reach(a: int, pairs: list[tuple]) -> None:
+        found: list[int] = []
+        # the old points under the new generators, then each new point, as it
+        # is found, under every generator; found grows while it is walked
+        for a, pairs in chain(zip(list(trans), repeat(gens[old:])), zip(found, repeat(gens))):
             ua, va = trans[a], invs[a]
             for s, s_inv in pairs:
                 b = s[a]
@@ -421,13 +492,11 @@ class PermGroup:
                     reps.add(ub)
                     invs[b] = gather(s_inv, va) + pad
                     found.append(b)
-
-        found: list[int] = []
-        new = gens[old:]
-        for a in list(trans):
-            reach(a, new)
-        for a in found:     # grows while it is walked
-            reach(a, gens)
+        if len(trans) == full[i] and self._full_from == i + 1:
+            levels = self._transversals
+            while i > 0 and (len(levels[i - 1]) if levels[i - 1] else 1) == full[i - 1]:
+                i -= 1
+            self._full_from = i
 
     def _verify_level(self, i: int, gens: list[tuple],
                       verified: dict[int, int]) -> bytes | tuple | None:
@@ -441,9 +510,17 @@ class PermGroup:
 
         The pair that gave a residue counts as verified: once the residue is a
         strong generator and the deeper levels are complete again, that
-        Schreier generator sifts to the identity."""
+        Schreier generator sifts to the identity.
+
+        None at once when every level below i has its full size
+        (``self._full_from <= i + 1``): the complete deeper levels are then
+        the whole pointwise stabilizer of 0..i in Sym(Ω) or Alt(Ω), which
+        holds every Schreier generator of level i, so none is formed and
+        no pair is marked verified."""
         trans, invs = self._transversals[i], self._inverses[i]
         if trans is None:   # every s fixes i: each is a strong generator one level down
+            return None
+        if self._full_from <= i + 1:    # the levels below i hold Stab_X(0..i)
             return None
         gather, reps = self._gather, self._reps
         count = len(gens)

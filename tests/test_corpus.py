@@ -1,7 +1,9 @@
 """Builtin catalog integrity, corpus file round trips, prime-set partitions."""
 
+import contextlib
 import math
 import re
+import signal
 import time
 
 import pytest
@@ -118,6 +120,23 @@ def test_a_declared_order_that_is_not_a_count_is_refused(order):
             entry.build()
 
 
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise ``TimeoutError`` inside the block once ``seconds`` of wall time
+    have passed, so a stalled call fails the test then rather than when it
+    returns; the old alarm handler is restored on the way out."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
 @pytest.mark.parametrize("order", [7, 10, 2**61 - 1], ids=repr)
 def test_a_declared_order_with_a_prime_above_the_degree_is_refused(order):
     """No group of degree 3 has an order with a prime factor above 3, so the
@@ -126,11 +145,12 @@ def test_a_declared_order_with_a_prime_above_the_degree_is_refused(order):
     factoring 2**61 - 1 by trial division stalls it."""
     message = f"corpus entry 'z': declared order {order} has a prime factor above the degree 3"
     t0 = time.perf_counter()
-    with pytest.raises(GroupInputError, match=re.escape(message)):
-        CorpusEntry("z", 3, (Perm.parse("(1 2 3)", 3),), order)
-    assert time.perf_counter() - t0 < 1
-    [entry] = parse_corpus_file(f"group z deg 3\ngen (1 2 3)\norder {order}\n")
-    assert time.perf_counter() - t0 < 1
+    with deadline(1):
+        with pytest.raises(GroupInputError, match=re.escape(message)):
+            CorpusEntry("z", 3, (Perm.parse("(1 2 3)", 3),), order)
+        assert time.perf_counter() - t0 < 1
+        [entry] = parse_corpus_file(f"group z deg 3\ngen (1 2 3)\norder {order}\n")
+        assert time.perf_counter() - t0 < 1
     with pytest.raises(GroupInputError, match=re.escape(message)):
         entry.build()
 
@@ -169,7 +189,8 @@ def test_a_huge_declared_power_of_two_is_read_at_once(degree, order):
     to min(degree, sqrt(order)), 6.7e7 and 1e10 divisions, takes a minute
     or more."""
     t0 = time.perf_counter()
-    [entry] = parse_corpus_file(f"group X deg {degree}\norder {order}\n")
+    with deadline(1):
+        [entry] = parse_corpus_file(f"group X deg {degree}\norder {order}\n")
     assert time.perf_counter() - t0 < 1
     assert (entry.degree, entry.expected_order) == (degree, order)
 

@@ -419,14 +419,29 @@ def test_sift_reads_levels_by_subscript():
     assert [c.lineno for c in body if isinstance(c, ast.Call) and callee(c) == "get"] == []
 
 
+def binders(attribute: str) -> list[str]:
+    """The ``PermGroup`` methods, in class order, with each assignment that
+    binds the attribute or an item or slice of it."""
+    return [name for name, f in permgroup_methods().items() for node in ast.walk(f)
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            for sub in ast.walk(target) if ast.unparse(sub) == attribute]
+
+
 def test_stored_levels_are_derived_in_one_place():
     """``_levels`` is assigned in exactly one method of ``PermGroup``,
     after the chain is built, so no second derivation can drift from it."""
-    assigners = [name for name, f in permgroup_methods().items() for node in ast.walk(f)
-                 if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
-                 for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
-                 if ast.unparse(target) == "self._levels"]
-    assert assigners == ["__init__"]
+    assert binders("self._levels") == ["__init__"]
+
+
+def test_full_sizes_are_derived_in_one_place():
+    """``_full``, the orbit size each level has in Sym or Alt of the moved
+    points, is bound only in its helper, ``_derive_full_sizes``.
+    ``_full_from``, the least level from which every orbit has that size,
+    starts there and is moved only in ``_extend_orbit``, the one method
+    that grows an orbit, so no second derivation can drift from them."""
+    assert binders("self._full") == ["_derive_full_sizes"]
+    assert binders("self._full_from") == ["_derive_full_sizes", "_extend_orbit"]
 
 
 def test_rep_set_grows_in_one_place():

@@ -63,6 +63,19 @@ MUTANTS = (
     Mutant("chain-stored-rep-skip", "src/sigmagroups/permcore.py",
            "                if y in reps:\n                    continue\n",
            "", ("tests/test_chains.py",)),
+    # the full-size table: Alt(Omega) only when every generator is even
+    Mutant("chain-full-sizes-parity", "src/sigmagroups/permcore.py",
+           "top = len(moved) - (2 if all(_is_even(g.images, moved) for g in self.generators) else 1)",
+           "top = len(moved) - 2", ("tests/test_chains.py",)),
+    # verification stops only when every level below i is full, not from i + 2
+    Mutant("chain-full-skip-one-level-up", "src/sigmagroups/permcore.py",
+           "        if self._full_from <= i + 1:", "        if self._full_from <= i + 2:",
+           ("tests/test_chains.py",)),
+    # an orbit is left at once only at its full size, not one point short
+    Mutant("chain-full-orbit-return", "src/sigmagroups/permcore.py",
+           "        if (len(trans) if trans else 1) == full[i]:",
+           "        if (len(trans) if trans else 1) >= full[i] - 1:",
+           ("tests/test_chains.py",)),
     # membership: what is left after the stored levels must be the identity
     Mutant("membership-identity-check", "src/sigmagroups/permcore.py",
            "        return x == self._identity\n", "        return True\n",
