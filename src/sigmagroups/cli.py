@@ -22,7 +22,7 @@ from .corpus import CorpusEntry, RefusedEntry, builtin_corpus, builtin_entry, pa
 from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, Limits
 from .harness import (REGISTRY, STATEMENTS, CampaignConfig, VerificationOutcome,
                       campaign_sigmas, report_from_rows, run_campaign, run_statements)
-from .permcore import Perm, PermGroup, Subgroup
+from .permcore import Perm, Subgroup
 from .sigma import (BLOCK_DIGITS, SigmaPartition, complete_hall_sigma_set, is_psigma_t,
                     is_sigma_nilpotent, is_sigma_permutable, is_sigma_primary, is_sigma_soluble,
                     parse_sigma, sigma_nilpotent_residual, sigma_of_group)
@@ -117,12 +117,11 @@ def _resolve_entry(args) -> CorpusEntry | RefusedEntry:
     return builtin_entry(args.group)
 
 
-def _sigmas_for(args, G: PermGroup) -> list[SigmaPartition]:
+def _sigma(args) -> SigmaPartition:
+    """The one partition a one-shot command reads; ``all`` is verify's alone."""
     if args.sigma == "all":
-        if args.command != "verify":
-            raise GroupInputError("--sigma all is only valid for verify")
-        return campaign_sigmas(G)
-    return [parse_sigma(args.sigma)]
+        raise GroupInputError("--sigma all is only valid for verify")
+    return parse_sigma(args.sigma)
 
 
 def _emit(args, human_lines: list[str], machine_obj) -> None:
@@ -138,53 +137,50 @@ def _emit(args, human_lines: list[str], machine_obj) -> None:
 def cmd_classify(args) -> int:
     limits = _limits(args)
     G = _resolve_entry(args).build(limits)
-    sigmas = _sigmas_for(args, G)
-    lines, blob = [], []
-    lines.append(f"group {args.group} (order {G.order}, degree {G.degree})")
-    for sigma in sigmas:
-        fields = {}
+    sigma = _sigma(args)
+    fields = {}
 
-        def guard(key, fn):
-            try:
-                fields[key] = fn()
-            except CapacityError as exc:
-                fields[key] = f"skipped: {exc}"
+    def guard(key, fn):
+        try:
+            fields[key] = fn()
+        except CapacityError as exc:
+            fields[key] = f"skipped: {exc}"
 
-        guard("sigma_of", lambda: sorted(sigma_of_group(G, sigma)))
-        guard("sigma_primary", lambda: is_sigma_primary(G.order, sigma))
-        guard("sigma_soluble", lambda: is_sigma_soluble(G, sigma, limits))
-        guard("sigma_nilpotent", lambda: is_sigma_nilpotent(G, sigma, limits))
-        guard("psigma_t", lambda: is_psigma_t(G, sigma, limits))
-        guard("complete_hall_set", lambda: (
-            None if (hs := complete_hall_sigma_set(G, sigma, limits)) is None
-            else list(hs.member_orders())))
-        guard("residual_order", lambda: sigma_nilpotent_residual(G, sigma, limits).order)
-        blob.append({"group": args.group, "sigma": sigma.text(), **fields})
-        lines.append(f"sigma {sigma.text()}")
-        lines.append(f"  sigma(G): {', '.join(map(str, fields['sigma_of'])) or '-'}")
-        for label, key in [("sigma-primary", "sigma_primary"),
-                           ("sigma-soluble", "sigma_soluble"),
-                           ("sigma-nilpotent", "sigma_nilpotent"),
-                           ("PsigmaT", "psigma_t")]:
-            v = fields[key]
-            lines.append(f"  {label}: {v if isinstance(v, str) else ('yes' if v else 'no')}")
-        hall = fields["complete_hall_set"]
-        if isinstance(hall, str):
-            lines.append(f"  complete Hall sigma-set: {hall}")
-        elif hall is None:
-            lines.append("  complete Hall sigma-set: none")
-        else:
-            orders = ", ".join(map(str, hall)) if hall else "empty"
-            lines.append(f"  complete Hall sigma-set: yes (orders {orders})")
-        lines.append(f"  sigma-nilpotent residual order: {fields['residual_order']}")
-    _emit(args, lines, blob)
+    guard("sigma_of", lambda: sorted(sigma_of_group(G, sigma)))
+    guard("sigma_primary", lambda: is_sigma_primary(G.order, sigma))
+    guard("sigma_soluble", lambda: is_sigma_soluble(G, sigma, limits))
+    guard("sigma_nilpotent", lambda: is_sigma_nilpotent(G, sigma, limits))
+    guard("psigma_t", lambda: is_psigma_t(G, sigma, limits))
+    guard("complete_hall_set", lambda: (
+        None if (hs := complete_hall_sigma_set(G, sigma, limits)) is None
+        else list(hs.member_orders())))
+    guard("residual_order", lambda: sigma_nilpotent_residual(G, sigma, limits).order)
+    lines = [f"group {args.group} (order {G.order}, degree {G.degree})",
+             f"sigma {sigma.text()}",
+             f"  sigma(G): {', '.join(map(str, fields['sigma_of'])) or '-'}"]
+    for label, key in [("sigma-primary", "sigma_primary"),
+                       ("sigma-soluble", "sigma_soluble"),
+                       ("sigma-nilpotent", "sigma_nilpotent"),
+                       ("PsigmaT", "psigma_t")]:
+        v = fields[key]
+        lines.append(f"  {label}: {v if isinstance(v, str) else ('yes' if v else 'no')}")
+    hall = fields["complete_hall_set"]
+    if isinstance(hall, str):
+        lines.append(f"  complete Hall sigma-set: {hall}")
+    elif hall is None:
+        lines.append("  complete Hall sigma-set: none")
+    else:
+        orders = ", ".join(map(str, hall)) if hall else "empty"
+        lines.append(f"  complete Hall sigma-set: yes (orders {orders})")
+    lines.append(f"  sigma-nilpotent residual order: {fields['residual_order']}")
+    _emit(args, lines, [{"group": args.group, "sigma": sigma.text(), **fields}])
     return EXIT_OK
 
 
 def cmd_residual(args) -> int:
     limits = _limits(args)
     G = _resolve_entry(args).build(limits)
-    sigma = _sigmas_for(args, G)[0]
+    sigma = _sigma(args)
     r = sigma_nilpotent_residual(G, sigma, limits)
     gens = ", ".join(str(g) for g in r.generators) or "()"
     _emit(args, [f"sigma-nilpotent residual of {args.group} under {sigma.text()}: "
@@ -197,7 +193,7 @@ def cmd_residual(args) -> int:
 def cmd_permutable(args) -> int:
     limits = _limits(args)
     G = _resolve_entry(args).build(limits)
-    sigma = _sigmas_for(args, G)[0]
+    sigma = _sigma(args)
     gens = [Perm.parse(t, G.degree) for t in args.gen]
     H = Subgroup(G, gens)
     verdict = is_sigma_permutable(G, H, sigma, limits)
@@ -246,7 +242,9 @@ def cmd_verify(args) -> int:
     if scope != "sigma" and args.sigma not in ("sigma1", "all"):
         raise GroupInputError(f"--sigma does not apply to {args.statement}, whose scope is {scope}")
     G = entry.build(limits)
-    sigmas = _sigmas_for(args, G) if scope == "sigma" else None
+    sigmas = None
+    if scope == "sigma":
+        sigmas = campaign_sigmas(G) if args.sigma == "all" else [parse_sigma(args.sigma)]
     rows = run_statements(G, entry.name, (args.statement,), limits,
                           sigmas=sigmas, pis=pis, zero_millis=True)
     blob = [r.to_json() for r in rows]

@@ -16,30 +16,34 @@ point remembers how many of its level's generators it has been verified
 with.  A residue found at a level joins the generator lists of the levels
 from the one below it up to its first moved point, the only levels whose
 group it enlarges; a given generator's residue joins every level up to its
-first moved point.  Each transversal rep is stored with its inverse, and a
-level's inverses sit in a list indexed by orbit point.  Every stored rep is
-also in one set, identity included.  A Schreier generator of level i fixes
-0..i, so when it is in that set it is the identity or a rep of a deeper level
-j, and its sift would pass the levels it fixes and end at level j with
-nothing left: it is skipped unsifted, and a sift stops as soon as what is
-left is in the set.  Neither changes a residue, so the chain is the one the
-full sifts build.  A third shortcut keeps it too.  Let X be Alt(Ω) when every
-generator is even, else Sym(Ω), with Ω the points some generator moves; the
-group lies in X, so no level's orbit is larger than its orbit in X's chain,
-the level's full size.  Once every level below i has its full size, the
-deeper levels, complete since the build verifies deepest first, hold
-|Stab_X(0..i)| elements, so they are Stab_X(0..i) and hold every Schreier
-generator of level i: level i is not verified, and an orbit of full size
-is not walked again.  A membership test
-walks only the stored levels, those whose orbit is more than their point:
-one list subscript and one composition per level its element moves, and one
-comparison with the identity at the end.  Each composition is one C call, a
-gather "p, then q" that reads the second operand, the table, at the first
-one's images.  Up to 256 points the chain holds its permutations as
-``bytes`` and gathers with ``p.translate(q)``; an operand used as a table (a
-stored inverse rep, a strong generator in its level's list) is padded with
-the fixed points n..255 to the 256 bytes ``translate`` needs.  Past 256
-points it holds image tuples and gathers with ``itemgetter(*p)(q)``.
+first moved point.  That point is the level where the residue's sift
+stopped, and the sift returns it with the residue.  Each transversal rep is
+stored with its inverse, and a level's inverses sit in a list indexed by
+orbit point.  Every stored rep is also in one set, identity included.  A
+Schreier generator of level i fixes 0..i, so when it is in that set it is
+the identity or a rep of a deeper level j, and its sift would pass the
+levels it fixes and end at level j with nothing left: it is skipped
+unsifted, and a sift stops as soon as what is left is in the set.  Neither
+changes a residue, so the chain is the one the full sifts build.  A third
+shortcut keeps it too.  Let X be Alt(Ω) when every generator is even, else
+Sym(Ω), with Ω the points some generator moves; the group lies in X, so no
+level's orbit is larger than its orbit in X's chain, the level's full size.
+Once every level below i has its full size, the deeper levels, complete
+since the build verifies deepest first, hold |Stab_X(0..i)| elements, so
+they are Stab_X(0..i) and hold every Schreier generator of level i: level i
+is not verified, and an orbit of full size is not walked again.  Ω and the
+parity come from one cycle walk of each generator, and the least level from
+which every level is full from one walk down over the orbits the chain
+holds.  A membership test walks only the stored levels, those whose orbit is
+more than their point: one list subscript and one composition per level its
+element moves, and one comparison with the identity at the end.  Each
+composition is one C call, a gather "p, then q" that reads the second
+operand, the table, at the first one's images.  Up to 256 points the chain
+holds its permutations as ``bytes`` and gathers with ``p.translate(q)``; an
+operand used as a table (a stored inverse rep, a strong generator in its
+level's list) is padded with the fixed points n..255 to the 256 bytes
+``translate`` needs.  Past 256 points it holds image tuples and gathers with
+``itemgetter(*p)(q)``.
 ``Perm`` is the value type seen by callers, always on image tuples.
 
 Only root groups carry a chain: groups built from generators, such as corpus
@@ -58,7 +62,7 @@ import functools
 import math
 import re
 from itertools import chain, compress, repeat
-from operator import itemgetter, ne
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import MAX_TABLE_ORDER, CapacityError, GroupInputError, InvariantError
@@ -95,20 +99,6 @@ def images_order(p: tuple) -> int:
     for c in _image_cycles(p):
         n = math.lcm(n, len(c))
     return n
-
-
-def _is_even(p: tuple, points: Iterable[int]) -> bool:
-    """Is p, which fixes every point off ``points``, a product of an even
-    number of transpositions?  Each swap that puts a point in its place is
-    one."""
-    q = list(p)
-    even = True
-    for i in points:
-        while q[i] != i:
-            j = q[i]
-            q[i], q[j] = q[j], j
-            even = not even
-    return even
 
 
 def _image_cycles(p: tuple) -> list[tuple[int, ...]]:
@@ -200,13 +190,9 @@ class Perm:
 
     def __init__(self, images: Sequence[int]):
         imgs = tuple(images)
-        try:
-            # a sum of ints is an int, so a float image (1.0 == 1 sorts as 1)
-            # or any other non-int one fails the first test
-            valid = type(sum(imgs)) is int and sorted(imgs) == list(range(len(imgs)))
-        except TypeError:   # an image that does not add to or order with ints
-            valid = False
-        if not valid:
+        # each image's type is int itself: 1.0 and True both equal 1 and sort
+        # as it, and a bool is an int by isinstance
+        if not (set(map(type, imgs)) <= {int} and sorted(imgs) == list(range(len(imgs)))):
             raise GroupInputError(f"not a permutation of 0..{len(imgs) - 1}: {imgs!r}")
         object.__setattr__(self, "images", imgs)
 
@@ -292,9 +278,10 @@ class PermGroup:
     Sym(Ω) or Alt(Ω) (``_derive_full_sizes``), and ``_full_from`` the least
     level from which every orbit has it; a level above it, with every level
     below it full, needs no verification (``_verify_level``).  Both are
-    derived from the generators before the build, so code that extends a
-    chain in place must derive them again: a new generator can grow Ω, or
-    be odd and turn Alt(Ω) into Sym(Ω).
+    derived from the generators, the index over the orbits the chain holds,
+    so a chain extended in place needs one more call of
+    ``_derive_full_sizes``: a new generator can grow Ω, or be odd and turn
+    Alt(Ω) into Sym(Ω).
 
     The chain's encoding is chosen once, from the degree: ``bytes`` gathered
     by ``bytes.translate`` up to 256 points, image tuples gathered by
@@ -349,41 +336,52 @@ class PermGroup:
         some generator moves: |Ω ∩ {j, ..., n-1}| for j in Ω, 1 off Ω, and 1
         for the last two points of Ω when X = Alt(Ω), whose pointwise
         stabilizer of the other points is trivial.  The group lies in X, so
-        no level's orbit is ever larger.  ``self._full_from`` is the least
-        level from which every level has its full size; every orbit is {j}
-        before the build, so it starts past the last level of size above 1,
-        and only ``_extend_orbit`` moves it."""
-        n, points = self.degree, range(self.degree)
-        moved = sorted(set().union(*(compress(points, map(ne, g.images, points))
-                                     for g in self.generators)))
+        no level's orbit is ever larger.  Ω and the parity come from one
+        cycle walk per generator, a k-cycle being k - 1 swaps.  The index
+        ``self._full_from`` is then walked down from the degree over the
+        orbits the chain holds (``_lower_full_from``), so a chain that is
+        built, or extended in place, gets it right from one call."""
+        walks = [_image_cycles(g.images) for g in self.generators]
+        moved = sorted(set(chain.from_iterable(chain.from_iterable(walks))))
+        even = all((sum(map(len, cycles)) - len(cycles)) % 2 == 0 for cycles in walks)
         # the levels of Ω whose size is above 1: all but Ω's last point in
         # Sym(Ω), all but its last two in Alt(Ω)
-        top = len(moved) - (2 if all(_is_even(g.images, moved) for g in self.generators) else 1)
-        sizes = [1] * n
+        top = len(moved) - (2 if even else 1)
+        sizes = [1] * self.degree
         for rank, j in enumerate(moved[:top]):
             sizes[j] = len(moved) - rank
         self._full = sizes
-        self._full_from = moved[top - 1] + 1 if top > 0 else 0
+        self._lower_full_from(self.degree)
 
-    def _sift(self, x: bytes | tuple, start: int = 0) -> bytes | tuple | None:
+    def _lower_full_from(self, start: int) -> None:
+        """Bind ``self._full_from``, the least level from which every level
+        has its full size, by a walk down from ``start`` over the levels
+        whose orbit has it; every level from ``start`` must have it already."""
+        levels, full = self._transversals, self._full
+        while start > 0 and (len(levels[start - 1]) if levels[start - 1] else 1) == full[start - 1]:
+            start -= 1
+        self._full_from = start
+
+    def _sift(self, x: bytes | tuple, start: int = 0) -> tuple[int, bytes | tuple] | None:
         """The build's residue sift: reduce the encoded x, which fixes every
         point before ``start``, through every level from ``start``; None
-        means x is in the group those levels hold.  A residue fixes every
-        base point before the first level whose orbit lacks its image, which
-        is where it joins the strong generators.  The sift stops once a
-        composition at level i leaves a stored rep: x then fixes 0..i, so it
-        is the identity or a rep of a deeper level j, and the rest of the
-        sift would pass the levels it fixes and end at j with the identity.
-        Since the base is every point, x is the identity too once all levels
-        are passed.  Membership does not call it: ``__contains__`` needs no
-        residue, only a yes or no."""
+        means x is in the group those levels hold.  Otherwise it returns the
+        first level whose orbit lacks x's image, with the residue: the
+        residue fixes every base point before that level, so the level is
+        its first moved point, where it joins the strong generators.  The
+        sift stops once a composition at level i leaves a stored rep: x then
+        fixes 0..i, so it is the identity or a rep of a deeper level j, and
+        the rest of the sift would pass the levels it fixes and end at j
+        with the identity.  Since the base is every point, x is the identity
+        too once all levels are passed.  Membership does not call it:
+        ``__contains__`` needs no residue, only a yes or no."""
         reps, inverses, gather = self._reps, self._inverses, self._gather
         for i in range(start, self.degree):
             p = x[i]
             if p != i:
                 level = inverses[i]
                 if level is None or (inv := level[p]) is None:
-                    return x
+                    return i, x
                 x = gather(x, inv)
                 if x in reps:
                     return None
@@ -402,7 +400,9 @@ class PermGroup:
         through the chain completed for those before them, and only their
         residues join, so a generator that is a word in earlier ones adds no
         Schreier generators.  A given generator's residue joins the lists of
-        levels 0 up to its first moved point, since it enlarges the group.
+        levels 0 up to its first moved point, since it enlarges the group;
+        that point is the level ``_sift`` returns with it, so no residue is
+        scanned again.
 
         A residue r that verifying level i finds joins only the lists of
         levels i+1 up to its first moved point, and verification resumes
@@ -431,7 +431,10 @@ class PermGroup:
         has the product of their orbit sizes as its order.  That is
         |Stab_X(0..i)|, and the group lies in Stab_X(0..i), so it is all of
         it.  Every Schreier generator of level i lies in Stab_X(0..i), so
-        each would sift to the identity, and none is formed.
+        each would sift to the identity, and none is formed.  The least
+        level from which every level is full is walked down by
+        ``_lower_full_from``, from the degree before the build and from
+        where it stands whenever an orbit reaches its full size.
         Deterministic: no randomisation, fixed iteration orders.
         """
         n, encode, pad = self.degree, self._encode, self._pad
@@ -441,34 +444,35 @@ class PermGroup:
 
         identity = self._identity
 
-        def add_strong(s: bytes | tuple, low: int) -> int:
+        def add_strong(base: int, s: bytes | tuple, low: int) -> int:
+            # base, the level s's sift stopped at, is s's first moved point
             self._strong.append(s)
             # the table that maps each s[k] to k is the inverse, once cut to n
             inverse = bytes.maketrans(s, identity)[:n] if encode is bytes else invert_images(s)
             pair = (s + pad, inverse)
-            base = next(t for t in range(n) if s[t] != t)
             for level in level_gens[low:base + 1]:
                 level.append(pair)
             return base
 
         for g in self.generators:
-            residue = self._sift(encode(g.images))
-            i = -1 if residue is None else add_strong(residue, 0)
+            found = self._sift(encode(g.images))
+            i = -1 if found is None else add_strong(*found, 0)
             while i >= 0:
                 gens = level_gens[i]
                 if closed[i] < len(gens):   # a level gains none from a residue it found
                     self._extend_orbit(i, gens, closed[i])
                     closed[i] = len(gens)
-                residue = self._verify_level(i, gens, verified[i])
-                i = i - 1 if residue is None else add_strong(residue, i + 1)
+                found = self._verify_level(i, gens, verified[i])
+                i = i - 1 if found is None else add_strong(*found, i + 1)
 
     def _extend_orbit(self, i: int, gens: list[tuple], old: int) -> None:
         """Close the orbit of i under gens; the points it has are closed under
         gens[:old] already.  A new point's rep is its finder's rep times the
         generator, and its inverse the generator's inverse times the finder's
         inverse.  An orbit of its full size (``self._full``) can gain no
-        point, so it is left at once; one that reaches it may move
-        ``self._full_from`` down."""
+        point, so it is left at once; when one reaches it, ``self._full_from``
+        is walked down from where it stands (``_lower_full_from``), which
+        moves it only when this is the level just before it."""
         trans, invs = self._transversals[i], self._inverses[i]
         full = self._full
         if (len(trans) if trans else 1) == full[i]:
@@ -492,16 +496,14 @@ class PermGroup:
                     reps.add(ub)
                     invs[b] = gather(s_inv, va) + pad
                     found.append(b)
-        if len(trans) == full[i] and self._full_from == i + 1:
-            levels = self._transversals
-            while i > 0 and (len(levels[i - 1]) if levels[i - 1] else 1) == full[i - 1]:
-                i -= 1
-            self._full_from = i
+        if len(trans) == full[i]:
+            self._lower_full_from(self._full_from)
 
-    def _verify_level(self, i: int, gens: list[tuple],
-                      verified: dict[int, int]) -> bytes | tuple | None:
+    def _verify_level(self, i: int, gens: list[tuple], verified: dict[int, int]
+                      ) -> tuple[int, bytes | tuple] | None:
         """Sift every unverified Schreier generator y = u_p s u_q^-1, q = p^s,
-        of level i through the deeper levels; the first residue, or None.
+        of level i through the deeper levels; the first residue with its
+        level, as ``_sift`` returns them, or None.
         Three kinds need no sift: s itself for p = i, y = 1 (the tree edge
         u_p s = u_q, one comparison), and y in ``self._reps``.  y fixes
         0..i, so a stored rep equal to it is the identity or a rep of a
@@ -538,10 +540,10 @@ class PermGroup:
                 y = gather(t, invs[q])
                 if y in reps:
                     continue
-                residue = self._sift(y, i + 1)
-                if residue is not None:
+                found = self._sift(y, i + 1)
+                if found is not None:
                     verified[p] = k
-                    return residue
+                    return found
             verified[p] = count
         return None
 

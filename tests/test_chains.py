@@ -526,6 +526,31 @@ def test_chain_is_the_one_full_sifts_build(key):
     assert chain_digest(pinned_group(key)) == PINNED_CHAINS[key]
 
 
+def least_full_level(G):
+    """The least k such that every level from k has its full size, read off
+    the transversals."""
+    sizes = [len(t) if t else 1 for t in G._transversals]
+    return min(k for k in range(G.degree + 1)
+               if all(sizes[j] == G._full[j] for j in range(k, G.degree)))
+
+
+@pytest.mark.parametrize("key", [*SMALL, *LARGER, "AGL(1,257)", "D_300", "S_16"], ids=str)
+def test_full_sizes_derived_again_on_a_built_chain_are_unchanged(key):
+    """Deriving the full-size table and its index on a built chain, as a
+    chain extended in place must, gives what the build left: the index is
+    walked down over the orbits the chain holds, not restarted past the
+    last level of size above 1 (which reads 15 for S_16, where the build
+    leaves 0)."""
+    if key == "S_16":
+        G = build(16, [cycle(16, [0, 1]), cycle(16, list(range(16)))])
+    else:
+        G = pinned_group(key)
+    full, full_from = list(G._full), G._full_from
+    assert full_from == least_full_level(G)
+    G._derive_full_sizes()
+    assert (G._full, G._full_from) == (full, full_from)
+
+
 @pytest.mark.parametrize("spec", SMALL + LARGER, ids=str)
 def test_two_builds_hold_the_same_chain(spec):
     n, gens, _ = relabelled_padded(spec, 2)

@@ -128,10 +128,12 @@ def test_perm_pickle_round_trip():
 
 
 @pytest.mark.parametrize("images", [(1.0, 0), (0, 1, 2.0), (0.5, 0), (0, "1"), ("a",),
-                                    (0, None), (1, 0j)], ids=repr)
+                                    (0, None), (1, 0j), (True, False), (0, True)], ids=repr)
 def test_perm_rejects_non_int_images(images):
     """1.0 == 1 passes a sorted comparison with 0..n-1, so a float image was
-    accepted and its repr raised; other non-ints raised TypeError."""
+    accepted and its repr raised; other non-ints raised TypeError.  A bool
+    is an int subclass, and True == 1, so bool images were accepted as
+    they were given; the package refuses bools as degrees too."""
     with pytest.raises(GroupInputError, match="not a permutation"):
         Perm(images)
 

@@ -438,10 +438,11 @@ def test_full_sizes_are_derived_in_one_place():
     """``_full``, the orbit size each level has in Sym or Alt of the moved
     points, is bound only in its helper, ``_derive_full_sizes``.
     ``_full_from``, the least level from which every orbit has that size,
-    starts there and is moved only in ``_extend_orbit``, the one method
-    that grows an orbit, so no second derivation can drift from them."""
+    is bound only in ``_lower_full_from``, the one walk down over full
+    levels that both ``_derive_full_sizes`` and ``_extend_orbit`` call, so
+    no second derivation can drift from them."""
     assert binders("self._full") == ["_derive_full_sizes"]
-    assert binders("self._full_from") == ["_derive_full_sizes", "_extend_orbit"]
+    assert binders("self._full_from") == ["_lower_full_from"]
 
 
 def test_rep_set_grows_in_one_place():

@@ -65,8 +65,16 @@ MUTANTS = (
            "", ("tests/test_chains.py",)),
     # the full-size table: Alt(Omega) only when every generator is even
     Mutant("chain-full-sizes-parity", "src/sigmagroups/permcore.py",
-           "top = len(moved) - (2 if all(_is_even(g.images, moved) for g in self.generators) else 1)",
-           "top = len(moved) - 2", ("tests/test_chains.py",)),
+           "even = all((sum(map(len, cycles)) - len(cycles)) % 2 == 0 for cycles in walks)",
+           "even = True", ("tests/test_chains.py",)),
+    # the walk down over full levels ends at the first level that is not full
+    Mutant("chain-full-walk-one-short", "src/sigmagroups/permcore.py",
+           "        self._full_from = start\n", "        self._full_from = start + 1\n",
+           ("tests/test_chains.py",)),
+    # a residue joins the levels up to the one its sift stopped at
+    Mutant("chain-residue-level", "src/sigmagroups/permcore.py",
+           "                    return i, x\n", "                    return i + 1, x\n",
+           ("tests/test_chains.py",)),
     # verification stops only when every level below i is full, not from i + 2
     Mutant("chain-full-skip-one-level-up", "src/sigmagroups/permcore.py",
            "        if self._full_from <= i + 1:", "        if self._full_from <= i + 2:",
@@ -169,7 +177,8 @@ MUTANTS = (
     Mutant("cycle-repeated-point", "src/sigmagroups/permcore.py",
            "            if val - 1 in seen:", "            if False:", ("tests/test_permcore.py",)),
     Mutant("perm-images-form-a-permutation", "src/sigmagroups/permcore.py",
-           "        if not valid:", "        if False:", ("tests/test_permcore.py",)),
+           "        if not (set(map(type, imgs)) <= {int} and sorted(imgs) == list(range(len(imgs)))):",
+           "        if False:", ("tests/test_permcore.py",)),
     Mutant("subgroup-generators-in-group", "src/sigmagroups/permcore.py",
            "            if g not in group:", "            if False:", ("tests/test_permcore.py",)),
     Mutant("conjugate-order-invariant", "src/sigmagroups/permcore.py",
