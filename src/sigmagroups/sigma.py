@@ -8,14 +8,19 @@ A partition splits the primes into blocks.  Two spellings exist:
 
 All class predicates take a group, or a ``Subgroup`` of one, together with
 a partition and answer deterministically; results and expensive
-intermediates (per-block Hall subgroup classes, class verdicts, residuals)
-are memoised on the root group per subgroup mask, keyed by the partition
-text.  Every read checks the caller's table bound, so only the two results
-that read a lattice, the Hall data and PsigmaT, also key on the caller's
-limits; the rest read only the root's table and are computed once.
-Checks that the campaign and one-shot queries seldom or never repeat
-(sigma-permutability of one subgroup, Hall coverage) are computed on each
-call.
+intermediates (per-block Hall subgroup classes, class verdicts, residuals,
+the Hall coverage scan) are memoised on the root group per subgroup mask,
+keyed by sigma(G), the blocks of the partition that meet pi(G), as prime
+sets (``_sigma_key``).  Each depends on the partition only through sigma(G),
+so partitions that agree on pi(G), such as sigma1 and the partition of one
+listed block per prime, share it; no memoised value carries a block id,
+and the caller's ids are put back on what is reported.  Every read checks
+the caller's table bound, so only the three results that read a lattice,
+the Hall data, PsigmaT and the Hall coverage scan, also key on the
+caller's limits; the rest read only the root's table and are computed
+once.  Sigma-permutability of one subgroup, which the campaign and
+one-shot queries seldom repeat, is computed on each call from the Hall
+data.
 
 Every verdict and subgroup here comes from subgroups generated by elements
 on the root's table (``_ElementTable.generated_by_orders``), and no normal
@@ -80,25 +85,17 @@ class SigmaPartition:
     def __post_init__(self):
         if self.classical and self.blocks:
             raise GroupInputError("classical partition carries no explicit blocks")
+        # frozen blocks, so that the partition hashes whatever sets it was given
+        blocks = tuple(map(frozenset, self.blocks))
         seen: set[int] = set()
-        for block in self.blocks:
+        for block in blocks:
             if not block:
                 raise GroupInputError("empty block in partition")
             for p in block:
                 if _check_prime(p) in seen:
                     raise GroupInputError(f"prime {p} appears in two blocks")
                 seen.add(p)
-        ordered = tuple(sorted(self.blocks, key=min))
-        object.__setattr__(self, "blocks", ordered)
-        # text() keys every memo, so it is built once, outside the fields:
-        # equality, hashing and repr do not see it
-        if self.classical:
-            text = "sigma1"
-        elif not ordered:
-            text = "[]"
-        else:
-            text = "".join("[" + ",".join(str(p) for p in sorted(b)) + "]" for b in ordered)
-        object.__setattr__(self, "_text", text)
+        object.__setattr__(self, "blocks", tuple(sorted(blocks, key=min)))
 
     @classmethod
     def sigma1(cls) -> "SigmaPartition":
@@ -106,7 +103,7 @@ class SigmaPartition:
 
     @classmethod
     def of_blocks(cls, *blocks) -> "SigmaPartition":
-        return cls(blocks=tuple(frozenset(b) for b in blocks))
+        return cls(blocks=blocks)
 
     def block_id(self, p: int) -> str:
         """Stable textual id of the block containing prime p."""
@@ -119,7 +116,9 @@ class SigmaPartition:
         return self.REST
 
     def text(self) -> str:
-        return self._text
+        if self.classical:
+            return "sigma1"
+        return "".join("[" + ",".join(map(str, sorted(b))) + "]" for b in self.blocks) or "[]"
 
     def __str__(self) -> str:
         return self.text()
@@ -197,9 +196,20 @@ def _order_blocks(order: int, sigma: SigmaPartition) -> tuple[tuple[str, frozens
     return tuple((bid, frozenset(ps), part_for_primes(order, ps)) for bid, ps in by_id.items())
 
 
+def _sigma_key(G: Group, sigma: SigmaPartition) -> tuple[frozenset[int], ...]:
+    """sigma(G) as prime sets, ordered by least prime: the key of every
+    sigma memo.  Each result memoised on G depends on sigma only through
+    these sets, so partitions that agree on pi(G) share it, whatever their
+    spelling and block ids; a memoised value carries no block id."""
+    return tuple(ps for _, ps, _ in _order_blocks(G.order, sigma))
+
+
 def _hall_data(G: Group, sigma: SigmaPartition, limits: Limits):
-    """Per block: the masks of all Hall subgroups, canonically sorted, and
-    their conjugacy classes under G, each a sorted tuple of masks.
+    """Per block of sigma(G), in ``_order_blocks`` order: its primes, its
+    part of |G|, the masks of all Hall subgroups, canonically sorted, and
+    their conjugacy classes under G, each a sorted tuple of masks.  A block
+    carries no id, since partitions whose ids differ share the memo
+    (``_sigma_key``).
 
     A block's Hall subgroup is forced, and no lattice is read, when the
     subgroup R_i generated by the block's elements (``_block_generated``,
@@ -213,7 +223,7 @@ def _hall_data(G: Group, sigma: SigmaPartition, limits: Limits):
         table = _element_table(G.root, limits)
         gens = table.gens_of(G)
         blocks = []
-        for bid, ps, part in _order_blocks(G.order, sigma):
+        for _, ps, part in _order_blocks(G.order, sigma):
             forced = _block_generated(G, ps, limits)
             if forced.bit_count() == part:
                 candidates, classes = (forced,), ((forced,),)
@@ -221,10 +231,10 @@ def _hall_data(G: Group, sigma: SigmaPartition, limits: Limits):
                 # the lattice is sorted canonically, so the candidates are too
                 candidates = tuple(h.mask for h in subgroups_of_order(G, part, limits))
                 classes = _conjugacy_classes(table, candidates, gens)
-            blocks.append({"id": bid, "primes": ps, "part": part,
+            blocks.append({"primes": ps, "part": part,
                            "candidates": candidates, "classes": classes})
         return blocks
-    return _memo(G, limits, compute, "hall-data", sigma.text(), limits)
+    return _memo(G, limits, compute, "hall-data", _sigma_key(G, sigma), limits)
 
 
 def _conjugacy_classes(table: _ElementTable, masks: Sequence[int],
@@ -255,14 +265,16 @@ class HallSigmaSet:
 
 def complete_hall_sigma_set(G: Group, sigma: SigmaPartition,
                             limits: Limits = DEFAULT_LIMITS) -> HallSigmaSet | None:
-    """Canonical complete Hall sigma-set (least member per block), or None."""
+    """Canonical complete Hall sigma-set (least member per block), or None.
+    Each member is named by the caller's block id, read off ``_order_blocks``,
+    whose blocks come in the order of the Hall data's."""
     members = []
     total = 1
-    for block in _hall_data(G, sigma, limits):
+    for (bid, _, _), block in zip(_order_blocks(G.order, sigma), _hall_data(G, sigma, limits)):
         if not block["candidates"]:
             return None
         sub = _greedy_subgroup(G, block["candidates"][0], limits)
-        members.append((block["id"], sub))
+        members.append((bid, sub))
         total *= sub.order
     if total != G.order:
         raise InvariantError(f"Hall sigma-set member orders multiply to {total}, not {G.order}")
@@ -337,7 +349,7 @@ def psigma_t_violation(G: Group, sigma: SigmaPartition,
             if k is not None:
                 return k, h
         return None
-    return _memo(G, limits, compute, "psigma-t", sigma.text(), limits)
+    return _memo(G, limits, compute, "psigma-t", _sigma_key(G, sigma), limits)
 
 
 def is_psigma_t(G: Group, sigma: SigmaPartition, limits: Limits = DEFAULT_LIMITS) -> bool:
@@ -357,9 +369,8 @@ def is_sigma_soluble(G: Group, sigma: SigmaPartition,
     """Every chief factor is sigma-primary.  The descending O^{sigma_i}
     series of ``structure._descends_to_one`` over the blocks of sigma(G)
     decides, and no chief series or normal lattice is built."""
-    blocks = [ps for _, ps, _ in _order_blocks(G.order, sigma)]
-    return _memo(G, limits, lambda: _descends_to_one(G, blocks, limits),
-                 "sigma-soluble", sigma.text())
+    blocks = _sigma_key(G, sigma)
+    return _memo(G, limits, lambda: _descends_to_one(G, blocks, limits), "sigma-soluble", blocks)
 
 
 def is_sigma_nilpotent(G: Group, sigma: SigmaPartition,
@@ -411,7 +422,7 @@ def _quotient_is_sigma_nilpotent(G: Group, N: Subgroup, sigma: SigmaPartition,
                 if r.bit_count() != (r & N.mask).bit_count() * part:
                     return False
         return True
-    return _memo(G, limits, compute, "sigma-nilpotent", sigma.text(), N.mask)
+    return _memo(G, limits, compute, "sigma-nilpotent", _sigma_key(G, sigma), N.mask)
 
 
 def sigma_nilpotent_residual(G: Group, sigma: SigmaPartition,
@@ -442,7 +453,7 @@ def sigma_nilpotent_residual(G: Group, sigma: SigmaPartition,
         if not (_is_normal_in(table, G, D) and _quotient_is_sigma_nilpotent(G, D, sigma, limits)):
             raise InvariantError("residual: not normal, or the quotient is not sigma-nilpotent")
         return D
-    return _memo(G, limits, compute, "sigma-residual", sigma.text())
+    return _memo(G, limits, compute, "sigma-residual", _sigma_key(G, sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -465,34 +476,43 @@ def sigma_full_sylow_type_violation(G: Group, sigma: SigmaPartition,
     scan meets E's subgroups in the order of E's own lattice.  Only the
     conjugates of the least Hall subgroup are needed.  E's own lattice is
     the down-set of G's (see ``all_subgroups``), so an uncovered subgroup is
-    reported with the generators of its entry in G's."""
-    table = _element_table(G.root, limits)
-    by_order = _lattice_by_order(G, limits)
-    for e_sub in all_subgroups(G, limits):
-        e = e_sub.mask
-        for bid, _, part in _order_blocks(e_sub.order, sigma):
-            if part == e_sub.order:
-                continue
-            hall = next((k.mask for k in by_order.get(part, ()) if k.mask & e == k.mask), None)
-            if hall is None:
-                return {"subgroup": e_sub.generators, "block": bid, "missing_hall": True}
-            conjugates = table.conjugates(hall, table.gens_of(e_sub))
-            for d, subs in by_order.items():
-                if part % d:
+    reported with the generators of its entry in G's.
+
+    The scan is memoised by ``_sigma_key`` and the caller's limits (it reads
+    the lattice), so it records the block's primes, and the block is
+    reported by the caller's id of its least prime."""
+    def compute():
+        table = _element_table(G.root, limits)
+        by_order = _lattice_by_order(G, limits)
+        for e_sub in all_subgroups(G, limits):
+            e = e_sub.mask
+            for _, ps, part in _order_blocks(e_sub.order, sigma):
+                if part == e_sub.order:
                     continue
-                for k in subs:
-                    if k.mask & e == k.mask and not any(c & k.mask == k.mask for c in conjugates):
-                        return {"subgroup": e_sub.generators, "block": bid,
-                                "uncovered": k.generators}
-    return None
+                hall = next((k.mask for k in by_order.get(part, ()) if k.mask & e == k.mask), None)
+                if hall is None:
+                    return {"subgroup": e_sub.generators, "block": ps, "missing_hall": True}
+                conjugates = table.conjugates(hall, table.gens_of(e_sub))
+                for d, subs in by_order.items():
+                    if part % d:
+                        continue
+                    for k in subs:
+                        if k.mask & e == k.mask and not any(c & k.mask == k.mask
+                                                            for c in conjugates):
+                            return {"subgroup": e_sub.generators, "block": ps,
+                                    "uncovered": k.generators}
+        return None
+    violation = _memo(G, limits, compute, "sylow-type", _sigma_key(G, sigma), limits)
+    return violation and {**violation, "block": sigma.block_id(min(violation["block"]))}
 
 
 def _pi_partition(order: int, pi) -> SigmaPartition:
     """The partition {pi, pi'} on a group of this order: pi n pi(G) as one
     listed block, and pi' in the rest block; no block when pi n pi(G) is
-    empty.  It is the one spelling of the pair, so pi-separability and
-    sigma-solubility share their memo, and it labels a pi-scope row
-    whatever its verdict."""
+    empty.  Every sigma memo is keyed by the blocks inside pi(G)
+    (``_sigma_key``), so any spelling of {pi, pi'}, this one included,
+    shares the sigma-solubility memo with pi-separability; this function
+    stays as the one label of a pi-scope row, whatever its verdict."""
     pi_in = frozenset(pi) & primes_of(order)
     return SigmaPartition.of_blocks(pi_in) if pi_in else SigmaPartition()
 

@@ -154,7 +154,7 @@ def reference_hall_data(G, sigma, limits):
     root's table."""
     table = _element_table(G.root, limits)
     blocks = []
-    for bid, ps, part in sigma_module._order_blocks(G.order, sigma):
+    for _, ps, part in sigma_module._order_blocks(G.order, sigma):
         # all_subgroups is sorted canonically, so the candidates are too
         candidates = tuple(h.mask for h in all_subgroups(G, limits) if h.order == part)
         cand_sets = [image_set(table, mask) for mask in candidates]
@@ -166,7 +166,7 @@ def reference_hall_data(G, sigma, limits):
                 unassigned.difference_update(orbit)
                 classes.append(tuple(table.mask_of(map(table.index.__getitem__, c))
                                      for c in orbit))
-        blocks.append({"id": bid, "primes": ps, "part": part,
+        blocks.append({"primes": ps, "part": part,
                        "candidates": candidates, "classes": tuple(classes)})
     return blocks
 

@@ -635,6 +635,25 @@ def test_campaign_theorem_a_rows_are_mostly_forced(corpus, campaign):
         {"C3xA4": 4, "C3xS4": 4}
 
 
+def test_every_sigma1_row_equals_its_singleton_partition_row(corpus, campaign):
+    """sigma1 and the listed partition of one block per prime of |G| have
+    the same blocks inside pi(G), with the same ids, so every sigma-scope
+    row at sigma1 equals the group's row at the singleton partition in every
+    field but ``sigma``, witnesses included.  Groups with more primes than
+    ``PARTITION_PRIME_CAP`` have no singleton row."""
+    rows = {(r["group"], r["sigma"], r["statement_id"]): r for r in campaign["rows"]}
+    pairs = 0
+    for (name, label, sid), row in rows.items():
+        if label != "sigma1" or harness.REGISTRY[sid].scope != "sigma":
+            continue
+        primes = primes_of(corpus[name].expected_order)
+        singleton = SigmaPartition.of_blocks(*({p} for p in primes)).text()
+        if len(primes) <= harness.PARTITION_PRIME_CAP:
+            assert {**rows[name, singleton, sid], "sigma": label} == row, (name, sid)
+            pairs += 1
+    assert pairs == 405
+
+
 @pytest.mark.parametrize("jobs", [0, -1, 2.5, True], ids=repr)
 def test_campaign_config_refuses_a_bad_job_count(jobs):
     """The config is the one check of the job count, for the command line

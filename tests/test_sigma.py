@@ -32,8 +32,9 @@ from sigmagroups.sigma import (SigmaPartition, complete_hall_sigma_set,
                                sigma_nilpotent_residual, sigma_of_group,
                                sigma_of_int, sigma_permutable_sets)
 from sigmagroups.corpus import partitions_of_primes
-from sigmagroups.harness import (campaign_sigmas, verify_lemma_2_2, verify_lemma_2_3,
-                                 verify_lemma_2_4)
+from sigmagroups import harness as harness_module
+from sigmagroups.harness import (campaign_sigmas, run_statements, verify_lemma_2_2,
+                                 verify_lemma_2_3, verify_lemma_2_4)
 from sigmagroups.structure import (all_subgroups, hall_subgroup, is_normal, normal_subgroups,
                                    quotient_group, sylow_subgroup)
 
@@ -51,6 +52,29 @@ def test_blocks_are_normalized_and_sorted():
     s = SigmaPartition.of_blocks({5}, {3, 2})
     assert s.blocks == (frozenset({2, 3}), frozenset({5}))
     assert s.text() == "[2,3][5]"
+
+
+@pytest.mark.parametrize("name", ["S4", "A5"])
+@pytest.mark.parametrize("blocks", [({2, 3},), ({2}, {3}), ([5, 3], {2})], ids=str)
+def test_a_partition_of_plain_sets_gives_the_verdicts_of_of_blocks(name, blocks):
+    """Blocks handed to the constructor as sets or lists are frozen, so the
+    partition hashes, equals its ``of_blocks`` spelling, and gives the same
+    verdicts, asked first on a fresh root so that it computes them."""
+    plain, frozen = SigmaPartition(blocks=blocks), SigmaPartition.of_blocks(*blocks)
+    assert (plain, hash(plain), plain.text()) == (frozen, hash(frozen), frozen.text())
+    assert all(type(b) is frozenset for b in plain.blocks)
+
+    def verdicts(sigma):
+        clear_intern_cache()
+        G = builtin_entry(name).build()
+        hall_set = complete_hall_sigma_set(G, sigma)
+        return (is_sigma_soluble(G, sigma), is_sigma_nilpotent(G, sigma),
+                is_psigma_t(G, sigma), sigma_nilpotent_residual(G, sigma).order,
+                sigma_full_sylow_type_violation(G, sigma),
+                hall_set and hall_set.member_orders())
+
+    assert verdicts(plain) == verdicts(frozen)
+    clear_intern_cache()
 
 
 def test_partition_validation():
@@ -586,12 +610,15 @@ _naive_orbit = functools.lru_cache(maxsize=None)(oracles.conjugate_orbit)
 def per_subgroup_violation(G, sigma, limits=Limits()):
     """Lem2.1 as first written: the lattice and Hall data of every subgroup E
     of G, each computed on E as an ambient of its own, with the E-conjugates
-    of a Hall subgroup from the naive orbit walk of the oracle."""
+    of a Hall subgroup from the naive orbit walk of the oracle.  The Hall
+    data carries no block id, so each block's id is read off
+    ``_order_blocks``, whose blocks come in the Hall data's order."""
     table = structure_module._element_table(G.root, limits)
     for e_sub in all_subgroups(G, limits):
-        for block in sigma_module._hall_data(e_sub, sigma, limits):
+        for (bid, _, _), block in zip(sigma_module._order_blocks(e_sub.order, sigma),
+                                      sigma_module._hall_data(e_sub, sigma, limits)):
             if not block["candidates"]:
-                return {"subgroup": e_sub.generators, "block": block["id"],
+                return {"subgroup": e_sub.generators, "block": bid,
                         "missing_hall": True}
             conjugates = _naive_orbit(tuple(g.images for g in e_sub.generators),
                                       image_set(table, block["candidates"][0]))
@@ -599,7 +626,7 @@ def per_subgroup_violation(G, sigma, limits=Limits()):
                 if primes_of(cand.order) <= block["primes"] and cand.order > 1:
                     members = cand.element_images()
                     if not any(c.issuperset(members) for c in conjugates):
-                        return {"subgroup": e_sub.generators, "block": block["id"],
+                        return {"subgroup": e_sub.generators, "block": bid,
                                 "uncovered": cand.generators}
     return None
 
@@ -717,9 +744,12 @@ def test_a_normal_hall_subgroup_permutes_without_a_test(corpus, monkeypatch, nam
 def test_a_builtin_campaign_walks_each_pi_partition_once_per_group(monkeypatch):
     """Lemma 2.2 asks pi-separability at every pi, and that is
     sigma-solubility at {pi, pi'}, so the walk it needs is read from the
-    sigma-solubility memo when a sigma-scope row asked it first: a builtin
-    campaign walks 309 descending series, where a pi-separability with a
-    walk of its own makes 354."""
+    sigma-solubility memo when a sigma-scope row asked it first.  That memo
+    is keyed by sigma(G) as prime sets, so every partition with the same
+    blocks inside pi(G), sigma1 and the singleton partition among them,
+    shares one walk: a builtin campaign walks 138 descending series, where
+    a memo keyed by partition text makes 309, and a pi-separability with a
+    walk of its own 354."""
     walks = []
     walk = structure_module._descends_to_one
 
@@ -732,7 +762,38 @@ def test_a_builtin_campaign_walks_each_pi_partition_once_per_group(monkeypatch):
     monkeypatch.setattr(sigma_module, "_descends_to_one", counting)
     clear_intern_cache()  # no sigma-solubility memo left by an earlier test
     run_campaign(builtin_corpus(), CampaignConfig(jobs=1, zero_millis=True))
-    assert len(walks) == 309
+    assert len(walks) == 138
+
+
+SIGMA_MEMOS = {"hall-data", "psigma-t", "sigma-soluble", "sigma-nilpotent", "sigma-residual",
+               "sylow-type"}
+
+
+@pytest.mark.parametrize("name, kinds", [
+    ("S4", SIGMA_MEMOS), ("SL(2,3)", SIGMA_MEMOS), ("C3xS4", SIGMA_MEMOS),
+    ("A5", {"sigma-soluble", "sigma-nilpotent", "sigma-residual"})])
+def test_sigma1_rows_compute_no_sigma_memo_after_the_singleton_rows(name, kinds, monkeypatch):
+    """sigma1 and the partition of one listed block per prime of |G| have
+    the same blocks inside pi(G), and every sigma memo is keyed by those
+    blocks as prime sets.  So once a group's sigma-scope rows have run at
+    the singleton partition, its sigma1 rows compute no memo at all: no
+    Hall data, PsigmaT, sigma-solubility, sigma-nilpotency, residual or
+    Lemma 2.1 scan.  A5 is not sigma-soluble, so it has no PsigmaT or
+    Lemma 2.1 scan to share."""
+    clear_intern_cache()  # nothing cached on the group by an earlier test
+    G = builtin_entry(name).build()
+    computed = []
+    memo = sigma_module._memo
+    monkeypatch.setattr(sigma_module, "_memo", lambda G, limits, compute, *key: memo(
+        G, limits, lambda: computed.append(key[0]) or compute(), *key))
+    sigma_scope = [sid for sid, st in harness_module.REGISTRY.items() if st.scope == "sigma"]
+    singleton = SigmaPartition.of_blocks(*({p} for p in primes_of(G.order)))
+    run_statements(G, name, sigma_scope, sigmas=[singleton])
+    assert set(computed) & SIGMA_MEMOS == kinds
+    computed.clear()
+    run_statements(G, name, sigma_scope, sigmas=[S1])
+    assert computed == []
+    clear_intern_cache()
 
 
 def test_largest_normal_block_subgroup(corpus):

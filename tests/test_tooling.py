@@ -298,17 +298,53 @@ def test_structure_and_sigma_cache_only_through_memo():
 def test_sigma_memo_keys_carry_limits_only_for_lattice_reads():
     """``_memo(G, limits, compute, kind, ...)`` checks the table bound on
     every read, so a result that reads only the root's table is cached
-    once per root and mask, with no limits in its key.  Only the two
+    once per root and mask, with no limits in its key.  Only the three
     computes that read a lattice, and so may reach the subgroup bound, key
-    on the caller's limits."""
+    on the caller's limits: the Hall data, PsigmaT and the Lemma 2.1 scan."""
     keyed = {}
     for node in module_nodes("sigma.py"):
         if isinstance(node, ast.Call) and callee(node) == "_memo":
             kind, *rest = node.args[3:]
             keyed[kind.value] = any(isinstance(k, ast.Name) and k.id == "limits" for k in rest)
-    assert {kind for kind, has_limits in keyed.items() if has_limits} == {"hall-data", "psigma-t"}
+    assert {kind for kind, has_limits in keyed.items() if has_limits} == \
+        {"hall-data", "psigma-t", "sylow-type"}
     assert set(keyed) == {"hall-data", "psigma-t", "sigma-soluble", "block-generated",
-                          "sigma-nilpotent", "sigma-residual", "class-closures"}
+                          "sigma-nilpotent", "sigma-residual", "class-closures", "sylow-type"}
+
+
+SIGMA_MEMOS = {"hall-data", "psigma-t", "sigma-soluble", "sigma-nilpotent", "sigma-residual",
+               "sylow-type"}
+
+
+def test_every_sigma_memo_is_keyed_by_sigma_key():
+    """Every memo whose result depends on the partition takes its key from
+    ``sigma._sigma_key``, sigma(G) as prime sets, as a call or as a name
+    bound to one, so partitions that agree on pi(G) share one result.  No
+    partition text keys a memo: in ``sigma.py`` only ``SigmaPartition.__str__``
+    calls ``text``."""
+    def is_key_call(node):
+        return isinstance(node, ast.Call) and callee(node) == "_sigma_key"
+
+    tree = ast.parse((ROOT / "src" / "sigmagroups" / "sigma.py").read_text(encoding="utf-8"))
+    kinds = set()
+    text_callers = set()
+    for top in tree.body:
+        for member in top.body if isinstance(top, ast.ClassDef) else [top]:
+            nodes = list(ast.walk(member))
+            bound = {target.id for node in nodes if isinstance(node, ast.Assign)
+                     and is_key_call(node.value) for target in node.targets}
+            for node in nodes:
+                if not isinstance(node, ast.Call):
+                    continue
+                if callee(node) == "text" and isinstance(node.func, ast.Attribute):
+                    text_callers.add(member.name)
+                if callee(node) == "_memo" and node.args[3].value in SIGMA_MEMOS:
+                    kinds.add(node.args[3].value)
+                    key = node.args[4]
+                    assert is_key_call(key) or isinstance(key, ast.Name) and key.id in bound, \
+                        node.args[3].value
+    assert kinds == SIGMA_MEMOS
+    assert text_callers == {"__str__"}
 
 
 def test_element_orders_come_from_cycle_types():

@@ -110,6 +110,15 @@ MUTANTS = (
            "any(h.mask & both == both for h in subgroups_of_order(G, n, limits))",
            "any(h.mask & A.mask == A.mask for h in subgroups_of_order(G, n, limits))",
            ("tests/test_sigma.py",)),
+    # every sigma memo is keyed by all the blocks of sigma(G), and a Lemma 2.1
+    # violation recorded by its block's primes is reported by the caller's id
+    Mutant("sigma-key-first-block", "src/sigmagroups/sigma.py",
+           "    return tuple(ps for _, ps, _ in _order_blocks(G.order, sigma))\n",
+           "    return tuple(ps for _, ps, _ in _order_blocks(G.order, sigma))[:1]\n",
+           ("tests/test_sigma.py",)),
+    Mutant("sylow-type-block-id", "src/sigmagroups/sigma.py",
+           '"block": sigma.block_id(min(violation["block"]))}', '"block": violation["block"]}',
+           ("tests/test_sigma.py",)),
     # a block's Hall subgroup is forced only when R_i has the block's order
     Mutant("hall-forced-block", "src/sigmagroups/sigma.py",
            "            if forced.bit_count() == part:", "            if forced.bit_count() >= part:",
