@@ -37,11 +37,11 @@ lattice is built:
   classes of D that are sigma_i-groups; it serves the library, and the
   Lemma 2.5 verifier reads it in G's normal lattice
   (``harness._block_core``);
-- sigma-solubility walks a descending series of subgroups generated by
-  elements, with no chief series: the walk is
-  ``structure._descends_to_one``, which also decides classical
-  solubility, one block per prime; pi-separability is sigma-solubility
-  at the partition {pi, pi'} (``_pi_partition``), and shares its memo.
+- sigma-solubility at every sigma reads one per-group fact with no chief
+  series, ``structure._insoluble_primes``: the primes of the nonabelian
+  chief factors, which must lie in one block of sigma.  It has no sigma
+  memo, and classical solubility and pi-separability, sigma-solubility at
+  the partition {pi, pi'} (``_pi_partition``), read the same fact.
 
 The Hall data of a block whose Hall subgroup is forced (all of G, or a
 normal R_i) needs no subgroup lattice, and neither does PsigmaT of a
@@ -62,12 +62,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (_TOO_LONG, BLOCK_DIGITS, DEFAULT_LIMITS, GroupInputError, InvariantError,
-                     Limits, _check_prime)
+                     Limits, _check_count, _check_prime)
 from .numbers import part_for_primes, primes_of
 from .permcore import Subgroup, trivial_subgroup
-from .structure import (Group, _ElementTable, _check_inside, _class_closures, _descends_to_one,
-                        _element_table, _greedy_subgroup, _is_normal_in, _lattice_by_order, _memo,
-                        all_subgroups, subgroups_of_order)
+from .structure import (Group, _ElementTable, _check_inside, _class_closures, _element_table,
+                        _greedy_subgroup, _insoluble_primes, _is_normal_in, _lattice_by_order,
+                        _memo, all_subgroups, subgroups_of_order)
 
 # ---------------------------------------------------------------------------
 # partitions
@@ -170,7 +170,9 @@ def _block_number(token: str) -> int:
 
 
 def sigma_of_int(n: int, sigma: SigmaPartition) -> frozenset[str]:
-    """Block ids met by the primes of n, read off ``_order_blocks``."""
+    """Block ids met by the primes of n, read off ``_order_blocks``; n is a
+    count, so anything but an int of at least 1 is a GroupInputError."""
+    _check_count("n", n)
     return frozenset(bid for bid, _, _ in _order_blocks(n, sigma))
 
 
@@ -366,11 +368,11 @@ def is_psigma_t(G: Group, sigma: SigmaPartition, limits: Limits = DEFAULT_LIMITS
 
 def is_sigma_soluble(G: Group, sigma: SigmaPartition,
                      limits: Limits = DEFAULT_LIMITS) -> bool:
-    """Every chief factor is sigma-primary.  The descending O^{sigma_i}
-    series of ``structure._descends_to_one`` over the blocks of sigma(G)
-    decides, and no chief series or normal lattice is built."""
-    blocks = _sigma_key(G, sigma)
-    return _memo(G, limits, lambda: _descends_to_one(G, blocks, limits), "sigma-soluble", blocks)
+    """Every chief factor is sigma-primary: one block of sigma holds P(G),
+    the primes of the nonabelian chief factors of G, read from the one
+    per-group memo of ``structure._insoluble_primes``, which serves every
+    sigma.  No chief series or normal lattice is built."""
+    return len({sigma.block_id(p) for p in _insoluble_primes(G, limits)}) <= 1
 
 
 def is_sigma_nilpotent(G: Group, sigma: SigmaPartition,
@@ -509,19 +511,19 @@ def sigma_full_sylow_type_violation(G: Group, sigma: SigmaPartition,
 def _pi_partition(order: int, pi) -> SigmaPartition:
     """The partition {pi, pi'} on a group of this order: pi n pi(G) as one
     listed block, and pi' in the rest block; no block when pi n pi(G) is
-    empty.  Every sigma memo is keyed by the blocks inside pi(G)
-    (``_sigma_key``), so any spelling of {pi, pi'}, this one included,
-    shares the sigma-solubility memo with pi-separability; this function
-    stays as the one label of a pi-scope row, whatever its verdict."""
+    empty.  Its sigma-solubility, pi-separability, reads the one per-group
+    fact P(G) as every partition does, so nothing is computed per pi; this
+    function stays as the one label of a pi-scope row, whatever its
+    verdict."""
     pi_in = frozenset(pi) & primes_of(order)
     return SigmaPartition.of_blocks(pi_in) if pi_in else SigmaPartition()
 
 
 def is_pi_separable(G: Group, pi, limits: Limits = DEFAULT_LIMITS) -> bool:
     """Every chief factor is a pi-group or a pi'-group: sigma-solubility at
-    ``_pi_partition``, so the answer is read from or kept in the
-    ``is_sigma_soluble`` memo.  Every prime of pi is checked, also one
-    that does not divide |G|."""
+    ``_pi_partition``, so the answer is read off P(G), the one per-group
+    fact of ``structure._insoluble_primes``.  Every prime of pi is
+    checked, also one that does not divide |G|."""
     pi = frozenset(map(_check_prime, pi))
     return is_sigma_soluble(G, _pi_partition(G.order, pi), limits)
 

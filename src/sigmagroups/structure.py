@@ -23,12 +23,13 @@ orbit order under given generators, each with an element conjugating the
 subgroup onto it.  The join-closure kernel, ``conjugate_image_sets`` and
 ``sigma``'s Hall classes and Hall coverage all read their classes off it.
 
-Solubility, classical or relative to a partition of the primes, is one walk
-down a series of subgroups generated by elements, ``_descends_to_one``,
-which ``sigma`` imports with the generation by element orders
-(``_ElementTable.generated_by_orders``) and the normal closures of
-conjugacy classes (``_class_closures``), the first step of the normal
-lattice.
+Solubility, classical or relative to any partition of the primes, reads
+one memoised fact per group, ``_insoluble_primes``: the primes of the
+nonabelian chief factors, found by one walk per prime down a series of
+subgroups generated by elements.  ``sigma`` imports it with the generation
+by element orders (``_ElementTable.generated_by_orders``) and the normal
+closures of conjugacy classes (``_class_closures``), the first step of the
+normal lattice.
 
 Derived results, the element table and wrapped ``Subgroup`` and
 ``QuotientGroup`` values included, are cached once, on the root per member
@@ -334,44 +335,51 @@ def derived_subgroup(G: Group) -> Subgroup:
 
 
 def is_soluble(G: Group, limits: Limits = DEFAULT_LIMITS) -> bool:
-    """Solubility is sigma-solubility for the partition with one prime per
-    block, so it is the walk of ``_descends_to_one`` with a block for each
-    prime of |G|, on the root's table got under ``limits``."""
-    return _descends_to_one(G, [frozenset({p}) for p in sorted(primes_of(G.order))], limits)
+    """G is soluble exactly when it has no nonabelian chief factor, that is
+    when ``_insoluble_primes`` is empty."""
+    return not _insoluble_primes(G, limits)
 
 
-def _descends_to_one(G: Group, blocks: Sequence[frozenset[int]], limits: Limits) -> bool:
-    """Is G sigma-soluble for a partition whose blocks inside pi(G) are
-    ``blocks``?
+def _insoluble_primes(G: Group, limits: Limits) -> frozenset[int]:
+    """P(G), the primes that divide some nonabelian chief factor of G: the
+    one per-group fact behind solubility, sigma-solubility at every sigma
+    and pi-separability.  An abelian chief factor is a p-group, so it is
+    sigma-primary at every sigma; a nonabelian one is sigma-primary exactly
+    when one block of sigma holds its primes.  Every nonabelian chief factor
+    has even order (Feit-Thompson), so they all share the prime 2, and G is
+    sigma-soluble exactly when P(G) lies in one block of sigma.
 
-    Start with X = G.  While some block's O^{sigma_i}(X), the subgroup
-    generated by the elements of X whose order has no prime in sigma_i, is
-    smaller than X, replace X by it; G is sigma-soluble exactly when this
-    reaches X = 1.  Each term is characteristic in the one before, so the
-    series is normal in G, and X/O^{sigma_i}(X) is a sigma_i-group: each
-    element of X is its sigma_i-part times its sigma_i'-part, which lies in
-    O^{sigma_i}(X).  So a series reaching 1 refines to a chief series with
-    sigma-primary factors.  If it stalls at X != 1, X is sigma-soluble when
-    G is (the class is subgroup-closed), so some chief factor X/M of X on
-    top is sigma_i-primary; then O^{sigma_i}(X) <= M < X, a contradiction.
-    With at most one block G is sigma-primary, so the answer is yes at once.
-    The element orders and the generation run on the root's table, got as
-    ``_element_table`` gets it under ``limits``; the table bound is checked
-    also when the answer needs no table."""
-    if len(blocks) <= 1:
-        _check_table_room(G.root.order, limits)
-        return True
-    table = _element_table(G.root, limits)
-    x = G.mask
-    while x != 1:
-        for ps in blocks:
-            y = table.generated_by_orders(x, ps.isdisjoint)
-            if y != x:
-                x = y
-                break
-        else:
-            return False
-    return True
+    A prime q of |G| is in P(G) exactly when the walk at the partition
+    {q} | pi(G) - {q} stalls above 1.  Start with X = G and replace X by
+    O^q(X), then by O^{q'}(X), each generated by the elements of X whose
+    order has no prime of the block, until X = 1 or a round leaves X as it
+    was.  Each term is characteristic in the one before, so the series is
+    normal in G, and each factor is a q-group or a q'-group: each element
+    of X is its q-part times its q'-part.  If q divides no nonabelian chief
+    factor, every chief factor of G is a q-group or a q'-group, so the
+    class of groups with such a chief series holds X and every term below
+    it; a chief factor X/M of X on top is then a q-group or a q'-group, and
+    one of O^q(X), O^{q'}(X) lies in M < X, so the walk reaches 1.  If q
+    divides a nonabelian chief factor, that factor has at least two more
+    primes (Burnside's p^a q^b theorem), so no series of q-groups and
+    q'-groups passes it, and the walk stalls.  No chief series or normal
+    lattice is built; the walks run on the root's table, got as
+    ``_element_table`` gets it under ``limits``, and P(G) is a ``_memo``
+    read keyed by neither a partition nor limits."""
+    def compute():
+        table = _element_table(G.root, limits)
+        primes = primes_of(G.order)
+        stalled = set()
+        for q in primes:
+            x, last = G.mask, 0
+            while x not in (1, last):
+                last = x
+                for ps in ({q}, primes - {q}):
+                    x = table.generated_by_orders(x, ps.isdisjoint)
+            if x != 1:
+                stalled.add(q)
+        return frozenset(stalled)
+    return _memo(G, limits, compute, "insoluble-primes")
 
 
 # ---------------------------------------------------------------------------

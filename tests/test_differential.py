@@ -177,12 +177,24 @@ def unordered_classes(blocks):
     return [{**block, "classes": tuple(map(frozenset, block["classes"]))} for block in blocks]
 
 
+def reference_insoluble_primes(G):
+    """P(G) read off one greedy chief series of G: the primes of its factors
+    with two or more primes, which are the nonabelian ones."""
+    return frozenset().union(*(f.prime_support for f in chief_series(G)
+                               if len(f.prime_support) > 1))
+
+
 def assert_sigma_verdicts_match_references(G, subgroups):
-    """Sigma-solubility of each subgroup and the Hall data of G at every
-    campaign partition, and pi-separability of G for every set of its
+    """P of each subgroup, the one fact every sigma-solubility verdict
+    reads, and sigma-solubility of each subgroup and the Hall data of G at
+    every campaign partition, and pi-separability of G for every set of its
     primes, also with a prime not dividing |G| added, against the
     chief-series and lattice-filter references; pi-separability is
-    sigma-solubility at ``_pi_partition``."""
+    sigma-solubility at ``_pi_partition``.  The chief-series check at every
+    partition stays as the per-sigma reference of the one fact."""
+    for H in subgroups:
+        assert structure._insoluble_primes(H, Limits()) == reference_insoluble_primes(H), \
+            H.generators
     for sigma in campaign_sigmas(G):
         for H in subgroups:
             assert is_sigma_soluble(H, sigma) == reference_is_sigma_soluble(H, sigma), \

@@ -654,6 +654,44 @@ def test_every_sigma1_row_equals_its_singleton_partition_row(corpus, campaign):
     assert pairs == 405
 
 
+def test_sigma_solubility_rows_agree_across_statements_and_partitions(corpus, campaign):
+    """Lem2.1's premise, Lem2.2's pi-separability and ThmA.i's class are all
+    sigma-solubility, and ThmA.ii's class is sigma-nilpotency, so the rows
+    of one group agree:
+
+    (a) at every (group, sigma), Lem2.1 skips on its premise exactly when
+        ThmA.i is not vacuous, that is when G is not sigma-soluble;
+    (b) Lem2.2's ``pi_separable`` is ThmA.i's ``vacuous`` at the campaign
+        partition {pi n pi(G), pi(G) - pi}, when both parts are nonempty;
+    (c) both classes are closed under coarsening, so a ThmA.i or ThmA.ii row
+        that is vacuous at a listed partition is vacuous at every coarser
+        listed one (sigma1 is the singleton partition again, and is left
+        out)."""
+    rows = {(r["group"], r["sigma"], r["statement_id"]): r for r in campaign["rows"]}
+    pairs = Counter()
+    for (name, label, sid), row in rows.items():
+        if sid == "Lem2.1":
+            premise_skip = row["verdict"] == "skipped" and row["vacuous"]
+            assert premise_skip == (not rows[name, label, "ThmA.i"]["vacuous"]), (name, label)
+            pairs["a"] += 1
+        elif sid == "Lem2.2":
+            primes = primes_of(corpus[name].expected_order)
+            pi = frozenset(row["witness"]["pi"]) & primes
+            if pi and primes - pi:
+                sigma = SigmaPartition.of_blocks(pi, primes - pi).text()
+                assert row["witness"]["pi_separable"] == rows[name, sigma, "ThmA.i"]["vacuous"], \
+                    (name, sigma)
+                pairs["b"] += 1
+        elif sid in ("ThmA.i", "ThmA.ii") and row["vacuous"] and label != "sigma1":
+            blocks = parse_sigma(label).blocks
+            for (other, coarser, other_sid), other_row in rows.items():
+                if ((other, other_sid) == (name, sid) and coarser not in (label, "sigma1")
+                        and all(any(b <= c for c in parse_sigma(coarser).blocks) for b in blocks)):
+                    assert other_row["vacuous"], (name, sid, label, coarser)
+                    pairs[sid] += 1
+    assert pairs == {"a": 136, "b": 80, "ThmA.i": 36, "ThmA.ii": 6}
+
+
 @pytest.mark.parametrize("jobs", [0, -1, 2.5, True], ids=repr)
 def test_campaign_config_refuses_a_bad_job_count(jobs):
     """The config is the one check of the job count, for the command line

@@ -200,6 +200,16 @@ def test_sigma_of_and_primary(corpus):
     assert sigma_of_group(corpus["A5"].build(), parse_sigma("[2,5][3]")) == {"2,5", "3"}
 
 
+@pytest.mark.parametrize("read", [sigma_of_int, is_sigma_primary])
+@pytest.mark.parametrize("n, message", [(0, "at least 1, got 0"), (-12, "at least 1, got -12"),
+                                        (True, "an int, got True"), (12.0, "an int, got 12.0")])
+def test_sigma_of_int_refuses_what_is_not_a_count(read, n, message):
+    """An order is an int of at least 1, checked as every count is: 0 is
+    no bare ValueError from the trial division, and True is not read as 1."""
+    with pytest.raises(GroupInputError, match=f"^n must be {message}$"):
+        read(n, parse_sigma("[2]"))
+
+
 # ---------------------------------------------------------------------------
 # Hall sigma-sets
 
@@ -742,54 +752,58 @@ def test_a_normal_hall_subgroup_permutes_without_a_test(corpus, monkeypatch, nam
 
 
 def test_a_builtin_campaign_walks_each_pi_partition_once_per_group(monkeypatch):
-    """Lemma 2.2 asks pi-separability at every pi, and that is
-    sigma-solubility at {pi, pi'}, so the walk it needs is read from the
-    sigma-solubility memo when a sigma-scope row asked it first.  That memo
-    is keyed by sigma(G) as prime sets, so every partition with the same
-    blocks inside pi(G), sigma1 and the singleton partition among them,
-    shares one walk: a builtin campaign walks 138 descending series, where
-    a memo keyed by partition text makes 309, and a pi-separability with a
-    walk of its own 354."""
+    """Solubility, sigma-solubility at every sigma and pi-separability at
+    every pi (Lemma 2.2) all read one per-group fact, P(G), the primes of
+    the nonabelian chief factors, memoised with no partition in its key.
+    It walks one series per prime q of |G|, at {q} | pi(G) - {q}: a builtin
+    campaign computes it on 47 subgroups and walks 82 series, where a
+    sigma-solubility memo keyed by sigma(G) walked 138, one keyed by
+    partition text 309, and a pi-separability with a walk of its own 354."""
     walks = []
-    walk = structure_module._descends_to_one
+    memo = structure_module._memo
 
-    def counting(*args):
-        walks.append(args)
-        return walk(*args)
+    def counting(G, limits, compute, *key):
+        if key[0] == "insoluble-primes":
+            return memo(G, limits, lambda: walks.append(len(primes_of(G.order))) or compute(),
+                        *key)
+        return memo(G, limits, compute, *key)
 
-    # sigma reads the walk by its own name, and structure's is_soluble by its
-    monkeypatch.setattr(structure_module, "_descends_to_one", counting)
-    monkeypatch.setattr(sigma_module, "_descends_to_one", counting)
-    clear_intern_cache()  # no sigma-solubility memo left by an earlier test
+    monkeypatch.setattr(structure_module, "_memo", counting)
+    clear_intern_cache()  # no fact memoised by an earlier test
     run_campaign(builtin_corpus(), CampaignConfig(jobs=1, zero_millis=True))
-    assert len(walks) == 138
+    assert (len(walks), sum(walks)) == (47, 82)
 
 
-SIGMA_MEMOS = {"hall-data", "psigma-t", "sigma-soluble", "sigma-nilpotent", "sigma-residual",
-               "sylow-type"}
+SIGMA_MEMOS = {"hall-data", "psigma-t", "sigma-nilpotent", "sigma-residual", "sylow-type"}
 
 
 @pytest.mark.parametrize("name, kinds", [
     ("S4", SIGMA_MEMOS), ("SL(2,3)", SIGMA_MEMOS), ("C3xS4", SIGMA_MEMOS),
-    ("A5", {"sigma-soluble", "sigma-nilpotent", "sigma-residual"})])
+    ("A5", {"sigma-nilpotent", "sigma-residual"})])
 def test_sigma1_rows_compute_no_sigma_memo_after_the_singleton_rows(name, kinds, monkeypatch):
     """sigma1 and the partition of one listed block per prime of |G| have
     the same blocks inside pi(G), and every sigma memo is keyed by those
     blocks as prime sets.  So once a group's sigma-scope rows have run at
     the singleton partition, its sigma1 rows compute no memo at all: no
-    Hall data, PsigmaT, sigma-solubility, sigma-nilpotency, residual or
-    Lemma 2.1 scan.  A5 is not sigma-soluble, so it has no PsigmaT or
-    Lemma 2.1 scan to share."""
+    Hall data, PsigmaT, sigma-nilpotency, residual or Lemma 2.1 scan, and
+    no memo of ``structure`` either, P(G) included, which every
+    sigma-solubility verdict reads.  A5 is not sigma-soluble, so it has no
+    PsigmaT or Lemma 2.1 scan to share."""
     clear_intern_cache()  # nothing cached on the group by an earlier test
     G = builtin_entry(name).build()
     computed = []
-    memo = sigma_module._memo
-    monkeypatch.setattr(sigma_module, "_memo", lambda G, limits, compute, *key: memo(
-        G, limits, lambda: computed.append(key[0]) or compute(), *key))
+    memo = structure_module._memo
+
+    def spying(G, limits, compute, *key):
+        return memo(G, limits, lambda: computed.append(key[0]) or compute(), *key)
+
+    monkeypatch.setattr(sigma_module, "_memo", spying)
+    monkeypatch.setattr(structure_module, "_memo", spying)
     sigma_scope = [sid for sid, st in harness_module.REGISTRY.items() if st.scope == "sigma"]
     singleton = SigmaPartition.of_blocks(*({p} for p in primes_of(G.order)))
     run_statements(G, name, sigma_scope, sigmas=[singleton])
     assert set(computed) & SIGMA_MEMOS == kinds
+    assert "insoluble-primes" in computed
     computed.clear()
     run_statements(G, name, sigma_scope, sigmas=[S1])
     assert computed == []
@@ -854,11 +868,12 @@ def test_every_cached_verdict_keeps_a_lower_table_bound(corpus, verdict):
 
 def test_table_only_results_are_computed_once_per_root(monkeypatch):
     """A sigma result that reads only the root's table is cached once per
-    root and mask: asked under two limits with one table bound, each is
-    computed once, and a lower table bound still refuses the cached value."""
+    root and mask, and so is every memo of ``structure`` it reads, P(G)
+    included: asked under two limits with one table bound, each is computed
+    once, and a lower table bound still refuses the cached value."""
     clear_intern_cache()  # nothing cached on S4 by an earlier test
     computed = []
-    memo = sigma_module._memo
+    memo = structure_module._memo
 
     def spying(G, limits, compute, *key):
         # the value's key with any limits left out
@@ -866,13 +881,14 @@ def test_table_only_results_are_computed_once_per_root(monkeypatch):
         return memo(G, limits, lambda: computed.append(value) or compute(), *key)
 
     monkeypatch.setattr(sigma_module, "_memo", spying)
+    monkeypatch.setattr(structure_module, "_memo", spying)
     S4 = builtin_entry("S4").build()
     asks = [lambda limits: is_sigma_soluble(S4, S1, limits),
             lambda limits: sigma_nilpotent_residual(S4, S1, limits),
             lambda limits: largest_normal_block_subgroup(S4, {2}, limits)]
     first = [ask(Limits()) for ask in asks]
     assert [ask(Limits(subgroup_bound=50)) for ask in asks] == first
-    assert {"sigma-soluble", "sigma-residual", "class-closures"} <= {k[1] for k in computed}
+    assert {"insoluble-primes", "sigma-residual", "class-closures"} <= {k[1] for k in computed}
     assert len(computed) == len(set(computed))
     for ask in asks:
         with pytest.raises(CapacityError, match="group order 24 exceeds multiplication-table "

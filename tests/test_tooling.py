@@ -300,7 +300,9 @@ def test_sigma_memo_keys_carry_limits_only_for_lattice_reads():
     every read, so a result that reads only the root's table is cached
     once per root and mask, with no limits in its key.  Only the three
     computes that read a lattice, and so may reach the subgroup bound, key
-    on the caller's limits: the Hall data, PsigmaT and the Lemma 2.1 scan."""
+    on the caller's limits: the Hall data, PsigmaT and the Lemma 2.1 scan.
+    Sigma-solubility has no sigma memo: it reads ``structure``'s one memo
+    of P(G), whose key is its kind alone, neither a partition nor limits."""
     keyed = {}
     for node in module_nodes("sigma.py"):
         if isinstance(node, ast.Call) and callee(node) == "_memo":
@@ -308,12 +310,15 @@ def test_sigma_memo_keys_carry_limits_only_for_lattice_reads():
             keyed[kind.value] = any(isinstance(k, ast.Name) and k.id == "limits" for k in rest)
     assert {kind for kind, has_limits in keyed.items() if has_limits} == \
         {"hall-data", "psigma-t", "sylow-type"}
-    assert set(keyed) == {"hall-data", "psigma-t", "sigma-soluble", "block-generated",
-                          "sigma-nilpotent", "sigma-residual", "class-closures", "sylow-type"}
+    assert set(keyed) == {"hall-data", "psigma-t", "block-generated", "sigma-nilpotent",
+                          "sigma-residual", "class-closures", "sylow-type"}
+    fact = [node.args[4:] for node in module_nodes("structure.py")
+            if isinstance(node, ast.Call) and callee(node) == "_memo"
+            and getattr(node.args[3], "value", None) == "insoluble-primes"]
+    assert fact == [[]]
 
 
-SIGMA_MEMOS = {"hall-data", "psigma-t", "sigma-soluble", "sigma-nilpotent", "sigma-residual",
-               "sylow-type"}
+SIGMA_MEMOS = {"hall-data", "psigma-t", "sigma-nilpotent", "sigma-residual", "sylow-type"}
 
 
 def test_every_sigma_memo_is_keyed_by_sigma_key():
@@ -516,6 +521,25 @@ def test_cli_import_loads_no_process_pool():
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_code_lines_count_neither_comments_nor_docstrings(monkeypatch):
+    """The code-line count skips a docstring, a comment and a blank line,
+    and counts a call spread over two lines as two lines and a string that
+    is not a docstring as code."""
+    monkeypatch.syspath_prepend(str(ROOT / "tools"))
+    import code_lines
+    snippet = (
+        '"""A module docstring\n'
+        'over two lines."""\n'
+        "# a comment\n"
+        "\n"
+        "def f(x):\n"
+        '    """A function docstring."""\n'
+        "    return max(x,  # a trailing comment\n"
+        "               0)\n"
+        'NAME = "a string"\n')
+    assert code_lines.code_lines(snippet) == 4
 
 
 def test_every_mutant_anchor_occurs_once(monkeypatch):

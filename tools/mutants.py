@@ -123,10 +123,14 @@ MUTANTS = (
     Mutant("hall-forced-block", "src/sigmagroups/sigma.py",
            "            if forced.bit_count() == part:", "            if forced.bit_count() >= part:",
            ("tests/test_sigma.py", "tests/test_differential.py")),
-    # the descending walk answers at once only for at most one block
-    Mutant("descent-one-block-shortcut", "src/sigmagroups/structure.py",
-           "    if len(blocks) <= 1:", "    if len(blocks) <= 2:",
-           ("tests/test_sigma.py", "tests/test_structure.py")),
+    # P(G): the walk at q takes O^{q'}(X) over the primes other than q, and
+    # G is sigma-soluble only when one block of sigma holds all of P(G)
+    Mutant("insoluble-primes-second-block-keeps-q", "src/sigmagroups/structure.py",
+           "                for ps in ({q}, primes - {q}):",
+           "                for ps in ({q}, primes):", ("tests/test_structure.py",)),
+    Mutant("sigma-soluble-two-blocks", "src/sigmagroups/sigma.py",
+           "for p in _insoluble_primes(G, limits)}) <= 1",
+           "for p in _insoluble_primes(G, limits)}) <= 2", ("tests/test_sigma.py",)),
     # InvariantError guard: O_sigma_i(D) lies inside its block
     Mutant("block-subgroup-invariant-guard", "src/sigmagroups/sigma.py",
            "    if not primes_of(join.bit_count()) <= block_primes:",
