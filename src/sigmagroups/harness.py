@@ -277,7 +277,12 @@ def _nilpotent_section(G: PermGroup, normals: tuple[Subgroup, ...], top: int, bo
     with K <= L <= E and |L| = |K| |E:K|_{sigma_i}: L/K is then a normal
     Hall sigma_i-subgroup of E/K, and the normal Hall sigma_i-subgroup of a
     sigma-nilpotent E/K, characteristic in E/K, which is normal in G/K, is
-    such an L/K (correspondence theorem).  No quotient group is built."""
+    such an L/K (correspondence theorem).  No quotient group is built.
+    It is the engine's one read of a quotient's sigma-nilpotency that
+    builds no quotient group: ``sigma`` decides sigma-nilpotency of G
+    alone, and the residual checks its own quotient off the R_i it reads.  The tests hold this read equal to a reference
+    read of the same lattice, to the verdict on the quotient group and to
+    the oracle's coset table."""
     k, index = bottom.bit_count(), top.bit_count() // bottom.bit_count()
     between = {L.order for L in normals if L.mask & bottom == bottom and L.mask & top == L.mask}
     return all(k * part_for_primes(index, ps) in between

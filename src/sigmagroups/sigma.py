@@ -8,31 +8,36 @@ A partition splits the primes into blocks.  Two spellings exist:
 
 All class predicates take a group, or a ``Subgroup`` of one, together with
 a partition and answer deterministically; results and expensive
-intermediates (per-block Hall subgroup classes, class verdicts, residuals,
-the Hall coverage scan) are memoised on the root group per subgroup mask,
-keyed by sigma(G), the blocks of the partition that meet pi(G), as prime
-sets (``_sigma_key``).  Each depends on the partition only through sigma(G),
-so partitions that agree on pi(G), such as sigma1 and the partition of one
-listed block per prime, share it; no memoised value carries a block id,
-and the caller's ids are put back on what is reported.  Every read checks
-the caller's table bound, so only the three results that read a lattice,
-the Hall data, PsigmaT and the Hall coverage scan, also key on the
-caller's limits; the rest read only the root's table and are computed
-once.  Sigma-permutability of one subgroup, which the campaign and
-one-shot queries seldom repeat, is computed on each call from the Hall
-data.
+intermediates are memoised on the root group per subgroup mask.  What
+depends on one block of the partition is keyed by that block's primes
+alone: the subgroup R_i generated by the block's elements
+(``_block_generated``) and the block's Hall subgroups and their classes
+(``_hall_block``), so partitions that share a block share them.  What
+depends on the whole partition, PsigmaT, the residual and the Hall
+coverage scan, is keyed by sigma(G), the blocks of the partition that
+meet pi(G), as prime sets (``_sigma_key``), so partitions that agree on
+pi(G), such as sigma1 and the partition of one listed block per prime,
+share it.  No memoised value carries a block id, and the caller's ids are
+put back on what is reported.  Every read checks the caller's table
+bound, so only the three results that read a lattice, the Hall data of a
+block, PsigmaT and the Hall coverage scan, also key on the caller's
+limits; the rest read only the root's table and are computed once.
+Sigma-nilpotency, sigma-solubility and sigma-permutability of one
+subgroup have no memo of their own: the first two read one fact per
+block or per group, and the last, which the campaign and one-shot
+queries seldom repeat, is computed on each call from the Hall data.
 
 Every verdict and subgroup here comes from subgroups generated by elements
 on the root's table (``_ElementTable.generated_by_orders``), and no normal
 lattice is built:
 
-- sigma-nilpotency of G or of a quotient G/N is read off the subgroups
-  R_i of G generated by its sigma_i-elements, and no group is built; the
-  quotient form serves the residual's own check and the library, while the
-  Lemma 2.3 and 2.4 verifiers read G/N in G's normal lattice
-  (``harness._nilpotent_section``);
+- sigma-nilpotency of G is read off the subgroups R_i of G generated by
+  its sigma_i-elements: G is sigma-nilpotent exactly when each R_i has
+  order |G|_{sigma_i}; the Lemma 2.3 and 2.4 verifiers read a quotient
+  G/N in G's normal lattice instead (``harness._nilpotent_section``);
 - the residual (Lemma 2.4) is the join of the O^{sigma_i}(R_i), each
-  generated by the sigma_i'-elements of R_i;
+  generated by the sigma_i'-elements of R_i, and its own check reads the
+  quotient by it off the same R_i;
 - O_{sigma_i}(D) is the join of the normal closures of the conjugacy
   classes of D that are sigma_i-groups; it serves the library, and the
   Lemma 2.5 verifier reads it in G's normal lattice
@@ -64,10 +69,10 @@ from typing import Sequence
 from .errors import (_TOO_LONG, BLOCK_DIGITS, DEFAULT_LIMITS, GroupInputError, InvariantError,
                      Limits, _check_count, _check_prime)
 from .numbers import part_for_primes, primes_of
-from .permcore import Subgroup, trivial_subgroup
-from .structure import (Group, _ElementTable, _check_inside, _class_closures, _element_table,
-                        _greedy_subgroup, _insoluble_primes, _is_normal_in, _lattice_by_order,
-                        _memo, all_subgroups, subgroups_of_order)
+from .permcore import Subgroup
+from .structure import (Group, _ElementTable, _check_inside, _check_table_room, _class_closures,
+                        _element_table, _greedy_subgroup, _insoluble_primes, _is_normal_in,
+                        _lattice_by_order, _memo, all_subgroups, subgroups_of_order)
 
 # ---------------------------------------------------------------------------
 # partitions
@@ -200,43 +205,50 @@ def _order_blocks(order: int, sigma: SigmaPartition) -> tuple[tuple[str, frozens
 
 def _sigma_key(G: Group, sigma: SigmaPartition) -> tuple[frozenset[int], ...]:
     """sigma(G) as prime sets, ordered by least prime: the key of every
-    sigma memo.  Each result memoised on G depends on sigma only through
-    these sets, so partitions that agree on pi(G) share it, whatever their
-    spelling and block ids; a memoised value carries no block id."""
+    memo whose result depends on the whole partition, PsigmaT, the residual
+    and the Lemma 2.1 scan; a result of one block is keyed by that block's
+    primes alone.  Each depends on sigma only through these sets, so
+    partitions that agree on pi(G) share it, whatever their spelling and
+    block ids; a memoised value carries no block id."""
     return tuple(ps for _, ps, _ in _order_blocks(G.order, sigma))
 
 
 def _hall_data(G: Group, sigma: SigmaPartition, limits: Limits):
-    """Per block of sigma(G), in ``_order_blocks`` order: its primes, its
-    part of |G|, the masks of all Hall subgroups, canonically sorted, and
-    their conjugacy classes under G, each a sorted tuple of masks.  A block
-    carries no id, since partitions whose ids differ share the memo
-    (``_sigma_key``).
+    """Per block of sigma(G), in ``_order_blocks`` order, its Hall data
+    (``_hall_block``).  Nothing is memoised here: each block is its own
+    memo, keyed by the block's primes, so partitions that share a block
+    share its Hall data.  The table bound is checked first, so the trivial
+    group, which has no block, is refused as every other group is."""
+    _check_table_room(G.root.order, limits)
+    return [_hall_block(G, ps, part, limits) for _, ps, part in _order_blocks(G.order, sigma)]
 
-    A block's Hall subgroup is forced, and no lattice is read, when the
-    subgroup R_i generated by the block's elements (``_block_generated``,
-    G itself when the block's part of |G| is |G|) has order the block's
-    part.  R_i is then a normal Hall subgroup: for any subgroup H of that
-    order, HR_i is a subgroup whose order is a multiple of |R_i| and a
-    number of the block dividing |G|, so HR_i = R_i and H = R_i.  So the one
-    candidate is normal, and it is its own conjugacy class.  Other blocks
-    filter G's lattice by order."""
+
+def _hall_block(G: Group, ps: frozenset[int], part: int, limits: Limits) -> dict:
+    """The Hall data of the block with primes ``ps``, whose part of |G| is
+    ``part``: its primes, its part, the masks of all Hall subgroups,
+    canonically sorted, and their conjugacy classes under G, each a sorted
+    tuple of masks.  It depends on G and ``ps`` alone, so it carries no
+    block id and is memoised by ``ps`` and the caller's limits, since it
+    may read the lattice.
+
+    The Hall subgroup is forced, and no lattice is read, when the subgroup
+    R_i generated by the block's elements (``_block_generated``, G itself
+    when ``part`` is |G|) has order ``part``.  R_i is then a normal Hall
+    subgroup: for any subgroup H of that order, HR_i is a subgroup whose
+    order is a multiple of |R_i| and a number of the block dividing |G|,
+    so HR_i = R_i and H = R_i.  So the one candidate is normal, and it is
+    its own conjugacy class.  Otherwise G's lattice is filtered by order."""
     def compute():
-        table = _element_table(G.root, limits)
-        gens = table.gens_of(G)
-        blocks = []
-        for _, ps, part in _order_blocks(G.order, sigma):
-            forced = _block_generated(G, ps, limits)
-            if forced.bit_count() == part:
-                candidates, classes = (forced,), ((forced,),)
-            else:
-                # the lattice is sorted canonically, so the candidates are too
-                candidates = tuple(h.mask for h in subgroups_of_order(G, part, limits))
-                classes = _conjugacy_classes(table, candidates, gens)
-            blocks.append({"primes": ps, "part": part,
-                           "candidates": candidates, "classes": classes})
-        return blocks
-    return _memo(G, limits, compute, "hall-data", _sigma_key(G, sigma), limits)
+        forced = _block_generated(G, ps, limits)
+        if forced.bit_count() == part:
+            candidates, classes = (forced,), ((forced,),)
+        else:
+            table = _element_table(G.root, limits)
+            # the lattice is sorted canonically, so the candidates are too
+            candidates = tuple(h.mask for h in subgroups_of_order(G, part, limits))
+            classes = _conjugacy_classes(table, candidates, table.gens_of(G))
+        return {"primes": ps, "part": part, "candidates": candidates, "classes": classes}
+    return _memo(G, limits, compute, "hall-block", ps, limits)
 
 
 def _conjugacy_classes(table: _ElementTable, masks: Sequence[int],
@@ -297,7 +309,7 @@ def is_sigma_permutable(G: Group, A: Subgroup, sigma: SigmaPartition,
     over conjugacy classes per block.  No complete Hall sigma-set means no
     subgroup is sigma-permutable.  A class of one member is a normal Hall
     subgroup, which permutes with every subgroup; these are exactly the
-    forced blocks of ``_hall_data``, so the lattice is read only where the
+    forced blocks of ``_hall_block``, so the lattice is read only where the
     Hall data read it.  Other classes are tested on their masks by
     ``_permutes``.
     """
@@ -380,9 +392,15 @@ def is_sigma_nilpotent(G: Group, sigma: SigmaPartition,
     """G is the direct product of sigma-primary groups; equivalently each
     block of sigma(G) is covered by a normal Hall subgroup (then automatically
     unique, and the orders multiply to |G|).  The sigma_i-elements of G
-    generate a subgroup of order |G|_{sigma_i} exactly when that subgroup is
-    such a Hall subgroup, so no normal lattice is built."""
-    return _quotient_is_sigma_nilpotent(G, trivial_subgroup(G), sigma, limits)
+    generate a subgroup R_i of order |G|_{sigma_i} exactly when R_i is such
+    a Hall subgroup, so the verdict reads only the per-block memo of
+    ``_block_generated``, keyed by the block's primes, and has no memo or
+    sigma key of its own; no normal lattice is built.  The table bound is
+    checked first, so the trivial group, which has no block, is refused as
+    every other group is."""
+    _check_table_room(G.root.order, limits)
+    return all(_block_generated(G, ps, limits).bit_count() == part
+               for _, ps, part in _order_blocks(G.order, sigma))
 
 
 def _block_generated(G: Group, primes: frozenset[int], limits: Limits) -> int:
@@ -390,41 +408,12 @@ def _block_generated(G: Group, primes: frozenset[int], limits: Limits) -> int:
     O^{primes'}(G), a normal subgroup of G, generated on the root's table;
     G itself, with no generation, when ``primes`` holds every prime of |G|.
     This is the one home of a block's R_i, for the Hall data, the
-    sigma-nilpotency test and the residual.  Both answers are ``_memo``
-    reads, so the table bound is checked for each."""
-    table = _element_table(G.root, limits)
+    sigma-nilpotency test and the residual.  It is one ``_memo`` read keyed
+    by the prime set, which checks the table bound, and the table is
+    fetched only to compute."""
     return _memo(G, limits, lambda: G.mask if primes >= primes_of(G.order) else
-                 table.generated_by_orders(G.mask, primes.issuperset), "block-generated", primes)
-
-
-def _quotient_is_sigma_nilpotent(G: Group, N: Subgroup, sigma: SigmaPartition,
-                                 limits: Limits) -> bool:
-    """Is G/N sigma-nilpotent, for N normal in G (N = 1 included)?
-
-    Let R_i be generated by the sigma_i-elements of G.  Every sigma_i-element
-    of G/N is the image of one of G (the sigma_i-part of any preimage), so
-    R_i N/N is generated by the sigma_i-elements of G/N.  It contains a Sylow
-    p-subgroup of G/N for every p in sigma_i, and it is the normal Hall
-    sigma_i-subgroup of G/N exactly when it has order |G:N|_{sigma_i}, that is
-    when |R_i| = |R_i n N| |G:N|_{sigma_i}.  Blocks whose part of |G:N| is 1
-    or all of it need no test.  Neither G/N nor a normal lattice is built.
-
-    With N = 1 it is ``is_sigma_nilpotent``; with N the residual it is the
-    residual's own check.  The verifiers read G/N in G's normal lattice
-    instead (``harness._nilpotent_section``), and the tests hold the two
-    reads equal."""
-    def compute():
-        if not _is_normal_in(_element_table(G.root, limits), G, N):
-            raise GroupInputError("quotient by a non-normal subgroup")
-        index = G.order // N.order
-        for _, ps, _ in _order_blocks(G.order, sigma):
-            part = part_for_primes(index, ps)
-            if 1 < part < index:
-                r = _block_generated(G, ps, limits)
-                if r.bit_count() != (r & N.mask).bit_count() * part:
-                    return False
-        return True
-    return _memo(G, limits, compute, "sigma-nilpotent", _sigma_key(G, sigma), N.mask)
+                 _element_table(G.root, limits).generated_by_orders(G.mask, primes.issuperset),
+                 "block-generated", primes)
 
 
 def sigma_nilpotent_residual(G: Group, sigma: SigmaPartition,
@@ -434,25 +423,35 @@ def sigma_nilpotent_residual(G: Group, sigma: SigmaPartition,
     the sigma_i-elements of G and O^{sigma_i}(R_i) by the sigma_i'-elements
     of R_i.
 
-    For N normal in G, R_i N/N is the subgroup of G/N generated by its
-    sigma_i-elements (``_quotient_is_sigma_nilpotent``), so G/N is
-    sigma-nilpotent exactly when each R_i N/N, isomorphic to R_i/(R_i n N),
-    is a sigma_i-group, that is when O^{sigma_i}(R_i) <= N.  Each
-    O^{sigma_i}(R_i) is characteristic in R_i, which is normal in G, so their
-    join is normal and is the least such N.  A block whose R_i has order
-    |G|_{sigma_i} (R_i = G when that part is |G|) adds nothing; on a
-    sigma-nilpotent G every block is one, and D = 1.  No normal lattice is
-    built.  D is checked to be normal with a sigma-nilpotent quotient, and
-    its generators are the greedy ones, which depend only on its set."""
+    For N normal in G, every sigma_i-element of G/N is the image of one of
+    G (the sigma_i-part of any preimage), so R_i N/N is generated by the
+    sigma_i-elements of G/N.  It contains a Sylow p-subgroup of G/N for every
+    p in sigma_i, so it is the normal Hall sigma_i-subgroup of G/N exactly
+    when it has order |G:N|_{sigma_i}, that is when
+    |R_i| = |R_i n N| |G:N|_{sigma_i}.  So G/N is sigma-nilpotent exactly
+    when each R_i N/N, isomorphic to R_i/(R_i n N), is a sigma_i-group, that
+    is when O^{sigma_i}(R_i) <= N.  Each O^{sigma_i}(R_i) is characteristic
+    in R_i, which is normal in G, so their join is normal and is the least
+    such N.  A block whose R_i has order |G|_{sigma_i} (R_i = G when that
+    part is |G|) adds nothing; on a sigma-nilpotent G every block is one,
+    and D = 1.  No normal lattice is built.  D is checked to be normal with
+    a sigma-nilpotent quotient, by that order equation at every block over
+    the R_i already read, and its generators are the greedy ones, which
+    depend only on its set.  The verifiers read G/N in G's normal lattice
+    instead (``harness._nilpotent_section``)."""
     def compute():
         table = _element_table(G.root, limits)
+        blocks = [(ps, part, _block_generated(G, ps, limits))
+                  for _, ps, part in _order_blocks(G.order, sigma)]
         union = 1
-        for _, ps, part in _order_blocks(G.order, sigma):
-            r = _block_generated(G, ps, limits)
+        for ps, part, r in blocks:
             if r.bit_count() != part:
                 union |= table.generated_by_orders(r, ps.isdisjoint)
         D = _greedy_subgroup(G, table.generate(table.members(union))[0], limits)
-        if not (_is_normal_in(table, G, D) and _quotient_is_sigma_nilpotent(G, D, sigma, limits)):
+        index = G.order // D.order
+        if not (_is_normal_in(table, G, D) and all(
+                r.bit_count() == (r & D.mask).bit_count() * part_for_primes(index, ps)
+                for ps, _, r in blocks)):
             raise InvariantError("residual: not normal, or the quotient is not sigma-nilpotent")
         return D
     return _memo(G, limits, compute, "sigma-residual", _sigma_key(G, sigma))

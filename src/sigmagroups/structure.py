@@ -362,15 +362,16 @@ def _insoluble_primes(G: Group, limits: Limits) -> frozenset[int]:
     one of O^q(X), O^{q'}(X) lies in M < X, so the walk reaches 1.  If q
     divides a nonabelian chief factor, that factor has at least two more
     primes (Burnside's p^a q^b theorem), so no series of q-groups and
-    q'-groups passes it, and the walk stalls.  No chief series or normal
-    lattice is built; the walks run on the root's table, got as
-    ``_element_table`` gets it under ``limits``, and P(G) is a ``_memo``
-    read keyed by neither a partition nor limits."""
+    q'-groups passes it, and the walk stalls.  By the same theorem a group
+    with at most two primes is soluble, so P(G) is empty with no walk.  No
+    chief series or normal lattice is built; the walks run on the root's
+    table, got as ``_element_table`` gets it under ``limits``, and P(G) is
+    a ``_memo`` read keyed by neither a partition nor limits."""
     def compute():
         table = _element_table(G.root, limits)
         primes = primes_of(G.order)
         stalled = set()
-        for q in primes:
+        for q in primes if len(primes) > 2 else ():
             x, last = G.mask, 0
             while x not in (1, last):
                 last = x

@@ -110,29 +110,32 @@ def lattice_quotient_is_sigma_nilpotent(G, N, sigma):
 
 
 def assert_sigma_nilpotency_matches_lattice_read(G):
-    """At every campaign partition and for every normal N of G: the
-    engine's sigma-nilpotency of G/N against the reference lattice read and
-    against Lem2.3's and Lem2.4's (``harness._nilpotent_section``); and the
-    section read of N/(N n Phi(G)), Lem2.3's Frattini premise, against the
-    path it replaced, the engine on N over ``intersection_subgroup``."""
-    limits = Limits()
+    """At every campaign partition and for every normal N of G: Lem2.3's
+    and Lem2.4's read of G/N in G's normal lattice
+    (``harness._nilpotent_section``) against the reference read of the
+    same lattice; at N = 1 both against the engine's ``is_sigma_nilpotent``
+    on G; and the section read of N/(N n Phi(G)), Lem2.3's Frattini
+    premise, against the reference read of N's own normal lattice over
+    ``intersection_subgroup``."""
     normals = normal_subgroups(G)
     phi = frattini_subgroup(G)
     for sigma in campaign_sigmas(G):
         for N in normals:
             where = (N.order, sigma.text())
-            engine = sigma_module._quotient_is_sigma_nilpotent(G, N, sigma, limits)
-            assert engine == lattice_quotient_is_sigma_nilpotent(G, N, sigma), where
-            assert harness._nilpotent_section(G, normals, G.mask, N.mask, sigma) == engine, where
+            section = harness._nilpotent_section(G, normals, G.mask, N.mask, sigma)
+            assert section == lattice_quotient_is_sigma_nilpotent(G, N, sigma), where
+            if N.order == 1:
+                assert section == is_sigma_nilpotent(G, sigma), where
             assert harness._nilpotent_section(G, normals, N.mask, N.mask & phi.mask, sigma) == \
-                sigma_module._quotient_is_sigma_nilpotent(
-                    N, intersection_subgroup(G, N, phi), sigma, limits), where
+                lattice_quotient_is_sigma_nilpotent(
+                    N, intersection_subgroup(G, N, phi), sigma), where
 
 
 @pytest.mark.parametrize("name", [e.name for e in builtin_corpus()])
 def test_sigma_nilpotency_matches_the_normal_lattice_read(corpus, name):
-    """The test on the subgroups generated by sigma_i-elements against the
-    normal-lattice reads, for every normal N and campaign partition."""
+    """The section read of every quotient and Frattini section against the
+    reference lattice reads, and of G itself against the test on the
+    subgroups generated by sigma_i-elements, at every campaign partition."""
     assert_sigma_nilpotency_matches_lattice_read(corpus[name].build())
 
 
@@ -302,8 +305,7 @@ def reference_sigma_nilpotent_residual(G, sigma):
     them; the trivial subgroup when G is sigma-nilpotent."""
     if is_sigma_nilpotent(G, sigma):
         return trivial_subgroup(G)
-    witnesses = [n for n in normal_subgroups(G)
-                 if sigma_module._quotient_is_sigma_nilpotent(G, n, sigma, Limits())]
+    witnesses = [n for n in normal_subgroups(G) if lattice_quotient_is_sigma_nilpotent(G, n, sigma)]
     # normal_subgroups is sorted by (order, element list): the first is least
     least = witnesses[0]
     meet = G.mask
@@ -739,9 +741,10 @@ def test_random_residual_sigma_nilpotency_and_quotients_match_oracle(G, data):
     """The classical residual order; sigma-nilpotency for a drawn sigma, read
     as "every block of sigma(G) has a normal Hall subgroup"; and for every
     normal N the order of G/N, the kernel of the projection, the
-    homomorphism property and the sigma-nilpotency of G/N, against the
-    oracle's coset table; and for every normal N and campaign partition, the
-    same sigma-nilpotency verdict as the normal-lattice read."""
+    homomorphism property and the sigma-nilpotency of G/N, read in G's
+    normal lattice by the reference and by ``harness._nilpotent_section``,
+    against the oracle's coset table; and for every normal N and campaign
+    partition, the section reads against the reference read."""
     tg = oracles.TupleGroup([g.images for g in G.generators], G.degree)
     assert (sigma_nilpotent_residual(G, SigmaPartition.sigma1()).order
             == oracles.nilpotent_residual_order(tg))
@@ -760,14 +763,17 @@ def test_random_residual_sigma_nilpotency_and_quotients_match_oracle(G, data):
     assert is_sigma_nilpotent(G, sigma) == expected
 
     elements = G.elements()
-    for N in normal_subgroups(G):
+    normals = normal_subgroups(G)
+    for N in normals:
         q = quotient_group(G, N)
         mq = tg.mt.quotient(frozenset(tg.index[e] for e in N.element_images()))
         assert q.group.order == mq.order == G.order // N.order
         q_parts = mq.sylow_parts()
         q_normal_orders = {len(s) for s in mq.normal_subgroups()}
-        assert sigma_module._quotient_is_sigma_nilpotent(G, N, sigma, Limits()) == all(
-            math.prod(q_parts.get(p, 1) for p in b) in q_normal_orders for b in blocks.values())
+        oracle = all(math.prod(q_parts.get(p, 1) for p in b) in q_normal_orders
+                     for b in blocks.values())
+        assert lattice_quotient_is_sigma_nilpotent(G, N, sigma) == oracle
+        assert harness._nilpotent_section(G, normals, G.mask, N.mask, sigma) == oracle
         assert {x.images for x in elements if q.project(x).is_identity()} == \
             N.element_images()
         for a in elements:

@@ -501,17 +501,15 @@ LATTICE_GROUPS = ["S4", "SL(2,3)", "C5xA4", "SL(2,5)", "PSL(2,7)"]
 
 @pytest.mark.parametrize("name", LATTICE_GROUPS)
 def test_quotient_verdict_read_off_the_normal_lattice_matches_the_quotient_group(corpus, name):
+    """Lem2.3's and Lem2.4's read of G/N in G's normal lattice
+    (``harness._nilpotent_section``) against the engine's verdict on the
+    quotient group itself, for every normal N and campaign partition."""
     G = corpus[name].build()
+    normals = normal_subgroups(G)
     for sigma in campaign_sigmas(G):
-        for N in normal_subgroups(G):
-            assert sigma_module._quotient_is_sigma_nilpotent(G, N, sigma, Limits()) == \
+        for N in normals:
+            assert harness_module._nilpotent_section(G, normals, G.mask, N.mask, sigma) == \
                 is_sigma_nilpotent(quotient_group(G, N).group, sigma), (N.order, sigma.text())
-
-
-def test_quotient_verdict_refuses_a_non_normal_subgroup(corpus):
-    S3 = corpus["S3"].build()
-    with pytest.raises(GroupInputError, match="non-normal"):
-        sigma_module._quotient_is_sigma_nilpotent(S3, sub(S3, "(1 2)"), S1, Limits())
 
 
 @pytest.mark.parametrize("name", LATTICE_GROUPS)
@@ -755,39 +753,58 @@ def test_a_builtin_campaign_walks_each_pi_partition_once_per_group(monkeypatch):
     """Solubility, sigma-solubility at every sigma and pi-separability at
     every pi (Lemma 2.2) all read one per-group fact, P(G), the primes of
     the nonabelian chief factors, memoised with no partition in its key.
-    It walks one series per prime q of |G|, at {q} | pi(G) - {q}: a builtin
-    campaign computes it on 47 subgroups and walks 82 series, where a
-    sigma-solubility memo keyed by sigma(G) walked 138, one keyed by
-    partition text 309, and a pi-separability with a walk of its own 354."""
-    walks = []
+    It walks one series per prime q of |G|, at {q} | pi(G) - {q}, and none
+    on a group with at most two primes, which is soluble (Burnside's
+    p^a q^b theorem).  A walk starts by generating O^q(G) from G's own mask
+    at the block {q}, so those calls are the walks run: a builtin campaign
+    computes P on 47 subgroups, 6 of them with three primes, and walks 18
+    series, where a walk on every group walked 82, a sigma-solubility memo
+    keyed by sigma(G) 138, one keyed by partition text 309, and a
+    pi-separability with a walk of its own 354."""
+    computes = []  # (number of primes of |G|, the primes q walked at)
     memo = structure_module._memo
+    generated = structure_module._ElementTable.generated_by_orders
 
     def counting(G, limits, compute, *key):
-        if key[0] == "insoluble-primes":
-            return memo(G, limits, lambda: walks.append(len(primes_of(G.order))) or compute(),
-                        *key)
-        return memo(G, limits, compute, *key)
+        if key[0] != "insoluble-primes":
+            return memo(G, limits, compute, *key)
+        walked = []
+
+        def spying(table, mask, keep):
+            # keep is the block's isdisjoint, bound to the block's set
+            if mask == G.mask and len(keep.__self__) == 1:
+                walked.extend(keep.__self__)
+            return generated(table, mask, keep)
+
+        def compute_spied():
+            computes.append((len(primes_of(G.order)), walked))
+            with monkeypatch.context() as m:
+                m.setattr(structure_module._ElementTable, "generated_by_orders", spying)
+                return compute()
+        return memo(G, limits, compute_spied, *key)
 
     monkeypatch.setattr(structure_module, "_memo", counting)
     clear_intern_cache()  # no fact memoised by an earlier test
     run_campaign(builtin_corpus(), CampaignConfig(jobs=1, zero_millis=True))
-    assert (len(walks), sum(walks)) == (47, 82)
+    assert all(len(walked) == len(set(walked)) == (n if n > 2 else 0) for n, walked in computes)
+    assert (len(computes), sum(n > 2 for n, _ in computes)) == (47, 6)
+    assert sum(len(walked) for _, walked in computes) == 18
 
 
-SIGMA_MEMOS = {"hall-data", "psigma-t", "sigma-nilpotent", "sigma-residual", "sylow-type"}
+SIGMA_MEMOS = {"block-generated", "hall-block", "psigma-t", "sigma-residual", "sylow-type"}
 
 
 @pytest.mark.parametrize("name, kinds", [
     ("S4", SIGMA_MEMOS), ("SL(2,3)", SIGMA_MEMOS), ("C3xS4", SIGMA_MEMOS),
-    ("A5", {"sigma-nilpotent", "sigma-residual"})])
+    ("A5", {"block-generated", "sigma-residual"})])
 def test_sigma1_rows_compute_no_sigma_memo_after_the_singleton_rows(name, kinds, monkeypatch):
     """sigma1 and the partition of one listed block per prime of |G| have
     the same blocks inside pi(G), and every sigma memo is keyed by those
-    blocks as prime sets.  So once a group's sigma-scope rows have run at
-    the singleton partition, its sigma1 rows compute no memo at all: no
-    Hall data, PsigmaT, sigma-nilpotency, residual or Lemma 2.1 scan, and
-    no memo of ``structure`` either, P(G) included, which every
-    sigma-solubility verdict reads.  A5 is not sigma-soluble, so it has no
+    blocks as prime sets, one block or all of them.  So once a group's
+    sigma-scope rows have run at the singleton partition, its sigma1 rows
+    compute no memo at all: no R_i, Hall data of a block, PsigmaT,
+    residual or Lemma 2.1 scan, and no memo of ``structure`` either, P(G)
+    included, which every sigma-solubility verdict reads.  A5 is not sigma-soluble, so it has no
     PsigmaT or Lemma 2.1 scan to share."""
     clear_intern_cache()  # nothing cached on the group by an earlier test
     G = builtin_entry(name).build()
@@ -807,6 +824,40 @@ def test_sigma1_rows_compute_no_sigma_memo_after_the_singleton_rows(name, kinds,
     computed.clear()
     run_statements(G, name, sigma_scope, sigmas=[S1])
     assert computed == []
+    clear_intern_cache()
+
+
+def test_hall_data_of_a_block_is_computed_once_per_subgroup_and_block(monkeypatch):
+    """The Hall data of a block depends on the subgroup and the block's
+    primes alone, and is memoised by them: over every campaign partition of
+    C5xA4, whose order has three primes, the complete Hall sigma-sets and
+    PsigmaT, which asks the Hall data of G and of its subgroups, compute
+    each (subgroup, block) once, though partitions that share a block ask
+    it again."""
+    clear_intern_cache()  # no Hall data cached by an earlier test
+    G = builtin_entry("C5xA4").build()
+    asked, computed = [], []
+    hall_block = sigma_module._hall_block
+    memo = structure_module._memo
+
+    def asking(H, ps, part, limits):
+        asked.append((H.mask, ps))
+        return hall_block(H, ps, part, limits)
+
+    def spying(H, limits, compute, *key):
+        if key[0] == "hall-block":
+            return memo(H, limits, lambda: computed.append((H.mask, key[1])) or compute(), *key)
+        return memo(H, limits, compute, *key)
+
+    monkeypatch.setattr(sigma_module, "_hall_block", asking)
+    monkeypatch.setattr(sigma_module, "_memo", spying)
+    for sigma in campaign_sigmas(G):
+        assert complete_hall_sigma_set(G, sigma) is not None
+        psigma_t_violation(G, sigma)
+    assert len(computed) == len(set(computed)) == len(set(asked)) < len(asked)
+    assert set(computed) == set(asked)
+    assert {ps for mask, ps in computed if mask == G.mask} == {
+        frozenset(b) for b in ({2}, {3}, {5}, {2, 3}, {2, 5}, {3, 5}, {2, 3, 5})}
     clear_intern_cache()
 
 
@@ -848,6 +899,26 @@ def test_cached_sylow_type_verdict_keeps_a_lower_subgroup_bound(corpus):
     assert sigma_full_sylow_type_violation(S4, S1) is None
     with pytest.raises(CapacityError, match="subgroup-enumeration bound 3"):
         sigma_full_sylow_type_violation(S4, S1, Limits(subgroup_bound=3))
+
+
+@pytest.mark.parametrize("stext", ["[2,3]", "sigma1"])
+def test_sigma_nilpotency_keeps_a_lower_table_bound_with_no_table(table_builds, stext):
+    """Sigma-nilpotency reads one R_i memo per block of sigma(G), and every
+    read checks the table bound: at a one-block partition and at sigma1, S4
+    under a table bound of 10 is refused before any table is built, and
+    again once the R_i are cached under the default limits."""
+    clear_intern_cache()  # no table or R_i left on S4 by an earlier test
+    sigma = parse_sigma(stext)
+    S4 = builtin_entry("S4").build()
+    refused = pytest.raises(CapacityError,
+                            match="group order 24 exceeds multiplication-table bound 10")
+    with refused:
+        is_sigma_nilpotent(S4, sigma, LOW_TABLE)
+    assert table_builds == []
+    assert is_sigma_nilpotent(S4, sigma) == (stext == "[2,3]")
+    with refused:
+        is_sigma_nilpotent(S4, sigma, LOW_TABLE)
+    clear_intern_cache()
 
 
 @pytest.mark.parametrize("verdict", [
@@ -937,7 +1008,9 @@ def test_residual_witness_check_raises(monkeypatch, fresh_s3):
         m.setattr(sigma_module, "_greedy_subgroup", lambda G, mask, limits: sub(S3, "(1 2)"))
         with pytest.raises(InvariantError, match="residual: not normal, or the quotient"):
             sigma_nilpotent_residual(S3, S1)
-    monkeypatch.setattr(sigma_module, "_quotient_is_sigma_nilpotent", lambda *args: False)
+    # a trivial D is normal, and S3/1 is not sigma-nilpotent: |R_2| = 6, not 1 * 2
+    monkeypatch.setattr(sigma_module, "_greedy_subgroup",
+                        lambda G, mask, limits: trivial_subgroup(S3))
     with pytest.raises(InvariantError, match="residual: not normal, or the quotient"):
         sigma_nilpotent_residual(S3, S1)
 

@@ -720,6 +720,7 @@ C504_GENS = ("(1 2 3 4 5 6 7)", "(8 9 10 11 12 13 14 15)", "(16 17 18 19 20 21 2
 V4_GENS = ("(1 2)(3 4)", "(1 3)(2 4)")
 D8_GENS = ("(1 2 3 4)", "(1 3)")
 S23 = SigmaPartition.of_blocks({2}, {3})
+S2_3 = SigmaPartition.of_blocks({2, 3})
 
 # One row per exported call that takes limits, as (export, case, call on S4
 # under the given limits); a case names a call whose answer is cached once
@@ -748,11 +749,16 @@ LIMITED_CALLS = [
     ("sylow_subgroup", "p-group", lambda G, lim: sg.sylow_subgroup(sub(G, *D8_GENS), 2, lim)),
     ("sylow_subgroup", "no-prime", lambda G, lim: sg.sylow_subgroup(G, 5, lim)),
     ("complete_hall_sigma_set", "", lambda G, lim: sg.complete_hall_sigma_set(G, S23, lim)),
+    ("complete_hall_sigma_set", "trivial",
+     lambda G, lim: sg.complete_hall_sigma_set(sg.trivial_subgroup(G), S23, lim)),
     ("induces_power_automorphisms", "",
      lambda G, lim: sg.induces_power_automorphisms(G, sub(G, *V4_GENS), lim)),
     ("is_pi_separable", "", lambda G, lim: sg.is_pi_separable(G, [2], lim)),
     ("is_psigma_t", "", lambda G, lim: sg.is_psigma_t(G, S23, lim)),
     ("is_sigma_nilpotent", "", lambda G, lim: sg.is_sigma_nilpotent(G, S23, lim)),
+    ("is_sigma_nilpotent", "one-block", lambda G, lim: sg.is_sigma_nilpotent(G, S2_3, lim)),
+    ("is_sigma_nilpotent", "trivial",
+     lambda G, lim: sg.is_sigma_nilpotent(sg.trivial_subgroup(G), S23, lim)),
     ("is_sigma_permutable", "",
      lambda G, lim: sg.is_sigma_permutable(G, sub(G, *V4_GENS), S23, lim)),
     ("is_sigma_soluble", "", lambda G, lim: sg.is_sigma_soluble(G, S23, lim)),

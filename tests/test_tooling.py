@@ -58,6 +58,7 @@ def test_benchmark_selftest_passes(benchmark_selftest):
 # with its reason in README's quickstart, which the test finds there
 KEPT_FOR_LIBRARY_CALLERS = {
     "full_subgroup": "`full_subgroup(G)` is G as a `Subgroup`",
+    "trivial_subgroup": "`trivial_subgroup(G)` is the subgroup 1 of G",
 }
 
 
@@ -138,11 +139,11 @@ def test_harness_builds_no_quotient_group():
 
 
 def test_harness_reads_normal_subgroups_off_the_normal_lattice():
-    """Lem2.3 reads its quotients and E n Phi(G), and Lem2.5 reads O_pi(D),
-    in G's normal lattice: ``harness.py`` names none of the engine's own
-    reads of them, which stay for the library and its tests."""
+    """Lem2.3 reads E n Phi(G), and Lem2.5 reads O_pi(D), in G's normal
+    lattice: ``harness.py`` names none of the engine's own reads of them,
+    which stay for the library and its tests."""
     assert names_in_module("harness.py").isdisjoint(
-        {"_quotient_is_sigma_nilpotent", "largest_normal_block_subgroup", "intersection_subgroup"})
+        {"largest_normal_block_subgroup", "intersection_subgroup"})
 
 
 def test_reading_a_corpus_file_builds_no_group():
@@ -300,33 +301,40 @@ def test_sigma_memo_keys_carry_limits_only_for_lattice_reads():
     every read, so a result that reads only the root's table is cached
     once per root and mask, with no limits in its key.  Only the three
     computes that read a lattice, and so may reach the subgroup bound, key
-    on the caller's limits: the Hall data, PsigmaT and the Lemma 2.1 scan.
-    Sigma-solubility has no sigma memo: it reads ``structure``'s one memo
-    of P(G), whose key is its kind alone, neither a partition nor limits."""
+    on the caller's limits: the Hall data of a block, PsigmaT and the
+    Lemma 2.1 scan.  The per-block memos, R_i and the Hall data of a block,
+    are keyed first by the block's prime set, a parameter of their
+    function, not by sigma.  Sigma-nilpotency and sigma-solubility have no
+    memo of their own: they read R_i, and ``structure``'s one memo of P(G),
+    whose key is its kind alone, neither a partition nor limits."""
     keyed = {}
+    first = {}
     for node in module_nodes("sigma.py"):
         if isinstance(node, ast.Call) and callee(node) == "_memo":
             kind, *rest = node.args[3:]
             keyed[kind.value] = any(isinstance(k, ast.Name) and k.id == "limits" for k in rest)
+            first[kind.value] = rest[0].id if rest and isinstance(rest[0], ast.Name) else None
     assert {kind for kind, has_limits in keyed.items() if has_limits} == \
-        {"hall-data", "psigma-t", "sylow-type"}
-    assert set(keyed) == {"hall-data", "psigma-t", "block-generated", "sigma-nilpotent",
-                          "sigma-residual", "class-closures", "sylow-type"}
+        {"hall-block", "psigma-t", "sylow-type"}
+    assert set(keyed) == {"hall-block", "psigma-t", "block-generated", "sigma-residual",
+                          "class-closures", "sylow-type"}
+    assert (first["block-generated"], first["hall-block"]) == ("primes", "ps")
     fact = [node.args[4:] for node in module_nodes("structure.py")
             if isinstance(node, ast.Call) and callee(node) == "_memo"
             and getattr(node.args[3], "value", None) == "insoluble-primes"]
     assert fact == [[]]
 
 
-SIGMA_MEMOS = {"hall-data", "psigma-t", "sigma-nilpotent", "sigma-residual", "sylow-type"}
+SIGMA_MEMOS = {"psigma-t", "sigma-residual", "sylow-type"}
 
 
 def test_every_sigma_memo_is_keyed_by_sigma_key():
-    """Every memo whose result depends on the partition takes its key from
-    ``sigma._sigma_key``, sigma(G) as prime sets, as a call or as a name
-    bound to one, so partitions that agree on pi(G) share one result.  No
-    partition text keys a memo: in ``sigma.py`` only ``SigmaPartition.__str__``
-    calls ``text``."""
+    """Every memo whose result depends on the whole partition takes its key
+    from ``sigma._sigma_key``, sigma(G) as prime sets, as a call or as a
+    name bound to one, so partitions that agree on pi(G) share one result;
+    and ``_sigma_key`` keys no other memo, since the per-block memos are
+    keyed by one block's primes.  No partition text keys a memo: in
+    ``sigma.py`` only ``SigmaPartition.__str__`` calls ``text``."""
     def is_key_call(node):
         return isinstance(node, ast.Call) and callee(node) == "_sigma_key"
 
@@ -343,11 +351,12 @@ def test_every_sigma_memo_is_keyed_by_sigma_key():
                     continue
                 if callee(node) == "text" and isinstance(node.func, ast.Attribute):
                     text_callers.add(member.name)
-                if callee(node) == "_memo" and node.args[3].value in SIGMA_MEMOS:
-                    kinds.add(node.args[3].value)
-                    key = node.args[4]
-                    assert is_key_call(key) or isinstance(key, ast.Name) and key.id in bound, \
-                        node.args[3].value
+                if callee(node) == "_memo":
+                    key = node.args[4] if len(node.args) > 4 else None
+                    if is_key_call(key) or isinstance(key, ast.Name) and key.id in bound:
+                        kinds.add(node.args[3].value)
+                    else:
+                        assert node.args[3].value not in SIGMA_MEMOS, node.args[3].value
     assert kinds == SIGMA_MEMOS
     assert text_callers == {"__str__"}
 

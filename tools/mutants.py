@@ -121,13 +121,30 @@ MUTANTS = (
            ("tests/test_sigma.py",)),
     # a block's Hall subgroup is forced only when R_i has the block's order
     Mutant("hall-forced-block", "src/sigmagroups/sigma.py",
-           "            if forced.bit_count() == part:", "            if forced.bit_count() >= part:",
+           "        if forced.bit_count() == part:", "        if forced.bit_count() >= part:",
            ("tests/test_sigma.py", "tests/test_differential.py")),
+    # G is sigma-nilpotent when every block's R_i has the block's order, not
+    # some block's; the trivial group, with no block to read, still meets
+    # the table bound in sigma-nilpotency and in the Hall data
+    Mutant("sigma-nilpotent-every-block", "src/sigmagroups/sigma.py",
+           "    return all(_block_generated(G, ps, limits).bit_count() == part",
+           "    return any(_block_generated(G, ps, limits).bit_count() == part",
+           ("tests/test_sigma.py",)),
+    Mutant("sigma-nilpotent-table-bound", "src/sigmagroups/sigma.py",
+           "    _check_table_room(G.root.order, limits)\n    return all(",
+           "    return all(", ("tests/test_structure.py",)),
+    Mutant("hall-data-table-bound", "src/sigmagroups/sigma.py",
+           "    _check_table_room(G.root.order, limits)\n    return [_hall_block(",
+           "    return [_hall_block(", ("tests/test_structure.py",)),
     # P(G): the walk at q takes O^{q'}(X) over the primes other than q, and
     # G is sigma-soluble only when one block of sigma holds all of P(G)
     Mutant("insoluble-primes-second-block-keeps-q", "src/sigmagroups/structure.py",
            "                for ps in ({q}, primes - {q}):",
            "                for ps in ({q}, primes):", ("tests/test_structure.py",)),
+    # Burnside: only a group with at most two primes is soluble with no walk
+    Mutant("insoluble-primes-burnside-guard", "src/sigmagroups/structure.py",
+           "for q in primes if len(primes) > 2 else ():",
+           "for q in primes if len(primes) > 3 else ():", ("tests/test_structure.py",)),
     Mutant("sigma-soluble-two-blocks", "src/sigmagroups/sigma.py",
            "for p in _insoluble_primes(G, limits)}) <= 1",
            "for p in _insoluble_primes(G, limits)}) <= 2", ("tests/test_sigma.py",)),
@@ -159,14 +176,17 @@ MUTANTS = (
            "    if failures:", "    if not failures:", ("tests/test_harness.py",)),
     Mutant("lemma-2-5-forward-decision", "src/sigmagroups/harness.py",
            "    if problems:", "    if not problems:", ("tests/test_harness.py",)),
-    # G/N sigma-nilpotent, read in the normal lattice and read off R_i
+    # G/N sigma-nilpotent, read in the normal lattice
     Mutant("nilpotent-section-every-block", "src/sigmagroups/harness.py",
            "    return all(k * part_for_primes(index, ps) in between",
            "    return any(k * part_for_primes(index, ps) in between",
            ("tests/test_harness.py", "tests/test_sigma.py")),
-    Mutant("quotient-nilpotent-block-order", "src/sigmagroups/sigma.py",
-           "if r.bit_count() != (r & N.mask).bit_count() * part:",
-           "if r.bit_count() == (r & N.mask).bit_count() * part:", ("tests/test_sigma.py",)),
+    # the residual's own check: |R_i| = |R_i n D| |G:D|_{sigma_i} at every
+    # block (">=" always holds, since R_i D/D holds the Sylows of G/D)
+    Mutant("residual-quotient-check", "src/sigmagroups/sigma.py",
+           "r.bit_count() == (r & D.mask).bit_count() * part_for_primes(index, ps)",
+           "r.bit_count() >= (r & D.mask).bit_count() * part_for_primes(index, ps)",
+           ("tests/test_sigma.py",)),
     # a non-vacuous ThmA.i confirmation needs a non-vacuous ThmA.ii one
     Mutant("class-monotonicity-check", "src/sigmagroups/harness.py",
            'if r.verdict == partner.verdict == "confirmed" and not r.vacuous and partner.vacuous:',
@@ -199,9 +219,6 @@ MUTANTS = (
     Mutant("subgroup-inside-group", "src/sigmagroups/structure.py",
            "        if H.root is not G.root or H.mask & G.mask != H.mask:",
            "        if H.root is not G.root:", ("tests/test_sigma.py", "tests/test_structure.py")),
-    Mutant("quotient-by-normal-only", "src/sigmagroups/sigma.py",
-           "        if not _is_normal_in(_element_table(G.root, limits), G, N):",
-           "        if False:", ("tests/test_sigma.py",)),
     Mutant("limits-table-ceiling", "src/sigmagroups/errors.py",
            "        if self.table_order_bound > MAX_TABLE_ORDER:",
            "        if self.table_order_bound >= MAX_TABLE_ORDER:", ("tests/test_structure.py",)),
