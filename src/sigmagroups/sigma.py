@@ -27,9 +27,14 @@ subgroup have no memo of their own: the first two read one fact per
 block or per group, and the last, which the campaign and one-shot
 queries seldom repeat, is computed on each call from the Hall data.
 
-Every verdict and subgroup here comes from subgroups generated by elements
-on the root's table (``_ElementTable.generated_by_orders``), and no normal
-lattice is built:
+Every verdict and subgroup here comes from |G| and from subgroups
+generated by elements on the root's table
+(``_ElementTable.generated_by_orders``), and no normal lattice is built.
+The table is fetched only by code that reads its rows.  At a one-block
+partition R_1 is G, read off |G|, so sigma-nilpotency, PsigmaT, the
+orders of the complete Hall sigma-set and the residual build no table
+there; sigma-solubility of a group with at most two primes builds none at
+any partition:
 
 - sigma-nilpotency of G is read off the subgroups R_i of G generated by
   its sigma_i-elements: G is sigma-nilpotent exactly when each R_i has
@@ -63,13 +68,13 @@ subgroups: AW == WA is read off orders on G's lattice (``_permutes``).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import (_TOO_LONG, BLOCK_DIGITS, DEFAULT_LIMITS, GroupInputError, InvariantError,
                      Limits, _check_count, _check_prime)
 from .numbers import part_for_primes, primes_of
-from .permcore import Subgroup
+from .permcore import PermGroup, Subgroup
 from .structure import (Group, _ElementTable, _check_inside, _check_table_room, _class_closures,
                         _element_table, _greedy_subgroup, _insoluble_primes, _is_normal_in,
                         _lattice_by_order, _memo, all_subgroups, subgroups_of_order)
@@ -269,30 +274,44 @@ def _conjugacy_classes(table: _ElementTable, masks: Sequence[int],
 
 @dataclass(frozen=True)
 class HallSigmaSet:
-    """One Hall subgroup per block of sigma(G); empty for the trivial group."""
+    """One Hall subgroup per block of sigma(G), kept as (block id, mask over
+    the root's elements); empty for the trivial group.  Two sets are equal
+    when they have the same root, ids and masks.  ``member_orders`` reads
+    the masks alone.  ``members`` wraps each mask as a ``Subgroup`` when it
+    is read, through the memoised ``structure._greedy_subgroup`` under the
+    limits the set was found under, so the table is built only for a
+    caller that reads the members' generators."""
 
-    members: tuple[tuple[str, Subgroup], ...]
+    root: PermGroup
+    masks: tuple[tuple[str, int], ...]
+    limits: Limits = field(default=DEFAULT_LIMITS, compare=False, repr=False)
+
+    @property
+    def members(self) -> tuple[tuple[str, Subgroup], ...]:
+        return tuple((bid, _greedy_subgroup(self.root, m, self.limits)) for bid, m in self.masks)
 
     def member_orders(self) -> tuple[int, ...]:
-        return tuple(h.order for _, h in self.members)
+        return tuple(m.bit_count() for _, m in self.masks)
 
 
 def complete_hall_sigma_set(G: Group, sigma: SigmaPartition,
                             limits: Limits = DEFAULT_LIMITS) -> HallSigmaSet | None:
     """Canonical complete Hall sigma-set (least member per block), or None.
     Each member is named by the caller's block id, read off ``_order_blocks``,
-    whose blocks come in the order of the Hall data's."""
-    members = []
+    whose blocks come in the order of the Hall data's, and kept as its mask,
+    the block's first candidate: no member is wrapped here, so at a
+    one-block partition, whose one member is G, no table is built."""
+    masks = []
     total = 1
     for (bid, _, _), block in zip(_order_blocks(G.order, sigma), _hall_data(G, sigma, limits)):
         if not block["candidates"]:
             return None
-        sub = _greedy_subgroup(G, block["candidates"][0], limits)
-        members.append((bid, sub))
-        total *= sub.order
+        mask = block["candidates"][0]
+        masks.append((bid, mask))
+        total *= mask.bit_count()
     if total != G.order:
         raise InvariantError(f"Hall sigma-set member orders multiply to {total}, not {G.order}")
-    return HallSigmaSet(members=tuple(members))
+    return HallSigmaSet(G.root, tuple(masks), limits)
 
 
 # ---------------------------------------------------------------------------
@@ -434,22 +453,27 @@ def sigma_nilpotent_residual(G: Group, sigma: SigmaPartition,
     in R_i, which is normal in G, so their join is normal and is the least
     such N.  A block whose R_i has order |G|_{sigma_i} (R_i = G when that
     part is |G|) adds nothing; on a sigma-nilpotent G every block is one,
-    and D = 1.  No normal lattice is built.  D is checked to be normal with
-    a sigma-nilpotent quotient, by that order equation at every block over
-    the R_i already read, and its generators are the greedy ones, which
-    depend only on its set.  The verifiers read G/N in G's normal lattice
-    instead (``harness._nilpotent_section``)."""
+    and D = 1.  No normal lattice is built, and the table is fetched only
+    for a block that adds something, so at a one-block partition, whose
+    R_1 is G, no table is built.  D is checked to be normal with a
+    sigma-nilpotent quotient, by that order equation at every block over
+    the R_i already read; D = 1 is normal with no table read.  Its
+    generators are the greedy ones, which depend only on its set.  The
+    verifiers read G/N in G's normal lattice instead
+    (``harness._nilpotent_section``)."""
     def compute():
-        table = _element_table(G.root, limits)
         blocks = [(ps, part, _block_generated(G, ps, limits))
                   for _, ps, part in _order_blocks(G.order, sigma)]
-        union = 1
+        table, union = None, 1
         for ps, part, r in blocks:
             if r.bit_count() != part:
+                table = _element_table(G.root, limits)
                 union |= table.generated_by_orders(r, ps.isdisjoint)
-        D = _greedy_subgroup(G, table.generate(table.members(union))[0], limits)
+        if table is not None:
+            union = table.generate(table.members(union))[0]
+        D = _greedy_subgroup(G, union, limits)
         index = G.order // D.order
-        if not (_is_normal_in(table, G, D) and all(
+        if not ((D.mask == 1 or _is_normal_in(table, G, D)) and all(
                 r.bit_count() == (r & D.mask).bit_count() * part_for_primes(index, ps)
                 for ps, _, r in blocks)):
             raise InvariantError("residual: not normal, or the quotient is not sigma-nilpotent")

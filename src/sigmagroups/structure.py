@@ -279,8 +279,12 @@ def _wrap(G: Group, entries: Iterable[tuple[int, tuple[Perm, ...]]]) -> tuple[Su
 def _greedy_subgroup(G: Group, mask: int, limits: Limits) -> Subgroup:
     """The subgroup of G with this member mask, generated by adjoining each
     member, in sorted order, not yet reached.  The generators depend only on
-    the set, so the subgroup is a ``_memo`` read on the root."""
+    the set, so the subgroup is a ``_memo`` read on the root.  The trivial
+    mask, the identity alone, has no member to adjoin, so it gets no
+    generators without a table."""
     def compute():
+        if mask == 1:
+            return Subgroup._of_mask(G, mask, ())
         table = _element_table(G.root, limits)
         closed, gens = table.generate(table.members(mask), mask.bit_count())
         if closed != mask:
@@ -363,15 +367,16 @@ def _insoluble_primes(G: Group, limits: Limits) -> frozenset[int]:
     divides a nonabelian chief factor, that factor has at least two more
     primes (Burnside's p^a q^b theorem), so no series of q-groups and
     q'-groups passes it, and the walk stalls.  By the same theorem a group
-    with at most two primes is soluble, so P(G) is empty with no walk.  No
-    chief series or normal lattice is built; the walks run on the root's
-    table, got as ``_element_table`` gets it under ``limits``, and P(G) is
-    a ``_memo`` read keyed by neither a partition nor limits."""
+    with at most two primes is soluble, so P(G) is empty with no walk and
+    no table is built.  No chief series or normal lattice is built; the
+    walks run on the root's table, fetched inside the walk as
+    ``_element_table`` gets it under ``limits``, and P(G) is a ``_memo``
+    read keyed by neither a partition nor limits."""
     def compute():
-        table = _element_table(G.root, limits)
         primes = primes_of(G.order)
         stalled = set()
         for q in primes if len(primes) > 2 else ():
+            table = _element_table(G.root, limits)
             x, last = G.mask, 0
             while x not in (1, last):
                 last = x

@@ -654,6 +654,34 @@ def test_every_sigma1_row_equals_its_singleton_partition_row(corpus, campaign):
     assert pairs == 405
 
 
+def test_rows_of_one_group_and_partition_agree_across_statements(campaign):
+    """Three rules between the rows of one group, read off the builtin
+    report.  Corollary 1.2 is Corollary 1.1 at sigma1, so each Cor1.2 row
+    equals its group's Cor1.1 row at sigma1 in every field but the
+    statement id.  Cor1.1 and ThmA.iii are vacuous exactly when G lies in
+    the sigma-soluble PsigmaT class, and Lemma 2.5's forward premise is
+    that class, so at every (group, partition) ThmA.iii is vacuous exactly
+    when Cor1.1 is, and Lem2.5.fwd is a premise skip exactly when Cor1.1
+    is not vacuous."""
+    rows = {(r["group"], r["sigma"], r["statement_id"]): r for r in campaign["rows"]}
+    cor_1_2 = [(name, label) for name, label, sid in rows if sid == "Cor1.2"]
+    for name, label in cor_1_2:
+        assert label == "sigma1"
+        assert {**rows[name, label, "Cor1.2"], "statement_id": "Cor1.1"} == \
+            rows[name, label, "Cor1.1"], name
+    pairs = [(name, label) for name, label, sid in rows if sid == "Cor1.1"]
+    outside_pairs = 0
+    for pair in pairs:
+        outside = not rows[(*pair, "Cor1.1")]["vacuous"]
+        outside_pairs += outside
+        assert rows[(*pair, "ThmA.iii")]["vacuous"] != outside, pair
+        lemma = rows[(*pair, "Lem2.5.fwd")]
+        premise_skip = lemma["verdict"] == "skipped" and \
+            lemma["reason"].startswith("premise not satisfied")
+        assert premise_skip == outside, pair
+    assert (len(cor_1_2), len(pairs), outside_pairs) == (45, 136, 44)
+
+
 def test_sigma_solubility_rows_agree_across_statements_and_partitions(corpus, campaign):
     """Lem2.1's premise, Lem2.2's pi-separability and ThmA.i's class are all
     sigma-solubility, and ThmA.ii's class is sigma-nilpotency, so the rows

@@ -9,6 +9,7 @@ import functools
 import itertools
 import math
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -599,6 +600,86 @@ def test_classify_fields_run_no_lattice_kernel_when_sigma_decides(monkeypatch, n
             part for _, _, part in sigma_module._order_blocks(G.order, sigma))
 
 
+# the five classify fields that take a partition, under the caller's limits
+ONE_BLOCK_FIELDS = (
+    is_sigma_soluble, is_sigma_nilpotent, is_psigma_t,
+    lambda G, sigma, limits: complete_hall_sigma_set(G, sigma, limits).member_orders(),
+    lambda G, sigma, limits: sigma_nilpotent_residual(G, sigma, limits).order,
+)
+
+
+def test_one_block_classify_fields_build_a_table_only_to_walk_three_primes(table_builds):
+    """At the one-block partition of pi(G), R_1 is G, so the five classify
+    fields read |G| and P(G) alone.  P(G) needs no walk on a group with at
+    most two primes (Burnside), so the 39 such builtins build no table; the
+    six with three primes build one, for the walk.  Under a table bound of
+    |G| - 1 every field is refused, and no table is built."""
+    built = {}
+    for entry in builtin_corpus():
+        clear_intern_cache()  # no table left on the group by an earlier one
+        G = entry.build()
+        sigma = SigmaPartition.of_blocks(primes_of(G.order)) if G.order > 1 else S1
+        table_builds.clear()
+        if G.order > 1:
+            for field in ONE_BLOCK_FIELDS:
+                with pytest.raises(CapacityError, match=f"^group order {G.order} exceeds "):
+                    field(G, sigma, Limits(table_order_bound=G.order - 1))
+            assert table_builds == [], entry.name
+        answers = [field(G, sigma, Limits()) for field in ONE_BLOCK_FIELDS]
+        assert answers == [True, True, True, (G.order,) if G.order > 1 else (), 1], entry.name
+        built[entry.name] = (len(primes_of(G.order)), len(table_builds))
+    clear_intern_cache()
+    assert Counter(built.values()) == {(0, 0): 1, (1, 0): 16, (2, 0): 22, (3, 1): 6}
+    assert {name for name, (_, tables) in built.items() if tables} == \
+        {"S5", "A5", "C7:C6", "C5xA4", "SL(2,5)", "PSL(2,7)"}
+
+
+def greedy_keys(G):
+    """The greedy subgroups cached on G's root, by key."""
+    return {k for k in G.root.cache if isinstance(k, tuple) and k[0] == "greedy"}
+
+
+def test_hall_set_members_are_the_greedy_subgroups_of_the_first_candidates():
+    """A complete Hall sigma-set keeps each member as the mask of its
+    block's first candidate and wraps it only when ``members`` is read, as
+    the greedy subgroup of that mask: the block ids, masks and generators
+    of every builtin at every campaign partition.  Its orders alone add no
+    greedy subgroup to the root's cache."""
+    limits = Limits()
+    sets = 0
+    for entry in builtin_corpus():
+        clear_intern_cache()  # no greedy subgroup left by an earlier test
+        G = entry.build()
+        for sigma in campaign_sigmas(G):
+            greedy = greedy_keys(G)
+            hall = complete_hall_sigma_set(G, sigma, limits)
+            if hall is None:
+                continue
+            orders = hall.member_orders()
+            assert greedy_keys(G) == greedy
+            blocks = zip(sigma_module._order_blocks(G.order, sigma),
+                         sigma_module._hall_data(G, sigma, limits))
+            eager = [(bid, structure_module._greedy_subgroup(G, block["candidates"][0], limits))
+                     for (bid, _, _), block in blocks]
+            assert [(bid, h.mask, h.order, tuple(map(str, h.generators)))
+                    for bid, h in hall.members] == \
+                [(bid, h.mask, h.order, tuple(map(str, h.generators))) for bid, h in eager]
+            assert orders == tuple(h.order for _, h in eager)
+            sets += 1
+    clear_intern_cache()
+    assert sets == 129
+
+
+def test_hall_sets_are_equal_by_root_ids_and_masks(corpus):
+    """Two complete Hall sigma-sets are equal when they have the same root,
+    block ids and masks, whichever group object and limits found them."""
+    first = complete_hall_sigma_set(corpus["S4"].build(), S1)
+    again = complete_hall_sigma_set(builtin_entry("S4").build(), S1, Limits(subgroup_bound=50))
+    assert (again, hash(again)) == (first, hash(first))
+    assert first != complete_hall_sigma_set(corpus["S4"].build(), parse_sigma("[2,3]"))
+    assert first.members == again.members
+
+
 # ---------------------------------------------------------------------------
 # sigma-full of Sylow type, separability, residual structure helpers
 
@@ -1013,6 +1094,21 @@ def test_residual_witness_check_raises(monkeypatch, fresh_s3):
                         lambda G, mask, limits: trivial_subgroup(S3))
     with pytest.raises(InvariantError, match="residual: not normal, or the quotient"):
         sigma_nilpotent_residual(S3, S1)
+
+
+def test_residual_normality_is_tested_on_every_nontrivial_residual(monkeypatch, fresh_s3):
+    """A residual above 1 is tested for normality on the table, and one
+    planted answer of "not normal" trips the check; D = 1, at a one-block
+    partition, is normal with no test and no table."""
+    S3 = fresh_s3
+    asked = []
+    monkeypatch.setattr(sigma_module, "_is_normal_in",
+                        lambda table, G, N: asked.append(N.order) or False)
+    assert sigma_nilpotent_residual(S3, parse_sigma("[2,3]")).order == 1
+    assert asked == []
+    with pytest.raises(InvariantError, match="residual: not normal, or the quotient"):
+        sigma_nilpotent_residual(S3, S1)
+    assert asked == [3]
 
 
 def test_largest_normal_block_check_raises(monkeypatch, fresh_s3):

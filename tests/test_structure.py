@@ -695,6 +695,24 @@ def test_subgroup_from_images_warm_path_matches_cold(corpus, chain_builds):
         assert w.element_images() == c.element_images() == s
 
 
+def test_only_the_trivial_greedy_subgroup_is_wrapped_with_no_table(table_builds):
+    """The trivial mask has no member to adjoin, so its greedy subgroup has
+    no generators and builds no table.  Every larger mask is generated on
+    the table: each subgroup of S4 of order 2 by its one element, and each
+    other one by as many elements as the greedy walk adjoins."""
+    clear_intern_cache()  # no table left on S4 by an earlier test
+    S4 = builtin_entry("S4").build()
+    trivial = structure._greedy_subgroup(S4, 1, Limits())
+    assert (trivial.order, trivial.generators, table_builds) == (1, (), [])
+    lattice = all_subgroups(S4)
+    greedy = [structure._greedy_subgroup(S4, h.mask, Limits()) for h in lattice]
+    assert [len(h.generators) for h in greedy if h.order == 2] == [1] * 9
+    assert all(h.generators for h in greedy if h.order > 1)
+    assert [h.mask for h in greedy] == [h.mask for h in lattice]
+    assert len(table_builds) == 1
+    clear_intern_cache()
+
+
 # ---------------------------------------------------------------------------
 # the multiplication-table bound
 
@@ -749,6 +767,8 @@ LIMITED_CALLS = [
     ("sylow_subgroup", "p-group", lambda G, lim: sg.sylow_subgroup(sub(G, *D8_GENS), 2, lim)),
     ("sylow_subgroup", "no-prime", lambda G, lim: sg.sylow_subgroup(G, 5, lim)),
     ("complete_hall_sigma_set", "", lambda G, lim: sg.complete_hall_sigma_set(G, S23, lim)),
+    ("complete_hall_sigma_set", "one-block",
+     lambda G, lim: sg.complete_hall_sigma_set(G, S2_3, lim)),
     ("complete_hall_sigma_set", "trivial",
      lambda G, lim: sg.complete_hall_sigma_set(sg.trivial_subgroup(G), S23, lim)),
     ("induces_power_automorphisms", "",
@@ -766,6 +786,8 @@ LIMITED_CALLS = [
      lambda G, lim: sg.largest_normal_block_subgroup(full_subgroup(G), [2], lim)),
     ("psigma_t_violation", "", lambda G, lim: sg.psigma_t_violation(G, S23, lim)),
     ("sigma_nilpotent_residual", "", lambda G, lim: sg.sigma_nilpotent_residual(G, S23, lim)),
+    ("sigma_nilpotent_residual", "one-block",
+     lambda G, lim: sg.sigma_nilpotent_residual(G, S2_3, lim)),
     ("sigma_permutable_sets", "", lambda G, lim: sg.sigma_permutable_sets(G, S23, lim)),
     ("validate_covering_witness", "", lambda G, lim: sg.validate_covering_witness(
         G, S23, "sigma-nilpotent", {"V": {"order": 4, "generators": list(V4_GENS)}}, lim)),

@@ -148,6 +148,34 @@ MUTANTS = (
     Mutant("sigma-soluble-two-blocks", "src/sigmagroups/sigma.py",
            "for p in _insoluble_primes(G, limits)}) <= 1",
            "for p in _insoluble_primes(G, limits)}) <= 2", ("tests/test_sigma.py",)),
+    # the table is fetched only by code that reads its rows: P(G) inside the
+    # walk, which a group with at most two primes does not take, and the
+    # residual only for a block whose R_i is not of the block's order
+    Mutant("insoluble-primes-table-before-walk", "src/sigmagroups/structure.py",
+           "        primes = primes_of(G.order)\n        stalled = set()\n",
+           "        _element_table(G.root, limits)\n"
+           "        primes = primes_of(G.order)\n        stalled = set()\n",
+           ("tests/test_sigma.py",)),
+    Mutant("residual-table-for-every-block", "src/sigmagroups/sigma.py",
+           "        table, union = None, 1\n",
+           "        table, union = _element_table(G.root, limits), 1\n", ("tests/test_sigma.py",)),
+    # only the trivial mask is a greedy subgroup with no generators
+    Mutant("greedy-trivial-mask-only", "src/sigmagroups/structure.py",
+           "        if mask == 1:\n            return Subgroup._of_mask(G, mask, ())",
+           "        if mask.bit_count() <= 2:\n            return Subgroup._of_mask(G, mask, ())",
+           ("tests/test_structure.py", "tests/test_sigma.py")),
+    # a complete Hall sigma-set keeps each block's first candidate, and two
+    # sets are equal by root, ids and masks, whatever limits found them
+    Mutant("hall-set-first-candidate", "src/sigmagroups/sigma.py",
+           '        mask = block["candidates"][0]\n', '        mask = block["candidates"][-1]\n',
+           ("tests/test_sigma.py",)),
+    Mutant("hall-set-equal-across-limits", "src/sigmagroups/sigma.py",
+           "field(default=DEFAULT_LIMITS, compare=False, repr=False)",
+           "field(default=DEFAULT_LIMITS, repr=False)", ("tests/test_sigma.py",)),
+    # the residual tests normality whenever D is not trivial
+    Mutant("residual-normality-above-one", "src/sigmagroups/sigma.py",
+           "(D.mask == 1 or _is_normal_in(table, G, D))",
+           "(D.mask >= 1 or _is_normal_in(table, G, D))", ("tests/test_sigma.py",)),
     # InvariantError guard: O_sigma_i(D) lies inside its block
     Mutant("block-subgroup-invariant-guard", "src/sigmagroups/sigma.py",
            "    if not primes_of(join.bit_count()) <= block_primes:",
