@@ -41,6 +41,7 @@ from .structure import (all_subgroups, frattini_subgroup, hall_subgroup, normal_
 
 _THMA_CLASS = {"ThmA.i": "sigma-soluble", "ThmA.ii": "sigma-nilpotent",
                "ThmA.iii": "sigma-soluble-psigma-t"}
+_CLASS_SID = {cls: sid for sid, cls in _THMA_CLASS.items()}
 
 
 class Statement(NamedTuple):
@@ -67,15 +68,22 @@ REGISTRY = {
 STATEMENTS = tuple(REGISTRY)
 
 
+def _class_sid(cls: str) -> str:
+    """The ThmA statement id of a class selector, which must be one of
+    ``_THMA_CLASS``'s classes."""
+    if cls not in _CLASS_SID:
+        raise GroupInputError(f"unknown class selector {cls!r}")
+    return _CLASS_SID[cls]
+
+
 def class_member(cls: str, G: PermGroup, sigma: SigmaPartition,
                  limits: Limits = DEFAULT_LIMITS) -> bool:
+    _class_sid(cls)
     if cls == "sigma-soluble":
         return is_sigma_soluble(G, sigma, limits)
     if cls == "sigma-nilpotent":
         return is_sigma_nilpotent(G, sigma, limits)
-    if cls == "sigma-soluble-psigma-t":
-        return is_sigma_soluble(G, sigma, limits) and is_psigma_t(G, sigma, limits)
-    raise GroupInputError(f"unknown class selector {cls!r}")
+    return is_sigma_soluble(G, sigma, limits) and is_psigma_t(G, sigma, limits)
 
 
 @dataclass(frozen=True)
@@ -104,6 +112,26 @@ class VerificationOutcome:
 
 def _sub_json(h: Subgroup) -> dict:
     return {"order": h.order, "generators": [str(g) for g in h.generators]}
+
+
+def _lemma_row(sid: str, group_name: str, sigma: SigmaPartition, failure: dict | None,
+               witness: dict | None, vacuous: bool = False) -> VerificationOutcome:
+    """The row of a proved lemma: a counterexample whose witness is
+    ``failure`` plus a note naming an implementation bug as the likely
+    cause, when ``failure`` is not None, else a confirmed row with
+    ``witness`` and ``vacuous``."""
+    if failure is not None:
+        return VerificationOutcome(sid, group_name, sigma, "counterexample", witness={
+            **failure, "note": "implementation bug candidate: statement is proved"})
+    return VerificationOutcome(sid, group_name, sigma, "confirmed", vacuous=vacuous,
+                               witness=witness)
+
+
+def _premise_skip(sid: str, group_name: str, sigma: SigmaPartition,
+                  premise: str) -> VerificationOutcome:
+    """The vacuous skipped row of a lemma whose premise fails on G."""
+    return VerificationOutcome(sid, group_name, sigma, "skipped", vacuous=True,
+                               reason=f"premise not satisfied: {premise}")
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +177,7 @@ def _covering_outcome(sid: str, G: PermGroup, sigma: SigmaPartition, cls: str,
 def verify_theorem_A(G: PermGroup, sigma: SigmaPartition, cls: str, group_name: str = "",
                      limits: Limits = DEFAULT_LIMITS) -> VerificationOutcome:
     """One class instance of the covering-system statement, contrapositively."""
-    sid = {v: k for k, v in _THMA_CLASS.items()}[cls]
+    sid = _class_sid(cls)
     return _covering_outcome(
         sid, G, sigma, cls, group_name, limits,
         in_class={"note": "G lies in the class; T = G supplements every V"},
@@ -161,6 +189,7 @@ def validate_covering_witness(G: PermGroup, sigma: SigmaPartition, cls: str,
     """Re-derive a contrapositive witness from scratch: rebuild V from its
     stored generators, re-enumerate its supplements, re-test every class
     membership.  Guards against fabricated witnesses."""
+    _class_sid(cls)
     vgens = [Perm.parse(t, G.degree) for t in witness["V"]["generators"]]
     V = Subgroup(G, vgens)
     if V.order != witness["V"]["order"]:
@@ -201,19 +230,14 @@ def verify_cor_1_2(G: PermGroup, group_name: str = "",
 def verify_lemma_2_1(G: PermGroup, sigma: SigmaPartition, group_name: str = "",
                      limits: Limits = DEFAULT_LIMITS) -> VerificationOutcome:
     if not is_sigma_soluble(G, sigma, limits):
-        return VerificationOutcome(
-            "Lem2.1", group_name, sigma, "skipped", vacuous=True,
-            reason="premise not satisfied: G is not sigma-soluble")
+        return _premise_skip("Lem2.1", group_name, sigma, "G is not sigma-soluble")
     violation = sigma_full_sylow_type_violation(G, sigma, limits)
-    if violation is None:
-        return VerificationOutcome(
-            "Lem2.1", group_name, sigma, "confirmed",
-            witness={"subgroups_scanned": len(all_subgroups(G, limits))})
-    return VerificationOutcome(
-        "Lem2.1", group_name, sigma, "counterexample",
-        witness={"violation": {k: ([str(g) for g in v] if k in ("subgroup", "uncovered")
-                                   else v) for k, v in violation.items()},
-                 "note": "implementation bug candidate: statement is proved"})
+    # the scan read the lattice under these limits, so the count is a memo hit
+    return _lemma_row("Lem2.1", group_name, sigma,
+                      None if violation is None else {"violation": {
+                          k: [str(g) for g in v] if k in ("subgroup", "uncovered") else v
+                          for k, v in violation.items()}},
+                      {"subgroups_scanned": len(all_subgroups(G, limits))})
 
 
 # ---------------------------------------------------------------------------
@@ -239,17 +263,10 @@ def verify_lemma_2_2(G: PermGroup, pi, group_name: str = "",
     # one short-circuit pass: the witness lists only the prime sets asked before the first miss
     conditions = all(map(have, chain((pi_in, pi_out), (pi_in | {p} for p in sorted(pi_out)),
                                      (pi_out | {q} for q in sorted(pi_in)))))
-    vacuous = pi_in == pig or not pi_in
-    if separable == conditions:
-        return VerificationOutcome(
-            "Lem2.2", group_name, sigma_label, "confirmed", vacuous=vacuous,
-            witness={"pi": sorted(pi_in), "pi_separable": separable,
-                     "hall_existence": halls})
-    return VerificationOutcome(
-        "Lem2.2", group_name, sigma_label, "counterexample",
-        witness={"pi": sorted(pi_in), "pi_separable": separable,
-                 "hall_existence": halls,
-                 "note": "implementation bug candidate: statement is proved"})
+    witness = {"pi": sorted(pi_in), "pi_separable": separable, "hall_existence": halls}
+    return _lemma_row("Lem2.2", group_name, sigma_label,
+                      None if separable == conditions else witness, witness,
+                      vacuous=pi_in == pig or not pi_in)
 
 
 # ---------------------------------------------------------------------------
@@ -330,14 +347,10 @@ def verify_lemma_2_3(G: PermGroup, sigma: SigmaPartition, group_name: str = "",
                 failures.append({"part": "frattini", "E": _sub_json(e),
                                  "phi_order": phi.order})
 
-    if failures:
-        return VerificationOutcome(
-            "Lem2.3", group_name, sigma, "counterexample",
-            witness={"failures": failures,
-                     "note": "implementation bug candidate: statement is proved"})
-    return VerificationOutcome(
-        "Lem2.3", group_name, sigma, "confirmed", vacuous=nontrivial_instances == 0,
-        witness={"nontrivial_instances": nontrivial_instances})
+    return _lemma_row("Lem2.3", group_name, sigma,
+                      {"failures": failures} if failures else None,
+                      {"nontrivial_instances": nontrivial_instances},
+                      vacuous=nontrivial_instances == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -369,16 +382,11 @@ def verify_lemma_2_4(G: PermGroup, sigma: SigmaPartition, group_name: str = "",
     """The residual of G/N is DN/N, D the residual of G, for every normal N,
     with both sides read in G's normal lattice (``_lemma_2_4_sides``).
     G/1 (residual D) and G/G (trivial) are counted without being read."""
-    for N, lhs, rhs in _lemma_2_4_sides(G, sigma, limits):
-        if lhs is not rhs:
-            return VerificationOutcome(
-                "Lem2.4", group_name, sigma, "counterexample",
-                witness={"N": _sub_json(N), "lhs_order": lhs.order // N.order,
-                         "rhs_order": rhs.order // N.order,
-                         "note": "implementation bug candidate: statement is proved"})
-    return VerificationOutcome(
-        "Lem2.4", group_name, sigma, "confirmed", vacuous=G.order == 1,
-        witness={"normals_checked": len(normal_subgroups(G, limits))})
+    failure = next(({"N": _sub_json(N), "lhs_order": lhs.order // N.order,
+                     "rhs_order": rhs.order // N.order}
+                    for N, lhs, rhs in _lemma_2_4_sides(G, sigma, limits) if lhs is not rhs), None)
+    return _lemma_row("Lem2.4", group_name, sigma, failure,
+                      {"normals_checked": len(normal_subgroups(G, limits))}, vacuous=G.order == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +437,8 @@ def _shape_problems(G: PermGroup, D: Subgroup) -> list[str]:
 def verify_lemma_2_5_forward(G: PermGroup, sigma: SigmaPartition, group_name: str = "",
                              limits: Limits = DEFAULT_LIMITS) -> VerificationOutcome:
     if not (is_sigma_soluble(G, sigma, limits) and is_psigma_t(G, sigma, limits)):
-        return VerificationOutcome(
-            "Lem2.5.fwd", group_name, sigma, "skipped", vacuous=True,
-            reason="premise not satisfied: G is not a sigma-soluble PsigmaT-group")
+        return _premise_skip("Lem2.5.fwd", group_name, sigma,
+                             "G is not a sigma-soluble PsigmaT-group")
     D = sigma_nilpotent_residual(G, sigma, limits)
     M = next(iter(_complements(G, D, limits)), None)
     condition_ii = _condition_ii_blocks(G, D, sigma, limits)
@@ -445,15 +452,10 @@ def verify_lemma_2_5_forward(G: PermGroup, sigma: SigmaPartition, group_name: st
     if not condition_ii[0]:
         problems.append("condition (ii) fails for some block")
     witness = {"D": _sub_json(D), "M": _sub_json(M) if M else None, "blocks": condition_ii[1]}
-    if problems:
-        witness["problems"] = problems
-        witness["lattice_orders"] = sorted(h.order for h in all_subgroups(G, limits))
-        witness["note"] = "implementation bug candidate: statement is proved"
-        return VerificationOutcome(
-            "Lem2.5.fwd", group_name, sigma, "counterexample", witness=witness)
-    return VerificationOutcome(
-        "Lem2.5.fwd", group_name, sigma, "confirmed", vacuous=D.order == 1,
-        witness=witness)
+    return _lemma_row("Lem2.5.fwd", group_name, sigma,
+                      {**witness, "problems": problems,
+                       "lattice_orders": sorted(h.order for h in all_subgroups(G, limits))}
+                      if problems else None, witness, vacuous=D.order == 1)
 
 
 def _complements(G: PermGroup, D: Subgroup, limits: Limits) -> tuple[Subgroup, ...]:
@@ -483,29 +485,17 @@ def verify_lemma_2_5_converse_search(G: PermGroup, sigma: SigmaPartition,
                                      group_name: str = "",
                                      limits: Limits = DEFAULT_LIMITS) -> VerificationOutcome:
     """Campaign form: exhaust all (D, M) with D normal and conditions (i)+(ii);
-    each found pair forces the PsigmaT conclusion."""
-    pairs = 0
-    first = None
-    for D in normal_subgroups(G, limits):
-        ms = _complements_meeting_conditions(G, sigma, D, limits)
-        if not ms:
-            continue
-        pairs += len(ms)
-        if first is None:
-            first = (D, ms[0])
-        if not is_psigma_t(G, sigma, limits):
-            return VerificationOutcome(
-                "Lem2.5.conv", group_name, sigma, "counterexample",
-                witness={"D": _sub_json(D), "M": _sub_json(ms[0]),
-                         "note": "implementation bug candidate: statement is proved"})
-    if pairs == 0:
-        return VerificationOutcome(
-            "Lem2.5.conv", group_name, sigma, "confirmed", vacuous=True,
-            witness={"pairs_satisfying_conditions": 0})
-    return VerificationOutcome(
-        "Lem2.5.conv", group_name, sigma, "confirmed", vacuous=False,
-        witness={"pairs_satisfying_conditions": pairs,
-                 "D": _sub_json(first[0]), "M": _sub_json(first[1])})
+    each found pair forces the PsigmaT conclusion, which is asked once, at
+    the first D with pairs; a failure stops the search there."""
+    found = ((D, ms) for D in normal_subgroups(G, limits)
+             for ms in [_complements_meeting_conditions(G, sigma, D, limits)] if ms)
+    D, ms = next(found, (None, []))
+    first = {"D": _sub_json(D), "M": _sub_json(ms[0])} if ms else {}
+    if ms and not is_psigma_t(G, sigma, limits):
+        return _lemma_row("Lem2.5.conv", group_name, sigma, first, None)
+    pairs = len(ms) + sum(len(more) for _, more in found)
+    return _lemma_row("Lem2.5.conv", group_name, sigma, None,
+                      {"pairs_satisfying_conditions": pairs, **first}, vacuous=not ms)
 
 
 # ---------------------------------------------------------------------------

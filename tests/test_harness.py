@@ -120,6 +120,20 @@ def test_witness_validation_rejects_a_sylow_subgroup_whose_supplements_all_lie_o
     assert not validate_covering_witness(A5, S1, "sigma-soluble", V4)
 
 
+@pytest.mark.parametrize("V", [
+    {"order": 4, "generators": ["(1 2)(3 4)", "(1 3)(2 4)"]},  # a Sylow 2-subgroup
+    {"order": 1, "generators": []},  # a maximal subgroup of a Sylow 3-subgroup
+], ids=["not-sylow-maximal", "sylow-maximal"])
+def test_theorem_a_and_witness_validation_refuse_an_unknown_class_selector(corpus, V):
+    """Theorem A and witness validation refuse an unknown class as
+    ``class_member`` does, whatever V the witness names."""
+    A4 = corpus["A4"].build()
+    with pytest.raises(GroupInputError, match="unknown class selector 'bogus'"):
+        verify_theorem_A(A4, S1, "bogus", "A4")
+    with pytest.raises(GroupInputError, match="unknown class selector 'bogus'"):
+        validate_covering_witness(A4, S1, "bogus", {"V": V})
+
+
 def test_cached_sylow_maximal_candidates_keep_a_lower_subgroup_bound(corpus):
     clear_intern_cache()
     A5 = builtin_entry("A5").build()
@@ -345,6 +359,12 @@ def lemma_2_3_lie(G, original):
                                      and original(X, sigma, limits))
 
 
+def lemma_2_4_lie(G, original):
+    """The residual of G is trivial."""
+    return lambda X, sigma, limits: (trivial_subgroup(X) if X is G
+                                     else original(X, sigma, limits))
+
+
 def lemma_2_5_lie(G, original):
     """The predicate answers False on G itself."""
     return lambda X, *args: X is not G and original(X, *args)
@@ -356,6 +376,7 @@ PLANTED_FAULTS = {
     "Lem2.1": ("S4", ("--sigma", "sigma1"), "sigma_full_sylow_type_violation", lemma_2_1_lie),
     "Lem2.2": ("A5", ("--pi", "2"), "is_pi_separable", lemma_2_2_lie),
     "Lem2.3": ("C6", ("--sigma", "sigma1"), "is_sigma_nilpotent", lemma_2_3_lie),
+    "Lem2.4": ("S4", ("--sigma", "sigma1"), "sigma_nilpotent_residual", lemma_2_4_lie),
     "Lem2.5.fwd": ("S3", ("--sigma", "sigma1"), "induces_power_automorphisms", lemma_2_5_lie),
     "Lem2.5.conv": ("S3", ("--sigma", "sigma1"), "is_psigma_t", lemma_2_5_lie),
 }
@@ -364,13 +385,15 @@ PLANTED_FAULTS = {
 @pytest.mark.parametrize("sid", sorted(PLANTED_FAULTS))
 def test_planted_fault_is_a_counterexample_and_verify_exits_1(corpus, monkeypatch, capsys, sid):
     """One harness predicate lies on one group: the statement's row on that
-    group is a counterexample whose row survives a JSON round trip, and
-    ``verify`` on the same group and sigma or pi exits 1."""
+    group is a counterexample, not vacuous, whose witness carries the note
+    that the statement is proved and whose row survives a JSON round trip,
+    and ``verify`` on the same group and sigma or pi exits 1."""
     name, option, predicate, lie = PLANTED_FAULTS[sid]
     G = corpus[name].build()
     monkeypatch.setattr(harness, predicate, lie(G, getattr(harness, predicate)))
     [out] = harness.run_statements(G, name, (sid,), sigmas=[S1], pis=[frozenset({2})])
-    assert out.verdict == "counterexample"
+    assert (out.verdict, out.vacuous) == ("counterexample", False)
+    assert out.witness["note"] == "implementation bug candidate: statement is proved"
     row = out.to_json()
     assert json.loads(json.dumps(row)) == row
     assert main(["verify", "--group", name, "--statement", sid, *option]) == 1

@@ -110,6 +110,10 @@ MUTANTS = (
            "any(h.mask & both == both for h in subgroups_of_order(G, n, limits))",
            "any(h.mask & A.mask == A.mask for h in subgroups_of_order(G, n, limits))",
            ("tests/test_sigma.py",)),
+    # an AW == WA that always holds makes some H^G/H_G not sigma-nilpotent
+    Mutant("permutes-always", "src/sigmagroups/sigma.py",
+           "    return G.order % n == 0 and any(", "    return True or any(",
+           ("tests/test_sigma.py",)),
     # every sigma memo is keyed by all the blocks of sigma(G), and a Lemma 2.1
     # violation recorded by its block's primes is reported by the caller's id
     Mutant("sigma-key-first-block", "src/sigmagroups/sigma.py",
@@ -185,25 +189,26 @@ MUTANTS = (
            "    if value < 1:", "    if value < 0:", ("tests/test_corpus.py",)),
     # the decisive comparisons of the verifiers
     Mutant("lemma-2-2-decision", "src/sigmagroups/harness.py",
-           "    if separable == conditions:", "    if separable != conditions:",
-           ("tests/test_harness.py",)),
+           "None if separable == conditions else witness",
+           "None if separable != conditions else witness", ("tests/test_harness.py",)),
     Mutant("lemma-2-1-decision", "src/sigmagroups/harness.py",
-           "    violation = sigma_full_sylow_type_violation(G, sigma, limits)\n"
-           "    if violation is None:",
-           "    violation = sigma_full_sylow_type_violation(G, sigma, limits)\n"
-           "    if violation is not None:",
+           "None if violation is None else", "None if violation is not None else",
            ("tests/test_harness.py",)),
     Mutant("lemma-2-4-decision", "src/sigmagroups/harness.py",
-           "        if lhs is not rhs:", "        if lhs is rhs:", ("tests/test_harness.py",)),
+           "if lhs is not rhs), None)", "if lhs is rhs), None)", ("tests/test_harness.py",)),
     Mutant("covering-supplement-decision", "src/sigmagroups/harness.py",
            "        if in_class_t is None:", "        if in_class_t is not None:",
            ("tests/test_harness.py",)),
     Mutant("lemma-2-5-complements-meet-trivially", "src/sigmagroups/harness.py",
            "if M.mask & D.mask == 1)", "if M.mask & D.mask != 1)", ("tests/test_harness.py",)),
     Mutant("lemma-2-3-decision", "src/sigmagroups/harness.py",
-           "    if failures:", "    if not failures:", ("tests/test_harness.py",)),
+           '{"failures": failures} if failures else None',
+           '{"failures": failures} if not failures else None', ("tests/test_harness.py",)),
     Mutant("lemma-2-5-forward-decision", "src/sigmagroups/harness.py",
-           "    if problems:", "    if not problems:", ("tests/test_harness.py",)),
+           "if problems else None", "if not problems else None", ("tests/test_harness.py",)),
+    # a confirmed lemma row keeps its verifier's vacuous flag
+    Mutant("lemma-row-keeps-vacuous", "src/sigmagroups/harness.py",
+           '"confirmed", vacuous=vacuous,', '"confirmed",', ("tests/test_harness.py",)),
     # G/N sigma-nilpotent, read in the normal lattice
     Mutant("nilpotent-section-every-block", "src/sigmagroups/harness.py",
            "    return all(k * part_for_primes(index, ps) in between",
