@@ -177,9 +177,8 @@ def _covering_outcome(sid: str, G: PermGroup, sigma: SigmaPartition, cls: str,
 def verify_theorem_A(G: PermGroup, sigma: SigmaPartition, cls: str, group_name: str = "",
                      limits: Limits = DEFAULT_LIMITS) -> VerificationOutcome:
     """One class instance of the covering-system statement, contrapositively."""
-    sid = _class_sid(cls)
     return _covering_outcome(
-        sid, G, sigma, cls, group_name, limits,
+        _class_sid(cls), G, sigma, cls, group_name, limits,
         in_class={"note": "G lies in the class; T = G supplements every V"},
         found={"class": cls})
 
@@ -441,7 +440,7 @@ def verify_lemma_2_5_forward(G: PermGroup, sigma: SigmaPartition, group_name: st
                              "G is not a sigma-soluble PsigmaT-group")
     D = sigma_nilpotent_residual(G, sigma, limits)
     M = next(iter(_complements(G, D, limits)), None)
-    condition_ii = _condition_ii_blocks(G, D, sigma, limits)
+    complemented, blocks = _condition_ii_blocks(G, D, sigma, limits)
     problems = _shape_problems(G, D)
     if M is None:
         problems.append("no complement M to D exists")
@@ -449,9 +448,9 @@ def verify_lemma_2_5_forward(G: PermGroup, sigma: SigmaPartition, group_name: st
         problems.append("complement M is not sigma-nilpotent")
     if not induces_power_automorphisms(G, D, limits):
         problems.append("G does not induce power automorphisms in D")
-    if not condition_ii[0]:
+    if not complemented:
         problems.append("condition (ii) fails for some block")
-    witness = {"D": _sub_json(D), "M": _sub_json(M) if M else None, "blocks": condition_ii[1]}
+    witness = {"D": _sub_json(D), "M": _sub_json(M) if M else None, "blocks": blocks}
     return _lemma_row("Lem2.5.fwd", group_name, sigma,
                       {**witness, "problems": problems,
                        "lattice_orders": sorted(h.order for h in all_subgroups(G, limits))}
