@@ -48,11 +48,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="finite-group computations around prime partitions")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, sigma_default="sigma1"):
+    def common(p):
         p.add_argument("--group", required=True, help="corpus group name")
         p.add_argument("--corpus-file", type=_nonempty,
                        help="resolve --group in this file instead of the builtin corpus")
-        p.add_argument("--sigma", default=sigma_default,
+        p.add_argument("--sigma", default="sigma1",
                        help="partition text like [2,3][5], or sigma1")
         p.add_argument("--format", choices=("human", "machine"), default="human")
         caps(p)

@@ -63,27 +63,24 @@ class CorpusEntry:
                 f"corpus entry {self.name!r}: declared order {self.expected_order} has a "
                 f"prime factor above the degree {self.degree}")
 
-    def generated(self) -> PermGroup:
-        """The group of the generators, with its Schreier-Sims chain only, so
-        no bound applies; GroupInputError when its order is not the declared one."""
+    def build(self, limits: Limits = DEFAULT_LIMITS) -> PermGroup:
+        """The interned group; CapacityError when its declared order exceeds
+        the multiplication-table bound of ``limits``, GroupInputError when
+        the generated order is not the declared one.
+
+        Every lattice computed for the group is of it or of a subgroup or
+        quotient, none larger, so the table bound, the one bound on a
+        group's order, is checked here, before any work is done: against the
+        declared order, before the chain is built.  The group of the
+        generators, with its Schreier-Sims chain only, then must have the
+        declared order, so a group that builds fits the bound."""
+        _check_table_room(self.expected_order, limits)
         G = PermGroup(self.degree, self.generators)
         if G.order != self.expected_order:
             raise GroupInputError(
                 f"corpus entry {self.name!r}: generated order {G.order}, "
                 f"declared {self.expected_order}")
-        return G
-
-    def build(self, limits: Limits = DEFAULT_LIMITS) -> PermGroup:
-        """The interned group; CapacityError when its declared order exceeds
-        the multiplication-table bound of ``limits``.
-
-        Every lattice computed for the group is of it or of a subgroup or
-        quotient, none larger, so the table bound, the one bound on a
-        group's order, is checked here, before any work is done: against the
-        declared order, before the chain is built.  ``generated`` then
-        refuses any other order, so a group that builds fits the bound."""
-        _check_table_room(self.expected_order, limits)
-        return interned(self.generated())
+        return interned(G)
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,9 @@ operand used as a table (a stored inverse rep, a strong generator in its
 level's list) is padded with the fixed points n..255 to the 256 bytes
 ``translate`` needs.  Past 256 points it holds image tuples and gathers with
 ``itemgetter(*p)(q)``.
-``Perm`` is the value type seen by callers, always on image tuples.
+``Perm`` is the value type seen by callers: a frozen, ordered dataclass
+whose one field is the image tuple, so it compares, orders, hashes and
+pickles by that tuple, and refuses any change to it.
 
 Only root groups carry a chain: groups built from generators, such as corpus
 entries and quotient groups.  A subgroup is its root, a bitmask over the
@@ -61,6 +63,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from operator import itemgetter
 from typing import Iterable, Sequence
@@ -182,11 +185,11 @@ def format_cycles(p: tuple) -> str:
 # ---------------------------------------------------------------------------
 # Perm
 
-@functools.total_ordering
+@dataclass(frozen=True, order=True, slots=True, repr=False)
 class Perm:
     """An immutable permutation, stored as the tuple of 0-based images."""
 
-    __slots__ = ("images",)
+    images: tuple
 
     def __init__(self, images: Sequence[int]):
         imgs = tuple(images)
@@ -231,27 +234,11 @@ class Perm:
     def is_identity(self) -> bool:
         return self.images == identity_images(len(self.images))
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Perm) and self.images == other.images
-
-    def __lt__(self, other: "Perm") -> bool:
-        return self.images < other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
     def __str__(self) -> str:
         return format_cycles(self.images)
 
     def __repr__(self) -> str:
         return f"Perm({format_cycles(self.images)!r})"
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("Perm is immutable")
-
-    def __reduce__(self):
-        # the default slot state is restored through __setattr__, which refuses
-        return (Perm, (self.images,))
 
 
 # ---------------------------------------------------------------------------

@@ -400,6 +400,75 @@ def test_planted_fault_is_a_counterexample_and_verify_exits_1(corpus, monkeypatc
     assert "counterexample" in capsys.readouterr().out
 
 
+def normal_product_lie(G, original):
+    """The product of two normal subgroups of G is G."""
+    return lambda normals, A, B: normals[-1] if A.root is G else original(normals, A, B)
+
+
+def quotient_lie(G, original):
+    """G over its normal subgroups of order 2 is not sigma-nilpotent."""
+    return lambda X, normals, top, bottom, sigma: (
+        not (X is G and top == G.mask and bottom.bit_count() == 2)
+        and original(X, normals, top, bottom, sigma))
+
+
+def complement_lie(G, original):
+    """No subgroup has a complement."""
+    return lambda X, D, limits: ()
+
+
+def complement_nilpotent_lie(G, original):
+    """No subgroup of G of order 2 is sigma-nilpotent."""
+    return lambda X, sigma, limits: (not (X.root is G and X.order == 2)
+                                     and original(X, sigma, limits))
+
+
+def condition_ii_lie(G, original):
+    """Condition (ii) fails, with the true per-block witness."""
+    return lambda *args: (False, original(*args)[1])
+
+
+def _sub(order, *generators):
+    return {"order": order, "generators": list(generators)}
+
+
+# case -> (verifier, group, the harness function that lies, the lie, the
+# witness field that lists the failures, the list it must be)
+PLANTED_FAILURE_BRANCHES = {
+    "Lem2.3 normal-product": (
+        verify_lemma_2_3, "S3", "_normal_product", normal_product_lie, "failures",
+        [{"part": "normal-product", "N1": _sub(1), "N2": _sub(3, "(1 2 3)")}]),
+    "Lem2.3 quotient": (
+        verify_lemma_2_3, "C6", "_nilpotent_section", quotient_lie, "failures",
+        [{"part": "quotient", "N": _sub(2, "(1 4)(2 5)(3 6)")}]),
+    "Lem2.5.fwd no complement": (
+        verify_lemma_2_5_forward, "S3", "_complements", complement_lie, "problems",
+        ["no complement M to D exists"]),
+    "Lem2.5.fwd complement not nilpotent": (
+        verify_lemma_2_5_forward, "S3", "is_sigma_nilpotent", complement_nilpotent_lie,
+        "problems", ["complement M is not sigma-nilpotent"]),
+    "Lem2.5.fwd condition ii": (
+        verify_lemma_2_5_forward, "S3", "_condition_ii_blocks", condition_ii_lie, "problems",
+        ["condition (ii) fails for some block"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLANTED_FAILURE_BRANCHES))
+def test_planted_fault_reaches_its_failure_branch(corpus, monkeypatch, case):
+    """Each failure branch of Lem2.3 and Lem2.5.fwd that no true group
+    reaches is reached by one lie at sigma1, and the row lists that
+    failure alone, with the note that the statement is proved."""
+    verify, name, target, lie, key, expected = PLANTED_FAILURE_BRANCHES[case]
+    G = corpus[name].build()
+    monkeypatch.setattr(harness, target, lie(G, getattr(harness, target)))
+    out = verify(G, S1, name)
+    assert (out.verdict, out.vacuous) == ("counterexample", False)
+    assert out.witness[key] == expected
+    assert out.witness["note"] == "implementation bug candidate: statement is proved"
+    monkeypatch.undo()
+    assert verify(G, S1, name).verdict == "confirmed"
+
+
 # ---------------------------------------------------------------------------
 # Lemma 2.5, both directions
 

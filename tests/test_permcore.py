@@ -1,5 +1,6 @@
 """Permutation arithmetic, cycle-notation I/O, stabilizer chains, subgroups."""
 
+import dataclasses
 import pickle
 
 import pytest
@@ -125,6 +126,39 @@ def test_perm_pickle_round_trip():
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             q = pickle.loads(pickle.dumps(p, protocol))
             assert q == p and q.images == p.images and isinstance(q, Perm)
+
+
+def test_perm_is_not_equal_to_its_image_tuple():
+    assert (Perm((1, 0)) == (1, 0)) is False
+    assert Perm((1, 0)) != (1, 0) and (1, 0) != Perm((1, 0))
+
+
+@pytest.mark.parametrize("other", [(1, 0, 2), [1, 0, 2], "(1 2)", None], ids=repr)
+def test_perm_does_not_order_against_a_non_perm(other):
+    """Each comparison answers NotImplemented both ways, so Python raises
+    TypeError."""
+    p = Perm((0, 1, 2))
+    for compare in (Perm.__lt__, Perm.__le__, Perm.__gt__, Perm.__ge__):
+        assert compare(p, other) is NotImplemented
+    with pytest.raises(TypeError):
+        p < other
+    with pytest.raises(TypeError):
+        other >= p
+
+
+def test_perm_is_declared_by_its_image_field_alone():
+    """No attribute can be added, changed or deleted.  A name that is not a
+    field has no slot; Python 3.11's frozen slotted dataclass refuses it
+    with TypeError from its own ``__setattr__``, not AttributeError."""
+    assert [f.name for f in dataclasses.fields(Perm)] == ["images"]
+    p = Perm((2, 0, 1))
+    assert not hasattr(p, "__dict__")
+    with pytest.raises((AttributeError, TypeError)):
+        p.degree_hint = 3
+    assert not hasattr(p, "degree_hint")
+    with pytest.raises(AttributeError):
+        del p.images
+    assert p.images == (2, 0, 1)
 
 
 @pytest.mark.parametrize("images", [(1.0, 0), (0, 1, 2.0), (0.5, 0), (0, "1"), ("a",),

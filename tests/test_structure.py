@@ -159,6 +159,14 @@ def test_minimal_normal_subgroups(corpus):
         assert sorted(m.order for m in minimal_normal_subgroups(G)) == orders
 
 
+def test_minimal_normal_subgroups_refuse_the_trivial_group(corpus):
+    S3 = corpus["S3"].build()
+    for G in (trivial_subgroup(S3), PermGroup(3, [])):
+        with pytest.raises(GroupInputError) as caught:
+            minimal_normal_subgroups(G)
+        assert str(caught.value) == "the trivial group has no minimal normal subgroups"
+
+
 def test_chief_series():
     # literature factor orders; lower/upper orders must telescope
     from sigmagroups import builtin_entry
@@ -315,6 +323,19 @@ def test_a_group_interns_to_the_root_with_its_elements(corpus):
     assert interned(other) is S4
 
 
+def test_quotient_projects_only_members_of_its_group(corpus):
+    """A4/V4 refuses an element of the root S4 outside A4, whose coset slot
+    is -1, and a permutation that is not in the root's element table."""
+    S4 = corpus["S4"].build()
+    A4 = sub(S4, "(1 2 3)", "(1 2)(3 4)")
+    q = quotient_group(A4, sub(S4, "(1 2)(3 4)", "(1 3)(2 4)"))
+    assert q.project(Perm.parse("(1 2 3)", 4)).order() == 3
+    for x in (Perm.parse("(1 2)", 4), Perm.parse("(1 2 3)", 5)):
+        with pytest.raises(GroupInputError) as caught:
+            q.project(x)
+        assert str(caught.value) == f"{x} is not in the group"
+
+
 def test_quotient_by_non_normal_subgroup_is_rejected(corpus):
     S3 = corpus["S3"].build()
     with pytest.raises(GroupInputError, match="non-normal"):
@@ -339,6 +360,21 @@ def test_closure_and_subgroup_from_images(corpus):
     assert len(images) == 3
     h = subgroup_from_images(S3, images)
     assert h.order == 3 and h.root is S3
+
+
+def test_subgroup_from_images_refuses_a_set_outside_the_group(corpus):
+    """A set with an image tuple that is not in the root, even with a
+    subgroup of the root beside it, and a subgroup of the root that is not
+    inside G, are both refused."""
+    S4 = corpus["S4"].build()
+    A4 = sub(S4, "(1 2 3)", "(1 2)(3 4)")
+    e, t = Perm.identity(4).images, Perm.parse("(1 2)", 4).images
+    for G, images in ((S4, frozenset({e, (1, 0, 2, 3, 4)})), (S4, frozenset({(1, 0, 2)})),
+                      (A4, frozenset({e, t}))):
+        with pytest.raises(GroupInputError) as caught:
+            subgroup_from_images(G, images)
+        assert str(caught.value) == "element set is not inside the group"
+    assert subgroup_from_images(S4, frozenset({e, t})).order == 2
 
 
 def test_generated_subgroup(corpus):

@@ -206,6 +206,23 @@ MUTANTS = (
            '{"failures": failures} if not failures else None', ("tests/test_harness.py",)),
     Mutant("lemma-2-5-forward-decision", "src/sigmagroups/harness.py",
            "if problems else None", "if not problems else None", ("tests/test_harness.py",)),
+    # the failure branches of Lem2.3 and Lem2.5.fwd that only a planted
+    # fault reaches: each one dropped
+    Mutant("lemma-2-3-normal-product-failure", "src/sigmagroups/harness.py",
+           '                failures.append({"part": "normal-product",\n'
+           '                                 "N1": _sub_json(n1), "N2": _sub_json(n2)})\n',
+           "                pass\n", ("tests/test_harness.py",)),
+    Mutant("lemma-2-3-quotient-failure", "src/sigmagroups/harness.py",
+           'failures.append({"part": "quotient", "N": _sub_json(n)})', "pass",
+           ("tests/test_harness.py",)),
+    Mutant("lemma-2-5-no-complement-problem", "src/sigmagroups/harness.py",
+           'problems.append("no complement M to D exists")', "pass", ("tests/test_harness.py",)),
+    Mutant("lemma-2-5-complement-nilpotent-problem", "src/sigmagroups/harness.py",
+           'problems.append("complement M is not sigma-nilpotent")', "pass",
+           ("tests/test_harness.py",)),
+    Mutant("lemma-2-5-condition-ii-problem", "src/sigmagroups/harness.py",
+           'problems.append("condition (ii) fails for some block")', "pass",
+           ("tests/test_harness.py",)),
     # a confirmed lemma row keeps its verifier's vacuous flag
     Mutant("lemma-row-keeps-vacuous", "src/sigmagroups/harness.py",
            '"confirmed", vacuous=vacuous,', '"confirmed",', ("tests/test_harness.py",)),
@@ -255,6 +272,19 @@ MUTANTS = (
     Mutant("limits-table-ceiling", "src/sigmagroups/errors.py",
            "        if self.table_order_bound > MAX_TABLE_ORDER:",
            "        if self.table_order_bound >= MAX_TABLE_ORDER:", ("tests/test_structure.py",)),
+    # input checks of structure: the trivial group has no minimal normal
+    # subgroup, a quotient projects only members of its group, and an
+    # element set outside the root is not inside the group
+    Mutant("minimal-normal-trivial-group", "src/sigmagroups/structure.py",
+           "    if G.order == 1:\n"
+           '        raise GroupInputError("the trivial group has no minimal normal subgroups")\n',
+           "", ("tests/test_structure.py",)),
+    Mutant("quotient-project-outside-group", "src/sigmagroups/structure.py",
+           "        if index is None or self.coset_of[index] < 0:", "        if index is None:",
+           ("tests/test_structure.py",)),
+    Mutant("images-outside-root", "src/sigmagroups/structure.py",
+           "    if mask.bit_count() != len(images) or mask & G.mask != mask:",
+           "    if mask & G.mask != mask:", ("tests/test_structure.py",)),
     # every cached read checks the caller's table bound, hit or miss
     Mutant("memo-table-bound-on-every-read", "src/sigmagroups/structure.py",
            "    _check_table_room(root.order, limits)\n", "", ("tests/test_sigma.py",)),
