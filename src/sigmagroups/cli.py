@@ -22,7 +22,7 @@ from .corpus import CorpusEntry, RefusedEntry, builtin_corpus, builtin_entry, pa
 from .errors import CapacityError, DEFAULT_LIMITS, GroupInputError, Limits
 from .harness import (REGISTRY, STATEMENTS, CampaignConfig, VerificationOutcome,
                       campaign_sigmas, report_from_rows, run_campaign, run_statements)
-from .permcore import Perm, Subgroup
+from .permcore import Perm, PermGroup, Subgroup
 from .sigma import (BLOCK_DIGITS, SigmaPartition, complete_hall_sigma_set, is_psigma_t,
                     is_sigma_nilpotent, is_sigma_permutable, is_sigma_primary, is_sigma_soluble,
                     parse_sigma, sigma_nilpotent_residual, sigma_of_group)
@@ -117,11 +117,15 @@ def _resolve_entry(args) -> CorpusEntry | RefusedEntry:
     return builtin_entry(args.group)
 
 
-def _sigma(args) -> SigmaPartition:
-    """The one partition a one-shot command reads; ``all`` is verify's alone."""
+def _one_shot(args) -> tuple[Limits, PermGroup, SigmaPartition]:
+    """The limits, group and one partition of ``classify``, ``residual`` and
+    ``permutable``: the group is built first, then ``all``, which is
+    verify's alone, is refused."""
+    limits = _limits(args)
+    G = _resolve_entry(args).build(limits)
     if args.sigma == "all":
         raise GroupInputError("--sigma all is only valid for verify")
-    return parse_sigma(args.sigma)
+    return limits, G, parse_sigma(args.sigma)
 
 
 def _emit(args, human_lines: list[str], machine_obj) -> None:
@@ -135,9 +139,7 @@ def _emit(args, human_lines: list[str], machine_obj) -> None:
 # subcommands
 
 def cmd_classify(args) -> int:
-    limits = _limits(args)
-    G = _resolve_entry(args).build(limits)
-    sigma = _sigma(args)
+    limits, G, sigma = _one_shot(args)
     fields = {}
 
     def guard(key, fn):
@@ -178,9 +180,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_residual(args) -> int:
-    limits = _limits(args)
-    G = _resolve_entry(args).build(limits)
-    sigma = _sigma(args)
+    limits, G, sigma = _one_shot(args)
     r = sigma_nilpotent_residual(G, sigma, limits)
     gens = ", ".join(str(g) for g in r.generators) or "()"
     _emit(args, [f"sigma-nilpotent residual of {args.group} under {sigma.text()}: "
@@ -191,9 +191,7 @@ def cmd_residual(args) -> int:
 
 
 def cmd_permutable(args) -> int:
-    limits = _limits(args)
-    G = _resolve_entry(args).build(limits)
-    sigma = _sigma(args)
+    limits, G, sigma = _one_shot(args)
     gens = [Perm.parse(t, G.degree) for t in args.gen]
     H = Subgroup(G, gens)
     verdict = is_sigma_permutable(G, H, sigma, limits)

@@ -10,7 +10,8 @@ file format is the extension point for importing further groups:
     order 6
     tags soluble
 
-Entries are blank-line separated; ``order`` is mandatory and is checked
+An entry ends at a blank line or at the next ``group`` header; ``#`` lines
+are skipped and end nothing.  ``order`` is mandatory and is checked
 against the group actually generated when the entry is built, so a typo'd
 generator fails loudly there, and in a campaign gives only its own rows.
 """
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from .errors import (CapacityError, DEFAULT_LIMITS, GroupInputError, Limits, _check_count,
                      _check_prime)
 from .numbers import trial_division
-from .permcore import Perm, PermGroup, interned, parse_cycles
+from .permcore import Perm, PermGroup, interned
 from .sigma import SigmaPartition
 from .structure import _check_table_room
 
@@ -100,7 +101,7 @@ class RefusedEntry:
 
 
 def _entry(name: str, degree: int, gens: list[str], order: int, tags: str) -> CorpusEntry:
-    perms = tuple(Perm(parse_cycles(g, degree)) for g in gens)
+    perms = tuple(Perm.parse(g, degree) for g in gens)
     return CorpusEntry(name, degree, perms, order, tuple(tags.split()))
 
 
@@ -195,70 +196,61 @@ def parse_corpus_file(text: str) -> list[CorpusEntry | RefusedEntry]:
     is one whose values ``CorpusEntry`` refuses, such as a degree or order
     that is not a count or a declared order that does not divide degree!.
     The generated order and the table bound are checked when an entry is
-    built, so a wrong entry fails alone."""
+    built, so a wrong entry fails alone.
+
+    The lines are read in one pass, with one blank line past the last.  An
+    open entry is closed in one place: at a blank or whitespace-only line,
+    or at the next ``group`` header, whose line a missing order line's
+    message names (one past the last line at the end of the file).  A ``#``
+    line, indented or not, is skipped and closes nothing."""
     entries: list[CorpusEntry | RefusedEntry] = []
     names: set[str] = set()
-    cur: dict | None = None
-
-    def flush(lineno):
-        nonlocal cur
-        if cur is None:
-            return
-        if cur["order"] is None:
-            raise GroupInputError(
-                f"line {lineno}: entry {cur['name']!r} has no order line")
-        try:
-            if cur["refusal"] is not None:
-                raise GroupInputError(cur["refusal"])
-            entries.append(CorpusEntry(cur["name"], cur["degree"], tuple(cur["gens"]),
-                                       cur["order"], tuple(cur["tags"])))
-        except GroupInputError as exc:
-            entries.append(RefusedEntry(cur["name"], str(exc)))
-        cur = None
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    name = None  # the open entry's name; None between entries
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines + [""], start=1):
         line = raw.strip()
         if line.startswith("#"):
             continue
-        if not line:
-            flush(lineno)
-            continue
-        fields = line.split()
+        fields = line.split() or [""]
         kind = fields[0]
+        if name is not None and kind in ("", "group"):
+            if order is None:
+                raise GroupInputError(f"line {lineno}: entry {name!r} has no order line")
+            try:
+                entries.append(RefusedEntry(name, refusal) if refusal else
+                               CorpusEntry(name, degree, tuple(gens), order, tuple(tags)))
+            except GroupInputError as exc:
+                entries.append(RefusedEntry(name, str(exc)))
+            name = None
+        if not kind:
+            continue
         if kind == "group":
-            flush(lineno)
             if len(fields) != 4 or fields[2] != "deg":
                 raise GroupInputError(
                     f"line {lineno}: expected 'group <name> deg <n>', got {raw!r}")
-            name = fields[1]
-            if name in names:
-                raise GroupInputError(f"line {lineno}: duplicate group name {name!r}")
-            names.add(name)
+            if fields[1] in names:
+                raise GroupInputError(f"line {lineno}: duplicate group name {fields[1]!r}")
             if not _is_decimal(fields[3]):
                 raise GroupInputError(f"line {lineno}: bad degree {fields[3]!r}")
-            cur = {"name": name, "degree": int(fields[3]), "gens": [], "order": None, "tags": [],
-                   "refusal": None}
-            continue
-        if cur is None:
+            name, degree, gens, order, tags, refusal = fields[1], int(fields[3]), [], None, [], None
+            names.add(name)
+        elif name is None:
             raise GroupInputError(f"line {lineno}: {kind!r} before any group header")
-        if kind == "gen":
-            body = line[len("gen"):].strip()
+        elif kind == "gen":
             try:
-                cur["gens"].append(Perm(parse_cycles(body, cur["degree"])))
+                gens.append(Perm.parse(line[len("gen"):].strip(), degree))
             except GroupInputError as exc:
-                if cur["refusal"] is None:
-                    cur["refusal"] = f"line {lineno}: {exc}"
+                refusal = refusal or f"line {lineno}: {exc}"
         elif kind == "order":
-            if cur["order"] is not None:
-                raise GroupInputError(f"line {lineno}: second order line for {cur['name']!r}")
+            if order is not None:
+                raise GroupInputError(f"line {lineno}: second order line for {name!r}")
             if len(fields) != 2 or not _is_decimal(fields[1]):
                 raise GroupInputError(f"line {lineno}: bad order line {raw!r}")
-            cur["order"] = int(fields[1])
+            order = int(fields[1])
         elif kind == "tags":
-            cur["tags"].extend(fields[1:])
+            tags += fields[1:]
         else:
             raise GroupInputError(f"line {lineno}: unknown directive {kind!r}")
-    flush(len(text.splitlines()) + 1)
     return entries
 
 

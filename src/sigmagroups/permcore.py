@@ -45,8 +45,9 @@ level's list) is padded with the fixed points n..255 to the 256 bytes
 ``translate`` needs.  Past 256 points it holds image tuples and gathers with
 ``itemgetter(*p)(q)``.
 ``Perm`` is the value type seen by callers: a frozen, ordered dataclass
-whose one field is the image tuple, so it compares, orders, hashes and
-pickles by that tuple, and refuses any change to it.
+whose one field, and one slot, is the image tuple, so it compares, orders
+and hashes by that tuple, and refuses any change to it or any new attribute
+with ``FrozenInstanceError``.  It pickles as a call of ``Perm`` on the tuple.
 
 Only root groups carry a chain: groups built from generators, such as corpus
 entries and quotient groups.  A subgroup is its root, a bitmask over the
@@ -125,35 +126,30 @@ def _image_cycles(p: tuple) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # cycle notation
 
-_CYCLE_BODY = re.compile(r"\(([0-9 ]*)\)")
+_CYCLE = re.compile(r" ?\(([0-9 ]*)\)")
 
 
 def parse_cycles(text: str, degree: int) -> tuple:
     """Parse 1-based disjoint cycle notation into an image tuple.
 
     Whitespace and commas separate points.  Repeated points (within or across
-    cycles) are rejected, as are points outside 1..degree.
+    cycles) are rejected, as are points outside 1..degree.  Separators become
+    one space each, so each step reads one cycle after at most one space; a
+    trailing comma leaves a space that ends the text.
     """
     s = re.sub(r"[,\s]+", " ", text.strip())
     if not s:
         raise GroupInputError("empty permutation text")
-    pos = 0
     images = list(range(degree))
     seen: set[int] = set()
-    stripped = s
-    while pos < len(stripped):
-        if stripped[pos] == " ":
-            pos += 1
-            continue
-        m = _CYCLE_BODY.match(stripped, pos)
+    pos, end = 0, len(s.rstrip())
+    while pos < end:
+        m = _CYCLE.match(s, pos)
         if not m:
-            raise GroupInputError(f"bad cycle text at {stripped[pos:]!r}")
-        body = m.group(1).split()
+            raise GroupInputError(f"bad cycle text at {s[pos:].lstrip()!r}")
         pos = m.end()
-        if not body:
-            continue  # "()" identity cycle
         pts = []
-        for tok in body:
+        for tok in m.group(1).split():
             # a point has no more significant digits than the degree, so int
             # never reads a longer token
             digits = tok.lstrip("0") or "0"
@@ -185,10 +181,11 @@ def format_cycles(p: tuple) -> str:
 # ---------------------------------------------------------------------------
 # Perm
 
-@dataclass(frozen=True, order=True, slots=True, repr=False)
+@dataclass(frozen=True, order=True, repr=False)
 class Perm:
     """An immutable permutation, stored as the tuple of 0-based images."""
 
+    __slots__ = ("images",)
     images: tuple
 
     def __init__(self, images: Sequence[int]):
@@ -198,6 +195,10 @@ class Perm:
         if not (set(map(type, imgs)) <= {int} and sorted(imgs) == list(range(len(imgs)))):
             raise GroupInputError(f"not a permutation of 0..{len(imgs) - 1}: {imgs!r}")
         object.__setattr__(self, "images", imgs)
+
+    def __reduce__(self):
+        # the default would restore the slot through the frozen __setattr__
+        return Perm, (self.images,)
 
     @classmethod
     def identity(cls, degree: int) -> "Perm":

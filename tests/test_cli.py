@@ -472,6 +472,12 @@ def test_sigma_all_rejected_outside_verify(capsys):
             (2, "", "usage error: --sigma all is only valid for verify\n")
 
 
+def test_one_shot_commands_build_the_group_before_refusing_sigma_all(capsys):
+    for command in ("classify", "residual", "permutable"):
+        assert run(capsys, command, "--group", "NOPE", "--sigma", "all") == \
+            (2, "", "usage error: no builtin group named 'NOPE'\n")
+
+
 def test_missing_corpus_file_is_io_error(capsys, tmp_path):
     code, _, err = run(capsys, "campaign", "--corpus",
                        str(tmp_path / "nope.corpus"))

@@ -297,6 +297,14 @@ def test_builtin_round_trips():
     ("group X deg 3\norder 2\norder 2\n", "second order line"),
     ("group X deg 3\ngen (1 9)\norder 2\n", "line 2"),
     ("group X deg 3\ngen (1 2)\norder twelve\n", "bad order line"),
+    # a missing order line is reported at the line that closes the entry: a
+    # blank or whitespace-only line, the next header, or one past the last line
+    ("group A deg 2\ngen (1 2)\n\n\norder 2\n", "^line 3: entry 'A' has no order line$"),
+    ("group A deg 2\ngen (1 2)\n  \t\norder 2\n", "^line 3: entry 'A' has no order line$"),
+    ("group A deg 2\ngen (1 2)\ngroup B deg 2\norder 2\n",
+     "^line 3: entry 'A' has no order line$"),
+    ("group A deg 2\ngen (1 2)", "^line 3: entry 'A' has no order line$"),
+    ("group A deg 2\ngen (1 2)\n", "^line 3: entry 'A' has no order line$"),
 ])
 def test_parse_corpus_file_errors(text, fragment):
     """A syntax error stops the file when it is read.  A generator that does
@@ -311,6 +319,26 @@ def test_parse_corpus_file_errors(text, fragment):
         return
     with pytest.raises(GroupInputError, match=fragment.replace("(", "\\(")):
         parse_corpus_file(text)
+
+
+def test_a_group_header_closes_the_open_entry():
+    """No blank line is needed between entries: the next header closes the
+    open one, and the file's end closes the last with no trailing newline."""
+    a, b = parse_corpus_file("group A deg 2\ngen (1 2)\norder 2\n"
+                             "group B deg 3\ngen (1 2 3)\norder 3")
+    assert (a.name, a.expected_order, [g.images for g in a.generators]) == ("A", 2, [(1, 0)])
+    assert (b.name, b.expected_order, [g.images for g in b.generators]) == \
+        ("B", 3, [(1, 2, 0)])
+
+
+@pytest.mark.parametrize("comment", ["# note", "   # note", "\t#", "#"])
+def test_a_comment_line_inside_an_entry_ends_nothing(comment):
+    """A ``#`` line, indented or not, is skipped where a blank line would
+    close the entry."""
+    text = f"group A deg 3\ngen (1 2 3)\n{comment}\ngen (1 2)\n{comment}\norder 6\ntags t\n"
+    [entry] = parse_corpus_file(text)
+    assert (entry.name, entry.expected_order, entry.tags, len(entry.generators)) == \
+        ("A", 6, ("t",), 2)
 
 
 def test_only_the_first_bad_generator_of_an_entry_is_reported():

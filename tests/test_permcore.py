@@ -2,6 +2,7 @@
 
 import dataclasses
 import pickle
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -42,6 +43,22 @@ def test_parse_cycles_fixed_points_are_implicit():
 def test_parse_cycles_rejects_bad_text(bad):
     with pytest.raises(GroupInputError):
         parse_cycles(bad, 5)
+
+
+@pytest.mark.parametrize("bad, rest", [
+    ("1 2 3", "1 2 3"), ("(1 2", "(1 2"), ("(1 2) junk", "junk"), ("(1 2)x(3 4)", "x(3 4)"),
+    ("(1 2)  ,(3", "(3"), ("(1 2 x, ", "(1 2 x "),
+])
+def test_parse_cycles_names_the_text_it_could_not_read(bad, rest):
+    """The message quotes the text from the first place no cycle starts,
+    past the one space that separators become."""
+    with pytest.raises(GroupInputError, match=f"^bad cycle text at {re.escape(repr(rest))}$"):
+        parse_cycles(bad, 5)
+
+
+@pytest.mark.parametrize("text", [",(1 2)", "(1 2),", " , (1 2) ,\t", "(1 2),,"])
+def test_parse_cycles_reads_leading_and_trailing_separators(text):
+    assert parse_cycles(text, 3) == (1, 0, 2)
 
 
 @pytest.mark.parametrize("token", ["9" * 5000, "1" * 5000, "10" + "0" * 4999, "0" * 5000],
@@ -147,14 +164,15 @@ def test_perm_does_not_order_against_a_non_perm(other):
 
 
 def test_perm_is_declared_by_its_image_field_alone():
-    """No attribute can be added, changed or deleted.  A name that is not a
-    field has no slot; Python 3.11's frozen slotted dataclass refuses it
-    with TypeError from its own ``__setattr__``, not AttributeError."""
+    """No attribute can be added, changed or deleted: each is refused with
+    ``FrozenInstanceError``, an AttributeError."""
     assert [f.name for f in dataclasses.fields(Perm)] == ["images"]
     p = Perm((2, 0, 1))
     assert not hasattr(p, "__dict__")
-    with pytest.raises((AttributeError, TypeError)):
+    with pytest.raises(dataclasses.FrozenInstanceError):
         p.degree_hint = 3
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.images = (0, 1, 2)
     assert not hasattr(p, "degree_hint")
     with pytest.raises(AttributeError):
         del p.images

@@ -253,7 +253,19 @@ MUTANTS = (
            "        if rest > self.degree:", "        if rest >= self.degree:",
            ("tests/test_corpus.py",)),
     Mutant("corpus-duplicate-name", "src/sigmagroups/corpus.py",
-           "            if name in names:", "            if False:", ("tests/test_corpus.py",)),
+           "            if fields[1] in names:", "            if False:", ("tests/test_corpus.py",)),
+    # the corpus reader closes an open entry at the next header as at a blank
+    # line, and numbers the end of the file one past its last line
+    Mutant("corpus-header-closes-entry", "src/sigmagroups/corpus.py",
+           'if name is not None and kind in ("", "group"):', "if name is not None and not kind:",
+           ("tests/test_corpus.py",)),
+    Mutant("corpus-end-of-file-line", "src/sigmagroups/corpus.py",
+           'enumerate(lines + [""], start=1)', '[*enumerate(lines, start=1), (len(lines), "")]',
+           ("tests/test_corpus.py",)),
+    # a trailing comma leaves a space after the last cycle, which ends the text
+    Mutant("cycle-trailing-separator", "src/sigmagroups/permcore.py",
+           "    pos, end = 0, len(s.rstrip())\n", "    pos, end = 0, len(s)\n",
+           ("tests/test_permcore.py",)),
     Mutant("cycle-point-upper-bound", "src/sigmagroups/permcore.py",
            "            if not 1 <= val <= degree:", "            if not 1 <= val < degree:",
            ("tests/test_permcore.py",)),
